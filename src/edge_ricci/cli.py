@@ -18,8 +18,14 @@ from fractions import Fraction
 
 from .acceptance import run_all
 from .curvature import ricci, ricci_all_adjacent
-from .errors import EdgeRicciError, InvalidParameterError
-from .graph_core import generate, parse_edgelist, parse_weighted, serialize_edgelist
+from .errors import EdgeRicciError, FormatError, InvalidParameterError
+from .graph_core import (
+    base_graph,
+    generate,
+    parse_edgelist,
+    parse_weighted,
+    serialize_edgelist,
+)
 from .laplacian import OPERATORS, WEIGHTINGS, assemble, canonical_orientation, dump_matrix
 from .spectra import spectrum_of
 from .verify import (
@@ -104,6 +110,10 @@ def _load_graph(args):
                 text = fh.read()
         except OSError as exc:
             raise InvalidParameterError(f"cannot read {args.input}: {exc.strerror}")
+        except UnicodeDecodeError as exc:
+            raise FormatError(
+                f"cannot read {args.input}: not UTF-8 text "
+                f"(byte {exc.start}: {exc.reason})") from None
         return parse_weighted(text) if getattr(args, "weighted", False) \
             else parse_edgelist(text)
     if getattr(args, "weighted", False):
@@ -131,7 +141,7 @@ def _cmd_generate(args) -> int:
 
 
 def _curvature_rows(g, all_pairs: bool):
-    base = g.graph if hasattr(g, "graph") else g
+    base = base_graph(g)
     if all_pairs:
         pairs = ((e, f) for e in range(base.n_edges)
                  for f in range(e + 1, base.n_edges))
@@ -164,7 +174,7 @@ def _cmd_curvature(args) -> int:
 def _cmd_spectrum(args) -> int:
     g = _load_graph(args)
     if args.dump_matrix is not None:
-        base = g.graph if hasattr(g, "graph") else g
+        base = base_graph(g)
         orientation = canonical_orientation(base)
         matrix = assemble(g, args.dump_matrix, args.weighting, orientation)
         _emit(dump_matrix(matrix, args.dump_matrix, orientation), args.output)

@@ -37,7 +37,7 @@ from .errors import (
     SamePairError,
     TransportError,
 )
-from .graph_core import Graph, WeightedGraph, is_tree, vertex_degree
+from .graph_core import Graph, WeightedGraph, base_graph, is_tree, vertex_degree
 from .transport import (
     TransportProblem,
     TransportResult,
@@ -45,10 +45,6 @@ from .transport import (
     solve_wasserstein,
     verify_coupling,
 )
-
-
-def _base(g) -> Graph:
-    return g.graph if isinstance(g, WeightedGraph) else g
 
 
 @dataclass(frozen=True)
@@ -69,7 +65,7 @@ class CurvaturePair:
 
 def edges_adjacent(g, e: int, f: int) -> bool:
     """True when distinct edges e and f share a vertex."""
-    base = _base(g)
+    base = base_graph(g)
     if e == f:
         return False
     return f in edge_space(base).shared_vertex[e]
@@ -119,7 +115,7 @@ def ricci(g, e: int, f: int) -> CurvaturePair:
 
 def ricci_all_adjacent(g) -> dict[tuple[int, int], CurvaturePair]:
     """Curvature for every unordered adjacent pair, keyed by (e, f), e < f."""
-    base = _base(g)
+    base = base_graph(g)
     out: dict[tuple[int, int], CurvaturePair] = {}
     for e in range(base.n_edges):
         for f in edge_neighborhood(base, e):
@@ -130,7 +126,7 @@ def ricci_all_adjacent(g) -> dict[tuple[int, int], CurvaturePair]:
 
 def kappa_min(g, pairs: str = "adjacent"):
     """Minimum curvature over 'adjacent' pairs or over 'all' distinct pairs."""
-    base = _base(g)
+    base = base_graph(g)
     if pairs == "adjacent":
         values = [cp.kappa for cp in ricci_all_adjacent(g).values()]
     elif pairs == "all":
@@ -150,7 +146,7 @@ def _require_adjacent(g, e: int, f: int) -> None:
     if e == f:
         raise SamePairError(f"need two distinct edges, got {e} twice")
     if not edges_adjacent(g, e, f):
-        base = _base(g)
+        base = base_graph(g)
         raise NotAdjacentError(
             f"edges {base.edge_name(e)} and {base.edge_name(f)} share no vertex"
         )

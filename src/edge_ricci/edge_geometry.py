@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Union
 
 from .errors import IsolatedEdgeError, UnknownEdgeError
-from .graph_core import Graph, WeightedGraph
+from .graph_core import Graph, WeightedGraph, base_graph
 
 AnyGraph = Union[Graph, WeightedGraph]
 
@@ -128,10 +128,6 @@ def weighted_edge_space(wg: WeightedGraph) -> WeightedEdgeSpace:
     return space
 
 
-def _base(g: AnyGraph) -> Graph:
-    return g.graph if isinstance(g, WeightedGraph) else g
-
-
 def _check_ordinal(g: Graph, e: int) -> int:
     if not 0 <= e < g.n_edges:
         raise UnknownEdgeError(f"edge ordinal {e} out of range (0..{g.n_edges - 1})")
@@ -140,14 +136,14 @@ def _check_ordinal(g: Graph, e: int) -> int:
 
 def edge_neighborhood(g: AnyGraph, e: int) -> tuple[int, ...]:
     """Ordinals of the edges sharing a vertex with e, ascending."""
-    base = _base(g)
+    base = base_graph(g)
     _check_ordinal(base, e)
     return edge_space(base).neighbors[e]
 
 
 def edge_degree(g: AnyGraph, e: int) -> int:
     """Neighbor count |Gamma(e)| = deg(x) + deg(y) - 2 for e = {x, y}."""
-    base = _base(g)
+    base = base_graph(g)
     _check_ordinal(base, e)
     return edge_space(base).degrees[e]
 
@@ -206,7 +202,7 @@ class EdgeMeasure:
 
 def edge_measure(g: AnyGraph, e: int) -> EdgeMeasure:
     """Uniform (or weight-proportional) measure on the neighborhood of e."""
-    base = _base(g)
+    base = base_graph(g)
     _check_ordinal(base, e)
     space = edge_space(base)
     nbrs = space.neighbors[e]

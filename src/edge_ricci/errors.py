@@ -108,7 +108,10 @@ class NotSymmetricError(EdgeRicciError):
 
 
 class NoConvergenceError(EdgeRicciError):
-    """Jacobi sweeps did not reach the convergence threshold."""
+    """An eigenvalue of the tridiagonal form needed more QL iterations than
+    the cap allows (30 per eigenvalue) before its off-diagonal neighbour fell
+    to eps times the adjacent diagonal magnitudes; the message names the
+    matrix size."""
 
 
 class NoNonzeroEigenvalueError(EdgeRicciError):

@@ -49,7 +49,7 @@ class Graph:
 
     __slots__ = (
         "labels", "index", "edges", "adjacency",
-        "_edge_lookup", "_adj_idx", "_space", "_hash", "__weakref__",
+        "_edge_lookup", "_adj_idx", "_space", "_spectra", "_hash", "__weakref__",
     )
 
     def __init__(self, labels: Iterable[str], edge_pairs: Iterable[tuple[str, str]]):
@@ -110,6 +110,7 @@ class Graph:
         self._edge_lookup = {pair: k for k, pair in enumerate(self.edges)}
         self._adj_idx = tuple(tuple(row) for row in adj_idx)
         self._space = None
+        self._spectra = {}
         self._hash = hash(
             (frozenset(labels), frozenset(frozenset(p) for p in seen))
         )
@@ -182,7 +183,8 @@ class WeightedGraph:
     the class keeps identity semantics so per-instance caches stay valid.
     """
 
-    __slots__ = ("graph", "vertex_weight", "edge_weight", "_wspace", "__weakref__")
+    __slots__ = ("graph", "vertex_weight", "edge_weight", "_wspace", "_spectra",
+                 "__weakref__")
 
     def __init__(
         self,
@@ -205,6 +207,7 @@ class WeightedGraph:
         self.vertex_weight = vw
         self.edge_weight = ew
         self._wspace = None
+        self._spectra = {}
 
     def w_vertex(self, v: str) -> float:
         return self.vertex_weight[v]
@@ -220,11 +223,20 @@ class WeightedGraph:
         return f"WeightedGraph({self.graph!r})"
 
 
+def base_graph(g: Graph | WeightedGraph) -> Graph:
+    """The Graph underneath a Graph or WeightedGraph."""
+    return g.graph if isinstance(g, WeightedGraph) else g
+
+
 def _check_weight(w: object, what: str) -> float:
     try:
         w = float(w)
     except (TypeError, ValueError):
         raise NonpositiveWeightError(f"weight for {what} is not a number: {w!r}")
+    except OverflowError:
+        raise NonpositiveWeightError(
+            f"weight for {what} must be positive and finite, got an integer "
+            "too large for a float") from None
     if not math.isfinite(w) or w <= 0.0:
         raise NonpositiveWeightError(f"weight for {what} must be positive and finite, got {w}")
     return w
@@ -291,7 +303,8 @@ def parse_weighted(text: str) -> WeightedGraph:
         raise EmptyInputError("empty weighted-graph document")
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError and over-long integer literals
         raise FormatError(f"invalid JSON: {exc}") from None
     if not isinstance(doc, dict) or "edges" not in doc:
         raise FormatError('weighted document must be an object with an "edges" list')
@@ -315,8 +328,14 @@ def parse_weighted(text: str) -> WeightedGraph:
         pairs.append((u, v))
         ew[(u, v)] = _check_weight(w, f"edge {u!r} {v!r}")
 
+    raw_vw = doc.get("vertex_weights")
+    if raw_vw is None:
+        raw_vw = {}
+    elif not isinstance(raw_vw, dict):
+        raise FormatError('"vertex_weights" must be an object mapping vertex '
+                          f"labels to weights, got {type(raw_vw).__name__}")
     vw: dict[str, float] = {}
-    for v, w in (doc.get("vertex_weights") or {}).items():
+    for v, w in raw_vw.items():
         vw[_coerce_label(v)] = _check_weight(w, f"vertex {v!r}")
 
     graph = Graph(labels, pairs)

@@ -44,23 +44,19 @@ from .errors import (
     IsolatedEdgeError,
     SingularWeightError,
 )
-from .graph_core import Graph, WeightedGraph
+from .graph_core import WeightedGraph, base_graph
 
 OPERATORS = ("vertex", "edge")
 WEIGHTINGS = ("unit", "walk", "degree", "graph")
 
 
-def _base(g) -> Graph:
-    return g.graph if isinstance(g, WeightedGraph) else g
-
-
 def canonical_orientation(g) -> tuple[int, ...]:
     """All edges run from their lower-index endpoint to the higher."""
-    return (1,) * _base(g).n_edges
+    return (1,) * base_graph(g).n_edges
 
 
 def check_orientation(g, orientation: Sequence[int]) -> tuple[int, ...]:
-    base = _base(g)
+    base = base_graph(g)
     orientation = tuple(orientation)
     if len(orientation) != base.n_edges:
         raise BadOrientationError(
@@ -90,7 +86,7 @@ def orientation_hash(orientation: Sequence[int]) -> str:
 
 def build_incidence(g, orientation: Sequence[int] | None = None) -> list[list[int]]:
     """Signed incidence matrix, one row per edge: -s at tail, +s at head."""
-    base = _base(g)
+    base = base_graph(g)
     if orientation is None:
         orientation = canonical_orientation(base)
     orientation = check_orientation(base, orientation)
@@ -105,7 +101,7 @@ def build_incidence(g, orientation: Sequence[int] | None = None) -> list[list[in
 
 def weight_pair(g, weighting: str):
     """The scheme's diagonals: w0 over vertices, w1 over edges."""
-    base = _base(g)
+    base = base_graph(g)
     n, m = base.n_vertices, base.n_edges
     if weighting == "unit":
         return [Fraction(1)] * n, [Fraction(1)] * m
@@ -149,7 +145,7 @@ def assemble(
     Explicit vertex_weights / edge_weights override the scheme's diagonals;
     they must be positive and of length n resp. m.
     """
-    base = _base(g)
+    base = base_graph(g)
     if operator not in OPERATORS:
         raise InvalidParameterError(f"operator must be one of {OPERATORS}, got {operator!r}")
     d0 = build_incidence(base, orientation)
@@ -207,29 +203,45 @@ def symmetrized(
 
     Both forms are Gram matrices of B = W1^1/2 D W0^-1/2: the vertex
     operator is similar to B^T B and the edge operator to B B^T.  Entries
-    are floats (the conjugation takes square roots).
+    are floats (the conjugation takes square roots).  Row e of B holds two
+    nonzeros, at the tail and the head of edge e, so each Gram entry is
+    summed over shared endpoints only, in the order the dense product
+    would add them: O(m + sum of squared vertex degrees) work.
     """
-    base = _base(g)
+    base = base_graph(g)
     if operator not in OPERATORS:
         raise InvalidParameterError(f"operator must be one of {OPERATORS}, got {operator!r}")
-    d0 = build_incidence(base, orientation)
+    if orientation is None:
+        orientation = canonical_orientation(base)
+    orientation = check_orientation(base, orientation)
     w0, w1 = weight_pair(g, weighting)
     _check_positive(w0, "vertex")
     _check_positive(w1, "edge")
     n, m = base.n_vertices, base.n_edges
-    b = [
-        [math.sqrt(w1[e]) * d0[e][v] / math.sqrt(w0[v]) for v in range(n)]
-        for e in range(m)
-    ]
+    root0 = [math.sqrt(w) for w in w0]
+    b = []  # row e of B: its entries at the tail and at the head of e
+    for e, (i, j) in enumerate(base.edges):
+        root1, s = math.sqrt(w1[e]), orientation[e]
+        b.append((root1 * -s / root0[i], root1 * s / root0[j]))
     if operator == "vertex":
-        return [
-            [sum(b[e][u] * b[e][v] for e in range(m)) for v in range(n)]
-            for u in range(n)
-        ]
-    return [
-        [sum(b[e][v] * b[f][v] for v in range(n)) for f in range(m)]
-        for e in range(m)
-    ]
+        out = [[0.0] * n for _ in range(n)]
+        for (i, j), (bi, bj) in zip(base.edges, b):
+            out[i][i] += bi * bi
+            out[j][j] += bj * bj
+            out[i][j] += bi * bj
+            out[j][i] += bj * bi
+        return out
+    incident: list[list[tuple[int, float]]] = [[] for _ in range(n)]
+    for e, ((i, j), (bi, bj)) in enumerate(zip(base.edges, b)):
+        incident[i].append((e, bi))
+        incident[j].append((e, bj))
+    out = [[0.0] * m for _ in range(m)]
+    for entries in incident:  # vertices ascending, as the dense sum runs
+        for e, be in entries:
+            row = out[e]
+            for f, bf in entries:
+                row[f] += be * bf
+    return out
 
 
 def apply_down_part(g, values: Sequence, orientation: Sequence[int] | None = None):
@@ -245,7 +257,7 @@ def apply_down_part(g, values: Sequence, orientation: Sequence[int] | None = Non
     not from incidence products, so the tests can cross-check it against
     `assemble` minus its diagonal.
     """
-    base = _base(g)
+    base = base_graph(g)
     if len(values) != base.n_edges:
         raise InvalidParameterError(f"{len(values)} values for {base.n_edges} edges")
     if orientation is None:

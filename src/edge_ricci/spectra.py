@@ -1,26 +1,117 @@
-"""Symmetric eigenvalues via cyclic Jacobi rotations.
+"""Symmetric eigenvalues via Householder tridiagonalization and implicit QL.
 
 Self-contained solver so the numerics are reproducible bit-for-bit across
 platforms with the same libm; numpy.linalg is used only as an oracle in the
-test suite.  Convergence: the off-diagonal Frobenius norm must fall below
-1e-13 times the matrix Frobenius norm within 100 sweeps, after which one
-polishing sweep is applied (it costs little and pulls eigenvalues of PSD
-inputs back to within machine epsilon of nonnegative).
+test suite.  The matrix is reduced to tridiagonal form by n - 2 Householder
+reflections, then the tridiagonal matrix is diagonalized by QL sweeps with
+Wilkinson's implicit shift (Golub & Van Loan, *Matrix Computations*, 8.3;
+EISPACK tred1/tql1).  Only eigenvalues are wanted, so the reflections and
+rotations are never accumulated.
+
+Convergence: an off-diagonal entry e_k of the tridiagonal form counts as
+zero once |e_k| <= eps * (|d_k| + |d_k+1|), with eps the double-precision
+machine epsilon and d_k, d_k+1 its two diagonal neighbours.  Each eigenvalue
+gets at most 30 QL iterations; past that NoConvergenceError is raised.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from operator import mul
 
 from .errors import NoConvergenceError, NoNonzeroEigenvalueError, NotSymmetricError
 
-_OFFDIAG_RATIO = 1e-13
-_MAX_SWEEPS = 100
+_EPS = sys.float_info.epsilon
+_MAX_ITERATIONS = 30  # QL iterations per eigenvalue
 
 
 def _as_float_matrix(matrix) -> list[list[float]]:
     return [[float(x) for x in row] for row in matrix]
+
+
+def _tridiagonalize(a: list[list[float]]) -> tuple[list[float], list[float]]:
+    """Diagonal d and subdiagonal e of a tridiagonal matrix similar to a.
+
+    e[k] couples rows k - 1 and k (e[0] is 0).  Row k is reduced against
+    the leading k x k block, from the last row up; a is consumed.
+    """
+    n = len(a)
+    d = [0.0] * n
+    e = [0.0] * n
+    for k in range(n - 1, 0, -1):
+        d[k] = a[k][k]
+        if k == 1:
+            e[1] = a[1][0]
+            break
+        scale = sum(map(abs, a[k][:k]))
+        if scale == 0.0:
+            continue
+        # reflection P = I - u u^T / h mapping row k's left part onto e_(k-1)
+        u = [x / scale for x in a[k][:k]]
+        h = sum(map(mul, u, u))
+        f = u[-1]
+        g = -math.copysign(math.sqrt(h), f)
+        e[k] = scale * g
+        h -= f * g
+        u[-1] = f - g
+        # leading block A <- P A P = A - u q^T - q u^T
+        p = [sum(map(mul, a[j], u)) / h for j in range(k)]
+        half = sum(map(mul, u, p)) / (h + h)
+        q = [pj - half * uj for pj, uj in zip(p, u)]
+        for j in range(k):
+            uj, qj = u[j], q[j]
+            a[j] = [x - (uj * qi + qj * ui) for x, ui, qi in zip(a[j], u, q)]
+    d[0] = a[0][0]
+    return d, e
+
+
+def _tridiagonal_eigenvalues(d: list[float], e: list[float]) -> list[float]:
+    """Eigenvalues of the tridiagonal (d, e) by implicit-shift QL; d is consumed."""
+    n = len(d)
+    e = e[1:] + [0.0]  # now e[k] couples rows k and k + 1
+    for lo in range(n):
+        iterations = 0
+        while True:
+            m = lo
+            while m < n - 1 and abs(e[m]) > _EPS * (abs(d[m]) + abs(d[m + 1])):
+                m += 1
+            if m == lo:
+                break
+            if iterations == _MAX_ITERATIONS:
+                raise NoConvergenceError(
+                    f"eigenvalue {lo} of a {n}x{n} matrix did not converge "
+                    f"within {_MAX_ITERATIONS} QL iterations"
+                )
+            iterations += 1
+            # Wilkinson shift from the leading 2x2 block of the active part
+            g = (d[lo + 1] - d[lo]) / (2.0 * e[lo])
+            r = math.hypot(g, 1.0)
+            g = d[m] - d[lo] + e[lo] / (g + math.copysign(r, g))
+            s = c = 1.0
+            p = 0.0
+            for i in range(m - 1, lo - 1, -1):
+                f = s * e[i]
+                b = c * e[i]
+                r = math.hypot(f, g)
+                e[i + 1] = r
+                if r == 0.0:  # the block split early: deflate and sweep again
+                    d[i + 1] -= p
+                    e[m] = 0.0
+                    break
+                s = f / r
+                c = g / r
+                g = d[i + 1] - p
+                r = (d[i] - g) * s + 2.0 * c * b
+                p = s * r
+                d[i + 1] = g + p
+                g = c * r - b
+            else:
+                d[lo] -= p
+                e[lo] = g
+                e[m] = 0.0
+    return d
 
 
 def eigenvalues_symmetric(matrix) -> tuple[float, ...]:
@@ -42,47 +133,7 @@ def eigenvalues_symmetric(matrix) -> tuple[float, ...]:
             a[p][q] = a[q][p] = mid
     if n == 1:
         return (a[0][0],)
-
-    fro = math.sqrt(sum(x * x for row in a for x in row))
-    if fro == 0.0:
-        return tuple([0.0] * n)
-    target = _OFFDIAG_RATIO * fro
-
-    def off() -> float:
-        return math.sqrt(2.0 * sum(a[p][q] ** 2 for p in range(n) for q in range(p + 1, n)))
-
-    def sweep() -> None:
-        for p in range(n):
-            for q in range(p + 1, n):
-                apq = a[p][q]
-                if apq == 0.0:
-                    continue
-                theta = 0.5 * (a[q][q] - a[p][p]) / apq
-                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                app, aqq = a[p][p], a[q][q]
-                a[p][p] = app - t * apq
-                a[q][q] = aqq + t * apq
-                a[p][q] = a[q][p] = 0.0
-                for k in range(n):
-                    if k != p and k != q:
-                        akp, akq = a[k][p], a[k][q]
-                        a[k][p] = a[p][k] = c * akp - s * akq
-                        a[k][q] = a[q][k] = s * akp + c * akq
-
-    converged = False
-    for _ in range(_MAX_SWEEPS):
-        if off() <= target:
-            converged = True
-            break
-        sweep()
-    if not converged and off() > target:
-        raise NoConvergenceError(
-            f"Jacobi sweeps exhausted with off-diagonal norm {off():.3e}"
-        )
-    sweep()  # polish
-    return tuple(sorted(a[k][k] for k in range(n)))
+    return tuple(sorted(_tridiagonal_eigenvalues(*_tridiagonalize(a))))
 
 
 @dataclass(frozen=True)
@@ -114,13 +165,22 @@ def spectrum_of(g, operator: str = "edge", weighting: str = "degree",
                 orientation=None, zero_tol: float | None = None) -> Spectrum:
     """Spectrum of an assembled operator (via its symmetrized form).
 
-    When zero_tol is omitted it defaults to 1e-8 * max(1, largest
-    eigenvalue) — relative, since nothing in the operators pins an
-    absolute scale.
+    The eigenvalues are solved once per (operator, weighting) and kept on
+    the graph instance; an explicit orientation bypasses that cache (the
+    eigenvalues do not depend on it).  When zero_tol is omitted it defaults
+    to 1e-8 * max(1, largest eigenvalue) — relative, since nothing in the
+    operators pins an absolute scale.  It is applied per call, so one
+    cached solve serves every tolerance.
     """
     from .laplacian import symmetrized
 
-    values = eigenvalues_symmetric(symmetrized(g, operator, weighting, orientation))
+    if orientation is not None:
+        values = eigenvalues_symmetric(symmetrized(g, operator, weighting, orientation))
+    else:
+        values = g._spectra.get((operator, weighting))
+        if values is None:
+            values = eigenvalues_symmetric(symmetrized(g, operator, weighting))
+            g._spectra[(operator, weighting)] = values
     if zero_tol is None:
         zero_tol = 1e-8 * max(1.0, values[-1]) if values else 1e-8
     return Spectrum(values, zero_tol)

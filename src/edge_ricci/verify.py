@@ -34,15 +34,11 @@ from .curvature import (
 )
 from .edge_geometry import edge_degree, edge_space
 from .errors import InvalidParameterError
-from .graph_core import Graph, GraphFamily, WeightedGraph, generate, is_tree
+from .graph_core import Graph, GraphFamily, WeightedGraph, base_graph, generate, is_tree
 from .spectra import spectral_equivalence_gap, spectrum_of
 
 _GAP_TOL = 1e-9
 _EQUIV_TOL = 1e-8
-
-
-def _base(g) -> Graph:
-    return g.graph if isinstance(g, WeightedGraph) else g
 
 
 @dataclass(frozen=True)
@@ -81,7 +77,7 @@ def _inapplicable(name, reason, diagnostic=False):
 
 def edge_regularity(g):
     """The common edge degree when all |Gamma(e)| agree, else None."""
-    base = _base(g)
+    base = base_graph(g)
     degrees = edge_space(base).degrees
     return degrees[0] if len(set(degrees)) == 1 else None
 
@@ -103,7 +99,7 @@ def check_spectral_gap_bound(g) -> TheoremCheck:
     inapplicable with the reason recorded.
     """
     name = "spectral-gap-vs-curvature"
-    base = _base(g)
+    base = base_graph(g)
     d = edge_regularity(base)
     if d is None:
         return _inapplicable(name, "edge degrees are not all equal")
@@ -133,7 +129,7 @@ def check_triangle_gap_diagnostic(g) -> TheoremCheck:
     closes a triangle.  The 4/d constant shows up in that configuration but
     is never asserted; failures here are informational."""
     name = "spectral-gap-vs-curvature-triangle-diagnostic"
-    base = _base(g)
+    base = base_graph(g)
     d = edge_regularity(base)
     if d is None:
         return _inapplicable(name, "edge degrees are not all equal", diagnostic=True)
@@ -197,7 +193,7 @@ def check_bounds(g) -> list[TheoremCheck]:
     otherwise recorded as inapplicable (one entry per pair either way).
     """
     weighted = isinstance(g, WeightedGraph)
-    base = _base(g)
+    base = base_graph(g)
     tol = _GAP_TOL if weighted else 0.0
     const_vw = g.has_constant_vertex_weights() if weighted else True
     out = []
@@ -223,7 +219,7 @@ def check_adjacent_pair_reduction(g) -> TheoremCheck:
     """A curvature floor over adjacent pairs extends to all distinct pairs:
     min over every pair >= min over adjacent pairs."""
     name = "adjacent-min-extends-to-all-pairs"
-    base = _base(g)
+    base = base_graph(g)
     if base.n_edges < 3:
         return _inapplicable(name, "fewer than three edges")
     weighted = isinstance(g, WeightedGraph)
@@ -235,7 +231,7 @@ def check_adjacent_pair_reduction(g) -> TheoremCheck:
 def check_spectral_equivalence(g, weighting: str = "degree") -> list[TheoremCheck]:
     """Vertex and edge operators of one weighting share nonzero spectra, and
     the edge operator's kernel has dimension |E| - |V| + 1."""
-    base = _base(g)
+    base = base_graph(g)
     gap = spectral_equivalence_gap(g, weighting)
     zero_mult = spectrum_of(g, "edge", weighting).zero_multiplicity
     expected = base.n_edges - base.n_vertices + 1
@@ -361,7 +357,7 @@ def verification_report(g, zero_tol: float | None = None) -> VerificationReport:
     """Run the full check battery appropriate to the graph's kind."""
     start = time.perf_counter()
     weighted = isinstance(g, WeightedGraph)
-    base = _base(g)
+    base = base_graph(g)
     d = edge_regularity(base)
     summary = {
         "vertices": base.n_vertices,

@@ -155,6 +155,50 @@ def test_usage_errors_exit_2(capsys, tmp_path):
     capsys.readouterr()
 
 
+def assert_one_error_line(code, err):
+    assert code == 2
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_oversized_integer_weight_exits_2(capsys, tmp_path):
+    path = tmp_path / "g.json"
+    path.write_text('{"edges": [["a", "b", 1' + "0" * 400 + ']]}')
+    code, _, err = run_cli(capsys, "verify", "--input", str(path), "--weighted")
+    assert_one_error_line(code, err)
+    assert "too large for a float" in err
+
+
+@pytest.mark.parametrize("vertex_weights", [[1, 2], [], 0])
+def test_vertex_weights_not_an_object_exits_2(capsys, tmp_path, vertex_weights):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"edges": [["a", "b"], ["b", "c"]],
+                                "vertex_weights": vertex_weights}))
+    code, _, err = run_cli(capsys, "verify", "--input", str(path), "--weighted")
+    assert_one_error_line(code, err)
+    assert '"vertex_weights" must be an object' in err
+
+
+def test_non_utf8_edge_list_exits_2(capsys, tmp_path):
+    path = tmp_path / "g.txt"
+    path.write_bytes(b"a b\n\xff\xfe c\n")
+    code, _, err = run_cli(capsys, "verify", "--input", str(path))
+    assert_one_error_line(code, err)
+    assert "not UTF-8 text" in err
+
+
+def test_json_the_parser_rejects_exits_2(capsys, tmp_path):
+    # beyond the interpreter's digit limit, and nested past its recursion limit
+    for text in ('{"edges": [["a", "b", ' + "1" * 5000 + "]]}",
+                 "[" * 100000 + "]" * 100000):
+        path = tmp_path / "g.json"
+        path.write_text(text)
+        code, _, err = run_cli(capsys, "curvature", "--input", str(path),
+                               "--weighted")
+        assert_one_error_line(code, err)
+        assert "invalid JSON" in err
+
+
 def test_output_flag_writes_files(capsys, tmp_path):
     target = tmp_path / "report.json"
     code = main(["verify", "--family", "cycle:5", "--format", "json",

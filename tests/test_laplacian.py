@@ -4,6 +4,7 @@ numpy.linalg appears here purely as an oracle for the hand-rolled
 eigensolver and for the AB/BA spectrum comparisons.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -16,7 +17,7 @@ from edge_ricci.errors import (
     IsolatedEdgeError,
     SingularWeightError,
 )
-from edge_ricci.graph_core import WeightedGraph, generate
+from edge_ricci.graph_core import SplitMix64, WeightedGraph, generate
 from edge_ricci.laplacian import (
     apply_down_part,
     assemble,
@@ -102,6 +103,46 @@ def test_down_part_weighted_route():
         assert via_measures[e] == pytest.approx(direct, abs=1e-12)
 
 
+def _dense_gram(g, operator, weighting, orientation=None):
+    """The dense B^T B / B B^T product over the full incidence matrix."""
+    d0 = build_incidence(g, orientation)
+    w0, w1 = weight_pair(g, weighting)
+    n, m = len(w0), len(w1)
+    b = [[math.sqrt(w1[e]) * d0[e][v] / math.sqrt(w0[v]) for v in range(n)]
+         for e in range(m)]
+    if operator == "vertex":
+        return [[sum(b[e][u] * b[e][v] for e in range(m)) for v in range(n)]
+                for u in range(n)]
+    return [[sum(b[e][v] * b[f][v] for v in range(n)) for f in range(m)]
+            for e in range(m)]
+
+
+def _random_weights(spec, seed):
+    g = generate(spec, seed=seed)
+    rng = SplitMix64(seed)
+    vw = {v: 0.5 + 1.5 * rng.uniform() for v in g.labels}
+    ew = {g.edge_endpoints(e): 0.5 + 1.5 * rng.uniform() for e in range(g.n_edges)}
+    return WeightedGraph(g, vw, ew)
+
+
+@pytest.mark.parametrize("operator", ["vertex", "edge"])
+@pytest.mark.parametrize("weighting", ["unit", "walk", "degree", "graph"])
+@pytest.mark.parametrize("spec,seed", [("random:9:0.4", 3), ("petersen", 0),
+                                       ("star:6", 0), ("tree:12", 5)])
+def test_sparse_symmetrized_equals_dense_gram(spec, seed, weighting, operator):
+    g = _random_weights(spec, seed)
+    if weighting != "graph":
+        g = g.graph
+    canonical = canonical_orientation(g)
+    flipped = reorient(canonical, range(0, len(canonical), 3))
+    for orientation in (None, flipped):
+        got = symmetrized(g, operator, weighting, orientation)
+        want = _dense_gram(g, operator, weighting, orientation)
+        assert len(got) == len(want)
+        for row_got, row_want in zip(got, want):
+            assert row_got == row_want  # same sums in the same order
+
+
 def test_assemble_agrees_with_symmetrized_spectrum():
     # non-symmetric assembled operator vs its symmetric similar form,
     # eigenvalues from numpy on both sides
@@ -110,8 +151,8 @@ def test_assemble_agrees_with_symmetrized_spectrum():
     ours = sorted(np.linalg.eigvals(raw).real)
     oracle = np.linalg.eigvalsh(np.array(symmetrized(g, "edge", "degree")))
     assert ours == pytest.approx(list(oracle), abs=1e-9)
-    jacobi = eigenvalues_symmetric(symmetrized(g, "edge", "degree"))
-    assert list(jacobi) == pytest.approx(list(oracle), abs=1e-10)
+    ql = eigenvalues_symmetric(symmetrized(g, "edge", "degree"))
+    assert list(ql) == pytest.approx(list(oracle), abs=1e-10)
 
 
 # --------------------------------------------------------- orientation

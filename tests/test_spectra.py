@@ -6,14 +6,21 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from edge_ricci.errors import NoNonzeroEigenvalueError, NotSymmetricError
+from edge_ricci import spectra
+from edge_ricci.errors import (
+    NoConvergenceError,
+    NoNonzeroEigenvalueError,
+    NotSymmetricError,
+)
 from edge_ricci.graph_core import SplitMix64, WeightedGraph, generate
+from edge_ricci.laplacian import canonical_orientation, reorient, symmetrized
 from edge_ricci.spectra import (
     Spectrum,
     eigenvalues_symmetric,
     spectral_equivalence_gap,
     spectrum_of,
 )
+from edge_ricci.verify import verification_report
 
 
 def _random_symmetric(n: int, seed: int) -> list[list[float]]:
@@ -25,13 +32,42 @@ def _random_symmetric(n: int, seed: int) -> list[list[float]]:
     return a
 
 
-@given(st.integers(1, 12), st.integers(0, 500))
-def test_jacobi_matches_numpy(n, seed):
-    a = _random_symmetric(n, seed)
+def _assert_matches_numpy(a, rel=1e-12):
     got = eigenvalues_symmetric(a)
-    want = np.linalg.eigvalsh(np.array(a))
+    want = np.linalg.eigvalsh(np.array(a, dtype=float))
     scale = max(1.0, float(np.abs(want).max()))
-    assert list(got) == pytest.approx(list(want), abs=1e-10 * scale)
+    assert list(got) == pytest.approx(list(want), abs=rel * scale)
+    return got
+
+
+@given(st.integers(1, 60), st.integers(0, 500))
+def test_eigenvalues_match_numpy(n, seed):
+    _assert_matches_numpy(_random_symmetric(n, seed))
+
+
+def test_degenerate_and_clustered_spectra():
+    assert _assert_matches_numpy([[0.0] * 6 for _ in range(6)]) == (0.0,) * 6
+    diag = [[float(3 - abs(i - 3)) if i == j else 0.0 for j in range(7)]
+            for i in range(7)]
+    assert _assert_matches_numpy(diag) == (0.0, 0.0, 1.0, 1.0, 2.0, 2.0, 3.0)
+    # K8 edge operator, degree weighting: a 21-fold 0 and a 7-fold 2/3
+    vals = _assert_matches_numpy(symmetrized(generate("complete:8"), "edge", "degree"))
+    assert vals == pytest.approx([0.0] * 21 + [2 / 3] * 7, abs=1e-12)
+    # star:9 edge operator: all nine edges meet, an eightfold 1/8 and 5/4
+    vals = _assert_matches_numpy(symmetrized(generate("star:9"), "edge", "degree"))
+    assert vals == pytest.approx([1 / 8] * 8 + [5 / 4], abs=1e-12)
+    # K8 edge operator, unit weighting: a 21-dimensional kernel and a
+    # sevenfold 8 (the nonzero spectrum of the K8 Laplacian)
+    g = generate("complete:8")
+    vals = _assert_matches_numpy(symmetrized(g, "edge", "unit"))
+    assert vals == pytest.approx([0.0] * 21 + [8.0] * 7, abs=1e-12)
+    assert spectrum_of(g, "edge", "unit").zero_multiplicity == 21
+
+
+def test_no_convergence_names_the_matrix_size(monkeypatch):
+    monkeypatch.setattr(spectra, "_MAX_ITERATIONS", 0)
+    with pytest.raises(NoConvergenceError, match="5x5"):
+        eigenvalues_symmetric(_random_symmetric(5, 1))
 
 
 @given(st.integers(1, 10), st.integers(0, 200))
@@ -103,3 +139,49 @@ def test_operators_are_positive_semidefinite():
         for operator in ("vertex", "edge"):
             vals = spectrum_of(g, operator, "degree").values
             assert vals[0] >= -1e-10
+
+
+def _count_solves(monkeypatch):
+    calls = []
+    solve = spectra.eigenvalues_symmetric
+
+    def counting(matrix):
+        calls.append(len(matrix))
+        return solve(matrix)
+
+    monkeypatch.setattr(spectra, "eigenvalues_symmetric", counting)
+    return calls
+
+
+def test_one_solve_per_operator_and_weighting(monkeypatch):
+    calls = _count_solves(monkeypatch)
+    verification_report(generate("petersen"))
+    assert len(calls) == 6  # {vertex, edge} x {unit, walk, degree}
+    calls.clear()
+    g = generate("circulant:8:1,2")
+    wg = WeightedGraph(g, {"v0": 2.0},
+                       {g.edge_endpoints(e): 1.0 + e / 10 for e in range(g.n_edges)})
+    verification_report(wg)
+    assert len(calls) == 3  # vertex/graph, edge/graph, edge/degree
+
+
+def test_explicit_orientation_bypasses_the_cache(monkeypatch):
+    calls = _count_solves(monkeypatch)
+    g = generate("random:8:0.4", seed=2)
+    cached = spectrum_of(g, "edge", "degree").values
+    flipped = reorient(canonical_orientation(g), [0, 3])
+    again = spectrum_of(g, "edge", "degree", orientation=flipped).values
+    assert len(calls) == 2
+    assert again == pytest.approx(cached, abs=1e-12)
+    assert spectrum_of(g, "edge", "degree").values is cached
+    assert len(calls) == 2
+
+
+def test_zero_tolerance_is_applied_per_read(monkeypatch):
+    calls = _count_solves(monkeypatch)
+    g = generate("cycle:5")
+    strict = spectrum_of(g, "edge", "unit", zero_tol=1e-9)
+    loose = spectrum_of(g, "edge", "unit", zero_tol=2.0)
+    assert len(calls) == 1
+    assert strict.values is loose.values
+    assert (strict.zero_multiplicity, loose.zero_multiplicity) == (1, 3)
