@@ -114,32 +114,57 @@ def ricci(g, e: int, f: int) -> CurvaturePair:
 
 
 def ricci_all_adjacent(g) -> dict[tuple[int, int], CurvaturePair]:
-    """Curvature for every unordered adjacent pair, keyed by (e, f), e < f."""
-    base = base_graph(g)
-    out: dict[tuple[int, int], CurvaturePair] = {}
-    for e in range(base.n_edges):
-        for f in edge_neighborhood(base, e):
-            if f > e:
-                out[(e, f)] = ricci(g, e, f)
-    return out
+    """Curvature for every unordered adjacent pair, keyed by (e, f), e < f.
+
+    The table is built once per graph instance and kept in its `_adjacent`
+    slot; a WeightedGraph and its base Graph each keep their own.  Every
+    call returns that same dict, which callers must treat as read-only.
+    """
+    table = g._adjacent
+    if table is None:
+        base = base_graph(g)
+        table = {}
+        for e in range(base.n_edges):
+            for f in edge_neighborhood(base, e):
+                if f > e:
+                    table[(e, f)] = ricci(g, e, f)
+        g._adjacent = table
+    return table
+
+
+def adjacent_minimum(g):
+    """(kappa, (e, f)) of the least adjacent curvature, or None without pairs.
+
+    Ties go to the smallest pair key.
+    """
+    table = ricci_all_adjacent(g)
+    if not table:
+        return None
+    key = min(table, key=lambda k: (table[k].kappa, k))
+    return table[key].kappa, key
 
 
 def kappa_min(g, pairs: str = "adjacent"):
-    """Minimum curvature over 'adjacent' pairs or over 'all' distinct pairs."""
-    base = base_graph(g)
-    if pairs == "adjacent":
-        values = [cp.kappa for cp in ricci_all_adjacent(g).values()]
-    elif pairs == "all":
-        values = [
-            ricci(g, e, f).kappa
-            for e in range(base.n_edges)
-            for f in range(e + 1, base.n_edges)
-        ]
-    else:
+    """Minimum curvature over 'adjacent' pairs or over 'all' distinct pairs.
+
+    Adjacent pairs come from the per-graph table of ricci_all_adjacent.
+    'all' solves only the non-adjacent pairs on top of it and keeps just
+    their kappa, so no all-pairs table is retained.
+    """
+    if pairs not in ("adjacent", "all"):
         raise InvalidParameterError(f"pairs must be 'adjacent' or 'all', got {pairs!r}")
-    if not values:
+    found = adjacent_minimum(g)
+    if found is None:
         raise InvalidParameterError("graph has no distinct edge pairs")
-    return min(values)
+    least = found[0]
+    if pairs == "all":
+        table = ricci_all_adjacent(g)
+        m = base_graph(g).n_edges
+        for e in range(m):
+            for f in range(e + 1, m):
+                if (e, f) not in table:
+                    least = min(least, ricci(g, e, f).kappa)
+    return least
 
 
 def _require_adjacent(g, e: int, f: int) -> None:

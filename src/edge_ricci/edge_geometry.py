@@ -33,10 +33,9 @@ class EdgeSpace:
     afterwards, so concurrent readers are safe.
     """
 
-    __slots__ = ("graph", "neighbors", "shared_vertex", "degrees", "_rows")
+    __slots__ = ("neighbors", "shared_vertex", "degrees", "_rows")
 
     def __init__(self, g: Graph):
-        self.graph = g
         incident: list[list[int]] = [[] for _ in g.labels]
         for e, (i, j) in enumerate(g.edges):
             incident[i].append(e)
@@ -79,12 +78,17 @@ class EdgeSpace:
 
 
 class WeightedEdgeSpace:
-    """Dijkstra distance rows with vertex-weight hop costs."""
+    """Dijkstra distance rows with vertex-weight hop costs.
 
-    __slots__ = ("wg", "space", "_rows")
+    Holds the base Graph and the vertex-weight map, never the WeightedGraph
+    that owns it, so the owner is freed by reference counting alone.
+    """
+
+    __slots__ = ("graph", "vertex_weight", "space", "_rows")
 
     def __init__(self, wg: WeightedGraph):
-        self.wg = wg
+        self.graph = wg.graph
+        self.vertex_weight = wg.vertex_weight
         self.space = edge_space(wg.graph)
         self._rows = {}
 
@@ -92,7 +96,7 @@ class WeightedEdgeSpace:
         cached = self._rows.get(e)
         if cached is not None:
             return cached
-        g = self.wg.graph
+        g = self.graph
         n = g.n_edges
         dist = [math.inf] * n
         dist[e] = 0.0
@@ -103,7 +107,7 @@ class WeightedEdgeSpace:
                 continue
             for b in self.space.neighbors[a]:
                 v = self.space.shared_vertex[a][b]
-                nd = d + self.wg.vertex_weight[g.labels[v]]
+                nd = d + self.vertex_weight[g.labels[v]]
                 if nd < dist[b]:
                     dist[b] = nd
                     heapq.heappush(pq, (nd, b))

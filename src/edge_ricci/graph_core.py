@@ -49,7 +49,8 @@ class Graph:
 
     __slots__ = (
         "labels", "index", "edges", "adjacency",
-        "_edge_lookup", "_adj_idx", "_space", "_spectra", "_hash", "__weakref__",
+        "_edge_lookup", "_adj_idx", "_space", "_spectra", "_adjacent", "_hash",
+        "__weakref__",
     )
 
     def __init__(self, labels: Iterable[str], edge_pairs: Iterable[tuple[str, str]]):
@@ -111,6 +112,7 @@ class Graph:
         self._adj_idx = tuple(tuple(row) for row in adj_idx)
         self._space = None
         self._spectra = {}
+        self._adjacent = None
         self._hash = hash(
             (frozenset(labels), frozenset(frozenset(p) for p in seen))
         )
@@ -184,7 +186,7 @@ class WeightedGraph:
     """
 
     __slots__ = ("graph", "vertex_weight", "edge_weight", "_wspace", "_spectra",
-                 "__weakref__")
+                 "_adjacent", "__weakref__")
 
     def __init__(
         self,
@@ -208,6 +210,7 @@ class WeightedGraph:
         self.edge_weight = ew
         self._wspace = None
         self._spectra = {}
+        self._adjacent = None
 
     def w_vertex(self, v: str) -> float:
         return self.vertex_weight[v]

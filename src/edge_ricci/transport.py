@@ -1,17 +1,24 @@
 """Exact 1-Wasserstein distance between edge measures.
 
-The primal problem is the transportation LP over supp(mu) x supp(nu); it is
-solved by successive shortest augmenting paths with node potentials.  When
-both measures are exact rationals and the costs are integers (the unweighted
-case) the masses are scaled by the LCM of their denominators and the whole
-computation runs in integer arithmetic, so the distance, plan, and dual
-certificate are exact.  Weighted instances run in binary64 with an
-epsilon-complementary-slackness check.
+The primal problem is the transportation LP over supp(mu) x supp(nu).  The
+distance depends only on mu - nu (Kantorovich-Rubinstein duality), so the
+common mass min(mu(a), nu(a)) at every shared atom stays where it is at zero
+cost and is cancelled first; the residual instance, whose two supports are
+disjoint, is solved by successive shortest augmenting paths with node
+potentials.  The returned plan is the full optimal coupling of mu and nu:
+the residual plan plus one diagonal (a, a, common) stay entry per shared
+atom.  When both measures are exact rationals and the costs are integers
+(the unweighted case) the masses are scaled by the LCM of their
+denominators and the whole computation runs in integer arithmetic, so the
+distance, plan, and dual certificate are exact.  Weighted instances run in
+binary64 with an epsilon-complementary-slackness check.
 
-The dual certificate is a single function f on the joint support with
-|f(a) - f(b)| <= d(a, b), built from the final potentials by the envelope
-f(a) = min_j (beta_j + d(a, j)); strong duality makes its objective equal
-the primal cost, which is reverified after every solve.
+The dual certificate is a single function f on the full joint support with
+|f(a) - f(b)| <= d(a, b), built from the final potentials of the residual
+sinks by the envelope f(a) = min_j (beta_j + d(a, j)); strong duality makes
+its objective equal the primal cost.  The duality gap is checked here, and
+the plan's marginals and the Lipschitz bound by the curvature layer, all on
+the uncancelled problem.
 
 brute_force_wasserstein enumerates every vertex of the transportation
 polytope (spanning trees of the bipartite support graph) and is the
@@ -111,24 +118,35 @@ def solve_wasserstein(problem: TransportProblem) -> TransportResult:
     """Minimum-cost transport with an exact (or certified float) optimum."""
     exact = problem.exact
     mu, nu = problem.mu, problem.nu
-    sources = list(mu.atoms)
-    sinks = list(nu.atoms)
     if exact:
         scale = 1
         for m in (*mu.masses, *nu.masses):
             scale = scale * m.denominator // math.gcd(scale, m.denominator)
-        supply = [int(m * scale) for m in mu.masses]
-        demand = [int(m * scale) for m in nu.masses]
-        zero, inf = 0, None
+        supply = {a: int(m * scale) for a, m in zip(mu.atoms, mu.masses)}
+        demand = {b: int(m * scale) for b, m in zip(nu.atoms, nu.masses)}
+        zero, dust = 0, 0
     else:
         scale = None
-        supply = [float(m) for m in mu.masses]
-        demand = [float(m) for m in nu.masses]
-        zero, inf = 0.0, None
+        supply = {a: float(m) for a, m in zip(mu.atoms, mu.masses)}
+        demand = {b: float(m) for b, m in zip(nu.atoms, nu.masses)}
+        zero, dust = 0.0, _FLOAT_DUST
         # The two float sums disagree by a few ulp; rescale demand so the
         # totals match exactly, otherwise the loop below chases the dust.
-        fix = sum(supply) / sum(demand)
-        demand = [d * fix for d in demand]
+        fix = sum(supply.values()) / sum(demand.values())
+        demand = {b: d * fix for b, d in demand.items()}
+
+    # Mass both measures hold at an atom stays put at zero cost; only the
+    # residual instance, whose two supports are disjoint, is solved.
+    entries = []  # plan entries (source atom, sink atom, mass)
+    for a in supply.keys() & demand.keys():
+        common = min(supply[a], demand[a])
+        supply[a] -= common
+        demand[a] -= common
+        entries.append((a, a, Fraction(common, scale) if exact else common))
+    sources = [a for a in mu.atoms if supply[a] > dust]
+    sinks = [b for b in nu.atoms if demand[b] > dust]
+    supply = [supply[a] for a in sources]
+    demand = [demand[b] for b in sinks]
 
     S, T = len(sources), len(sinks)
     cost = [[problem.cost[(sources[i], sinks[j])] for j in range(T)] for i in range(S)]
@@ -136,10 +154,10 @@ def solve_wasserstein(problem: TransportProblem) -> TransportResult:
     phi = [zero] * (S + T)  # node potentials; reduced cost c + phi[u] - phi[v] >= 0
 
     def remaining_supply():
-        return [i for i in range(S) if supply[i] > (0 if exact else _FLOAT_DUST)]
+        return [i for i in range(S) if supply[i] > dust]
 
     def remaining_demand():
-        return [j for j in range(T) if demand[j] > (0 if exact else _FLOAT_DUST)]
+        return [j for j in range(T) if demand[j] > dust]
 
     # Exact runs drain in at most S + T augmentations.  Float runs normally
     # do too, but rounding can recycle residual arcs, so a hard cap turns a
@@ -180,7 +198,7 @@ def solve_wasserstein(problem: TransportProblem) -> TransportResult:
             else:
                 j = u - S
                 for i in range(S):
-                    if flow[i][j] > (0 if exact else 0.0):
+                    if flow[i][j] > zero:
                         rc = -cost[i][j] + phi[u] - phi[i]
                         if not exact and rc < 0.0:
                             rc = 0.0
@@ -232,11 +250,10 @@ def solve_wasserstein(problem: TransportProblem) -> TransportResult:
         active_sources = remaining_supply()
 
     total = zero
-    entries = []
     for i in range(S):
         for j in range(T):
             x = flow[i][j]
-            if x > (0 if exact else 0.0):
+            if x > zero:
                 mass = Fraction(x, scale) if exact else x
                 entries.append((sources[i], sinks[j], mass))
                 total += x * cost[i][j]
@@ -247,11 +264,13 @@ def solve_wasserstein(problem: TransportProblem) -> TransportResult:
     if not exact:
         _check_complementary_slackness(cost, flow, phi, S, T)
 
-    # envelope dual certificate: f(a) = min_j (beta_j + d(a, sink_j))
+    # envelope dual certificate over the whole joint support:
+    # f(a) = min_j (beta_j + d(a, sink_j)) over the residual sinks, and
+    # f = 0 when mu = nu leaves nothing to ship
     beta = {sinks[j]: -phi[S + j] for j in range(T)}
     f = {}
     for a in problem.joint_support():
-        f[a] = min(beta[b] + problem.cost[(a, b)] for b in sinks)
+        f[a] = min((beta[b] + problem.cost[(a, b)] for b in sinks), default=zero)
     dual = DualPotential(f)
 
     gap = distance - dual_objective(problem, dual)

@@ -24,10 +24,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .curvature import (
-    edges_adjacent,
+    adjacent_minimum,
     kappa_min,
     lower_bound,
-    ricci,
     ricci_all_adjacent,
     tree_curvature_formula,
     upper_bound,
@@ -39,6 +38,7 @@ from .spectra import spectral_equivalence_gap, spectrum_of
 
 _GAP_TOL = 1e-9
 _EQUIV_TOL = 1e-8
+_NO_ADJACENT_PAIRS = "graph has no adjacent edge pairs"
 
 
 @dataclass(frozen=True)
@@ -82,15 +82,6 @@ def edge_regularity(g):
     return degrees[0] if len(set(degrees)) == 1 else None
 
 
-def _kappa_min_with_witness(g):
-    """(kappa_min over adjacent pairs, witness pair key) or (None, reason)."""
-    table = ricci_all_adjacent(g)
-    if not table:
-        return None, None, "graph has no adjacent edge pairs"
-    key = min(table, key=lambda k: (table[k].kappa, k))
-    return table[key].kappa, key, ""
-
-
 def check_spectral_gap_bound(g) -> TheoremCheck:
     """Gap of the degree-weighted edge operator vs curvature + 2/d - 1.
 
@@ -103,9 +94,10 @@ def check_spectral_gap_bound(g) -> TheoremCheck:
     d = edge_regularity(base)
     if d is None:
         return _inapplicable(name, "edge degrees are not all equal")
-    kmin, pair, why = _kappa_min_with_witness(base)
-    if kmin is None:
-        return _inapplicable(name, why)
+    found = adjacent_minimum(base)
+    if found is None:
+        return _inapplicable(name, _NO_ADJACENT_PAIRS)
+    kmin, pair = found
     if kmin <= 0:
         return _inapplicable(name, f"adjacent curvature minimum {float(kmin):.6g} is not positive")
     lam1 = spectrum_of(base, "edge", "degree").lambda1
@@ -133,9 +125,10 @@ def check_triangle_gap_diagnostic(g) -> TheoremCheck:
     d = edge_regularity(base)
     if d is None:
         return _inapplicable(name, "edge degrees are not all equal", diagnostic=True)
-    kmin, pair, why = _kappa_min_with_witness(base)
-    if kmin is None:
-        return _inapplicable(name, why, diagnostic=True)
+    found = adjacent_minimum(base)
+    if found is None:
+        return _inapplicable(name, _NO_ADJACENT_PAIRS, diagnostic=True)
+    kmin = found[0]
     if kmin <= 0:
         return _inapplicable(
             name, f"adjacent curvature minimum {float(kmin):.6g} is not positive",
@@ -170,9 +163,10 @@ def check_weighted_spectral_gap_bound(wg: WeightedGraph) -> TheoremCheck:
     d = edge_regularity(base)
     if d is None:
         return _inapplicable(name, "edge neighbor counts are not all equal")
-    kmin, pair, why = _kappa_min_with_witness(wg)
-    if kmin is None:
-        return _inapplicable(name, why)
+    found = adjacent_minimum(wg)
+    if found is None:
+        return _inapplicable(name, _NO_ADJACENT_PAIRS)
+    kmin, pair = found
     if kmin <= 0:
         return _inapplicable(name, f"adjacent curvature minimum {float(kmin):.6g} is not positive")
     w0 = wg.w_vertex(base.labels[0])

@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from edge_ricci import curvature
 from edge_ricci.curvature import (
     edges_adjacent,
     kappa_min,
@@ -28,6 +29,7 @@ from edge_ricci.errors import (
     SamePairError,
 )
 from edge_ricci.graph_core import Graph, WeightedGraph, generate
+from edge_ricci.verify import verification_report
 
 
 def test_path3_is_flat():
@@ -184,6 +186,68 @@ def test_all_adjacent_table_is_complete_and_keyed_low_high():
     table = ricci_all_adjacent(g)
     assert len(table) == 6  # C(4, 2) leg pairs
     assert all(e < f for e, f in table)
+
+
+def test_adjacent_table_is_built_once_per_graph():
+    g = generate("petersen")
+    table = ricci_all_adjacent(g)
+    assert ricci_all_adjacent(g) is table
+    kappa_min(g, "all")
+    assert ricci_all_adjacent(g) is table
+    assert len(table) == 30  # no non-adjacent pair is added to the table
+
+
+def _weighted_circulant():
+    g = generate("circulant:8:1,2")
+    return WeightedGraph(g, {"v0": 2.0},
+                         {g.edge_endpoints(e): 1.0 + e / 10 for e in range(g.n_edges)})
+
+
+def test_weighted_and_base_graph_keep_separate_tables():
+    # weighted first, then the base graph
+    wg = _weighted_circulant()
+    weighted = ricci_all_adjacent(wg)
+    plain = ricci_all_adjacent(wg.graph)
+    assert plain is not weighted and plain.keys() == weighted.keys()
+    assert all(isinstance(cp.kappa, float) for cp in weighted.values())
+    assert all(isinstance(cp.kappa, Fraction) for cp in plain.values())
+    # base graph first, then a weighted graph over it
+    wg = _weighted_circulant()
+    plain = ricci_all_adjacent(wg.graph)
+    weighted = ricci_all_adjacent(wg)
+    assert all(isinstance(cp.kappa, Fraction) for cp in plain.values())
+    assert all(isinstance(cp.kappa, float) for cp in weighted.values())
+    assert any(weighted[k].kappa != plain[k].kappa for k in plain)
+
+
+def _count_transport_solves(monkeypatch):
+    calls = []
+    solve = curvature.solve_wasserstein
+
+    def counting(problem):
+        calls.append((problem.mu.owner, problem.nu.owner))
+        return solve(problem)
+
+    monkeypatch.setattr(curvature, "solve_wasserstein", counting)
+    return calls
+
+
+def test_report_solves_each_edge_pair_once(monkeypatch):
+    calls = _count_transport_solves(monkeypatch)
+    g = generate("petersen")  # not a tree, m = 15
+    verification_report(g)
+    m = g.n_edges
+    assert len(calls) == m * (m - 1) // 2
+    assert len(set(calls)) == len(calls)
+
+
+def test_weighted_report_solves_each_edge_pair_once(monkeypatch):
+    calls = _count_transport_solves(monkeypatch)
+    wg = _weighted_circulant()
+    verification_report(wg)
+    m = wg.graph.n_edges
+    assert len(set(calls)) == m * (m - 1) // 2
+    assert len(calls) == len(set(calls))
 
 
 @given(st.integers(0, 150))

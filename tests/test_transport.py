@@ -53,7 +53,14 @@ def test_point_masses_move_the_whole_unit():
 def test_identical_measures_cost_nothing():
     p = _problem((Fraction(1, 2), Fraction(1, 2)), (Fraction(1, 2), Fraction(1, 2)),
                  (2, 7), (2, 7))
-    assert solve_wasserstein(p).distance == 0
+    r = solve_wasserstein(p)
+    assert r.distance == 0 and r.gap == 0
+    # nothing is left after the common mass is cancelled: the plan is the
+    # diagonal and the certificate is still defined on the whole support
+    assert r.plan.entries == ((2, 2, Fraction(1, 2)), (7, 7, Fraction(1, 2)))
+    assert verify_coupling(p, r.plan).ok
+    assert lipschitz_excess(p, r.dual) <= 0
+    assert set(r.dual.values) == {2, 7}
 
 
 def test_triangle_adjacent_pair_costs_one_half():
@@ -138,6 +145,29 @@ def exact_instances(draw):
     return _problem(mu, nu, atoms[:s], atoms[s:])
 
 
+@st.composite
+def overlapping_instances(draw, exact=True):
+    """Supports that share atoms, up to full overlap with different masses."""
+    shared = draw(st.integers(1, 4))
+    only_mu = draw(st.integers(0, 4 - shared))
+    only_nu = draw(st.integers(0, 4 - shared))
+    atoms = draw(st.lists(st.integers(0, 9), min_size=shared + only_mu + only_nu,
+                          max_size=shared + only_mu + only_nu, unique=True))
+    mu_atoms = atoms[:shared] + atoms[shared:shared + only_mu]
+    nu_atoms = atoms[:shared] + atoms[shared + only_mu:]
+    masses = []
+    for side in (mu_atoms, nu_atoms):
+        weights = [draw(st.integers(1, 6)) for _ in side]
+        total = sum(weights)
+        masses.append(tuple(Fraction(w, total) if exact else w / total
+                            for w in weights))
+    # shuffle so shared atoms do not always come first
+    order = draw(st.permutations(range(len(mu_atoms))))
+    mu_atoms = [mu_atoms[k] for k in order]
+    mu = tuple(masses[0][k] for k in order)
+    return _problem(mu, masses[1], mu_atoms, nu_atoms)
+
+
 @given(exact_instances())
 def test_solver_matches_brute_force(problem):
     r = solve_wasserstein(problem)
@@ -145,6 +175,38 @@ def test_solver_matches_brute_force(problem):
     assert r.distance == brute_force_wasserstein(problem)
     assert verify_coupling(problem, r.plan).ok
     assert lipschitz_excess(problem, r.dual) <= 0
+
+
+@given(overlapping_instances())
+def test_solver_matches_brute_force_on_overlapping_supports(problem):
+    r = solve_wasserstein(problem)
+    assert r.distance == brute_force_wasserstein(problem)
+    assert r.gap == 0
+    assert verify_coupling(problem, r.plan).ok
+    assert lipschitz_excess(problem, r.dual) <= 0
+
+
+@given(overlapping_instances(exact=False))
+def test_float_solver_matches_brute_force_on_overlapping_supports(problem):
+    r = solve_wasserstein(problem)
+    assert not r.exact
+    assert r.distance == pytest.approx(brute_force_wasserstein(problem),
+                                       rel=1e-12, abs=1e-12)
+    assert abs(r.gap) <= 1e-9
+    assert verify_coupling(problem, r.plan).ok
+    assert lipschitz_excess(problem, r.dual) <= 1e-12
+
+
+def test_full_overlap_with_different_masses_moves_only_the_difference():
+    # mu = (1/2, 1/4, 1/4), nu = (1/4, 1/4, 1/2) on atoms 0, 1, 2: a quarter
+    # stays at 0, 1 and 2 each, and the last quarter travels 0 -> 2
+    p = _problem((Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)),
+                 (Fraction(1, 4), Fraction(1, 4), Fraction(1, 2)), (0, 1, 2), (0, 1, 2))
+    r = solve_wasserstein(p)
+    assert r.distance == Fraction(1, 2) == brute_force_wasserstein(p)
+    q = Fraction(1, 4)
+    assert r.plan.entries == ((0, 0, q), (0, 2, q), (1, 1, q), (2, 2, q))
+    assert verify_coupling(p, r.plan).ok
 
 
 @given(st.integers(0, 500))

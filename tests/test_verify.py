@@ -1,6 +1,8 @@
 """Theorem checks, applicability classification, and report serialization."""
 
+import gc
 import json
+import weakref
 
 import pytest
 
@@ -172,6 +174,24 @@ def test_weighted_report_uses_graph_weighting():
     assert "weighted-spectral-gap-vs-curvature" in names
     assert "vertex-edge-nonzero-spectra[graph]" in names
     assert report.failed() == ()  # inapplicable entries are not failures
+
+
+def test_reports_leave_no_reference_cycles():
+    # the per-graph caches must not point back at their graph, or every
+    # graph outlives its report until the next cyclic collection
+    base = generate("circulant:8:1,2")
+    wg = WeightedGraph(base, {"v0": 2.0},
+                       {base.edge_endpoints(e): 1.0 + e / 10 for e in range(base.n_edges)})
+    g = generate("petersen")
+    gc.disable()
+    try:
+        verification_report(g)
+        verification_report(wg)
+        refs = [weakref.ref(x) for x in (g, wg, base)]
+        del g, wg, base
+        assert [ref() for ref in refs] == [None, None, None]
+    finally:
+        gc.enable()
 
 
 def test_text_rendering():
