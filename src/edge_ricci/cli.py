@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 
 from .acceptance import run_all
 from .curvature import ricci, ricci_all_adjacent
@@ -131,10 +130,6 @@ def _emit(text: str, output: str | None) -> None:
             fh.write(text)
 
 
-def _kappa_float(kappa) -> float:
-    return float(kappa) if isinstance(kappa, Fraction) else kappa
-
-
 def _cmd_generate(args) -> int:
     _emit(serialize_edgelist(generate(args.family, seed=args.seed)), args.output)
     return 0
@@ -148,7 +143,7 @@ def _curvature_rows(g, all_pairs: bool):
         table = {(e, f): ricci(g, e, f) for e, f in pairs}
     else:
         table = ricci_all_adjacent(g)
-    return [(base.edge_name(e), base.edge_name(f), _kappa_float(cp.kappa))
+    return [(base.edge_name(e), base.edge_name(f), float(cp.kappa))
             for (e, f), cp in sorted(table.items())]
 
 

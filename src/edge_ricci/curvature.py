@@ -5,13 +5,17 @@ For distinct edges e, e' at edge distance d(e, e') the curvature is
     kappa(e, e') = 1 - W(m_e, m_e') / d(e, e'),
 
 where W is the exact 1-Wasserstein distance between the neighborhood
-measures and d the shortest-path distance in the line adjacency.  On an
-unweighted graph everything is rational and returned as Fraction; weighted
-graphs produce certified floats.
+measures and d the shortest-path distance in the line adjacency (see
+edge_geometry).  One formula serves both graph kinds: an unweighted graph is
+the unit-weight case, where everything is rational and returned as
+Fraction; weighted graphs produce certified floats.
 
 Also here: the combinatorial lower and upper bounds for adjacent pairs and
 the closed-form tree expression, all of which the verification layer tests
-against the transport-derived values.
+against the transport-derived values.  The bounds are written once over
+measures, weights and degrees; what stays specific to one kind is what the
+paper states for it: the union-form ceiling and the tree formula are
+unweighted, and the weighted ceiling needs constant vertex weights.
 """
 
 from __future__ import annotations
@@ -26,8 +30,6 @@ from .edge_geometry import (
     edge_neighborhood,
     edge_space,
     pairwise_costs,
-    weighted_edge_degree,
-    weighted_edge_distance,
 )
 from .errors import (
     InvalidParameterError,
@@ -41,6 +43,7 @@ from .graph_core import Graph, WeightedGraph, base_graph, is_tree, vertex_degree
 from .transport import (
     TransportProblem,
     TransportResult,
+    float_tolerance,
     lipschitz_excess,
     solve_wasserstein,
     verify_coupling,
@@ -65,10 +68,9 @@ class CurvaturePair:
 
 def edges_adjacent(g, e: int, f: int) -> bool:
     """True when distinct edges e and f share a vertex."""
-    base = base_graph(g)
     if e == f:
         return False
-    return f in edge_space(base).shared_vertex[e]
+    return f in edge_space(g).shared_vertex[e]
 
 
 def pair_transport_problem(g, e: int, f: int) -> TransportProblem:
@@ -89,7 +91,7 @@ def transport_for_pair(g, e: int, f: int) -> TransportResult:
     if not check.ok:
         raise TransportError(f"invalid plan for pair ({e},{f}): {check.violations[0]}")
     excess = lipschitz_excess(problem, result.dual)
-    if excess > (0 if result.exact else 1e-9):
+    if excess > (0 if result.exact else float_tolerance(problem)):
         raise TransportError(
             f"dual certificate for pair ({e},{f}) breaks the Lipschitz bound by {excess}"
         )
@@ -100,17 +102,10 @@ def ricci(g, e: int, f: int) -> CurvaturePair:
     """kappa(e, f) = 1 - W(m_e, m_f) / d(e, f) for distinct edges."""
     if e == f:
         raise SamePairError(f"curvature needs two distinct edges, got {e} twice")
-    if isinstance(g, WeightedGraph):
-        dist = weighted_edge_distance(g, e, f)
-    else:
-        dist = edge_distance(g, e, f)
+    dist = edge_distance(g, e, f)
     result = transport_for_pair(g, e, f)
     w = result.distance
-    if isinstance(w, Fraction):
-        kappa = 1 - Fraction(w, dist)
-    else:
-        kappa = 1.0 - w / dist
-    return CurvaturePair(e, f, dist, w, kappa, result)
+    return CurvaturePair(e, f, dist, w, 1 - w / dist, result)
 
 
 def ricci_all_adjacent(g) -> dict[tuple[int, int], CurvaturePair]:
@@ -178,34 +173,29 @@ def _require_adjacent(g, e: int, f: int) -> None:
 
 
 def lower_bound(g, e: int, f: int):
-    """Universal curvature floor for adjacent pairs.
+    """Universal curvature floor for adjacent pairs:
 
-    Unweighted: kappa >= -2 (1 - 1/d_e - 1/d_f)_+ as an exact Fraction.
-    Weighted:   kappa >= -2 (1 - w(f)/d_e - w(e)/d_f)_+ with weighted degrees.
+        kappa >= -2 (1 - m_e(f) - m_f(e))_+
+
+    with m_e the measure of e, so m_e(f) = w(f)/d_e; unweighted this is
+    -2 (1 - 1/d_e - 1/d_f)_+ as an exact Fraction.
     """
     _require_adjacent(g, e, f)
-    if isinstance(g, WeightedGraph):
-        d_e = weighted_edge_degree(g, e)
-        d_f = weighted_edge_degree(g, f)
-        slack = 1.0 - g.w_edge(f) / d_e - g.w_edge(e) / d_f
-        return -2.0 * slack if slack > 0 else 0.0
-    d_e = edge_degree(g, e)
-    d_f = edge_degree(g, f)
-    slack = 1 - Fraction(1, d_e) - Fraction(1, d_f)
-    return -2 * slack if slack > 0 else Fraction(0)
+    slack = 1 - edge_measure(g, e).as_dict()[f] - edge_measure(g, f).as_dict()[e]
+    return -2 * slack if slack > 0 else slack - slack  # a typed zero, never -0.0
 
 
 def upper_bound(g, e: int, f: int, variant: str = "as-stated"):
-    """Combinatorial curvature ceiling for adjacent pairs.
+    """Combinatorial curvature ceiling for adjacent pairs: the edge weight of
+    a pool of edges over the larger degree, max(d_e, d_f).
 
-    Unweighted 'as-stated': kappa <= |Gamma(e) u Gamma(f)| / max(d_e, d_f),
-    with the union taken literally from the neighborhood definition (so it
-    contains e and f themselves, each being a neighbor of the other).
-    Unweighted 'intersection': |Gamma(e) n Gamma(f)| / max(d_e, d_f) — a
+    Unweighted 'as-stated': the pool is Gamma(e) u Gamma(f), with the union
+    taken literally from the neighborhood definition (so it contains e and
+    f themselves, each being a neighbor of the other); exact Fraction.
+    Unweighted 'intersection': the pool is Gamma(e) n Gamma(f) — a
     diagnostic only, reported but never asserted; it is often much tighter.
     Weighted (either variant; constant vertex weights required): the
-    printed bound is already the intersection form, the total edge weight
-    of Gamma(e) n Gamma(f) over the larger weighted degree.
+    printed bound is already the intersection form.
     """
     _require_adjacent(g, e, f)
     if variant not in ("as-stated", "intersection"):
@@ -217,14 +207,13 @@ def upper_bound(g, e: int, f: int, variant: str = "as-stated"):
             raise NonconstantVertexWeightsError(
                 "weighted curvature ceiling assumes one common vertex weight"
             )
-        shared = set(edge_neighborhood(g, e)) & set(edge_neighborhood(g, f))
-        num = sum(g.w_edge(a) for a in shared)
-        return num / max(weighted_edge_degree(g, e), weighted_edge_degree(g, f))
-    if variant == "intersection":
-        pool = set(edge_neighborhood(g, e)) & set(edge_neighborhood(g, f))
-    else:
-        pool = set(edge_neighborhood(g, e)) | set(edge_neighborhood(g, f))
-    return Fraction(len(pool), max(edge_degree(g, e), edge_degree(g, f)))
+        variant = "intersection"
+    space = edge_space(g)
+    near_e, near_f = set(space.neighbors[e]), set(space.neighbors[f])
+    pool = near_e & near_f if variant == "intersection" else near_e | near_f
+    # a typed zero start keeps an empty pool exact: Fraction(0), not int 0
+    weight = sum((space.weight[a] for a in pool), 0 * space.weight[e])
+    return weight / max(space.degrees[e], space.degrees[f])
 
 
 def tree_curvature_formula(g: Graph, e: int, f: int) -> Fraction:

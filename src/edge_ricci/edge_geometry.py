@@ -1,14 +1,21 @@
 """Geometry of the edge space: neighborhoods, degrees, distances, measures.
 
 Two distinct edges are neighbors when they share a vertex (in a simple graph
-the shared vertex is unique).  Distances between edges are shortest paths in
-this edge adjacency; in the weighted case each hop is charged the weight of
-the connecting vertex, so a path e_0, e_1, ..., e_n costs the sum of the n
-interior connector weights.
+the shared vertex is unique).  Each quantity is defined once, for edge
+weights w and vertex weights; an unweighted Graph is the unit-weight case
+and carries exact rationals, a WeightedGraph carries floats.
 
-The uniform measure of an edge e spreads mass 1/d_e over its d_e neighbors;
-the weighted measure gives neighbor f mass w(f)/d_e with d_e the sum of the
-neighbor edge weights.  Unweighted quantities are exact rationals.
+- The degree d_e of edge e is the weight sum over its neighbors; at unit
+  weights it is the neighbor count deg(x) + deg(y) - 2 for e = {x, y}.
+- The measure of e gives each neighbor f mass w(f)/d_e.
+- The distance between edges is the cheapest edge path e_0, e_1, ..., e_n,
+  each hop charged the weight of the vertex it passes: the sum of the n
+  connector weights, the hop count at unit weights.
+
+edge_space(g) builds a graph's space once and is the one place that picks
+its class: EdgeSpace (int degrees and BFS hop rows) for a Graph,
+WeightedEdgeSpace (float degrees and Dijkstra rows) for a WeightedGraph.
+Both expose the same fields, and every function below reads them alone.
 """
 
 from __future__ import annotations
@@ -26,14 +33,18 @@ AnyGraph = Union[Graph, WeightedGraph]
 
 
 class EdgeSpace:
-    """Line adjacency plus a lazily filled distance-row cache for one graph.
+    """Line adjacency of a Graph at unit edge weights.
 
-    Built once per Graph instance (single-writer initialization guarded by
-    the import lock semantics of CPython attribute assignment) and read-only
-    afterwards, so concurrent readers are safe.
+    neighbors[e]      ordinals of the edges sharing a vertex with e, ascending
+    shared_vertex[e]  neighbor ordinal -> index of the vertex it shares with e
+    weight[e]         Fraction(1)
+    degrees[e]        the neighbor count, an int
+
+    Distance rows and measures are filled lazily.  Built once per Graph
+    instance and read-only afterwards, so concurrent readers are safe.
     """
 
-    __slots__ = ("neighbors", "shared_vertex", "degrees", "_rows")
+    __slots__ = ("neighbors", "shared_vertex", "degrees", "weight", "_rows", "_measures")
 
     def __init__(self, g: Graph):
         incident: list[list[int]] = [[] for _ in g.labels]
@@ -52,8 +63,10 @@ class EdgeSpace:
             shared.append(nbrs)
         self.neighbors = tuple(neighbors)
         self.shared_vertex = tuple(shared)
+        self.weight = (Fraction(1),) * g.n_edges
         self.degrees = tuple(len(nbrs) for nbrs in neighbors)
         self._rows: dict[int, tuple[int, ...]] = {}
+        self._measures: dict[int, EdgeMeasure] = {}
 
     def row(self, e: int) -> tuple[int, ...]:
         """BFS distance row from edge e over the line adjacency (hop count)."""
@@ -78,36 +91,44 @@ class EdgeSpace:
 
 
 class WeightedEdgeSpace:
-    """Dijkstra distance rows with vertex-weight hop costs.
+    """Line adjacency of a WeightedGraph's base Graph with its float weights.
 
-    Holds the base Graph and the vertex-weight map, never the WeightedGraph
-    that owns it, so the owner is freed by reference counting alone.
+    The same fields as EdgeSpace, with weight[e] the edge weight and
+    degrees[e] the weight sum over the neighbors; rows are Dijkstra
+    distances whose hops cost the shared vertex's weight.  Holds no
+    reference to the WeightedGraph that owns it, so the owner is freed by
+    reference counting alone.
     """
 
-    __slots__ = ("graph", "vertex_weight", "space", "_rows")
+    __slots__ = ("neighbors", "shared_vertex", "degrees", "weight", "vertex_weight",
+                 "_rows", "_measures")
 
     def __init__(self, wg: WeightedGraph):
-        self.graph = wg.graph
-        self.vertex_weight = wg.vertex_weight
-        self.space = edge_space(wg.graph)
-        self._rows = {}
+        base = wg.graph
+        space = edge_space(base)
+        self.neighbors = space.neighbors
+        self.shared_vertex = space.shared_vertex
+        self.weight = tuple(wg.w_edge(e) for e in range(base.n_edges))
+        self.degrees = tuple(sum(self.weight[f] for f in nbrs) for nbrs in self.neighbors)
+        self.vertex_weight = tuple(wg.w_vertex(v) for v in base.labels)
+        self._rows: dict[int, tuple[float, ...]] = {}
+        self._measures: dict[int, EdgeMeasure] = {}
 
     def row(self, e: int) -> tuple[float, ...]:
+        """Dijkstra distance row from edge e, each hop charged its connector."""
         cached = self._rows.get(e)
         if cached is not None:
             return cached
-        g = self.graph
-        n = g.n_edges
-        dist = [math.inf] * n
+        dist = [math.inf] * len(self.neighbors)
         dist[e] = 0.0
         pq = [(0.0, e)]
         while pq:
             d, a = heapq.heappop(pq)
             if d > dist[a]:
                 continue
-            for b in self.space.neighbors[a]:
-                v = self.space.shared_vertex[a][b]
-                nd = d + self.vertex_weight[g.labels[v]]
+            shared = self.shared_vertex[a]
+            for b in self.neighbors[a]:
+                nd = d + self.vertex_weight[shared[b]]
                 if nd < dist[b]:
                     dist[b] = nd
                     heapq.heappush(pq, (nd, b))
@@ -116,66 +137,44 @@ class WeightedEdgeSpace:
         return out
 
 
-def edge_space(g: Graph) -> EdgeSpace:
+def edge_space(g: AnyGraph) -> EdgeSpace | WeightedEdgeSpace:
+    """The graph's edge space, built on first use and kept in its _space slot."""
     space = g._space
     if space is None:
-        space = EdgeSpace(g)
+        space = WeightedEdgeSpace(g) if isinstance(g, WeightedGraph) else EdgeSpace(g)
         g._space = space
     return space
 
 
-def weighted_edge_space(wg: WeightedGraph) -> WeightedEdgeSpace:
-    space = wg._wspace
-    if space is None:
-        space = WeightedEdgeSpace(wg)
-        wg._wspace = space
-    return space
-
-
-def _check_ordinal(g: Graph, e: int) -> int:
-    if not 0 <= e < g.n_edges:
-        raise UnknownEdgeError(f"edge ordinal {e} out of range (0..{g.n_edges - 1})")
+def _check_ordinal(g: AnyGraph, e: int) -> int:
+    base = base_graph(g)
+    if not 0 <= e < base.n_edges:
+        raise UnknownEdgeError(f"edge ordinal {e} out of range (0..{base.n_edges - 1})")
     return e
 
 
 def edge_neighborhood(g: AnyGraph, e: int) -> tuple[int, ...]:
     """Ordinals of the edges sharing a vertex with e, ascending."""
-    base = base_graph(g)
-    _check_ordinal(base, e)
-    return edge_space(base).neighbors[e]
-
-
-def edge_degree(g: AnyGraph, e: int) -> int:
-    """Neighbor count |Gamma(e)| = deg(x) + deg(y) - 2 for e = {x, y}."""
-    base = base_graph(g)
-    _check_ordinal(base, e)
-    return edge_space(base).degrees[e]
-
-
-def weighted_edge_degree(wg: WeightedGraph, e: int) -> float:
-    """Sum of the edge weights over the neighborhood of e."""
-    g = wg.graph
     _check_ordinal(g, e)
-    space = edge_space(g)
-    return sum(wg.w_edge(f) for f in space.neighbors[e])
+    return edge_space(g).neighbors[e]
 
 
-def edge_distance(g: Graph, e: int, e2: int) -> int:
-    """Hop distance between edges in the line adjacency (0 iff e == e2)."""
+def edge_degree(g: AnyGraph, e: int):
+    """Weight sum d_e over the neighborhood of e: the int neighbor count
+    deg(x) + deg(y) - 2 for e = {x, y} on a Graph, a float otherwise."""
+    _check_ordinal(g, e)
+    return edge_space(g).degrees[e]
+
+
+def edge_distance(g: AnyGraph, e: int, e2: int):
+    """Cheapest connector-weight sum over edge paths from e to e2 (0 iff
+    e == e2): the int hop count on a Graph, a float otherwise."""
     _check_ordinal(g, e)
     _check_ordinal(g, e2)
     d = edge_space(g).row(e)[e2]
     if d < 0:  # cannot happen on a connected graph; defensive
         raise UnknownEdgeError(f"edges {e} and {e2} not connected")
     return d
-
-
-def weighted_edge_distance(wg: WeightedGraph, e: int, e2: int) -> float:
-    """Cheapest connector-weight sum over edge paths from e to e2."""
-    g = wg.graph
-    _check_ordinal(g, e)
-    _check_ordinal(g, e2)
-    return weighted_edge_space(wg).row(e)[e2]
 
 
 @dataclass(frozen=True)
@@ -205,28 +204,28 @@ class EdgeMeasure:
 
 
 def edge_measure(g: AnyGraph, e: int) -> EdgeMeasure:
-    """Uniform (or weight-proportional) measure on the neighborhood of e."""
-    base = base_graph(g)
-    _check_ordinal(base, e)
-    space = edge_space(base)
-    nbrs = space.neighbors[e]
-    if not nbrs:
-        raise IsolatedEdgeError(
-            f"edge {base.edge_name(e)} has no neighbors; its measure is undefined"
-        )
-    if isinstance(g, WeightedGraph):
-        d = sum(g.w_edge(f) for f in nbrs)
-        return EdgeMeasure(e, nbrs, tuple(g.w_edge(f) / d for f in nbrs))
-    d = len(nbrs)
-    return EdgeMeasure(e, nbrs, tuple(Fraction(1, d) for _ in nbrs))
+    """Mass w(f)/d_e on each neighbor f of e (uniform 1/d_e at unit weights).
+
+    Built once per edge and kept in the graph's edge space.
+    """
+    _check_ordinal(g, e)
+    space = edge_space(g)
+    measure = space._measures.get(e)
+    if measure is None:
+        nbrs = space.neighbors[e]
+        if not nbrs:
+            raise IsolatedEdgeError(
+                f"edge {base_graph(g).edge_name(e)} has no neighbors; its measure is undefined"
+            )
+        d = space.degrees[e]
+        measure = EdgeMeasure(e, nbrs, tuple(space.weight[f] / d for f in nbrs))
+        space._measures[e] = measure
+    return measure
 
 
 def pairwise_costs(g: AnyGraph, atoms: tuple[int, ...]) -> dict[tuple[int, int], object]:
     """Distance table over all ordered atom pairs (ints, or floats if weighted)."""
-    if isinstance(g, WeightedGraph):
-        space = weighted_edge_space(g)
-    else:
-        space = edge_space(g)
+    space = edge_space(g)
     out: dict[tuple[int, int], object] = {}
     for a in atoms:
         row = space.row(a)

@@ -185,7 +185,7 @@ class WeightedGraph:
     the class keeps identity semantics so per-instance caches stay valid.
     """
 
-    __slots__ = ("graph", "vertex_weight", "edge_weight", "_wspace", "_spectra",
+    __slots__ = ("graph", "vertex_weight", "edge_weight", "_space", "_spectra",
                  "_adjacent", "__weakref__")
 
     def __init__(
@@ -208,7 +208,7 @@ class WeightedGraph:
             ew[key] = _check_weight(w, f"edge {u!r} {v!r}")
         self.vertex_weight = vw
         self.edge_weight = ew
-        self._wspace = None
+        self._space = None
         self._spectra = {}
         self._adjacent = None
 

@@ -37,7 +37,7 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .edge_geometry import edge_measure, edge_space, weighted_edge_degree
+from .edge_geometry import edge_degree, edge_measure, edge_space
 from .errors import (
     BadOrientationError,
     InvalidParameterError,
@@ -274,10 +274,7 @@ def apply_down_part(g, values: Sequence, orientation: Sequence[int] | None = Non
     out = []
     for e in range(base.n_edges):
         me = edge_measure(g, e).as_dict()
-        if weighted:
-            d_e = weighted_edge_degree(g, e)
-        else:
-            d_e = space.degrees[e]
+        d_e = edge_degree(g, e)
         acc = None
         for f in space.neighbors[e]:
             v = space.shared_vertex[e][f]

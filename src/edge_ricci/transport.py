@@ -11,7 +11,9 @@ atom.  When both measures are exact rationals and the costs are integers
 (the unweighted case) the masses are scaled by the LCM of their
 denominators and the whole computation runs in integer arithmetic, so the
 distance, plan, and dual certificate are exact.  Weighted instances run in
-binary64 with an epsilon-complementary-slackness check.
+binary64 with an epsilon-complementary-slackness check, and their duality
+gap and Lipschitz excess are bounded relative to the largest cost: scaling
+the vertex weights scales every cost, and the accepted error with it.
 
 The dual certificate is a single function f on the full joint support with
 |f(a) - f(b)| <= d(a, b), built from the final potentials of the residual
@@ -39,7 +41,7 @@ from .edge_geometry import EdgeMeasure
 from .errors import MassImbalanceError, MissingPotentialError, TransportError
 
 _FLOAT_EPS_CS = 1e-10   # complementary slackness tolerance, float mode
-_FLOAT_EPS_GAP = 1e-9   # accepted primal-dual gap, float mode
+_FLOAT_EPS_GAP = 1e-9   # accepted primal-dual gap per unit of cost scale, float mode
 _FLOAT_DUST = 1e-15     # residual supply/demand/flow below this is rounding noise
 
 
@@ -112,6 +114,15 @@ class TransportResult:
 class CouplingCheck:
     ok: bool
     violations: tuple[str, ...]
+
+
+def float_tolerance(problem: TransportProblem) -> float:
+    """Accepted float error of a certificate check: 1e-9 x max(1, largest cost).
+
+    The distance and the potentials scale with the costs, so a bound that
+    did not would reject rounding noise on large weights.
+    """
+    return _FLOAT_EPS_GAP * max(1.0, max(problem.cost.values()))
 
 
 def solve_wasserstein(problem: TransportProblem) -> TransportResult:
@@ -277,8 +288,8 @@ def solve_wasserstein(problem: TransportProblem) -> TransportResult:
     if exact:
         if gap != 0:
             raise TransportError(f"exact solve left a nonzero duality gap {gap}")
-    elif abs(gap) > _FLOAT_EPS_GAP:
-        raise TransportError(f"duality gap {gap} exceeds {_FLOAT_EPS_GAP}")
+    elif abs(gap) > (tol := float_tolerance(problem)):
+        raise TransportError(f"duality gap {gap} exceeds {tol}")
     return TransportResult(distance, plan, dual, gap)
 
 

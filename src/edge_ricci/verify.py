@@ -18,7 +18,6 @@ byte-identical output.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -31,9 +30,9 @@ from .curvature import (
     tree_curvature_formula,
     upper_bound,
 )
-from .edge_geometry import edge_degree, edge_space
+from .edge_geometry import edge_space
 from .errors import InvalidParameterError
-from .graph_core import Graph, GraphFamily, WeightedGraph, base_graph, generate, is_tree
+from .graph_core import Graph, WeightedGraph, base_graph, is_tree
 from .spectra import spectral_equivalence_gap, spectrum_of
 
 _GAP_TOL = 1e-9
@@ -68,6 +67,11 @@ def _check(name, lhs, rhs, relation, tolerance, witnesses=(), diagnostic=False):
     wit = tuple((str(k), float(v)) for k, v in witnesses)
     return TheoremCheck(name, True, "", lhs_f, rhs_f, relation, tolerance,
                         holds, wit, diagnostic)
+
+
+def _kappa_tol(*kappas) -> float:
+    """Zero when every curvature is an exact Fraction, else _GAP_TOL."""
+    return 0.0 if all(isinstance(k, Fraction) for k in kappas) else _GAP_TOL
 
 
 def _inapplicable(name, reason, diagnostic=False):
@@ -188,12 +192,12 @@ def check_bounds(g) -> list[TheoremCheck]:
     """
     weighted = isinstance(g, WeightedGraph)
     base = base_graph(g)
-    tol = _GAP_TOL if weighted else 0.0
     const_vw = g.has_constant_vertex_weights() if weighted else True
     out = []
     for (e, f), cp in sorted(ricci_all_adjacent(g).items()):
         tag = f"({base.edge_name(e)},{base.edge_name(f)})"
         wit = ((f"kappa{tag}", float(cp.kappa)),)
+        tol = _kappa_tol(cp.kappa)
         out.append(_check(f"curvature-floor{tag}", cp.kappa,
                           lower_bound(g, e, f), ">=", tol, wit))
         if weighted and not const_vw:
@@ -216,10 +220,9 @@ def check_adjacent_pair_reduction(g) -> TheoremCheck:
     base = base_graph(g)
     if base.n_edges < 3:
         return _inapplicable(name, "fewer than three edges")
-    weighted = isinstance(g, WeightedGraph)
     lhs = kappa_min(g, "all")
     rhs = kappa_min(g, "adjacent")
-    return _check(name, lhs, rhs, ">=", _GAP_TOL if weighted else 0.0)
+    return _check(name, lhs, rhs, ">=", _kappa_tol(lhs, rhs))
 
 
 def check_spectral_equivalence(g, weighting: str = "degree") -> list[TheoremCheck]:
@@ -235,81 +238,6 @@ def check_spectral_equivalence(g, weighting: str = "degree") -> list[TheoremChec
         _check(f"edge-kernel-dimension[{weighting}]",
                zero_mult, expected, "==", 0.0),
     ]
-
-
-def _family_label(fam: GraphFamily) -> str:
-    params = ":".join(str(p) for p in fam.params)
-    return f"{fam.kind}:{params}" if params else fam.kind
-
-
-def check_family_closed_forms(family, seed: int = 0) -> list[TheoremCheck]:
-    """Compare computed curvatures and spectra against the closed forms for
-    the example families (complete, cycle, complete_bipartite, star, tree)."""
-    if isinstance(family, str):
-        from .graph_core import parse_family
-
-        family = parse_family(family, seed)
-    g = generate(family)
-    label = _family_label(family)
-    kind = family.kind
-    out: list[TheoremCheck] = []
-    if kind == "complete":
-        n = family.params[0]
-        table = ricci_all_adjacent(g)
-        dev = max(abs(cp.kappa - Fraction(1, 2)) for cp in table.values())
-        out.append(_check(f"curvature-value[{label}]", dev, 0, "==", 0.0))
-        lam1 = spectrum_of(g, "edge", "degree").lambda1
-        out.append(_check(f"spectral-gap-value[{label}]", lam1,
-                          n / (2.0 * (n - 2)), "==", _GAP_TOL))
-    elif kind == "cycle":
-        table = ricci_all_adjacent(g)
-        dev = max(abs(cp.kappa) for cp in table.values())
-        out.append(_check(f"adjacent-curvature-zero[{label}]", dev, 0, "==", 0.0))
-        out.append(_check(f"minimum-curvature-zero[{label}]",
-                          kappa_min(g, "all"), 0, "==", 0.0))
-        n = family.params[0]
-        closed = None
-        if n == 4:
-            closed = (0.0, 1.0, 1.0, 2.0)
-        elif n == 5:
-            r = math.sqrt(5.0)
-            closed = (0.0, (5 - r) / 4, (5 - r) / 4, (5 + r) / 4, (5 + r) / 4)
-        if closed is not None:
-            values = spectrum_of(g, "edge", "degree").values
-            dev = max(abs(a - b) for a, b in zip(values, closed))
-            out.append(_check(f"spectrum-values[{label}]", dev, 0.0, "==", _GAP_TOL))
-    elif kind == "complete_bipartite":
-        n, m = family.params
-        space = edge_space(g)
-        worst = Fraction(0)
-        for (e, f), cp in sorted(ricci_all_adjacent(g).items()):
-            y = space.shared_vertex[e][f]
-            deg_y = len(g._adj_idx[y])
-            target = Fraction(deg_y - 2, n + m - 2)
-            worst = max(worst, abs(cp.kappa - target))
-        out.append(_check(f"curvature-formula[{label}]", worst, 0, "==", 0.0))
-    elif kind == "star":
-        m = family.params[0]
-        table = ricci_all_adjacent(g)
-        target = Fraction(m - 2, m - 1)
-        if table:
-            dev = max(abs(cp.kappa - target) for cp in table.values())
-            out.append(_check(f"curvature-value[{label}]", dev, 0, "==", 0.0))
-        lam1 = spectrum_of(g, "edge", "degree").lambda1
-        out.append(_check(f"spectral-gap-value[{label}]", lam1, 1.0 / (m - 1),
-                          "==", _GAP_TOL))
-        if m >= 3:
-            rhs = float(target) + 2.0 / (m - 1) - 1.0
-            out.append(_check(f"spectral-gap-equality[{label}]", lam1, rhs,
-                              "==", _GAP_TOL))
-    elif kind == "tree":
-        out.extend(check_tree_formula(g, label))
-    else:
-        raise InvalidParameterError(
-            f"no closed forms for family {kind!r}; expected one of "
-            "complete, cycle, complete_bipartite, star, tree"
-        )
-    return out
 
 
 def check_tree_formula(g: Graph, label: str = "") -> list[TheoremCheck]:

@@ -6,6 +6,7 @@ enumeration in test_transport.py, so these constants double as regression
 oracles for the whole measure -> cost -> solver pipeline.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -29,6 +30,7 @@ from edge_ricci.errors import (
     SamePairError,
 )
 from edge_ricci.graph_core import Graph, WeightedGraph, generate
+from edge_ricci.rng import SplitMix64
 from edge_ricci.verify import verification_report
 
 
@@ -123,6 +125,7 @@ def test_weighted_bounds():
     # when the bracket goes negative the positive part clamps the floor at 0
     clamped = WeightedGraph(base, None, {("v0", "v1"): 2.0})
     assert lower_bound(clamped, e, f) == 0.0
+    assert math.copysign(1.0, lower_bound(clamped, e, f)) == 1.0  # not -0.0
     assert upper_bound(heavy, e, f) == pytest.approx(0.0)  # disjoint neighborhoods
     lopsided = WeightedGraph(base, {"v0": 3.0})
     with pytest.raises(NonconstantVertexWeightsError):
@@ -266,3 +269,44 @@ def test_curvature_is_symmetric(seed):
     for e in range(min(3, g.n_edges)):
         for f in range(e + 1, min(4, g.n_edges)):
             assert ricci(g, e, f).kappa == ricci(g, f, e).kappa
+
+
+# ------------------------------------------------------------ weight scaling
+
+def _random_weights(base, seed, vertex_scale=1.0, edge_scale=1.0):
+    """Weights in [0.5, 2) from SplitMix64(seed), vertices first, then edges."""
+    rng = SplitMix64(seed)
+    vw = {v: vertex_scale * (0.5 + 1.5 * rng.uniform()) for v in base.labels}
+    ew = {base.edge_endpoints(e): edge_scale * (0.5 + 1.5 * rng.uniform())
+          for e in range(base.n_edges)}
+    return WeightedGraph(base, vw, ew)
+
+
+def _assert_same_kappas(table, reference):
+    assert table.keys() == reference.keys()
+    for key, cp in reference.items():
+        assert math.isclose(table[key].kappa, cp.kappa, rel_tol=1e-9, abs_tol=1e-9)
+
+
+def test_large_vertex_weights_keep_the_float_certificate():
+    # at vertex weights near 1e8 rounding leaves a duality gap near 4.5e-8:
+    # 1e-16 of the cost scale, but over an absolute 1e-9 bound
+    base = generate("random:8:0.4", seed=3)
+    reference = ricci_all_adjacent(_random_weights(base, 11))
+    for scale in (1e8, 1e12):
+        scaled = ricci_all_adjacent(_random_weights(base, 11, vertex_scale=scale))
+        _assert_same_kappas(scaled, reference)
+
+
+@given(st.integers(0, 30), st.integers(-8, 12), st.booleans())
+def test_curvature_is_invariant_under_weight_scaling(seed, exponent, vertices):
+    # W and d scale together with the vertex weights; the measures do not
+    # change with the edge weights
+    base = generate("random:6:0.5", seed=seed)
+    scale = 10.0 ** exponent
+    if vertices:
+        scaled = _random_weights(base, seed, vertex_scale=scale)
+    else:
+        scaled = _random_weights(base, seed, edge_scale=scale)
+    _assert_same_kappas(ricci_all_adjacent(scaled),
+                        ricci_all_adjacent(_random_weights(base, seed)))

@@ -3,14 +3,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from edge_ricci.curvature import lower_bound, ricci_all_adjacent, upper_bound
 from edge_ricci.edge_geometry import (
     edge_degree,
     edge_distance,
     edge_measure,
     edge_neighborhood,
     edge_space,
-    weighted_edge_degree,
-    weighted_edge_distance,
 )
 from edge_ricci.errors import IsolatedEdgeError, UnknownEdgeError
 from edge_ricci.graph_core import Graph, WeightedGraph, generate
@@ -60,21 +59,47 @@ def test_weighted_distance_picks_cheap_connectors():
     e = base.edge_ordinal("v0", "v1")
     f = base.edge_ordinal("v2", "v3")
     cheap_ends = WeightedGraph(base, {"v0": 0.1, "v1": 5.0, "v2": 5.0, "v3": 0.1})
-    assert weighted_edge_distance(cheap_ends, e, f) == pytest.approx(0.2)
+    assert edge_distance(cheap_ends, e, f) == pytest.approx(0.2)
     alternating = WeightedGraph(base, {"v0": 0.1, "v1": 5.0, "v2": 0.1, "v3": 5.0})
-    assert weighted_edge_distance(alternating, e, f) == pytest.approx(5.1)
+    assert edge_distance(alternating, e, f) == pytest.approx(5.1)
     # adjacent edges cost exactly the shared vertex's weight
     g2 = base.edge_ordinal("v1", "v2")
-    assert weighted_edge_distance(alternating, e, g2) == pytest.approx(5.0)
+    assert edge_distance(alternating, e, g2) == pytest.approx(5.0)
 
 
 def test_weighted_distance_reduces_to_hops_at_unit_weights():
-    base = generate("random:8:0.35", seed=5)
-    wg = WeightedGraph(base)
-    for e in range(base.n_edges):
-        for f in range(base.n_edges):
-            assert weighted_edge_distance(wg, e, f) == pytest.approx(
-                float(edge_distance(base, e, f)))
+    """At unit weights a WeightedGraph reproduces the exact quantities of its
+    base graph in floats; the base graph keeps ints and Fractions."""
+    floors, ceilings = set(), set()
+    for seed in (5, 11):
+        base = generate("random:8:0.35", seed=seed)
+        wg = WeightedGraph(base)
+        for e in range(base.n_edges):
+            degree = edge_degree(base, e)
+            assert type(degree) is int
+            assert edge_degree(wg, e) == pytest.approx(degree, abs=1e-12)
+            exact, unit = edge_measure(base, e), edge_measure(wg, e)
+            assert all(type(x) is Fraction for x in exact.masses)
+            assert unit.atoms == exact.atoms
+            assert unit.masses == pytest.approx([float(x) for x in exact.masses], abs=1e-12)
+            for f in range(base.n_edges):
+                hops = edge_distance(base, e, f)
+                assert type(hops) is int
+                assert edge_distance(wg, e, f) == pytest.approx(hops, abs=1e-12)
+        unit = ricci_all_adjacent(wg)
+        for (e, f), cp in ricci_all_adjacent(base).items():
+            assert type(cp.kappa) is Fraction
+            assert unit[(e, f)].kappa == pytest.approx(float(cp.kappa), abs=1e-12)
+            floor = lower_bound(base, e, f)
+            ceiling = upper_bound(base, e, f, "intersection")
+            assert type(floor) is Fraction and type(ceiling) is Fraction
+            assert lower_bound(wg, e, f) == pytest.approx(float(floor), abs=1e-12)
+            assert upper_bound(wg, e, f, "intersection") == pytest.approx(
+                float(ceiling), abs=1e-12)
+            floors.add(floor == 0)
+            ceilings.add(ceiling == 0)
+    # clamped and negative floors, empty and nonempty intersections
+    assert floors == ceilings == {True, False}
 
 
 def test_uniform_measure_is_exact():
@@ -95,7 +120,7 @@ def test_weighted_measure_is_weight_proportional():
     table = m.as_dict()
     assert table[base.edge_ordinal("v0", "v2")] == pytest.approx(0.75)
     assert table[base.edge_ordinal("v0", "v3")] == pytest.approx(0.25)
-    assert weighted_edge_degree(wg, e0) == pytest.approx(4.0)
+    assert edge_degree(wg, e0) == pytest.approx(4.0)
 
 
 def test_single_edge_measure_is_undefined():

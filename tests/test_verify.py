@@ -6,13 +6,11 @@ import weakref
 
 import pytest
 
-from edge_ricci.errors import InvalidParameterError
 from edge_ricci.graph_core import WeightedGraph, generate
 from edge_ricci.verify import (
     TheoremCheck,
     check_adjacent_pair_reduction,
     check_bounds,
-    check_family_closed_forms,
     check_spectral_equivalence,
     check_spectral_gap_bound,
     check_tree_formula,
@@ -101,17 +99,6 @@ def test_spectral_equivalence_checks():
     assert eq.name == "vertex-edge-nonzero-spectra[walk]" and eq.holds
     assert kernel.name == "edge-kernel-dimension[walk]" and kernel.holds
     assert kernel.rhs == 6.0  # 15 - 10 + 1
-
-
-def test_family_closed_forms():
-    assert all(c.holds for c in check_family_closed_forms("complete:5"))
-    assert all(c.holds for c in check_family_closed_forms("cycle:5"))
-    assert all(c.holds for c in check_family_closed_forms("bipartite:2:4"))
-    names = [c.name for c in check_family_closed_forms("star:2")]
-    # m = 2: the gap equality needs m >= 3 and is omitted, not failed
-    assert names == ["curvature-value[star:2]", "spectral-gap-value[star:2]"]
-    with pytest.raises(InvalidParameterError):
-        check_family_closed_forms("random:5:0.4")
 
 
 def test_tree_formula_red_is_honest():
