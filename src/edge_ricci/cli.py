@@ -13,6 +13,7 @@ significant digits in machine formats and 6 in text tables.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .acceptance import run_all
@@ -88,7 +89,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run every check and print a report")
     add_input(p)
-    p.add_argument("--zero-tol", type=float, default=None)
     p.add_argument("--format", choices=_FORMATS, default="text",
                    help="csv emits the curvature table only")
     add_output(p)
@@ -174,6 +174,9 @@ def _cmd_spectrum(args) -> int:
         matrix = assemble(g, args.dump_matrix, args.weighting, orientation)
         _emit(dump_matrix(matrix, args.dump_matrix, orientation), args.output)
         return 0
+    if args.zero_tol is not None and not (math.isfinite(args.zero_tol) and args.zero_tol >= 0):
+        raise InvalidParameterError(
+            f"--zero-tol must be a finite number >= 0, got {args.zero_tol}")
     spec = spectrum_of(g, args.operator, args.weighting, zero_tol=args.zero_tol)
     values = spec.values
     if args.format == "json":
@@ -199,7 +202,7 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    report = verification_report(_load_graph(args), zero_tol=args.zero_tol)
+    report = verification_report(_load_graph(args))
     if args.format == "json":
         text = report_to_json(report)
     elif args.format == "csv":

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .errors import IsolatedEdgeError, UnknownEdgeError
+from .errors import IsolatedEdgeError, NonpositiveWeightError, UnknownEdgeError
 from .graph_core import Graph, WeightedGraph, base_graph
 
 AnyGraph = Union[Graph, WeightedGraph]
@@ -110,6 +110,12 @@ class WeightedEdgeSpace:
         self.shared_vertex = space.shared_vertex
         self.weight = tuple(wg.w_edge(e) for e in range(base.n_edges))
         self.degrees = tuple(sum(self.weight[f] for f in nbrs) for nbrs in self.neighbors)
+        for e, d in enumerate(self.degrees):
+            if not math.isfinite(d):
+                raise NonpositiveWeightError(
+                    f"edge {base.edge_name(e)} has weighted degree {d}: "
+                    f"its neighbors' weights overflow a float"
+                )
         self.vertex_weight = tuple(wg.w_vertex(v) for v in base.labels)
         self._rows: dict[int, tuple[float, ...]] = {}
         self._measures: dict[int, EdgeMeasure] = {}

@@ -38,7 +38,8 @@ class DisconnectedError(GraphError):
 
 
 class NonpositiveWeightError(GraphError):
-    """A vertex or edge weight is zero, negative, or not finite."""
+    """A vertex or edge weight is zero, negative, or not finite, or a sum of
+    finite weights overflows."""
 
 
 class InvalidParameterError(GraphError):
@@ -97,14 +98,15 @@ class BadOrientationError(EdgeRicciError):
     """An explicit orientation does not match the edge set."""
 
 
-class SingularWeightError(EdgeRicciError):
-    """A weight matrix entry is zero, negative, or not finite."""
-
-
 # ------------------------------------------------------------------ spectra
 
 class NotSymmetricError(EdgeRicciError):
     """The eigensolver input is not symmetric within tolerance."""
+
+
+class NonFiniteMatrixError(EdgeRicciError):
+    """The eigensolver input has an infinite or NaN entry, as weights near
+    the float limit produce once they are summed."""
 
 
 class NoConvergenceError(EdgeRicciError):

@@ -42,7 +42,6 @@ from .errors import (
     BadOrientationError,
     InvalidParameterError,
     IsolatedEdgeError,
-    SingularWeightError,
 )
 from .graph_core import WeightedGraph, base_graph
 
@@ -126,44 +125,18 @@ def weight_pair(g, weighting: str):
     )
 
 
-def _check_positive(ws, what: str):
-    for k, w in enumerate(ws):
-        if not w > 0:
-            raise SingularWeightError(f"{what} weight {k} is {w}; need > 0")
-
-
 def assemble(
     g,
     operator: str = "edge",
     weighting: str = "degree",
     orientation: Sequence[int] | None = None,
-    vertex_weights: Sequence | None = None,
-    edge_weights: Sequence | None = None,
 ):
-    """Operator matrix as a list of rows (Fractions when exact, else floats).
-
-    Explicit vertex_weights / edge_weights override the scheme's diagonals;
-    they must be positive and of length n resp. m.
-    """
+    """Operator matrix as a list of rows (Fractions when exact, else floats)."""
     base = base_graph(g)
     if operator not in OPERATORS:
         raise InvalidParameterError(f"operator must be one of {OPERATORS}, got {operator!r}")
     d0 = build_incidence(base, orientation)
     w0, w1 = weight_pair(g, weighting)
-    if vertex_weights is not None:
-        if len(vertex_weights) != base.n_vertices:
-            raise SingularWeightError(
-                f"{len(vertex_weights)} vertex weights for {base.n_vertices} vertices"
-            )
-        w0 = list(vertex_weights)
-    if edge_weights is not None:
-        if len(edge_weights) != base.n_edges:
-            raise SingularWeightError(
-                f"{len(edge_weights)} edge weights for {base.n_edges} edges"
-            )
-        w1 = list(edge_weights)
-    _check_positive(w0, "vertex")
-    _check_positive(w1, "edge")
 
     n, m = base.n_vertices, base.n_edges
     if operator == "vertex":
@@ -215,8 +188,6 @@ def symmetrized(
         orientation = canonical_orientation(base)
     orientation = check_orientation(base, orientation)
     w0, w1 = weight_pair(g, weighting)
-    _check_positive(w0, "vertex")
-    _check_positive(w1, "edge")
     n, m = base.n_vertices, base.n_edges
     root0 = [math.sqrt(w) for w in w0]
     b = []  # row e of B: its entries at the tail and at the head of e

@@ -21,7 +21,12 @@ import sys
 from dataclasses import dataclass
 from operator import mul
 
-from .errors import NoConvergenceError, NoNonzeroEigenvalueError, NotSymmetricError
+from .errors import (
+    NoConvergenceError,
+    NoNonzeroEigenvalueError,
+    NonFiniteMatrixError,
+    NotSymmetricError,
+)
 
 _EPS = sys.float_info.epsilon
 _MAX_ITERATIONS = 30  # QL iterations per eigenvalue
@@ -122,6 +127,9 @@ def eigenvalues_symmetric(matrix) -> tuple[float, ...]:
         raise NotSymmetricError("matrix is not square")
     if n == 0:
         return ()
+    # checked entry by entry: max() below would pass over a NaN
+    if not all(math.isfinite(x) for row in a for x in row):
+        raise NonFiniteMatrixError(f"{n}x{n} matrix has an infinite or NaN entry")
     scale = max(1.0, max(abs(x) for row in a for x in row))
     for p in range(n):
         for q in range(p + 1, n):
@@ -162,25 +170,21 @@ class Spectrum:
 
 
 def spectrum_of(g, operator: str = "edge", weighting: str = "degree",
-                orientation=None, zero_tol: float | None = None) -> Spectrum:
+                zero_tol: float | None = None) -> Spectrum:
     """Spectrum of an assembled operator (via its symmetrized form).
 
     The eigenvalues are solved once per (operator, weighting) and kept on
-    the graph instance; an explicit orientation bypasses that cache (the
-    eigenvalues do not depend on it).  When zero_tol is omitted it defaults
-    to 1e-8 * max(1, largest eigenvalue) — relative, since nothing in the
+    the graph instance.  When zero_tol is omitted it defaults to
+    1e-8 * max(1, largest eigenvalue) — relative, since nothing in the
     operators pins an absolute scale.  It is applied per call, so one
     cached solve serves every tolerance.
     """
     from .laplacian import symmetrized
 
-    if orientation is not None:
-        values = eigenvalues_symmetric(symmetrized(g, operator, weighting, orientation))
-    else:
-        values = g._spectra.get((operator, weighting))
-        if values is None:
-            values = eigenvalues_symmetric(symmetrized(g, operator, weighting))
-            g._spectra[(operator, weighting)] = values
+    values = g._spectra.get((operator, weighting))
+    if values is None:
+        values = eigenvalues_symmetric(symmetrized(g, operator, weighting))
+        g._spectra[(operator, weighting)] = values
     if zero_tol is None:
         zero_tol = 1e-8 * max(1.0, values[-1]) if values else 1e-8
     return Spectrum(values, zero_tol)

@@ -11,16 +11,20 @@ atom.  When both measures are exact rationals and the costs are integers
 (the unweighted case) the masses are scaled by the LCM of their
 denominators and the whole computation runs in integer arithmetic, so the
 distance, plan, and dual certificate are exact.  Weighted instances run in
-binary64 with an epsilon-complementary-slackness check, and their duality
-gap and Lipschitz excess are bounded relative to the largest cost: scaling
-the vertex weights scales every cost, and the accepted error with it.
+binary64, where supply, demand and flow below 1e-15 count as rounding noise
+and the accepted certificate error is relative to the largest cost: scaling
+the vertex weights scales every cost, and the accepted error with it.  Both
+number types run the same code; exact mode is the case of zero noise and
+zero tolerance.
 
 The dual certificate is a single function f on the full joint support with
 |f(a) - f(b)| <= d(a, b), built from the final potentials of the residual
 sinks by the envelope f(a) = min_j (beta_j + d(a, j)); strong duality makes
-its objective equal the primal cost.  The duality gap is checked here, and
-the plan's marginals and the Lipschitz bound by the curvature layer, all on
-the uncancelled problem.
+its objective equal the primal cost.  The solver checks the whole
+certificate on the uncancelled problem before it returns: complementary
+slackness on the residual plan, both marginals of the full plan, the
+Lipschitz bound on f, and the duality gap.  A failure raises TransportError
+naming the edge pair and the instance size.
 
 brute_force_wasserstein enumerates every vertex of the transportation
 polytope (spanning trees of the bipartite support graph) and is the
@@ -116,35 +120,34 @@ class CouplingCheck:
     violations: tuple[str, ...]
 
 
-def float_tolerance(problem: TransportProblem) -> float:
-    """Accepted float error of a certificate check: 1e-9 x max(1, largest cost).
-
-    The distance and the potentials scale with the costs, so a bound that
-    did not would reject rounding noise on large weights.
-    """
-    return _FLOAT_EPS_GAP * max(1.0, max(problem.cost.values()))
-
-
 def solve_wasserstein(problem: TransportProblem) -> TransportResult:
-    """Minimum-cost transport with an exact (or certified float) optimum."""
+    """Minimum-cost transport, returned only once its certificate checks out.
+
+    The certificate tolerance is 0 in exact mode and 1e-9 x max(1, largest
+    cost) in float mode.  Every TransportError raised here names the pair
+    and the instance size.
+    """
     exact = problem.exact
     mu, nu = problem.mu, problem.nu
     if exact:
-        scale = 1
-        for m in (*mu.masses, *nu.masses):
-            scale = scale * m.denominator // math.gcd(scale, m.denominator)
+        scale = math.lcm(*{m.denominator for m in (*mu.masses, *nu.masses)})
         supply = {a: int(m * scale) for a, m in zip(mu.atoms, mu.masses)}
         demand = {b: int(m * scale) for b, m in zip(nu.atoms, nu.masses)}
-        zero, dust = 0, 0
+        zero, dust, tol = 0, 0, 0
     else:
-        scale = None
         supply = {a: float(m) for a, m in zip(mu.atoms, mu.masses)}
         demand = {b: float(m) for b, m in zip(nu.atoms, nu.masses)}
         zero, dust = 0.0, _FLOAT_DUST
+        # The distance and the potentials scale with the costs, so the
+        # accepted certificate error does too.
+        tol = _FLOAT_EPS_GAP * max(1.0, max(problem.cost.values()))
         # The two float sums disagree by a few ulp; rescale demand so the
         # totals match exactly, otherwise the loop below chases the dust.
         fix = sum(supply.values()) / sum(demand.values())
         demand = {b: d * fix for b, d in demand.items()}
+
+    def unscaled(x):
+        return Fraction(x, scale) if exact else x
 
     # Mass both measures hold at an atom stays put at zero cost; only the
     # residual instance, whose two supports are disjoint, is solved.
@@ -153,76 +156,72 @@ def solve_wasserstein(problem: TransportProblem) -> TransportResult:
         common = min(supply[a], demand[a])
         supply[a] -= common
         demand[a] -= common
-        entries.append((a, a, Fraction(common, scale) if exact else common))
+        entries.append((a, a, unscaled(common)))
     sources = [a for a in mu.atoms if supply[a] > dust]
     sinks = [b for b in nu.atoms if demand[b] > dust]
     supply = [supply[a] for a in sources]
     demand = [demand[b] for b in sinks]
 
     S, T = len(sources), len(sinks)
+
+    def failure(what: str) -> TransportError:
+        return TransportError(
+            f"transport for pair ({mu.owner},{nu.owner}) over {len(mu.atoms)}x"
+            f"{len(nu.atoms)} atoms, residual {S}x{T}: {what}"
+        )
+
     cost = [[problem.cost[(sources[i], sinks[j])] for j in range(T)] for i in range(S)]
     flow = [[zero] * T for _ in range(S)]
     phi = [zero] * (S + T)  # node potentials; reduced cost c + phi[u] - phi[v] >= 0
-
-    def remaining_supply():
-        return [i for i in range(S) if supply[i] > dust]
-
-    def remaining_demand():
-        return [j for j in range(T) if demand[j] > dust]
 
     # Exact runs drain in at most S + T augmentations.  Float runs normally
     # do too, but rounding can recycle residual arcs, so a hard cap turns a
     # pathological instance into an error instead of a spin.
     budget = (S + 2) * (T + 2) * 8
-    active_sources = remaining_supply()
+    active_sources = [i for i in range(S) if supply[i] > dust]
     while active_sources:
         budget -= 1
         if budget < 0:
-            raise TransportError("augmentation budget exhausted; instance does not drain")
-        # multi-source Dijkstra over reduced costs in the residual network
+            raise failure("augmentation budget exhausted; instance does not drain")
+        # multi-source Dijkstra over reduced costs in the residual network;
+        # reduced costs are >= 0 by invariant, but float rounding can leave a
+        # -1e-17 that Dijkstra would cycle on forever, so it counts as 0
         dist = [None] * (S + T)
         parent: list[int | None] = [None] * (S + T)
-        root = [None] * (S + T)
         pq = []
         for i in active_sources:
             dist[i] = zero
-            root[i] = i
             heapq.heappush(pq, (zero, i))
         while pq:
             d, u = heapq.heappop(pq)
             if dist[u] is None or d > dist[u]:
                 continue
+            phi_u = phi[u]
             if u < S:
+                row = cost[u]
                 for j in range(T):
-                    rc = cost[u][j] + phi[u] - phi[S + j]
-                    # Reduced costs are >= 0 by invariant; float rounding can
-                    # leave a -1e-17 that Dijkstra would cycle on forever.
-                    if not exact and rc < 0.0:
-                        rc = 0.0
-                    nd = d + rc
                     v = S + j
+                    rc = row[j] + phi_u - phi[v]
+                    nd = d + rc if rc > zero else d
                     if dist[v] is None or nd < dist[v]:
                         dist[v] = nd
                         parent[v] = u
-                        root[v] = root[u]
                         heapq.heappush(pq, (nd, v))
             else:
                 j = u - S
                 for i in range(S):
                     if flow[i][j] > zero:
-                        rc = -cost[i][j] + phi[u] - phi[i]
-                        if not exact and rc < 0.0:
-                            rc = 0.0
-                        nd = d + rc
+                        rc = -cost[i][j] + phi_u - phi[i]
+                        nd = d + rc if rc > zero else d
                         if dist[i] is None or nd < dist[i]:
                             dist[i] = nd
                             parent[i] = u
-                            root[i] = root[u]
                             heapq.heappush(pq, (nd, i))
-        targets = [j for j in remaining_demand() if dist[S + j] is not None]
+        open_demand = [j for j in range(T) if demand[j] > dust]
+        targets = [j for j in open_demand if dist[S + j] is not None]
         if not targets:
-            if exact or remaining_demand():
-                raise TransportError("flow network admits no augmenting path")
+            if open_demand:
+                raise failure("flow network admits no augmenting path")
             break  # only sub-threshold float dust is left unshipped
         tgt = min(targets, key=lambda j: (dist[S + j], j))
         d_tgt = dist[S + tgt]
@@ -231,49 +230,40 @@ def solve_wasserstein(problem: TransportProblem) -> TransportResult:
         for v in range(S + T):
             phi[v] = phi[v] + (dist[v] if dist[v] is not None and dist[v] < d_tgt else d_tgt)
 
-        # trace the augmenting path back to its root source
+        # trace the augmenting path back to its source; a backward arc's
+        # residual capacity is its current flow
         path = []
         v = S + tgt
         while parent[v] is not None:
             path.append((parent[v], v))
             v = parent[v]
         src = v
-        amt = min(supply[src], demand[tgt])
-        for u, w in path:
-            if u < S:  # forward arc u -> w
-                pass
-            else:      # residual arc, capacity = current flow
-                amt = min(amt, flow[w][u - S])
+        amt = min(supply[src], demand[tgt], *(flow[w][u - S] for u, w in path if u >= S))
         for u, w in path:
             if u < S:
                 flow[u][w - S] += amt
             else:
                 flow[w][u - S] -= amt
-                if not exact and flow[w][u - S] < _FLOAT_DUST:
-                    flow[w][u - S] = 0.0
+                if flow[w][u - S] < dust:
+                    flow[w][u - S] = zero
         supply[src] -= amt
         demand[tgt] -= amt
-        if not exact:
-            if supply[src] < _FLOAT_DUST:
-                supply[src] = 0.0
-            if demand[tgt] < _FLOAT_DUST:
-                demand[tgt] = 0.0
-        active_sources = remaining_supply()
+        if supply[src] < dust:
+            supply[src] = zero
+        if demand[tgt] < dust:
+            demand[tgt] = zero
+        active_sources = [i for i in range(S) if supply[i] > dust]
 
     total = zero
     for i in range(S):
         for j in range(T):
             x = flow[i][j]
             if x > zero:
-                mass = Fraction(x, scale) if exact else x
-                entries.append((sources[i], sinks[j], mass))
+                entries.append((sources[i], sinks[j], unscaled(x)))
                 total += x * cost[i][j]
-    distance = Fraction(total, scale) if exact else total
+    distance = unscaled(total)
     entries.sort(key=lambda t: (t[0], t[1]))
     plan = Coupling(tuple(entries))
-
-    if not exact:
-        _check_complementary_slackness(cost, flow, phi, S, T)
 
     # envelope dual certificate over the whole joint support:
     # f(a) = min_j (beta_j + d(a, sink_j)) over the residual sinks, and
@@ -284,24 +274,29 @@ def solve_wasserstein(problem: TransportProblem) -> TransportResult:
         f[a] = min((beta[b] + problem.cost[(a, b)] for b in sinks), default=zero)
     dual = DualPotential(f)
 
+    # the certificate: complementary slackness on the residual plan, then,
+    # on the uncancelled problem, plan marginals, dual feasibility, and a
+    # closed duality gap
+    _check_complementary_slackness(cost, flow, phi, S, T, failure)
+    check = verify_coupling(problem, plan)
+    if not check.ok:
+        raise failure(f"invalid plan: {check.violations[0]}")
+    excess = lipschitz_excess(problem, dual)
+    if excess > tol:
+        raise failure(f"dual certificate breaks the Lipschitz bound by {excess}")
     gap = distance - dual_objective(problem, dual)
-    if exact:
-        if gap != 0:
-            raise TransportError(f"exact solve left a nonzero duality gap {gap}")
-    elif abs(gap) > (tol := float_tolerance(problem)):
-        raise TransportError(f"duality gap {gap} exceeds {tol}")
+    if abs(gap) > tol:
+        raise failure(f"duality gap {gap} exceeds {tol}")
     return TransportResult(distance, plan, dual, gap)
 
 
-def _check_complementary_slackness(cost, flow, phi, S, T):
+def _check_complementary_slackness(cost, flow, phi, S, T, failure):
     for i in range(S):
         for j in range(T):
             if flow[i][j] > 0.0:
                 rc = cost[i][j] + phi[i] - phi[S + j]
                 if abs(rc) > _FLOAT_EPS_CS * max(1.0, abs(cost[i][j])):
-                    raise TransportError(
-                        f"complementary slackness violated on arc ({i},{j}): {rc}"
-                    )
+                    raise failure(f"complementary slackness violated on arc ({i},{j}): {rc}")
 
 
 def verify_coupling(problem: TransportProblem, plan: Coupling) -> CouplingCheck:

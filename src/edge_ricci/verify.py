@@ -275,7 +275,7 @@ class VerificationReport:
                      if c.applicable and not c.diagnostic and not c.holds)
 
 
-def verification_report(g, zero_tol: float | None = None) -> VerificationReport:
+def verification_report(g) -> VerificationReport:
     """Run the full check battery appropriate to the graph's kind."""
     start = time.perf_counter()
     weighted = isinstance(g, WeightedGraph)
@@ -306,15 +306,15 @@ def verification_report(g, zero_tol: float | None = None) -> VerificationReport:
     )
     if weighted:
         spectra = {
-            "L0": spectrum_of(g, "vertex", "graph", zero_tol=zero_tol).values,
-            "L1": spectrum_of(g, "edge", "graph", zero_tol=zero_tol).values,
-            "Lprime1": spectrum_of(base, "edge", "degree", zero_tol=zero_tol).values,
+            "L0": spectrum_of(g, "vertex", "graph").values,
+            "L1": spectrum_of(g, "edge", "graph").values,
+            "Lprime1": spectrum_of(base, "edge", "degree").values,
         }
     else:
         spectra = {
-            "L0": spectrum_of(g, "vertex", "unit", zero_tol=zero_tol).values,
-            "L1": spectrum_of(g, "edge", "unit", zero_tol=zero_tol).values,
-            "Lprime1": spectrum_of(g, "edge", "degree", zero_tol=zero_tol).values,
+            "L0": spectrum_of(g, "vertex", "unit").values,
+            "L1": spectrum_of(g, "edge", "unit").values,
+            "Lprime1": spectrum_of(g, "edge", "degree").values,
         }
     elapsed = time.perf_counter() - start
     return VerificationReport(summary, tuple(checks), curvature, spectra, elapsed)

@@ -91,6 +91,34 @@ def test_spectrum_lambda1_null_when_no_gap(capsys, tmp_path):
     assert json.loads(out)["lambda1"] is None
 
 
+def test_spectrum_csv_and_text_are_pinned(capsys):
+    code, out, _ = run_cli(capsys, "spectrum", "--family", "cycle:4",
+                           "--format", "csv")
+    assert code == 0
+    assert out == ("index,value\n0,1.1346560073810229e-16\n1,1\n"
+                   "2,1.0000000000000002\n3,2.0000000000000004\n")
+    code, out, _ = run_cli(capsys, "spectrum", "--family", "cycle:4",
+                           "--format", "text")
+    assert code == 0
+    assert out == ("edge operator, degree weighting: 4 eigenvalues, 1 zero "
+                   "(tol 2e-08)\n    0  1.13466e-16\n    1  1\n    2  1\n    3  2\n")
+
+
+@pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+def test_spectrum_rejects_a_negative_or_non_finite_zero_tol(capsys, value):
+    code, _, err = run_cli(capsys, "spectrum", "--family", "cycle:4",
+                           "--zero-tol", value)
+    assert_one_error_line(code, err)
+    assert "--zero-tol must be a finite number >= 0" in err
+
+
+def test_verify_has_no_zero_tol(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--family", "cycle:4", "--zero-tol", "1"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+
+
 def test_spectrum_dump_matrix(capsys):
     code, out, _ = run_cli(capsys, "spectrum", "--family", "complete:4",
                            "--dump-matrix", "edge")
@@ -207,3 +235,27 @@ def test_output_flag_writes_files(capsys, tmp_path):
     assert capsys.readouterr().out == ""
     assert set(json.loads(target.read_text())) == {"graph", "checks",
                                                    "curvature", "spectra"}
+
+
+_OVERFLOWING = '{"edges": [["a","b",1e308],["b","c",1e308],["c","d",1e308]]}'
+
+
+@pytest.mark.parametrize("command", ["verify", "curvature"])
+def test_overflowing_edge_degree_exits_2(capsys, tmp_path, command):
+    # b-c's degree is 1e308 + 1e308 = inf; its measure used to sum to 0.0
+    path = tmp_path / "g.json"
+    path.write_text(_OVERFLOWING)
+    code, _, err = run_cli(capsys, command, "--input", str(path), "--weighted")
+    assert_one_error_line(code, err)
+    assert "edge b-c has weighted degree inf" in err
+
+
+def test_overflowing_operator_entries_exit_2(capsys, tmp_path):
+    # the graph-weighted edge operator's diagonal overflows; its spectrum
+    # used to print as nan with exit 0
+    path = tmp_path / "g.json"
+    path.write_text(_OVERFLOWING)
+    code, out, err = run_cli(capsys, "spectrum", "--input", str(path), "--weighted",
+                             "--weighting", "graph")
+    assert_one_error_line(code, err)
+    assert out == "" and "3x3 matrix has an infinite or NaN entry" in err

@@ -15,7 +15,6 @@ from edge_ricci.errors import (
     BadOrientationError,
     InvalidParameterError,
     IsolatedEdgeError,
-    SingularWeightError,
 )
 from edge_ricci.graph_core import SplitMix64, WeightedGraph, generate
 from edge_ricci.laplacian import (
@@ -167,7 +166,7 @@ def test_reorientation_leaves_operators_alone():
                                                      orientation=flipped)
     # the edge operator changes entrywise but keeps its spectrum
     a = spectrum_of(g, "edge", "degree").values
-    b = spectrum_of(g, "edge", "degree", orientation=flipped).values
+    b = eigenvalues_symmetric(symmetrized(g, "edge", "degree", flipped))
     assert a == pytest.approx(b, abs=1e-10)
 
 
@@ -183,10 +182,6 @@ def test_orientation_validation():
 
 def test_weight_validation():
     g = generate("complete:3")
-    with pytest.raises(SingularWeightError):
-        assemble(g, edge_weights=[1, 1])
-    with pytest.raises(SingularWeightError):
-        assemble(g, vertex_weights=[1, -2, 1])
     with pytest.raises(IsolatedEdgeError):
         assemble(generate("path:2"), "edge", "degree")
     with pytest.raises(InvalidParameterError):

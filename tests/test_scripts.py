@@ -22,3 +22,15 @@ def _load(name):
 def test_script_exits_zero(name, argv, capsys):
     assert _load(name).main(argv) == 0
     assert capsys.readouterr().out
+
+
+def test_output_digest_covers_every_input_and_command(capsys):
+    assert _load("output_digest").main(["--families", "cycle:4", "star:4"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    # two edge lists and six weighted documents, four commands each
+    assert len(lines) == 8 * 4
+    # exit 1 is a report with a failed check, not a crash
+    assert all(line.split()[0] in ("0", "1") and len(line.split()[1]) == 64
+               for line in lines)
+    assert lines[0].endswith(" cycle:4 verify --format json")
+    assert lines[-1].endswith(" star:4/random curvature --all-pairs --format csv")

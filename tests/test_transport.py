@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from edge_ricci import transport
 from edge_ricci.curvature import pair_transport_problem
 from edge_ricci.edge_geometry import EdgeMeasure
 from edge_ricci.errors import MassImbalanceError, TransportError
@@ -18,6 +19,7 @@ from edge_ricci.graph_core import WeightedGraph, generate
 from edge_ricci.rng import SplitMix64
 from edge_ricci.transport import (
     Coupling,
+    CouplingCheck,
     TransportProblem,
     brute_force_wasserstein,
     dual_objective,
@@ -234,3 +236,21 @@ def test_symmetry_of_the_distance():
         a = solve_wasserstein(pair_transport_problem(g, e, f)).distance
         b = solve_wasserstein(pair_transport_problem(g, f, e)).distance
         assert a == b
+
+
+_BROKEN_CHECKS = {
+    "verify_coupling": lambda problem, plan: CouplingCheck(False, ("row 9: off",)),
+    "lipschitz_excess": lambda problem, dual: Fraction(1, 10**6),
+    "dual_objective": lambda problem, dual: 0,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BROKEN_CHECKS))
+def test_certificate_failure_names_the_pair_and_the_size(monkeypatch, name):
+    # K4, edges v0-v1 and v0-v2: four atoms a side, two of them shared, so the
+    # residual instance is 2x2; every half of the certificate is the solver's
+    p = pair_transport_problem(generate("complete:4"), 0, 1)
+    solve_wasserstein(p)
+    monkeypatch.setattr(transport, name, _BROKEN_CHECKS[name])
+    with pytest.raises(TransportError, match=r"pair \(0,1\) over 4x4 atoms, residual 2x2"):
+        solve_wasserstein(p)
