@@ -16,17 +16,15 @@ outputs are identical:
     PYTHONPATH=src python3 scripts/output_digest.py | diff before.txt -
 """
 
-import argparse
 import contextlib
 import hashlib
 import io
-import json
 import sys
 import tempfile
 from pathlib import Path
 
 from edge_ricci.cli import run
-from edge_ricci.graph_core import generate
+from edge_ricci.graph_core import WeightedGraph, generate, serialize_weighted
 from edge_ricci.rng import SplitMix64
 
 FAMILIES = (
@@ -62,11 +60,11 @@ def weighted_document(family: str, weights: str) -> str:
         rng = SplitMix64(11)
         vertex = [0.5 + 1.5 * rng.uniform() for _ in range(g.n_vertices)]
         edge = [0.5 + 1.5 * rng.uniform() for _ in range(g.n_edges)]
-    doc = {
-        "edges": [[g.labels[i], g.labels[j], w] for (i, j), w in zip(g.edges, edge)],
-        "vertex_weights": dict(zip(g.labels, vertex)),
-    }
-    return json.dumps(doc)
+    return serialize_weighted(WeightedGraph(
+        g,
+        vertex_weight=dict(zip(g.labels, vertex)),
+        edge_weight=dict(zip(map(g.edge_endpoints, range(g.n_edges)), edge)),
+    ))
 
 
 def digest(argv: list[str]) -> tuple[int, str]:
@@ -77,14 +75,10 @@ def digest(argv: list[str]) -> tuple[int, str]:
     return code, hashlib.sha256(data).hexdigest()
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--families", nargs="+", default=FAMILIES,
-                    help="family specs to use instead of the fixed corpus")
-    args = ap.parse_args(argv)
+def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
-        inputs = [(family, ["--family", family]) for family in args.families]
-        for family in args.families:
+        inputs = [(family, ["--family", family]) for family in FAMILIES]
+        for family in FAMILIES:
             for weights in WEIGHTS:
                 path = Path(tmp) / f"{len(inputs)}.json"
                 path.write_text(weighted_document(family, weights), encoding="utf-8")

@@ -133,11 +133,11 @@ def solve_wasserstein(problem: TransportProblem) -> TransportResult:
         scale = math.lcm(*{m.denominator for m in (*mu.masses, *nu.masses)})
         supply = {a: int(m * scale) for a, m in zip(mu.atoms, mu.masses)}
         demand = {b: int(m * scale) for b, m in zip(nu.atoms, nu.masses)}
-        zero, dust, tol = 0, 0, 0
+        zero, dust, eps_cs, tol = 0, 0, 0, 0
     else:
         supply = {a: float(m) for a, m in zip(mu.atoms, mu.masses)}
         demand = {b: float(m) for b, m in zip(nu.atoms, nu.masses)}
-        zero, dust = 0.0, _FLOAT_DUST
+        zero, dust, eps_cs = 0.0, _FLOAT_DUST, _FLOAT_EPS_CS
         # The distance and the potentials scale with the costs, so the
         # accepted certificate error does too.
         tol = _FLOAT_EPS_GAP * max(1.0, max(problem.cost.values()))
@@ -277,7 +277,7 @@ def solve_wasserstein(problem: TransportProblem) -> TransportResult:
     # the certificate: complementary slackness on the residual plan, then,
     # on the uncancelled problem, plan marginals, dual feasibility, and a
     # closed duality gap
-    _check_complementary_slackness(cost, flow, phi, S, T, failure)
+    _check_complementary_slackness(cost, flow, phi, S, T, eps_cs, failure)
     check = verify_coupling(problem, plan)
     if not check.ok:
         raise failure(f"invalid plan: {check.violations[0]}")
@@ -290,12 +290,12 @@ def solve_wasserstein(problem: TransportProblem) -> TransportResult:
     return TransportResult(distance, plan, dual, gap)
 
 
-def _check_complementary_slackness(cost, flow, phi, S, T, failure):
+def _check_complementary_slackness(cost, flow, phi, S, T, eps_cs, failure):
     for i in range(S):
         for j in range(T):
             if flow[i][j] > 0.0:
                 rc = cost[i][j] + phi[i] - phi[S + j]
-                if abs(rc) > _FLOAT_EPS_CS * max(1.0, abs(cost[i][j])):
+                if abs(rc) > eps_cs * max(1.0, abs(cost[i][j])):
                     raise failure(f"complementary slackness violated on arc ({i},{j}): {rc}")
 
 

@@ -24,8 +24,10 @@ def test_script_exits_zero(name, argv, capsys):
     assert capsys.readouterr().out
 
 
-def test_output_digest_covers_every_input_and_command(capsys):
-    assert _load("output_digest").main(["--families", "cycle:4", "star:4"]) == 0
+def test_output_digest_covers_every_input_and_command(monkeypatch, capsys):
+    module = _load("output_digest")
+    monkeypatch.setattr(module, "FAMILIES", ("cycle:4", "star:4"))
+    assert module.main() == 0
     lines = capsys.readouterr().out.splitlines()
     # two edge lists and six weighted documents, four commands each
     assert len(lines) == 8 * 4
