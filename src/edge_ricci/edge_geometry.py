@@ -95,16 +95,17 @@ class WeightedEdgeSpace:
 
     The same fields as EdgeSpace, with weight[e] the edge weight and
     degrees[e] the weight sum over the neighbors; rows are Dijkstra
-    distances whose hops cost the shared vertex's weight.  Holds no
-    reference to the WeightedGraph that owns it, so the owner is freed by
-    reference counting alone.
+    distances whose hops cost the shared vertex's weight.  Holds the base
+    Graph (for edge names) but no reference to the WeightedGraph that owns
+    it, so the owner is freed by reference counting alone.
     """
 
     __slots__ = ("neighbors", "shared_vertex", "degrees", "weight", "vertex_weight",
-                 "_rows", "_measures")
+                 "_base", "_rows", "_measures")
 
     def __init__(self, wg: WeightedGraph):
         base = wg.graph
+        self._base = base
         space = edge_space(base)
         self.neighbors = space.neighbors
         self.shared_vertex = space.shared_vertex
@@ -138,6 +139,12 @@ class WeightedEdgeSpace:
                 if nd < dist[b]:
                     dist[b] = nd
                     heapq.heappush(pq, (nd, b))
+        # the graph is connected, so an infinite distance is an overflow
+        if math.inf in dist:
+            raise NonpositiveWeightError(
+                f"edge distances from {self._base.edge_name(e)} reach inf: "
+                f"its connectors' vertex weights overflow a float"
+            )
         out = tuple(dist)
         self._rows[e] = out
         return out

@@ -37,7 +37,7 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .edge_geometry import edge_degree, edge_measure, edge_space
+from .edge_geometry import edge_space
 from .errors import (
     BadOrientationError,
     InvalidParameterError,
@@ -65,16 +65,6 @@ def check_orientation(g, orientation: Sequence[int]) -> tuple[int, ...]:
         if s not in (1, -1):
             raise BadOrientationError(f"orientation[{e}] = {s!r}, need +1 or -1")
     return orientation
-
-
-def reorient(orientation: Sequence[int], flips) -> tuple[int, ...]:
-    """Flip the listed edge ordinals, returning a new orientation tuple."""
-    out = list(orientation)
-    for e in flips:
-        if not 0 <= e < len(out):
-            raise BadOrientationError(f"cannot flip unknown edge ordinal {e}")
-        out[e] = -out[e]
-    return tuple(out)
 
 
 def orientation_hash(orientation: Sequence[int]) -> str:
@@ -212,50 +202,6 @@ def symmetrized(
             row = out[e]
             for f, bf in entries:
                 row[f] += be * bf
-    return out
-
-
-def apply_down_part(g, values: Sequence, orientation: Sequence[int] | None = None):
-    """Off-diagonal part of the degree-weighted edge operator, measure route.
-
-    For each edge e and every neighbor e' sharing vertex v,
-
-        unweighted: sgn_e(v) sgn_e'(v) m_e(e') (d_e / d_e') u(e')
-        weighted:   sgn_e(v) sgn_e'(v) m_e(e') (d_e / w0(v)) u(e')
-
-    summed over e', where m_e is the neighborhood measure and d_e the
-    (weighted) edge degree.  This is computed from measures and degrees,
-    not from incidence products, so the tests can cross-check it against
-    `assemble` minus its diagonal.
-    """
-    base = base_graph(g)
-    if len(values) != base.n_edges:
-        raise InvalidParameterError(f"{len(values)} values for {base.n_edges} edges")
-    if orientation is None:
-        orientation = canonical_orientation(base)
-    orientation = check_orientation(base, orientation)
-    space = edge_space(base)
-
-    def sign_at(e: int, v: int) -> int:
-        i, j = base.edges[e]
-        s = orientation[e]
-        return s if v == j else -s
-
-    weighted = isinstance(g, WeightedGraph)
-    out = []
-    for e in range(base.n_edges):
-        me = edge_measure(g, e).as_dict()
-        d_e = edge_degree(g, e)
-        acc = None
-        for f in space.neighbors[e]:
-            v = space.shared_vertex[e][f]
-            if weighted:
-                scale = d_e / g.w_vertex(base.labels[v])
-            else:
-                scale = Fraction(d_e, space.degrees[f])
-            term = sign_at(e, v) * sign_at(f, v) * me[f] * scale * values[f]
-            acc = term if acc is None else acc + term
-        out.append(acc if acc is not None else 0 * values[e])
     return out
 
 

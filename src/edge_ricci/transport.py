@@ -24,19 +24,22 @@ its objective equal the primal cost.  The solver checks the whole
 certificate on the uncancelled problem before it returns: complementary
 slackness on the residual plan, both marginals of the full plan, the
 Lipschitz bound on f, and the duality gap.  A failure raises TransportError
-naming the edge pair and the instance size.
+naming the edge pair and the instance size.  The cost table is validated
+once, when the problem is built; the Lipschitz check walks unordered pairs,
+and in exact mode the dual objective is summed in scaled integers.
 
 brute_force_wasserstein enumerates every vertex of the transportation
 polytope (spanning trees of the bipartite support graph) and is the
-independent oracle used by the test suite; it shares no code with the
-flow solver.
+independent oracle used by the test suite and the acceptance gate.  Exact
+instances are enumerated in scaled integers: the oracle takes the LCM of the
+mass denominators itself and shares no code with the flow solver.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from typing import Mapping
@@ -51,11 +54,20 @@ _FLOAT_DUST = 1e-15     # residual supply/demand/flow below this is rounding noi
 
 @dataclass(frozen=True)
 class TransportProblem:
-    """Measures plus a cost table covering the joint support (both orders)."""
+    """Measures plus a cost table covering the joint support (both orders).
+
+    Construction walks the unordered pairs of the joint support once: both
+    orders of every pair must be present, finite and >= 0, and every atom
+    costs 0 to itself.  The same walk records whether every cost is an int,
+    which with exact masses makes the problem exact, and the sorted joint
+    support.
+    """
 
     mu: EdgeMeasure
     nu: EdgeMeasure
     cost: Mapping[tuple[int, int], object]
+    exact: bool = field(init=False, repr=False, compare=False)
+    _joint: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         total_mu = sum(self.mu.masses)
@@ -65,27 +77,35 @@ class TransportProblem:
                 raise MassImbalanceError(f"supply {total_mu} != demand {total_nu}")
         elif abs(float(total_mu) - float(total_nu)) > 1e-12:
             raise MassImbalanceError(f"supply {total_mu} != demand {total_nu}")
-        joint = set(self.mu.atoms) | set(self.nu.atoms)
-        for a in joint:
-            for b in joint:
-                c = self.cost.get((a, b))
-                if c is None:
-                    raise TransportError(f"cost table misses pair ({a}, {b})")
-                if c < 0:
-                    raise TransportError(f"negative cost {c} for pair ({a}, {b})")
-                if a == b and c != 0:
+        joint = tuple(sorted(set(self.mu.atoms) | set(self.nu.atoms)))
+        cost = self.cost
+        int_costs = True
+        try:
+            for k, a in enumerate(joint):
+                c = cost[a, a]
+                if c != 0:
                     raise TransportError(f"nonzero self cost {c} at atom {a}")
-
-    @property
-    def exact(self) -> bool:
-        return (
-            self.mu.exact
-            and self.nu.exact
-            and all(isinstance(c, int) for c in self.cost.values())
-        )
+                int_costs = int_costs and type(c) is int
+                for b in joint[k + 1:]:
+                    ab, ba = cost[a, b], cost[b, a]
+                    if not 0 <= ab < math.inf:
+                        raise _bad_cost(ab, (a, b))
+                    if not 0 <= ba < math.inf:
+                        raise _bad_cost(ba, (b, a))
+                    if int_costs and (type(ab) is not int or type(ba) is not int):
+                        int_costs = False
+        except KeyError as exc:
+            raise TransportError(f"cost table misses pair {exc.args[0]}") from None
+        object.__setattr__(self, "exact", self.mu.exact and self.nu.exact and int_costs)
+        object.__setattr__(self, "_joint", joint)
 
     def joint_support(self) -> tuple[int, ...]:
-        return tuple(sorted(set(self.mu.atoms) | set(self.nu.atoms)))
+        return self._joint
+
+
+def _bad_cost(c, pair) -> TransportError:
+    what = "negative" if c < 0 else "non-finite"
+    return TransportError(f"{what} cost {c} for pair {pair}")
 
 
 @dataclass(frozen=True)
@@ -332,32 +352,55 @@ def verify_coupling(problem: TransportProblem, plan: Coupling) -> CouplingCheck:
 
 
 def dual_objective(problem: TransportProblem, dual: DualPotential) -> object:
-    """sum f(a) (mu(a) - nu(a)) over the joint support."""
-    mu = problem.mu.as_dict()
-    nu = problem.nu.as_dict()
+    """sum f(a) (mu(a) - nu(a)) over the joint support.
+
+    In exact mode the net masses are scaled to integers by the LCM of their
+    denominators, the sum runs in integers, and the result is that sum over
+    the scale.
+    """
+    joint = problem.joint_support()
+    values = _defined_on(dual, joint)
+    mu, nu = problem.mu, problem.nu
+    if problem.exact:
+        scale = math.lcm(*{m.denominator for m in (*mu.masses, *nu.masses)})
+        net = dict.fromkeys(joint, 0)
+        for a, m in zip(mu.atoms, mu.masses):
+            net[a] += m.numerator * (scale // m.denominator)
+        for b, m in zip(nu.atoms, nu.masses):
+            net[b] -= m.numerator * (scale // m.denominator)
+        return Fraction(sum(values[a] * net[a] for a in joint), scale)
+    mu, nu = mu.as_dict(), nu.as_dict()
     total = None
-    for a in problem.joint_support():
-        if a not in dual.values:
-            raise MissingPotentialError(f"potential undefined on atom {a}")
-        term = dual.values[a] * (mu.get(a, 0) - nu.get(a, 0))
+    for a in joint:
+        term = values[a] * (mu.get(a, 0) - nu.get(a, 0))
         total = term if total is None else total + term
     return total
 
 
 def lipschitz_excess(problem: TransportProblem, dual: DualPotential) -> object:
-    """max over joint pairs of |f(a) - f(b)| - d(a, b); feasible iff <= 0."""
+    """max over joint pairs of |f(a) - f(b)| - d(a, b); feasible iff <= 0.
+
+    Walks unordered pairs against the cheaper of the two orders, which gives
+    the maximum over both orders without assuming the costs symmetric.
+    """
     joint = problem.joint_support()
+    values, cost = _defined_on(dual, joint), problem.cost
     worst = None
-    for a in joint:
-        for b in joint:
-            if a == b:
-                continue
-            if a not in dual.values or b not in dual.values:
-                raise MissingPotentialError(f"potential undefined on atom {a} or {b}")
-            excess = abs(dual.values[a] - dual.values[b]) - problem.cost[(a, b)]
+    for k, a in enumerate(joint):
+        fa = values[a]
+        for b in joint[k + 1:]:
+            excess = abs(fa - values[b]) - min(cost[a, b], cost[b, a])
             if worst is None or excess > worst:
                 worst = excess
     return worst if worst is not None else 0
+
+
+def _defined_on(dual: DualPotential, joint: tuple[int, ...]) -> Mapping[int, object]:
+    """The potential's values, once each atom of the joint support has one."""
+    for a in joint:
+        if a not in dual.values:
+            raise MissingPotentialError(f"potential undefined on atom {a}")
+    return dual.values
 
 
 # ------------------------------------------------------------------ oracle
@@ -428,9 +471,13 @@ def _elimination_plans(s: int, t: int) -> list[list[tuple[int, int, int, int]]]:
 def brute_force_wasserstein(problem: TransportProblem) -> object:
     """Optimal cost by enumerating transportation-polytope vertices.
 
-    Exact for rational measures with integer costs.  Intended for supports
-    with at most four atoms per side (the oracle bound in the test suite);
-    refuses anything wider than six to keep enumeration honest.
+    Exact for rational measures with integer costs: the balances are scaled
+    to integers by the LCM of the mass denominators, every vertex is
+    evaluated in integer arithmetic, and the minimum comes back as a
+    Fraction over that scale.  Float instances are enumerated in floats.
+    Intended for supports with at most four atoms per side (the oracle bound
+    in the test suite); refuses anything wider than six to keep enumeration
+    honest.
     """
     s, t = len(problem.mu.atoms), len(problem.nu.atoms)
     if s > _MAX_ORACLE_SIDE or t > _MAX_ORACLE_SIDE:
@@ -438,10 +485,17 @@ def brute_force_wasserstein(problem: TransportProblem) -> object:
     sources = list(problem.mu.atoms)
     sinks = list(problem.nu.atoms)
     cost = [[problem.cost[(a, b)] for b in sinks] for a in sources]
+    masses = (*problem.mu.masses, *problem.nu.masses)
+    exact = (all(isinstance(m, Fraction) for m in masses)
+             and all(isinstance(c, int) for row in cost for c in row))
+    if exact:
+        scale = math.lcm(*{m.denominator for m in masses})
+        masses = tuple(m.numerator * (scale // m.denominator) for m in masses)
+    start = (*masses[:s], *(-m for m in masses[s:]))
     best = None
     for schedule in _elimination_plans(s, t):
-        balance = list(problem.mu.masses) + [-m for m in problem.nu.masses]
-        total = None
+        balance = list(start)
+        total = 0
         feasible = True
         for leaf, i, j, other in schedule:
             x = balance[leaf] if leaf < s else -balance[leaf]
@@ -449,10 +503,9 @@ def brute_force_wasserstein(problem: TransportProblem) -> object:
                 feasible = False
                 break
             balance[other] += balance[leaf]
-            term = x * cost[i][j]
-            total = term if total is None else total + term
+            total += x * cost[i][j]
         if feasible and (best is None or total < best):
             best = total
     if best is None:
         raise TransportError("no feasible basic solution found")
-    return best
+    return Fraction(best, scale) if exact else best

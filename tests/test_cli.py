@@ -1,8 +1,14 @@
 """End-to-end command tests, run in-process through cli.main."""
 
+import contextlib
+import io
+import itertools
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from edge_ricci.cli import main
 from edge_ricci.graph_core import generate, serialize_edgelist
@@ -259,3 +265,60 @@ def test_overflowing_operator_entries_exit_2(capsys, tmp_path):
                              "--weighting", "graph")
     assert_one_error_line(code, err)
     assert out == "" and "3x3 matrix has an infinite or NaN entry" in err
+
+
+def test_overflowing_edge_distances_exit_2(capsys, tmp_path):
+    # every degree is finite, but a-b to c-d costs 1e308 + 1e308 = inf; the
+    # float certificate tolerance became inf and the pair printed as nan
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({
+        "edges": [["a", "b"], ["b", "c"], ["c", "d"], ["d", "e"], ["e", "f"]],
+        "vertex_weights": {v: 1e308 for v in "abcdef"},
+    }))
+    for argv in (("curvature", "--all-pairs"), ("verify",)):
+        code, out, err = run_cli(capsys, *argv, "--input", str(path), "--weighted")
+        assert_one_error_line(code, err)
+        assert out == "" and "edge distances from a-b reach inf" in err
+
+
+_weights = st.one_of(st.floats(0.5, 2.0), st.floats(), st.integers(-1, 3),
+                     st.sampled_from([1e308, 5e-324]))
+_labels = st.sampled_from("abcde")
+_edges = st.lists(st.sampled_from(list(itertools.combinations("abcde", 2))),
+                  min_size=1, max_size=7, unique=True)
+# an edge list, its first line sometimes made a comment or given a third token
+_edge_lists = st.tuples(_edges, st.sampled_from(["", "#", " 1.5"])).map(
+    lambda t: "".join(f"{u} {v}\n" for u, v in t[0]).replace("\n", t[1] + "\n", 1))
+_weighted_docs = st.fixed_dictionaries(
+    {"edges": _edges.flatmap(lambda es: st.tuples(*[
+        st.one_of(st.just([u, v]), _weights.map(lambda w, u=u, v=v: [u, v, w]))
+        for u, v in es]))},
+    optional={"vertex_weights": st.dictionaries(_labels, _weights, max_size=5)},
+).map(json.dumps)
+_fuzz_inputs = st.one_of(
+    st.binary(max_size=40),
+    _edge_lists.map(str.encode),
+    _weighted_docs.map(str.encode),
+)
+
+
+@settings(max_examples=60)
+@given(_fuzz_inputs)
+def test_fuzzed_inputs_exit_cleanly(data):
+    # the exit code is 0, 1 or 2, stderr holds at most one error: line, and
+    # nothing escapes as an exception (run in-process, it would fail here)
+    fd, path = tempfile.mkstemp()
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
+        for command in ("curvature", "spectrum", "verify"):
+            for flags in ((), ("--weighted",)):
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = main([command, "--input", path, *flags])
+                assert code in (0, 1, 2)
+                lines = err.getvalue().splitlines()
+                assert sum(line.startswith("error:") for line in lines) <= 1
+                assert "Traceback" not in err.getvalue()
+    finally:
+        os.unlink(path)

@@ -6,6 +6,7 @@ the true optimum whenever it returns at all.  The solver must agree with it
 exactly in rational mode and to 1e-12 relative in float mode.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -14,12 +15,13 @@ from hypothesis import given, strategies as st
 from edge_ricci import transport
 from edge_ricci.curvature import pair_transport_problem
 from edge_ricci.edge_geometry import EdgeMeasure
-from edge_ricci.errors import MassImbalanceError, TransportError
+from edge_ricci.errors import MassImbalanceError, MissingPotentialError, TransportError
 from edge_ricci.graph_core import WeightedGraph, generate
 from edge_ricci.rng import SplitMix64
 from edge_ricci.transport import (
     Coupling,
     CouplingCheck,
+    DualPotential,
     TransportProblem,
     brute_force_wasserstein,
     dual_objective,
@@ -112,6 +114,26 @@ def test_cost_table_must_cover_joint_support():
         )
 
 
+def test_cost_table_must_hold_both_orders():
+    # every other entry is present: only (1, 0) is missing
+    with pytest.raises(TransportError, match=r"misses pair \(1, 0\)"):
+        TransportProblem(
+            EdgeMeasure(0, (0,), (Fraction(1),)),
+            EdgeMeasure(1, (1,), (Fraction(1),)),
+            {(0, 1): 1, (0, 0): 0, (1, 1): 0},
+        )
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_non_finite_costs_are_rejected(bad):
+    with pytest.raises(TransportError, match=r"non-finite cost .* \(1, 0\)"):
+        TransportProblem(
+            EdgeMeasure(0, (0,), (1.0,)),
+            EdgeMeasure(1, (1,), (1.0,)),
+            {(0, 1): 1.0, (1, 0): bad, (0, 0): 0.0, (1, 1): 0.0},
+        )
+
+
 def test_verify_coupling_flags_corruption():
     p = _problem((Fraction(1, 2), Fraction(1, 2)), (Fraction(1),), (0, 1), (2,))
     r = solve_wasserstein(p)
@@ -197,6 +219,78 @@ def test_float_solver_matches_brute_force_on_overlapping_supports(problem):
     assert abs(r.gap) <= 1e-9
     assert verify_coupling(problem, r.plan).ok
     assert lipschitz_excess(problem, r.dual) <= 1e-12
+
+
+def _fraction_brute_force(problem):
+    """The oracle's enumeration with every balance kept as a Fraction."""
+    s = len(problem.mu.atoms)
+    cost = [[problem.cost[(a, b)] for b in problem.nu.atoms] for a in problem.mu.atoms]
+    best = None
+    for schedule in transport._elimination_plans(s, len(problem.nu.atoms)):
+        balance = list(problem.mu.masses) + [-m for m in problem.nu.masses]
+        total = Fraction(0)
+        for leaf, i, j, other in schedule:
+            x = balance[leaf] if leaf < s else -balance[leaf]
+            if x < 0:
+                break
+            balance[other] += balance[leaf]
+            total += x * cost[i][j]
+        else:
+            if best is None or total < best:
+                best = total
+    return best
+
+
+@given(st.one_of(exact_instances(), overlapping_instances()))
+def test_scaled_oracle_matches_the_fraction_enumeration(problem):
+    bf = brute_force_wasserstein(problem)
+    assert type(bf) is Fraction
+    assert bf == _fraction_brute_force(problem)
+
+
+@given(overlapping_instances(exact=False))
+def test_oracle_stays_in_floats_on_float_input(problem):
+    assert type(brute_force_wasserstein(problem)) is float
+
+
+@st.composite
+def dual_instances(draw):
+    """A problem whose cost table may be asymmetric, and any potential."""
+    atoms = draw(st.lists(st.integers(0, 9), min_size=1, max_size=6, unique=True))
+    cut = draw(st.integers(1, len(atoms)))
+    mu_atoms, nu_atoms = atoms[:cut], atoms[cut - 1:]
+    masses = []
+    for side in (mu_atoms, nu_atoms):
+        weights = [draw(st.integers(1, 6)) for _ in side]
+        masses.append(tuple(Fraction(w, sum(weights)) for w in weights))
+    cost = {(a, b): 0 if a == b else draw(st.integers(0, 7))
+            for a in atoms for b in atoms}
+    problem = TransportProblem(EdgeMeasure(0, tuple(mu_atoms), masses[0]),
+                               EdgeMeasure(1, tuple(nu_atoms), masses[1]), cost)
+    f = {a: draw(st.integers(-8, 8)) for a in atoms}
+    return problem, DualPotential(f)
+
+
+@given(dual_instances())
+def test_certificate_walks_match_both_orders(instance):
+    problem, dual = instance
+    f, cost = dual.values, problem.cost
+    joint = sorted(f)
+    both_orders = [abs(f[a] - f[b]) - cost[(a, b)]
+                   for a in joint for b in joint if a != b]
+    assert lipschitz_excess(problem, dual) == max(both_orders, default=0)
+    mu, nu = problem.mu.as_dict(), problem.nu.as_dict()
+    objective = dual_objective(problem, dual)
+    assert type(objective) is Fraction
+    assert objective == sum(f[a] * (mu.get(a, 0) - nu.get(a, 0)) for a in joint)
+    assert problem.exact and problem.joint_support() == tuple(joint)
+
+
+@pytest.mark.parametrize("check", [lipschitz_excess, dual_objective])
+def test_a_potential_missing_an_atom_is_rejected(check):
+    p = _problem((Fraction(1),), (Fraction(1),), (0,), (5,))
+    with pytest.raises(MissingPotentialError, match="atom 5"):
+        check(p, DualPotential({0: 0}))
 
 
 def test_full_overlap_with_different_masses_moves_only_the_difference():

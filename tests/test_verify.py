@@ -5,6 +5,7 @@ import json
 import weakref
 
 import pytest
+from hypothesis import given, strategies as st
 
 from edge_ricci.graph_core import WeightedGraph, generate
 from edge_ricci.verify import (
@@ -124,6 +125,44 @@ def test_tree_formula_flags_out_of_range_pairs_as_diagnostic():
 def test_edge_regularity():
     assert edge_regularity(generate("complete:4")) == 4
     assert edge_regularity(generate("path:4")) is None
+
+
+def _regular_or_biregular_bipartite(g):
+    """Every vertex degree equal, or a 2-colouring with one degree per colour."""
+    adj = [[] for _ in range(g.n_vertices)]
+    for i, j in g.edges:
+        adj[i].append(j)
+        adj[j].append(i)
+    degree = [len(nbrs) for nbrs in adj]
+    if len(set(degree)) == 1:
+        return True
+    colour = {0: 0}
+    frontier = [0]
+    while frontier:
+        u = frontier.pop()
+        for v in adj[u]:
+            if v not in colour:
+                colour[v] = 1 - colour[u]
+                frontier.append(v)
+            elif colour[v] == colour[u]:
+                return False
+    return all(len({degree[v] for v in colour if colour[v] == c}) == 1 for c in (0, 1))
+
+
+_specs = st.one_of(
+    st.builds("random:{}:{}".format, st.integers(3, 9), st.sampled_from([0.2, 0.5, 1.0])),
+    st.builds("bipartite:{}:{}".format, st.integers(1, 4), st.integers(1, 4)),
+    st.builds("{}:{}".format, st.sampled_from(["star", "cycle", "path", "tree"]),
+              st.integers(3, 9)),
+)
+
+
+@given(_specs, st.integers(0, 10**6))
+def test_edge_regularity_means_regular_or_biregular_bipartite(spec, seed):
+    # deg(x) + deg(y) is constant over the edges of a connected graph exactly
+    # when the graph is regular or bipartite with one degree per side
+    g = generate(spec, seed=seed)
+    assert (edge_regularity(g) is not None) == _regular_or_biregular_bipartite(g)
 
 
 # ------------------------------------------------------------- reports
