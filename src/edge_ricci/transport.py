@@ -360,8 +360,8 @@ def dual_objective(problem: TransportProblem, dual: DualPotential) -> object:
     """
     joint = problem.joint_support()
     values = _defined_on(dual, joint)
-    mu, nu = problem.mu, problem.nu
     if problem.exact:
+        mu, nu = problem.mu, problem.nu
         scale = math.lcm(*{m.denominator for m in (*mu.masses, *nu.masses)})
         net = dict.fromkeys(joint, 0)
         for a, m in zip(mu.atoms, mu.masses):
@@ -369,7 +369,7 @@ def dual_objective(problem: TransportProblem, dual: DualPotential) -> object:
         for b, m in zip(nu.atoms, nu.masses):
             net[b] -= m.numerator * (scale // m.denominator)
         return Fraction(sum(values[a] * net[a] for a in joint), scale)
-    mu, nu = mu.as_dict(), nu.as_dict()
+    mu, nu = problem.mu.as_dict(), problem.nu.as_dict()
     total = None
     for a in joint:
         term = values[a] * (mu.get(a, 0) - nu.get(a, 0))
