@@ -1,12 +1,15 @@
 #!/usr/bin/env python3
 """Digest the CLI's output on a fixed corpus, to diff two versions of the code.
 
-For every input, run ``verify --format json|text|csv`` and
-``curvature --all-pairs --format csv`` in process and print one line per
-invocation: the exit code, the sha256 of stdout and stderr, the input and
-the command.  The corpus is built here and nowhere else: the families below
-(seed 0) as edge lists, and for each family three weighted documents, with
-unit weights, one constant weight, and random weights in [0.5, 2).
+For every input, run ``verify --format json|text|csv``,
+``curvature --all-pairs --format csv`` and ``spectrum --dump-matrix
+vertex|edge`` for each weighting that applies (unit, walk and degree on
+edge lists, graph on weighted documents) in process, and print one line
+per invocation: the exit code, the sha256 of stdout and stderr, the input
+and the command.  The corpus is built here and nowhere else: the families
+below (seed 0) as edge lists, and for each family three weighted
+documents, with unit weights, one constant weight, and random weights in
+[0.5, 2).
 
 Two versions of the code give the same bytes exactly when this script's
 outputs are identical:
@@ -47,6 +50,11 @@ COMMANDS = (
 )
 
 
+def dump_commands(weightings: tuple[str, ...]) -> tuple[tuple[str, ...], ...]:
+    return tuple(("spectrum", "--weighting", weighting, "--dump-matrix", operator)
+                 for weighting in weightings for operator in ("vertex", "edge"))
+
+
 def weighted_document(family: str, weights: str) -> str:
     """The family's weighted JSON document with the named kind of weights."""
     g = generate(family, seed=0)
@@ -77,14 +85,17 @@ def digest(argv: list[str]) -> tuple[int, str]:
 
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
-        inputs = [(family, ["--family", family]) for family in FAMILIES]
+        plain = COMMANDS + dump_commands(("unit", "walk", "degree"))
+        inputs = [(family, ["--family", family], plain) for family in FAMILIES]
+        weighted = COMMANDS + dump_commands(("graph",))
         for family in FAMILIES:
             for weights in WEIGHTS:
                 path = Path(tmp) / f"{len(inputs)}.json"
                 path.write_text(weighted_document(family, weights), encoding="utf-8")
-                inputs.append((f"{family}/{weights}", ["--weighted", "--input", str(path)]))
-        for label, source in inputs:
-            for command in COMMANDS:
+                inputs.append((f"{family}/{weights}",
+                               ["--weighted", "--input", str(path)], weighted))
+        for label, source, commands in inputs:
+            for command in commands:
                 code, sha = digest([command[0], *source, *command[1:]])
                 print(f"{code} {sha} {label} {' '.join(command)}")
     return 0

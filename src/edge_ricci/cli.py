@@ -26,7 +26,7 @@ from .graph_core import (
     parse_weighted,
     serialize_edgelist,
 )
-from .laplacian import OPERATORS, WEIGHTINGS, assemble, canonical_orientation, dump_matrix
+from .laplacian import OPERATORS, WEIGHTINGS, assemble, dump_matrix
 from .spectra import spectrum_of
 from .verify import (
     _json_value,
@@ -154,9 +154,7 @@ def _cmd_curvature(args) -> int:
         text = '{\n  "curvature": [\n    ' + body + "\n  ]\n}\n" if rows \
             else '{\n  "curvature": []\n}\n'
     elif args.format == "csv":
-        lines = ["e,e2,kappa"]
-        lines += [f"{e},{f},{k:.17g}" for e, f, k in rows]
-        text = "\n".join(lines) + "\n"
+        text = curvature_to_csv(rows)
     else:
         width = max([len(e) for e, _, _ in rows] + [len(f) for _, f, _ in rows] + [4])
         lines = [f"{'e':<{width}}  {'e2':<{width}}  kappa"]
@@ -169,10 +167,8 @@ def _cmd_curvature(args) -> int:
 def _cmd_spectrum(args) -> int:
     g = _load_graph(args)
     if args.dump_matrix is not None:
-        base = base_graph(g)
-        orientation = canonical_orientation(base)
-        matrix = assemble(g, args.dump_matrix, args.weighting, orientation)
-        _emit(dump_matrix(matrix, args.dump_matrix, orientation), args.output)
+        matrix = assemble(g, args.dump_matrix, args.weighting)
+        _emit(dump_matrix(matrix, args.dump_matrix, base_graph(g).n_edges), args.output)
         return 0
     if args.zero_tol is not None and not (math.isfinite(args.zero_tol) and args.zero_tol >= 0):
         raise InvalidParameterError(
@@ -206,7 +202,7 @@ def _cmd_verify(args) -> int:
     if args.format == "json":
         text = report_to_json(report)
     elif args.format == "csv":
-        text = curvature_to_csv(report)
+        text = curvature_to_csv(report.curvature)
     else:
         text = report_to_text(report)
     _emit(text, args.output)

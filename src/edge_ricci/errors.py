@@ -92,12 +92,6 @@ class NotATreeError(EdgeRicciError):
     """The closed-form tree expression requires an acyclic graph."""
 
 
-# ---------------------------------------------------------------- laplacian
-
-class BadOrientationError(EdgeRicciError):
-    """An explicit orientation does not match the edge set."""
-
-
 # ------------------------------------------------------------------ spectra
 
 class NotSymmetricError(EdgeRicciError):

@@ -275,10 +275,7 @@ def parse_edgelist(text: str) -> Graph:
         pairs.append((u, v))
     if not pairs:
         raise EmptyInputError("no edges in input")
-    try:
-        return Graph(labels, pairs)
-    except DuplicateEdgeError as exc:
-        raise DuplicateEdgeError(str(exc)) from None
+    return Graph(labels, pairs)
 
 
 def serialize_edgelist(g: Graph) -> str:

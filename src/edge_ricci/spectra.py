@@ -27,6 +27,7 @@ from .errors import (
     NonFiniteMatrixError,
     NotSymmetricError,
 )
+from .laplacian import symmetrized
 
 _EPS = sys.float_info.epsilon
 _MAX_ITERATIONS = 30  # QL iterations per eigenvalue
@@ -179,8 +180,6 @@ def spectrum_of(g, operator: str = "edge", weighting: str = "degree",
     operators pins an absolute scale.  It is applied per call, so one
     cached solve serves every tolerance.
     """
-    from .laplacian import symmetrized
-
     values = g._spectra.get((operator, weighting))
     if values is None:
         values = eigenvalues_symmetric(symmetrized(g, operator, weighting))
@@ -190,15 +189,14 @@ def spectrum_of(g, operator: str = "edge", weighting: str = "degree",
     return Spectrum(values, zero_tol)
 
 
-def spectral_equivalence_gap(g, weighting: str = "degree",
-                             zero_tol: float | None = None) -> float:
+def spectral_equivalence_gap(g, weighting: str = "degree") -> float:
     """Largest mismatch between the nonzero vertex and edge spectra.
 
     The two operators share their nonzero eigenvalues; returns the maximum
     absolute difference after sorting, or inf when even the counts disagree.
     """
-    sv = spectrum_of(g, "vertex", weighting, zero_tol=zero_tol).nonzero()
-    se = spectrum_of(g, "edge", weighting, zero_tol=zero_tol).nonzero()
+    sv = spectrum_of(g, "vertex", weighting).nonzero()
+    se = spectrum_of(g, "edge", weighting).nonzero()
     if len(sv) != len(se):
         return math.inf
     if not sv:

@@ -86,6 +86,24 @@ def edge_regularity(g):
     return degrees[0] if len(set(degrees)) == 1 else None
 
 
+def _gap_hypotheses(g, name: str, diagnostic: bool = False):
+    """(d, kappa_min, pair) when g is edge-regular with a positive adjacent
+    curvature minimum, else the inapplicable check naming what failed."""
+    d = edge_regularity(base_graph(g))
+    if d is None:
+        what = "edge neighbor counts" if isinstance(g, WeightedGraph) else "edge degrees"
+        return _inapplicable(name, f"{what} are not all equal", diagnostic)
+    found = adjacent_minimum(g)
+    if found is None:
+        return _inapplicable(name, _NO_ADJACENT_PAIRS, diagnostic)
+    kmin, pair = found
+    if kmin <= 0:
+        return _inapplicable(
+            name, f"adjacent curvature minimum {float(kmin):.6g} is not positive",
+            diagnostic)
+    return d, kmin, pair
+
+
 def check_spectral_gap_bound(g) -> TheoremCheck:
     """Gap of the degree-weighted edge operator vs curvature + 2/d - 1.
 
@@ -95,15 +113,10 @@ def check_spectral_gap_bound(g) -> TheoremCheck:
     """
     name = "spectral-gap-vs-curvature"
     base = base_graph(g)
-    d = edge_regularity(base)
-    if d is None:
-        return _inapplicable(name, "edge degrees are not all equal")
-    found = adjacent_minimum(base)
-    if found is None:
-        return _inapplicable(name, _NO_ADJACENT_PAIRS)
-    kmin, pair = found
-    if kmin <= 0:
-        return _inapplicable(name, f"adjacent curvature minimum {float(kmin):.6g} is not positive")
+    found = _gap_hypotheses(base, name)
+    if isinstance(found, TheoremCheck):
+        return found
+    d, kmin, pair = found
     lam1 = spectrum_of(base, "edge", "degree").lambda1
     rhs = float(kmin) + 2.0 / d - 1.0
     wit = ((f"pair {base.edge_name(pair[0])},{base.edge_name(pair[1])}", float(kmin)),
@@ -126,17 +139,10 @@ def check_triangle_gap_diagnostic(g) -> TheoremCheck:
     is never asserted; failures here are informational."""
     name = "spectral-gap-vs-curvature-triangle-diagnostic"
     base = base_graph(g)
-    d = edge_regularity(base)
-    if d is None:
-        return _inapplicable(name, "edge degrees are not all equal", diagnostic=True)
-    found = adjacent_minimum(base)
-    if found is None:
-        return _inapplicable(name, _NO_ADJACENT_PAIRS, diagnostic=True)
-    kmin = found[0]
-    if kmin <= 0:
-        return _inapplicable(
-            name, f"adjacent curvature minimum {float(kmin):.6g} is not positive",
-            diagnostic=True)
+    found = _gap_hypotheses(base, name, diagnostic=True)
+    if isinstance(found, TheoremCheck):
+        return found
+    d, kmin, _ = found
     space = edge_space(base)
     for e in range(base.n_edges):
         for f in space.neighbors[e]:
@@ -164,15 +170,10 @@ def check_weighted_spectral_gap_bound(wg: WeightedGraph) -> TheoremCheck:
     w1_values = [wg.w_edge(e) for e in range(base.n_edges)]
     if max(w1_values) - min(w1_values) > 1e-12 * max(w1_values):
         return _inapplicable(name, "edge weights are not constant")
-    d = edge_regularity(base)
-    if d is None:
-        return _inapplicable(name, "edge neighbor counts are not all equal")
-    found = adjacent_minimum(wg)
-    if found is None:
-        return _inapplicable(name, _NO_ADJACENT_PAIRS)
-    kmin, pair = found
-    if kmin <= 0:
-        return _inapplicable(name, f"adjacent curvature minimum {float(kmin):.6g} is not positive")
+    found = _gap_hypotheses(wg, name)
+    if isinstance(found, TheoremCheck):
+        return found
+    d, kmin, pair = found
     w0 = wg.w_vertex(base.labels[0])
     w1 = w1_values[0]
     lam1 = spectrum_of(wg, "edge", "graph").lambda1
@@ -414,8 +415,10 @@ def report_to_text(report: VerificationReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def curvature_to_csv(report: VerificationReport) -> str:
+def curvature_to_csv(rows) -> str:
+    """CSV of (edge, edge, kappa) rows, kappa at 17 significant digits:
+    a report's `curvature` table, or the CLI's named-edge rows."""
     lines = ["e,e2,kappa"]
-    for e, f, k in report.curvature:
+    for e, f, k in rows:
         lines.append(f"{e},{f},{k:.17g}")
     return "\n".join(lines) + "\n"

@@ -135,6 +135,63 @@ def test_spectrum_dump_matrix(capsys):
     assert len(out.splitlines()) == 7
 
 
+
+_DUMP_HASH = "29f5099b939a"  # sha256 of the all-'+' sign pattern of three edges
+_DUMP_GOLDEN = {
+    ("complete:3", "unit", "vertex"): "2 -1 -1\n-1 2 -1\n-1 -1 2\n",
+    ("complete:3", "unit", "edge"): "2 1 -1\n1 2 1\n-1 1 2\n",
+    ("complete:3", "walk", "vertex"): "1 -0.5 -0.5\n-0.5 1 -0.5\n-0.5 -0.5 1\n",
+    ("complete:3", "walk", "edge"): "1 0.5 -0.5\n0.5 1 0.5\n-0.5 0.5 1\n",
+    ("complete:3", "degree", "vertex"): "1 -0.5 -0.5\n-0.5 1 -0.5\n-0.5 -0.5 1\n",
+    ("complete:3", "degree", "edge"): "1 0.5 -0.5\n0.5 1 0.5\n-0.5 0.5 1\n",
+    ("path:4", "unit", "vertex"): "1 -1 0 0\n-1 2 -1 0\n0 -1 2 -1\n0 0 -1 1\n",
+    ("path:4", "unit", "edge"): "2 -1 0\n-1 2 -1\n0 -1 2\n",
+    ("path:4", "walk", "vertex"): "1 -1 0 0\n-0.5 1 -0.5 0\n0 -0.5 1 -0.5\n0 0 -1 1\n",
+    ("path:4", "walk", "edge"): "1.5 -0.5 0\n-0.5 1 -0.5\n0 -0.5 1.5\n",
+    ("path:4", "degree", "vertex"): "1 -1 0 0\n-1 1.5 -0.5 0\n0 -0.5 1.5 -1\n0 0 -1 1\n",
+    ("path:4", "degree", "edge"): "2 -0.5 0\n-1 1 -1\n0 -0.5 2\n",
+}
+_WEIGHTED_DUMP_GOLDEN = {
+    "vertex": (
+        "# vertex 4 4 48d854359126\n"
+        "5.3333333333333339 -2.3333333333333335 -3 0\n"
+        "-0.41176470588235292 1.0588235294117647 -0.6470588235294118 0\n"
+        "-0.31034482758620691 -0.37931034482758624 1.4827586206896552 "
+        "-0.79310344827586199\n"
+        "0 0 -2.2999999999999998 2.2999999999999998\n"),
+    "edge": (
+        "# edge 4 4 48d854359126\n"
+        "2.7450980392156863 3 -0.6470588235294118 0\n"
+        "2.3333333333333335 3.3103448275862069 0.37931034482758624 "
+        "-0.7931034482758621\n"
+        "-0.41176470588235292 0.31034482758620691 1.0263691683569982 "
+        "-0.7931034482758621\n"
+        "0 -0.31034482758620691 -0.37931034482758624 3.0931034482758619\n"),
+}
+
+
+@pytest.mark.parametrize("family, weighting, operator", sorted(_DUMP_GOLDEN))
+def test_spectrum_dump_matrix_bytes_are_pinned(capsys, family, weighting, operator):
+    code, out, _ = run_cli(capsys, "spectrum", "--family", family,
+                           "--weighting", weighting, "--dump-matrix", operator)
+    assert code == 0
+    body = _DUMP_GOLDEN[family, weighting, operator]
+    size = body.count("\n")
+    assert out == f"# {operator} {size} {size} {_DUMP_HASH}\n" + body
+
+
+@pytest.mark.parametrize("operator", ["vertex", "edge"])
+def test_weighted_dump_matrix_bytes_are_pinned(capsys, tmp_path, operator):
+    # non-constant, non-dyadic weights: the bytes pin the rounding of each sum
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({
+        "edges": [["a", "b", 0.7], ["b", "c", 1.1], ["c", "d", 2.3], ["a", "c", 0.9]],
+        "vertex_weights": {"a": 0.3, "b": 1.7, "c": 2.9}}))
+    code, out, _ = run_cli(capsys, "spectrum", "--input", str(path), "--weighted",
+                           "--weighting", "graph", "--dump-matrix", operator)
+    assert code == 0
+    assert out == _WEIGHTED_DUMP_GOLDEN[operator]
+
 def test_verify_exit_codes_and_determinism(capsys):
     code, first, _ = run_cli(capsys, "verify", "--family", "complete:4",
                              "--format", "json")

@@ -1,9 +1,15 @@
 """Operator assembly: frozen small matrices, dual routes, reorientation.
 
+The dense incidence matrix and the dense products over it live here, as
+the reference the sparse builders must match entry for entry; they take
+edge flips, so the suite also checks that no operator depends on the
+orientation the library builds in.
+
 numpy.linalg appears here purely as an oracle for the hand-rolled
 eigensolver and for the AB/BA spectrum comparisons.
 """
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -11,28 +17,30 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from edge_ricci.errors import (
-    BadOrientationError,
-    InvalidParameterError,
-    IsolatedEdgeError,
-)
+from edge_ricci.errors import InvalidParameterError, IsolatedEdgeError
 from edge_ricci.edge_geometry import edge_degree, edge_measure, edge_space
 from edge_ricci.graph_core import SplitMix64, WeightedGraph, base_graph, generate
-from edge_ricci.laplacian import (
-    assemble,
-    build_incidence,
-    canonical_orientation,
-    dump_matrix,
-    orientation_hash,
-    symmetrized,
-    weight_pair,
-)
+from edge_ricci.laplacian import assemble, dump_matrix, symmetrized, weight_pair
 from edge_ricci.spectra import eigenvalues_symmetric, spectrum_of
+
+
+def dense_incidence(g, flips=()):
+    """Signed incidence matrix, one row per edge: -1 at the tail, +1 at the
+    head, with the edges listed in flips reversed."""
+    base = base_graph(g)
+    rows = []
+    for e, (i, j) in enumerate(base.edges):
+        s = -1 if e in flips else 1
+        row = [0] * base.n_vertices
+        row[i], row[j] = -s, s
+        rows.append(row)
+    return rows
 
 
 def test_incidence_of_path3():
     g = generate("path:3")
-    assert build_incidence(g) == [[-1, 1, 0], [0, -1, 1]]
+    assert dense_incidence(g) == [[-1, 1, 0], [0, -1, 1]]
+    assert dense_incidence(g, flips=(1,)) == [[-1, 1, 0], [0, 1, -1]]
 
 
 def test_unit_vertex_operator_is_the_combinatorial_laplacian():
@@ -78,14 +86,6 @@ def test_edge_operator_kernel_counts_independent_cycles(spec):
 
 
 # ---------------------------------------------------------- dual routes
-
-def reorient(orientation, flips):
-    """Flip the listed edge ordinals, returning a new orientation tuple."""
-    out = list(orientation)
-    for e in flips:
-        out[e] = -out[e]
-    return tuple(out)
-
 
 def apply_down_part(g, values):
     """Off-diagonal part of the degree-weighted edge operator, measure route.
@@ -146,9 +146,21 @@ def test_down_part_weighted_route():
         assert via_measures[e] == pytest.approx(direct, abs=1e-12)
 
 
-def _dense_gram(g, operator, weighting, orientation=None):
+def _dense_operator(g, operator, weighting, flips=()):
+    """W0^-1 D^T W1 D or D W0^-1 D^T W1, dense over the full incidence."""
+    d0 = dense_incidence(g, flips)
+    w0, w1 = weight_pair(g, weighting)
+    n, m = len(w0), len(w1)
+    if operator == "vertex":
+        return [[sum((d0[e][u] * w1[e] * d0[e][v] for e in range(m)), 0 * w1[0]) / w0[u]
+                 for v in range(n)] for u in range(n)]
+    return [[sum((d0[e][v] * d0[f][v] / w0[v] for v in range(n)), 0 * w1[0]) * w1[f]
+             for f in range(m)] for e in range(m)]
+
+
+def _dense_gram(g, operator, weighting, flips=()):
     """The dense B^T B / B B^T product over the full incidence matrix."""
-    d0 = build_incidence(g, orientation)
+    d0 = dense_incidence(g, flips)
     w0, w1 = weight_pair(g, weighting)
     n, m = len(w0), len(w1)
     b = [[math.sqrt(w1[e]) * d0[e][v] / math.sqrt(w0[v]) for v in range(n)]
@@ -176,14 +188,34 @@ def test_sparse_symmetrized_equals_dense_gram(spec, seed, weighting, operator):
     g = _random_weights(spec, seed)
     if weighting != "graph":
         g = g.graph
-    canonical = canonical_orientation(g)
-    flipped = reorient(canonical, range(0, len(canonical), 3))
-    for orientation in (None, flipped):
-        got = symmetrized(g, operator, weighting, orientation)
-        want = _dense_gram(g, operator, weighting, orientation)
-        assert len(got) == len(want)
-        for row_got, row_want in zip(got, want):
-            assert row_got == row_want  # same sums in the same order
+    got = symmetrized(g, operator, weighting)
+    assert got == _dense_gram(g, operator, weighting)  # same sums in the same order
+    assert all(type(x) is float for row in got for x in row)
+    # reversing edges conjugates B B^T by the +-1 diagonal S and leaves
+    # B^T B alone: the same spectrum either way
+    m = base_graph(g).n_edges
+    flips = range(0, m, 3)
+    sign = [-1 if e in flips else 1 for e in range(m)]
+    flipped = _dense_gram(g, operator, weighting, flips)
+    if operator == "vertex":
+        assert flipped == got
+    else:
+        assert flipped == [[sign[e] * sign[f] * x for f, x in enumerate(row)]
+                           for e, row in enumerate(got)]
+
+
+@pytest.mark.parametrize("operator", ["vertex", "edge"])
+@pytest.mark.parametrize("weighting", ["unit", "walk", "degree", "graph"])
+@pytest.mark.parametrize("spec,seed", [("random:9:0.4", 3), ("star:6", 0)])
+def test_sparse_assemble_equals_dense_product(spec, seed, weighting, operator):
+    g = _random_weights(spec, seed)
+    if weighting != "graph":
+        g = g.graph
+    got = assemble(g, operator, weighting)
+    want = _dense_operator(g, operator, weighting)
+    assert got == want
+    assert [[type(x) for x in row] for row in got] == \
+        [[type(x) for x in row] for row in want]
 
 
 def test_assemble_agrees_with_symmetrized_spectrum():
@@ -202,24 +234,20 @@ def test_assemble_agrees_with_symmetrized_spectrum():
 
 def test_reorientation_leaves_operators_alone():
     g = generate("random:6:0.6", seed=9)
-    flips = [0, 2, g.n_edges - 1]
-    flipped = reorient(canonical_orientation(g), flips)
-    assert orientation_hash(flipped) != orientation_hash(canonical_orientation(g))
+    flips = (0, 2, g.n_edges - 1)
     # the vertex operator is sign-squared in the incidence: identical matrix
-    assert assemble(g, "vertex", "walk") == assemble(g, "vertex", "walk",
-                                                     orientation=flipped)
-    # the edge operator changes entrywise but keeps its spectrum
+    assert _dense_operator(g, "vertex", "walk", flips) == assemble(g, "vertex", "walk")
+    # the edge operator is conjugated by the +-1 diagonal S of the flips,
+    # so it changes entrywise but keeps its spectrum
+    sign = [-1 if e in flips else 1 for e in range(g.n_edges)]
+    edge = assemble(g, "edge", "degree")
+    flipped = _dense_operator(g, "edge", "degree", flips)
+    assert flipped != edge
+    assert flipped == [[sign[e] * sign[f] * x for f, x in enumerate(row)]
+                       for e, row in enumerate(edge)]
     a = spectrum_of(g, "edge", "degree").values
-    b = eigenvalues_symmetric(symmetrized(g, "edge", "degree", flipped))
+    b = eigenvalues_symmetric(_dense_gram(g, "edge", "degree", flips))
     assert a == pytest.approx(b, abs=1e-10)
-
-
-def test_orientation_validation():
-    g = generate("path:4")
-    with pytest.raises(BadOrientationError):
-        assemble(g, orientation=(1, 1))
-    with pytest.raises(BadOrientationError):
-        assemble(g, orientation=(1, 0, 1))
 
 
 def test_weight_validation():
@@ -235,10 +263,10 @@ def test_weight_validation():
 
 
 def test_dump_matrix_header_and_body():
-    text = dump_matrix([[Fraction(1, 2), 0], [0, 1]], "edge", (1, -1))
+    text = dump_matrix([[Fraction(1, 2), 0], [0, 1]], "edge", 2)
     lines = text.splitlines()
-    assert lines[0] == f"# edge 2 2 {orientation_hash((1, -1))}"
+    assert lines[0] == f"# edge 2 2 {hashlib.sha256(b'++').hexdigest()[:12]}"
     assert lines[1] == "0.5 0"
     assert text.endswith("\n")
-    # the canonical all-plus hash for a 6-edge graph, pinned
-    assert orientation_hash((1,) * 6) == "29ecc6764be2"
+    # the header of a 6-edge graph's vertex dump hashes its six edges, pinned
+    assert dump_matrix([[0] * 4] * 4, "vertex", 6).split()[4] == "29ecc6764be2"

@@ -228,8 +228,8 @@ def test_text_rendering():
 
 
 def test_curvature_csv_golden():
-    assert curvature_to_csv(verification_report(generate("path:3"))) == (
+    assert curvature_to_csv(verification_report(generate("path:3")).curvature) == (
         "e,e2,kappa\n0,1,0\n"
     )
-    k3 = curvature_to_csv(verification_report(generate("complete:3")))
+    k3 = curvature_to_csv(verification_report(generate("complete:3")).curvature)
     assert k3.splitlines()[1] == "0,1,0.5"
