@@ -2,14 +2,15 @@
 """Digest the CLI's output on a fixed corpus, to diff two versions of the code.
 
 For every input, run ``verify --format json|text|csv``,
-``curvature --all-pairs --format csv`` and ``spectrum --dump-matrix
-vertex|edge`` for each weighting that applies (unit, walk and degree on
-edge lists, graph on weighted documents) in process, and print one line
-per invocation: the exit code, the sha256 of stdout and stderr, the input
-and the command.  The corpus is built here and nowhere else: the families
-below (seed 0) as edge lists, and for each family three weighted
-documents, with unit weights, one constant weight, and random weights in
-[0.5, 2).
+``curvature --all-pairs --format csv``, ``curvature --format json`` (the
+adjacent table), and ``spectrum --format json`` and ``spectrum
+--dump-matrix vertex|edge`` for each weighting that applies (unit, walk
+and degree on edge lists, graph on weighted documents) in process, and
+print one line per invocation: the exit code, the sha256 of stdout and
+stderr, the input and the command.  The corpus is built here and nowhere
+else: the families below (seed 0) as edge lists, and for each family
+three weighted documents, with unit weights, one constant weight, and
+random weights in [0.5, 2).
 
 Two versions of the code give the same bytes exactly when this script's
 outputs are identical:
@@ -47,12 +48,16 @@ COMMANDS = (
     ("verify", "--format", "text"),
     ("verify", "--format", "csv"),
     ("curvature", "--all-pairs", "--format", "csv"),
+    ("curvature", "--format", "json"),
 )
 
 
-def dump_commands(weightings: tuple[str, ...]) -> tuple[tuple[str, ...], ...]:
-    return tuple(("spectrum", "--weighting", weighting, "--dump-matrix", operator)
-                 for weighting in weightings for operator in ("vertex", "edge"))
+def spectrum_commands(weightings: tuple[str, ...]) -> tuple[tuple[str, ...], ...]:
+    """Eigenvalues as JSON for each weighting, then both matrix dumps for each."""
+    return tuple(("spectrum", "--weighting", weighting, "--format", "json")
+                 for weighting in weightings) + tuple(
+        ("spectrum", "--weighting", weighting, "--dump-matrix", operator)
+        for weighting in weightings for operator in ("vertex", "edge"))
 
 
 def weighted_document(family: str, weights: str) -> str:
@@ -85,9 +90,9 @@ def digest(argv: list[str]) -> tuple[int, str]:
 
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
-        plain = COMMANDS + dump_commands(("unit", "walk", "degree"))
+        plain = COMMANDS + spectrum_commands(("unit", "walk", "degree"))
         inputs = [(family, ["--family", family], plain) for family in FAMILIES]
-        weighted = COMMANDS + dump_commands(("graph",))
+        weighted = COMMANDS + spectrum_commands(("graph",))
         for family in FAMILIES:
             for weights in WEIGHTS:
                 path = Path(tmp) / f"{len(inputs)}.json"

@@ -17,7 +17,7 @@ import math
 import sys
 
 from .acceptance import run_all
-from .curvature import ricci, ricci_all_adjacent
+from .curvature import ricci_all_adjacent, ricci_all_pairs
 from .errors import EdgeRicciError, FormatError, InvalidParameterError
 from .graph_core import (
     base_graph,
@@ -137,14 +137,8 @@ def _cmd_generate(args) -> int:
 
 def _curvature_rows(g, all_pairs: bool):
     base = base_graph(g)
-    if all_pairs:
-        pairs = ((e, f) for e in range(base.n_edges)
-                 for f in range(e + 1, base.n_edges))
-        table = {(e, f): ricci(g, e, f) for e, f in pairs}
-    else:
-        table = ricci_all_adjacent(g)
-    return [(base.edge_name(e), base.edge_name(f), float(cp.kappa))
-            for (e, f), cp in sorted(table.items())]
+    pairs = ricci_all_pairs(g) if all_pairs else sorted(ricci_all_adjacent(g).items())
+    return [(base.edge_name(e), base.edge_name(f), float(cp.kappa)) for (e, f), cp in pairs]
 
 
 def _cmd_curvature(args) -> int:

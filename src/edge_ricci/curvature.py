@@ -41,7 +41,7 @@ from .errors import (
     NotATreeError,
     SamePairError,
 )
-from .graph_core import Graph, WeightedGraph, base_graph, is_tree, vertex_degree
+from .graph_core import Graph, WeightedGraph, base_graph, derived, is_tree, vertex_degree
 from .transport import TransportProblem, TransportResult, solve_wasserstein
 
 
@@ -96,20 +96,30 @@ def ricci(g, e: int, f: int) -> CurvaturePair:
 def ricci_all_adjacent(g) -> dict[tuple[int, int], CurvaturePair]:
     """Curvature for every unordered adjacent pair, keyed by (e, f), e < f.
 
-    The table is built once per graph instance and kept in its `_adjacent`
-    slot; a WeightedGraph and its base Graph each keep their own.  Every
-    call returns that same dict, which callers must treat as read-only.
+    The table is built once per graph instance and kept by derived; a
+    WeightedGraph and its base Graph each keep their own.  Every call
+    returns that same dict, which callers must treat as read-only.
     """
-    table = g._adjacent
-    if table is None:
-        base = base_graph(g)
-        table = {}
-        for e in range(base.n_edges):
-            for f in edge_neighborhood(base, e):
-                if f > e:
-                    table[(e, f)] = ricci(g, e, f)
-        g._adjacent = table
-    return table
+    base = base_graph(g)
+    return derived(g, "ricci_all_adjacent", lambda: {
+        (e, f): ricci(g, e, f)
+        for e in range(base.n_edges) for f in edge_neighborhood(base, e) if f > e
+    })
+
+
+def ricci_all_pairs(g):
+    """Yield ((e, f), CurvaturePair) for every distinct pair, e < f, in key order.
+
+    Adjacent pairs come from the per-graph table of ricci_all_adjacent; the
+    others are solved as they are reached and not kept, so no all-pairs
+    table is retained.
+    """
+    table = ricci_all_adjacent(g)
+    m = base_graph(g).n_edges
+    for e in range(m):
+        for f in range(e + 1, m):
+            cp = table.get((e, f))
+            yield (e, f), cp if cp is not None else ricci(g, e, f)
 
 
 def adjacent_minimum(g):
@@ -127,24 +137,17 @@ def adjacent_minimum(g):
 def kappa_min(g, pairs: str = "adjacent"):
     """Minimum curvature over 'adjacent' pairs or over 'all' distinct pairs.
 
-    Adjacent pairs come from the per-graph table of ricci_all_adjacent.
-    'all' solves only the non-adjacent pairs on top of it and keeps just
-    their kappa, so no all-pairs table is retained.
+    'all' walks ricci_all_pairs, so only the non-adjacent pairs are solved
+    on top of the per-graph adjacent table.
     """
     if pairs not in ("adjacent", "all"):
         raise InvalidParameterError(f"pairs must be 'adjacent' or 'all', got {pairs!r}")
     found = adjacent_minimum(g)
     if found is None:
         raise InvalidParameterError("graph has no distinct edge pairs")
-    least = found[0]
-    if pairs == "all":
-        table = ricci_all_adjacent(g)
-        m = base_graph(g).n_edges
-        for e in range(m):
-            for f in range(e + 1, m):
-                if (e, f) not in table:
-                    least = min(least, ricci(g, e, f).kappa)
-    return least
+    if pairs == "adjacent":
+        return found[0]
+    return min(cp.kappa for _, cp in ricci_all_pairs(g))
 
 
 def _require_adjacent(g, e: int, f: int) -> None:

@@ -16,6 +16,7 @@ edge_space(g) builds a graph's space once and is the one place that picks
 its class: EdgeSpace (int degrees and BFS hop rows) for a Graph,
 WeightedEdgeSpace (float degrees and Dijkstra rows) for a WeightedGraph.
 Both expose the same fields, and every function below reads them alone.
+The space and each edge's measure are kept per graph by graph_core.derived.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from fractions import Fraction
 from typing import Union
 
 from .errors import IsolatedEdgeError, NonpositiveWeightError, UnknownEdgeError
-from .graph_core import Graph, WeightedGraph, base_graph
+from .graph_core import Graph, WeightedGraph, base_graph, derived
 
 AnyGraph = Union[Graph, WeightedGraph]
 
@@ -40,11 +41,11 @@ class EdgeSpace:
     weight[e]         Fraction(1)
     degrees[e]        the neighbor count, an int
 
-    Distance rows and measures are filled lazily.  Built once per Graph
-    instance and read-only afterwards, so concurrent readers are safe.
+    Distance rows are filled lazily.  Built once per Graph instance and
+    read-only afterwards, so concurrent readers are safe.
     """
 
-    __slots__ = ("neighbors", "shared_vertex", "degrees", "weight", "_rows", "_measures")
+    __slots__ = ("neighbors", "shared_vertex", "degrees", "weight", "_rows")
 
     def __init__(self, g: Graph):
         incident: list[list[int]] = [[] for _ in g.labels]
@@ -66,7 +67,6 @@ class EdgeSpace:
         self.weight = (Fraction(1),) * g.n_edges
         self.degrees = tuple(len(nbrs) for nbrs in neighbors)
         self._rows: dict[int, tuple[int, ...]] = {}
-        self._measures: dict[int, EdgeMeasure] = {}
 
     def row(self, e: int) -> tuple[int, ...]:
         """BFS distance row from edge e over the line adjacency (hop count)."""
@@ -96,12 +96,12 @@ class WeightedEdgeSpace:
     The same fields as EdgeSpace, with weight[e] the edge weight and
     degrees[e] the weight sum over the neighbors; rows are Dijkstra
     distances whose hops cost the shared vertex's weight.  Holds the base
-    Graph (for edge names) but no reference to the WeightedGraph that owns
-    it, so the owner is freed by reference counting alone.
+    Graph (for edge names) but no reference to the WeightedGraph that keeps
+    it, so that graph is freed by reference counting alone.
     """
 
     __slots__ = ("neighbors", "shared_vertex", "degrees", "weight", "vertex_weight",
-                 "_base", "_rows", "_measures")
+                 "_base", "_rows")
 
     def __init__(self, wg: WeightedGraph):
         base = wg.graph
@@ -119,7 +119,6 @@ class WeightedEdgeSpace:
                 )
         self.vertex_weight = tuple(wg.w_vertex(v) for v in base.labels)
         self._rows: dict[int, tuple[float, ...]] = {}
-        self._measures: dict[int, EdgeMeasure] = {}
 
     def row(self, e: int) -> tuple[float, ...]:
         """Dijkstra distance row from edge e, each hop charged its connector."""
@@ -151,12 +150,9 @@ class WeightedEdgeSpace:
 
 
 def edge_space(g: AnyGraph) -> EdgeSpace | WeightedEdgeSpace:
-    """The graph's edge space, built on first use and kept in its _space slot."""
-    space = g._space
-    if space is None:
-        space = WeightedEdgeSpace(g) if isinstance(g, WeightedGraph) else EdgeSpace(g)
-        g._space = space
-    return space
+    """The graph's edge space, built on first use and kept by derived."""
+    kind = WeightedEdgeSpace if isinstance(g, WeightedGraph) else EdgeSpace
+    return derived(g, "edge_space", lambda: kind(g))
 
 
 def _check_ordinal(g: AnyGraph, e: int) -> int:
@@ -184,10 +180,7 @@ def edge_distance(g: AnyGraph, e: int, e2: int):
     e == e2): the int hop count on a Graph, a float otherwise."""
     _check_ordinal(g, e)
     _check_ordinal(g, e2)
-    d = edge_space(g).row(e)[e2]
-    if d < 0:  # cannot happen on a connected graph; defensive
-        raise UnknownEdgeError(f"edges {e} and {e2} not connected")
-    return d
+    return edge_space(g).row(e)[e2]
 
 
 @dataclass(frozen=True)
@@ -219,21 +212,21 @@ class EdgeMeasure:
 def edge_measure(g: AnyGraph, e: int) -> EdgeMeasure:
     """Mass w(f)/d_e on each neighbor f of e (uniform 1/d_e at unit weights).
 
-    Built once per edge and kept in the graph's edge space.
+    Built once per edge and graph, and kept by derived.
     """
     _check_ordinal(g, e)
+    return derived(g, ("edge_measure", e), lambda: _build_measure(g, e))
+
+
+def _build_measure(g: AnyGraph, e: int) -> EdgeMeasure:
     space = edge_space(g)
-    measure = space._measures.get(e)
-    if measure is None:
-        nbrs = space.neighbors[e]
-        if not nbrs:
-            raise IsolatedEdgeError(
-                f"edge {base_graph(g).edge_name(e)} has no neighbors; its measure is undefined"
-            )
-        d = space.degrees[e]
-        measure = EdgeMeasure(e, nbrs, tuple(space.weight[f] / d for f in nbrs))
-        space._measures[e] = measure
-    return measure
+    nbrs = space.neighbors[e]
+    if not nbrs:
+        raise IsolatedEdgeError(
+            f"edge {base_graph(g).edge_name(e)} has no neighbors; its measure is undefined"
+        )
+    d = space.degrees[e]
+    return EdgeMeasure(e, nbrs, tuple(space.weight[f] / d for f in nbrs))
 
 
 def pairwise_costs(g: AnyGraph, atoms: tuple[int, ...]) -> dict[tuple[int, int], object]:

@@ -49,8 +49,7 @@ class Graph:
 
     __slots__ = (
         "labels", "index", "edges", "adjacency",
-        "_edge_lookup", "_adj_idx", "_space", "_spectra", "_adjacent", "_hash",
-        "__weakref__",
+        "_edge_lookup", "_adj_idx", "_derived", "_hash", "__weakref__",
     )
 
     def __init__(self, labels: Iterable[str], edge_pairs: Iterable[tuple[str, str]]):
@@ -110,9 +109,7 @@ class Graph:
         }
         self._edge_lookup = {pair: k for k, pair in enumerate(self.edges)}
         self._adj_idx = tuple(tuple(row) for row in adj_idx)
-        self._space = None
-        self._spectra = {}
-        self._adjacent = None
+        self._derived = {}
         self._hash = hash(
             (frozenset(labels), frozenset(frozenset(p) for p in seen))
         )
@@ -182,11 +179,11 @@ class WeightedGraph:
     """A Graph plus positive vertex and edge weights (default 1.0).
 
     Weight maps are exposed as plain dicts but must be treated as read-only;
-    the class keeps identity semantics so per-instance caches stay valid.
+    the class keeps identity semantics so the values `derived` keeps per
+    instance stay valid.  Those are separate from the base Graph's own.
     """
 
-    __slots__ = ("graph", "vertex_weight", "edge_weight", "_space", "_spectra",
-                 "_adjacent", "__weakref__")
+    __slots__ = ("graph", "vertex_weight", "edge_weight", "_derived", "__weakref__")
 
     def __init__(
         self,
@@ -208,9 +205,7 @@ class WeightedGraph:
             ew[key] = _check_weight(w, f"edge {u!r} {v!r}")
         self.vertex_weight = vw
         self.edge_weight = ew
-        self._space = None
-        self._spectra = {}
-        self._adjacent = None
+        self._derived = {}
 
     def w_vertex(self, v: str) -> float:
         return self.vertex_weight[v]
@@ -229,6 +224,20 @@ class WeightedGraph:
 def base_graph(g: Graph | WeightedGraph) -> Graph:
     """The Graph underneath a Graph or WeightedGraph."""
     return g.graph if isinstance(g, WeightedGraph) else g
+
+
+def derived(g: Graph | WeightedGraph, key, build):
+    """The value kept on g under key, made by build() on first use.
+
+    This is the one place per-graph values are cached: the edge space, edge
+    measures, the adjacent curvature table and spectra, each under its
+    owner's key.  If build() raises, nothing is stored.  A kept value must
+    not refer back to g, so graphs are freed by reference counting alone.
+    """
+    cache = g._derived
+    if key not in cache:
+        cache[key] = build()
+    return cache[key]
 
 
 def _check_weight(w: object, what: str) -> float:

@@ -41,7 +41,7 @@ from fractions import Fraction
 
 from .edge_geometry import edge_space
 from .errors import InvalidParameterError, IsolatedEdgeError
-from .graph_core import WeightedGraph, base_graph
+from .graph_core import WeightedGraph, base_graph, vertex_degree
 
 OPERATORS = ("vertex", "edge")
 WEIGHTINGS = ("unit", "walk", "degree", "graph")
@@ -54,7 +54,7 @@ def weight_pair(g, weighting: str):
     if weighting == "unit":
         return [Fraction(1)] * n, [Fraction(1)] * m
     if weighting == "walk":
-        w0 = [Fraction(len(base._adj_idx[v])) for v in range(n)]
+        w0 = [Fraction(vertex_degree(base, v)) for v in base.labels]
         return w0, [Fraction(1)] * m
     if weighting == "degree":
         space = edge_space(base)

@@ -27,6 +27,7 @@ from .errors import (
     NonFiniteMatrixError,
     NotSymmetricError,
 )
+from .graph_core import derived
 from .laplacian import symmetrized
 
 _EPS = sys.float_info.epsilon
@@ -174,16 +175,14 @@ def spectrum_of(g, operator: str = "edge", weighting: str = "degree",
                 zero_tol: float | None = None) -> Spectrum:
     """Spectrum of an assembled operator (via its symmetrized form).
 
-    The eigenvalues are solved once per (operator, weighting) and kept on
-    the graph instance.  When zero_tol is omitted it defaults to
+    The eigenvalues are solved once per (operator, weighting) and graph
+    instance, and kept by derived.  When zero_tol is omitted it defaults to
     1e-8 * max(1, largest eigenvalue) — relative, since nothing in the
     operators pins an absolute scale.  It is applied per call, so one
     cached solve serves every tolerance.
     """
-    values = g._spectra.get((operator, weighting))
-    if values is None:
-        values = eigenvalues_symmetric(symmetrized(g, operator, weighting))
-        g._spectra[(operator, weighting)] = values
+    values = derived(g, ("spectrum_of", operator, weighting), lambda:
+                     eigenvalues_symmetric(symmetrized(g, operator, weighting)))
     if zero_tol is None:
         zero_tol = 1e-8 * max(1.0, values[-1]) if values else 1e-8
     return Spectrum(values, zero_tol)

@@ -305,18 +305,12 @@ def verification_report(g) -> VerificationReport:
         (e, f, float(cp.kappa))
         for (e, f), cp in sorted(ricci_all_adjacent(g).items())
     )
-    if weighted:
-        spectra = {
-            "L0": spectrum_of(g, "vertex", "graph").values,
-            "L1": spectrum_of(g, "edge", "graph").values,
-            "Lprime1": spectrum_of(base, "edge", "degree").values,
-        }
-    else:
-        spectra = {
-            "L0": spectrum_of(g, "vertex", "unit").values,
-            "L1": spectrum_of(g, "edge", "unit").values,
-            "Lprime1": spectrum_of(g, "edge", "degree").values,
-        }
+    weighting = "graph" if weighted else "unit"
+    spectra = {
+        "L0": spectrum_of(g, "vertex", weighting).values,
+        "L1": spectrum_of(g, "edge", weighting).values,
+        "Lprime1": spectrum_of(base, "edge", "degree").values,
+    }
     elapsed = time.perf_counter() - start
     return VerificationReport(summary, tuple(checks), curvature, spectra, elapsed)
 

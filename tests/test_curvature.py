@@ -12,13 +12,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from edge_ricci import curvature
+from edge_ricci import cli, curvature
 from edge_ricci.curvature import (
     edges_adjacent,
     kappa_min,
     lower_bound,
     ricci,
     ricci_all_adjacent,
+    ricci_all_pairs,
     tree_curvature_formula,
     upper_bound,
 )
@@ -251,6 +252,26 @@ def test_weighted_report_solves_each_edge_pair_once(monkeypatch):
     m = wg.graph.n_edges
     assert len(set(calls)) == m * (m - 1) // 2
     assert len(calls) == len(set(calls))
+
+
+def test_all_pairs_command_solves_each_edge_pair_once(monkeypatch, capsys):
+    calls = _count_transport_solves(monkeypatch)
+    assert cli.main(["curvature", "--family", "petersen", "--all-pairs",
+                     "--format", "csv"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    m = generate("petersen").n_edges
+    assert len(rows) == len(calls) == len(set(calls)) == m * (m - 1) // 2
+
+
+def test_all_pairs_walk_reuses_the_adjacent_table():
+    g = generate("cycle:5")
+    table = ricci_all_adjacent(g)
+    pairs = list(ricci_all_pairs(g))
+    m = g.n_edges
+    assert [key for key, _ in pairs] == [(e, f) for e in range(m) for f in range(e + 1, m)]
+    assert all(cp is table[key] for key, cp in pairs if key in table)
+    assert all(cp.kappa == ricci(g, *key).kappa for key, cp in pairs)
+    assert ricci_all_adjacent(g) is table and len(table) == 5
 
 
 @given(st.integers(0, 150))

@@ -1,4 +1,6 @@
+import ast
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -14,9 +16,11 @@ from edge_ricci.errors import (
     UnknownEdgeError,
     UnknownVertexError,
 )
+import edge_ricci
 from edge_ricci.graph_core import (
     Graph,
     WeightedGraph,
+    derived,
     generate,
     is_tree,
     parse_edgelist,
@@ -201,3 +205,37 @@ def test_splitmix64_uniform_in_unit_interval():
     xs = [r.uniform() for _ in range(1000)]
     assert all(0.0 <= x < 1.0 for x in xs)
     assert 0.4 < sum(xs) / len(xs) < 0.6
+
+
+def test_derived_builds_once_and_keeps_nothing_when_build_raises():
+    g = generate("cycle:4")
+    built = []
+
+    def build():
+        built.append(object())
+        return built[-1]
+
+    first = derived(g, "probe", build)
+    assert derived(g, "probe", build) is first and len(built) == 1
+
+    def fail():
+        raise InvalidParameterError("cannot build")
+
+    with pytest.raises(InvalidParameterError):
+        derived(g, "broken", fail)
+    assert derived(g, "broken", build) is built[-1] and len(built) == 2
+    # a WeightedGraph keeps its values apart from its base Graph's
+    assert derived(WeightedGraph(g), "probe", build) is not first
+
+
+def test_only_graph_core_reads_private_graph_fields():
+    private = {name for cls in (Graph, WeightedGraph) for name in cls.__slots__
+               if name.startswith("_") and not name.endswith("__")}
+    reads = []
+    for path in sorted(Path(edge_ricci.__file__).parent.glob("*.py")):
+        if path.name == "graph_core.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        reads += [f"{path.name}:{node.lineno} .{node.attr}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr in private]
+    assert private and reads == []

@@ -29,12 +29,17 @@ def test_output_digest_covers_every_input_and_command(monkeypatch, capsys):
     monkeypatch.setattr(module, "FAMILIES", ("cycle:4", "star:4"))
     assert module.main() == 0
     lines = capsys.readouterr().out.splitlines()
-    # two edge lists with four commands and six matrix dumps each, and six
-    # weighted documents with four commands and two matrix dumps each
-    assert len(lines) == 2 * (4 + 6) + 6 * (4 + 2)
+    # two edge lists with five commands, three spectra and six matrix dumps
+    # each, and six weighted documents with five commands, one spectrum and
+    # two matrix dumps each
+    assert len(lines) == 2 * (5 + 3 + 6) + 6 * (5 + 1 + 2)
     # exit 1 is a report with a failed check, not a crash
     assert all(line.split()[0] in ("0", "1") and len(line.split()[1]) == 64
                for line in lines)
     assert lines[0].endswith(" cycle:4 verify --format json")
-    assert lines[9].endswith(" cycle:4 spectrum --weighting degree --dump-matrix edge")
+    assert lines[4].endswith(" cycle:4 curvature --format json")
+    assert lines[5].endswith(" cycle:4 spectrum --weighting unit --format json")
+    assert lines[13].endswith(" cycle:4 spectrum --weighting degree --dump-matrix edge")
+    assert lines[14].endswith(" star:4 verify --format json")
+    assert lines[-3].endswith(" star:4/random spectrum --weighting graph --format json")
     assert lines[-1].endswith(" star:4/random spectrum --weighting graph --dump-matrix edge")
