@@ -13,7 +13,6 @@ Usage:
 
 import argparse
 import sys
-from dataclasses import dataclass
 
 from edge_ricci.curvature import kappa_min
 from edge_ricci.graph_core import generate
@@ -34,12 +33,6 @@ DEFAULT_SWEEP = (
 )
 
 
-@dataclass(frozen=True)
-class SurveyConfig:
-    families: tuple[str, ...]
-    show_inapplicable: bool
-
-
 def expand(spec: str):
     """Allow a trailing a..b range on the last parameter."""
     head, sep, tail = spec.rpartition(":")
@@ -51,16 +44,16 @@ def expand(spec: str):
         yield spec
 
 
-def survey(config: SurveyConfig) -> int:
+def survey(families: list[str], show_inapplicable: bool) -> int:
     header = f"{'family':<16} {'d':>4} {'kappa_min':>10} {'lambda1':>10} {'rhs':>10} {'slack':>10}"
     print(header)
     print("-" * len(header))
-    for spec in config.families:
+    for spec in families:
         for item in expand(spec):
             g = generate(item)
             chk = check_spectral_gap_bound(g)
             if not chk.applicable:
-                if config.show_inapplicable:
+                if show_inapplicable:
                     print(f"{item:<16} {'-':>4} {'-':>10} {'-':>10} {'-':>10} "
                           f"n/a: {chk.reason}")
                 continue
@@ -81,7 +74,7 @@ def main(argv=None) -> int:
     ap.add_argument("--show-inapplicable", action="store_true",
                     help="also list families the bound does not apply to")
     args = ap.parse_args(argv)
-    return survey(SurveyConfig(tuple(args.families), args.show_inapplicable))
+    return survey(args.families, args.show_inapplicable)
 
 
 if __name__ == "__main__":

@@ -10,7 +10,9 @@ print one line per invocation: the exit code, the sha256 of stdout and
 stderr, the input and the command.  The corpus is built here and nowhere
 else: the families below (seed 0) as edge lists, and for each family
 three weighted documents, with unit weights, one constant weight, and
-random weights in [0.5, 2).
+random weights in [0.5, 2).  Last, ``generate --family SPEC`` runs for
+each family and for one malformed spec per kind of spec error, so the
+family grammar's graphs and error messages are digested too.
 
 Two versions of the code give the same bytes exactly when this script's
 outputs are identical:
@@ -41,6 +43,16 @@ FAMILIES = (
     "random:20:0.2",
     "path:3",
     "bipartite:2:3",
+)
+# one per kind of spec error: unknown name, wrong arity, non-integer n,
+# non-number p, non-integer offset, n out of range
+MALFORMED = (
+    "hexagon:6",
+    "cycle:5:2",
+    "complete:five",
+    "random:8:half",
+    "circulant:9:1,x",
+    "cycle:2",
 )
 WEIGHTS = ("unit", "constant", "random")
 COMMANDS = (
@@ -103,6 +115,9 @@ def main() -> int:
             for command in commands:
                 code, sha = digest([command[0], *source, *command[1:]])
                 print(f"{code} {sha} {label} {' '.join(command)}")
+    for spec in FAMILIES + MALFORMED:
+        code, sha = digest(["generate", "--family", spec])
+        print(f"{code} {sha} {spec} generate")
     return 0
 
 

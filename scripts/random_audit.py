@@ -14,7 +14,6 @@ Usage:
 
 import argparse
 import sys
-from dataclasses import dataclass
 
 from edge_ricci.curvature import lower_bound, ricci_all_adjacent, upper_bound
 from edge_ricci.graph_core import generate
@@ -24,29 +23,20 @@ from edge_ricci.verify import (
 )
 
 
-@dataclass(frozen=True)
-class AuditConfig:
-    samples: int
-    vertices: int
-    prob: float
-    seed: int
-
-
-def audit(config: AuditConfig) -> int:
+def audit(samples: int, vertices: int, prob: float, seed: int) -> int:
     not_regular = no_positive_floor = 0
     slacks = []
-    for k in range(config.samples):
-        g = generate(f"random:{config.vertices}:{config.prob}",
-                     seed=config.seed + k)
+    for k in range(samples):
+        g = generate(f"random:{vertices}:{prob}", seed=seed + k)
         for (e, f), cp in ricci_all_adjacent(g).items():
             assert cp.transport.gap == 0, "duality gap on an exact solve"
             if not lower_bound(g, e, f) <= cp.kappa <= upper_bound(g, e, f):
-                print(f"BOUND VIOLATION seed {config.seed + k} pair "
+                print(f"BOUND VIOLATION seed {seed + k} pair "
                       f"{g.edge_name(e)},{g.edge_name(f)}")
                 return 1
         red = check_adjacent_pair_reduction(g)
         if red.applicable and not red.holds:
-            print(f"REDUCTION VIOLATION seed {config.seed + k}")
+            print(f"REDUCTION VIOLATION seed {seed + k}")
             return 1
         chk = check_spectral_gap_bound(g)
         if not chk.applicable:
@@ -56,12 +46,12 @@ def audit(config: AuditConfig) -> int:
                 no_positive_floor += 1
             continue
         if not chk.holds:
-            print(f"GAP BOUND VIOLATION seed {config.seed + k}: "
+            print(f"GAP BOUND VIOLATION seed {seed + k}: "
                   f"lhs {chk.lhs} rhs {chk.rhs}")
             return 1
         slacks.append(chk.lhs - chk.rhs)
 
-    print(f"samples                  {config.samples}")
+    print(f"samples                  {samples}")
     print(f"edge degrees unequal     {not_regular}")
     print(f"curvature floor <= 0     {no_positive_floor}")
     print(f"bound applicable         {len(slacks)}")
@@ -78,7 +68,7 @@ def main(argv=None) -> int:
     ap.add_argument("--prob", type=float, default=0.5)
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args(argv)
-    return audit(AuditConfig(args.samples, args.vertices, args.prob, args.seed))
+    return audit(args.samples, args.vertices, args.prob, args.seed)
 
 
 if __name__ == "__main__":

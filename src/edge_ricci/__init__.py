@@ -28,11 +28,9 @@ from .edge_geometry import EdgeMeasure, edge_distance, edge_measure, edge_space
 from .errors import EdgeRicciError
 from .graph_core import (
     Graph,
-    GraphFamily,
     WeightedGraph,
     generate,
     parse_edgelist,
-    parse_family,
     parse_weighted,
     serialize_edgelist,
     serialize_weighted,
@@ -58,13 +56,13 @@ from .verify import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CurvaturePair", "EdgeMeasure", "EdgeRicciError", "Graph", "GraphFamily",
+    "CurvaturePair", "EdgeMeasure", "EdgeRicciError", "Graph",
     "OPERATORS", "Spectrum", "TheoremCheck", "TransportProblem",
     "TransportResult", "VerificationReport", "WEIGHTINGS", "WeightedGraph",
     "assemble", "brute_force_wasserstein", "check_spectral_gap_bound",
     "check_weighted_spectral_gap_bound", "dump_matrix", "edge_distance",
     "edge_measure", "edge_space", "edges_adjacent", "eigenvalues_symmetric",
-    "generate", "kappa_min", "lower_bound", "parse_edgelist", "parse_family",
+    "generate", "kappa_min", "lower_bound", "parse_edgelist",
     "parse_weighted", "report_to_json", "report_to_text", "ricci",
     "ricci_all_adjacent", "serialize_edgelist", "serialize_weighted",
     "solve_wasserstein", "spectral_equivalence_gap", "spectrum_of",

@@ -46,7 +46,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "bound verification for finite graphs.")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def add_input(p, need_weighted_flag=True):
+    def add_input(p):
         src = p.add_mutually_exclusive_group(required=True)
         src.add_argument("--input", metavar="FILE",
                          help="read the graph from FILE (edge list, or the "
@@ -54,9 +54,8 @@ def build_parser() -> argparse.ArgumentParser:
         src.add_argument("--family", metavar="SPEC",
                          help="build a named family, e.g. complete:5, "
                               "bipartite:2:3, circulant:9:1,2, petersen")
-        if need_weighted_flag:
-            p.add_argument("--weighted", action="store_true",
-                           help="treat --input as the weighted JSON document")
+        p.add_argument("--weighted", action="store_true",
+                       help="treat --input as the weighted JSON document")
         p.add_argument("--seed", type=int, default=0,
                        help="seed for randomized families (default 0)")
 
@@ -113,9 +112,8 @@ def _load_graph(args):
             raise FormatError(
                 f"cannot read {args.input}: not UTF-8 text "
                 f"(byte {exc.start}: {exc.reason})") from None
-        return parse_weighted(text) if getattr(args, "weighted", False) \
-            else parse_edgelist(text)
-    if getattr(args, "weighted", False):
+        return parse_weighted(text) if args.weighted else parse_edgelist(text)
+    if args.weighted:
         raise InvalidParameterError(
             "--weighted needs --input with the weighted JSON document; "
             "families are unweighted")

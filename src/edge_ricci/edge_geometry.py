@@ -195,10 +195,7 @@ class EdgeMeasure:
         if len(self.atoms) != len(self.masses) or not self.atoms:
             raise ValueError("measure needs matching, nonempty atoms and masses")
         total = sum(self.masses)
-        if isinstance(total, Fraction):
-            if total != 1:
-                raise ValueError(f"exact measure sums to {total}, not 1")
-        elif abs(total - 1.0) > 1e-12:
+        if abs(total - 1) > (0 if self.exact else 1e-12):
             raise ValueError(f"measure sums to {total}, not 1")
 
     @property

@@ -13,7 +13,7 @@ from __future__ import annotations
 import heapq
 import json
 import math
-from dataclasses import dataclass
+from functools import partial
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -213,9 +213,9 @@ class WeightedGraph:
     def w_edge(self, e: int) -> float:
         return self.edge_weight[self.graph.edge_endpoints(e)]
 
-    def has_constant_vertex_weights(self, rel_tol: float = 1e-12) -> bool:
+    def has_constant_vertex_weights(self) -> bool:
         vals = list(self.vertex_weight.values())
-        return all(math.isclose(w, vals[0], rel_tol=rel_tol) for w in vals)
+        return all(math.isclose(w, vals[0], rel_tol=1e-12) for w in vals)
 
     def __repr__(self) -> str:
         return f"WeightedGraph({self.graph!r})"
@@ -363,14 +363,6 @@ def serialize_weighted(wg: WeightedGraph) -> str:
 
 # --------------------------------------------------------------- families
 
-@dataclass(frozen=True)
-class GraphFamily:
-    """A named family plus parameters, e.g. GraphFamily('cycle', (5,))."""
-    kind: str
-    params: tuple = ()
-    seed: int = 0
-
-
 _FAMILY_GRAMMAR = (
     "family spec is name[:p1[:p2]] with name in {complete, cycle, bipartite, "
     "star, path, tree, random, circulant, petersen}; e.g. complete:5, "
@@ -378,76 +370,42 @@ _FAMILY_GRAMMAR = (
 )
 
 
-def parse_family(spec: str, seed: int = 0) -> GraphFamily:
-    """Parse a CLI family spec like 'cycle:6' or 'circulant:9:1,2'."""
-    parts = spec.split(":")
-    name = parts[0]
-    args = parts[1:]
+def generate(spec: str, seed: int | None = None) -> Graph:
+    """Build the family a spec like 'cycle:6' or 'circulant:9:1,2' names.
 
-    def _int(s: str, what: str) -> int:
+    The randomized families (tree, random) are seeded through splitmix64;
+    seed defaults to 0, so a spec and a seed pin the graph.
+    """
+    name, *args = spec.split(":")
+    if name not in _FAMILIES or len(args) != len(_FAMILIES[name][1]):
+        raise InvalidParameterError(f"unrecognized family spec {spec!r}; {_FAMILY_GRAMMAR}")
+    build, parsers, seeded = _FAMILIES[name]
+    params = [parse(arg) for parse, arg in zip(parsers, args)]
+    if seeded:
+        params.append(0 if seed is None else seed)
+    return build(*params)
+
+
+def _integer(what: str):
+    def parse(s: str) -> int:
         try:
             return int(s)
         except ValueError:
             raise InvalidParameterError(f"{what} must be an integer; {_FAMILY_GRAMMAR}")
+    return parse
 
-    def _float(s: str, what: str) -> float:
+
+def _number(what: str):
+    def parse(s: str) -> float:
         try:
             return float(s)
         except ValueError:
             raise InvalidParameterError(f"{what} must be a number; {_FAMILY_GRAMMAR}")
-
-    if name == "complete" and len(args) == 1:
-        return GraphFamily("complete", (_int(args[0], "n"),))
-    if name == "cycle" and len(args) == 1:
-        return GraphFamily("cycle", (_int(args[0], "n"),))
-    if name == "bipartite" and len(args) == 2:
-        return GraphFamily("complete_bipartite", (_int(args[0], "n"), _int(args[1], "m")))
-    if name == "star" and len(args) == 1:
-        return GraphFamily("star", (_int(args[0], "m"),))
-    if name == "path" and len(args) == 1:
-        return GraphFamily("path", (_int(args[0], "n"),))
-    if name == "tree" and len(args) == 1:
-        return GraphFamily("random_tree", (_int(args[0], "n"),), seed)
-    if name == "random" and len(args) == 2:
-        return GraphFamily("random_connected", (_int(args[0], "n"), _float(args[1], "p")), seed)
-    if name == "circulant" and len(args) == 2:
-        offsets = tuple(_int(s, "offset") for s in args[1].split(","))
-        return GraphFamily("circulant", (_int(args[0], "n"), offsets))
-    if name == "petersen" and not args:
-        return GraphFamily("petersen", ())
-    raise InvalidParameterError(f"unrecognized family spec {spec!r}; {_FAMILY_GRAMMAR}")
+    return parse
 
 
-def generate(family: GraphFamily | str, seed: int | None = None) -> Graph:
-    """Build the named family deterministically (seed feeds splitmix64)."""
-    if isinstance(family, str):
-        family = parse_family(family, seed=seed if seed is not None else 0)
-    elif seed is not None:
-        family = GraphFamily(family.kind, family.params, seed)
-    kind, params = family.kind, family.params
-    if kind == "complete":
-        return _complete(*params)
-    if kind == "cycle":
-        return _cycle(*params)
-    if kind == "complete_bipartite":
-        return _complete_bipartite(*params)
-    if kind == "star":
-        (m,) = params
-        return _complete_bipartite(1, m)
-    if kind == "path":
-        return _path(*params)
-    if kind == "random_tree":
-        (n,) = params
-        return _random_tree(n, family.seed)
-    if kind == "random_connected":
-        n, p = params
-        return _random_connected(n, p, family.seed)
-    if kind == "circulant":
-        n, offsets = params
-        return _circulant(n, offsets)
-    if kind == "petersen":
-        return _petersen()
-    raise InvalidParameterError(f"unknown family kind {kind!r}")
+def _offsets(s: str) -> tuple[int, ...]:
+    return tuple(map(_integer("offset"), s.split(",")))
 
 
 def _labels(n: int) -> list[str]:
@@ -554,3 +512,18 @@ def _petersen() -> Graph:
     pairs += [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
     pairs += [(i, i + 5) for i in range(5)]
     return Graph(vs, [(vs[i], vs[j]) for i, j in pairs])
+
+
+# name -> (builder, one parser per spec parameter, whether the builder also
+# takes the seed)
+_FAMILIES = {
+    "complete": (_complete, (_integer("n"),), False),
+    "cycle": (_cycle, (_integer("n"),), False),
+    "bipartite": (_complete_bipartite, (_integer("n"), _integer("m")), False),
+    "star": (partial(_complete_bipartite, 1), (_integer("m"),), False),
+    "path": (_path, (_integer("n"),), False),
+    "tree": (_random_tree, (_integer("n"),), True),
+    "random": (_random_connected, (_integer("n"), _number("p")), True),
+    "circulant": (_circulant, (_integer("n"), _offsets), False),
+    "petersen": (_petersen, (), False),
+}

@@ -7,26 +7,32 @@ cost and is cancelled first; the residual instance, whose two supports are
 disjoint, is solved by successive shortest augmenting paths with node
 potentials.  The returned plan is the full optimal coupling of mu and nu:
 the residual plan plus one diagonal (a, a, common) stay entry per shared
-atom.  When both measures are exact rationals and the costs are integers
-(the unweighted case) the masses are scaled by the LCM of their
-denominators and the whole computation runs in integer arithmetic, so the
-distance, plan, and dual certificate are exact.  Weighted instances run in
-binary64, where supply, demand and flow below 1e-15 count as rounding noise
-and the accepted certificate error is relative to the largest cost: scaling
-the vertex weights scales every cost, and the accepted error with it.  Both
-number types run the same code; exact mode is the case of zero noise and
-zero tolerance.
+atom, as a sorted tuple of (source, sink, mass) entries.
 
-The dual certificate is a single function f on the full joint support with
-|f(a) - f(b)| <= d(a, b), built from the final potentials of the residual
-sinks by the envelope f(a) = min_j (beta_j + d(a, j)); strong duality makes
-its objective equal the primal cost.  The solver checks the whole
+A TransportProblem fixes its number domain once, when it is built, and
+every later step reads it.  When both measures are exact rationals and the
+costs are integers (the unweighted case) the problem records the LCM of
+the mass denominators as its scale and the masses as integers in those
+units, so the whole computation runs in integer arithmetic and the
+distance, plan, and dual certificate are exact.  Otherwise the scale is 1
+and the masses are binary64, where supply, demand and flow below 1e-15
+count as rounding noise and the accepted certificate error is relative to
+the largest cost: scaling the vertex weights scales every cost, and the
+accepted error with it.  Both number types run the same code; exact mode
+is the case of zero noise and zero tolerance.
+
+The dual certificate is a single function f, a dict on the full joint
+support with |f(a) - f(b)| <= d(a, b), built from the final potentials of
+the residual sinks by the envelope f(a) = min_j (beta_j + d(a, j)); strong
+duality makes its objective equal the primal cost.  The solver checks the whole
 certificate on the uncancelled problem before it returns: complementary
 slackness on the residual plan, both marginals of the full plan, the
 Lipschitz bound on f, and the duality gap.  A failure raises TransportError
 naming the edge pair and the instance size.  The cost table is validated
 once, when the problem is built; the Lipschitz check walks unordered pairs,
-and in exact mode the dual objective is summed in scaled integers.
+the dual objective is summed in the problem's units, and the marginal
+check sums the plan's masses as given, since a valid coupling need not be
+in those units.
 
 brute_force_wasserstein enumerates every vertex of the transportation
 polytope (spanning trees of the bipartite support graph) and is the
@@ -60,24 +66,24 @@ class TransportProblem:
     orders of every pair must be present, finite and >= 0, and every atom
     costs 0 to itself.  The same walk records whether every cost is an int,
     which with exact masses makes the problem exact, and the sorted joint
-    support.
+    support.  Then it fixes the solver units: ``scale`` is the LCM of the
+    mass denominators when exact and 1 otherwise, and the read-only
+    ``supply`` and ``demand`` map each atom of mu and nu to its mass in
+    those units (int when exact, float otherwise), whose totals must agree.
     """
 
     mu: EdgeMeasure
     nu: EdgeMeasure
     cost: Mapping[tuple[int, int], object]
     exact: bool = field(init=False, repr=False, compare=False)
+    scale: int = field(init=False, repr=False, compare=False)
+    supply: Mapping[int, object] = field(init=False, repr=False, compare=False)
+    demand: Mapping[int, object] = field(init=False, repr=False, compare=False)
     _joint: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        total_mu = sum(self.mu.masses)
-        total_nu = sum(self.nu.masses)
-        if isinstance(total_mu, Fraction) and isinstance(total_nu, Fraction):
-            if total_mu != total_nu:
-                raise MassImbalanceError(f"supply {total_mu} != demand {total_nu}")
-        elif abs(float(total_mu) - float(total_nu)) > 1e-12:
-            raise MassImbalanceError(f"supply {total_mu} != demand {total_nu}")
-        joint = tuple(sorted(set(self.mu.atoms) | set(self.nu.atoms)))
+        mu, nu = self.mu, self.nu
+        joint = tuple(sorted(set(mu.atoms) | set(nu.atoms)))
         cost = self.cost
         int_costs = True
         try:
@@ -96,7 +102,21 @@ class TransportProblem:
                         int_costs = False
         except KeyError as exc:
             raise TransportError(f"cost table misses pair {exc.args[0]}") from None
-        object.__setattr__(self, "exact", self.mu.exact and self.nu.exact and int_costs)
+        exact = mu.exact and nu.exact and int_costs
+        scale = math.lcm(*{m.denominator for m in (*mu.masses, *nu.masses)}) if exact else 1
+
+        def units(m):
+            return m.numerator * (scale // m.denominator) if exact else float(m)
+
+        supply = {a: units(m) for a, m in zip(mu.atoms, mu.masses)}
+        demand = {b: units(m) for b, m in zip(nu.atoms, nu.masses)}
+        if abs(sum(supply.values()) - sum(demand.values())) > (0 if exact else 1e-12):
+            raise MassImbalanceError(
+                f"supply {sum(mu.masses)} != demand {sum(nu.masses)}")
+        object.__setattr__(self, "exact", exact)
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "supply", supply)
+        object.__setattr__(self, "demand", demand)
         object.__setattr__(self, "_joint", joint)
 
     def joint_support(self) -> tuple[int, ...]:
@@ -109,35 +129,22 @@ def _bad_cost(c, pair) -> TransportError:
 
 
 @dataclass(frozen=True)
-class Coupling:
-    """Transport plan entries (source atom, sink atom, mass), mass > 0."""
-
-    entries: tuple[tuple[int, int, object], ...]
-
-
-@dataclass(frozen=True)
-class DualPotential:
-    """Kantorovich potential f on the joint support (1-Lipschitz there)."""
-
-    values: Mapping[int, object]
-
-
-@dataclass(frozen=True)
 class TransportResult:
+    """A transport whose certificate checked out, as plain values.
+
+    plan: the optimal coupling's (source atom, sink atom, mass) entries,
+    mass > 0, sorted by atom pair.  dual: the Kantorovich potential f, a
+    dict on the whole joint support, 1-Lipschitz there.
+    """
+
     distance: object          # Fraction (exact mode) or float
-    plan: Coupling
-    dual: DualPotential
+    plan: tuple[tuple[int, int, object], ...]
+    dual: Mapping[int, object]
     gap: object               # primal cost minus dual objective
 
     @property
     def exact(self) -> bool:
         return isinstance(self.distance, Fraction)
-
-
-@dataclass(frozen=True)
-class CouplingCheck:
-    ok: bool
-    violations: tuple[str, ...]
 
 
 def solve_wasserstein(problem: TransportProblem) -> TransportResult:
@@ -147,16 +154,12 @@ def solve_wasserstein(problem: TransportProblem) -> TransportResult:
     cost) in float mode.  Every TransportError raised here names the pair
     and the instance size.
     """
-    exact = problem.exact
+    exact, scale = problem.exact, problem.scale
     mu, nu = problem.mu, problem.nu
+    supply, demand = dict(problem.supply), dict(problem.demand)
     if exact:
-        scale = math.lcm(*{m.denominator for m in (*mu.masses, *nu.masses)})
-        supply = {a: int(m * scale) for a, m in zip(mu.atoms, mu.masses)}
-        demand = {b: int(m * scale) for b, m in zip(nu.atoms, nu.masses)}
         zero, dust, eps_cs, tol = 0, 0, 0, 0
     else:
-        supply = {a: float(m) for a, m in zip(mu.atoms, mu.masses)}
-        demand = {b: float(m) for b, m in zip(nu.atoms, nu.masses)}
         zero, dust, eps_cs = 0.0, _FLOAT_DUST, _FLOAT_EPS_CS
         # The distance and the potentials scale with the costs, so the
         # accepted certificate error does too.
@@ -283,24 +286,23 @@ def solve_wasserstein(problem: TransportProblem) -> TransportResult:
                 total += x * cost[i][j]
     distance = unscaled(total)
     entries.sort(key=lambda t: (t[0], t[1]))
-    plan = Coupling(tuple(entries))
+    plan = tuple(entries)
 
     # envelope dual certificate over the whole joint support:
     # f(a) = min_j (beta_j + d(a, sink_j)) over the residual sinks, and
     # f = 0 when mu = nu leaves nothing to ship
     beta = {sinks[j]: -phi[S + j] for j in range(T)}
-    f = {}
+    dual = {}
     for a in problem.joint_support():
-        f[a] = min((beta[b] + problem.cost[(a, b)] for b in sinks), default=zero)
-    dual = DualPotential(f)
+        dual[a] = min((beta[b] + problem.cost[(a, b)] for b in sinks), default=zero)
 
     # the certificate: complementary slackness on the residual plan, then,
     # on the uncancelled problem, plan marginals, dual feasibility, and a
     # closed duality gap
     _check_complementary_slackness(cost, flow, phi, S, T, eps_cs, failure)
-    check = verify_coupling(problem, plan)
-    if not check.ok:
-        raise failure(f"invalid plan: {check.violations[0]}")
+    violations = verify_coupling(problem, plan)
+    if violations:
+        raise failure(f"invalid plan: {violations[0]}")
     excess = lipschitz_excess(problem, dual)
     if excess > tol:
         raise failure(f"dual certificate breaks the Lipschitz bound by {excess}")
@@ -319,65 +321,54 @@ def _check_complementary_slackness(cost, flow, phi, S, T, eps_cs, failure):
                     raise failure(f"complementary slackness violated on arc ({i},{j}): {rc}")
 
 
-def verify_coupling(problem: TransportProblem, plan: Coupling) -> CouplingCheck:
-    """Recheck both marginals; names the first offending row/column."""
-    row = {a: None for a in problem.mu.atoms}
-    col = {b: None for b in problem.nu.atoms}
+def verify_coupling(problem: TransportProblem,
+                    plan: tuple[tuple[int, int, object], ...]) -> tuple[str, ...]:
+    """Recheck both marginals: the violations, empty for a coupling.
+
+    Names the first offending row and column.  The plan's masses are summed
+    as given, not in solver units, so any coupling of mu and nu passes.
+    """
+    row = dict.fromkeys(problem.mu.atoms, 0)
+    col = dict.fromkeys(problem.nu.atoms, 0)
     violations = []
-    for a, b, mass in plan.entries:
+    for a, b, mass in plan:
         if a not in row:
             violations.append(f"plan row {a} is outside supp(mu)")
             continue
         if b not in col:
             violations.append(f"plan column {b} is outside supp(nu)")
             continue
-        row[a] = mass if row[a] is None else row[a] + mass
-        col[b] = mass if col[b] is None else col[b] + mass
-
-    def _bad(total, want) -> bool:
-        total = total if total is not None else (want - want)  # typed zero
-        if isinstance(want, Fraction) and isinstance(total, (int, Fraction)):
-            return total != want
-        return abs(float(total) - float(want)) > 1e-12
-
+        row[a] += mass
+        col[b] += mass
+    tol = 0 if problem.exact else 1e-12
     for a, want in zip(problem.mu.atoms, problem.mu.masses):
-        if _bad(row[a], want):
+        if abs(row[a] - want) > tol:
             violations.append(f"row {a}: mass {row[a]} != mu {want}")
             break
     for b, want in zip(problem.nu.atoms, problem.nu.masses):
-        if _bad(col[b], want):
+        if abs(col[b] - want) > tol:
             violations.append(f"column {b}: mass {col[b]} != nu {want}")
             break
-    return CouplingCheck(not violations, tuple(violations))
+    return tuple(violations)
 
 
-def dual_objective(problem: TransportProblem, dual: DualPotential) -> object:
+def dual_objective(problem: TransportProblem, dual: Mapping[int, object]) -> object:
     """sum f(a) (mu(a) - nu(a)) over the joint support.
 
-    In exact mode the net masses are scaled to integers by the LCM of their
-    denominators, the sum runs in integers, and the result is that sum over
-    the scale.
+    The sum runs in the problem's units, a left fold in joint-support order;
+    in exact mode those are integers and the result is the sum over the
+    scale.
     """
     joint = problem.joint_support()
-    values = _defined_on(dual, joint)
-    if problem.exact:
-        mu, nu = problem.mu, problem.nu
-        scale = math.lcm(*{m.denominator for m in (*mu.masses, *nu.masses)})
-        net = dict.fromkeys(joint, 0)
-        for a, m in zip(mu.atoms, mu.masses):
-            net[a] += m.numerator * (scale // m.denominator)
-        for b, m in zip(nu.atoms, nu.masses):
-            net[b] -= m.numerator * (scale // m.denominator)
-        return Fraction(sum(values[a] * net[a] for a in joint), scale)
-    mu, nu = problem.mu.as_dict(), problem.nu.as_dict()
-    total = None
+    f = _defined_on(dual, joint)
+    supply, demand = problem.supply, problem.demand
+    total = 0
     for a in joint:
-        term = values[a] * (mu.get(a, 0) - nu.get(a, 0))
-        total = term if total is None else total + term
-    return total
+        total += f[a] * (supply.get(a, 0) - demand.get(a, 0))
+    return Fraction(total, problem.scale) if problem.exact else total
 
 
-def lipschitz_excess(problem: TransportProblem, dual: DualPotential) -> object:
+def lipschitz_excess(problem: TransportProblem, dual: Mapping[int, object]) -> object:
     """max over joint pairs of |f(a) - f(b)| - d(a, b); feasible iff <= 0.
 
     Walks unordered pairs against the cheaper of the two orders, which gives
@@ -395,12 +386,12 @@ def lipschitz_excess(problem: TransportProblem, dual: DualPotential) -> object:
     return worst if worst is not None else 0
 
 
-def _defined_on(dual: DualPotential, joint: tuple[int, ...]) -> Mapping[int, object]:
-    """The potential's values, once each atom of the joint support has one."""
+def _defined_on(dual: Mapping[int, object], joint: tuple[int, ...]) -> Mapping[int, object]:
+    """The potential, once each atom of the joint support has a value."""
     for a in joint:
-        if a not in dual.values:
+        if a not in dual:
             raise MissingPotentialError(f"potential undefined on atom {a}")
-    return dual.values
+    return dual
 
 
 # ------------------------------------------------------------------ oracle

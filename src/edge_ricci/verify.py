@@ -241,7 +241,7 @@ def check_spectral_equivalence(g, weighting: str = "degree") -> list[TheoremChec
     ]
 
 
-def check_tree_formula(g: Graph, label: str = "") -> list[TheoremCheck]:
+def check_tree_formula(g: Graph) -> list[TheoremCheck]:
     """Closed-form tree curvature vs transport, per adjacent pair.
 
     Pairs where the formula value is <= 1 are asserted to match exactly;
@@ -249,13 +249,13 @@ def check_tree_formula(g: Graph, label: str = "") -> list[TheoremCheck]:
     cannot be a curvature at all) are attached as diagnostics.
     """
     if not is_tree(g):
-        return [_inapplicable(f"tree-formula[{label}]", "graph is not a tree")]
+        return [_inapplicable("tree-formula[]", "graph is not a tree")]
     out = []
     for (e, f), cp in sorted(ricci_all_adjacent(g).items()):
         value = tree_curvature_formula(g, e, f)
-        tag = f"[{label}]({g.edge_name(e)},{g.edge_name(f)})"
+        name = f"tree-formula[]({g.edge_name(e)},{g.edge_name(f)})"
         diagnostic = value > 1
-        out.append(_check(f"tree-formula{tag}", cp.kappa, value, "==", 0.0,
+        out.append(_check(name, cp.kappa, value, "==", 0.0,
                           (("formula", float(value)),), diagnostic=diagnostic))
     return out
 

@@ -24,7 +24,6 @@ from edge_ricci.graph_core import (
     generate,
     is_tree,
     parse_edgelist,
-    parse_family,
     parse_weighted,
     serialize_edgelist,
     serialize_weighted,
@@ -174,13 +173,6 @@ def test_generation_is_seed_deterministic():
 def test_family_grammar_rejects(spec):
     with pytest.raises(InvalidParameterError):
         generate(spec)
-
-
-def test_parse_family_fields():
-    fam = parse_family("bipartite:2:3")
-    assert fam.kind == "complete_bipartite" and fam.params == (2, 3)
-    fam = parse_family("circulant:9:1,2")
-    assert fam.params == (9, (1, 2))
 
 
 # ------------------------------------------------------------------ rng

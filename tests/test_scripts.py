@@ -30,16 +30,23 @@ def test_output_digest_covers_every_input_and_command(monkeypatch, capsys):
     assert module.main() == 0
     lines = capsys.readouterr().out.splitlines()
     # two edge lists with five commands, three spectra and six matrix dumps
-    # each, and six weighted documents with five commands, one spectrum and
-    # two matrix dumps each
-    assert len(lines) == 2 * (5 + 3 + 6) + 6 * (5 + 1 + 2)
-    # exit 1 is a report with a failed check, not a crash
-    assert all(line.split()[0] in ("0", "1") and len(line.split()[1]) == 64
-               for line in lines)
+    # each, six weighted documents with five commands, one spectrum and two
+    # matrix dumps each, then generate for the two families and for the six
+    # malformed specs
+    assert len(lines) == 2 * (5 + 3 + 6) + 6 * (5 + 1 + 2) + 2 + 6
+    assert all(len(line.split()[1]) == 64 for line in lines)
+    # exit 1 is a report with a failed check, not a crash; a malformed spec
+    # is bad usage
+    assert all(line.split()[0] in ("0", "1") for line in lines[:-6])
+    assert all(line.split()[0] == "2" for line in lines[-6:])
     assert lines[0].endswith(" cycle:4 verify --format json")
     assert lines[4].endswith(" cycle:4 curvature --format json")
     assert lines[5].endswith(" cycle:4 spectrum --weighting unit --format json")
     assert lines[13].endswith(" cycle:4 spectrum --weighting degree --dump-matrix edge")
     assert lines[14].endswith(" star:4 verify --format json")
-    assert lines[-3].endswith(" star:4/random spectrum --weighting graph --format json")
-    assert lines[-1].endswith(" star:4/random spectrum --weighting graph --dump-matrix edge")
+    assert lines[73].endswith(" star:4/random spectrum --weighting graph --format json")
+    assert lines[75].endswith(" star:4/random spectrum --weighting graph --dump-matrix edge")
+    assert lines[76].endswith(" cycle:4 generate")
+    assert lines[77].endswith(" star:4 generate")
+    assert lines[78].endswith(" hexagon:6 generate")
+    assert lines[-1].endswith(" cycle:2 generate")

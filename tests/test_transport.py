@@ -19,9 +19,6 @@ from edge_ricci.errors import MassImbalanceError, MissingPotentialError, Transpo
 from edge_ricci.graph_core import WeightedGraph, generate
 from edge_ricci.rng import SplitMix64
 from edge_ricci.transport import (
-    Coupling,
-    CouplingCheck,
-    DualPotential,
     TransportProblem,
     brute_force_wasserstein,
     dual_objective,
@@ -51,7 +48,7 @@ def test_point_masses_move_the_whole_unit():
     p = _problem((Fraction(1),), (Fraction(1),), (0,), (5,))
     r = solve_wasserstein(p)
     assert r.distance == 5 and r.exact and r.gap == 0
-    assert r.plan.entries == ((0, 5, Fraction(1)),)
+    assert r.plan == ((0, 5, Fraction(1)),)
 
 
 def test_identical_measures_cost_nothing():
@@ -61,10 +58,10 @@ def test_identical_measures_cost_nothing():
     assert r.distance == 0 and r.gap == 0
     # nothing is left after the common mass is cancelled: the plan is the
     # diagonal and the certificate is still defined on the whole support
-    assert r.plan.entries == ((2, 2, Fraction(1, 2)), (7, 7, Fraction(1, 2)))
-    assert verify_coupling(p, r.plan).ok
+    assert r.plan == ((2, 2, Fraction(1, 2)), (7, 7, Fraction(1, 2)))
+    assert verify_coupling(p, r.plan) == ()
     assert lipschitz_excess(p, r.dual) <= 0
-    assert set(r.dual.values) == {2, 7}
+    assert set(r.dual) == {2, 7}
 
 
 def test_triangle_adjacent_pair_costs_one_half():
@@ -134,16 +131,42 @@ def test_non_finite_costs_are_rejected(bad):
         )
 
 
+def test_problem_records_its_units():
+    # exact: masses become integers over the LCM of their denominators
+    p = _problem((Fraction(1, 2), Fraction(1, 2)), (Fraction(1, 3), Fraction(2, 3)),
+                 (0, 1), (1, 2))
+    assert p.exact and p.scale == 6
+    assert p.supply == {0: 3, 1: 3} and p.demand == {1: 2, 2: 4}
+    assert all(type(m) is int for m in (*p.supply.values(), *p.demand.values()))
+    # float: unit scale, the masses as floats
+    p = _problem((0.25, 0.75), (1.0,), (0, 1), (2,))
+    assert not p.exact and p.scale == 1
+    assert p.supply == {0: 0.25, 1: 0.75} and p.demand == {2: 1.0}
+    assert all(type(m) is float for m in (*p.supply.values(), *p.demand.values()))
+
+
+def test_verify_coupling_sums_masses_as_given():
+    # the problem's units are halves (scale 2); a coupling that splits each
+    # half into 1/3 + 1/6 is not in those units and is just as valid
+    p = _problem((Fraction(1, 2), Fraction(1, 2)), (Fraction(1, 2), Fraction(1, 2)),
+                 (0, 1), (2, 3))
+    third, sixth = Fraction(1, 3), Fraction(1, 6)
+    split = ((0, 2, third), (0, 3, sixth), (1, 2, sixth), (1, 3, third))
+    assert verify_coupling(p, split) == ()
+    # moving 1/6 from row 1 to row 0 keeps both columns and breaks row 0
+    moved = ((0, 2, third), (0, 3, third), (1, 2, sixth), (1, 3, sixth))
+    assert verify_coupling(p, moved) == ("row 0: mass 2/3 != mu 1/2",)
+
+
 def test_verify_coupling_flags_corruption():
     p = _problem((Fraction(1, 2), Fraction(1, 2)), (Fraction(1),), (0, 1), (2,))
     r = solve_wasserstein(p)
-    assert verify_coupling(p, r.plan).ok
+    assert verify_coupling(p, r.plan) == ()
     # move some mass to the wrong row
-    bad = Coupling(((0, 2, Fraction(3, 4)), (1, 2, Fraction(1, 4))))
-    check = verify_coupling(p, bad)
-    assert not check.ok and "row" in check.violations[0]
-    outside = Coupling(((9, 2, Fraction(1)),))
-    assert not verify_coupling(p, outside).ok
+    bad = ((0, 2, Fraction(3, 4)), (1, 2, Fraction(1, 4)))
+    violations = verify_coupling(p, bad)
+    assert violations and "row" in violations[0]
+    assert verify_coupling(p, ((9, 2, Fraction(1)),))
 
 
 def test_dual_certificate_is_lipschitz_and_tight():
@@ -197,7 +220,7 @@ def test_solver_matches_brute_force(problem):
     r = solve_wasserstein(problem)
     assert r.gap == 0
     assert r.distance == brute_force_wasserstein(problem)
-    assert verify_coupling(problem, r.plan).ok
+    assert verify_coupling(problem, r.plan) == ()
     assert lipschitz_excess(problem, r.dual) <= 0
 
 
@@ -206,7 +229,7 @@ def test_solver_matches_brute_force_on_overlapping_supports(problem):
     r = solve_wasserstein(problem)
     assert r.distance == brute_force_wasserstein(problem)
     assert r.gap == 0
-    assert verify_coupling(problem, r.plan).ok
+    assert verify_coupling(problem, r.plan) == ()
     assert lipschitz_excess(problem, r.dual) <= 0
 
 
@@ -217,7 +240,7 @@ def test_float_solver_matches_brute_force_on_overlapping_supports(problem):
     assert r.distance == pytest.approx(brute_force_wasserstein(problem),
                                        rel=1e-12, abs=1e-12)
     assert abs(r.gap) <= 1e-9
-    assert verify_coupling(problem, r.plan).ok
+    assert verify_coupling(problem, r.plan) == ()
     assert lipschitz_excess(problem, r.dual) <= 1e-12
 
 
@@ -268,19 +291,19 @@ def dual_instances(draw):
     problem = TransportProblem(EdgeMeasure(0, tuple(mu_atoms), masses[0]),
                                EdgeMeasure(1, tuple(nu_atoms), masses[1]), cost)
     f = {a: draw(st.integers(-8, 8)) for a in atoms}
-    return problem, DualPotential(f)
+    return problem, f
 
 
 @given(dual_instances())
 def test_certificate_walks_match_both_orders(instance):
-    problem, dual = instance
-    f, cost = dual.values, problem.cost
+    problem, f = instance
+    cost = problem.cost
     joint = sorted(f)
     both_orders = [abs(f[a] - f[b]) - cost[(a, b)]
                    for a in joint for b in joint if a != b]
-    assert lipschitz_excess(problem, dual) == max(both_orders, default=0)
+    assert lipschitz_excess(problem, f) == max(both_orders, default=0)
     mu, nu = problem.mu.as_dict(), problem.nu.as_dict()
-    objective = dual_objective(problem, dual)
+    objective = dual_objective(problem, f)
     assert type(objective) is Fraction
     assert objective == sum(f[a] * (mu.get(a, 0) - nu.get(a, 0)) for a in joint)
     assert problem.exact and problem.joint_support() == tuple(joint)
@@ -290,7 +313,7 @@ def test_certificate_walks_match_both_orders(instance):
 def test_a_potential_missing_an_atom_is_rejected(check):
     p = _problem((Fraction(1),), (Fraction(1),), (0,), (5,))
     with pytest.raises(MissingPotentialError, match="atom 5"):
-        check(p, DualPotential({0: 0}))
+        check(p, {0: 0})
 
 
 def test_full_overlap_with_different_masses_moves_only_the_difference():
@@ -301,8 +324,8 @@ def test_full_overlap_with_different_masses_moves_only_the_difference():
     r = solve_wasserstein(p)
     assert r.distance == Fraction(1, 2) == brute_force_wasserstein(p)
     q = Fraction(1, 4)
-    assert r.plan.entries == ((0, 0, q), (0, 2, q), (1, 1, q), (2, 2, q))
-    assert verify_coupling(p, r.plan).ok
+    assert r.plan == ((0, 0, q), (0, 2, q), (1, 1, q), (2, 2, q))
+    assert verify_coupling(p, r.plan) == ()
 
 
 @given(st.integers(0, 500))
@@ -333,7 +356,7 @@ def test_symmetry_of_the_distance():
 
 
 _BROKEN_CHECKS = {
-    "verify_coupling": lambda problem, plan: CouplingCheck(False, ("row 9: off",)),
+    "verify_coupling": lambda problem, plan: ("row 9: off",),
     "lipschitz_excess": lambda problem, dual: Fraction(1, 10**6),
     "dual_objective": lambda problem, dual: 0,
 }
