@@ -41,6 +41,7 @@ FAMILIES = (
     "cycle:7",
     "star:6",
     "random:20:0.2",
+    "random:12:0.6",
     "path:3",
     "bipartite:2:3",
 )

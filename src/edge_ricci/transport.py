@@ -5,9 +5,13 @@ distance depends only on mu - nu (Kantorovich-Rubinstein duality), so the
 common mass min(mu(a), nu(a)) at every shared atom stays where it is at zero
 cost and is cancelled first; the residual instance, whose two supports are
 disjoint, is solved by successive shortest augmenting paths with node
-potentials.  The returned plan is the full optimal coupling of mu and nu:
-the residual plan plus one diagonal (a, a, common) stay entry per shared
-atom, as a sorted tuple of (source, sink, mass) entries.
+potentials.  In exact mode each Dijkstra round opens a primal-dual phase
+(Ahuja, Magnanti & Orlin, Network Flows, 1993, ch. 9): flow is shipped
+along every path of reduced cost exactly 0, found by depth-first search,
+before the next Dijkstra runs; float mode ships one path per round.  The
+returned plan is the full optimal coupling of mu and nu: the residual plan
+plus one diagonal (a, a, common) stay entry per shared atom, as a sorted
+tuple of (source, sink, mass) entries.
 
 A TransportProblem fixes its number domain once, when it is built, and
 every later step reads it.  When both measures are exact rationals and the
@@ -18,8 +22,8 @@ distance, plan, and dual certificate are exact.  Otherwise the scale is 1
 and the masses are binary64, where supply, demand and flow below 1e-15
 count as rounding noise and the accepted certificate error is relative to
 the largest cost: scaling the vertex weights scales every cost, and the
-accepted error with it.  Both number types run the same code; exact mode
-is the case of zero noise and zero tolerance.
+accepted error with it.  Both number types run the same code, apart from
+the exact phases; exact mode is the case of zero noise and zero tolerance.
 
 The dual certificate is a single function f, a dict on the full joint
 support with |f(a) - f(b)| <= d(a, b), built from the final potentials of
@@ -30,9 +34,10 @@ slackness on the residual plan, both marginals of the full plan, the
 Lipschitz bound on f, and the duality gap.  A failure raises TransportError
 naming the edge pair and the instance size.  The cost table is validated
 once, when the problem is built; the Lipschitz check walks unordered pairs,
-the dual objective is summed in the problem's units, and the marginal
-check sums the plan's masses as given, since a valid coupling need not be
-in those units.
+and the dual objective is summed in the problem's units.  So are the
+marginals of the solver's own plan, checked before the plan is converted to
+masses; the public verify_coupling sums a plan's masses as given, since a
+valid coupling need not be in those units.
 
 brute_force_wasserstein enumerates every vertex of the transportation
 polytope (spanning trees of the bipartite support graph) and is the
@@ -169,17 +174,12 @@ def solve_wasserstein(problem: TransportProblem) -> TransportResult:
         fix = sum(supply.values()) / sum(demand.values())
         demand = {b: d * fix for b, d in demand.items()}
 
-    def unscaled(x):
-        return Fraction(x, scale) if exact else x
-
     # Mass both measures hold at an atom stays put at zero cost; only the
     # residual instance, whose two supports are disjoint, is solved.
-    entries = []  # plan entries (source atom, sink atom, mass)
-    for a in supply.keys() & demand.keys():
-        common = min(supply[a], demand[a])
-        supply[a] -= common
-        demand[a] -= common
-        entries.append((a, a, unscaled(common)))
+    common = {a: min(supply[a], demand[a]) for a in supply.keys() & demand.keys()}
+    for a, x in common.items():
+        supply[a] -= x
+        demand[a] -= x
     sources = [a for a in mu.atoms if supply[a] > dust]
     sinks = [b for b in nu.atoms if demand[b] > dust]
     supply = [supply[a] for a in sources]
@@ -197,9 +197,56 @@ def solve_wasserstein(problem: TransportProblem) -> TransportResult:
     flow = [[zero] * T for _ in range(S)]
     phi = [zero] * (S + T)  # node potentials; reduced cost c + phi[u] - phi[v] >= 0
 
-    # Exact runs drain in at most S + T augmentations.  Float runs normally
-    # do too, but rounding can recycle residual arcs, so a hard cap turns a
-    # pathological instance into an error instead of a spin.
+    def ship(parent, tgt):
+        # walk the parent links back from sink tgt: each sink is entered by
+        # a forward arc from a source, and each source but the root by a
+        # backward arc from a sink, whose residual capacity is its flow
+        fwd, back = [], []
+        j = tgt
+        while True:
+            src = parent[S + j]
+            fwd.append((src, j))
+            if parent[src] is None:
+                break
+            j = parent[src] - S
+            back.append((src, j))
+        amt = min(supply[src], demand[tgt], *(flow[i][j] for i, j in back))
+        for i, j in fwd:
+            flow[i][j] += amt
+        for i, j in back:
+            flow[i][j] -= amt
+            if flow[i][j] < dust:
+                flow[i][j] = zero
+        supply[src] -= amt
+        demand[tgt] -= amt
+        if supply[src] < dust:
+            supply[src] = zero
+        if demand[tgt] < dust:
+            demand[tgt] = zero
+
+    def tight_search(tight):
+        # depth-first search from the sources with supply left, over
+        # residual arcs of reduced cost 0, for a sink with open demand: the
+        # search's parent links and that sink, or None when none is left;
+        # exact mode only, where every amount is an int
+        stack = [i for i in range(S) if supply[i]]
+        parent = dict.fromkeys(stack)
+        while stack:
+            u = stack.pop()
+            for v in tight[u] if u < S else [i for i in range(S) if flow[i][u - S]]:
+                if v not in parent:
+                    parent[v] = u
+                    if v >= S and demand[v - S]:
+                        return parent, v - S
+                    stack.append(v)
+        return None
+
+    # The budget caps Dijkstra rounds.  Each round ships along at least one
+    # path, and in exact mode each path ships at least one unit (amounts are
+    # positive integers), so the phase loop after a round ends and there are
+    # at most as many rounds as units of supply; no bound in S and T is
+    # proven here.  Float rounding can recycle residual arcs, so the cap
+    # turns a pathological instance into an error instead of a spin.
     budget = (S + 2) * (T + 2) * 8
     active_sources = [i for i in range(S) if supply[i] > dust]
     while active_sources:
@@ -253,40 +300,26 @@ def solve_wasserstein(problem: TransportProblem) -> TransportResult:
         for v in range(S + T):
             phi[v] = phi[v] + (dist[v] if dist[v] is not None and dist[v] < d_tgt else d_tgt)
 
-        # trace the augmenting path back to its source; a backward arc's
-        # residual capacity is its current flow
-        path = []
-        v = S + tgt
-        while parent[v] is not None:
-            path.append((parent[v], v))
-            v = parent[v]
-        src = v
-        amt = min(supply[src], demand[tgt], *(flow[w][u - S] for u, w in path if u >= S))
-        for u, w in path:
-            if u < S:
-                flow[u][w - S] += amt
-            else:
-                flow[w][u - S] -= amt
-                if flow[w][u - S] < dust:
-                    flow[w][u - S] = zero
-        supply[src] -= amt
-        demand[tgt] -= amt
-        if supply[src] < dust:
-            supply[src] = zero
-        if demand[tgt] < dust:
-            demand[tgt] = zero
+        ship(parent, tgt)
+        if exact:
+            # primal-dual phase: ship along every path of reduced cost 0
+            # before the next Dijkstra; forward arcs are tight for the phase,
+            # backward arcs carry flow and so are tight by slackness
+            tight = [[S + j for j in range(T) if cost[i][j] + phi[i] == phi[S + j]]
+                     for i in range(S)]
+            while found := tight_search(tight):
+                ship(*found)
         active_sources = [i for i in range(S) if supply[i] > dust]
 
-    total = zero
-    for i in range(S):
-        for j in range(T):
-            x = flow[i][j]
-            if x > zero:
-                entries.append((sources[i], sinks[j], unscaled(x)))
-                total += x * cost[i][j]
-    distance = unscaled(total)
-    entries.sort(key=lambda t: (t[0], t[1]))
-    plan = tuple(entries)
+    def in_units():
+        # the full plan's (source atom, sink atom, amount in units) entries,
+        # generated once to be checked and once to be converted: a kept list
+        # re-tupled into the plan leaves fragments that raise peak memory
+        yield from ((a, a, x) for a, x in common.items())
+        for i in range(S):
+            for j in range(T):
+                if flow[i][j] > zero:
+                    yield sources[i], sinks[j], flow[i][j]
 
     # envelope dual certificate over the whole joint support:
     # f(a) = min_j (beta_j + d(a, sink_j)) over the residual sinks, and
@@ -296,13 +329,24 @@ def solve_wasserstein(problem: TransportProblem) -> TransportResult:
     for a in problem.joint_support():
         dual[a] = min((beta[b] + problem.cost[(a, b)] for b in sinks), default=zero)
 
-    # the certificate: complementary slackness on the residual plan, then,
-    # on the uncancelled problem, plan marginals, dual feasibility, and a
-    # closed duality gap
-    _check_complementary_slackness(cost, flow, phi, S, T, eps_cs, failure)
-    violations = verify_coupling(problem, plan)
+    # the certificate: complementary slackness on the residual plan (whose
+    # cost is summed on the way), then, on the uncancelled problem, plan
+    # marginals in units, dual feasibility, and a closed duality gap
+    total = zero
+    for i in range(S):
+        for j in range(T):
+            x = flow[i][j]
+            if x > zero:
+                rc = cost[i][j] + phi[i] - phi[S + j]
+                if abs(rc) > eps_cs * max(1.0, abs(cost[i][j])):
+                    raise failure(f"complementary slackness violated on arc ({i},{j}): {rc}")
+                total += x * cost[i][j]
+    violations = _marginal_violations(in_units(), problem.supply, problem.demand, exact)
     if violations:
         raise failure(f"invalid plan: {violations[0]}")
+    distance = Fraction(total, scale) if exact else total
+    # (source, sink) pairs are unique, so the sort compares no amounts
+    plan = tuple(sorted((a, b, Fraction(x, scale) if exact else x) for a, b, x in in_units()))
     excess = lipschitz_excess(problem, dual)
     if excess > tol:
         raise failure(f"dual certificate breaks the Lipschitz bound by {excess}")
@@ -312,15 +356,6 @@ def solve_wasserstein(problem: TransportProblem) -> TransportResult:
     return TransportResult(distance, plan, dual, gap)
 
 
-def _check_complementary_slackness(cost, flow, phi, S, T, eps_cs, failure):
-    for i in range(S):
-        for j in range(T):
-            if flow[i][j] > 0.0:
-                rc = cost[i][j] + phi[i] - phi[S + j]
-                if abs(rc) > eps_cs * max(1.0, abs(cost[i][j])):
-                    raise failure(f"complementary slackness violated on arc ({i},{j}): {rc}")
-
-
 def verify_coupling(problem: TransportProblem,
                     plan: tuple[tuple[int, int, object], ...]) -> tuple[str, ...]:
     """Recheck both marginals: the violations, empty for a coupling.
@@ -328,8 +363,16 @@ def verify_coupling(problem: TransportProblem,
     Names the first offending row and column.  The plan's masses are summed
     as given, not in solver units, so any coupling of mu and nu passes.
     """
-    row = dict.fromkeys(problem.mu.atoms, 0)
-    col = dict.fromkeys(problem.nu.atoms, 0)
+    return _marginal_violations(plan, problem.mu.as_dict(), problem.nu.as_dict(),
+                                problem.exact)
+
+
+def _marginal_violations(plan, mu: Mapping[int, object], nu: Mapping[int, object],
+                         exact: bool) -> tuple[str, ...]:
+    """Row and column sums of plan against the atom -> amount maps mu and nu,
+    with tolerance 0 when exact and 1e-12 otherwise."""
+    row = dict.fromkeys(mu, 0)
+    col = dict.fromkeys(nu, 0)
     violations = []
     for a, b, mass in plan:
         if a not in row:
@@ -340,12 +383,12 @@ def verify_coupling(problem: TransportProblem,
             continue
         row[a] += mass
         col[b] += mass
-    tol = 0 if problem.exact else 1e-12
-    for a, want in zip(problem.mu.atoms, problem.mu.masses):
+    tol = 0 if exact else 1e-12
+    for a, want in mu.items():
         if abs(row[a] - want) > tol:
             violations.append(f"row {a}: mass {row[a]} != mu {want}")
             break
-    for b, want in zip(problem.nu.atoms, problem.nu.masses):
+    for b, want in nu.items():
         if abs(col[b] - want) > tol:
             violations.append(f"column {b}: mass {col[b]} != nu {want}")
             break
