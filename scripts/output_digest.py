@@ -5,7 +5,7 @@ For every input, run ``verify --format json|text|csv``,
 ``curvature --all-pairs --format csv``, ``curvature --format json`` (the
 adjacent table), and ``spectrum --format json`` and ``spectrum
 --dump-matrix vertex|edge`` for each weighting that applies (unit, walk
-and degree on edge lists, graph on weighted documents) in process, and
+and degree on edge lists, and graph too on weighted documents) in process, and
 print one line per invocation: the exit code, the sha256 of stdout and
 stderr, the input and the command.  The corpus is built here and nowhere
 else: the families below (seed 0) as edge lists, and for each family
@@ -105,7 +105,7 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         plain = COMMANDS + spectrum_commands(("unit", "walk", "degree"))
         inputs = [(family, ["--family", family], plain) for family in FAMILIES]
-        weighted = COMMANDS + spectrum_commands(("graph",))
+        weighted = COMMANDS + spectrum_commands(("unit", "walk", "degree", "graph"))
         for family in FAMILIES:
             for weights in WEIGHTS:
                 path = Path(tmp) / f"{len(inputs)}.json"

@@ -363,19 +363,18 @@ def criterion_9(seed: int = 0) -> CriterionResult:
     rng = SplitMix64(seed * 307 + 99)
     for spec in _FLOAT_TRANSPORT_CORPUS:
         wg = _random_weighted(generate(spec, seed=seed * 307 + 1), rng)
-        base = wg.graph
         for (e, f), cp in sorted(ricci_all_adjacent(wg).items()):
             gaps += 1
             if abs(cp.transport.gap) > _TOL:
-                failures.append(f"weighted {spec} {base.edge_name(e)},"
-                                f"{base.edge_name(f)}: gap {cp.transport.gap!r}")
+                failures.append(f"weighted {spec} {wg.edge_name(e)},"
+                                f"{wg.edge_name(f)}: gap {cp.transport.gap!r}")
             problem = pair_transport_problem(wg, e, f)
             if len(problem.mu.atoms) <= 4 and len(problem.nu.atoms) <= 4:
                 oracles += 1
                 bf = brute_force_wasserstein(problem)
                 if abs(bf - cp.wasserstein) > _TOL * max(1.0, abs(bf)):
-                    failures.append(f"weighted {spec} {base.edge_name(e)},"
-                                    f"{base.edge_name(f)}: solver "
+                    failures.append(f"weighted {spec} {wg.edge_name(e)},"
+                                    f"{wg.edge_name(f)}: solver "
                                     f"{cp.wasserstein!r} != oracle {bf!r}")
     return _verdict(9, title, failures,
                     f"{gaps} gaps closed, {oracles} oracle comparisons agree")

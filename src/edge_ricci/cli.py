@@ -19,13 +19,7 @@ import sys
 from .acceptance import run_all
 from .curvature import ricci_all_adjacent, ricci_all_pairs
 from .errors import EdgeRicciError, FormatError, InvalidParameterError
-from .graph_core import (
-    base_graph,
-    generate,
-    parse_edgelist,
-    parse_weighted,
-    serialize_edgelist,
-)
+from .graph_core import generate, parse_edgelist, parse_weighted, serialize_edgelist
 from .laplacian import OPERATORS, WEIGHTINGS, assemble, dump_matrix
 from .spectra import spectrum_of
 from .verify import (
@@ -134,9 +128,8 @@ def _cmd_generate(args) -> int:
 
 
 def _curvature_rows(g, all_pairs: bool):
-    base = base_graph(g)
     pairs = ricci_all_pairs(g) if all_pairs else sorted(ricci_all_adjacent(g).items())
-    return [(base.edge_name(e), base.edge_name(f), float(cp.kappa)) for (e, f), cp in pairs]
+    return [(g.edge_name(e), g.edge_name(f), float(cp.kappa)) for (e, f), cp in pairs]
 
 
 def _cmd_curvature(args) -> int:
@@ -157,14 +150,14 @@ def _cmd_curvature(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    g = _load_graph(args)
-    if args.dump_matrix is not None:
-        matrix = assemble(g, args.dump_matrix, args.weighting)
-        _emit(dump_matrix(matrix, args.dump_matrix, base_graph(g).n_edges), args.output)
-        return 0
     if args.zero_tol is not None and not (math.isfinite(args.zero_tol) and args.zero_tol >= 0):
         raise InvalidParameterError(
             f"--zero-tol must be a finite number >= 0, got {args.zero_tol}")
+    g = _load_graph(args)
+    if args.dump_matrix is not None:
+        matrix = assemble(g, args.dump_matrix, args.weighting)
+        _emit(dump_matrix(matrix, args.dump_matrix, g.n_edges), args.output)
+        return 0
     spec = spectrum_of(g, args.operator, args.weighting, zero_tol=args.zero_tol)
     values = spec.values
     if args.format == "json":

@@ -41,7 +41,7 @@ from .errors import (
     NotATreeError,
     SamePairError,
 )
-from .graph_core import Graph, WeightedGraph, base_graph, derived, is_tree, vertex_degree
+from .graph_core import Graph, WeightedGraph, derived, is_tree, vertex_degree
 from .transport import TransportProblem, TransportResult, solve_wasserstein
 
 
@@ -97,13 +97,12 @@ def ricci_all_adjacent(g) -> dict[tuple[int, int], CurvaturePair]:
     """Curvature for every unordered adjacent pair, keyed by (e, f), e < f.
 
     The table is built once per graph instance and kept by derived; a
-    WeightedGraph and its base Graph each keep their own.  Every call
-    returns that same dict, which callers must treat as read-only.
+    WeightedGraph and the Graph it was built from each keep their own.
+    Every call returns that same dict, which callers must treat as read-only.
     """
-    base = base_graph(g)
     return derived(g, "ricci_all_adjacent", lambda: {
         (e, f): ricci(g, e, f)
-        for e in range(base.n_edges) for f in edge_neighborhood(base, e) if f > e
+        for e in range(g.n_edges) for f in edge_neighborhood(g, e) if f > e
     })
 
 
@@ -115,7 +114,7 @@ def ricci_all_pairs(g):
     table is retained.
     """
     table = ricci_all_adjacent(g)
-    m = base_graph(g).n_edges
+    m = g.n_edges
     for e in range(m):
         for f in range(e + 1, m):
             cp = table.get((e, f))
@@ -154,9 +153,8 @@ def _require_adjacent(g, e: int, f: int) -> None:
     if e == f:
         raise SamePairError(f"need two distinct edges, got {e} twice")
     if not edges_adjacent(g, e, f):
-        base = base_graph(g)
         raise NotAdjacentError(
-            f"edges {base.edge_name(e)} and {base.edge_name(f)} share no vertex"
+            f"edges {g.edge_name(e)} and {g.edge_name(f)} share no vertex"
         )
 
 

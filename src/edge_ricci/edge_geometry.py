@@ -13,9 +13,9 @@ and carries exact rationals, a WeightedGraph carries floats.
   connector weights, the hop count at unit weights.
 
 edge_space(g) builds a graph's space once and is the one place that picks
-its class: EdgeSpace (int degrees and BFS hop rows) for a Graph,
-WeightedEdgeSpace (float degrees and Dijkstra rows) for a WeightedGraph.
-Both expose the same fields, and every function below reads them alone.
+its class: EdgeSpace (int degrees and BFS hop rows) for a Graph, its
+subclass WeightedEdgeSpace (float degrees and Dijkstra rows) for a
+WeightedGraph.  Every function below reads their common fields alone.
 The space and each edge's measure are kept per graph by graph_core.derived.
 """
 
@@ -25,12 +25,9 @@ import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
 
 from .errors import IsolatedEdgeError, NonpositiveWeightError, UnknownEdgeError
-from .graph_core import Graph, WeightedGraph, base_graph, derived
-
-AnyGraph = Union[Graph, WeightedGraph]
+from .graph_core import Graph, WeightedGraph, derived
 
 
 class EdgeSpace:
@@ -90,35 +87,30 @@ class EdgeSpace:
         return out
 
 
-class WeightedEdgeSpace:
-    """Line adjacency of a WeightedGraph's base Graph with its float weights.
+class WeightedEdgeSpace(EdgeSpace):
+    """Line adjacency of a WeightedGraph with its float weights.
 
     The same fields as EdgeSpace, with weight[e] the edge weight and
     degrees[e] the weight sum over the neighbors; rows are Dijkstra
-    distances whose hops cost the shared vertex's weight.  Holds the base
-    Graph (for edge names) but no reference to the WeightedGraph that keeps
-    it, so that graph is freed by reference counting alone.
+    distances whose hops cost the shared vertex's weight.  Holds the labels
+    and edges (for edge names) but not the graph that keeps it, so that
+    graph is freed by reference counting alone.
     """
 
-    __slots__ = ("neighbors", "shared_vertex", "degrees", "weight", "vertex_weight",
-                 "_base", "_rows")
+    __slots__ = ("vertex_weight", "_labels", "_edges")
 
     def __init__(self, wg: WeightedGraph):
-        base = wg.graph
-        self._base = base
-        space = edge_space(base)
-        self.neighbors = space.neighbors
-        self.shared_vertex = space.shared_vertex
-        self.weight = tuple(wg.w_edge(e) for e in range(base.n_edges))
+        super().__init__(wg)
+        self._labels, self._edges = wg.labels, wg.edges
+        self.weight = tuple(map(wg.w_edge, range(wg.n_edges)))
         self.degrees = tuple(sum(self.weight[f] for f in nbrs) for nbrs in self.neighbors)
         for e, d in enumerate(self.degrees):
             if not math.isfinite(d):
                 raise NonpositiveWeightError(
-                    f"edge {base.edge_name(e)} has weighted degree {d}: "
+                    f"edge {wg.edge_name(e)} has weighted degree {d}: "
                     f"its neighbors' weights overflow a float"
                 )
-        self.vertex_weight = tuple(wg.w_vertex(v) for v in base.labels)
-        self._rows: dict[int, tuple[float, ...]] = {}
+        self.vertex_weight = tuple(map(wg.w_vertex, wg.labels))
 
     def row(self, e: int) -> tuple[float, ...]:
         """Dijkstra distance row from edge e, each hop charged its connector."""
@@ -140,8 +132,9 @@ class WeightedEdgeSpace:
                     heapq.heappush(pq, (nd, b))
         # the graph is connected, so an infinite distance is an overflow
         if math.inf in dist:
+            i, j = self._edges[e]
             raise NonpositiveWeightError(
-                f"edge distances from {self._base.edge_name(e)} reach inf: "
+                f"edge distances from {self._labels[i]}-{self._labels[j]} reach inf: "
                 f"its connectors' vertex weights overflow a float"
             )
         out = tuple(dist)
@@ -149,35 +142,35 @@ class WeightedEdgeSpace:
         return out
 
 
-def edge_space(g: AnyGraph) -> EdgeSpace | WeightedEdgeSpace:
+def edge_space(g: Graph) -> EdgeSpace:
     """The graph's edge space, built on first use and kept by derived."""
     kind = WeightedEdgeSpace if isinstance(g, WeightedGraph) else EdgeSpace
     return derived(g, "edge_space", lambda: kind(g))
 
 
-def _check_ordinal(g: AnyGraph, e: int) -> int:
-    base = base_graph(g)
-    if not 0 <= e < base.n_edges:
-        raise UnknownEdgeError(f"edge ordinal {e} out of range (0..{base.n_edges - 1})")
+def _check_ordinal(g: Graph, e: int) -> int:
+    if not 0 <= e < g.n_edges:
+        raise UnknownEdgeError(f"edge ordinal {e} out of range (0..{g.n_edges - 1})")
     return e
 
 
-def edge_neighborhood(g: AnyGraph, e: int) -> tuple[int, ...]:
+def edge_neighborhood(g: Graph, e: int) -> tuple[int, ...]:
     """Ordinals of the edges sharing a vertex with e, ascending."""
     _check_ordinal(g, e)
     return edge_space(g).neighbors[e]
 
 
-def edge_degree(g: AnyGraph, e: int):
+def edge_degree(g: Graph, e: int):
     """Weight sum d_e over the neighborhood of e: the int neighbor count
-    deg(x) + deg(y) - 2 for e = {x, y} on a Graph, a float otherwise."""
+    deg(x) + deg(y) - 2 for e = {x, y} unweighted, a float on a
+    WeightedGraph."""
     _check_ordinal(g, e)
     return edge_space(g).degrees[e]
 
 
-def edge_distance(g: AnyGraph, e: int, e2: int):
+def edge_distance(g: Graph, e: int, e2: int):
     """Cheapest connector-weight sum over edge paths from e to e2 (0 iff
-    e == e2): the int hop count on a Graph, a float otherwise."""
+    e == e2): the int hop count unweighted, a float on a WeightedGraph."""
     _check_ordinal(g, e)
     _check_ordinal(g, e2)
     return edge_space(g).row(e)[e2]
@@ -206,7 +199,7 @@ class EdgeMeasure:
         return dict(zip(self.atoms, self.masses))
 
 
-def edge_measure(g: AnyGraph, e: int) -> EdgeMeasure:
+def edge_measure(g: Graph, e: int) -> EdgeMeasure:
     """Mass w(f)/d_e on each neighbor f of e (uniform 1/d_e at unit weights).
 
     Built once per edge and graph, and kept by derived.
@@ -215,18 +208,18 @@ def edge_measure(g: AnyGraph, e: int) -> EdgeMeasure:
     return derived(g, ("edge_measure", e), lambda: _build_measure(g, e))
 
 
-def _build_measure(g: AnyGraph, e: int) -> EdgeMeasure:
+def _build_measure(g: Graph, e: int) -> EdgeMeasure:
     space = edge_space(g)
     nbrs = space.neighbors[e]
     if not nbrs:
         raise IsolatedEdgeError(
-            f"edge {base_graph(g).edge_name(e)} has no neighbors; its measure is undefined"
+            f"edge {g.edge_name(e)} has no neighbors; its measure is undefined"
         )
     d = space.degrees[e]
     return EdgeMeasure(e, nbrs, tuple(space.weight[f] / d for f in nbrs))
 
 
-def pairwise_costs(g: AnyGraph, atoms: tuple[int, ...]) -> dict[tuple[int, int], object]:
+def pairwise_costs(g: Graph, atoms: tuple[int, ...]) -> dict[tuple[int, int], object]:
     """Distance table over all ordered atom pairs (ints, or floats if weighted)."""
     space = edge_space(g)
     out: dict[tuple[int, int], object] = {}

@@ -175,15 +175,16 @@ def is_tree(g: Graph) -> bool:
     return g.n_edges == g.n_vertices - 1
 
 
-class WeightedGraph:
-    """A Graph plus positive vertex and edge weights (default 1.0).
+class WeightedGraph(Graph):
+    """A Graph with positive vertex and edge weights (default 1.0).
 
-    Weight maps are exposed as plain dicts but must be treated as read-only;
-    the class keeps identity semantics so the values `derived` keeps per
-    instance stay valid.  Those are separate from the base Graph's own.
+    It takes the structural fields of the Graph it is built from as they
+    are, and adds the two weight maps.  Those are plain dicts but must be
+    treated as read-only.  Equality is identity, so a WeightedGraph never
+    equals its base and keeps its own `derived` values.
     """
 
-    __slots__ = ("graph", "vertex_weight", "edge_weight", "_derived", "__weakref__")
+    __slots__ = ("vertex_weight", "edge_weight")
 
     def __init__(
         self,
@@ -191,42 +192,42 @@ class WeightedGraph:
         vertex_weight: Mapping[str, float] | None = None,
         edge_weight: Mapping[tuple[str, str], float] | None = None,
     ):
-        self.graph = graph
-        vw = {v: 1.0 for v in graph.labels}
+        self.labels, self.index, self.edges = graph.labels, graph.index, graph.edges
+        self.adjacency, self._adj_idx = graph.adjacency, graph._adj_idx
+        self._edge_lookup = graph._edge_lookup
+        self._derived = {}
+        vw = {v: 1.0 for v in self.labels}
         for v, w in (vertex_weight or {}).items():
-            if v not in graph.index:
+            if v not in self.index:
                 raise UnknownVertexError(f"vertex weight for unknown vertex {v!r}")
             vw[v] = _check_weight(w, f"vertex {v!r}")
-        ew = {}
-        for e in range(graph.n_edges):
-            ew[graph.edge_endpoints(e)] = 1.0
+        ew = {self.edge_endpoints(e): 1.0 for e in range(self.n_edges)}
         for (u, v), w in (edge_weight or {}).items():
-            key = graph.edge_endpoints(graph.edge_ordinal(u, v))
+            key = self.edge_endpoints(self.edge_ordinal(u, v))
             ew[key] = _check_weight(w, f"edge {u!r} {v!r}")
         self.vertex_weight = vw
         self.edge_weight = ew
-        self._derived = {}
+
+    def __eq__(self, other: object) -> bool:
+        return self is other
+
+    __hash__ = object.__hash__
 
     def w_vertex(self, v: str) -> float:
         return self.vertex_weight[v]
 
     def w_edge(self, e: int) -> float:
-        return self.edge_weight[self.graph.edge_endpoints(e)]
+        return self.edge_weight[self.edge_endpoints(e)]
 
     def has_constant_vertex_weights(self) -> bool:
         vals = list(self.vertex_weight.values())
         return all(math.isclose(w, vals[0], rel_tol=1e-12) for w in vals)
 
     def __repr__(self) -> str:
-        return f"WeightedGraph({self.graph!r})"
+        return f"WeightedGraph({super().__repr__()})"
 
 
-def base_graph(g: Graph | WeightedGraph) -> Graph:
-    """The Graph underneath a Graph or WeightedGraph."""
-    return g.graph if isinstance(g, WeightedGraph) else g
-
-
-def derived(g: Graph | WeightedGraph, key, build):
+def derived(g: Graph, key, build):
     """The value kept on g under key, made by build() on first use.
 
     This is the one place per-graph values are cached: the edge space, edge
@@ -347,16 +348,14 @@ def parse_weighted(text: str) -> WeightedGraph:
     for v, w in raw_vw.items():
         vw[_coerce_label(v)] = _check_weight(w, f"vertex {v!r}")
 
-    graph = Graph(labels, pairs)
-    return WeightedGraph(graph, vertex_weight=vw, edge_weight=ew)
+    return WeightedGraph(Graph(labels, pairs), vertex_weight=vw, edge_weight=ew)
 
 
 def serialize_weighted(wg: WeightedGraph) -> str:
-    g = wg.graph
     doc = {
         "edges": [[u, v, wg.edge_weight[(u, v)]]
-                  for u, v in (g.edge_endpoints(e) for e in range(g.n_edges))],
-        "vertex_weights": {v: wg.vertex_weight[v] for v in g.labels},
+                  for u, v in map(wg.edge_endpoints, range(wg.n_edges))],
+        "vertex_weights": {v: wg.vertex_weight[v] for v in wg.labels},
     }
     return json.dumps(doc, sort_keys=False)
 

@@ -41,32 +41,32 @@ from fractions import Fraction
 
 from .edge_geometry import edge_space
 from .errors import InvalidParameterError, IsolatedEdgeError
-from .graph_core import WeightedGraph, base_graph, vertex_degree
+from .graph_core import WeightedGraph, vertex_degree
 
 OPERATORS = ("vertex", "edge")
 WEIGHTINGS = ("unit", "walk", "degree", "graph")
 
 
 def weight_pair(g, weighting: str):
-    """The scheme's diagonals: w0 over vertices, w1 over edges."""
-    base = base_graph(g)
-    n, m = base.n_vertices, base.n_edges
+    """The scheme's diagonals: w0 over vertices, w1 over edges.  Only
+    'graph' reads weights; 'degree' uses neighbor counts."""
+    n, m = g.n_vertices, g.n_edges
     if weighting == "unit":
         return [Fraction(1)] * n, [Fraction(1)] * m
     if weighting == "walk":
-        w0 = [Fraction(vertex_degree(base, v)) for v in base.labels]
+        w0 = [Fraction(vertex_degree(g, v)) for v in g.labels]
         return w0, [Fraction(1)] * m
     if weighting == "degree":
-        space = edge_space(base)
-        if any(d == 0 for d in space.degrees):
+        counts = [len(nbrs) for nbrs in edge_space(g).neighbors]
+        if 0 in counts:
             raise IsolatedEdgeError(
                 "degree weighting needs every edge to have a neighbor"
             )
-        return [Fraction(1)] * n, [Fraction(1, space.degrees[e]) for e in range(m)]
+        return [Fraction(1)] * n, [Fraction(1, c) for c in counts]
     if weighting == "graph":
         if not isinstance(g, WeightedGraph):
             raise InvalidParameterError("weighting 'graph' needs a WeightedGraph")
-        w0 = [g.w_vertex(lbl) for lbl in g.graph.labels]
+        w0 = [g.w_vertex(lbl) for lbl in g.labels]
         w1 = [g.w_edge(e) for e in range(m)]
         return w0, w1
     raise InvalidParameterError(
@@ -74,7 +74,7 @@ def weight_pair(g, weighting: str):
     )
 
 
-def _incidence_product(base, operator: str, left, right, zero=0):
+def _incidence_product(g, operator: str, left, right, zero=0):
     """L^T R (vertex) or L R^T (edge) for two matrices shaped like D.
 
     left[e] and right[e] hold row e's entries at the tail and at the head
@@ -83,17 +83,17 @@ def _incidence_product(base, operator: str, left, right, zero=0):
     would add them, starting from `zero`: O(m + sum of squared vertex
     degrees) work.
     """
-    n, m = base.n_vertices, base.n_edges
+    n, m = g.n_vertices, g.n_edges
     if operator == "vertex":
         out = [[zero] * n for _ in range(n)]
-        for (i, j), (li, lj), (ri, rj) in zip(base.edges, left, right):
+        for (i, j), (li, lj), (ri, rj) in zip(g.edges, left, right):
             out[i][i] += li * ri
             out[i][j] += li * rj
             out[j][i] += lj * ri
             out[j][j] += lj * rj
         return out
     incident: list[list[tuple]] = [[] for _ in range(n)]
-    for e, ((i, j), (li, lj), (ri, rj)) in enumerate(zip(base.edges, left, right)):
+    for e, ((i, j), (li, lj), (ri, rj)) in enumerate(zip(g.edges, left, right)):
         incident[i].append((e, li, ri))
         incident[j].append((e, lj, rj))
     out = [[zero] * m for _ in range(m)]
@@ -105,11 +105,11 @@ def _incidence_product(base, operator: str, left, right, zero=0):
     return out
 
 
-def _operands(g, operator: str, weighting: str):
-    """The base graph and the scheme's (w0, w1), once the operator is known."""
+def _weights(g, operator: str, weighting: str):
+    """The scheme's (w0, w1), once the operator is known."""
     if operator not in OPERATORS:
         raise InvalidParameterError(f"operator must be one of {OPERATORS}, got {operator!r}")
-    return (base_graph(g), *weight_pair(g, weighting))
+    return weight_pair(g, weighting)
 
 
 def assemble(g, operator: str = "edge", weighting: str = "degree"):
@@ -118,15 +118,15 @@ def assemble(g, operator: str = "edge", weighting: str = "degree"):
     The product starts from the integer 0; scaling each row (vertex) or
     column (edge) by its weight gives every entry the weights' number type.
     """
-    base, w0, w1 = _operands(g, operator, weighting)
-    signs = [(-1, 1)] * base.n_edges
+    w0, w1 = _weights(g, operator, weighting)
+    signs = [(-1, 1)] * g.n_edges
     if operator == "vertex":
         # W0^-1 D^T W1 D: D^T times W1 D, then row u divided by w0[u]
-        out = _incidence_product(base, operator, signs, [(-w, w) for w in w1])
+        out = _incidence_product(g, operator, signs, [(-w, w) for w in w1])
         return [[x / w for x in row] for row, w in zip(out, w0)]
     # D W0^-1 D^T W1: D times W0^-1 D^T, then column f multiplied by w1[f]
-    right = [(-1 / w0[i], 1 / w0[j]) for i, j in base.edges]
-    out = _incidence_product(base, operator, signs, right)
+    right = [(-1 / w0[i], 1 / w0[j]) for i, j in g.edges]
+    out = _incidence_product(g, operator, signs, right)
     return [[x * w for x, w in zip(row, w1)] for row in out]
 
 
@@ -137,12 +137,12 @@ def symmetrized(g, operator: str = "edge", weighting: str = "degree"):
     operator is similar to B^T B and the edge operator to B B^T.  Entries
     are floats (the conjugation takes square roots).
     """
-    base, w0, w1 = _operands(g, operator, weighting)
+    w0, w1 = _weights(g, operator, weighting)
     root0 = [math.sqrt(w) for w in w0]
     # row e of B: its entries at the tail and at the head of e
     b = [(-math.sqrt(w) / root0[i], math.sqrt(w) / root0[j])
-         for (i, j), w in zip(base.edges, w1)]
-    return _incidence_product(base, operator, b, b, 0.0)
+         for (i, j), w in zip(g.edges, w1)]
+    return _incidence_product(g, operator, b, b, 0.0)
 
 
 def dump_matrix(matrix, label: str, n_edges: int) -> str:

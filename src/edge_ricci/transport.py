@@ -439,7 +439,9 @@ def _defined_on(dual: Mapping[int, object], joint: tuple[int, ...]) -> Mapping[i
 
 # ------------------------------------------------------------------ oracle
 
-_MAX_ORACLE_SIDE = 6
+# the arc subsets _elimination_plans tests at 4x5, the widest instance the
+# oracle is meant for; 5x5 takes 2 042 975 of them
+_MAX_ORACLE_SUBSETS = math.comb(20, 8)
 _tree_plans: dict[tuple[int, int], list] = {}
 
 
@@ -509,13 +511,17 @@ def brute_force_wasserstein(problem: TransportProblem) -> object:
     to integers by the LCM of the mass denominators, every vertex is
     evaluated in integer arithmetic, and the minimum comes back as a
     Fraction over that scale.  Float instances are enumerated in floats.
-    Intended for supports with at most four atoms per side (the oracle bound
-    in the test suite); refuses anything wider than six to keep enumeration
-    honest.
+    Listing the trees tests C(s t, s + t - 1) arc subsets for s and t atoms
+    a side, so the oracle refuses, before listing any, every instance that
+    needs more than 4x5 does: C(20, 8) = 125 970.  6x1, 4x4 and 3x6 are in
+    reach; 5x5 and 4x6 are not.
     """
     s, t = len(problem.mu.atoms), len(problem.nu.atoms)
-    if s > _MAX_ORACLE_SIDE or t > _MAX_ORACLE_SIDE:
-        raise TransportError(f"oracle limited to {_MAX_ORACLE_SIDE} atoms per side")
+    subsets = math.comb(s * t, s + t - 1)
+    if subsets > _MAX_ORACLE_SUBSETS:
+        raise TransportError(
+            f"oracle limited to {_MAX_ORACLE_SUBSETS} arc subsets, "
+            f"{s}x{t} atoms need {subsets}")
     sources = list(problem.mu.atoms)
     sinks = list(problem.nu.atoms)
     cost = [[problem.cost[(a, b)] for b in sinks] for a in sources]

@@ -32,7 +32,7 @@ from .curvature import (
 )
 from .edge_geometry import edge_space
 from .errors import InvalidParameterError
-from .graph_core import Graph, WeightedGraph, base_graph, is_tree
+from .graph_core import Graph, WeightedGraph, is_tree
 from .spectra import spectral_equivalence_gap, spectrum_of
 
 _GAP_TOL = 1e-9
@@ -80,16 +80,16 @@ def _inapplicable(name, reason, diagnostic=False):
 
 
 def edge_regularity(g):
-    """The common edge degree when all |Gamma(e)| agree, else None."""
-    base = base_graph(g)
-    degrees = edge_space(base).degrees
-    return degrees[0] if len(set(degrees)) == 1 else None
+    """The common neighbor count when all |Gamma(e)| agree, else None;
+    never a weighted degree."""
+    counts = {len(nbrs) for nbrs in edge_space(g).neighbors}
+    return counts.pop() if len(counts) == 1 else None
 
 
 def _gap_hypotheses(g, name: str, diagnostic: bool = False):
     """(d, kappa_min, pair) when g is edge-regular with a positive adjacent
     curvature minimum, else the inapplicable check naming what failed."""
-    d = edge_regularity(base_graph(g))
+    d = edge_regularity(g)
     if d is None:
         what = "edge neighbor counts" if isinstance(g, WeightedGraph) else "edge degrees"
         return _inapplicable(name, f"{what} are not all equal", diagnostic)
@@ -112,25 +112,23 @@ def check_spectral_gap_bound(g) -> TheoremCheck:
     inapplicable with the reason recorded.
     """
     name = "spectral-gap-vs-curvature"
-    base = base_graph(g)
-    found = _gap_hypotheses(base, name)
+    found = _gap_hypotheses(g, name)
     if isinstance(found, TheoremCheck):
         return found
     d, kmin, pair = found
-    lam1 = spectrum_of(base, "edge", "degree").lambda1
+    lam1 = spectrum_of(g, "edge", "degree").lambda1
     rhs = float(kmin) + 2.0 / d - 1.0
-    wit = ((f"pair {base.edge_name(pair[0])},{base.edge_name(pair[1])}", float(kmin)),
+    wit = ((f"pair {g.edge_name(pair[0])},{g.edge_name(pair[1])}", float(kmin)),
            ("edge-degree", float(d)))
     return _check(name, lam1, rhs, ">=", _GAP_TOL, wit)
 
 
-def _in_triangle(base: Graph, e: int, f: int) -> bool:
-    space = edge_space(base)
-    v = space.shared_vertex[e][f]
-    (a, b), (c, d) = base.edges[e], base.edges[f]
+def _in_triangle(g: Graph, e: int, f: int) -> bool:
+    v = edge_space(g).shared_vertex[e][f]
+    (a, b), (c, d) = g.edges[e], g.edges[f]
     x = a if b == v else b
     z = c if d == v else d
-    return base.labels[z] in base.adjacency[base.labels[x]]
+    return g.labels[z] in g.adjacency[g.labels[x]]
 
 
 def check_triangle_gap_diagnostic(g) -> TheoremCheck:
@@ -138,20 +136,19 @@ def check_triangle_gap_diagnostic(g) -> TheoremCheck:
     closes a triangle.  The 4/d constant shows up in that configuration but
     is never asserted; failures here are informational."""
     name = "spectral-gap-vs-curvature-triangle-diagnostic"
-    base = base_graph(g)
-    found = _gap_hypotheses(base, name, diagnostic=True)
+    found = _gap_hypotheses(g, name, diagnostic=True)
     if isinstance(found, TheoremCheck):
         return found
     d, kmin, _ = found
-    space = edge_space(base)
-    for e in range(base.n_edges):
+    space = edge_space(g)
+    for e in range(g.n_edges):
         for f in space.neighbors[e]:
-            if f > e and not _in_triangle(base, e, f):
+            if f > e and not _in_triangle(g, e, f):
                 return _inapplicable(
                     name,
-                    f"pair {base.edge_name(e)},{base.edge_name(f)} closes no triangle",
+                    f"pair {g.edge_name(e)},{g.edge_name(f)} closes no triangle",
                     diagnostic=True)
-    lam1 = spectrum_of(base, "edge", "degree").lambda1
+    lam1 = spectrum_of(g, "edge", "degree").lambda1
     rhs = float(kmin) + 4.0 / d - 1.0
     return _check(name, lam1, rhs, ">=", _GAP_TOL, (("edge-degree", float(d)),),
                   diagnostic=True)
@@ -164,21 +161,20 @@ def check_weighted_spectral_gap_bound(wg: WeightedGraph) -> TheoremCheck:
     name = "weighted-spectral-gap-vs-curvature"
     if not isinstance(wg, WeightedGraph):
         return _inapplicable(name, "needs a weighted graph")
-    base = wg.graph
     if not wg.has_constant_vertex_weights():
         return _inapplicable(name, "vertex weights are not constant")
-    w1_values = [wg.w_edge(e) for e in range(base.n_edges)]
+    w1_values = [wg.w_edge(e) for e in range(wg.n_edges)]
     if max(w1_values) - min(w1_values) > 1e-12 * max(w1_values):
         return _inapplicable(name, "edge weights are not constant")
     found = _gap_hypotheses(wg, name)
     if isinstance(found, TheoremCheck):
         return found
     d, kmin, pair = found
-    w0 = wg.w_vertex(base.labels[0])
+    w0 = wg.w_vertex(wg.labels[0])
     w1 = w1_values[0]
     lam1 = spectrum_of(wg, "edge", "graph").lambda1
     rhs = (d * (float(kmin) - 1.0) + 2.0) * w1 / w0
-    wit = ((f"pair {base.edge_name(pair[0])},{base.edge_name(pair[1])}", float(kmin)),
+    wit = ((f"pair {wg.edge_name(pair[0])},{wg.edge_name(pair[1])}", float(kmin)),
            ("neighbor-count", float(d)), ("w0", w0), ("w1", w1))
     return _check(name, lam1, rhs, ">=", _GAP_TOL, wit)
 
@@ -192,11 +188,10 @@ def check_bounds(g) -> list[TheoremCheck]:
     otherwise recorded as inapplicable (one entry per pair either way).
     """
     weighted = isinstance(g, WeightedGraph)
-    base = base_graph(g)
     const_vw = g.has_constant_vertex_weights() if weighted else True
     out = []
     for (e, f), cp in sorted(ricci_all_adjacent(g).items()):
-        tag = f"({base.edge_name(e)},{base.edge_name(f)})"
+        tag = f"({g.edge_name(e)},{g.edge_name(f)})"
         wit = ((f"kappa{tag}", float(cp.kappa)),)
         tol = _kappa_tol(cp.kappa)
         out.append(_check(f"curvature-floor{tag}", cp.kappa,
@@ -218,8 +213,7 @@ def check_adjacent_pair_reduction(g) -> TheoremCheck:
     """A curvature floor over adjacent pairs extends to all distinct pairs:
     min over every pair >= min over adjacent pairs."""
     name = "adjacent-min-extends-to-all-pairs"
-    base = base_graph(g)
-    if base.n_edges < 3:
+    if g.n_edges < 3:
         return _inapplicable(name, "fewer than three edges")
     lhs = kappa_min(g, "all")
     rhs = kappa_min(g, "adjacent")
@@ -229,10 +223,9 @@ def check_adjacent_pair_reduction(g) -> TheoremCheck:
 def check_spectral_equivalence(g, weighting: str = "degree") -> list[TheoremCheck]:
     """Vertex and edge operators of one weighting share nonzero spectra, and
     the edge operator's kernel has dimension |E| - |V| + 1."""
-    base = base_graph(g)
     gap = spectral_equivalence_gap(g, weighting)
     zero_mult = spectrum_of(g, "edge", weighting).zero_multiplicity
-    expected = base.n_edges - base.n_vertices + 1
+    expected = g.n_edges - g.n_vertices + 1
     return [
         _check(f"vertex-edge-nonzero-spectra[{weighting}]",
                gap, 0.0, "==", _EQUIV_TOL),
@@ -280,11 +273,10 @@ def verification_report(g) -> VerificationReport:
     """Run the full check battery appropriate to the graph's kind."""
     start = time.perf_counter()
     weighted = isinstance(g, WeightedGraph)
-    base = base_graph(g)
-    d = edge_regularity(base)
+    d = edge_regularity(g)
     summary = {
-        "vertices": base.n_vertices,
-        "edges": base.n_edges,
+        "vertices": g.n_vertices,
+        "edges": g.n_edges,
         "edge_regular_degree": d,
         "weighted": weighted,
     }
@@ -298,8 +290,8 @@ def verification_report(g) -> VerificationReport:
     checks.append(check_adjacent_pair_reduction(g))
     for weighting in (("graph",) if weighted else ("unit", "walk", "degree")):
         checks.extend(check_spectral_equivalence(g, weighting))
-    if not weighted and is_tree(base):
-        checks.extend(check_tree_formula(base))
+    if not weighted and is_tree(g):
+        checks.extend(check_tree_formula(g))
 
     curvature = tuple(
         (e, f, float(cp.kappa))
@@ -309,7 +301,7 @@ def verification_report(g) -> VerificationReport:
     spectra = {
         "L0": spectrum_of(g, "vertex", weighting).values,
         "L1": spectrum_of(g, "edge", weighting).values,
-        "Lprime1": spectrum_of(base, "edge", "degree").values,
+        "Lprime1": spectrum_of(g, "edge", "degree").values,
     }
     elapsed = time.perf_counter() - start
     return VerificationReport(summary, tuple(checks), curvature, spectra, elapsed)

@@ -192,6 +192,20 @@ def test_weighted_dump_matrix_bytes_are_pinned(capsys, tmp_path, operator):
     assert code == 0
     assert out == _WEIGHTED_DUMP_GOLDEN[operator]
 
+def test_zero_tol_is_checked_before_a_matrix_dump(capsys):
+    code, out, err = run_cli(capsys, "spectrum", "--family", "cycle:4",
+                             "--dump-matrix", "edge", "--zero-tol", "-1")
+    assert_one_error_line(code, err)
+    assert "--zero-tol must be a finite number >= 0" in err
+    assert out == ""
+    # a valid --zero-tol leaves the dump's bytes as they are
+    code, out, _ = run_cli(capsys, "spectrum", "--family", "complete:3",
+                           "--weighting", "degree", "--dump-matrix", "edge",
+                           "--zero-tol", "0.5")
+    assert code == 0
+    assert out == f"# edge 3 3 {_DUMP_HASH}\n" + _DUMP_GOLDEN["complete:3", "degree", "edge"]
+
+
 def test_verify_exit_codes_and_determinism(capsys):
     code, first, _ = run_cli(capsys, "verify", "--family", "complete:4",
                              "--format", "json")

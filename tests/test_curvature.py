@@ -201,24 +201,23 @@ def test_adjacent_table_is_built_once_per_graph():
     assert len(table) == 30  # no non-adjacent pair is added to the table
 
 
-def _weighted_circulant():
-    g = generate("circulant:8:1,2")
+def _weighted_circulant(g):
     return WeightedGraph(g, {"v0": 2.0},
                          {g.edge_endpoints(e): 1.0 + e / 10 for e in range(g.n_edges)})
 
 
 def test_weighted_and_base_graph_keep_separate_tables():
     # weighted first, then the base graph
-    wg = _weighted_circulant()
-    weighted = ricci_all_adjacent(wg)
-    plain = ricci_all_adjacent(wg.graph)
+    base = generate("circulant:8:1,2")
+    weighted = ricci_all_adjacent(_weighted_circulant(base))
+    plain = ricci_all_adjacent(base)
     assert plain is not weighted and plain.keys() == weighted.keys()
     assert all(isinstance(cp.kappa, float) for cp in weighted.values())
     assert all(isinstance(cp.kappa, Fraction) for cp in plain.values())
     # base graph first, then a weighted graph over it
-    wg = _weighted_circulant()
-    plain = ricci_all_adjacent(wg.graph)
-    weighted = ricci_all_adjacent(wg)
+    base = generate("circulant:8:1,2")
+    plain = ricci_all_adjacent(base)
+    weighted = ricci_all_adjacent(_weighted_circulant(base))
     assert all(isinstance(cp.kappa, Fraction) for cp in plain.values())
     assert all(isinstance(cp.kappa, float) for cp in weighted.values())
     assert any(weighted[k].kappa != plain[k].kappa for k in plain)
@@ -247,9 +246,9 @@ def test_report_solves_each_edge_pair_once(monkeypatch):
 
 def test_weighted_report_solves_each_edge_pair_once(monkeypatch):
     calls = _count_transport_solves(monkeypatch)
-    wg = _weighted_circulant()
+    wg = _weighted_circulant(generate("circulant:8:1,2"))
     verification_report(wg)
-    m = wg.graph.n_edges
+    m = wg.n_edges
     assert len(set(calls)) == m * (m - 1) // 2
     assert len(calls) == len(set(calls))
 

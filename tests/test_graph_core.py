@@ -90,7 +90,7 @@ def test_weighted_document_round_trip():
     # vertex indices may be reassigned by first appearance; labels must agree
     def label_pairs(g):
         return sorted(tuple(sorted(g.edge_endpoints(e))) for e in range(g.n_edges))
-    assert label_pairs(back.graph) == label_pairs(base)
+    assert label_pairs(back) == label_pairs(base)
     assert back.w_vertex("v0") == 2.0 and back.w_vertex("v1") == 1.0
     assert back.w_edge(base.edge_ordinal("v0", "v1")) == 0.25
     # document is valid JSON with the documented shape
@@ -116,6 +116,17 @@ def test_constant_vertex_weight_predicate():
     base = generate("cycle:4")
     assert WeightedGraph(base).has_constant_vertex_weights()
     assert not WeightedGraph(base, {"v0": 1.5}).has_constant_vertex_weights()
+
+
+def test_a_weighted_graph_is_a_graph_equal_only_to_itself():
+    base = generate("cycle:4")
+    wg = WeightedGraph(base, {"v0": 2.0})
+    assert isinstance(wg, Graph)
+    assert (wg.labels, wg.edges) == (base.labels, base.edges)
+    assert wg != base and base != wg
+    twin = WeightedGraph(base, {"v0": 2.0})
+    assert wg == wg and wg != twin
+    assert len({base, wg, twin}) == 3
 
 
 # ------------------------------------------------------------- families

@@ -19,7 +19,7 @@ from hypothesis import given, strategies as st
 
 from edge_ricci.errors import InvalidParameterError, IsolatedEdgeError
 from edge_ricci.edge_geometry import edge_degree, edge_measure, edge_space
-from edge_ricci.graph_core import SplitMix64, WeightedGraph, base_graph, generate
+from edge_ricci.graph_core import SplitMix64, WeightedGraph, generate
 from edge_ricci.laplacian import assemble, dump_matrix, symmetrized, weight_pair
 from edge_ricci.spectra import eigenvalues_symmetric, spectrum_of
 
@@ -27,11 +27,10 @@ from edge_ricci.spectra import eigenvalues_symmetric, spectrum_of
 def dense_incidence(g, flips=()):
     """Signed incidence matrix, one row per edge: -1 at the tail, +1 at the
     head, with the edges listed in flips reversed."""
-    base = base_graph(g)
     rows = []
-    for e, (i, j) in enumerate(base.edges):
+    for e, (i, j) in enumerate(g.edges):
         s = -1 if e in flips else 1
-        row = [0] * base.n_vertices
+        row = [0] * g.n_vertices
         row[i], row[j] = -s, s
         rows.append(row)
     return rows
@@ -101,21 +100,20 @@ def apply_down_part(g, values):
     not from incidence products, so it cross-checks `assemble` minus its
     diagonal.
     """
-    base = base_graph(g)
-    space = edge_space(base)
+    space = edge_space(g)
 
     def sign_at(e, v):
-        return 1 if v == base.edges[e][1] else -1  # the head carries +1
+        return 1 if v == g.edges[e][1] else -1  # the head carries +1
 
     out = []
-    for e in range(base.n_edges):
+    for e in range(g.n_edges):
         me = edge_measure(g, e).as_dict()
         d_e = edge_degree(g, e)
         acc = None
         for f in space.neighbors[e]:
             v = space.shared_vertex[e][f]
             if isinstance(g, WeightedGraph):
-                scale = d_e / g.w_vertex(base.labels[v])
+                scale = d_e / g.w_vertex(g.labels[v])
             else:
                 scale = Fraction(d_e, space.degrees[f])
             term = sign_at(e, v) * sign_at(f, v) * me[f] * scale * values[f]
@@ -172,12 +170,24 @@ def _dense_gram(g, operator, weighting, flips=()):
             for e in range(m)]
 
 
-def _random_weights(spec, seed):
-    g = generate(spec, seed=seed)
+def _random_weights(g, seed):
     rng = SplitMix64(seed)
     vw = {v: 0.5 + 1.5 * rng.uniform() for v in g.labels}
     ew = {g.edge_endpoints(e): 0.5 + 1.5 * rng.uniform() for e in range(g.n_edges)}
     return WeightedGraph(g, vw, ew)
+
+
+def test_weightings_but_graph_ignore_the_weights():
+    # unit, walk and degree read the structure alone: the degree scheme's
+    # W1 holds 1/neighbor count, never a weighted degree
+    base = generate("random:9:0.4", seed=3)
+    wg = _random_weights(base, 3)
+    for weighting in ("unit", "walk", "degree"):
+        pair = weight_pair(wg, weighting)
+        assert pair == weight_pair(base, weighting)
+        assert all(type(x) is Fraction for w in pair for x in w)
+    assert spectrum_of(wg, "edge", "degree").values == \
+        spectrum_of(base, "edge", "degree").values
 
 
 @pytest.mark.parametrize("operator", ["vertex", "edge"])
@@ -185,15 +195,15 @@ def _random_weights(spec, seed):
 @pytest.mark.parametrize("spec,seed", [("random:9:0.4", 3), ("petersen", 0),
                                        ("star:6", 0), ("tree:12", 5)])
 def test_sparse_symmetrized_equals_dense_gram(spec, seed, weighting, operator):
-    g = _random_weights(spec, seed)
-    if weighting != "graph":
-        g = g.graph
+    g = generate(spec, seed=seed)
+    if weighting == "graph":
+        g = _random_weights(g, seed)
     got = symmetrized(g, operator, weighting)
     assert got == _dense_gram(g, operator, weighting)  # same sums in the same order
     assert all(type(x) is float for row in got for x in row)
     # reversing edges conjugates B B^T by the +-1 diagonal S and leaves
     # B^T B alone: the same spectrum either way
-    m = base_graph(g).n_edges
+    m = g.n_edges
     flips = range(0, m, 3)
     sign = [-1 if e in flips else 1 for e in range(m)]
     flipped = _dense_gram(g, operator, weighting, flips)
@@ -208,9 +218,9 @@ def test_sparse_symmetrized_equals_dense_gram(spec, seed, weighting, operator):
 @pytest.mark.parametrize("weighting", ["unit", "walk", "degree", "graph"])
 @pytest.mark.parametrize("spec,seed", [("random:9:0.4", 3), ("star:6", 0)])
 def test_sparse_assemble_equals_dense_product(spec, seed, weighting, operator):
-    g = _random_weights(spec, seed)
-    if weighting != "graph":
-        g = g.graph
+    g = generate(spec, seed=seed)
+    if weighting == "graph":
+        g = _random_weights(g, seed)
     got = assemble(g, operator, weighting)
     want = _dense_operator(g, operator, weighting)
     assert got == want

@@ -30,10 +30,10 @@ def test_output_digest_covers_every_input_and_command(monkeypatch, capsys):
     assert module.main() == 0
     lines = capsys.readouterr().out.splitlines()
     # two edge lists with five commands, three spectra and six matrix dumps
-    # each, six weighted documents with five commands, one spectrum and two
-    # matrix dumps each, then generate for the two families and for the six
-    # malformed specs
-    assert len(lines) == 2 * (5 + 3 + 6) + 6 * (5 + 1 + 2) + 2 + 6
+    # each, six weighted documents with five commands, four spectra and
+    # eight matrix dumps each, then generate for the two families and for
+    # the six malformed specs
+    assert len(lines) == 2 * (5 + 3 + 6) + 6 * (5 + 4 + 8) + 2 + 6
     assert all(len(line.split()[1]) == 64 for line in lines)
     # exit 1 is a report with a failed check, not a crash; a malformed spec
     # is bad usage
@@ -44,9 +44,11 @@ def test_output_digest_covers_every_input_and_command(monkeypatch, capsys):
     assert lines[5].endswith(" cycle:4 spectrum --weighting unit --format json")
     assert lines[13].endswith(" cycle:4 spectrum --weighting degree --dump-matrix edge")
     assert lines[14].endswith(" star:4 verify --format json")
-    assert lines[73].endswith(" star:4/random spectrum --weighting graph --format json")
-    assert lines[75].endswith(" star:4/random spectrum --weighting graph --dump-matrix edge")
-    assert lines[76].endswith(" cycle:4 generate")
-    assert lines[77].endswith(" star:4 generate")
-    assert lines[78].endswith(" hexagon:6 generate")
+    assert lines[118].endswith(" star:4/random spectrum --weighting unit --format json")
+    assert lines[121].endswith(" star:4/random spectrum --weighting graph --format json")
+    assert lines[127].endswith(" star:4/random spectrum --weighting degree --dump-matrix edge")
+    assert lines[129].endswith(" star:4/random spectrum --weighting graph --dump-matrix edge")
+    assert lines[130].endswith(" cycle:4 generate")
+    assert lines[131].endswith(" star:4 generate")
+    assert lines[132].endswith(" hexagon:6 generate")
     assert lines[-1].endswith(" cycle:2 generate")

@@ -84,6 +84,28 @@ def test_split_is_cheaper_than_greedy():
     assert brute_force_wasserstein(p) == Fraction(2)
 
 
+def _uniform(s, t):
+    """s atoms against t others on a line, each side at uniform mass."""
+    return _problem((Fraction(1, s),) * s, (Fraction(1, t),) * t,
+                    range(s), range(s, s + t))
+
+
+def test_oracle_answers_six_atoms_against_one():
+    p = _uniform(6, 1)
+    assert brute_force_wasserstein(p) == solve_wasserstein(p).distance == Fraction(7, 2)
+
+
+@pytest.mark.parametrize("s,t", [(5, 5), (6, 6)])
+def test_oracle_refuses_before_listing_trees(monkeypatch, s, t):
+    # C(25, 9) and C(36, 11) arc subsets, past the C(20, 8) of 4x5
+    def listed(*_):
+        pytest.fail("the oracle listed spanning trees")
+
+    monkeypatch.setattr(transport, "_elimination_plans", listed)
+    with pytest.raises(TransportError, match=rf"{s}x{t} atoms need"):
+        brute_force_wasserstein(_uniform(s, t))
+
+
 def test_mass_imbalance_is_rejected():
     # each side passes the per-measure sum check (within 1e-12 of 1) but the
     # two sides disagree by ~2e-12, which the problem-level guard must catch
@@ -414,7 +436,7 @@ def test_exact_distances_match_float_runs_beyond_the_oracle(seed):
     # the exact phases are checked against float mode, which still ships
     # one path per Dijkstra round
     g = generate("random:12:0.6", seed=seed)
-    widest = 0
+    widest = None
     for e, f in combinations(range(g.n_edges), 2):
         if not edges_adjacent(g, e, f):
             continue
@@ -423,8 +445,14 @@ def test_exact_distances_match_float_runs_beyond_the_oracle(seed):
         assert p.exact and not q.exact
         exact, approx = solve_wasserstein(p).distance, solve_wasserstein(q).distance
         assert math.isclose(approx, exact, rel_tol=1e-12)
-        widest = max(widest, min(len(p.mu.atoms), len(p.nu.atoms)))
-    assert widest > transport._MAX_ORACLE_SIDE
+        if widest is None or _width(p) > _width(widest):
+            widest = p
+    with pytest.raises(TransportError, match="oracle limited"):
+        brute_force_wasserstein(widest)
+
+
+def _width(problem):
+    return min(len(problem.mu.atoms), len(problem.nu.atoms))
 
 
 def test_symmetry_of_the_distance():

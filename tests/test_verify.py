@@ -127,6 +127,19 @@ def test_edge_regularity():
     assert edge_regularity(generate("path:4")) is None
 
 
+def test_edge_regularity_counts_neighbors_on_weighted_graphs():
+    # one heavy edge makes the weighted degrees unequal; the counts stay 4
+    base = generate("complete:4")
+    wg = WeightedGraph(base, {"v0": 2.0}, {base.edge_endpoints(0): 3.0})
+    assert edge_regularity(wg) == edge_regularity(base) == 4
+    assert type(edge_regularity(wg)) is int
+    path = generate("path:4")
+    assert edge_regularity(WeightedGraph(path, {"v1": 2.0})) is None
+    report = verification_report(wg)
+    assert report.graph["edge_regular_degree"] == 4
+    assert report.spectra["Lprime1"] == verification_report(base).spectra["Lprime1"]
+
+
 def _regular_or_biregular_bipartite(g):
     """Every vertex degree equal, or a 2-colouring with one degree per colour."""
     adj = [[] for _ in range(g.n_vertices)]
