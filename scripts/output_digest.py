@@ -10,9 +10,11 @@ print one line per invocation: the exit code, the sha256 of stdout and
 stderr, the input and the command.  The corpus is built here and nowhere
 else: the families below (seed 0) as edge lists, and for each family
 three weighted documents, with unit weights, one constant weight, and
-random weights in [0.5, 2).  Last, ``generate --family SPEC`` runs for
-each family and for one malformed spec per kind of spec error, so the
-family grammar's graphs and error messages are digested too.
+random weights in [0.5, 2).  Then ``selftest --seed S`` runs for each
+seed in SELFTEST_SEEDS, so the acceptance gate's lines are digested too.
+Last, ``generate --family SPEC`` runs for each family and for one
+malformed spec per kind of spec error, so the family grammar's graphs and
+error messages are digested too.
 
 Two versions of the code give the same bytes exactly when this script's
 outputs are identical:
@@ -56,6 +58,7 @@ MALFORMED = (
     "cycle:2",
 )
 WEIGHTS = ("unit", "constant", "random")
+SELFTEST_SEEDS = (0, 1)
 COMMANDS = (
     ("verify", "--format", "json"),
     ("verify", "--format", "text"),
@@ -116,6 +119,9 @@ def main() -> int:
             for command in commands:
                 code, sha = digest([command[0], *source, *command[1:]])
                 print(f"{code} {sha} {label} {' '.join(command)}")
+    for seed in SELFTEST_SEEDS:
+        code, sha = digest(["selftest", "--seed", str(seed)])
+        print(f"{code} {sha} gate selftest --seed {seed}")
     for spec in FAMILIES + MALFORMED:
         code, sha = digest(["generate", "--family", spec])
         print(f"{code} {sha} {spec} generate")

@@ -66,30 +66,38 @@ class CriterionResult:
         return f"criterion {self.number:2d} [{mark}] {self.title}: {self.detail}"
 
 
-def _verdict(number, title, failures, ok_detail):
+def _verdict(number, failures, ok_detail, lead=""):
+    """Pass with ok_detail, or fail with lead and the first three failures."""
     if failures:
         shown = "; ".join(failures[:3])
         more = f" (+{len(failures) - 3} more)" if len(failures) > 3 else ""
-        return CriterionResult(number, title, False, shown + more)
-    return CriterionResult(number, title, True, ok_detail)
+        return CriterionResult(number, _TITLES[number], False, lead + shown + more)
+    return CriterionResult(number, _TITLES[number], True, ok_detail)
 
 
-def _const_weighted(base: Graph, w0: float, w1: float) -> WeightedGraph:
-    vw = {v: w0 for v in base.labels}
-    ew = {base.edge_endpoints(e): w1 for e in range(base.n_edges)}
+def _uniform(rng: SplitMix64):
+    """A draw of a weight uniform on [0.5, 2.0) from rng."""
+    return lambda: 0.5 + 1.5 * rng.uniform()
+
+
+def _weighted(base: Graph, vertex, edge) -> WeightedGraph:
+    """base with weight vertex() on every vertex, then edge() on every edge;
+    vertices draw first, so a shared random stream is read in that order."""
+    vw = {v: vertex() for v in base.labels}
+    ew = {base.edge_endpoints(e): edge() for e in range(base.n_edges)}
     return WeightedGraph(base, vw, ew)
 
 
-def _random_weighted(base: Graph, rng: SplitMix64,
-                     constant_vertex: float | None = None) -> WeightedGraph:
-    """Weights drawn uniformly from [0.5, 2.0); optionally a flat vertex weight."""
-    if constant_vertex is None:
-        vw = {v: 0.5 + 1.5 * rng.uniform() for v in base.labels}
-    else:
-        vw = {v: constant_vertex for v in base.labels}
-    ew = {base.edge_endpoints(e): 0.5 + 1.5 * rng.uniform()
-          for e in range(base.n_edges)}
-    return WeightedGraph(base, vw, ew)
+def _table_failures(g: Graph, name: str, closed_form) -> list[str]:
+    """One failure per adjacent pair whose curvature is not exactly the
+    value of closed_form(e, f), which returns (value, note after the pair)."""
+    failures = []
+    for (e, f), cp in sorted(ricci_all_adjacent(g).items()):
+        want, note = closed_form(e, f)
+        if cp.kappa != want:
+            failures.append(f"{name} pair {g.edge_name(e)},{g.edge_name(f)}{note}: "
+                            f"kappa {cp.kappa} != {want}")
+    return failures
 
 
 # ----------------------------------------------------------- criterion 1
@@ -97,20 +105,15 @@ def _random_weighted(base: Graph, rng: SplitMix64,
 def criterion_1(seed: int = 0) -> CriterionResult:
     """Complete graphs n in 3..6: every adjacent curvature is exactly 1/2 and
     the degree-weighted edge gap is n/(2(n-2)) within 1e-9."""
-    title = _TITLES[1]
     failures = []
     for n in range(3, 7):
         g = generate(f"complete:{n}")
-        for (e, f), cp in sorted(ricci_all_adjacent(g).items()):
-            if cp.kappa != Fraction(1, 2):
-                failures.append(
-                    f"K{n} pair {g.edge_name(e)},{g.edge_name(f)}: "
-                    f"kappa {cp.kappa} != 1/2")
+        failures += _table_failures(g, f"K{n}", lambda e, f: (Fraction(1, 2), ""))
         lam1 = spectrum_of(g, "edge", "degree").lambda1
         want = n / (2.0 * (n - 2))
         if abs(lam1 - want) > _TOL:
             failures.append(f"K{n}: lambda1 {lam1!r} != {want!r}")
-    return _verdict(1, title, failures, "n in 3..6, all pairs exact, gaps within 1e-9")
+    return _verdict(1, failures, "n in 3..6, all pairs exact, gaps within 1e-9")
 
 
 # ----------------------------------------------------------- criterion 2
@@ -124,15 +127,10 @@ def criterion_2(seed: int = 0) -> CriterionResult:
     edges of a 4-cycle carry identical measures), so "flat" here means the
     minimum vanishes, not every pair.
     """
-    title = _TITLES[2]
     failures = []
     for n in range(4, 9):
         g = generate(f"cycle:{n}")
-        for (e, f), cp in sorted(ricci_all_adjacent(g).items()):
-            if cp.kappa != 0:
-                failures.append(
-                    f"C{n} pair {g.edge_name(e)},{g.edge_name(f)}: "
-                    f"kappa {cp.kappa} != 0")
+        failures += _table_failures(g, f"C{n}", lambda e, f: (0, ""))
         if kappa_min(g, "all") != 0:
             failures.append(f"C{n}: min over all pairs {kappa_min(g, 'all')} != 0")
     closed = {
@@ -145,7 +143,7 @@ def criterion_2(seed: int = 0) -> CriterionResult:
         dev = max(abs(a - b) for a, b in zip(got, want))
         if len(got) != len(want) or dev > _TOL:
             failures.append(f"C{n} spectrum {got} != {want}")
-    return _verdict(2, title, failures,
+    return _verdict(2, failures,
                     "n in 4..8 flat (adjacent and min-over-all), spectra within 1e-9")
 
 
@@ -158,15 +156,11 @@ def criterion_3(seed: int = 0) -> CriterionResult:
     For m = 2 the curvature minimum is zero, so the packaged bound check
     classifies the star inapplicable; the equality itself still holds
     numerically and is asserted directly for every m."""
-    title = _TITLES[3]
     failures = []
     for m in range(2, 9):
         g = generate(f"star:{m}")
         want_kappa = Fraction(m - 2, m - 1)
-        for (e, f), cp in sorted(ricci_all_adjacent(g).items()):
-            if cp.kappa != want_kappa:
-                failures.append(f"star:{m} pair {g.edge_name(e)},{g.edge_name(f)}: "
-                                f"kappa {cp.kappa} != {want_kappa}")
+        failures += _table_failures(g, f"star:{m}", lambda e, f: (want_kappa, ""))
         lam1 = spectrum_of(g, "edge", "degree").lambda1
         if abs(lam1 - 1.0 / (m - 1)) > _TOL:
             failures.append(f"star:{m}: lambda1 {lam1!r} != 1/{m - 1}")
@@ -178,7 +172,7 @@ def criterion_3(seed: int = 0) -> CriterionResult:
             chk = check_spectral_gap_bound(g)
             if not (chk.applicable and chk.holds):
                 failures.append(f"star:{m}: packaged gap check did not hold ({chk.reason})")
-    return _verdict(3, title, failures, "m in 2..8, equality within 1e-9 at every size")
+    return _verdict(3, failures, "m in 2..8, equality within 1e-9 at every size")
 
 
 # ----------------------------------------------------------- criterion 4
@@ -187,20 +181,16 @@ def criterion_4(seed: int = 0) -> CriterionResult:
     """Complete bipartite graphs: adjacent curvature equals
     (deg(shared vertex) - 2)/(n + m - 2) exactly, for (n, m) in
     (2,2), (2,3), (3,3), (2,4)."""
-    title = _TITLES[4]
     failures = []
     for n, m in ((2, 2), (2, 3), (3, 3), (2, 4)):
         g = generate(f"bipartite:{n}:{m}")
         space = edge_space(g)
-        for (e, f), cp in sorted(ricci_all_adjacent(g).items()):
-            y = space.shared_vertex[e][f]
-            deg_y = len(g.adjacency[g.labels[y]])
-            want = Fraction(deg_y - 2, n + m - 2)
-            if cp.kappa != want:
-                failures.append(
-                    f"K{n},{m} pair {g.edge_name(e)},{g.edge_name(f)} via "
-                    f"{g.labels[y]}: kappa {cp.kappa} != {want}")
-    return _verdict(4, title, failures, "(2,2),(2,3),(3,3),(2,4) all exact")
+
+        def closed_form(e, f):
+            y = g.labels[space.shared_vertex[e][f]]
+            return Fraction(len(g.adjacency[y]) - 2, n + m - 2), f" via {y}"
+        failures += _table_failures(g, f"K{n},{m}", closed_form)
+    return _verdict(4, failures, "(2,2),(2,3),(3,3),(2,4) all exact")
 
 
 # ----------------------------------------------------------- criterion 5
@@ -222,7 +212,6 @@ def criterion_5(seed: int = 0) -> CriterionResult:
     """Gap-vs-curvature check across a fixed corpus: applicable graphs hold
     within 1e-9 and inapplicable ones are classified as such (edge degrees
     not constant, or curvature minimum not positive)."""
-    title = _TITLES[5]
     failures = []
     for spec, expect in _CLASSIFICATION_CORPUS:
         g = generate(spec)
@@ -236,45 +225,43 @@ def criterion_5(seed: int = 0) -> CriterionResult:
                             f" ({chk.reason or 'hypotheses met'})")
         elif chk.applicable and not chk.holds:
             failures.append(f"{spec}: bound failed, lhs {chk.lhs!r} rhs {chk.rhs!r}")
-    return _verdict(5, title, failures,
+    return _verdict(5, failures,
                     f"{len(_CLASSIFICATION_CORPUS)} graphs classified and verified")
 
 
 # ----------------------------------------------------------- criterion 6
 
+def _bounds_corpus(seed: int):
+    """Criterion 6's graphs, one at a time, as (kind, name, |V|, graph): 50
+    exact random graphs, then 20 weighted ones with constant vertex weights."""
+    for i in range(50):
+        n = 4 + i % 7
+        p = (0.25, 0.4, 0.6)[i % 3]
+        yield "exact", f"graph #{i}", n, generate(f"random:{n}:{p}", seed=seed * 101 + i)
+    for i in range(20):
+        n = 4 + i % 6
+        base = generate(f"random:{n}:0.4", seed=seed * 101 + 5000 + i)
+        w0 = (1.0, 2.0, 0.5)[i % 3]
+        draw = _uniform(SplitMix64(seed * 101 + 6000 + i))
+        yield "weighted", f"weighted #{i}", n, _weighted(base, lambda: w0, draw)
+
+
 def criterion_6(seed: int = 0) -> CriterionResult:
     """Curvature floor and ceiling on random graphs: 50 seeded connected
     graphs (|V| <= 10, exact arithmetic, tolerance zero) plus 20 seeded
     weighted graphs with constant vertex weights (float route, 1e-9)."""
-    title = _TITLES[6]
     failures = []
-    pair_count = 0
-    for i in range(50):
-        n = 4 + i % 7
-        p = (0.25, 0.4, 0.6)[i % 3]
-        g = generate(f"random:{n}:{p}", seed=seed * 101 + i)
+    counts = {"exact": 0, "weighted": 0}
+    for kind, name, n, g in _bounds_corpus(seed):
         for chk in check_bounds(g):
             if chk.diagnostic or not chk.applicable:
                 continue
-            pair_count += 1
+            counts[kind] += 1
             if not chk.holds:
-                failures.append(f"graph #{i} ({n} vertices): {chk.name} "
+                failures.append(f"{name} ({n} vertices): {chk.name} "
                                 f"lhs {chk.lhs!r} rhs {chk.rhs!r}")
-    wpair_count = 0
-    for i in range(20):
-        n = 4 + i % 6
-        base = generate(f"random:{n}:0.4", seed=seed * 101 + 5000 + i)
-        rng = SplitMix64(seed * 101 + 6000 + i)
-        wg = _random_weighted(base, rng, constant_vertex=(1.0, 2.0, 0.5)[i % 3])
-        for chk in check_bounds(wg):
-            if chk.diagnostic or not chk.applicable:
-                continue
-            wpair_count += 1
-            if not chk.holds:
-                failures.append(f"weighted #{i} ({n} vertices): {chk.name} "
-                                f"lhs {chk.lhs!r} rhs {chk.rhs!r}")
-    return _verdict(6, title, failures,
-                    f"{pair_count} exact and {wpair_count} weighted pair bounds hold")
+    return _verdict(6, failures, f"{counts['exact']} exact and "
+                    f"{counts['weighted']} weighted pair bounds hold")
 
 
 # ----------------------------------------------------------- criterion 7
@@ -282,7 +269,6 @@ def criterion_6(seed: int = 0) -> CriterionResult:
 def criterion_7(seed: int = 0) -> CriterionResult:
     """The adjacent-pair curvature minimum is a floor for all distinct pairs
     on 20 seeded graphs with |V| <= 9 (half random connected, half trees)."""
-    title = _TITLES[7]
     failures = []
     for i in range(20):
         n = 4 + i % 6
@@ -294,7 +280,7 @@ def criterion_7(seed: int = 0) -> CriterionResult:
         if not chk.holds:
             failures.append(f"{spec} #{i}: all-pairs min {chk.lhs!r} < "
                             f"adjacent min {chk.rhs!r}")
-    return _verdict(7, title, failures, "20 seeded graphs, exact comparison")
+    return _verdict(7, failures, "20 seeded graphs, exact comparison")
 
 
 # ----------------------------------------------------------- criterion 8
@@ -308,7 +294,6 @@ def criterion_8(seed: int = 0) -> CriterionResult:
     spectra (within 1e-8) and the edge operator's kernel has dimension
     |E| - |V| + 1; checked for the unit/walk/degree weightings on a fixed
     corpus and for 10 random positive weight assignments."""
-    title = _TITLES[8]
     failures = []
     checked = 0
     for spec in _EQUIVALENCE_BASES:
@@ -319,16 +304,16 @@ def criterion_8(seed: int = 0) -> CriterionResult:
                 if not chk.holds:
                     failures.append(f"{spec} [{weighting}]: {chk.name} "
                                     f"lhs {chk.lhs!r} rhs {chk.rhs!r}")
-    rng = SplitMix64(seed * 401 + 17)
+    draw = _uniform(SplitMix64(seed * 401 + 17))
     for i in range(10):
         spec = _EQUIVALENCE_BASES[i % 5]
-        wg = _random_weighted(generate(spec), rng)
+        wg = _weighted(generate(spec), draw, draw)
         for chk in check_spectral_equivalence(wg, "graph"):
             checked += 1
             if not chk.holds:
                 failures.append(f"{spec} random weights #{i}: {chk.name} "
                                 f"lhs {chk.lhs!r} rhs {chk.rhs!r}")
-    return _verdict(8, title, failures, f"{checked} spectrum/kernel checks")
+    return _verdict(8, failures, f"{checked} spectrum/kernel checks")
 
 
 # ----------------------------------------------------------- criterion 9
@@ -339,44 +324,36 @@ _FLOAT_TRANSPORT_CORPUS = ("cycle:4", "star:4", "complete:4", "bipartite:2:3",
                            "tree:7")
 
 
+def _transport_corpus(seed: int):
+    """Criterion 9's graphs, one at a time, as (name, gap word, graph,
+    tolerance): the exact corpus, then the float one with random weights."""
+    for spec in _EXACT_TRANSPORT_CORPUS:
+        yield spec, "exact gap", generate(spec, seed=seed * 307), 0
+    draw = _uniform(SplitMix64(seed * 307 + 99))
+    for spec in _FLOAT_TRANSPORT_CORPUS:
+        wg = _weighted(generate(spec, seed=seed * 307 + 1), draw, draw)
+        yield f"weighted {spec}", "gap", wg, _TOL
+
+
 def criterion_9(seed: int = 0) -> CriterionResult:
     """Every transport solve closes its duality gap (exactly on rationals,
     within 1e-9 on floats), and on instances with at most 4 support atoms per
     side the optimum matches a spanning-tree brute-force enumeration."""
-    title = _TITLES[9]
     failures = []
     gaps = oracles = 0
-    for spec in _EXACT_TRANSPORT_CORPUS:
-        g = generate(spec, seed=seed * 307)
+    for name, gap_word, g, tol in _transport_corpus(seed):
         for (e, f), cp in sorted(ricci_all_adjacent(g).items()):
+            pair = f"{name} {g.edge_name(e)},{g.edge_name(f)}"
             gaps += 1
-            if cp.transport.gap != 0:
-                failures.append(f"{spec} {g.edge_name(e)},{g.edge_name(f)}: "
-                                f"exact gap {cp.transport.gap}")
+            if abs(cp.transport.gap) > tol:
+                failures.append(f"{pair}: {gap_word} {cp.transport.gap}")
             problem = pair_transport_problem(g, e, f)
             if len(problem.mu.atoms) <= 4 and len(problem.nu.atoms) <= 4:
                 oracles += 1
                 bf = brute_force_wasserstein(problem)
-                if bf != cp.wasserstein:
-                    failures.append(f"{spec} {g.edge_name(e)},{g.edge_name(f)}: "
-                                    f"solver {cp.wasserstein} != oracle {bf}")
-    rng = SplitMix64(seed * 307 + 99)
-    for spec in _FLOAT_TRANSPORT_CORPUS:
-        wg = _random_weighted(generate(spec, seed=seed * 307 + 1), rng)
-        for (e, f), cp in sorted(ricci_all_adjacent(wg).items()):
-            gaps += 1
-            if abs(cp.transport.gap) > _TOL:
-                failures.append(f"weighted {spec} {wg.edge_name(e)},"
-                                f"{wg.edge_name(f)}: gap {cp.transport.gap!r}")
-            problem = pair_transport_problem(wg, e, f)
-            if len(problem.mu.atoms) <= 4 and len(problem.nu.atoms) <= 4:
-                oracles += 1
-                bf = brute_force_wasserstein(problem)
-                if abs(bf - cp.wasserstein) > _TOL * max(1.0, abs(bf)):
-                    failures.append(f"weighted {spec} {wg.edge_name(e)},"
-                                    f"{wg.edge_name(f)}: solver "
-                                    f"{cp.wasserstein!r} != oracle {bf!r}")
-    return _verdict(9, title, failures,
+                if abs(bf - cp.wasserstein) > tol * max(1.0, abs(bf)):
+                    failures.append(f"{pair}: solver {cp.wasserstein} != oracle {bf}")
+    return _verdict(9, failures,
                     f"{gaps} gaps closed, {oracles} oracle comparisons agree")
 
 
@@ -393,7 +370,6 @@ def criterion_10(seed: int = 0) -> CriterionResult:
     optimal plan avoids), so this criterion is expected to stay red; the
     detail line reports the mismatch census.
     """
-    title = _TITLES[10]
     failures = []
     matched = in_range = beyond = 0
     trees = ["path:4"] + [f"tree:{4 + i % 9}" for i in range(20)]
@@ -412,11 +388,7 @@ def criterion_10(seed: int = 0) -> CriterionResult:
                                 f"formula {value} vs kappa {cp.kappa}")
     detail = (f"{matched}/{in_range} in-range pairs match exactly; "
               f"{beyond} pairs have formula > 1 and are out of range")
-    if failures:
-        shown = "; ".join(failures[:3])
-        more = f" (+{len(failures) - 3} more)" if len(failures) > 3 else ""
-        return CriterionResult(10, title, False, f"{detail}; first mismatches: {shown}{more}")
-    return CriterionResult(10, title, True, detail)
+    return _verdict(10, failures, detail, lead=f"{detail}; first mismatches: ")
 
 
 # ----------------------------------------------------------- criterion 11
@@ -429,7 +401,6 @@ def criterion_11(seed: int = 0) -> CriterionResult:
     """Weighted gap bound lambda1 >= (d(kappa-1)+2) w1/w0 on constant-weight
     graphs for (w0, w1) in {(1, 1/d), (2, 0.5), (0.5, 1)}, and numeric
     agreement of the (1, 1/d) case with the unweighted bound."""
-    title = _TITLES[11]
     failures = []
     checked = 0
     for spec in _WEIGHTED_GAP_CORPUS:
@@ -440,7 +411,7 @@ def criterion_11(seed: int = 0) -> CriterionResult:
             continue
         plain = check_spectral_gap_bound(base)
         for w0, w1 in ((1.0, 1.0 / d), (2.0, 0.5), (0.5, 1.0)):
-            chk = check_weighted_spectral_gap_bound(_const_weighted(base, w0, w1))
+            chk = check_weighted_spectral_gap_bound(_weighted(base, lambda: w0, lambda: w1))
             checked += 1
             if not chk.applicable:
                 failures.append(f"{spec} (w0={w0}, w1={w1}): inapplicable: {chk.reason}")
@@ -454,7 +425,7 @@ def criterion_11(seed: int = 0) -> CriterionResult:
                     failures.append(f"{spec}: (1, 1/d) does not reduce to the "
                                     f"unweighted bound: {chk.lhs!r}/{chk.rhs!r} vs "
                                     f"{plain.lhs!r}/{plain.rhs!r}")
-    return _verdict(11, title, failures,
+    return _verdict(11, failures,
                     f"{checked} weighted bounds hold; (1, 1/d) matches unweighted")
 
 

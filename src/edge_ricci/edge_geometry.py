@@ -13,9 +13,10 @@ and carries exact rationals, a WeightedGraph carries floats.
   connector weights, the hop count at unit weights.
 
 edge_space(g) builds a graph's space once and is the one place that picks
-its class: EdgeSpace (int degrees and BFS hop rows) for a Graph, its
-subclass WeightedEdgeSpace (float degrees and Dijkstra rows) for a
-WeightedGraph.  Every function below reads their common fields alone.
+its class: EdgeSpace (int degrees and vertex weights) for a Graph, its
+subclass WeightedEdgeSpace (float ones) for a WeightedGraph.  Both share one
+Dijkstra row, int hop counts at unit weights.  Every function below reads
+their common fields alone.
 The space and each edge's measure are kept per graph by graph_core.derived.
 """
 
@@ -31,18 +32,22 @@ from .graph_core import Graph, WeightedGraph, derived
 
 
 class EdgeSpace:
-    """Line adjacency of a Graph at unit edge weights.
+    """Line adjacency of a Graph at unit weights.
 
     neighbors[e]      ordinals of the edges sharing a vertex with e, ascending
     shared_vertex[e]  neighbor ordinal -> index of the vertex it shares with e
     weight[e]         Fraction(1)
     degrees[e]        the neighbor count, an int
+    vertex_weight[v]  1, an int, so distance rows are int hop counts
 
-    Distance rows are filled lazily.  Built once per Graph instance and
-    read-only afterwards, so concurrent readers are safe.
+    Distance rows are filled lazily.  Holds the labels and edges (for edge
+    names) but not the graph that keeps it, so that graph is freed by
+    reference counting alone.  Built once per Graph instance and read-only
+    afterwards, so concurrent readers are safe.
     """
 
-    __slots__ = ("neighbors", "shared_vertex", "degrees", "weight", "_rows")
+    __slots__ = ("neighbors", "shared_vertex", "degrees", "weight", "vertex_weight",
+                 "_labels", "_edges", "_rows")
 
     def __init__(self, g: Graph):
         incident: list[list[int]] = [[] for _ in g.labels]
@@ -63,63 +68,19 @@ class EdgeSpace:
         self.shared_vertex = tuple(shared)
         self.weight = (Fraction(1),) * g.n_edges
         self.degrees = tuple(len(nbrs) for nbrs in neighbors)
-        self._rows: dict[int, tuple[int, ...]] = {}
+        self.vertex_weight = (1,) * g.n_vertices
+        self._labels, self._edges = g.labels, g.edges
+        self._rows: dict[int, tuple] = {}
 
-    def row(self, e: int) -> tuple[int, ...]:
-        """BFS distance row from edge e over the line adjacency (hop count)."""
-        cached = self._rows.get(e)
-        if cached is not None:
-            return cached
-        n = len(self.neighbors)
-        dist = [-1] * n
-        dist[e] = 0
-        frontier = [e]
-        while frontier:
-            nxt = []
-            for a in frontier:
-                for b in self.neighbors[a]:
-                    if dist[b] < 0:
-                        dist[b] = dist[a] + 1
-                        nxt.append(b)
-            frontier = nxt
-        out = tuple(dist)
-        self._rows[e] = out
-        return out
-
-
-class WeightedEdgeSpace(EdgeSpace):
-    """Line adjacency of a WeightedGraph with its float weights.
-
-    The same fields as EdgeSpace, with weight[e] the edge weight and
-    degrees[e] the weight sum over the neighbors; rows are Dijkstra
-    distances whose hops cost the shared vertex's weight.  Holds the labels
-    and edges (for edge names) but not the graph that keeps it, so that
-    graph is freed by reference counting alone.
-    """
-
-    __slots__ = ("vertex_weight", "_labels", "_edges")
-
-    def __init__(self, wg: WeightedGraph):
-        super().__init__(wg)
-        self._labels, self._edges = wg.labels, wg.edges
-        self.weight = tuple(map(wg.w_edge, range(wg.n_edges)))
-        self.degrees = tuple(sum(self.weight[f] for f in nbrs) for nbrs in self.neighbors)
-        for e, d in enumerate(self.degrees):
-            if not math.isfinite(d):
-                raise NonpositiveWeightError(
-                    f"edge {wg.edge_name(e)} has weighted degree {d}: "
-                    f"its neighbors' weights overflow a float"
-                )
-        self.vertex_weight = tuple(map(wg.w_vertex, wg.labels))
-
-    def row(self, e: int) -> tuple[float, ...]:
-        """Dijkstra distance row from edge e, each hop charged its connector."""
+    def row(self, e: int) -> tuple:
+        """Dijkstra distance row from edge e, each hop charged its connector's
+        vertex weight: int hop counts at unit weights, else floats."""
         cached = self._rows.get(e)
         if cached is not None:
             return cached
         dist = [math.inf] * len(self.neighbors)
-        dist[e] = 0.0
-        pq = [(0.0, e)]
+        dist[e] = self.vertex_weight[0] * 0  # zero in the weights' number type
+        pq = [(dist[e], e)]
         while pq:
             d, a = heapq.heappop(pq)
             if d > dist[a]:
@@ -140,6 +101,29 @@ class WeightedEdgeSpace(EdgeSpace):
         out = tuple(dist)
         self._rows[e] = out
         return out
+
+
+class WeightedEdgeSpace(EdgeSpace):
+    """Line adjacency of a WeightedGraph with its float weights: the same
+    fields as EdgeSpace, with weight[e] the edge weight, degrees[e] the
+    weight sum over the neighbors and vertex_weight[v] the vertex weight."""
+
+    __slots__ = ()
+
+    def __init__(self, wg: WeightedGraph):
+        super().__init__(wg)
+        self.weight = tuple(map(wg.w_edge, range(wg.n_edges)))
+        self.degrees = tuple(sum(self.weight[f] for f in nbrs) for nbrs in self.neighbors)
+        for e, d in enumerate(self.degrees):
+            if not math.isfinite(d):
+                raise NonpositiveWeightError(
+                    f"edge {wg.edge_name(e)} has weighted degree {d}: "
+                    f"its neighbors' weights overflow a float"
+                )
+        self.vertex_weight = tuple(map(wg.w_vertex, wg.labels))
+
+    # bench/tracer.py wraps this class's own row; a super().row call would double its spans
+    row = EdgeSpace.row
 
 
 def edge_space(g: Graph) -> EdgeSpace:
@@ -193,7 +177,7 @@ class EdgeMeasure:
 
     @property
     def exact(self) -> bool:
-        return isinstance(self.masses[0], Fraction)
+        return all(isinstance(m, Fraction) for m in self.masses)
 
     def as_dict(self) -> dict[int, object]:
         return dict(zip(self.atoms, self.masses))

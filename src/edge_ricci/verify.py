@@ -107,11 +107,13 @@ def _gap_hypotheses(g, name: str, diagnostic: bool = False):
 def check_spectral_gap_bound(g) -> TheoremCheck:
     """Gap of the degree-weighted edge operator vs curvature + 2/d - 1.
 
-    Hypotheses: every edge degree equals a common d, and the adjacent
-    curvature minimum is positive.  Graphs failing either are classified
-    inapplicable with the reason recorded.
+    Hypotheses: an unweighted graph, every edge degree equals a common d,
+    and the adjacent curvature minimum is positive.  Graphs failing any are
+    classified inapplicable with the reason recorded.
     """
     name = "spectral-gap-vs-curvature"
+    if isinstance(g, WeightedGraph):
+        return _inapplicable(name, "needs an unweighted graph")
     found = _gap_hypotheses(g, name)
     if isinstance(found, TheoremCheck):
         return found
@@ -132,10 +134,12 @@ def _in_triangle(g: Graph, e: int, f: int) -> bool:
 
 
 def check_triangle_gap_diagnostic(g) -> TheoremCheck:
-    """Diagnostic only: gap vs curvature + 4/d - 1 when every adjacent pair
-    closes a triangle.  The 4/d constant shows up in that configuration but
+    """Diagnostic only, unweighted: gap vs curvature + 4/d - 1 when every
+    adjacent pair closes a triangle.  The 4/d constant shows up there but
     is never asserted; failures here are informational."""
     name = "spectral-gap-vs-curvature-triangle-diagnostic"
+    if isinstance(g, WeightedGraph):
+        return _inapplicable(name, "needs an unweighted graph", diagnostic=True)
     found = _gap_hypotheses(g, name, diagnostic=True)
     if isinstance(found, TheoremCheck):
         return found

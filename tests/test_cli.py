@@ -227,6 +227,38 @@ def test_verify_csv_is_curvature_only(capsys):
     assert out == "e,e2,kappa\n0,1,0.5\n0,2,0.5\n1,2,0.5\n"
 
 
+# The full `selftest --seed 0` output, red census line included, so a
+# miscounted or reworded criterion shows as a diff.
+SELFTEST_SEED_0 = (
+    "criterion  1 [PASS] complete graphs: curvature 1/2 and gap "
+    "n/(2(n-2)): n in 3..6, all pairs exact, gaps within 1e-9\n"
+    "criterion  2 [PASS] cycles: zero curvature and 4-/5-cycle spectra: n "
+    "in 4..8 flat (adjacent and min-over-all), spectra within 1e-9\n"
+    "criterion  3 [PASS] stars: curvature, gap, and bound equality: m in "
+    "2..8, equality within 1e-9 at every size\n"
+    "criterion  4 [PASS] complete bipartite: exact curvature table: "
+    "(2,2),(2,3),(3,3),(2,4) all exact\n"
+    "criterion  5 [PASS] spectral gap bound: corpus classification: 13 "
+    "graphs classified and verified\n"
+    "criterion  6 [PASS] curvature floor and ceiling on random graphs: "
+    "4444 exact and 1218 weighted pair bounds hold\n"
+    "criterion  7 [PASS] adjacent minimum extends to all pairs: 20 seeded "
+    "graphs, exact comparison\n"
+    "criterion  8 [PASS] vertex/edge spectra agree; kernel dimension: 62 "
+    "spectrum/kernel checks\n"
+    "criterion  9 [PASS] transport duality gaps and brute-force oracle: 96 "
+    "gaps closed, 96 oracle comparisons agree\n"
+    "criterion 10 [FAIL] tree curvature formula (in-range pairs): 42/128 "
+    "in-range pairs match exactly; 26 pairs have formula > 1 and are out "
+    "of range; first mismatches: path:4 #0 v0-v1,v1-v2: formula 1 vs kappa "
+    "0; path:4 #0 v1-v2,v2-v3: formula 1 vs kappa 0; tree:4 #1 "
+    "v0-v1,v1-v3: formula 1 vs kappa 0 (+83 more)\n"
+    "criterion 11 [PASS] weighted gap bound and unweighted reduction: 15 "
+    "weighted bounds hold; (1, 1/d) matches unweighted\n"
+    "10/11 criteria passed\n"
+)
+
+
 def test_selftest_reports_each_criterion(capsys):
     code, out, _ = run_cli(capsys, "selftest")
     lines = out.splitlines()
@@ -239,6 +271,7 @@ def test_selftest_reports_each_criterion(capsys):
     assert [ln.split()[1] for ln in fails] == ["10"]
     assert lines[-1] == "10/11 criteria passed"
     assert code == 1
+    assert out == SELFTEST_SEED_0
 
 
 def test_usage_errors_exit_2(capsys, tmp_path):

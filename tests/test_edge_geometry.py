@@ -5,14 +5,16 @@ from hypothesis import given, strategies as st
 
 from edge_ricci.curvature import lower_bound, ricci_all_adjacent, upper_bound
 from edge_ricci.edge_geometry import (
+    EdgeMeasure,
     edge_degree,
     edge_distance,
     edge_measure,
     edge_neighborhood,
     edge_space,
 )
-from edge_ricci.errors import IsolatedEdgeError, UnknownEdgeError
+from edge_ricci.errors import IsolatedEdgeError, NonpositiveWeightError, UnknownEdgeError
 from edge_ricci.graph_core import Graph, WeightedGraph, generate
+from edge_ricci.transport import TransportProblem, solve_wasserstein
 
 
 def test_edge_space_on_k4():
@@ -45,6 +47,41 @@ def test_edge_distance_values():
     assert edge_distance(c6, e, antipodal) == 3
     p5 = generate("path:5")
     assert edge_distance(p5, 0, 3) == 3
+
+
+def _bfs_hops(g, e):
+    """Hop counts from edge e over the line graph, by breadth-first search."""
+    dist = {e: 0}
+    frontier = [e]
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for b in range(g.n_edges):
+                if b not in dist and set(g.edges[a]) & set(g.edges[b]):
+                    dist[b] = dist[a] + 1
+                    nxt.append(b)
+        frontier = nxt
+    return tuple(dist[f] for f in range(g.n_edges))
+
+
+@given(st.integers(0, 200))
+def test_unit_rows_are_int_hop_counts(seed):
+    g = generate("random:8:0.35", seed=seed)
+    space = edge_space(g)
+    for e in range(g.n_edges):
+        row = space.row(e)
+        assert row == _bfs_hops(g, e)
+        assert all(type(d) is int for d in row)
+
+
+def test_overflowing_row_raises_on_every_call():
+    # v0-v1 to v2-v3 costs 1e308 + 1e308 = inf; a row kept after the first
+    # call would come back from the second without raising
+    base = generate("path:5")
+    space = edge_space(WeightedGraph(base, {v: 1e308 for v in base.labels}))
+    for _ in range(2):
+        with pytest.raises(NonpositiveWeightError, match="from v0-v1 reach inf"):
+            space.row(0)
 
 
 def test_edge_distance_rejects_bad_ordinal():
@@ -121,6 +158,18 @@ def test_weighted_measure_is_weight_proportional():
     assert table[base.edge_ordinal("v0", "v2")] == pytest.approx(0.75)
     assert table[base.edge_ordinal("v0", "v3")] == pytest.approx(0.25)
     assert edge_degree(wg, e0) == pytest.approx(4.0)
+
+
+def test_mixed_masses_make_a_float_measure():
+    # a Fraction first and a float second is not exact; the transport
+    # problem then works in floats instead of failing on float.denominator
+    mixed = EdgeMeasure(0, (1, 2), (Fraction(1, 2), 0.5))
+    assert not mixed.exact
+    exact = EdgeMeasure(3, (2,), (Fraction(1),))
+    cost = {(a, b): int(a != b) for a in (1, 2) for b in (1, 2)}
+    problem = TransportProblem(mixed, exact, cost)
+    assert not problem.exact and problem.scale == 1
+    assert solve_wasserstein(problem).distance == pytest.approx(0.5)
 
 
 def test_single_edge_measure_is_undefined():

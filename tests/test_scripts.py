@@ -27,13 +27,14 @@ def test_script_exits_zero(name, argv, capsys):
 def test_output_digest_covers_every_input_and_command(monkeypatch, capsys):
     module = _load("output_digest")
     monkeypatch.setattr(module, "FAMILIES", ("cycle:4", "star:4"))
+    monkeypatch.setattr(module, "SELFTEST_SEEDS", (0,))
     assert module.main() == 0
     lines = capsys.readouterr().out.splitlines()
     # two edge lists with five commands, three spectra and six matrix dumps
     # each, six weighted documents with five commands, four spectra and
-    # eight matrix dumps each, then generate for the two families and for
-    # the six malformed specs
-    assert len(lines) == 2 * (5 + 3 + 6) + 6 * (5 + 4 + 8) + 2 + 6
+    # eight matrix dumps each, one selftest, then generate for the two
+    # families and for the six malformed specs
+    assert len(lines) == 2 * (5 + 3 + 6) + 6 * (5 + 4 + 8) + 1 + 2 + 6
     assert all(len(line.split()[1]) == 64 for line in lines)
     # exit 1 is a report with a failed check, not a crash; a malformed spec
     # is bad usage
@@ -48,7 +49,8 @@ def test_output_digest_covers_every_input_and_command(monkeypatch, capsys):
     assert lines[121].endswith(" star:4/random spectrum --weighting graph --format json")
     assert lines[127].endswith(" star:4/random spectrum --weighting degree --dump-matrix edge")
     assert lines[129].endswith(" star:4/random spectrum --weighting graph --dump-matrix edge")
-    assert lines[130].endswith(" cycle:4 generate")
-    assert lines[131].endswith(" star:4 generate")
-    assert lines[132].endswith(" hexagon:6 generate")
+    assert lines[130].endswith(" gate selftest --seed 0")
+    assert lines[131].endswith(" cycle:4 generate")
+    assert lines[132].endswith(" star:4 generate")
+    assert lines[133].endswith(" hexagon:6 generate")
     assert lines[-1].endswith(" cycle:2 generate")

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from edge_ricci.graph_core import WeightedGraph, generate
+from edge_ricci.rng import SplitMix64
 from edge_ricci.verify import (
     TheoremCheck,
     check_adjacent_pair_reduction,
@@ -120,6 +121,23 @@ def test_tree_formula_flags_out_of_range_pairs_as_diagnostic():
     assert len(checks) == 10
     assert all(c.diagnostic for c in checks)
     assert all(("formula", 1.25) in c.witnesses for c in checks)
+
+
+def test_gap_checks_need_an_unweighted_graph():
+    base = generate("complete:5")
+    rng = SplitMix64(11)
+    wg = WeightedGraph(
+        base,
+        {v: 0.5 + 1.5 * rng.uniform() for v in base.labels},
+        {base.edge_endpoints(e): 0.5 + 1.5 * rng.uniform() for e in range(base.n_edges)})
+    gap = check_spectral_gap_bound(wg)
+    triangle = check_triangle_gap_diagnostic(wg)
+    for chk in (gap, triangle):
+        assert not chk.applicable and chk.holds is None and chk.lhs is None
+        assert chk.reason == "needs an unweighted graph"
+    assert not gap.diagnostic and triangle.diagnostic
+    assert check_spectral_gap_bound(base).applicable
+    assert check_triangle_gap_diagnostic(base).applicable
 
 
 def test_edge_regularity():
