@@ -8,10 +8,13 @@ adjacent table), and ``spectrum --format json`` and ``spectrum
 and degree on edge lists, and graph too on weighted documents) in process, and
 print one line per invocation: the exit code, the sha256 of stdout and
 stderr, the input and the command.  The corpus is built here and nowhere
-else: the families below (seed 0) as edge lists, and for each family
-three weighted documents, with unit weights, one constant weight, and
-random weights in [0.5, 2).  Then ``selftest --seed S`` runs for each
-seed in SELFTEST_SEEDS, so the acceptance gate's lines are digested too.
+else: the families below (seed 0) as edge lists; each family's edge list
+again, read from a file with its lines reversed, so that the parser
+assigns another vertex order than the family builder; one edge list whose
+labels need JSON escapes; and for each family three weighted documents,
+with unit weights, one constant weight, and random weights in [0.5, 2).
+Then ``selftest --seed S`` runs for each seed in SELFTEST_SEEDS, so the
+acceptance gate's lines are digested too.
 Last, ``generate --family SPEC`` runs for each family and for one
 malformed spec per kind of spec error, so the family grammar's graphs and
 error messages are digested too.
@@ -32,7 +35,12 @@ import tempfile
 from pathlib import Path
 
 from edge_ricci.cli import run
-from edge_ricci.graph_core import WeightedGraph, generate, serialize_weighted
+from edge_ricci.graph_core import (
+    WeightedGraph,
+    generate,
+    serialize_edgelist,
+    serialize_weighted,
+)
 from edge_ricci.rng import SplitMix64
 
 FAMILIES = (
@@ -58,6 +66,9 @@ MALFORMED = (
     "cycle:2",
 )
 WEIGHTS = ("unit", "constant", "random")
+# a 5-cycle plus one chord on labels with a quote, a backslash, control
+# characters (U+0008 must stay \u0008, not \b) and a non-ASCII letter
+ESCAPES_EDGELIST = 'q" b\\\nb\\ c\x01\nc\x01 d\x08\nd\x08 \u00e9\n\u00e9 q"\nq" c\x01\n'
 SELFTEST_SEEDS = (0, 1)
 COMMANDS = (
     ("verify", "--format", "json"),
@@ -96,6 +107,12 @@ def weighted_document(family: str, weights: str) -> str:
     ))
 
 
+def reversed_edgelist(family: str) -> str:
+    """The family's edge list with its lines in reverse order."""
+    lines = serialize_edgelist(generate(family, seed=0)).splitlines()
+    return "\n".join(reversed(lines)) + "\n"
+
+
 def digest(argv: list[str]) -> tuple[int, str]:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -108,6 +125,12 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         plain = COMMANDS + spectrum_commands(("unit", "walk", "degree"))
         inputs = [(family, ["--family", family], plain) for family in FAMILIES]
+        edge_lists = [(f"{family}/reversed", reversed_edgelist(family))
+                      for family in FAMILIES] + [("escapes", ESCAPES_EDGELIST)]
+        for label, text in edge_lists:
+            path = Path(tmp) / f"{len(inputs)}.txt"
+            path.write_text(text, encoding="utf-8")
+            inputs.append((label, ["--input", str(path)], plain))
         weighted = COMMANDS + spectrum_commands(("unit", "walk", "degree", "graph"))
         for family in FAMILIES:
             for weights in WEIGHTS:

@@ -49,7 +49,7 @@ class Graph:
 
     __slots__ = (
         "labels", "index", "edges", "adjacency",
-        "_edge_lookup", "_adj_idx", "_derived", "_hash", "__weakref__",
+        "_edge_lookup", "_adj_idx", "_derived", "__weakref__",
     )
 
     def __init__(self, labels: Iterable[str], edge_pairs: Iterable[tuple[str, str]]):
@@ -110,23 +110,20 @@ class Graph:
         self._edge_lookup = {pair: k for k, pair in enumerate(self.edges)}
         self._adj_idx = tuple(tuple(row) for row in adj_idx)
         self._derived = {}
-        self._hash = hash(
-            (frozenset(labels), frozenset(frozenset(p) for p in seen))
-        )
 
     # -- identity is by labelled vertex/edge sets, not by index assignment,
     #    so parse(serialize(g)) == g even when appearance order differs.
+    def _identity(self) -> tuple[frozenset, frozenset]:
+        return frozenset(self.labels), frozenset(
+            frozenset((self.labels[i], self.labels[j])) for i, j in self.edges)
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return set(self.labels) == set(other.labels) and {
-            frozenset((self.labels[i], self.labels[j])) for i, j in self.edges
-        } == {
-            frozenset((other.labels[i], other.labels[j])) for i, j in other.edges
-        }
+        return self._identity() == other._identity()
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash(self._identity())
 
     def __repr__(self) -> str:
         return f"Graph(|V|={self.n_vertices}, |E|={self.n_edges})"
@@ -242,6 +239,9 @@ def derived(g: Graph, key, build):
 
 
 def _check_weight(w: object, what: str) -> float:
+    # float() would also read True as 1.0 and the text "2.5" as 2.5
+    if isinstance(w, (bool, str, bytes)):
+        raise NonpositiveWeightError(f"weight for {what} is not a number: {w!r}")
     try:
         w = float(w)
     except (TypeError, ValueError):
@@ -262,8 +262,6 @@ def parse_edgelist(text: str) -> Graph:
 
     Accepts \\n or \\r\\n endings.  Vertex order is first appearance.
     """
-    labels: list[str] = []
-    seen: set[str] = set()
     pairs: list[tuple[str, str]] = []
     for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.rstrip("\r")
@@ -278,14 +276,15 @@ def parse_edgelist(text: str) -> Graph:
         u, v = tokens
         if u == v:
             raise SelfLoopError(f"line {lineno}: self loop at vertex {u!r}")
-        for x in (u, v):
-            if x not in seen:
-                seen.add(x)
-                labels.append(x)
         pairs.append((u, v))
     if not pairs:
         raise EmptyInputError("no edges in input")
-    return Graph(labels, pairs)
+    return _graph_of_pairs(pairs)
+
+
+def _graph_of_pairs(pairs: list[tuple[str, str]]) -> Graph:
+    """The graph on these edges, its vertices in first-appearance order."""
+    return Graph(dict.fromkeys(x for pair in pairs for x in pair), pairs)
 
 
 def serialize_edgelist(g: Graph) -> str:
@@ -322,8 +321,6 @@ def parse_weighted(text: str) -> WeightedGraph:
     if not isinstance(raw_edges, list) or not raw_edges:
         raise EmptyInputError('"edges" must be a nonempty list')
 
-    labels: list[str] = []
-    seen: set[str] = set()
     pairs: list[tuple[str, str]] = []
     ew: dict[tuple[str, str], float] = {}
     for k, entry in enumerate(raw_edges):
@@ -331,10 +328,6 @@ def parse_weighted(text: str) -> WeightedGraph:
             raise FormatError(f"edges[{k}]: expected [u, v] or [u, v, w], got {entry!r}")
         u, v = _coerce_label(entry[0]), _coerce_label(entry[1])
         w = entry[2] if len(entry) == 3 else 1.0
-        for x in (u, v):
-            if x not in seen:
-                seen.add(x)
-                labels.append(x)
         pairs.append((u, v))
         ew[(u, v)] = _check_weight(w, f"edge {u!r} {v!r}")
 
@@ -348,7 +341,7 @@ def parse_weighted(text: str) -> WeightedGraph:
     for v, w in raw_vw.items():
         vw[_coerce_label(v)] = _check_weight(w, f"vertex {v!r}")
 
-    return WeightedGraph(Graph(labels, pairs), vertex_weight=vw, edge_weight=ew)
+    return WeightedGraph(_graph_of_pairs(pairs), vertex_weight=vw, edge_weight=ew)
 
 
 def serialize_weighted(wg: WeightedGraph) -> str:

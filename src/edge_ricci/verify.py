@@ -42,7 +42,10 @@ _NO_ADJACENT_PAIRS = "graph has no adjacent edge pairs"
 
 @dataclass(frozen=True)
 class TheoremCheck:
-    """One verified statement: holds iff lhs `relation` rhs within tolerance."""
+    """One verified statement: holds iff lhs `relation` rhs within tolerance.
+
+    The fields, in this order, are the check's keys in `report_to_json`.
+    """
 
     name: str
     applicable: bool
@@ -52,8 +55,8 @@ class TheoremCheck:
     relation: str  # ">=" or "=="
     tolerance: float
     holds: bool | None
-    witnesses: tuple[tuple[str, float], ...] = ()
     diagnostic: bool = False
+    witnesses: tuple[tuple[str, float], ...] = ()
 
 
 def _check(name, lhs, rhs, relation, tolerance, witnesses=(), diagnostic=False):
@@ -66,7 +69,7 @@ def _check(name, lhs, rhs, relation, tolerance, witnesses=(), diagnostic=False):
         raise InvalidParameterError(f"unknown relation {relation!r}")
     wit = tuple((str(k), float(v)) for k, v in witnesses)
     return TheoremCheck(name, True, "", lhs_f, rhs_f, relation, tolerance,
-                        holds, wit, diagnostic)
+                        holds, diagnostic, wit)
 
 
 def _kappa_tol(*kappas) -> float:
@@ -75,7 +78,7 @@ def _kappa_tol(*kappas) -> float:
 
 
 def _inapplicable(name, reason, diagnostic=False):
-    return TheoremCheck(name, False, reason, None, None, "", 0.0, None, (),
+    return TheoremCheck(name, False, reason, None, None, "", 0.0, None,
                         diagnostic)
 
 
@@ -313,19 +316,12 @@ def verification_report(g) -> VerificationReport:
 
 # ------------------------------------------------------------- serializers
 
+_JSON_ESCAPES = {ord('"'): '\\"', ord("\\"): "\\\\",
+                 **{c: f"\\u{c:04x}" for c in range(0x20)}}
+
+
 def _json_escape(s: str) -> str:
-    out = ['"']
-    for ch in s:
-        if ch == '"':
-            out.append('\\"')
-        elif ch == "\\":
-            out.append("\\\\")
-        elif ord(ch) < 0x20:
-            out.append(f"\\u{ord(ch):04x}")
-        else:
-            out.append(ch)
-    out.append('"')
-    return "".join(out)
+    return '"' + s.translate(_JSON_ESCAPES) + '"'
 
 
 def _json_value(obj) -> str:
@@ -338,8 +334,8 @@ def _json_value(obj) -> str:
         return "false"
     if isinstance(obj, int):
         return str(obj)
-    if isinstance(obj, (float, Fraction)):
-        return f"{float(obj):.17g}"
+    if isinstance(obj, float):
+        return f"{obj:.17g}"
     if isinstance(obj, str):
         return _json_escape(obj)
     if isinstance(obj, dict):
@@ -351,27 +347,12 @@ def _json_value(obj) -> str:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _check_payload(c: TheoremCheck) -> dict:
-    return {
-        "name": c.name,
-        "applicable": c.applicable,
-        "reason": c.reason,
-        "lhs": c.lhs,
-        "rhs": c.rhs,
-        "relation": c.relation,
-        "tolerance": c.tolerance,
-        "holds": c.holds,
-        "diagnostic": c.diagnostic,
-        "witnesses": [[k, v] for k, v in c.witnesses],
-    }
-
-
 def report_to_json(report: VerificationReport) -> str:
     payload = {
         "graph": report.graph,
-        "checks": [_check_payload(c) for c in report.checks],
-        "curvature": [[e, f, k] for e, f, k in report.curvature],
-        "spectra": {k: list(v) for k, v in report.spectra.items()},
+        "checks": [vars(c) for c in report.checks],
+        "curvature": report.curvature,
+        "spectra": report.spectra,
     }
     return _json_value(payload) + "\n"
 

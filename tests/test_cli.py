@@ -347,6 +347,22 @@ def test_output_flag_writes_files(capsys, tmp_path):
                                                    "curvature", "spectra"}
 
 
+@pytest.mark.parametrize("doc", [
+    '{"edges": [["a","b","2.5"],["b","c"]]}',
+    '{"edges": [["a","b",true],["b","c"]]}',
+    '{"edges": [["a","b",false],["b","c"]]}',
+    '{"edges": [["a","b"],["b","c"]], "vertex_weights": {"b": "3"}}',
+])
+def test_weights_that_are_not_numbers_exit_2(capsys, tmp_path, doc):
+    # a JSON string or boolean used to be read as a float, so "2.5" was
+    # 2.5 and true was 1.0; false was rejected as "got 0.0"
+    path = tmp_path / "g.json"
+    path.write_text(doc)
+    code, _, err = run_cli(capsys, "verify", "--input", str(path), "--weighted")
+    assert_one_error_line(code, err)
+    assert "is not a number" in err
+
+
 _OVERFLOWING = '{"edges": [["a","b",1e308],["b","c",1e308],["c","d",1e308]]}'
 
 
@@ -386,7 +402,8 @@ def test_overflowing_edge_distances_exit_2(capsys, tmp_path):
 
 
 _weights = st.one_of(st.floats(0.5, 2.0), st.floats(), st.integers(-1, 3),
-                     st.sampled_from([1e308, 5e-324]))
+                     st.sampled_from([1e308, 5e-324]), st.booleans(),
+                     st.sampled_from(["2.5", " 3e0 ", "1", "nan"]))
 _labels = st.sampled_from("abcde")
 _edges = st.lists(st.sampled_from(list(itertools.combinations("abcde", 2))),
                   min_size=1, max_size=7, unique=True)

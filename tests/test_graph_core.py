@@ -106,6 +106,9 @@ def test_weighted_rejections():
         WeightedGraph(base, None, {("v0", "v1"): -1.0})
     with pytest.raises(UnknownVertexError):
         WeightedGraph(base, {"nope": 1.0})
+    for not_a_number in (True, "2.5", b"2.5"):
+        with pytest.raises(NonpositiveWeightError, match="is not a number"):
+            WeightedGraph(base, {"v0": not_a_number})
     with pytest.raises(FormatError):
         parse_weighted("not json")
     with pytest.raises(EmptyInputError):
@@ -127,6 +130,15 @@ def test_a_weighted_graph_is_a_graph_equal_only_to_itself():
     twin = WeightedGraph(base, {"v0": 2.0})
     assert wg == wg and wg != twin
     assert len({base, wg, twin}) == 3
+
+
+def test_equal_graphs_hash_alike():
+    # the same edges listed in another order give another vertex order
+    g1 = parse_edgelist("a b\nb c\n")
+    g2 = parse_edgelist("b c\na b\n")
+    assert g1.labels != g2.labels and g1 == g2
+    assert hash(g1) == hash(g2)
+    assert len({g1, g2}) == 1
 
 
 # ------------------------------------------------------------- families

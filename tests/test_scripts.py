@@ -30,11 +30,12 @@ def test_output_digest_covers_every_input_and_command(monkeypatch, capsys):
     monkeypatch.setattr(module, "SELFTEST_SEEDS", (0,))
     assert module.main() == 0
     lines = capsys.readouterr().out.splitlines()
-    # two edge lists with five commands, three spectra and six matrix dumps
-    # each, six weighted documents with five commands, four spectra and
-    # eight matrix dumps each, one selftest, then generate for the two
-    # families and for the six malformed specs
-    assert len(lines) == 2 * (5 + 3 + 6) + 6 * (5 + 4 + 8) + 1 + 2 + 6
+    # two families, their two reversed edge lists and the escapes edge list
+    # with five commands, three spectra and six matrix dumps each, six
+    # weighted documents with five commands, four spectra and eight matrix
+    # dumps each, one selftest, then generate for the two families and for
+    # the six malformed specs
+    assert len(lines) == 5 * (5 + 3 + 6) + 6 * (5 + 4 + 8) + 1 + 2 + 6
     assert all(len(line.split()[1]) == 64 for line in lines)
     # exit 1 is a report with a failed check, not a crash; a malformed spec
     # is bad usage
@@ -45,12 +46,16 @@ def test_output_digest_covers_every_input_and_command(monkeypatch, capsys):
     assert lines[5].endswith(" cycle:4 spectrum --weighting unit --format json")
     assert lines[13].endswith(" cycle:4 spectrum --weighting degree --dump-matrix edge")
     assert lines[14].endswith(" star:4 verify --format json")
-    assert lines[118].endswith(" star:4/random spectrum --weighting unit --format json")
-    assert lines[121].endswith(" star:4/random spectrum --weighting graph --format json")
-    assert lines[127].endswith(" star:4/random spectrum --weighting degree --dump-matrix edge")
-    assert lines[129].endswith(" star:4/random spectrum --weighting graph --dump-matrix edge")
-    assert lines[130].endswith(" gate selftest --seed 0")
-    assert lines[131].endswith(" cycle:4 generate")
-    assert lines[132].endswith(" star:4 generate")
-    assert lines[133].endswith(" hexagon:6 generate")
+    assert lines[28].endswith(" cycle:4/reversed verify --format json")
+    assert lines[42].endswith(" star:4/reversed verify --format json")
+    assert lines[56].endswith(" escapes verify --format json")
+    assert lines[69].endswith(" escapes spectrum --weighting degree --dump-matrix edge")
+    assert lines[160].endswith(" star:4/random spectrum --weighting unit --format json")
+    assert lines[163].endswith(" star:4/random spectrum --weighting graph --format json")
+    assert lines[169].endswith(" star:4/random spectrum --weighting degree --dump-matrix edge")
+    assert lines[171].endswith(" star:4/random spectrum --weighting graph --dump-matrix edge")
+    assert lines[172].endswith(" gate selftest --seed 0")
+    assert lines[173].endswith(" cycle:4 generate")
+    assert lines[174].endswith(" star:4 generate")
+    assert lines[175].endswith(" hexagon:6 generate")
     assert lines[-1].endswith(" cycle:2 generate")

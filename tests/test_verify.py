@@ -11,6 +11,7 @@ from edge_ricci.graph_core import WeightedGraph, generate
 from edge_ricci.rng import SplitMix64
 from edge_ricci.verify import (
     TheoremCheck,
+    _json_escape,
     check_adjacent_pair_reduction,
     check_bounds,
     check_spectral_equivalence,
@@ -215,6 +216,21 @@ def test_report_on_k4_is_all_green_and_byte_stable():
     again = verification_report(g)
     assert report.elapsed_seconds != 0.0
     assert report_to_json(report) == report_to_json(again)
+
+
+def test_check_keys_are_the_fields_in_order():
+    payload = json.loads(report_to_json(verification_report(generate("path:4"))))
+    assert {tuple(c) for c in payload["checks"]} == {(
+        "name", "applicable", "reason", "lhs", "rhs", "relation", "tolerance",
+        "holds", "diagnostic", "witnesses")}
+
+
+@pytest.mark.parametrize("char, escaped", [
+    ('"', '\\"'), ("\\", "\\\\"), ("\x00", "\\u0000"), ("\x01", "\\u0001"),
+    ("\x08", "\\u0008"), ("\x1f", "\\u001f"), ("\x7f", "\x7f"), ("\u00e9", "\u00e9"),
+])
+def test_json_escape_bytes(char, escaped):
+    assert _json_escape(f"a{char}b") == f'"a{escaped}b"'
 
 
 def test_report_failed_surfaces_tree_formula():
