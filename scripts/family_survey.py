@@ -58,7 +58,12 @@ def survey(families: list[str], show_inapplicable: bool) -> int:
             # witnesses: the minimizing pair with its kappa, then d
             (_, kmin), (_, d) = chk.witnesses
             slack = chk.lhs - chk.rhs
-            flag = "  <- equality" if abs(slack) < 1e-9 else ""
+            # the equality case leaves a rounding residue of either sign;
+            # print it as 0 so it never reads -0.000000
+            equality = abs(slack) < 1e-9
+            if equality:
+                slack = 0.0
+            flag = "  <- equality" if equality else ""
             print(f"{item:<16} {int(d):>4} {kmin:>10.6f} {chk.lhs:>10.6f} "
                   f"{chk.rhs:>10.6f} {slack:>10.6f}{flag}")
     return 0

@@ -18,6 +18,11 @@ subclass WeightedEdgeSpace (float ones) for a WeightedGraph.  Both share one
 Dijkstra row, int hop counts at unit weights.  Every function below reads
 their common fields alone.
 The space and each edge's measure are kept per graph by graph_core.derived.
+
+pairwise_costs gives a transport problem its costs as one CostBlock: the
+sorted atoms and, per atom, a row tuple sliced from that atom's cached
+distance row.  Readers index the rows by position; block[a, b] reads one
+entry by atom.
 """
 
 from __future__ import annotations
@@ -203,12 +208,34 @@ def _build_measure(g: Graph, e: int) -> EdgeMeasure:
     return EdgeMeasure(e, nbrs, tuple(space.weight[f] / d for f in nbrs))
 
 
-def pairwise_costs(g: Graph, atoms: tuple[int, ...]) -> dict[tuple[int, int], object]:
-    """Distance table over all ordered atom pairs (ints, or floats if weighted)."""
+class CostBlock:
+    """Square cost block over sorted atoms: rows[k][l] is the cost from
+    atoms[k] to atoms[l], and block[a, b] reads one entry by atom.
+
+    A container only; TransportProblem validates it.  Solvers index rows by
+    position, through ``position`` (atom -> index into atoms and rows).
+    """
+
+    __slots__ = ("atoms", "rows", "position")
+
+    def __init__(self, atoms: tuple[int, ...], rows):
+        self.atoms = tuple(atoms)
+        self.rows = tuple(rows)
+        self.position = {a: k for k, a in enumerate(self.atoms)}
+
+    def __getitem__(self, pair: tuple[int, int]):
+        a, b = pair
+        return self.rows[self.position[a]][self.position[b]]
+
+    def __repr__(self) -> str:
+        return f"CostBlock({self.atoms!r}, {self.rows!r})"
+
+
+def pairwise_costs(g: Graph, atoms: tuple[int, ...]) -> CostBlock:
+    """Distance block over sorted atoms (ints, or floats if weighted), each
+    row sliced from the atom's distance row."""
     space = edge_space(g)
-    out: dict[tuple[int, int], object] = {}
-    for a in atoms:
-        row = space.row(a)
-        for b in atoms:
-            out[(a, b)] = row[b]
-    return out
+    # tuple() of a list, not of an iterator: CPython sizes an iterator's
+    # tuple by resizing it, which strands a tuple on a free list every call
+    return CostBlock(atoms, [tuple([row[b] for b in atoms])
+                             for row in map(space.row, atoms)])

@@ -13,6 +13,20 @@ returned plan is the full optimal coupling of mu and nu: the residual plan
 plus one diagonal (a, a, common) stay entry per shared atom, as a sorted
 tuple of (source, sink, mass) entries.
 
+Costs come as one CostBlock (see edge_geometry): the sorted joint support
+and one row tuple per atom.  The solver's source x sink matrix, the dual
+envelope and the Lipschitz check index its rows by position, never by an
+(a, b) key.  Each Dijkstra round stops early: once the first sink with open
+demand settles at distance D, it pops the entries keyed <= D and stops.
+That changes no float.  Every node nearer than D is settled, with the
+distance and parent the full search gives it, and every other node gets D
+in the potential update whatever its distance.  Every open sink at D is
+settled too, so the target (the least-index open sink at D) and its path
+are the full search's.  Unreached nodes carry math.inf.  A popped sink
+relaxes only the sources that carry flow into it, kept per sink; the heap
+orders its entries by (distance, node), so the order of that scan changes
+nothing either.
+
 A TransportProblem fixes its number domain once, when it is built, and
 every later step reads it.  When both measures are exact rationals and the
 costs are integers (the unweighted case) the problem records the LCM of
@@ -32,12 +46,12 @@ duality makes its objective equal the primal cost.  The solver checks the whole
 certificate on the uncancelled problem before it returns: complementary
 slackness on the residual plan, both marginals of the full plan, the
 Lipschitz bound on f, and the duality gap.  A failure raises TransportError
-naming the edge pair and the instance size.  The cost table is validated
-once, when the problem is built; the Lipschitz check walks unordered pairs,
-and the dual objective is summed in the problem's units.  So are the
-marginals of the solver's own plan, checked before the plan is converted to
-masses; the public verify_coupling sums a plan's masses as given, since a
-valid coupling need not be in those units.
+naming the edge pair and the instance size.  The cost block is validated
+once, row by row, when the problem is built; the Lipschitz check walks
+unordered pairs, and the dual objective is summed in the problem's units.
+So are the marginals of the solver's own plan, checked before the plan is
+converted to masses; the public verify_coupling sums a plan's masses as
+given, since a valid coupling need not be in those units.
 
 brute_force_wasserstein enumerates every vertex of the transportation
 polytope (spanning trees of the bipartite support graph) and is the
@@ -55,7 +69,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Mapping
 
-from .edge_geometry import EdgeMeasure
+from .edge_geometry import CostBlock, EdgeMeasure
 from .errors import MassImbalanceError, MissingPotentialError, TransportError
 
 _FLOAT_EPS_CS = 1e-10   # complementary slackness tolerance, float mode
@@ -65,48 +79,52 @@ _FLOAT_DUST = 1e-15     # residual supply/demand/flow below this is rounding noi
 
 @dataclass(frozen=True)
 class TransportProblem:
-    """Measures plus a cost table covering the joint support (both orders).
+    """Measures plus a square cost block over their sorted joint support.
 
-    Construction walks the unordered pairs of the joint support once: both
-    orders of every pair must be present, finite and >= 0, and every atom
-    costs 0 to itself.  The same walk records whether every cost is an int,
-    which with exact masses makes the problem exact, and the sorted joint
-    support.  Then it fixes the solver units: ``scale`` is the LCM of the
-    mass denominators when exact and 1 otherwise, and the read-only
-    ``supply`` and ``demand`` map each atom of mu and nu to its mass in
-    those units (int when exact, float otherwise), whose totals must agree.
+    Construction validates the block in one pass over its rows: its atoms
+    must be the sorted joint support, each row must have one entry per atom,
+    every atom costs 0 to itself, and every entry is finite and >= 0.  The
+    same pass records whether every cost is an int, which with exact masses
+    makes the problem exact.  Then it fixes the solver units: ``scale`` is
+    the LCM of the mass denominators when exact and 1 otherwise, and the
+    read-only ``supply`` and ``demand`` map each atom of mu and nu to its
+    mass in those units (int when exact, float otherwise), whose totals must
+    agree.
     """
 
     mu: EdgeMeasure
     nu: EdgeMeasure
-    cost: Mapping[tuple[int, int], object]
+    cost: CostBlock
     exact: bool = field(init=False, repr=False, compare=False)
     scale: int = field(init=False, repr=False, compare=False)
     supply: Mapping[int, object] = field(init=False, repr=False, compare=False)
     demand: Mapping[int, object] = field(init=False, repr=False, compare=False)
-    _joint: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         mu, nu = self.mu, self.nu
         joint = tuple(sorted(set(mu.atoms) | set(nu.atoms)))
-        cost = self.cost
+        atoms, rows = self.cost.atoms, self.cost.rows
+        if atoms != joint:
+            raise TransportError(
+                f"cost block atoms {atoms} are not the joint support {joint}")
+        if len(rows) != len(joint):
+            raise TransportError(
+                f"cost block has {len(rows)} rows for {len(joint)} atoms")
         int_costs = True
-        try:
-            for k, a in enumerate(joint):
-                c = cost[a, a]
-                if c != 0:
-                    raise TransportError(f"nonzero self cost {c} at atom {a}")
-                int_costs = int_costs and type(c) is int
-                for b in joint[k + 1:]:
-                    ab, ba = cost[a, b], cost[b, a]
-                    if not 0 <= ab < math.inf:
-                        raise _bad_cost(ab, (a, b))
-                    if not 0 <= ba < math.inf:
-                        raise _bad_cost(ba, (b, a))
-                    if int_costs and (type(ab) is not int or type(ba) is not int):
-                        int_costs = False
-        except KeyError as exc:
-            raise TransportError(f"cost table misses pair {exc.args[0]}") from None
+        for k, (a, row) in enumerate(zip(joint, rows)):
+            if len(row) != len(joint):
+                raise TransportError(
+                    f"cost row of atom {a} has {len(row)} entries, not {len(joint)}")
+            if row[k] != 0:
+                raise TransportError(f"nonzero self cost {row[k]} at atom {a}")
+            # min() skips a NaN past the first entry, but the sum carries it
+            total = sum(row)
+            if not (min(row) >= 0 and total < math.inf):
+                for b, c in zip(joint, row):
+                    if not 0 <= c < math.inf:
+                        raise _bad_cost(c, (a, b))
+            # a row of ints sums to an int; one float or Fraction does not
+            int_costs = int_costs and type(total) is int
         exact = mu.exact and nu.exact and int_costs
         scale = math.lcm(*{m.denominator for m in (*mu.masses, *nu.masses)}) if exact else 1
 
@@ -122,10 +140,9 @@ class TransportProblem:
         object.__setattr__(self, "scale", scale)
         object.__setattr__(self, "supply", supply)
         object.__setattr__(self, "demand", demand)
-        object.__setattr__(self, "_joint", joint)
 
     def joint_support(self) -> tuple[int, ...]:
-        return self._joint
+        return self.cost.atoms
 
 
 def _bad_cost(c, pair) -> TransportError:
@@ -161,6 +178,7 @@ def solve_wasserstein(problem: TransportProblem) -> TransportResult:
     """
     exact, scale = problem.exact, problem.scale
     mu, nu = problem.mu, problem.nu
+    rows, position = problem.cost.rows, problem.cost.position
     supply, demand = dict(problem.supply), dict(problem.demand)
     if exact:
         zero, dust, eps_cs, tol = 0, 0, 0, 0
@@ -168,7 +186,7 @@ def solve_wasserstein(problem: TransportProblem) -> TransportResult:
         zero, dust, eps_cs = 0.0, _FLOAT_DUST, _FLOAT_EPS_CS
         # The distance and the potentials scale with the costs, so the
         # accepted certificate error does too.
-        tol = _FLOAT_EPS_GAP * max(1.0, max(problem.cost.values()))
+        tol = _FLOAT_EPS_GAP * max(1.0, max(map(max, rows)))
         # The two float sums disagree by a few ulp; rescale demand so the
         # totals match exactly, otherwise the loop below chases the dust.
         fix = sum(supply.values()) / sum(demand.values())
@@ -193,8 +211,10 @@ def solve_wasserstein(problem: TransportProblem) -> TransportResult:
             f"{len(nu.atoms)} atoms, residual {S}x{T}: {what}"
         )
 
-    cost = [[problem.cost[(sources[i], sinks[j])] for j in range(T)] for i in range(S)]
+    sink_at = [position[b] for b in sinks]
+    cost = [[row[q] for q in sink_at] for row in (rows[position[a]] for a in sources)]
     flow = [[zero] * T for _ in range(S)]
+    carriers = [set() for _ in range(T)]  # the sources with flow into each sink
     phi = [zero] * (S + T)  # node potentials; reduced cost c + phi[u] - phi[v] >= 0
 
     def ship(parent, tgt):
@@ -213,10 +233,13 @@ def solve_wasserstein(problem: TransportProblem) -> TransportResult:
         amt = min(supply[src], demand[tgt], *(flow[i][j] for i, j in back))
         for i, j in fwd:
             flow[i][j] += amt
+            carriers[j].add(i)
         for i, j in back:
             flow[i][j] -= amt
             if flow[i][j] < dust:
                 flow[i][j] = zero
+            if not flow[i][j]:
+                carriers[j].discard(i)
         supply[src] -= amt
         demand[tgt] -= amt
         if supply[src] < dust:
@@ -233,7 +256,7 @@ def solve_wasserstein(problem: TransportProblem) -> TransportResult:
         parent = dict.fromkeys(stack)
         while stack:
             u = stack.pop()
-            for v in tight[u] if u < S else [i for i in range(S) if flow[i][u - S]]:
+            for v in tight[u] if u < S else sorted(carriers[u - S]):
                 if v not in parent:
                     parent[v] = u
                     if v >= S and demand[v - S]:
@@ -248,6 +271,7 @@ def solve_wasserstein(problem: TransportProblem) -> TransportResult:
     # proven here.  Float rounding can recycle residual arcs, so the cap
     # turns a pathological instance into an error instead of a spin.
     budget = (S + 2) * (T + 2) * 8
+    inf = math.inf
     active_sources = [i for i in range(S) if supply[i] > dust]
     while active_sources:
         budget -= 1
@@ -255,17 +279,26 @@ def solve_wasserstein(problem: TransportProblem) -> TransportResult:
             raise failure("augmentation budget exhausted; instance does not drain")
         # multi-source Dijkstra over reduced costs in the residual network;
         # reduced costs are >= 0 by invariant, but float rounding can leave a
-        # -1e-17 that Dijkstra would cycle on forever, so it counts as 0
-        dist = [None] * (S + T)
+        # -1e-17 that Dijkstra would cycle on forever, so it counts as 0.
+        # It stops once every entry keyed <= d_tgt, the distance of the
+        # first open sink to settle, is popped: every node nearer than
+        # d_tgt is then settled, every other node gets d_tgt in the
+        # potential update below whatever its distance, and each open sink
+        # at d_tgt is settled, so the target and its path are those of the
+        # full search.
+        dist = [inf] * (S + T)
         parent: list[int | None] = [None] * (S + T)
         pq = []
         for i in active_sources:
             dist[i] = zero
             heapq.heappush(pq, (zero, i))
+        d_tgt = inf
         while pq:
             d, u = heapq.heappop(pq)
-            if dist[u] is None or d > dist[u]:
+            if d > dist[u]:
                 continue
+            if d > d_tgt:
+                break
             phi_u = phi[u]
             if u < S:
                 row = cost[u]
@@ -273,32 +306,30 @@ def solve_wasserstein(problem: TransportProblem) -> TransportResult:
                     v = S + j
                     rc = row[j] + phi_u - phi[v]
                     nd = d + rc if rc > zero else d
-                    if dist[v] is None or nd < dist[v]:
+                    if nd < dist[v]:
                         dist[v] = nd
                         parent[v] = u
                         heapq.heappush(pq, (nd, v))
             else:
                 j = u - S
-                for i in range(S):
-                    if flow[i][j] > zero:
-                        rc = -cost[i][j] + phi_u - phi[i]
-                        nd = d + rc if rc > zero else d
-                        if dist[i] is None or nd < dist[i]:
-                            dist[i] = nd
-                            parent[i] = u
-                            heapq.heappush(pq, (nd, i))
-        open_demand = [j for j in range(T) if demand[j] > dust]
-        targets = [j for j in open_demand if dist[S + j] is not None]
-        if not targets:
-            if open_demand:
+                if d_tgt == inf and demand[j] > dust:
+                    d_tgt = d
+                for i in carriers[j]:
+                    rc = -cost[i][j] + phi_u - phi[i]
+                    nd = d + rc if rc > zero else d
+                    if nd < dist[i]:
+                        dist[i] = nd
+                        parent[i] = u
+                        heapq.heappush(pq, (nd, i))
+        if d_tgt == inf:
+            if any(x > dust for x in demand):
                 raise failure("flow network admits no augmenting path")
             break  # only sub-threshold float dust is left unshipped
-        tgt = min(targets, key=lambda j: (dist[S + j], j))
-        d_tgt = dist[S + tgt]
+        tgt = min(j for j in range(T) if demand[j] > dust and dist[S + j] == d_tgt)
 
         # potentials stay dual-feasible after augmenting along tight arcs
         for v in range(S + T):
-            phi[v] = phi[v] + (dist[v] if dist[v] is not None and dist[v] < d_tgt else d_tgt)
+            phi[v] = phi[v] + (dist[v] if dist[v] < d_tgt else d_tgt)
 
         ship(parent, tgt)
         if exact:
@@ -324,10 +355,9 @@ def solve_wasserstein(problem: TransportProblem) -> TransportResult:
     # envelope dual certificate over the whole joint support:
     # f(a) = min_j (beta_j + d(a, sink_j)) over the residual sinks, and
     # f = 0 when mu = nu leaves nothing to ship
-    beta = {sinks[j]: -phi[S + j] for j in range(T)}
-    dual = {}
-    for a in problem.joint_support():
-        dual[a] = min((beta[b] + problem.cost[(a, b)] for b in sinks), default=zero)
+    beta = [-phi[S + j] for j in range(T)]
+    dual = {a: min((b + row[q] for b, q in zip(beta, sink_at)), default=zero)
+            for a, row in zip(problem.cost.atoms, rows)}
 
     # the certificate: complementary slackness on the residual plan (whose
     # cost is summed on the way), then, on the uncancelled problem, plan
@@ -346,7 +376,12 @@ def solve_wasserstein(problem: TransportProblem) -> TransportResult:
         raise failure(f"invalid plan: {violations[0]}")
     distance = Fraction(total, scale) if exact else total
     # (source, sink) pairs are unique, so the sort compares no amounts
-    plan = tuple(sorted((a, b, Fraction(x, scale) if exact else x) for a, b, x in in_units()))
+    if exact:
+        # one Fraction per distinct amount
+        masses = {x: Fraction(x, scale) for x in set(common.values()).union(*flow)}
+        plan = tuple(sorted((a, b, masses[x]) for a, b, x in in_units()))
+    else:
+        plan = tuple(sorted(in_units()))
     excess = lipschitz_excess(problem, dual)
     if excess > tol:
         raise failure(f"dual certificate breaks the Lipschitz bound by {excess}")
@@ -403,38 +438,38 @@ def dual_objective(problem: TransportProblem, dual: Mapping[int, object]) -> obj
     scale.
     """
     joint = problem.joint_support()
-    f = _defined_on(dual, joint)
     supply, demand = problem.supply, problem.demand
     total = 0
-    for a in joint:
-        total += f[a] * (supply.get(a, 0) - demand.get(a, 0))
+    for a, fa in zip(joint, _values_on(dual, joint)):
+        total += fa * (supply.get(a, 0) - demand.get(a, 0))
     return Fraction(total, problem.scale) if problem.exact else total
 
 
 def lipschitz_excess(problem: TransportProblem, dual: Mapping[int, object]) -> object:
     """max over joint pairs of |f(a) - f(b)| - d(a, b); feasible iff <= 0.
 
-    Walks unordered pairs against the cheaper of the two orders, which gives
-    the maximum over both orders without assuming the costs symmetric.
+    Walks unordered pairs of block positions against the cheaper of the two
+    orders, which gives the maximum over both orders without assuming the
+    costs symmetric.
     """
-    joint = problem.joint_support()
-    values, cost = _defined_on(dual, joint), problem.cost
+    rows = problem.cost.rows
+    f = _values_on(dual, problem.joint_support())
     worst = None
-    for k, a in enumerate(joint):
-        fa = values[a]
-        for b in joint[k + 1:]:
-            excess = abs(fa - values[b]) - min(cost[a, b], cost[b, a])
+    for k, (fa, row) in enumerate(zip(f, rows)):
+        for l in range(k + 1, len(f)):
+            ab, ba = row[l], rows[l][k]
+            excess = abs(fa - f[l]) - (ba if ba < ab else ab)
             if worst is None or excess > worst:
                 worst = excess
     return worst if worst is not None else 0
 
 
-def _defined_on(dual: Mapping[int, object], joint: tuple[int, ...]) -> Mapping[int, object]:
-    """The potential, once each atom of the joint support has a value."""
+def _values_on(dual: Mapping[int, object], joint: tuple[int, ...]) -> list:
+    """The potential's values in joint-support order, once each atom has one."""
     for a in joint:
         if a not in dual:
             raise MissingPotentialError(f"potential undefined on atom {a}")
-    return dual
+    return [dual[a] for a in joint]
 
 
 # ------------------------------------------------------------------ oracle

@@ -1,0 +1,60 @@
+"""The functions the benchmark's tracer hooks keep their names and parameters.
+
+bench/tracer.py finds each traced function by module, attribute path and
+parameter name, and reads ``problem.mu.atoms`` and ``problem.nu.atoms`` for
+its ``cells`` note.  A renamed hook or a moved parameter would otherwise
+show only under ``python3 -m pytest bench``.  Here its Tracer runs, as it
+stands, around one report on a small unweighted and a small weighted graph.
+"""
+
+import importlib.util
+import math
+from pathlib import Path
+
+import pytest
+
+import edge_ricci.acceptance  # noqa: F401  (the tracer hooks every package module)
+import edge_ricci.cli  # noqa: F401
+from edge_ricci.graph_core import WeightedGraph, generate
+from edge_ricci.verify import verification_report
+
+TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+TRANSPORT_LAYERS = (
+    "edge_geometry.pairwise_costs",
+    "curvature.pair_transport_problem",
+    "transport.solve_wasserstein",
+    "transport.lipschitz_excess",
+)
+
+
+def _tracer():
+    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _graph(weighted):
+    g = generate("random:7:0.5", seed=2)
+    if weighted:
+        g = WeightedGraph(g, {v: 0.5 + 0.2 * k for k, v in enumerate(g.labels)},
+                          {g.edge_endpoints(e): 0.5 + 0.1 * e for e in range(g.n_edges)})
+    return g
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_tracer_sees_every_transport_layer_and_every_pair(weighted):
+    tracing = _tracer()
+    g = _graph(weighted)
+    t = tracing.Tracer()
+    t.begin_op(0)
+    with t.installed():
+        verification_report(g)
+    stats, notes = tracing.span_stats(t.spans)
+    for layer in TRANSPORT_LAYERS:
+        assert stats["calls"].get(layer, 0) > 0, layer
+    cells = notes["transport.solve_wasserstein"]
+    assert len(cells) == stats["calls"]["transport.solve_wasserstein"]
+    assert all(c > 0 for c in cells)
+    assert len(set(notes["curvature.ricci"])) == math.comb(g.n_edges, 2)
+    assert tracing.layer_metrics(t.spans, 0.0)["transport.solve_wasserstein.cells"] == sum(cells)

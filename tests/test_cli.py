@@ -1,6 +1,7 @@
 """End-to-end command tests, run in-process through cli.main."""
 
 import contextlib
+import hashlib
 import io
 import itertools
 import json
@@ -218,6 +219,38 @@ def test_verify_exit_codes_and_determinism(capsys):
     # the 4-path carries two asserted tree-formula checks that fail
     code, out, _ = run_cli(capsys, "verify", "--family", "path:4")
     assert code == 1 and "FAIL tree-formula" in out
+
+
+# Weights in [0.5, 2) with vertex weights that are not constant: every
+# curvature comes from the float transport path.
+_FLOAT_DOC = {
+    "edges": [["v0", "v1", 0.772], ["v0", "v3", 1.492], ["v0", "v5", 1.002],
+              ["v0", "v7", 0.797], ["v1", "v4", 1.234], ["v1", "v7", 1.241],
+              ["v2", "v3", 1.22], ["v2", "v5", 1.187], ["v2", "v7", 0.897],
+              ["v3", "v4", 0.881], ["v4", "v5", 1.538], ["v4", "v6", 0.987],
+              ["v5", "v7", 1.512], ["v6", "v7", 1.681]],
+    "vertex_weights": {"v0": 1.799, "v1": 1.916, "v2": 0.852, "v3": 0.856,
+                       "v4": 1.602, "v5": 1.363, "v6": 0.803, "v7": 1.516},
+}
+_VERIFY_JSON_SHA256 = {
+    "weighted": "1ebe6ee1bb95b14f233e858fe97865e4ce77cef578a16791135a9f75f5fa1b11",
+    "random:10:0.6": "a54f5d23254d9517a62dcb3ff1a368d4f0165f790e06cb02a0742b0fa94305c0",
+}
+
+
+@pytest.mark.parametrize("source", sorted(_VERIFY_JSON_SHA256))
+def test_verify_json_bytes_are_pinned(capsys, tmp_path, source):
+    # a solver change that moves one float bit of a curvature, a potential
+    # or an eigenvalue changes these digests
+    if source == "weighted":
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(_FLOAT_DOC))
+        argv = ["--input", str(path), "--weighted"]
+    else:
+        argv = ["--family", source, "--seed", "0"]
+    code, out, _ = run_cli(capsys, "verify", *argv, "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _VERIFY_JSON_SHA256[source]
 
 
 def test_verify_csv_is_curvature_only(capsys):

@@ -5,12 +5,14 @@ from hypothesis import given, strategies as st
 
 from edge_ricci.curvature import lower_bound, ricci_all_adjacent, upper_bound
 from edge_ricci.edge_geometry import (
+    CostBlock,
     EdgeMeasure,
     edge_degree,
     edge_distance,
     edge_measure,
     edge_neighborhood,
     edge_space,
+    pairwise_costs,
 )
 from edge_ricci.errors import IsolatedEdgeError, NonpositiveWeightError, UnknownEdgeError
 from edge_ricci.graph_core import Graph, WeightedGraph, generate
@@ -166,10 +168,27 @@ def test_mixed_masses_make_a_float_measure():
     mixed = EdgeMeasure(0, (1, 2), (Fraction(1, 2), 0.5))
     assert not mixed.exact
     exact = EdgeMeasure(3, (2,), (Fraction(1),))
-    cost = {(a, b): int(a != b) for a in (1, 2) for b in (1, 2)}
+    cost = CostBlock((1, 2), ((0, 1), (1, 0)))
     problem = TransportProblem(mixed, exact, cost)
     assert not problem.exact and problem.scale == 1
     assert solve_wasserstein(problem).distance == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_cost_block_entries_are_edge_distances(weighted):
+    base = generate("random:8:0.5", seed=3)
+    g = base
+    if weighted:
+        # non-constant vertex weights, so distances are not hop counts
+        g = WeightedGraph(base, {v: 0.5 + 0.25 * k for k, v in enumerate(base.labels)},
+                          {base.edge_endpoints(e): 1.0 for e in range(base.n_edges)})
+    atoms = (0, 2, 3, 7, base.n_edges - 1)
+    block = pairwise_costs(g, atoms)
+    assert block.atoms == atoms and len(block.rows) == len(atoms)
+    for a in atoms:
+        for b in atoms:
+            assert block[a, b] == edge_distance(g, a, b)
+            assert type(block[a, b]) is (float if weighted else int)
 
 
 def test_single_edge_measure_is_undefined():

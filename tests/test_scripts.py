@@ -24,6 +24,28 @@ def test_script_exits_zero(name, argv, capsys):
     assert capsys.readouterr().out
 
 
+def test_family_survey_prints_stars_at_zero_slack(capsys):
+    # every star is the equality case; its slack is a rounding residue of
+    # either sign, printed as 0
+    assert _load("family_survey").main([]) == 0
+    rows = capsys.readouterr().out.splitlines()[2:]
+    assert not any("-0.000000" in row for row in rows)
+    stars = [row for row in rows if row.startswith("star:")]
+    assert len(stars) == 8
+    assert all(row.endswith(" 0.000000  <- equality") for row in stars)
+
+
+@pytest.mark.parametrize("argv, applicable", [
+    (["--samples", "3"], False),   # 7 vertices, p = 0.5: edge degrees unequal
+    (["--samples", "3", "--vertices", "6", "--prob", "0.95"], True),
+])
+def test_random_audit_says_when_the_bound_was_never_checked(argv, applicable, capsys):
+    assert _load("random_audit").main(argv) == 0
+    out = capsys.readouterr().out
+    assert ("bound applicable         0\n" in out) is not applicable
+    assert ("hypotheses held on no sample" in out) is not applicable
+
+
 def test_output_digest_covers_every_input_and_command(monkeypatch, capsys):
     module = _load("output_digest")
     monkeypatch.setattr(module, "FAMILIES", ("cycle:4", "star:4"))

@@ -15,7 +15,7 @@ from hypothesis import assume, given, strategies as st
 
 from edge_ricci import transport
 from edge_ricci.curvature import edges_adjacent, pair_transport_problem
-from edge_ricci.edge_geometry import EdgeMeasure, edge_measure
+from edge_ricci.edge_geometry import CostBlock, EdgeMeasure, edge_measure
 from edge_ricci.errors import MassImbalanceError, MissingPotentialError, TransportError
 from edge_ricci.graph_core import WeightedGraph, generate
 from edge_ricci.rng import SplitMix64
@@ -29,15 +29,15 @@ from edge_ricci.transport import (
 )
 
 
-def _grid_cost(atoms):
-    return {(a, b): abs(a - b) for a in atoms for b in atoms}
+def _block(atoms, cost):
+    """The CostBlock over atoms whose entries are cost(a, b)."""
+    return CostBlock(atoms, [tuple(cost(a, b) for b in atoms) for a in atoms])
 
 
 def _problem(mu_masses, nu_masses, mu_atoms, nu_atoms):
     exact = isinstance(mu_masses[0], Fraction)
-    cost = _grid_cost(tuple(sorted(set(mu_atoms) | set(nu_atoms))))
-    if not exact:
-        cost = {k: float(v) for k, v in cost.items()}
+    atoms = tuple(sorted(set(mu_atoms) | set(nu_atoms)))
+    cost = _block(atoms, lambda a, b: abs(a - b) if exact else float(abs(a - b)))
     return TransportProblem(
         EdgeMeasure(0, tuple(mu_atoms), tuple(mu_masses)),
         EdgeMeasure(1, tuple(nu_atoms), tuple(nu_masses)),
@@ -113,45 +113,55 @@ def test_mass_imbalance_is_rejected():
         TransportProblem(
             EdgeMeasure(0, (0,), (1.0 + 9.9e-13,)),
             EdgeMeasure(1, (1,), (1.0 - 9.9e-13,)),
-            {k: float(v) for k, v in _grid_cost((0, 1)).items()},
+            _block((0, 1), lambda a, b: float(abs(a - b))),
         )
     with pytest.raises(ValueError):
         EdgeMeasure(1, (1, 2), (Fraction(1, 2), Fraction(1, 4)))
 
 
+def _point_pair(rows, atoms=(0, 1), masses=(Fraction(1), Fraction(1))):
+    """Unit point masses at atoms 0 and 1, with a block over atoms."""
+    return TransportProblem(EdgeMeasure(0, (0,), masses[:1]),
+                            EdgeMeasure(1, (1,), masses[1:]), CostBlock(atoms, rows))
+
+
 def test_cost_table_must_cover_joint_support():
-    with pytest.raises(TransportError):
-        TransportProblem(
-            EdgeMeasure(0, (0,), (Fraction(1),)),
-            EdgeMeasure(1, (1,), (Fraction(1),)),
-            {(0, 1): 1, (1, 0): 1, (0, 0): 0},  # missing (1, 1)
-        )
-    with pytest.raises(TransportError):
-        TransportProblem(
-            EdgeMeasure(0, (0,), (Fraction(1),)),
-            EdgeMeasure(1, (1,), (Fraction(1),)),
-            {(0, 1): -1, (1, 0): 1, (0, 0): 0, (1, 1): 0},
-        )
+    # the block's atoms must be the sorted joint support (0, 1), whatever
+    # its rows hold
+    for atoms in ((0,), (1, 0), (0, 1, 2), (0, 2)):
+        rows = tuple(tuple(int(a != b) for b in atoms) for a in atoms)
+        with pytest.raises(TransportError, match=r"not the joint support \(0, 1\)"):
+            _point_pair(rows, atoms)
+    with pytest.raises(TransportError, match=r"negative cost -1 for pair \(0, 1\)"):
+        _point_pair(((0, -1), (1, 0)))
 
 
-def test_cost_table_must_hold_both_orders():
-    # every other entry is present: only (1, 0) is missing
-    with pytest.raises(TransportError, match=r"misses pair \(1, 0\)"):
-        TransportProblem(
-            EdgeMeasure(0, (0,), (Fraction(1),)),
-            EdgeMeasure(1, (1,), (Fraction(1),)),
-            {(0, 1): 1, (0, 0): 0, (1, 1): 0},
-        )
+def test_a_short_or_ragged_row_names_its_atom():
+    for rows, atom in ((((0, 1), (1,)), 1),        # short row
+                       (((0, 1, 1), (1, 0)), 0),   # long row
+                       (((0,), (1, 0)), 0)):       # short leading row
+        with pytest.raises(TransportError, match=rf"cost row of atom {atom} has"):
+            _point_pair(rows)
+    with pytest.raises(TransportError, match="1 rows for 2 atoms"):
+        _point_pair(((0, 1),))
 
 
 @pytest.mark.parametrize("bad", [math.inf, math.nan])
 def test_non_finite_costs_are_rejected(bad):
     with pytest.raises(TransportError, match=r"non-finite cost .* \(1, 0\)"):
-        TransportProblem(
-            EdgeMeasure(0, (0,), (1.0,)),
-            EdgeMeasure(1, (1,), (1.0,)),
-            {(0, 1): 1.0, (1, 0): bad, (0, 0): 0.0, (1, 1): 0.0},
-        )
+        _point_pair(((0.0, 1.0), (bad, 0.0)), masses=(1.0, 1.0))
+
+
+@pytest.mark.parametrize("at", [1, 2, 3])
+def test_nan_past_the_first_entry_of_a_row_is_rejected(at):
+    # min() keeps its first value against a NaN, so a row guard built on
+    # min and max alone passes these rows
+    rows = [[float(abs(a - b)) for b in range(4)] for a in range(4)]
+    rows[0][at] = math.nan
+    with pytest.raises(TransportError, match=rf"non-finite cost nan for pair \(0, {at}\)"):
+        TransportProblem(EdgeMeasure(0, (0, 1), (0.5, 0.5)),
+                         EdgeMeasure(1, (2, 3), (0.5, 0.5)),
+                         CostBlock((0, 1, 2, 3), map(tuple, rows)))
 
 
 def test_problem_records_its_units():
@@ -309,8 +319,8 @@ def dual_instances(draw):
     for side in (mu_atoms, nu_atoms):
         weights = [draw(st.integers(1, 6)) for _ in side]
         masses.append(tuple(Fraction(w, sum(weights)) for w in weights))
-    cost = {(a, b): 0 if a == b else draw(st.integers(0, 7))
-            for a in atoms for b in atoms}
+    joint = tuple(sorted(atoms))
+    cost = _block(joint, lambda a, b: 0 if a == b else draw(st.integers(0, 7)))
     problem = TransportProblem(EdgeMeasure(0, tuple(mu_atoms), masses[0]),
                                EdgeMeasure(1, tuple(nu_atoms), masses[1]), cost)
     f = {a: draw(st.integers(-8, 8)) for a in atoms}
@@ -383,7 +393,8 @@ def _cancelled(problem):
     left = sum(sides[0].values())
     mu, nu = (EdgeMeasure(k, tuple(side), tuple(m / left for m in side.values()))
               for k, side in enumerate(sides))
-    return TransportProblem(mu, nu, problem.cost), left
+    joint = tuple(sorted(set(mu.atoms) | set(nu.atoms)))
+    return TransportProblem(mu, nu, _block(joint, lambda a, b: problem.cost[a, b])), left
 
 
 _WIDE_FAMILIES = ("random:7:0.5", "random:8:0.4", "random:8:0.5")
@@ -427,7 +438,8 @@ def _as_float(problem):
     """The same problem with float masses and float costs."""
     mu, nu = (EdgeMeasure(m.owner, m.atoms, tuple(map(float, m.masses)))
               for m in (problem.mu, problem.nu))
-    return TransportProblem(mu, nu, {k: float(c) for k, c in problem.cost.items()})
+    return TransportProblem(mu, nu, _block(problem.joint_support(),
+                                           lambda a, b: float(problem.cost[a, b])))
 
 
 @pytest.mark.parametrize("seed", [0, 1])
