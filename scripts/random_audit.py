@@ -6,7 +6,9 @@ hypotheses (equal edge degrees, positive adjacent curvature minimum), and
 for the applicable ones records the slack lambda1 - (kappa + 2/d - 1).
 Every curvature bound and the adjacent-to-all-pairs reduction are asserted
 along the way, so this doubles as a soak test; any violation aborts with a
-report line.
+report line.  The reduction's glued minimum (non-adjacent pairs covered by
+glued couplings) is also compared with the minimum found by solving every
+pair, and the report counts the pairs glued and the pairs solved instead.
 
 Usage:
     python3 scripts/random_audit.py --samples 60 --vertices 6 --prob 0.95
@@ -19,7 +21,7 @@ says so instead of a bare count of 0.
 import argparse
 import sys
 
-from edge_ricci.curvature import ricci_all_adjacent
+from edge_ricci.curvature import glued_all_pairs_minimum, kappa_min, ricci_all_adjacent
 from edge_ricci.graph_core import generate
 from edge_ricci.verify import (
     check_adjacent_pair_reduction,
@@ -30,7 +32,7 @@ from edge_ricci.verify import (
 
 
 def audit(samples: int, vertices: int, prob: float, seed: int) -> int:
-    not_regular = no_positive_floor = 0
+    not_regular = no_positive_floor = glued = solved = 0
     slacks = []
     for k in range(samples):
         g = generate(f"random:{vertices}:{prob}", seed=seed + k)
@@ -41,9 +43,15 @@ def audit(samples: int, vertices: int, prob: float, seed: int) -> int:
                 print(f"BOUND VIOLATION seed {seed + k} {bound.name}")
                 return 1
         red = check_adjacent_pair_reduction(g)
-        if red.applicable and not red.holds:
-            print(f"REDUCTION VIOLATION seed {seed + k}")
-            return 1
+        if red.applicable:
+            found = glued_all_pairs_minimum(g)
+            oracle = kappa_min(g, "all")
+            if not red.holds or found.kappa != oracle:
+                print(f"REDUCTION VIOLATION seed {seed + k}: glued minimum "
+                      f"{found.kappa}, solved minimum {oracle}")
+                return 1
+            glued += found.glued
+            solved += len(found.solved)
         chk = check_spectral_gap_bound(g)
         if not chk.applicable:
             if edge_regularity(g) is None:
@@ -58,6 +66,8 @@ def audit(samples: int, vertices: int, prob: float, seed: int) -> int:
         slacks.append(chk.lhs - chk.rhs)
 
     print(f"samples                  {samples}")
+    print(f"pairs glued              {glued}")
+    print(f"pairs solved, not glued  {solved}")
     print(f"edge degrees unequal     {not_regular}")
     print(f"curvature floor <= 0     {no_positive_floor}")
     print(f"bound applicable         {len(slacks)}")

@@ -24,6 +24,7 @@ from fractions import Fraction
 
 from .curvature import (
     adjacent_minimum,
+    glued_all_pairs_minimum,
     kappa_min,
     lower_bound,
     ricci_all_adjacent,
@@ -218,11 +219,18 @@ def check_bounds(g) -> list[TheoremCheck]:
 
 def check_adjacent_pair_reduction(g) -> TheoremCheck:
     """A curvature floor over adjacent pairs extends to all distinct pairs:
-    min over every pair >= min over adjacent pairs."""
+    min over every pair >= min over adjacent pairs.
+
+    Only the adjacent pairs are solved.  Each non-adjacent pair is covered
+    by a coupling glued from the adjacent plans along an edge geodesic,
+    checked to cost at most d(e, f)(1 - kappa_min), or else by its own
+    certified solve (see curvature.glued_all_pairs_minimum).  So lhs is the
+    adjacent minimum, lowered only by a solved pair below it.
+    """
     name = "adjacent-min-extends-to-all-pairs"
     if g.n_edges < 3:
         return _inapplicable(name, "fewer than three edges")
-    lhs = kappa_min(g, "all")
+    lhs = glued_all_pairs_minimum(g).kappa
     rhs = kappa_min(g, "adjacent")
     return _check(name, lhs, rhs, ">=", _kappa_tol(lhs, rhs))
 

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -219,3 +220,22 @@ def test_adjacency_matches_distance_one(seed):
         for f in range(g.n_edges):
             if e != f:
                 assert (f in space.shared_vertex[e]) == (edge_distance(g, e, f) == 1)
+
+
+@given(st.integers(0, 100))
+def test_weighted_row_is_set_by_an_exact_neighbor_hop(seed):
+    # every distance but the root's is some neighbor's distance plus the
+    # shared vertex's weight, to the last bit: Dijkstra stored that very
+    # sum, so an equality test finds a geodesic parent without tolerance
+    rng = random.Random(seed)
+    base = generate("random:8:0.4", seed=seed)
+    wg = WeightedGraph(base, {v: 0.5 + 1.5 * rng.random() for v in base.labels},
+                       {base.edge_endpoints(e): 1.0 for e in range(base.n_edges)})
+    space = edge_space(wg)
+    for e in range(wg.n_edges):
+        row = space.row(e)
+        for f in range(wg.n_edges):
+            hops = [row[p] + space.vertex_weight[space.shared_vertex[f][p]]
+                    for p in space.neighbors[f]]
+            assert (row[f] in hops) is (f != e)
+            assert all(h >= row[f] for h in hops)

@@ -81,3 +81,12 @@ def test_output_digest_covers_every_input_and_command(monkeypatch, capsys):
     assert lines[174].endswith(" star:4 generate")
     assert lines[175].endswith(" hexagon:6 generate")
     assert lines[-1].endswith(" cycle:2 generate")
+
+
+def test_random_audit_counts_glued_and_solved_pairs(capsys):
+    # unweighted couplings glue in exact units, so no pair needs a solve
+    assert _load("random_audit").main(["--samples", "3"]) == 0
+    out = capsys.readouterr().out
+    assert "pairs solved, not glued  0\n" in out
+    glued = next(line for line in out.splitlines() if line.startswith("pairs glued"))
+    assert int(glued.split()[-1]) > 0

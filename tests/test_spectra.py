@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from edge_ricci import spectra
+from edge_ricci.edge_geometry import edge_measure
 from edge_ricci.errors import (
     NoConvergenceError,
     NoNonzeroEigenvalueError,
@@ -21,7 +22,7 @@ from edge_ricci.spectra import (
     spectral_equivalence_gap,
     spectrum_of,
 )
-from edge_ricci.verify import verification_report
+from edge_ricci.verify import edge_regularity, verification_report
 
 
 def _random_symmetric(n: int, seed: int) -> list[list[float]]:
@@ -182,3 +183,29 @@ def test_zero_tolerance_is_applied_per_read(monkeypatch):
     assert len(calls) == 1
     assert strict.values is loose.values
     assert (strict.zero_multiplicity, loose.zero_multiplicity) == (1, 3)
+
+
+def _walk_complement_spectrum(g):
+    """spec(I - P) with P(e, f) = m_e(f), symmetric on an edge-regular graph."""
+    m = g.n_edges
+    walk = [[float(e == f) for f in range(m)] for e in range(m)]
+    for e in range(m):
+        for f, mass in edge_measure(g, e).as_dict().items():
+            walk[e][f] -= float(mass)
+    return eigenvalues_symmetric(walk)
+
+
+@pytest.mark.parametrize("spec, bipartite", [
+    ("star:5", True), ("star:7", True), ("bipartite:3:3", True),
+    ("bipartite:2:4", True), ("cycle:6", True), ("cycle:8", True),
+    ("circulant:8:1,3", True), ("complete:4", False), ("petersen", False),
+])
+def test_degree_edge_operator_is_a_shifted_walk_on_bipartite_graphs(spec, bipartite):
+    # L'1 = (2I + S)/d with S the signed line adjacency; edge flips make
+    # every entry of S +1 exactly when the graph is bipartite, and then
+    # spec(L'1) = 1 + 2/d - spec(I - P)
+    g = generate(spec)
+    d = edge_regularity(g)
+    shifted = sorted(1 + 2 / d - x for x in _walk_complement_spectrum(g))
+    gap = max(abs(x - y) for x, y in zip(spectrum_of(g, "edge", "degree").values, shifted))
+    assert (gap <= 1e-12) is bipartite, gap
