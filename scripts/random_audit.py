@@ -4,11 +4,13 @@
 Samples connected random graphs, classifies each against the bound's two
 hypotheses (equal edge degrees, positive adjacent curvature minimum), and
 for the applicable ones records the slack lambda1 - (kappa + 2/d - 1).
-Every curvature bound and the adjacent-to-all-pairs reduction are asserted
-along the way, so this doubles as a soak test; any violation aborts with a
-report line.  The reduction's glued minimum (non-adjacent pairs covered by
-glued couplings) is also compared with the minimum found by solving every
-pair, and the report counts the pairs glued and the pairs solved instead.
+Every curvature bound, every adjacent plan's marginals (read in its
+problem's units) and the adjacent-to-all-pairs reduction are asserted along
+the way, so this doubles as a soak test; any violation aborts with a report
+line.  The reduction's glued minimum (non-adjacent pairs covered by glued
+couplings), computed once per sample, must not fall below the adjacent
+minimum and must equal the minimum found by solving every pair, and the
+report counts the pairs glued and the pairs solved instead.
 
 Usage:
     python3 scripts/random_audit.py --samples 60 --vertices 6 --prob 0.95
@@ -21,14 +23,15 @@ says so instead of a bare count of 0.
 import argparse
 import sys
 
-from edge_ricci.curvature import glued_all_pairs_minimum, kappa_min, ricci_all_adjacent
-from edge_ricci.graph_core import generate
-from edge_ricci.verify import (
-    check_adjacent_pair_reduction,
-    check_bounds,
-    check_spectral_gap_bound,
-    edge_regularity,
+from edge_ricci.curvature import (
+    glued_all_pairs_minimum,
+    kappa_min,
+    pair_transport_problem,
+    ricci_all_adjacent,
 )
+from edge_ricci.graph_core import generate
+from edge_ricci.transport import verify_coupling
+from edge_ricci.verify import check_bounds, check_spectral_gap_bound, edge_regularity
 
 
 def audit(samples: int, vertices: int, prob: float, seed: int) -> int:
@@ -36,17 +39,22 @@ def audit(samples: int, vertices: int, prob: float, seed: int) -> int:
     slacks = []
     for k in range(samples):
         g = generate(f"random:{vertices}:{prob}", seed=seed + k)
-        for cp in ricci_all_adjacent(g).values():
+        for (e, f), cp in ricci_all_adjacent(g).items():
             assert cp.transport.gap == 0, "duality gap on an exact solve"
+            violations = verify_coupling(pair_transport_problem(g, e, f), cp.transport.plan)
+            if violations:
+                print(f"COUPLING VIOLATION seed {seed + k} pair ({e},{f}): {violations[0]}")
+                return 1
         for bound in check_bounds(g):
             if not bound.diagnostic and not bound.holds:
                 print(f"BOUND VIOLATION seed {seed + k} {bound.name}")
                 return 1
-        red = check_adjacent_pair_reduction(g)
-        if red.applicable:
+        # the reduction check's hypothesis and test (exact, tolerance 0),
+        # on the one glued minimum per sample
+        if g.n_edges >= 3:
             found = glued_all_pairs_minimum(g)
             oracle = kappa_min(g, "all")
-            if not red.holds or found.kappa != oracle:
+            if found.kappa < kappa_min(g, "adjacent") or found.kappa != oracle:
                 print(f"REDUCTION VIOLATION seed {seed + k}: glued minimum "
                       f"{found.kappa}, solved minimum {oracle}")
                 return 1

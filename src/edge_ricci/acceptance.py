@@ -358,8 +358,8 @@ def criterion_9(seed: int = 0) -> CriterionResult:
             if len(problem.mu.atoms) <= 4 and len(problem.nu.atoms) <= 4:
                 oracles += 1
                 bf = brute_force_wasserstein(problem)
-                if abs(bf - cp.wasserstein) > tol * max(1.0, abs(bf)):
-                    failures.append(f"{pair}: solver {cp.wasserstein} != oracle {bf}")
+                if abs(bf - cp.transport.distance) > tol * max(1.0, abs(bf)):
+                    failures.append(f"{pair}: solver {cp.transport.distance} != oracle {bf}")
     return _verdict(9, failures,
                     f"{gaps} gaps closed, {oracles} oracle comparisons agree")
 

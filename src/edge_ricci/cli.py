@@ -156,7 +156,7 @@ def _cmd_spectrum(args) -> int:
     g = _load_graph(args)
     if args.dump_matrix is not None:
         matrix = assemble(g, args.dump_matrix, args.weighting)
-        _emit(dump_matrix(matrix, args.dump_matrix, g.n_edges), args.output)
+        _emit(dump_matrix(matrix, args.dump_matrix), args.output)
         return 0
     spec = spectrum_of(g, args.operator, args.weighting, zero_tol=args.zero_tol)
     values = spec.values

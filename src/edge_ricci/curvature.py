@@ -58,7 +58,6 @@ class CurvaturePair:
     e: int
     f: int
     distance: object
-    wasserstein: object
     kappa: object
     transport: TransportResult
 
@@ -95,8 +94,7 @@ def ricci(g, e: int, f: int) -> CurvaturePair:
         raise SamePairError(f"curvature needs two distinct edges, got {e} twice")
     dist = edge_distance(g, e, f)
     result = transport_for_pair(g, e, f)
-    w = result.distance
-    return CurvaturePair(e, f, dist, w, 1 - w / dist, result)
+    return CurvaturePair(e, f, dist, 1 - result.distance / dist, result)
 
 
 def ricci_all_adjacent(g) -> dict[tuple[int, int], CurvaturePair]:
@@ -192,8 +190,11 @@ def glued_all_pairs_minimum(g) -> AllPairsMinimum:
     exact because the Dijkstra row set row_e[f] by that very sum.  The tree
     is walked depth first over the subtrees that hold a pair f > e, keeping
     only the couplings on the current path, each as a dict per column c of
-    the rows a it holds.  Unweighted, amounts are ints in units of
-    1/(d_e d_p1 ... d_q) along the path; weighted, they are float masses.
+    the rows a it holds.  Unweighted, amounts are ints in the coupling's
+    unit, a mass of 1/unit: the unit starts at d_e and grows by
+    scale / d_p on each step p -> q, with scale that of the stored plan of
+    (p, q), whose int amounts are glued as they are.  Weighted, amounts are
+    float masses.
     Each pair's coupling has both marginals checked (tolerance 0 exact,
     1e-12 float; a failure raises TransportError) and its cost compared
     with d(e, f)(1 - kappa_min) at tolerance 0.  A pair whose cost does not
@@ -234,13 +235,13 @@ def glued_all_pairs_minimum(g) -> AllPairsMinimum:
             if f is None:
                 path.pop()
                 continue
+            steps, grow = _glue_step(g, p, f, exact)
             glue = {}
-            for b, c, x in _glue_step(g, p, f, exact):
+            for b, c, x in steps:
                 column = glue.setdefault(c, {})
                 for a, y in coupling.get(b, {}).items():
                     column[a] = column.get(a, 0) + y * x
-            if exact:
-                unit *= space.degrees[f]
+            unit *= grow
             if f in needed:
                 needed.discard(f)
                 entries = [(a, c, y) for c, column in glue.items() for a, y in column.items()]
@@ -275,21 +276,19 @@ def _in_units(g, e: int, unit, exact: bool) -> dict:
     return edge_measure(g, e).as_dict()
 
 
-def _glue_step(g, p: int, q: int, exact: bool) -> list:
-    """The adjacent plan of (p, q) as (b, c, pi(b, c) / m_p(b)) entries,
-    that ratio times d_q (an int) when exact; the factor glues a coupling
-    of (m_e, m_p) to the plan."""
-    if p < q:
-        plan = ricci_all_adjacent(g)[p, q].transport.plan
-    else:
-        plan = [(b, c, x) for c, b, x in ricci_all_adjacent(g)[q, p].transport.plan]
+def _glue_step(g, p: int, q: int, exact: bool):
+    """The adjacent plan of (p, q) as (b, c, x) entries to glue to a
+    coupling of (m_e, m_p), and the factor the coupling's unit grows by.
+
+    Exact, x is the plan's stored int amount pi(b, c) scale, and since
+    m_p(b) = 1/d_p the unit grows by scale // d_p; float, x is
+    pi(b, c) / m_p(b) and the unit stays 1."""
+    transport = ricci_all_adjacent(g)[min(p, q), max(p, q)].transport
+    plan = transport.plan if p < q else ((b, c, x) for c, b, x in transport.plan)
     if exact:
-        # m_p(b) = 1/d_p, so the ratio times d_q is x d_p d_q
-        degrees = edge_space(g).degrees
-        k = degrees[p] * degrees[q]
-        return [(b, c, n * (k // d)) for b, c, x in plan for n, d in (x.as_integer_ratio(),)]
+        return plan, transport.scale // edge_space(g).degrees[p]
     mass = edge_measure(g, p).as_dict()
-    return [(b, c, x / mass[b]) for b, c, x in plan]
+    return ((b, c, x / mass[b]) for b, c, x in plan), 1
 
 
 def _require_adjacent(g, e: int, f: int) -> None:

@@ -217,8 +217,10 @@ class WeightedGraph(Graph):
         return self.edge_weight[self.edge_endpoints(e)]
 
     def has_constant_vertex_weights(self) -> bool:
-        vals = list(self.vertex_weight.values())
-        return all(math.isclose(w, vals[0], rel_tol=1e-12) for w in vals)
+        return _constant(self.vertex_weight.values())
+
+    def has_constant_edge_weights(self) -> bool:
+        return _constant(self.edge_weight.values())
 
     def __repr__(self) -> str:
         return f"WeightedGraph({super().__repr__()})"
@@ -236,6 +238,13 @@ def derived(g: Graph, key, build):
     if key not in cache:
         cache[key] = build()
     return cache[key]
+
+
+def _constant(weights) -> bool:
+    """The one constancy rule for positive weights: max - min <= 1e-12 max."""
+    weights = list(weights)
+    lo, hi = min(weights, default=0.0), max(weights, default=0.0)
+    return hi - lo <= 1e-12 * hi
 
 
 def _check_weight(w: object, what: str) -> float:

@@ -35,7 +35,6 @@ suite checks the independence against a dense incidence with flipped edges.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from fractions import Fraction
 
@@ -145,16 +144,11 @@ def symmetrized(g, operator: str = "edge", weighting: str = "degree"):
     return _incidence_product(g, operator, b, b, 0.0)
 
 
-def dump_matrix(matrix, label: str, n_edges: int) -> str:
-    """Text form: '# label rows cols hash' then one row per line.
-
-    The hash is the first 12 hex digits of the sha256 of the sign pattern
-    '+' * n_edges, the canonical orientation every operator is built in.
-    """
+def dump_matrix(matrix, label: str) -> str:
+    """Text form: '# label rows cols' then one row per line."""
     rows = len(matrix)
     cols = len(matrix[0]) if rows else 0
-    digest = hashlib.sha256(b"+" * n_edges).hexdigest()[:12]
-    lines = [f"# {label} {rows} {cols} {digest}"]
+    lines = [f"# {label} {rows} {cols}"]
     for row in matrix:
         lines.append(" ".join(f"{float(x):.17g}" for x in row))
     return "\n".join(lines) + "\n"

@@ -11,7 +11,7 @@ along every path of reduced cost exactly 0, found by depth-first search,
 before the next Dijkstra runs; float mode ships one path per round.  The
 returned plan is the full optimal coupling of mu and nu: the residual plan
 plus one diagonal (a, a, common) stay entry per shared atom, as a sorted
-tuple of (source, sink, mass) entries.
+tuple of (source, sink, amount) entries in the problem's units.
 
 Costs come as one CostBlock (see edge_geometry): the sorted joint support
 and one row tuple per atom.  The solver's source x sink matrix, the dual
@@ -32,8 +32,9 @@ every later step reads it.  When both measures are exact rationals and the
 costs are integers (the unweighted case) the problem records the LCM of
 the mass denominators as its scale and the masses as integers in those
 units, so the whole computation runs in integer arithmetic and the
-distance, plan, and dual certificate are exact.  Otherwise the scale is 1
-and the masses are binary64, where supply, demand and flow below 1e-15
+distance, plan, and dual certificate are exact; a plan amount is the mass
+times the scale, an int.  Otherwise the scale is 1 and the amounts are
+binary64 masses, where supply, demand and flow below 1e-15
 count as rounding noise and the accepted certificate error is relative to
 the largest cost: scaling the vertex weights scales every cost, and the
 accepted error with it.  Both number types run the same code, apart from
@@ -49,9 +50,8 @@ Lipschitz bound on f, and the duality gap.  A failure raises TransportError
 naming the edge pair and the instance size.  The cost block is validated
 once, row by row, when the problem is built; the Lipschitz check walks
 unordered pairs, and the dual objective is summed in the problem's units.
-So are the marginals of the solver's own plan, checked before the plan is
-converted to masses; the public verify_coupling sums a plan's masses as
-given, since a valid coupling need not be in those units.
+So are the plan's marginals, in the one check that the public
+verify_coupling makes too.
 
 brute_force_wasserstein enumerates every vertex of the transportation
 polytope (spanning trees of the bipartite support graph) and is the
@@ -154,13 +154,16 @@ def _bad_cost(c, pair) -> TransportError:
 class TransportResult:
     """A transport whose certificate checked out, as plain values.
 
-    plan: the optimal coupling's (source atom, sink atom, mass) entries,
-    mass > 0, sorted by atom pair.  dual: the Kantorovich potential f, a
-    dict on the whole joint support, 1-Lipschitz there.
+    plan: the optimal coupling's (source atom, sink atom, amount) entries,
+    amount > 0, sorted by atom pair.  An amount is the mass times scale, the
+    problem's scale: an int when exact, else the float mass (scale 1).
+    dual: the Kantorovich potential f, a dict on the whole joint support,
+    1-Lipschitz there.
     """
 
     distance: object          # Fraction (exact mode) or float
     plan: tuple[tuple[int, int, object], ...]
+    scale: int
     dual: Mapping[int, object]
     gap: object               # primal cost minus dual objective
 
@@ -342,16 +345,6 @@ def solve_wasserstein(problem: TransportProblem) -> TransportResult:
                 ship(*found)
         active_sources = [i for i in range(S) if supply[i] > dust]
 
-    def in_units():
-        # the full plan's (source atom, sink atom, amount in units) entries,
-        # generated once to be checked and once to be converted: a kept list
-        # re-tupled into the plan leaves fragments that raise peak memory
-        yield from ((a, a, x) for a, x in common.items())
-        for i in range(S):
-            for j in range(T):
-                if flow[i][j] > zero:
-                    yield sources[i], sinks[j], flow[i][j]
-
     # envelope dual certificate over the whole joint support:
     # f(a) = min_j (beta_j + d(a, sink_j)) over the residual sinks, and
     # f = 0 when mu = nu leaves nothing to ship
@@ -371,35 +364,35 @@ def solve_wasserstein(problem: TransportProblem) -> TransportResult:
                 if abs(rc) > eps_cs * max(1.0, abs(cost[i][j])):
                     raise failure(f"complementary slackness violated on arc ({i},{j}): {rc}")
                 total += x * cost[i][j]
-    violations = _marginal_violations(in_units(), problem.supply, problem.demand, exact)
+    # the full plan: one diagonal stay entry per shared atom, then the
+    # residual flow; (source, sink) pairs are unique, so the sort compares
+    # no amounts
+    entries = [(a, a, x) for a, x in common.items()]
+    entries += [(sources[i], sinks[j], x)
+                for i, row in enumerate(flow) for j, x in enumerate(row) if x > zero]
+    plan = tuple(sorted(entries))
+    violations = _marginal_violations(plan, problem.supply, problem.demand, exact)
     if violations:
         raise failure(f"invalid plan: {violations[0]}")
     distance = Fraction(total, scale) if exact else total
-    # (source, sink) pairs are unique, so the sort compares no amounts
-    if exact:
-        # one Fraction per distinct amount
-        masses = {x: Fraction(x, scale) for x in set(common.values()).union(*flow)}
-        plan = tuple(sorted((a, b, masses[x]) for a, b, x in in_units()))
-    else:
-        plan = tuple(sorted(in_units()))
     excess = lipschitz_excess(problem, dual)
     if excess > tol:
         raise failure(f"dual certificate breaks the Lipschitz bound by {excess}")
     gap = distance - dual_objective(problem, dual)
     if abs(gap) > tol:
         raise failure(f"duality gap {gap} exceeds {tol}")
-    return TransportResult(distance, plan, dual, gap)
+    return TransportResult(distance, plan, scale, dual, gap)
 
 
 def verify_coupling(problem: TransportProblem,
                     plan: tuple[tuple[int, int, object], ...]) -> tuple[str, ...]:
     """Recheck both marginals: the violations, empty for a coupling.
 
-    Names the first offending row and column.  The plan's masses are summed
-    as given, not in solver units, so any coupling of mu and nu passes.
+    Names the first offending row and column.  The plan's amounts are in
+    the problem's units, each mass times problem.scale, as the solver
+    returns them.
     """
-    return _marginal_violations(plan, problem.mu.as_dict(), problem.nu.as_dict(),
-                                problem.exact)
+    return _marginal_violations(plan, problem.supply, problem.demand, problem.exact)
 
 
 def _marginal_violations(plan, mu: Mapping[int, object], nu: Mapping[int, object],
@@ -409,23 +402,23 @@ def _marginal_violations(plan, mu: Mapping[int, object], nu: Mapping[int, object
     row = dict.fromkeys(mu, 0)
     col = dict.fromkeys(nu, 0)
     violations = []
-    for a, b, mass in plan:
+    for a, b, amount in plan:
         if a not in row:
             violations.append(f"plan row {a} is outside supp(mu)")
             continue
         if b not in col:
             violations.append(f"plan column {b} is outside supp(nu)")
             continue
-        row[a] += mass
-        col[b] += mass
+        row[a] += amount
+        col[b] += amount
     tol = 0 if exact else 1e-12
     for a, want in mu.items():
         if abs(row[a] - want) > tol:
-            violations.append(f"row {a}: mass {row[a]} != mu {want}")
+            violations.append(f"row {a}: amount {row[a]} != mu {want}")
             break
     for b, want in nu.items():
         if abs(col[b] - want) > tol:
-            violations.append(f"column {b}: mass {col[b]} != nu {want}")
+            violations.append(f"column {b}: amount {col[b]} != nu {want}")
             break
     return tuple(violations)
 

@@ -43,7 +43,7 @@ def test_path3_is_flat():
     # both measures are point masses on the other edge; W = d = 1
     g = generate("path:3")
     cp = ricci(g, 0, 1)
-    assert cp.kappa == 0 and cp.wasserstein == 1 and cp.distance == 1
+    assert cp.kappa == 0 and cp.transport.distance == 1 and cp.distance == 1
     assert cp.exact
 
 
@@ -55,7 +55,7 @@ def test_path4_end_edges_have_curvature_one():
     e2 = g.edge_ordinal("v2", "v3")
     assert not edges_adjacent(g, e0, e2)
     cp = ricci(g, e0, e2)
-    assert cp.distance == 2 and cp.wasserstein == 0 and cp.kappa == 1
+    assert cp.distance == 2 and cp.transport.distance == 0 and cp.kappa == 1
 
 
 def test_cycle4_opposite_edges():
@@ -320,11 +320,13 @@ def test_a_glued_coupling_with_a_wrong_marginal_names_its_pair():
 
 def test_a_pair_whose_glued_cost_does_not_close_is_solved(monkeypatch):
     # the product coupling of (0, 1) is a coupling, but not an optimal one:
-    # four pairs glued through it cost more than d (1 - 1/2) and are solved
+    # four pairs glued through it cost more than d (1 - 1/2) and are solved;
+    # its amounts are masses times the plan's scale, Fractions here
     g = generate("complete:5")
     mu, nu = edge_measure(g, 0), edge_measure(g, 1)
+    scale = ricci_all_adjacent(g)[0, 1].transport.scale
     _replace_plan(g, (0, 1), tuple(sorted(
-        (a, b, x * y) for a, x in zip(mu.atoms, mu.masses)
+        (a, b, x * y * scale) for a, x in zip(mu.atoms, mu.masses)
         for b, y in zip(nu.atoms, nu.masses))))
     calls = _count_transport_solves(monkeypatch)
     found = glued_all_pairs_minimum(g)

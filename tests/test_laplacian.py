@@ -9,7 +9,6 @@ numpy.linalg appears here purely as an oracle for the hand-rolled
 eigensolver and for the AB/BA spectrum comparisons.
 """
 
-import hashlib
 import math
 from fractions import Fraction
 
@@ -273,10 +272,9 @@ def test_weight_validation():
 
 
 def test_dump_matrix_header_and_body():
-    text = dump_matrix([[Fraction(1, 2), 0], [0, 1]], "edge", 2)
+    text = dump_matrix([[Fraction(1, 2), 0], [0, 1]], "edge")
     lines = text.splitlines()
-    assert lines[0] == f"# edge 2 2 {hashlib.sha256(b'++').hexdigest()[:12]}"
+    assert lines[0] == "# edge 2 2"
     assert lines[1] == "0.5 0"
     assert text.endswith("\n")
-    # the header of a 6-edge graph's vertex dump hashes its six edges, pinned
-    assert dump_matrix([[0] * 4] * 4, "vertex", 6).split()[4] == "29ecc6764be2"
+    assert dump_matrix([[0] * 4] * 4, "vertex").splitlines()[0] == "# vertex 4 4"

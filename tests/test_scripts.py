@@ -1,5 +1,6 @@
 """The scripts under scripts/ run end to end on small inputs."""
 
+import dataclasses
 import importlib.util
 from pathlib import Path
 
@@ -90,3 +91,35 @@ def test_random_audit_counts_glued_and_solved_pairs(capsys):
     assert "pairs solved, not glued  0\n" in out
     glued = next(line for line in out.splitlines() if line.startswith("pairs glued"))
     assert int(glued.split()[-1]) > 0
+
+
+def test_random_audit_glues_once_per_sample(monkeypatch, capsys):
+    module = _load("random_audit")
+    calls = []
+    glue = module.glued_all_pairs_minimum
+    monkeypatch.setattr(module, "glued_all_pairs_minimum",
+                        lambda g: calls.append(g) or glue(g))
+    assert module.main(["--samples", "3"]) == 0
+    assert len(calls) == 3
+    capsys.readouterr()
+
+
+def test_random_audit_reports_a_plan_that_is_not_a_coupling(monkeypatch, capsys):
+    # drop the first entry of one adjacent plan: its row no longer sums to
+    # the problem's supply in units
+    module = _load("random_audit")
+    table_of = module.ricci_all_adjacent
+
+    def broken(g):
+        table = dict(table_of(g))
+        key = min(table)
+        cp = table[key]
+        table[key] = dataclasses.replace(cp, transport=dataclasses.replace(
+            cp.transport, plan=cp.transport.plan[1:]))
+        return table
+
+    monkeypatch.setattr(module, "ricci_all_adjacent", broken)
+    assert module.main(["--samples", "1"]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("COUPLING VIOLATION seed 0 pair (0,")
+    assert ": row " in out

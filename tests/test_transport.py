@@ -14,7 +14,7 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from edge_ricci import transport
-from edge_ricci.curvature import edges_adjacent, pair_transport_problem
+from edge_ricci.curvature import edges_adjacent, pair_transport_problem, ricci_all_adjacent
 from edge_ricci.edge_geometry import CostBlock, EdgeMeasure, edge_measure
 from edge_ricci.errors import MassImbalanceError, MissingPotentialError, TransportError
 from edge_ricci.graph_core import WeightedGraph, generate
@@ -58,8 +58,10 @@ def test_identical_measures_cost_nothing():
     r = solve_wasserstein(p)
     assert r.distance == 0 and r.gap == 0
     # nothing is left after the common mass is cancelled: the plan is the
-    # diagonal and the certificate is still defined on the whole support
-    assert r.plan == ((2, 2, Fraction(1, 2)), (7, 7, Fraction(1, 2)))
+    # diagonal, in units of 1/2, and the certificate is still defined on
+    # the whole support
+    assert r.scale == p.scale == 2
+    assert r.plan == ((2, 2, 1), (7, 7, 1))
     assert verify_coupling(p, r.plan) == ()
     assert lipschitz_excess(p, r.dual) <= 0
     assert set(r.dual) == {2, 7}
@@ -178,17 +180,19 @@ def test_problem_records_its_units():
     assert all(type(m) is float for m in (*p.supply.values(), *p.demand.values()))
 
 
-def test_verify_coupling_sums_masses_as_given():
-    # the problem's units are halves (scale 2); a coupling that splits each
-    # half into 1/3 + 1/6 is not in those units and is just as valid
+def test_verify_coupling_reads_amounts_in_the_problems_units():
+    # the problem's units are halves (scale 2), so each atom holds 1; a
+    # coupling that splits each half into 1/3 + 1/6 gives those amounts
+    # times 2, and need not be in whole units to pass
     p = _problem((Fraction(1, 2), Fraction(1, 2)), (Fraction(1, 2), Fraction(1, 2)),
                  (0, 1), (2, 3))
-    third, sixth = Fraction(1, 3), Fraction(1, 6)
-    split = ((0, 2, third), (0, 3, sixth), (1, 2, sixth), (1, 3, third))
+    two_thirds, third = Fraction(2, 3), Fraction(1, 3)
+    split = ((0, 2, two_thirds), (0, 3, third), (1, 2, third), (1, 3, two_thirds))
     assert verify_coupling(p, split) == ()
-    # moving 1/6 from row 1 to row 0 keeps both columns and breaks row 0
-    moved = ((0, 2, third), (0, 3, third), (1, 2, sixth), (1, 3, sixth))
-    assert verify_coupling(p, moved) == ("row 0: mass 2/3 != mu 1/2",)
+    # the same plan as masses holds half of each row and column
+    masses = tuple((a, b, x / p.scale) for a, b, x in split)
+    assert verify_coupling(p, masses) == ("row 0: amount 1/2 != mu 1",
+                                          "column 2: amount 1/2 != nu 1")
 
 
 def test_verify_coupling_flags_corruption():
@@ -356,8 +360,9 @@ def test_full_overlap_with_different_masses_moves_only_the_difference():
                  (Fraction(1, 4), Fraction(1, 4), Fraction(1, 2)), (0, 1, 2), (0, 1, 2))
     r = solve_wasserstein(p)
     assert r.distance == Fraction(1, 2) == brute_force_wasserstein(p)
-    q = Fraction(1, 4)
-    assert r.plan == ((0, 0, q), (0, 2, q), (1, 1, q), (2, 2, q))
+    # in units of 1/4
+    assert r.scale == 4
+    assert r.plan == ((0, 0, 1), (0, 2, 1), (1, 1, 1), (2, 2, 1))
     assert verify_coupling(p, r.plan) == ()
 
 
@@ -378,6 +383,27 @@ def test_float_route_certifies_itself(seed):
     if len(p.mu.atoms) <= 4 and len(p.nu.atoms) <= 4:
         bf = brute_force_wasserstein(p)
         assert r.distance == pytest.approx(bf, rel=1e-12, abs=1e-12)
+
+
+@given(st.integers(0, 500), st.integers(4, 7), st.sampled_from((0.4, 0.7)), st.booleans())
+def test_every_adjacent_plan_is_a_coupling_in_its_problems_units(seed, n, prob, weighted):
+    g = generate(f"random:{n}:{prob}", seed=seed)
+    if weighted:
+        rng = SplitMix64(seed)
+        g = WeightedGraph(g, {v: 0.5 + 1.5 * rng.uniform() for v in g.labels},
+                          {g.edge_endpoints(e): 0.5 + 1.5 * rng.uniform()
+                           for e in range(g.n_edges)})
+    for (e, f), cp in ricci_all_adjacent(g).items():
+        r, problem = cp.transport, pair_transport_problem(g, e, f)
+        assert verify_coupling(problem, r.plan) == ()
+        assert r.scale == problem.scale
+        amounts = [x for _, _, x in r.plan]
+        if weighted:
+            assert not r.exact and r.scale == 1
+            assert math.isclose(sum(amounts), 1, abs_tol=1e-12)
+        else:
+            assert r.exact and all(type(x) is int for x in amounts)
+            assert sum(amounts) == r.scale
 
 
 def _cancelled(problem):
@@ -476,8 +502,8 @@ def test_symmetry_of_the_distance():
 
 
 _BROKEN_CHECKS = {
-    # the solver checks its plan's marginals in units through this helper,
-    # not through verify_coupling, which sums masses as given
+    # the solver checks its plan's marginals with the one call that
+    # verify_coupling makes too, on the problem's units
     "_marginal_violations": lambda plan, mu, nu, exact: ("row 9: off",),
     "lipschitz_excess": lambda problem, dual: Fraction(1, 10**6),
     "dual_objective": lambda problem, dual: 0,

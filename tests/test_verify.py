@@ -235,7 +235,7 @@ def test_json_escape_bytes(char, escaped):
 
 def test_report_failed_surfaces_tree_formula():
     report = verification_report(generate("path:4"))
-    assert {c.name.split("(")[0] for c in report.failed()} == {"tree-formula[]"}
+    assert {c.name.split("(")[0] for c in report.failed()} == {"tree-formula"}
 
 
 def test_weighted_report_uses_graph_weighting():
