@@ -4,7 +4,8 @@
 For each family in the sweep, print the adjacent curvature minimum, the gap
 of the degree-weighted edge operator, the bound's right-hand side
 (kappa + 2/d - 1 when it applies), and the slack.  Stars sit at zero slack:
-they are the equality case.
+they are the equality case.  A row whose right-hand side is <= 0 is marked
+vacuous: the gap is positive anyway, so the bound says nothing there.
 
 Usage:
     python3 scripts/family_survey.py
@@ -63,7 +64,8 @@ def survey(families: list[str], show_inapplicable: bool) -> int:
             equality = abs(slack) < 1e-9
             if equality:
                 slack = 0.0
-            flag = "  <- equality" if equality else ""
+            flag = ("  <- equality" if equality
+                    else "  <- vacuous" if chk.rhs <= 0 else "")
             print(f"{item:<16} {int(d):>4} {kmin:>10.6f} {chk.lhs:>10.6f} "
                   f"{chk.rhs:>10.6f} {slack:>10.6f}{flag}")
     return 0

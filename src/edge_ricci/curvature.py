@@ -339,9 +339,11 @@ def upper_bound(g, e: int, f: int, variant: str = "as-stated"):
     space = edge_space(g)
     near_e, near_f = set(space.neighbors[e]), set(space.neighbors[f])
     pool = near_e & near_f if variant == "intersection" else near_e | near_f
-    # a typed zero start keeps an empty pool exact: Fraction(0), not int 0
-    weight = sum((space.weight[a] for a in pool), 0 * space.weight[e])
-    return weight / max(space.degrees[e], space.degrees[f])
+    top = max(space.degrees[e], space.degrees[f])
+    if isinstance(g, WeightedGraph):
+        return sum(space.weight[a] for a in pool) / top
+    # every edge weighs 1 and every degree is an int
+    return Fraction(len(pool), top)
 
 
 def tree_curvature_formula(g: Graph, e: int, f: int) -> Fraction:

@@ -21,16 +21,18 @@ The space and each edge's measure are kept per graph by graph_core.derived.
 
 pairwise_costs gives a transport problem its costs as one CostBlock: the
 sorted atoms and, per atom, a row tuple sliced from that atom's cached
-distance row.  Readers index the rows by position; block[a, b] reads one
-entry by atom.
+distance row by slicer, in C.  Readers index the rows by position;
+block[a, b] reads one entry by atom.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 
 from .errors import IsolatedEdgeError, NonpositiveWeightError, UnknownEdgeError
 from .graph_core import Graph, WeightedGraph, derived
@@ -167,22 +169,25 @@ def edge_distance(g: Graph, e: int, e2: int):
 
 @dataclass(frozen=True)
 class EdgeMeasure:
-    """Probability measure on edge ordinals attached to an owner edge."""
+    """Probability measure on edge ordinals attached to an owner edge.
+
+    exact is set once, when the measure is built: whether every mass is a
+    Fraction.
+    """
 
     owner: int
     atoms: tuple[int, ...]
     masses: tuple  # all Fraction (exact) or all float
+    exact: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.atoms) != len(self.masses) or not self.atoms:
             raise ValueError("measure needs matching, nonempty atoms and masses")
+        exact = all(isinstance(m, Fraction) for m in self.masses)
+        object.__setattr__(self, "exact", exact)
         total = sum(self.masses)
-        if abs(total - 1) > (0 if self.exact else 1e-12):
+        if abs(total - 1) > (0 if exact else 1e-12):
             raise ValueError(f"measure sums to {total}, not 1")
-
-    @property
-    def exact(self) -> bool:
-        return all(isinstance(m, Fraction) for m in self.masses)
 
     def as_dict(self) -> dict[int, object]:
         return dict(zip(self.atoms, self.masses))
@@ -205,7 +210,8 @@ def _build_measure(g: Graph, e: int) -> EdgeMeasure:
             f"edge {g.edge_name(e)} has no neighbors; its measure is undefined"
         )
     d = space.degrees[e]
-    return EdgeMeasure(e, nbrs, tuple(space.weight[f] / d for f in nbrs))
+    # tuple() of a list: see pairwise_costs
+    return EdgeMeasure(e, nbrs, tuple([space.weight[f] / d for f in nbrs]))
 
 
 class CostBlock:
@@ -231,11 +237,24 @@ class CostBlock:
         return f"CostBlock({self.atoms!r}, {self.rows!r})"
 
 
+def slicer(positions: Sequence[int]):
+    """row -> tuple(row[p] for p in positions), sliced in C by itemgetter.
+
+    itemgetter of one position returns the bare entry, and of none raises,
+    so those two get a tuple of their own.
+    """
+    if len(positions) > 1:
+        return itemgetter(*positions)
+    if positions:
+        (p,) = positions
+        return lambda row: (row[p],)
+    return lambda row: ()
+
+
 def pairwise_costs(g: Graph, atoms: tuple[int, ...]) -> CostBlock:
     """Distance block over sorted atoms (ints, or floats if weighted), each
     row sliced from the atom's distance row."""
     space = edge_space(g)
-    # tuple() of a list, not of an iterator: CPython sizes an iterator's
-    # tuple by resizing it, which strands a tuple on a free list every call
-    return CostBlock(atoms, [tuple([row[b] for b in atoms])
-                             for row in map(space.row, atoms)])
+    # a list, not an iterator: CPython sizes an iterator's tuple by resizing
+    # it, which strands a tuple on a free list every call
+    return CostBlock(atoms, list(map(slicer(atoms), map(space.row, atoms))))

@@ -5,27 +5,38 @@ distance depends only on mu - nu (Kantorovich-Rubinstein duality), so the
 common mass min(mu(a), nu(a)) at every shared atom stays where it is at zero
 cost and is cancelled first; the residual instance, whose two supports are
 disjoint, is solved by successive shortest augmenting paths with node
-potentials.  In exact mode each Dijkstra round opens a primal-dual phase
-(Ahuja, Magnanti & Orlin, Network Flows, 1993, ch. 9): flow is shipped
-along every path of reduced cost exactly 0, found by depth-first search,
-before the next Dijkstra runs; float mode ships one path per round.  The
-returned plan is the full optimal coupling of mu and nu: the residual plan
-plus one diagonal (a, a, common) stay entry per shared atom, as a sorted
-tuple of (source, sink, amount) entries in the problem's units.
+potentials.  In exact mode each round opens a primal-dual phase (Ahuja,
+Magnanti & Orlin, Network Flows, 1993, ch. 9): flow is shipped along every
+path of reduced cost exactly 0 before the next Dijkstra runs; float mode
+ships one path per round.  The first exact round needs no Dijkstra: from
+zero potentials and zero flow it settles every source at 0 and every sink
+at the least cost cmin, so those potentials are set directly and the phase
+runs on the arcs of cost cmin.  A phase ships the one-arc tight paths
+directly, then searches depth first from each source with supply left,
+with one arc iterator per node.  It keeps a dead set, which later searches
+skip: every node reached by a search that found no sink with open demand.
+A dead node stays dead for the whole phase.  It reaches no node of a path
+shipped later (such a node would take it on to that path's open sink), and
+shipping adds reverse arcs only among that path's nodes, so what it
+reaches never grows.  The returned plan is the full optimal coupling of mu
+and nu: the residual plan plus one diagonal (a, a, common) stay entry per
+shared atom, as a sorted tuple of (source, sink, amount) entries in the
+problem's units.
 
 Costs come as one CostBlock (see edge_geometry): the sorted joint support
 and one row tuple per atom.  The solver's source x sink matrix, the dual
 envelope and the Lipschitz check index its rows by position, never by an
-(a, b) key.  Each Dijkstra round stops early: once the first sink with open
-demand settles at distance D, it pops the entries keyed <= D and stops.
-That changes no float.  Every node nearer than D is settled, with the
-distance and parent the full search gives it, and every other node gets D
-in the potential update whatever its distance.  Every open sink at D is
-settled too, so the target (the least-index open sink at D) and its path
-are the full search's.  Unreached nodes carry math.inf.  A popped sink
-relaxes only the sources that carry flow into it, kept per sink; the heap
-orders its entries by (distance, node), so the order of that scan changes
-nothing either.
+(a, b) key; the matrix and the envelope slice them in C, with
+edge_geometry.slicer.  Each Dijkstra round stops early: once the first
+sink with open demand settles at distance D, it pops the entries keyed
+<= D and stops.  That changes no float.  Every node nearer than D is
+settled, with the distance and parent the full search gives it, and every
+other node gets D in the potential update whatever its distance.  Every
+open sink at D is settled too, so the target (the least-index open sink at
+D) and its path are the full search's.  Unreached nodes carry math.inf.  A
+popped sink relaxes only the sources that carry flow into it, kept per
+sink; the heap orders its entries by (distance, node), so the order of
+that scan changes nothing either.
 
 A TransportProblem fixes its number domain once, when it is built, and
 every later step reads it.  When both measures are exact rationals and the
@@ -48,7 +59,7 @@ certificate on the uncancelled problem before it returns: complementary
 slackness on the residual plan, both marginals of the full plan, the
 Lipschitz bound on f, and the duality gap.  A failure raises TransportError
 naming the edge pair and the instance size.  The cost block is validated
-once, row by row, when the problem is built; the Lipschitz check walks
+once, when the problem is built, in one pass in C; the Lipschitz check walks
 unordered pairs, and the dual objective is summed in the problem's units.
 So are the plan's marginals, in the one check that the public
 verify_coupling makes too.
@@ -67,9 +78,10 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from operator import add, getitem
 from typing import Mapping
 
-from .edge_geometry import CostBlock, EdgeMeasure
+from .edge_geometry import CostBlock, EdgeMeasure, slicer
 from .errors import MassImbalanceError, MissingPotentialError, TransportError
 
 _FLOAT_EPS_CS = 1e-10   # complementary slackness tolerance, float mode
@@ -81,7 +93,7 @@ _FLOAT_DUST = 1e-15     # residual supply/demand/flow below this is rounding noi
 class TransportProblem:
     """Measures plus a square cost block over their sorted joint support.
 
-    Construction validates the block in one pass over its rows: its atoms
+    Construction validates the block in one pass in C: its atoms
     must be the sorted joint support, each row must have one entry per atom,
     every atom costs 0 to itself, and every entry is finite and >= 0.  The
     same pass records whether every cost is an int, which with exact masses
@@ -89,7 +101,7 @@ class TransportProblem:
     the LCM of the mass denominators when exact and 1 otherwise, and the
     read-only ``supply`` and ``demand`` map each atom of mu and nu to its
     mass in those units (int when exact, float otherwise), whose totals must
-    agree.
+    agree.  Every error raised here names the edge pair and the atom counts.
     """
 
     mu: EdgeMeasure
@@ -102,30 +114,35 @@ class TransportProblem:
 
     def __post_init__(self):
         mu, nu = self.mu, self.nu
+
+        def invalid(what: str, error=TransportError) -> TransportError:
+            return error(f"{_instance(mu, nu)}: {what}")
+
         joint = tuple(sorted(set(mu.atoms) | set(nu.atoms)))
         atoms, rows = self.cost.atoms, self.cost.rows
         if atoms != joint:
-            raise TransportError(
-                f"cost block atoms {atoms} are not the joint support {joint}")
-        if len(rows) != len(joint):
-            raise TransportError(
-                f"cost block has {len(rows)} rows for {len(joint)} atoms")
-        int_costs = True
-        for k, (a, row) in enumerate(zip(joint, rows)):
-            if len(row) != len(joint):
-                raise TransportError(
-                    f"cost row of atom {a} has {len(row)} entries, not {len(joint)}")
-            if row[k] != 0:
-                raise TransportError(f"nonzero self cost {row[k]} at atom {a}")
-            # min() skips a NaN past the first entry, but the sum carries it
-            total = sum(row)
-            if not (min(row) >= 0 and total < math.inf):
+            raise invalid(f"cost block atoms {atoms} are not the joint support {joint}")
+        n = len(joint)
+        if len(rows) != n:
+            raise invalid(f"cost block has {len(rows)} rows for {n} atoms")
+        # The whole block is checked at once, in C: min() skips a NaN past
+        # the first entry, but the sum carries it.  Only a block that fails
+        # is walked row by row, to name its first bad entry; a finite block
+        # whose sum overflows passes that walk.
+        total = sum(map(sum, rows))
+        if not (set(map(len, rows)) == {n} and not any(map(getitem, rows, range(n)))
+                and min(map(min, rows)) >= 0 and total < math.inf):
+            for k, (a, row) in enumerate(zip(joint, rows)):
+                if len(row) != n:
+                    raise invalid(f"cost row of atom {a} has {len(row)} entries, not {n}")
+                if row[k] != 0:
+                    raise invalid(f"nonzero self cost {row[k]} at atom {a}")
                 for b, c in zip(joint, row):
                     if not 0 <= c < math.inf:
-                        raise _bad_cost(c, (a, b))
-            # a row of ints sums to an int; one float or Fraction does not
-            int_costs = int_costs and type(total) is int
-        exact = mu.exact and nu.exact and int_costs
+                        what = "negative" if c < 0 else "non-finite"
+                        raise invalid(f"{what} cost {c} for pair {(a, b)}")
+        # ints sum to an int; one float or Fraction makes the sum one too
+        exact = mu.exact and nu.exact and type(total) is int
         scale = math.lcm(*{m.denominator for m in (*mu.masses, *nu.masses)}) if exact else 1
 
         def units(m):
@@ -134,8 +151,8 @@ class TransportProblem:
         supply = {a: units(m) for a, m in zip(mu.atoms, mu.masses)}
         demand = {b: units(m) for b, m in zip(nu.atoms, nu.masses)}
         if abs(sum(supply.values()) - sum(demand.values())) > (0 if exact else 1e-12):
-            raise MassImbalanceError(
-                f"supply {sum(mu.masses)} != demand {sum(nu.masses)}")
+            raise invalid(f"supply {sum(mu.masses)} != demand {sum(nu.masses)}",
+                          MassImbalanceError)
         object.__setattr__(self, "exact", exact)
         object.__setattr__(self, "scale", scale)
         object.__setattr__(self, "supply", supply)
@@ -145,9 +162,10 @@ class TransportProblem:
         return self.cost.atoms
 
 
-def _bad_cost(c, pair) -> TransportError:
-    what = "negative" if c < 0 else "non-finite"
-    return TransportError(f"{what} cost {c} for pair {pair}")
+def _instance(mu: EdgeMeasure, nu: EdgeMeasure) -> str:
+    """How an error names a transport instance: edge pair and atom counts."""
+    return (f"transport for pair ({mu.owner},{nu.owner}) over "
+            f"{len(mu.atoms)}x{len(nu.atoms)} atoms")
 
 
 @dataclass(frozen=True)
@@ -209,13 +227,10 @@ def solve_wasserstein(problem: TransportProblem) -> TransportResult:
     S, T = len(sources), len(sinks)
 
     def failure(what: str) -> TransportError:
-        return TransportError(
-            f"transport for pair ({mu.owner},{nu.owner}) over {len(mu.atoms)}x"
-            f"{len(nu.atoms)} atoms, residual {S}x{T}: {what}"
-        )
+        return TransportError(f"{_instance(mu, nu)}, residual {S}x{T}: {what}")
 
-    sink_at = [position[b] for b in sinks]
-    cost = [[row[q] for q in sink_at] for row in (rows[position[a]] for a in sources)]
+    pick = slicer([position[b] for b in sinks])  # a row's entries at the sinks
+    cost = [pick(rows[position[a]]) for a in sources]
     flow = [[zero] * T for _ in range(S)]
     carriers = [set() for _ in range(T)]  # the sources with flow into each sink
     phi = [zero] * (S + T)  # node potentials; reduced cost c + phi[u] - phi[v] >= 0
@@ -250,22 +265,61 @@ def solve_wasserstein(problem: TransportProblem) -> TransportResult:
         if demand[tgt] < dust:
             demand[tgt] = zero
 
-    def tight_search(tight):
-        # depth-first search from the sources with supply left, over
-        # residual arcs of reduced cost 0, for a sink with open demand: the
-        # search's parent links and that sink, or None when none is left;
-        # exact mode only, where every amount is an int
-        stack = [i for i in range(S) if supply[i]]
-        parent = dict.fromkeys(stack)
+    def search(r, tight, dead):
+        # depth-first search from source r over residual arcs of reduced
+        # cost 0, one arc iterator per node, for a sink with open demand:
+        # the search's parent links and that sink, or None, and then every
+        # node it reached joins dead
+        parent = {r: None}
+        stack = [(r, iter(tight[r]))]
         while stack:
-            u = stack.pop()
-            for v in tight[u] if u < S else sorted(carriers[u - S]):
-                if v not in parent:
-                    parent[v] = u
-                    if v >= S and demand[v - S]:
-                        return parent, v - S
-                    stack.append(v)
+            u, arcs = stack[-1]
+            for v in arcs:
+                if v in parent or v in dead:
+                    continue
+                parent[v] = u
+                if v < S:
+                    stack.append((v, iter(tight[v])))
+                elif demand[v - S]:
+                    return parent, v - S
+                else:
+                    stack.append((v, iter(carriers[v - S])))
+                break
+            else:
+                stack.pop()
+        dead.update(parent)
         return None
+
+    def phase():
+        # primal-dual phase, exact mode only, where every amount is an int:
+        # ship along every path of reduced cost 0.  Forward arcs are tight
+        # for the whole phase; backward arcs carry flow and so are tight by
+        # slackness.  One-arc paths ship directly, longer ones by search.
+        tight = [[S + j for j, c in enumerate(row) if c + phi[i] == phi[S + j]]
+                 for i, row in enumerate(cost)]
+        for i, arcs in enumerate(tight):
+            for v in arcs:
+                if not supply[i]:
+                    break
+                j = v - S
+                if demand[j]:
+                    amt = min(supply[i], demand[j])
+                    flow[i][j] += amt
+                    carriers[j].add(i)
+                    supply[i] -= amt
+                    demand[j] -= amt
+        dead = set()
+        for r in range(S):
+            while supply[r] and r not in dead and (found := search(r, tight, dead)):
+                ship(*found)
+
+    # The first exact round is closed-form: from zero potentials and zero
+    # flow, Dijkstra settles every source at 0 and every sink at the least
+    # cost cmin, and its target is a sink at cmin, so the phase on the arcs
+    # of cost cmin ships at least one unit.
+    if exact and S:
+        phi[S:] = [min(map(min, cost))] * T
+        phase()
 
     # The budget caps Dijkstra rounds.  Each round ships along at least one
     # path, and in exact mode each path ships at least one unit (amounts are
@@ -336,25 +390,22 @@ def solve_wasserstein(problem: TransportProblem) -> TransportResult:
 
         ship(parent, tgt)
         if exact:
-            # primal-dual phase: ship along every path of reduced cost 0
-            # before the next Dijkstra; forward arcs are tight for the phase,
-            # backward arcs carry flow and so are tight by slackness
-            tight = [[S + j for j in range(T) if cost[i][j] + phi[i] == phi[S + j]]
-                     for i in range(S)]
-            while found := tight_search(tight):
-                ship(*found)
+            phase()
         active_sources = [i for i in range(S) if supply[i] > dust]
 
     # envelope dual certificate over the whole joint support:
     # f(a) = min_j (beta_j + d(a, sink_j)) over the residual sinks, and
     # f = 0 when mu = nu leaves nothing to ship
     beta = [-phi[S + j] for j in range(T)]
-    dual = {a: min((b + row[q] for b, q in zip(beta, sink_at)), default=zero)
+    dual = {a: min(map(add, beta, pick(row)), default=zero)
             for a, row in zip(problem.cost.atoms, rows)}
 
     # the certificate: complementary slackness on the residual plan (whose
     # cost is summed on the way), then, on the uncancelled problem, plan
-    # marginals in units, dual feasibility, and a closed duality gap
+    # marginals in units, dual feasibility, and a closed duality gap.  The
+    # full plan is one diagonal stay entry per shared atom plus the residual
+    # flow; (source, sink) pairs are unique, so the sort compares no amounts.
+    entries = [(a, a, x) for a, x in common.items()]
     total = zero
     for i in range(S):
         for j in range(T):
@@ -364,12 +415,7 @@ def solve_wasserstein(problem: TransportProblem) -> TransportResult:
                 if abs(rc) > eps_cs * max(1.0, abs(cost[i][j])):
                     raise failure(f"complementary slackness violated on arc ({i},{j}): {rc}")
                 total += x * cost[i][j]
-    # the full plan: one diagonal stay entry per shared atom, then the
-    # residual flow; (source, sink) pairs are unique, so the sort compares
-    # no amounts
-    entries = [(a, a, x) for a, x in common.items()]
-    entries += [(sources[i], sinks[j], x)
-                for i, row in enumerate(flow) for j, x in enumerate(row) if x > zero]
+                entries.append((sources[i], sinks[j], x))
     plan = tuple(sorted(entries))
     violations = _marginal_violations(plan, problem.supply, problem.demand, exact)
     if violations:

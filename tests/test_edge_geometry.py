@@ -14,6 +14,7 @@ from edge_ricci.edge_geometry import (
     edge_neighborhood,
     edge_space,
     pairwise_costs,
+    slicer,
 )
 from edge_ricci.errors import IsolatedEdgeError, NonpositiveWeightError, UnknownEdgeError
 from edge_ricci.graph_core import Graph, WeightedGraph, generate
@@ -175,6 +176,16 @@ def test_mixed_masses_make_a_float_measure():
     assert solve_wasserstein(problem).distance == pytest.approx(0.5)
 
 
+def test_measure_exactness_is_a_field_set_once():
+    m = EdgeMeasure(3, (2, 4), (Fraction(1, 2), Fraction(1, 2)))
+    assert vars(m)["exact"] is True
+    # not an argument, and no part of equality or repr
+    assert m == EdgeMeasure(3, (2, 4), (Fraction(1, 2), Fraction(1, 2)))
+    assert "exact" not in repr(m)
+    with pytest.raises(TypeError):
+        EdgeMeasure(3, (2,), (Fraction(1),), True)
+
+
 @pytest.mark.parametrize("weighted", [False, True])
 def test_cost_block_entries_are_edge_distances(weighted):
     base = generate("random:8:0.5", seed=3)
@@ -190,6 +201,20 @@ def test_cost_block_entries_are_edge_distances(weighted):
         for b in atoms:
             assert block[a, b] == edge_distance(g, a, b)
             assert type(block[a, b]) is (float if weighted else int)
+
+
+@pytest.mark.parametrize("atoms", [(3,), (0, 3)])
+def test_small_cost_blocks_have_tuple_rows(atoms):
+    # itemgetter of one position returns the bare entry, not a 1-tuple
+    g = generate("random:8:0.5", seed=3)
+    block = pairwise_costs(g, atoms)
+    assert block.rows == tuple(tuple(edge_distance(g, a, b) for b in atoms) for a in atoms)
+    assert all(type(row) is tuple for row in block.rows)
+
+
+def test_slicer_returns_a_tuple_for_any_number_of_positions():
+    row = (5, 6, 7)
+    assert [slicer(p)(row) for p in ((), (1,), (0, 2))] == [(), (6,), (5, 7)]
 
 
 def test_single_edge_measure_is_undefined():

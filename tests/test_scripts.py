@@ -36,6 +36,17 @@ def test_family_survey_prints_stars_at_zero_slack(capsys):
     assert all(row.endswith(" 0.000000  <- equality") for row in stars)
 
 
+def test_family_survey_marks_a_right_side_at_or_below_zero_vacuous(capsys):
+    # complete:3 has kappa_min 1/2 and d = 2, so its right side is 1/2;
+    # complete:4 (d = 4) reaches 0 and complete:5 (d = 6) -1/6
+    families = ["complete:3..5", "star:4"]
+    assert _load("family_survey").main(["--families", *families]) == 0
+    rows = capsys.readouterr().out.splitlines()[2:]
+    marked = {row.split()[0]: row.endswith("  <- vacuous") for row in rows}
+    assert marked == {"complete:3": False, "complete:4": True, "complete:5": True,
+                      "star:4": False}
+
+
 @pytest.mark.parametrize("argv, applicable", [
     (["--samples", "3"], False),   # 7 vertices, p = 0.5: edge degrees unequal
     (["--samples", "3", "--vertices", "6", "--prob", "0.95"], True),

@@ -86,6 +86,65 @@ def test_split_is_cheaper_than_greedy():
     assert brute_force_wasserstein(p) == Fraction(2)
 
 
+def test_least_cost_arcs_alone_need_no_heap(monkeypatch):
+    # star:5, edges v0-v1 and v0-v2: the measures share three atoms, and
+    # the residual moves 1/4 from v0-v2 to v0-v1 at the least cost, 1; the
+    # closed-form first round ships it, so no Dijkstra round runs.  The
+    # problem is built first: the edge space's distance rows use heapq too.
+    p = pair_transport_problem(generate("star:5"), 0, 1)
+    pops = []
+    heappop = transport.heapq.heappop
+    monkeypatch.setattr(transport.heapq, "heappop", lambda pq: pops.append(1) or heappop(pq))
+    r = solve_wasserstein(p)
+    assert pops == []
+    assert r.distance == brute_force_wasserstein(p) == Fraction(1, 4)
+
+
+def _two_valued(atoms, tight):
+    """Cost 1 on the unordered pairs in tight, 2 between other distinct atoms:
+    a metric, since any two costs sum to at least the third."""
+    return _block(atoms, lambda a, b: 0 if a == b else 1 if {a, b} in tight else 2)
+
+
+def test_phase_search_passes_a_dead_branch_and_a_zero_cost_cycle():
+    # Sources 0-3 and sinks 4-7 carry 1/4 each; the arcs of cost 1 are the
+    # tight ones of the closed-form first round.  Its one-arc paths ship
+    # 0->4, 1->5 and 3->7, which leaves source 2 with supply and sink 6
+    # with demand.  The search from 2 first takes 4 into the dead branch
+    # 4->0->7->3, which closes the zero-cost cycle 0->7->3->4->0 (forward
+    # arcs 0-7 and 3-4, flow on 0-4 and 3-7), and only then finds the live
+    # path 2->5->1->6.
+    tight = [{0, 4}, {0, 7}, {1, 5}, {1, 6}, {2, 4}, {2, 5}, {3, 4}, {3, 7}]
+    quarter = (Fraction(1, 4),) * 4
+    p = TransportProblem(EdgeMeasure(0, (0, 1, 2, 3), quarter),
+                         EdgeMeasure(1, (4, 5, 6, 7), quarter),
+                         _two_valued(tuple(range(8)), tight))
+    r = solve_wasserstein(p)
+    assert r.distance == brute_force_wasserstein(p) == 1
+    assert r.plan == ((0, 4, 1), (1, 6, 1), (2, 5, 1), (3, 7, 1))
+    assert verify_coupling(p, r.plan) == ()
+
+
+@given(st.data())
+def test_solver_matches_brute_force_on_two_valued_costs(data):
+    # costs of 1 and 2 tie often, so phases see many tight paths, dead
+    # branches and zero-cost cycles
+    s = data.draw(st.integers(1, 4))
+    t = data.draw(st.integers(1, 5 if s < 4 else 4))
+    atoms = tuple(range(s + t))
+    pairs = [{a, b} for a in atoms for b in atoms if a < b]
+    tight = data.draw(st.lists(st.sampled_from(pairs), unique_by=frozenset))
+    masses = []
+    for n in (s, t):
+        weights = data.draw(st.lists(st.integers(1, 6), min_size=n, max_size=n))
+        masses.append(tuple(Fraction(w, sum(weights)) for w in weights))
+    p = TransportProblem(EdgeMeasure(0, atoms[:s], masses[0]),
+                         EdgeMeasure(1, atoms[s:], masses[1]), _two_valued(atoms, tight))
+    r = solve_wasserstein(p)
+    assert r.distance == brute_force_wasserstein(p)
+    assert verify_coupling(p, r.plan) == ()
+
+
 def _uniform(s, t):
     """s atoms against t others on a line, each side at uniform mass."""
     return _problem((Fraction(1, s),) * s, (Fraction(1, t),) * t,
@@ -146,6 +205,31 @@ def test_a_short_or_ragged_row_names_its_atom():
             _point_pair(rows)
     with pytest.raises(TransportError, match="1 rows for 2 atoms"):
         _point_pair(((0, 1),))
+
+
+_ONE = (Fraction(1), Fraction(1))
+
+
+@pytest.mark.parametrize("rows, atoms, masses, fragment", [
+    (((0, 1), (1, 0)), (0, 2), _ONE, "not the joint support"),
+    (((0, 1),), (0, 1), _ONE, "1 rows for 2 atoms"),
+    (((0, 1), (1,)), (0, 1), _ONE, "cost row of atom 1 has 1 entries"),
+    (((0, 1), (1, 2)), (0, 1), _ONE, "nonzero self cost 2 at atom 1"),
+    (((0, -1), (1, 0)), (0, 1), _ONE, r"negative cost -1 for pair \(0, 1\)"),
+    # each side is within 1e-12 of 1, and the two differ by about 2e-12
+    (((0.0, 1.0), (1.0, 0.0)), (0, 1), (1 + 9.9e-13, 1 - 9.9e-13), "supply .* != demand"),
+])
+def test_problem_errors_name_the_edge_pair_and_the_atom_counts(rows, atoms, masses, fragment):
+    # as the solver's own errors do: owners 0 and 1, one atom a side
+    with pytest.raises(TransportError,
+                       match=r"^transport for pair \(0,1\) over 1x1 atoms: .*" + fragment):
+        _point_pair(rows, atoms, masses)
+
+
+def test_a_finite_block_whose_sum_overflows_is_valid():
+    # every entry is finite; only the sum of the whole block reaches inf
+    p = _point_pair(((0.0, 1e308), (1e308, 0.0)), masses=(1.0, 1.0))
+    assert not p.exact
 
 
 @pytest.mark.parametrize("bad", [math.inf, math.nan])
