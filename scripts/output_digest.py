@@ -11,8 +11,9 @@ stderr, the input and the command.  The corpus is built here and nowhere
 else: the families below (seed 0) as edge lists; each family's edge list
 again, read from a file with its lines reversed, so that the parser
 assigns another vertex order than the family builder; one edge list whose
-labels need JSON escapes; and for each family three weighted documents,
-with unit weights, one constant weight, and random weights in [0.5, 2).
+labels need JSON escapes; and for each family four weighted documents,
+with unit weights, one constant weight, random weights in [0.5, 2), and
+wide random weights 10**(-6 + 12u), twelve decades apart at the extremes.
 Then ``selftest --seed S`` runs for each seed in SELFTEST_SEEDS, so the
 acceptance gate's lines are digested too.
 Last, ``generate --family SPEC`` runs for each family and for one
@@ -65,7 +66,7 @@ MALFORMED = (
     "circulant:9:1,x",
     "cycle:2",
 )
-WEIGHTS = ("unit", "constant", "random")
+WEIGHTS = ("unit", "constant", "random", "wide")
 # a 5-cycle plus one chord on labels with a quote, a backslash, control
 # characters (U+0008 must stay \u0008, not \b) and a non-ASCII letter
 ESCAPES_EDGELIST = 'q" b\\\nb\\ c\x01\nc\x01 d\x08\nd\x08 \u00e9\n\u00e9 q"\nq" c\x01\n'
@@ -98,8 +99,13 @@ def weighted_document(family: str, weights: str) -> str:
         edge = [2.5] * g.n_edges
     else:
         rng = SplitMix64(11)
-        vertex = [0.5 + 1.5 * rng.uniform() for _ in range(g.n_vertices)]
-        edge = [0.5 + 1.5 * rng.uniform() for _ in range(g.n_edges)]
+
+        def draw() -> float:
+            u = rng.uniform()
+            return 0.5 + 1.5 * u if weights == "random" else 10 ** (-6 + 12 * u)
+
+        vertex = [draw() for _ in range(g.n_vertices)]
+        edge = [draw() for _ in range(g.n_edges)]
     return serialize_weighted(WeightedGraph(
         g,
         vertex_weight=dict(zip(g.labels, vertex)),

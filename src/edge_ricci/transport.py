@@ -3,40 +3,53 @@
 The primal problem is the transportation LP over supp(mu) x supp(nu).  The
 distance depends only on mu - nu (Kantorovich-Rubinstein duality), so the
 common mass min(mu(a), nu(a)) at every shared atom stays where it is at zero
-cost and is cancelled first; the residual instance, whose two supports are
-disjoint, is solved by successive shortest augmenting paths with node
-potentials.  In exact mode each round opens a primal-dual phase (Ahuja,
-Magnanti & Orlin, Network Flows, 1993, ch. 9): flow is shipped along every
-path of reduced cost exactly 0 before the next Dijkstra runs; float mode
-ships one path per round.  The first exact round needs no Dijkstra: from
-zero potentials and zero flow it settles every source at 0 and every sink
-at the least cost cmin, so those potentials are set directly and the phase
-runs on the arcs of cost cmin.  A phase ships the one-arc tight paths
-directly, then searches depth first from each source with supply left,
-with one arc iterator per node.  It keeps a dead set, which later searches
-skip: every node reached by a search that found no sink with open demand.
-A dead node stays dead for the whole phase.  It reaches no node of a path
-shipped later (such a node would take it on to that path's open sink), and
-shipping adds reverse arcs only among that path's nodes, so what it
-reaches never grows.  The returned plan is the full optimal coupling of mu
-and nu: the residual plan plus one diagonal (a, a, common) stay entry per
-shared atom, as a sorted tuple of (source, sink, amount) entries in the
-problem's units.
+cost and is cancelled first.  The residual instance, whose two supports are
+disjoint, is solved by the primal-dual method (Ahuja, Magnanti & Orlin,
+Network Flows, 1993, ch. 9; Kuhn's Hungarian method, 1955) with node
+potentials phi that keep every reduced cost c(u, v) + phi(u) - phi(v) >= 0.
+The returned plan is the full optimal coupling of mu and nu: the residual
+plan plus one diagonal (a, a, common) stay entry per shared atom, as a
+sorted tuple of (source, sink, amount) entries in the problem's units.
+
+One loop serves both number types: a dual step, then a phase, until a
+phase leaves no source with supply.  The phase ships along every residual
+path of tight arcs.  It ships the one-arc paths directly, then searches
+depth first from each source with supply left, with one arc iterator per
+node.  It keeps a dead set, which later searches skip: every node reached
+by a search that found no sink with open demand.  A dead node stays dead
+for the whole phase.  It reaches no node of a path shipped later (such a
+node would take it on to that path's open sink), and shipping adds reverse
+arcs only among that path's nodes, so what it reaches never grows.  So the
+dead set a phase returns, the reached set R, is exactly the set of nodes
+that tight residual arcs reach from the sources with supply left.  Every
+arc that leaves R runs from a source in R to a sink outside it and is not
+tight: a backward arc carries flow, so its forward twin is tight and R
+holds both ends.  The dual step takes delta, the least reduced cost over
+those arcs, and adds it to the potential of every node outside R.  Arcs
+inside R or outside it keep their reduced costs, arcs into R grow dearer,
+and the arcs out of R fall by delta, so at least one of them turns tight.
+R starts as every source, so the first step sets every sink to the least
+cost cmin.
+
+In exact mode an arc is tight when its reduced cost is 0, and the loop
+ends: after a dual step the next phase reaches all of R again plus the sink
+that turned tight, so unless that sink has open demand R grows by at least
+one node.  At most S + T steps thus separate two phases that ship, for S
+sources and T sinks, and each of those ships at least one unit (amounts
+are positive integers).  In float mode an arc is tight when its reduced
+cost is at most 1e-12 times the block's largest cost.  The potentials and
+their rounding error scale with the costs, so an absolute threshold would
+make the solver's choices depend on the unit of the weights; with this one,
+scaling every vertex weight by a power of two scales every cost and every
+threshold exactly, and changes no bit of the result.  A budget of
+8 (S + 2)(T + 2) dual steps guards the float loop, where rounding could
+recycle residual arcs: past it the solve raises instead of spinning.
 
 Costs come as one CostBlock (see edge_geometry): the sorted joint support
 and one row tuple per atom.  The solver's source x sink matrix, the dual
-envelope and the Lipschitz check index its rows by position, never by an
-(a, b) key; the matrix and the envelope slice them in C, with
-edge_geometry.slicer.  Each Dijkstra round stops early: once the first
-sink with open demand settles at distance D, it pops the entries keyed
-<= D and stops.  That changes no float.  Every node nearer than D is
-settled, with the distance and parent the full search gives it, and every
-other node gets D in the potential update whatever its distance.  Every
-open sink at D is settled too, so the target (the least-index open sink at
-D) and its path are the full search's.  Unreached nodes carry math.inf.  A
-popped sink relaxes only the sources that carry flow into it, kept per
-sink; the heap orders its entries by (distance, node), so the order of
-that scan changes nothing either.
+step, the dual envelope and the Lipschitz check index its rows by
+position, never by an (a, b) key; the matrix, the dual step and the
+envelope slice them in C, with edge_geometry.slicer.
 
 A TransportProblem fixes its number domain once, when it is built, and
 every later step reads it.  When both measures are exact rationals and the
@@ -45,24 +58,26 @@ the mass denominators as its scale and the masses as integers in those
 units, so the whole computation runs in integer arithmetic and the
 distance, plan, and dual certificate are exact; a plan amount is the mass
 times the scale, an int.  Otherwise the scale is 1 and the amounts are
-binary64 masses, where supply, demand and flow below 1e-15
-count as rounding noise and the accepted certificate error is relative to
-the largest cost: scaling the vertex weights scales every cost, and the
-accepted error with it.  Both number types run the same code, apart from
-the exact phases; exact mode is the case of zero noise and zero tolerance.
+binary64 masses, where supply, demand and flow at most 1e-15 count as
+rounding noise.  The number type fixes only the zero, that noise, the
+tightness threshold and the certificate tolerances; exact mode is the case
+where all of them are 0.
 
 The dual certificate is a single function f, a dict on the full joint
 support with |f(a) - f(b)| <= d(a, b), built from the final potentials of
 the residual sinks by the envelope f(a) = min_j (beta_j + d(a, j)); strong
-duality makes its objective equal the primal cost.  The solver checks the whole
-certificate on the uncancelled problem before it returns: complementary
-slackness on the residual plan, both marginals of the full plan, the
-Lipschitz bound on f, and the duality gap.  A failure raises TransportError
-naming the edge pair and the instance size.  The cost block is validated
-once, when the problem is built, in one pass in C; the Lipschitz check walks
-unordered pairs, and the dual objective is summed in the problem's units.
-So are the plan's marginals, in the one check that the public
-verify_coupling makes too.
+duality makes its objective equal the primal cost.  The solver checks the
+whole certificate on the uncancelled problem before it returns:
+complementary slackness on the residual plan, both marginals of the full
+plan, the Lipschitz bound on f, and the duality gap.  In float mode the
+accepted slackness, Lipschitz and gap errors are relative to the largest
+cost (with a floor of 1): the rounding error of a reduced cost grows with
+the potentials, which reach the largest cost, whatever the arc's own cost.
+A failure raises TransportError naming the edge pair and the instance
+size.  The cost block is validated once, when the problem is built, in one
+pass in C; the Lipschitz check walks unordered pairs, and the dual
+objective is summed in the problem's units.  So are the plan's marginals,
+in the one check that the public verify_coupling makes too.
 
 brute_force_wasserstein enumerates every vertex of the transportation
 polytope (spanning trees of the bipartite support graph) and is the
@@ -73,20 +88,22 @@ mass denominators itself and shares no code with the flow solver.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
-from operator import add, getitem
+from itertools import combinations, compress, repeat
+from operator import add, getitem, le, sub
 from typing import Mapping
 
 from .edge_geometry import CostBlock, EdgeMeasure, slicer
 from .errors import MassImbalanceError, MissingPotentialError, TransportError
 
-_FLOAT_EPS_CS = 1e-10   # complementary slackness tolerance, float mode
-_FLOAT_EPS_GAP = 1e-9   # accepted primal-dual gap per unit of cost scale, float mode
-_FLOAT_DUST = 1e-15     # residual supply/demand/flow below this is rounding noise
+# float mode; the first three are per unit of the largest cost, the last
+# two with a floor of 1
+_FLOAT_EPS_TIGHT = 1e-12  # an arc whose reduced cost is at most this is tight
+_FLOAT_EPS_CS = 1e-10     # accepted complementary slackness error
+_FLOAT_EPS_GAP = 1e-9     # accepted Lipschitz excess and duality gap
+_FLOAT_DUST = 1e-15       # supply, demand and flow at most this are rounding noise
 
 
 @dataclass(frozen=True)
@@ -193,21 +210,25 @@ class TransportResult:
 def solve_wasserstein(problem: TransportProblem) -> TransportResult:
     """Minimum-cost transport, returned only once its certificate checks out.
 
-    The certificate tolerance is 0 in exact mode and 1e-9 x max(1, largest
-    cost) in float mode.  Every TransportError raised here names the pair
-    and the instance size.
+    The certificate tolerance is 0 in exact mode.  In float mode it is
+    max(1, largest cost) times 1e-10 for complementary slackness and times
+    1e-9 for the Lipschitz bound and the duality gap.  Every TransportError
+    raised here names the pair and the instance size.
     """
     exact, scale = problem.exact, problem.scale
     mu, nu = problem.mu, problem.nu
     rows, position = problem.cost.rows, problem.cost.position
     supply, demand = dict(problem.supply), dict(problem.demand)
     if exact:
-        zero, dust, eps_cs, tol = 0, 0, 0, 0
+        zero, dust, tight_tol, cs_tol, tol = 0, 0, 0, 0, 0
     else:
-        zero, dust, eps_cs = 0.0, _FLOAT_DUST, _FLOAT_EPS_CS
-        # The distance and the potentials scale with the costs, so the
-        # accepted certificate error does too.
-        tol = _FLOAT_EPS_GAP * max(1.0, max(map(max, rows)))
+        # The potentials and their rounding error scale with the costs, and
+        # so do the distance and its accepted error: the threshold and the
+        # tolerances are relative to the largest cost.
+        cmax = max(map(max, rows))
+        zero, dust, tight_tol = 0.0, _FLOAT_DUST, _FLOAT_EPS_TIGHT * cmax
+        cs_tol = _FLOAT_EPS_CS * max(1.0, cmax)
+        tol = _FLOAT_EPS_GAP * max(1.0, cmax)
         # The two float sums disagree by a few ulp; rescale demand so the
         # totals match exactly, otherwise the loop below chases the dust.
         fix = sum(supply.values()) / sum(demand.values())
@@ -234,6 +255,17 @@ def solve_wasserstein(problem: TransportProblem) -> TransportResult:
     flow = [[zero] * T for _ in range(S)]
     carriers = [set() for _ in range(T)]  # the sources with flow into each sink
     phi = [zero] * (S + T)  # node potentials; reduced cost c + phi[u] - phi[v] >= 0
+    sink_nodes = range(S, S + T)
+
+    def drain(i, j, amt):
+        # take amt off source i's supply and sink j's demand; what is left
+        # below the dust counts as 0
+        supply[i] -= amt
+        demand[j] -= amt
+        if supply[i] <= dust:
+            supply[i] = zero
+        if demand[j] <= dust:
+            demand[j] = zero
 
     def ship(parent, tgt):
         # walk the parent links back from sink tgt: each sink is entered by
@@ -254,22 +286,16 @@ def solve_wasserstein(problem: TransportProblem) -> TransportResult:
             carriers[j].add(i)
         for i, j in back:
             flow[i][j] -= amt
-            if flow[i][j] < dust:
+            if flow[i][j] <= dust:
                 flow[i][j] = zero
-            if not flow[i][j]:
                 carriers[j].discard(i)
-        supply[src] -= amt
-        demand[tgt] -= amt
-        if supply[src] < dust:
-            supply[src] = zero
-        if demand[tgt] < dust:
-            demand[tgt] = zero
+        drain(src, tgt, amt)
 
     def search(r, tight, dead):
-        # depth-first search from source r over residual arcs of reduced
-        # cost 0, one arc iterator per node, for a sink with open demand:
-        # the search's parent links and that sink, or None, and then every
-        # node it reached joins dead
+        # depth-first search from source r over tight residual arcs, one
+        # arc iterator per node, for a sink with open demand: the search's
+        # parent links and that sink, or None, and then every node it
+        # reached joins dead
         parent = {r: None}
         stack = [(r, iter(tight[r]))]
         while stack:
@@ -291,11 +317,13 @@ def solve_wasserstein(problem: TransportProblem) -> TransportResult:
         return None
 
     def phase():
-        # primal-dual phase, exact mode only, where every amount is an int:
-        # ship along every path of reduced cost 0.  Forward arcs are tight
-        # for the whole phase; backward arcs carry flow and so are tight by
-        # slackness.  One-arc paths ship directly, longer ones by search.
-        tight = [[S + j for j, c in enumerate(row) if c + phi[i] == phi[S + j]]
+        # ship along every residual path of tight arcs, then return the dead
+        # set: the nodes those arcs reach from the sources with supply left.
+        # A forward arc is tight when its reduced cost is at most tight_tol;
+        # backward arcs carry flow and so are tight by slackness.  One-arc
+        # paths ship directly, longer ones by search.
+        bound = [p + tight_tol for p in phi[S:]]
+        tight = [list(compress(sink_nodes, map(le, map(add, row, repeat(phi[i])), bound)))
                  for i, row in enumerate(cost)]
         for i, arcs in enumerate(tight):
             for v in arcs:
@@ -306,92 +334,34 @@ def solve_wasserstein(problem: TransportProblem) -> TransportResult:
                     amt = min(supply[i], demand[j])
                     flow[i][j] += amt
                     carriers[j].add(i)
-                    supply[i] -= amt
-                    demand[j] -= amt
+                    drain(i, j, amt)
         dead = set()
         for r in range(S):
             while supply[r] and r not in dead and (found := search(r, tight, dead)):
                 ship(*found)
+        return dead
 
-    # The first exact round is closed-form: from zero potentials and zero
-    # flow, Dijkstra settles every source at 0 and every sink at the least
-    # cost cmin, and its target is a sink at cmin, so the phase on the arcs
-    # of cost cmin ships at least one unit.
-    if exact and S:
-        phi[S:] = [min(map(min, cost))] * T
-        phase()
-
-    # The budget caps Dijkstra rounds.  Each round ships along at least one
-    # path, and in exact mode each path ships at least one unit (amounts are
-    # positive integers), so the phase loop after a round ends and there are
-    # at most as many rounds as units of supply; no bound in S and T is
-    # proven here.  Float rounding can recycle residual arcs, so the cap
-    # turns a pathological instance into an error instead of a spin.
+    # The primal-dual loop (see the module docstring): the reached set
+    # starts as every source, and the loop ends once a phase leaves no
+    # source with supply.  In float mode it also ends once no sink has
+    # demand: supply left then is dust, which the marginal check bounds.
+    # The budget counts dual steps.
     budget = (S + 2) * (T + 2) * 8
-    inf = math.inf
-    active_sources = [i for i in range(S) if supply[i] > dust]
-    while active_sources:
+    reached = set(range(S))
+    while reached and any(demand):
         budget -= 1
         if budget < 0:
             raise failure("augmentation budget exhausted; instance does not drain")
-        # multi-source Dijkstra over reduced costs in the residual network;
-        # reduced costs are >= 0 by invariant, but float rounding can leave a
-        # -1e-17 that Dijkstra would cycle on forever, so it counts as 0.
-        # It stops once every entry keyed <= d_tgt, the distance of the
-        # first open sink to settle, is popped: every node nearer than
-        # d_tgt is then settled, every other node gets d_tgt in the
-        # potential update below whatever its distance, and each open sink
-        # at d_tgt is settled, so the target and its path are those of the
-        # full search.
-        dist = [inf] * (S + T)
-        parent: list[int | None] = [None] * (S + T)
-        pq = []
-        for i in active_sources:
-            dist[i] = zero
-            heapq.heappush(pq, (zero, i))
-        d_tgt = inf
-        while pq:
-            d, u = heapq.heappop(pq)
-            if d > dist[u]:
-                continue
-            if d > d_tgt:
-                break
-            phi_u = phi[u]
-            if u < S:
-                row = cost[u]
-                for j in range(T):
-                    v = S + j
-                    rc = row[j] + phi_u - phi[v]
-                    nd = d + rc if rc > zero else d
-                    if nd < dist[v]:
-                        dist[v] = nd
-                        parent[v] = u
-                        heapq.heappush(pq, (nd, v))
-            else:
-                j = u - S
-                if d_tgt == inf and demand[j] > dust:
-                    d_tgt = d
-                for i in carriers[j]:
-                    rc = -cost[i][j] + phi_u - phi[i]
-                    nd = d + rc if rc > zero else d
-                    if nd < dist[i]:
-                        dist[i] = nd
-                        parent[i] = u
-                        heapq.heappush(pq, (nd, i))
-        if d_tgt == inf:
-            if any(x > dust for x in demand):
-                raise failure("flow network admits no augmenting path")
-            break  # only sub-threshold float dust is left unshipped
-        tgt = min(j for j in range(T) if demand[j] > dust and dist[S + j] == d_tgt)
-
-        # potentials stay dual-feasible after augmenting along tight arcs
+        # the dual step: raise every node outside the reached set by delta,
+        # the least reduced cost from a source in it to a sink outside it
+        out = [j for j in range(T) if S + j not in reached]
+        at_out, phi_out = slicer(out), [phi[S + j] for j in out]
+        delta = min(min(map(sub, at_out(cost[i]), phi_out)) + phi[i]
+                    for i in reached if i < S)
         for v in range(S + T):
-            phi[v] = phi[v] + (dist[v] if dist[v] < d_tgt else d_tgt)
-
-        ship(parent, tgt)
-        if exact:
-            phase()
-        active_sources = [i for i in range(S) if supply[i] > dust]
+            if v not in reached:
+                phi[v] += delta
+        reached = phase()
 
     # envelope dual certificate over the whole joint support:
     # f(a) = min_j (beta_j + d(a, sink_j)) over the residual sinks, and
@@ -412,7 +382,7 @@ def solve_wasserstein(problem: TransportProblem) -> TransportResult:
             x = flow[i][j]
             if x > zero:
                 rc = cost[i][j] + phi[i] - phi[S + j]
-                if abs(rc) > eps_cs * max(1.0, abs(cost[i][j])):
+                if abs(rc) > cs_tol:
                     raise failure(f"complementary slackness violated on arc ({i},{j}): {rc}")
                 total += x * cost[i][j]
                 entries.append((sources[i], sinks[j], x))

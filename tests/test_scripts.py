@@ -65,11 +65,11 @@ def test_output_digest_covers_every_input_and_command(monkeypatch, capsys):
     assert module.main() == 0
     lines = capsys.readouterr().out.splitlines()
     # two families, their two reversed edge lists and the escapes edge list
-    # with five commands, three spectra and six matrix dumps each, six
+    # with five commands, three spectra and six matrix dumps each, eight
     # weighted documents with five commands, four spectra and eight matrix
     # dumps each, one selftest, then generate for the two families and for
     # the six malformed specs
-    assert len(lines) == 5 * (5 + 3 + 6) + 6 * (5 + 4 + 8) + 1 + 2 + 6
+    assert len(lines) == 5 * (5 + 3 + 6) + 8 * (5 + 4 + 8) + 1 + 2 + 6
     assert all(len(line.split()[1]) == 64 for line in lines)
     # exit 1 is a report with a failed check, not a crash; a malformed spec
     # is bad usage
@@ -84,14 +84,18 @@ def test_output_digest_covers_every_input_and_command(monkeypatch, capsys):
     assert lines[42].endswith(" star:4/reversed verify --format json")
     assert lines[56].endswith(" escapes verify --format json")
     assert lines[69].endswith(" escapes spectrum --weighting degree --dump-matrix edge")
-    assert lines[160].endswith(" star:4/random spectrum --weighting unit --format json")
-    assert lines[163].endswith(" star:4/random spectrum --weighting graph --format json")
-    assert lines[169].endswith(" star:4/random spectrum --weighting degree --dump-matrix edge")
-    assert lines[171].endswith(" star:4/random spectrum --weighting graph --dump-matrix edge")
-    assert lines[172].endswith(" gate selftest --seed 0")
-    assert lines[173].endswith(" cycle:4 generate")
-    assert lines[174].endswith(" star:4 generate")
-    assert lines[175].endswith(" hexagon:6 generate")
+    assert lines[70].endswith(" cycle:4/unit verify --format json")
+    assert lines[121].endswith(" cycle:4/wide verify --format json")
+    assert lines[177].endswith(" star:4/random spectrum --weighting unit --format json")
+    assert lines[180].endswith(" star:4/random spectrum --weighting graph --format json")
+    assert lines[186].endswith(" star:4/random spectrum --weighting degree --dump-matrix edge")
+    assert lines[188].endswith(" star:4/random spectrum --weighting graph --dump-matrix edge")
+    assert lines[189].endswith(" star:4/wide verify --format json")
+    assert lines[205].endswith(" star:4/wide spectrum --weighting graph --dump-matrix edge")
+    assert lines[206].endswith(" gate selftest --seed 0")
+    assert lines[207].endswith(" cycle:4 generate")
+    assert lines[208].endswith(" star:4 generate")
+    assert lines[209].endswith(" hexagon:6 generate")
     assert lines[-1].endswith(" cycle:2 generate")
 
 

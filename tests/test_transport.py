@@ -86,20 +86,6 @@ def test_split_is_cheaper_than_greedy():
     assert brute_force_wasserstein(p) == Fraction(2)
 
 
-def test_least_cost_arcs_alone_need_no_heap(monkeypatch):
-    # star:5, edges v0-v1 and v0-v2: the measures share three atoms, and
-    # the residual moves 1/4 from v0-v2 to v0-v1 at the least cost, 1; the
-    # closed-form first round ships it, so no Dijkstra round runs.  The
-    # problem is built first: the edge space's distance rows use heapq too.
-    p = pair_transport_problem(generate("star:5"), 0, 1)
-    pops = []
-    heappop = transport.heapq.heappop
-    monkeypatch.setattr(transport.heapq, "heappop", lambda pq: pops.append(1) or heappop(pq))
-    r = solve_wasserstein(p)
-    assert pops == []
-    assert r.distance == brute_force_wasserstein(p) == Fraction(1, 4)
-
-
 def _two_valued(atoms, tight):
     """Cost 1 on the unordered pairs in tight, 2 between other distinct atoms:
     a metric, since any two costs sum to at least the third."""
@@ -552,11 +538,37 @@ def _as_float(problem):
                                            lambda a, b: float(problem.cost[a, b])))
 
 
+def _assert_optimal_by_weak_duality(problem, result):
+    """Prove the exact plan optimal in Fractions, with no solver helper.
+
+    The plan is a coupling of mu and nu, the dual is 1-Lipschitz on the
+    cost block, and the plan's cost equals the dual objective: every
+    coupling costs at least that objective (weak duality), so the plan's
+    cost is the minimum.
+    """
+    atoms = problem.joint_support()
+    mu, nu = problem.mu.as_dict(), problem.nu.as_dict()
+    rows, cols = dict.fromkeys(mu, Fraction(0)), dict.fromkeys(nu, Fraction(0))
+    cost = Fraction(0)
+    for a, b, amount in result.plan:
+        x = Fraction(amount, result.scale)
+        assert x > 0
+        rows[a] += x
+        cols[b] += x
+        cost += x * problem.cost[a, b]
+    assert rows == mu and cols == nu
+    f = {a: Fraction(result.dual[a]) for a in atoms}
+    assert all(abs(f[a] - f[b]) <= problem.cost[a, b] for a in atoms for b in atoms)
+    assert cost == sum(f[a] * (mu.get(a, 0) - nu.get(a, 0)) for a in atoms)
+    assert cost == result.distance
+
+
 @pytest.mark.parametrize("seed", [0, 1])
 def test_exact_distances_match_float_runs_beyond_the_oracle(seed):
     # the dense shape, about 12 atoms a side: out of the oracle's reach, so
-    # the exact phases are checked against float mode, which still ships
-    # one path per Dijkstra round
+    # each exact plan is proved optimal by its own dual, in test code.  Float
+    # mode runs the same loop, so the float run checks that the two number
+    # types agree, not a second algorithm
     g = generate("random:12:0.6", seed=seed)
     widest = None
     for e, f in combinations(range(g.n_edges), 2):
@@ -565,8 +577,9 @@ def test_exact_distances_match_float_runs_beyond_the_oracle(seed):
         p = pair_transport_problem(g, e, f)
         q = _as_float(p)
         assert p.exact and not q.exact
-        exact, approx = solve_wasserstein(p).distance, solve_wasserstein(q).distance
-        assert math.isclose(approx, exact, rel_tol=1e-12)
+        exact = solve_wasserstein(p)
+        _assert_optimal_by_weak_duality(p, exact)
+        assert math.isclose(solve_wasserstein(q).distance, exact.distance, rel_tol=1e-12)
         if widest is None or _width(p) > _width(widest):
             widest = p
     with pytest.raises(TransportError, match="oracle limited"):
