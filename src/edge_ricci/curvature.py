@@ -80,7 +80,7 @@ def pair_transport_problem(g, e: int, f: int) -> TransportProblem:
     mu = edge_measure(g, e)
     nu = edge_measure(g, f)
     atoms = tuple(sorted(set(mu.atoms) | set(nu.atoms)))
-    return TransportProblem(mu, nu, pairwise_costs(g, atoms))
+    return TransportProblem(mu, nu, atoms, pairwise_costs(g, atoms))
 
 
 def transport_for_pair(g, e: int, f: int) -> TransportResult:
@@ -98,7 +98,9 @@ def ricci(g, e: int, f: int) -> CurvaturePair:
 
 
 def ricci_all_adjacent(g) -> dict[tuple[int, int], CurvaturePair]:
-    """Curvature for every unordered adjacent pair, keyed by (e, f), e < f.
+    """Curvature for every unordered adjacent pair, keyed by (e, f), e < f,
+    with the keys in ascending order: e ascends, and each f through e's
+    ascending neighborhood, so callers iterate the table as built.
 
     The table is built once per graph instance and kept by derived; a
     WeightedGraph and the Graph it was built from each keep their own.

@@ -19,10 +19,9 @@ Dijkstra row, int hop counts at unit weights.  Every function below reads
 their common fields alone.
 The space and each edge's measure are kept per graph by graph_core.derived.
 
-pairwise_costs gives a transport problem its costs as one CostBlock: the
-sorted atoms and, per atom, a row tuple sliced from that atom's cached
-distance row by slicer, in C.  Readers index the rows by position;
-block[a, b] reads one entry by atom.
+pairwise_costs gives a transport problem its costs: per atom of the sorted
+joint support, a row tuple sliced from that atom's cached distance row by
+slicer, in C.
 """
 
 from __future__ import annotations
@@ -214,29 +213,6 @@ def _build_measure(g: Graph, e: int) -> EdgeMeasure:
     return EdgeMeasure(e, nbrs, tuple([space.weight[f] / d for f in nbrs]))
 
 
-class CostBlock:
-    """Square cost block over sorted atoms: rows[k][l] is the cost from
-    atoms[k] to atoms[l], and block[a, b] reads one entry by atom.
-
-    A container only; TransportProblem validates it.  Solvers index rows by
-    position, through ``position`` (atom -> index into atoms and rows).
-    """
-
-    __slots__ = ("atoms", "rows", "position")
-
-    def __init__(self, atoms: tuple[int, ...], rows):
-        self.atoms = tuple(atoms)
-        self.rows = tuple(rows)
-        self.position = {a: k for k, a in enumerate(self.atoms)}
-
-    def __getitem__(self, pair: tuple[int, int]):
-        a, b = pair
-        return self.rows[self.position[a]][self.position[b]]
-
-    def __repr__(self) -> str:
-        return f"CostBlock({self.atoms!r}, {self.rows!r})"
-
-
 def slicer(positions: Sequence[int]):
     """row -> tuple(row[p] for p in positions), sliced in C by itemgetter.
 
@@ -251,10 +227,11 @@ def slicer(positions: Sequence[int]):
     return lambda row: ()
 
 
-def pairwise_costs(g: Graph, atoms: tuple[int, ...]) -> CostBlock:
-    """Distance block over sorted atoms (ints, or floats if weighted), each
-    row sliced from the atom's distance row."""
+def pairwise_costs(g: Graph, atoms: tuple[int, ...]) -> tuple[tuple, ...]:
+    """Distance rows over sorted atoms (ints, or floats if weighted):
+    rows[k][l] = d(atoms[k], atoms[l]), each row sliced from the atom's
+    distance row."""
     space = edge_space(g)
     # a list, not an iterator: CPython sizes an iterator's tuple by resizing
     # it, which strands a tuple on a free list every call
-    return CostBlock(atoms, list(map(slicer(atoms), map(space.row, atoms))))
+    return tuple(list(map(slicer(atoms), map(space.row, atoms))))

@@ -125,8 +125,10 @@ def eigenvalues_symmetric(matrix) -> tuple[float, ...]:
     """Ascending eigenvalues of a symmetric matrix (lists or array-like)."""
     a = _as_float_matrix(matrix)
     n = len(a)
-    if any(len(row) != n for row in a):
-        raise NotSymmetricError("matrix is not square")
+    for k, row in enumerate(a):
+        if len(row) != n:
+            raise NotSymmetricError(
+                f"{n}-row matrix is not square: row {k} has {len(row)} entries")
     if n == 0:
         return ()
     # checked entry by entry: max() below would pass over a NaN
@@ -137,7 +139,7 @@ def eigenvalues_symmetric(matrix) -> tuple[float, ...]:
         for q in range(p + 1, n):
             if abs(a[p][q] - a[q][p]) > 1e-12 * scale:
                 raise NotSymmetricError(
-                    f"entry ({p},{q}) = {a[p][q]} but ({q},{p}) = {a[q][p]}"
+                    f"{n}x{n} matrix: entry ({p},{q}) = {a[p][q]} but ({q},{p}) = {a[q][p]}"
                 )
             mid = 0.5 * (a[p][q] + a[q][p])
             a[p][q] = a[q][p] = mid

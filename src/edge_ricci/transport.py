@@ -42,14 +42,15 @@ their rounding error scale with the costs, so an absolute threshold would
 make the solver's choices depend on the unit of the weights; with this one,
 scaling every vertex weight by a power of two scales every cost and every
 threshold exactly, and changes no bit of the result.  A budget of
-8 (S + 2)(T + 2) dual steps guards the float loop, where rounding could
-recycle residual arcs: past it the solve raises instead of spinning.
+8 (S + 2)(T + 2) dual steps guards the loop in both number types, but only
+float mode can reach it, where rounding could recycle residual arcs: past
+it the solve raises instead of spinning.
 
-Costs come as one CostBlock (see edge_geometry): the sorted joint support
-and one row tuple per atom.  The solver's source x sink matrix, the dual
-step, the dual envelope and the Lipschitz check index its rows by
-position, never by an (a, b) key; the matrix, the dual step and the
-envelope slice them in C, with edge_geometry.slicer.
+A problem holds its costs as one row tuple per atom of the sorted joint
+support, and ``position`` maps each atom to its row.  The solver's source
+x sink matrix, the dual step, the dual envelope and the Lipschitz check
+index the rows by position, never by an (a, b) key; the matrix, the dual
+step and the envelope slice them in C, with edge_geometry.slicer.
 
 A TransportProblem fixes its number domain once, when it is built, and
 every later step reads it.  When both measures are exact rationals and the
@@ -71,12 +72,13 @@ whole certificate on the uncancelled problem before it returns:
 complementary slackness on the residual plan, both marginals of the full
 plan, the Lipschitz bound on f, and the duality gap.  In float mode the
 accepted slackness, Lipschitz and gap errors are relative to the largest
-cost (with a floor of 1): the rounding error of a reduced cost grows with
-the potentials, which reach the largest cost, whatever the arc's own cost.
-A failure raises TransportError naming the edge pair and the instance
-size.  The cost block is validated once, when the problem is built, in one
-pass in C; the Lipschitz check walks unordered pairs, and the dual
-objective is summed in the problem's units.  So are the plan's marginals,
+cost alone, as the tightness threshold is: the rounding error of a reduced
+cost grows with the potentials, which reach the largest cost, whatever the
+arc's own cost, and a floor of 1 would pass any certificate below unit
+cost scale.  A failure raises TransportError naming the edge pair and the
+instance size.  The cost rows are validated once, when the problem is
+built, in one pass in C; the Lipschitz check walks unordered pairs, and
+the dual objective is summed in the problem's units.  So are the plan's marginals,
 in the one check that the public verify_coupling makes too.
 
 brute_force_wasserstein enumerates every vertex of the transportation
@@ -95,11 +97,11 @@ from itertools import combinations, compress, repeat
 from operator import add, getitem, le, sub
 from typing import Mapping
 
-from .edge_geometry import CostBlock, EdgeMeasure, slicer
+from .edge_geometry import EdgeMeasure, slicer
 from .errors import MassImbalanceError, MissingPotentialError, TransportError
 
 # float mode; the first three are per unit of the largest cost, the last
-# two with a floor of 1
+# per unit of mass
 _FLOAT_EPS_TIGHT = 1e-12  # an arc whose reduced cost is at most this is tight
 _FLOAT_EPS_CS = 1e-10     # accepted complementary slackness error
 _FLOAT_EPS_GAP = 1e-9     # accepted Lipschitz excess and duality gap
@@ -108,22 +110,27 @@ _FLOAT_DUST = 1e-15       # supply, demand and flow at most this are rounding no
 
 @dataclass(frozen=True)
 class TransportProblem:
-    """Measures plus a square cost block over their sorted joint support.
+    """Measures plus the costs over their sorted joint support ``atoms``:
+    rows[k][l] is the cost from atoms[k] to atoms[l].
 
-    Construction validates the block in one pass in C: its atoms
-    must be the sorted joint support, each row must have one entry per atom,
+    Construction validates the rows in one pass in C: atoms must be the
+    sorted joint support (rows in another atom order would pass the other
+    checks), there is one row per atom, each with one entry per atom,
     every atom costs 0 to itself, and every entry is finite and >= 0.  The
     same pass records whether every cost is an int, which with exact masses
     makes the problem exact.  Then it fixes the solver units: ``scale`` is
     the LCM of the mass denominators when exact and 1 otherwise, and the
     read-only ``supply`` and ``demand`` map each atom of mu and nu to its
     mass in those units (int when exact, float otherwise), whose totals must
-    agree.  Every error raised here names the edge pair and the atom counts.
+    agree.  ``position`` maps each atom to its index in atoms and rows.
+    Every error raised here names the edge pair and the atom counts.
     """
 
     mu: EdgeMeasure
     nu: EdgeMeasure
-    cost: CostBlock
+    atoms: tuple[int, ...]
+    rows: tuple[tuple, ...]
+    position: Mapping[int, int] = field(init=False, repr=False, compare=False)
     exact: bool = field(init=False, repr=False, compare=False)
     scale: int = field(init=False, repr=False, compare=False)
     supply: Mapping[int, object] = field(init=False, repr=False, compare=False)
@@ -136,7 +143,7 @@ class TransportProblem:
             return error(f"{_instance(mu, nu)}: {what}")
 
         joint = tuple(sorted(set(mu.atoms) | set(nu.atoms)))
-        atoms, rows = self.cost.atoms, self.cost.rows
+        atoms, rows = self.atoms, self.rows
         if atoms != joint:
             raise invalid(f"cost block atoms {atoms} are not the joint support {joint}")
         n = len(joint)
@@ -170,13 +177,11 @@ class TransportProblem:
         if abs(sum(supply.values()) - sum(demand.values())) > (0 if exact else 1e-12):
             raise invalid(f"supply {sum(mu.masses)} != demand {sum(nu.masses)}",
                           MassImbalanceError)
+        object.__setattr__(self, "position", {a: k for k, a in enumerate(joint)})
         object.__setattr__(self, "exact", exact)
         object.__setattr__(self, "scale", scale)
         object.__setattr__(self, "supply", supply)
         object.__setattr__(self, "demand", demand)
-
-    def joint_support(self) -> tuple[int, ...]:
-        return self.cost.atoms
 
 
 def _instance(mu: EdgeMeasure, nu: EdgeMeasure) -> str:
@@ -210,14 +215,14 @@ class TransportResult:
 def solve_wasserstein(problem: TransportProblem) -> TransportResult:
     """Minimum-cost transport, returned only once its certificate checks out.
 
-    The certificate tolerance is 0 in exact mode.  In float mode it is
-    max(1, largest cost) times 1e-10 for complementary slackness and times
-    1e-9 for the Lipschitz bound and the duality gap.  Every TransportError
+    The certificate tolerance is 0 in exact mode.  In float mode it is the
+    largest cost times 1e-10 for complementary slackness and times 1e-9 for
+    the Lipschitz bound and the duality gap.  Every TransportError
     raised here names the pair and the instance size.
     """
     exact, scale = problem.exact, problem.scale
     mu, nu = problem.mu, problem.nu
-    rows, position = problem.cost.rows, problem.cost.position
+    rows, position = problem.rows, problem.position
     supply, demand = dict(problem.supply), dict(problem.demand)
     if exact:
         zero, dust, tight_tol, cs_tol, tol = 0, 0, 0, 0, 0
@@ -227,8 +232,7 @@ def solve_wasserstein(problem: TransportProblem) -> TransportResult:
         # tolerances are relative to the largest cost.
         cmax = max(map(max, rows))
         zero, dust, tight_tol = 0.0, _FLOAT_DUST, _FLOAT_EPS_TIGHT * cmax
-        cs_tol = _FLOAT_EPS_CS * max(1.0, cmax)
-        tol = _FLOAT_EPS_GAP * max(1.0, cmax)
+        cs_tol, tol = _FLOAT_EPS_CS * cmax, _FLOAT_EPS_GAP * cmax
         # The two float sums disagree by a few ulp; rescale demand so the
         # totals match exactly, otherwise the loop below chases the dust.
         fix = sum(supply.values()) / sum(demand.values())
@@ -368,7 +372,7 @@ def solve_wasserstein(problem: TransportProblem) -> TransportResult:
     # f = 0 when mu = nu leaves nothing to ship
     beta = [-phi[S + j] for j in range(T)]
     dual = {a: min(map(add, beta, pick(row)), default=zero)
-            for a, row in zip(problem.cost.atoms, rows)}
+            for a, row in zip(problem.atoms, rows)}
 
     # the certificate: complementary slackness on the residual plan (whose
     # cost is summed on the way), then, on the uncancelled problem, plan
@@ -446,7 +450,7 @@ def dual_objective(problem: TransportProblem, dual: Mapping[int, object]) -> obj
     in exact mode those are integers and the result is the sum over the
     scale.
     """
-    joint = problem.joint_support()
+    joint = problem.atoms
     supply, demand = problem.supply, problem.demand
     total = 0
     for a, fa in zip(joint, _values_on(dual, joint)):
@@ -461,8 +465,8 @@ def lipschitz_excess(problem: TransportProblem, dual: Mapping[int, object]) -> o
     orders, which gives the maximum over both orders without assuming the
     costs symmetric.
     """
-    rows = problem.cost.rows
-    f = _values_on(dual, problem.joint_support())
+    rows = problem.rows
+    f = _values_on(dual, problem.atoms)
     worst = None
     for k, (fa, row) in enumerate(zip(f, rows)):
         for l in range(k + 1, len(f)):
@@ -568,7 +572,8 @@ def brute_force_wasserstein(problem: TransportProblem) -> object:
             f"{s}x{t} atoms need {subsets}")
     sources = list(problem.mu.atoms)
     sinks = list(problem.nu.atoms)
-    cost = [[problem.cost[(a, b)] for b in sinks] for a in sources]
+    rows, pos = problem.rows, problem.position
+    cost = [[rows[pos[a]][pos[b]] for b in sinks] for a in sources]
     masses = (*problem.mu.masses, *problem.nu.masses)
     exact = (all(isinstance(m, Fraction) for m in masses)
              and all(isinstance(c, int) for row in cost for c in row))

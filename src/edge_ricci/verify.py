@@ -61,21 +61,22 @@ class TheoremCheck:
 
 
 def _check(name, lhs, rhs, relation, tolerance, witnesses=(), diagnostic=False):
-    lhs_f, rhs_f = float(lhs), float(rhs)
+    """The check lhs `relation` rhs.  Two exact sides (int or Fraction)
+    compare exactly, with tolerance 0; otherwise both are rounded to floats
+    and compared within tolerance.  The record holds floats."""
+    if isinstance(lhs, (int, Fraction)) and isinstance(rhs, (int, Fraction)):
+        tolerance = 0  # an int: a Fraction minus 0.0 would be a float
+    else:
+        lhs, rhs = float(lhs), float(rhs)
     if relation == ">=":
-        holds = lhs_f >= rhs_f - tolerance
+        holds = lhs >= rhs - tolerance
     elif relation == "==":
-        holds = abs(lhs_f - rhs_f) <= tolerance
+        holds = abs(lhs - rhs) <= tolerance
     else:
         raise InvalidParameterError(f"unknown relation {relation!r}")
     wit = tuple((str(k), float(v)) for k, v in witnesses)
-    return TheoremCheck(name, True, "", lhs_f, rhs_f, relation, tolerance,
-                        holds, diagnostic, wit)
-
-
-def _kappa_tol(*kappas) -> float:
-    """Zero when every curvature is an exact Fraction, else _GAP_TOL."""
-    return 0.0 if all(isinstance(k, Fraction) for k in kappas) else _GAP_TOL
+    return TheoremCheck(name, True, "", float(lhs), float(rhs), relation,
+                        float(tolerance), holds, diagnostic, wit)
 
 
 def _inapplicable(name, reason, diagnostic=False):
@@ -197,22 +198,21 @@ def check_bounds(g) -> list[TheoremCheck]:
     weighted = isinstance(g, WeightedGraph)
     const_vw = g.has_constant_vertex_weights() if weighted else True
     out = []
-    for (e, f), cp in sorted(ricci_all_adjacent(g).items()):
+    for (e, f), cp in ricci_all_adjacent(g).items():
         tag = f"({g.edge_name(e)},{g.edge_name(f)})"
         wit = ((f"kappa{tag}", float(cp.kappa)),)
-        tol = _kappa_tol(cp.kappa)
         out.append(_check(f"curvature-floor{tag}", cp.kappa,
-                          lower_bound(g, e, f), ">=", tol, wit))
+                          lower_bound(g, e, f), ">=", _GAP_TOL, wit))
         if weighted and not const_vw:
             out.append(_inapplicable(f"curvature-ceiling{tag}",
                                      "vertex weights are not constant"))
         else:
             out.append(_check(f"curvature-ceiling{tag}", upper_bound(g, e, f),
-                              cp.kappa, ">=", tol, wit))
+                              cp.kappa, ">=", _GAP_TOL, wit))
         if not weighted:
             out.append(_check(f"curvature-ceiling-intersection{tag}",
                               upper_bound(g, e, f, "intersection"), cp.kappa,
-                              ">=", tol, wit, diagnostic=True))
+                              ">=", _GAP_TOL, wit, diagnostic=True))
     return out
 
 
@@ -231,7 +231,7 @@ def check_adjacent_pair_reduction(g) -> TheoremCheck:
         return _inapplicable(name, "fewer than three edges")
     lhs = glued_all_pairs_minimum(g).kappa
     rhs = kappa_min(g, "adjacent")
-    return _check(name, lhs, rhs, ">=", _kappa_tol(lhs, rhs))
+    return _check(name, lhs, rhs, ">=", _GAP_TOL)
 
 
 def check_spectral_equivalence(g, weighting: str = "degree") -> list[TheoremCheck]:
@@ -258,7 +258,7 @@ def check_tree_formula(g: Graph) -> list[TheoremCheck]:
     if not is_tree(g):
         return [_inapplicable("tree-formula", "graph is not a tree")]
     out = []
-    for (e, f), cp in sorted(ricci_all_adjacent(g).items()):
+    for (e, f), cp in ricci_all_adjacent(g).items():
         value = tree_curvature_formula(g, e, f)
         name = f"tree-formula({g.edge_name(e)},{g.edge_name(f)})"
         diagnostic = value > 1
@@ -309,7 +309,7 @@ def verification_report(g) -> VerificationReport:
 
     curvature = tuple(
         (e, f, float(cp.kappa))
-        for (e, f), cp in sorted(ricci_all_adjacent(g).items())
+        for (e, f), cp in ricci_all_adjacent(g).items()
     )
     weighting = "graph" if weighted else "unit"
     spectra = {

@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from edge_ricci import cli, curvature
+from edge_ricci import cli, curvature, transport
 from edge_ricci.curvature import (
     edges_adjacent,
     glued_all_pairs_minimum,
@@ -35,7 +35,7 @@ from edge_ricci.errors import (
     TransportError,
 )
 from edge_ricci.edge_geometry import edge_measure
-from edge_ricci.graph_core import Graph, WeightedGraph, generate
+from edge_ricci.graph_core import Graph, WeightedGraph, generate, parse_edgelist
 from edge_ricci.rng import SplitMix64
 from edge_ricci.verify import check_adjacent_pair_reduction, verification_report
 
@@ -195,6 +195,19 @@ def test_all_adjacent_table_is_complete_and_keyed_low_high():
     table = ricci_all_adjacent(g)
     assert len(table) == 6  # C(4, 2) leg pairs
     assert all(e < f for e, f in table)
+
+
+@pytest.mark.parametrize("kind", ["unweighted", "weighted", "reversed"])
+def test_adjacent_table_keys_ascend_as_built(kind):
+    # callers iterate the table as it is, without sorting it
+    g = generate("random:9:0.5", seed=5)
+    if kind == "weighted":
+        g = _random_weights(g, 5)
+    elif kind == "reversed":
+        lines = [f"{u} {v}\n" for u, v in map(g.edge_endpoints, range(g.n_edges))]
+        g = parse_edgelist("".join(reversed(lines)))
+    table = ricci_all_adjacent(g)
+    assert len(table) > 1 and list(table) == sorted(table)
 
 
 def test_adjacent_table_is_built_once_per_graph():
@@ -446,3 +459,27 @@ def test_power_of_two_vertex_scaling_changes_no_bit(seed):
     reference = kappas(0)
     for k in range(-30, 41):
         assert kappas(k) == reference, k
+
+
+@pytest.mark.parametrize("k", [-40, 0, 40])
+def test_float_certificate_tolerance_follows_the_largest_cost(monkeypatch, k):
+    # The accepted Lipschitz excess and duality gap are 1e-9 times the
+    # largest cost at every scale of the weights.  With a floor of 1 on
+    # that scale, at k = -40 (largest cost 4.6e-10, W = 3.9e-10) an excess
+    # of 1e-8 of the largest cost passed, and so did a dual objective of 0,
+    # a gap as large as the distance
+    g = _wide_weights(generate("random:8:0.5", seed=36), random.Random(36), 3,
+                      vertex_scale=2.0 ** k)
+    problem = curvature.pair_transport_problem(g, 0, 1)
+    cmax = max(map(max, problem.rows))
+    for c in (1e-10, 1e-8):
+        monkeypatch.setattr(transport, "lipschitz_excess", lambda p, dual: c * cmax)
+        if c < 1e-9:
+            transport.solve_wasserstein(problem)
+        else:
+            with pytest.raises(TransportError, match="breaks the Lipschitz bound"):
+                transport.solve_wasserstein(problem)
+    monkeypatch.undo()
+    monkeypatch.setattr(transport, "dual_objective", lambda p, dual: 0)
+    with pytest.raises(TransportError, match="duality gap"):
+        transport.solve_wasserstein(problem)

@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 
 from edge_ricci.curvature import lower_bound, ricci_all_adjacent, upper_bound
 from edge_ricci.edge_geometry import (
-    CostBlock,
     EdgeMeasure,
     edge_degree,
     edge_distance,
@@ -170,8 +169,7 @@ def test_mixed_masses_make_a_float_measure():
     mixed = EdgeMeasure(0, (1, 2), (Fraction(1, 2), 0.5))
     assert not mixed.exact
     exact = EdgeMeasure(3, (2,), (Fraction(1),))
-    cost = CostBlock((1, 2), ((0, 1), (1, 0)))
-    problem = TransportProblem(mixed, exact, cost)
+    problem = TransportProblem(mixed, exact, (1, 2), ((0, 1), (1, 0)))
     assert not problem.exact and problem.scale == 1
     assert solve_wasserstein(problem).distance == pytest.approx(0.5)
 
@@ -195,21 +193,20 @@ def test_cost_block_entries_are_edge_distances(weighted):
         g = WeightedGraph(base, {v: 0.5 + 0.25 * k for k, v in enumerate(base.labels)},
                           {base.edge_endpoints(e): 1.0 for e in range(base.n_edges)})
     atoms = (0, 2, 3, 7, base.n_edges - 1)
-    block = pairwise_costs(g, atoms)
-    assert block.atoms == atoms and len(block.rows) == len(atoms)
-    for a in atoms:
-        for b in atoms:
-            assert block[a, b] == edge_distance(g, a, b)
-            assert type(block[a, b]) is (float if weighted else int)
+    rows = pairwise_costs(g, atoms)
+    assert type(rows) is tuple and len(rows) == len(atoms)
+    for a, row in zip(atoms, rows):
+        assert row == tuple(edge_distance(g, a, b) for b in atoms)
+        assert all(type(c) is (float if weighted else int) for c in row)
 
 
 @pytest.mark.parametrize("atoms", [(3,), (0, 3)])
 def test_small_cost_blocks_have_tuple_rows(atoms):
     # itemgetter of one position returns the bare entry, not a 1-tuple
     g = generate("random:8:0.5", seed=3)
-    block = pairwise_costs(g, atoms)
-    assert block.rows == tuple(tuple(edge_distance(g, a, b) for b in atoms) for a in atoms)
-    assert all(type(row) is tuple for row in block.rows)
+    rows = pairwise_costs(g, atoms)
+    assert rows == tuple(tuple(edge_distance(g, a, b) for b in atoms) for a in atoms)
+    assert all(type(row) is tuple for row in rows)
 
 
 def test_slicer_returns_a_tuple_for_any_number_of_positions():

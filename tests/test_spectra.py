@@ -94,9 +94,14 @@ def test_non_finite_entries_are_rejected_with_the_size(bad):
 
 
 def test_symmetry_is_enforced():
-    with pytest.raises(NotSymmetricError):
+    # both errors name the matrix size, as the non-finite and convergence
+    # errors do
+    with pytest.raises(NotSymmetricError, match="^2-row matrix is not square: row 0 has 3 "):
         eigenvalues_symmetric([[1, 2, 3], [2, 1, 0]])
-    with pytest.raises(NotSymmetricError):
+    with pytest.raises(NotSymmetricError, match="^3-row matrix is not square: row 2 has 2 "):
+        eigenvalues_symmetric([[1, 0, 0], [0, 1, 0], [0, 1]])
+    with pytest.raises(NotSymmetricError,
+                       match=r"^2x2 matrix: entry \(0,1\) = 2.0 but \(1,0\) = 3.0"):
         eigenvalues_symmetric([[1, 2], [3, 1]])
 
 

@@ -15,7 +15,7 @@ from hypothesis import assume, given, strategies as st
 
 from edge_ricci import transport
 from edge_ricci.curvature import edges_adjacent, pair_transport_problem, ricci_all_adjacent
-from edge_ricci.edge_geometry import CostBlock, EdgeMeasure, edge_measure
+from edge_ricci.edge_geometry import EdgeMeasure, edge_measure
 from edge_ricci.errors import MassImbalanceError, MissingPotentialError, TransportError
 from edge_ricci.graph_core import WeightedGraph, generate
 from edge_ricci.rng import SplitMix64
@@ -30,18 +30,24 @@ from edge_ricci.transport import (
 
 
 def _block(atoms, cost):
-    """The CostBlock over atoms whose entries are cost(a, b)."""
-    return CostBlock(atoms, [tuple(cost(a, b) for b in atoms) for a in atoms])
+    """atoms and their cost rows, whose entries are cost(a, b): the last two
+    arguments of a TransportProblem."""
+    return atoms, tuple(tuple(cost(a, b) for b in atoms) for a in atoms)
+
+
+def _cost(problem, a, b):
+    """The problem's cost from atom a to atom b."""
+    position = problem.position
+    return problem.rows[position[a]][position[b]]
 
 
 def _problem(mu_masses, nu_masses, mu_atoms, nu_atoms):
     exact = isinstance(mu_masses[0], Fraction)
     atoms = tuple(sorted(set(mu_atoms) | set(nu_atoms)))
-    cost = _block(atoms, lambda a, b: abs(a - b) if exact else float(abs(a - b)))
     return TransportProblem(
         EdgeMeasure(0, tuple(mu_atoms), tuple(mu_masses)),
         EdgeMeasure(1, tuple(nu_atoms), tuple(nu_masses)),
-        cost,
+        *_block(atoms, lambda a, b: abs(a - b) if exact else float(abs(a - b))),
     )
 
 
@@ -104,7 +110,7 @@ def test_phase_search_passes_a_dead_branch_and_a_zero_cost_cycle():
     quarter = (Fraction(1, 4),) * 4
     p = TransportProblem(EdgeMeasure(0, (0, 1, 2, 3), quarter),
                          EdgeMeasure(1, (4, 5, 6, 7), quarter),
-                         _two_valued(tuple(range(8)), tight))
+                         *_two_valued(tuple(range(8)), tight))
     r = solve_wasserstein(p)
     assert r.distance == brute_force_wasserstein(p) == 1
     assert r.plan == ((0, 4, 1), (1, 6, 1), (2, 5, 1), (3, 7, 1))
@@ -125,7 +131,7 @@ def test_solver_matches_brute_force_on_two_valued_costs(data):
         weights = data.draw(st.lists(st.integers(1, 6), min_size=n, max_size=n))
         masses.append(tuple(Fraction(w, sum(weights)) for w in weights))
     p = TransportProblem(EdgeMeasure(0, atoms[:s], masses[0]),
-                         EdgeMeasure(1, atoms[s:], masses[1]), _two_valued(atoms, tight))
+                         EdgeMeasure(1, atoms[s:], masses[1]), *_two_valued(atoms, tight))
     r = solve_wasserstein(p)
     assert r.distance == brute_force_wasserstein(p)
     assert verify_coupling(p, r.plan) == ()
@@ -160,21 +166,21 @@ def test_mass_imbalance_is_rejected():
         TransportProblem(
             EdgeMeasure(0, (0,), (1.0 + 9.9e-13,)),
             EdgeMeasure(1, (1,), (1.0 - 9.9e-13,)),
-            _block((0, 1), lambda a, b: float(abs(a - b))),
+            *_block((0, 1), lambda a, b: float(abs(a - b))),
         )
     with pytest.raises(ValueError):
         EdgeMeasure(1, (1, 2), (Fraction(1, 2), Fraction(1, 4)))
 
 
 def _point_pair(rows, atoms=(0, 1), masses=(Fraction(1), Fraction(1))):
-    """Unit point masses at atoms 0 and 1, with a block over atoms."""
+    """Unit point masses at atoms 0 and 1, with cost rows over atoms."""
     return TransportProblem(EdgeMeasure(0, (0,), masses[:1]),
-                            EdgeMeasure(1, (1,), masses[1:]), CostBlock(atoms, rows))
+                            EdgeMeasure(1, (1,), masses[1:]), atoms, rows)
 
 
 def test_cost_table_must_cover_joint_support():
-    # the block's atoms must be the sorted joint support (0, 1), whatever
-    # its rows hold
+    # the atoms must be the sorted joint support (0, 1), whatever the rows
+    # hold
     for atoms in ((0,), (1, 0), (0, 1, 2), (0, 2)):
         rows = tuple(tuple(int(a != b) for b in atoms) for a in atoms)
         with pytest.raises(TransportError, match=r"not the joint support \(0, 1\)"):
@@ -233,7 +239,7 @@ def test_nan_past_the_first_entry_of_a_row_is_rejected(at):
     with pytest.raises(TransportError, match=rf"non-finite cost nan for pair \(0, {at}\)"):
         TransportProblem(EdgeMeasure(0, (0, 1), (0.5, 0.5)),
                          EdgeMeasure(1, (2, 3), (0.5, 0.5)),
-                         CostBlock((0, 1, 2, 3), map(tuple, rows)))
+                         (0, 1, 2, 3), tuple(map(tuple, rows)))
 
 
 def test_problem_records_its_units():
@@ -354,7 +360,7 @@ def test_float_solver_matches_brute_force_on_overlapping_supports(problem):
 def _fraction_brute_force(problem):
     """The oracle's enumeration with every balance kept as a Fraction."""
     s = len(problem.mu.atoms)
-    cost = [[problem.cost[(a, b)] for b in problem.nu.atoms] for a in problem.mu.atoms]
+    cost = [[_cost(problem, a, b) for b in problem.nu.atoms] for a in problem.mu.atoms]
     best = None
     for schedule in transport._elimination_plans(s, len(problem.nu.atoms)):
         balance = list(problem.mu.masses) + [-m for m in problem.nu.masses]
@@ -396,7 +402,7 @@ def dual_instances(draw):
     joint = tuple(sorted(atoms))
     cost = _block(joint, lambda a, b: 0 if a == b else draw(st.integers(0, 7)))
     problem = TransportProblem(EdgeMeasure(0, tuple(mu_atoms), masses[0]),
-                               EdgeMeasure(1, tuple(nu_atoms), masses[1]), cost)
+                               EdgeMeasure(1, tuple(nu_atoms), masses[1]), *cost)
     f = {a: draw(st.integers(-8, 8)) for a in atoms}
     return problem, f
 
@@ -404,16 +410,15 @@ def dual_instances(draw):
 @given(dual_instances())
 def test_certificate_walks_match_both_orders(instance):
     problem, f = instance
-    cost = problem.cost
     joint = sorted(f)
-    both_orders = [abs(f[a] - f[b]) - cost[(a, b)]
+    both_orders = [abs(f[a] - f[b]) - _cost(problem, a, b)
                    for a in joint for b in joint if a != b]
     assert lipschitz_excess(problem, f) == max(both_orders, default=0)
     mu, nu = problem.mu.as_dict(), problem.nu.as_dict()
     objective = dual_objective(problem, f)
     assert type(objective) is Fraction
     assert objective == sum(f[a] * (mu.get(a, 0) - nu.get(a, 0)) for a in joint)
-    assert problem.exact and problem.joint_support() == tuple(joint)
+    assert problem.exact and problem.atoms == tuple(joint)
 
 
 @pytest.mark.parametrize("check", [lipschitz_excess, dual_objective])
@@ -490,7 +495,7 @@ def _cancelled(problem):
     mu, nu = (EdgeMeasure(k, tuple(side), tuple(m / left for m in side.values()))
               for k, side in enumerate(sides))
     joint = tuple(sorted(set(mu.atoms) | set(nu.atoms)))
-    return TransportProblem(mu, nu, _block(joint, lambda a, b: problem.cost[a, b])), left
+    return TransportProblem(mu, nu, *_block(joint, lambda a, b: _cost(problem, a, b))), left
 
 
 _WIDE_FAMILIES = ("random:7:0.5", "random:8:0.4", "random:8:0.5")
@@ -534,8 +539,8 @@ def _as_float(problem):
     """The same problem with float masses and float costs."""
     mu, nu = (EdgeMeasure(m.owner, m.atoms, tuple(map(float, m.masses)))
               for m in (problem.mu, problem.nu))
-    return TransportProblem(mu, nu, _block(problem.joint_support(),
-                                           lambda a, b: float(problem.cost[a, b])))
+    return TransportProblem(mu, nu, *_block(problem.atoms,
+                                            lambda a, b: float(_cost(problem, a, b))))
 
 
 def _assert_optimal_by_weak_duality(problem, result):
@@ -546,7 +551,7 @@ def _assert_optimal_by_weak_duality(problem, result):
     coupling costs at least that objective (weak duality), so the plan's
     cost is the minimum.
     """
-    atoms = problem.joint_support()
+    atoms = problem.atoms
     mu, nu = problem.mu.as_dict(), problem.nu.as_dict()
     rows, cols = dict.fromkeys(mu, Fraction(0)), dict.fromkeys(nu, Fraction(0))
     cost = Fraction(0)
@@ -555,10 +560,10 @@ def _assert_optimal_by_weak_duality(problem, result):
         assert x > 0
         rows[a] += x
         cols[b] += x
-        cost += x * problem.cost[a, b]
+        cost += x * _cost(problem, a, b)
     assert rows == mu and cols == nu
     f = {a: Fraction(result.dual[a]) for a in atoms}
-    assert all(abs(f[a] - f[b]) <= problem.cost[a, b] for a in atoms for b in atoms)
+    assert all(abs(f[a] - f[b]) <= _cost(problem, a, b) for a in atoms for b in atoms)
     assert cost == sum(f[a] * (mu.get(a, 0) - nu.get(a, 0)) for a in atoms)
     assert cost == result.distance
 
@@ -615,4 +620,15 @@ def test_certificate_failure_names_the_pair_and_the_size(monkeypatch, name):
     solve_wasserstein(p)
     monkeypatch.setattr(transport, name, _BROKEN_CHECKS[name])
     with pytest.raises(TransportError, match=r"pair \(0,1\) over 4x4 atoms, residual 2x2"):
+        solve_wasserstein(p)
+
+
+def test_slackness_failure_names_the_pair_and_the_size(monkeypatch):
+    # the same K4 instance in floats; a negative accepted error fails the
+    # first arc that carries flow, whatever its reduced cost
+    p = _as_float(pair_transport_problem(generate("complete:4"), 0, 1))
+    solve_wasserstein(p)
+    monkeypatch.setattr(transport, "_FLOAT_EPS_CS", -1.0)
+    with pytest.raises(TransportError, match=r"pair \(0,1\) over 4x4 atoms, residual 2x2: "
+                                             r"complementary slackness violated on arc"):
         solve_wasserstein(p)

@@ -3,6 +3,7 @@
 import gc
 import json
 import weakref
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -10,7 +11,9 @@ from hypothesis import given, strategies as st
 from edge_ricci.graph_core import WeightedGraph, generate
 from edge_ricci.rng import SplitMix64
 from edge_ricci.verify import (
+    _GAP_TOL,
     TheoremCheck,
+    _check,
     _json_escape,
     check_adjacent_pair_reduction,
     check_bounds,
@@ -280,3 +283,21 @@ def test_curvature_csv_golden():
     )
     k3 = curvature_to_csv(verification_report(generate("complete:3")).curvature)
     assert k3.splitlines()[1] == "0,1,0.5"
+
+
+def test_exact_sides_compare_exactly():
+    # two Fractions 1e-20 apart round to one float, but are not equal; the
+    # tolerance is 0 for exact sides whatever the caller passes, and is
+    # recorded as the float 0.0
+    a = Fraction(-1, 3)
+    b = a + Fraction(1, 10**20)
+    assert float(a) == float(b)
+    for relation in ("==", ">="):
+        c = _check("x", a, b, relation, _GAP_TOL)
+        assert c.holds is False and c.tolerance == 0.0 and type(c.tolerance) is float
+        assert (c.lhs, c.rhs) == (float(a), float(b))
+    assert _check("x", b, a, ">=", _GAP_TOL).holds
+    assert _check("x", 3, Fraction(3), "==", _GAP_TOL).holds
+    # a float side rounds both to floats and compares within the tolerance
+    c = _check("x", a, float(a) + 1e-12, "==", _GAP_TOL)
+    assert c.holds and c.tolerance == _GAP_TOL
