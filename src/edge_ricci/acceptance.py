@@ -270,8 +270,9 @@ def criterion_7(seed: int = 0) -> CriterionResult:
     """The adjacent-pair curvature minimum is a floor for all distinct pairs
     on 20 seeded graphs with |V| <= 9 (half random connected, half trees).
 
-    The check certifies the non-adjacent pairs by glued couplings; the
-    minimum it reports must equal the one found by solving every pair."""
+    The check reports the adjacent min, which the triangle inequality for
+    W makes the all-pairs minimum; it must equal the minimum found by
+    solving every pair."""
     failures = []
     for i in range(20):
         n = 4 + i % 6
@@ -285,7 +286,7 @@ def criterion_7(seed: int = 0) -> CriterionResult:
                             f"adjacent min {chk.rhs!r}")
         solved = kappa_min(g, "all")
         if chk.lhs != float(solved):
-            failures.append(f"{spec} #{i}: glued min {chk.lhs!r} != "
+            failures.append(f"{spec} #{i}: adjacent min {chk.lhs!r} != "
                             f"solved all-pairs min {solved}")
     return _verdict(7, failures, "20 seeded graphs, exact comparison")
 

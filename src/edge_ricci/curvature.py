@@ -13,6 +13,10 @@ transport.solve_wasserstein, which checks the whole certificate (plan
 marginals, the dual's Lipschitz bound and the duality gap) itself; this
 layer rechecks nothing.
 
+Only adjacent pairs need solving for the least curvature: since W is a
+metric, the minimum over all distinct pairs is the adjacent minimum (the
+proof is in verify.check_adjacent_pair_reduction).
+
 Also here: the combinatorial lower and upper bounds for adjacent pairs and
 the closed-form tree expression, all of which the verification layer tests
 against the transport-derived values.  The bounds are written once over
@@ -40,15 +44,9 @@ from .errors import (
     NotAdjacentError,
     NotATreeError,
     SamePairError,
-    TransportError,
 )
 from .graph_core import Graph, WeightedGraph, derived, is_tree, vertex_degree
-from .transport import (
-    TransportProblem,
-    TransportResult,
-    _marginal_violations,
-    solve_wasserstein,
-)
+from .transport import TransportProblem, TransportResult, solve_wasserstein
 
 
 @dataclass(frozen=True)
@@ -118,8 +116,7 @@ def ricci_all_pairs(g):
     Adjacent pairs come from the per-graph table of ricci_all_adjacent; the
     others are solved as they are reached and not kept, so no all-pairs
     table is retained.  This walk backs `curvature --all-pairs` and
-    kappa_min(g, "all"); the least curvature alone, without the table,
-    comes cheaper from glued_all_pairs_minimum.
+    kappa_min(g, "all").
     """
     table = ricci_all_adjacent(g)
     m = g.n_edges
@@ -145,9 +142,10 @@ def kappa_min(g, pairs: str = "adjacent"):
     """Minimum curvature over 'adjacent' pairs or over 'all' distinct pairs.
 
     'all' walks ricci_all_pairs, so every non-adjacent pair is solved on
-    top of the per-graph adjacent table.  glued_all_pairs_minimum finds the
-    same minimum with a coupling per non-adjacent pair in place of most of
-    those solves; this solved form is its oracle.
+    top of the per-graph adjacent table.  The two minima agree, up to float
+    rounding on weighted input, since W is a metric (see
+    verify.check_adjacent_pair_reduction); 'all' solves what that proof
+    skips, so it is the proof's numerical oracle.
     """
     if pairs not in ("adjacent", "all"):
         raise InvalidParameterError(f"pairs must be 'adjacent' or 'all', got {pairs!r}")
@@ -157,140 +155,6 @@ def kappa_min(g, pairs: str = "adjacent"):
     if pairs == "adjacent":
         return found[0]
     return min(cp.kappa for _, cp in ricci_all_pairs(g))
-
-
-@dataclass(frozen=True)
-class AllPairsMinimum:
-    """The least curvature over all distinct pairs and how it was certified.
-
-    glued counts the non-adjacent pairs closed by a checked glued coupling;
-    solved lists, ascending, the non-adjacent pairs (e, f), e < f, that
-    were solved instead.
-    """
-
-    kappa: object
-    glued: int
-    solved: tuple[tuple[int, int], ...]
-
-
-def glued_all_pairs_minimum(g) -> AllPairsMinimum:
-    """Least curvature over all distinct pairs, solving only adjacent pairs.
-
-    Take a non-adjacent pair e < f and a geodesic e = p_0, ..., p_k = f in
-    the edge space.  Gluing a coupling of (m_e, m_p) to the adjacent plan of
-    (p, q), pi(a, c) = sum_b pi_1(a, b) pi_2(b, c) / m_p(b), gives a
-    coupling of (m_e, m_q) that costs at most the sum of the two costs (the
-    gluing lemma; C. Villani, Optimal Transport, Old and New, 2009, ch. 1).
-    Along the geodesic the glued coupling therefore costs at most
-    sum W(p_i, p_i+1) <= d(e, f)(1 - kappa_min), with kappa_min the
-    adjacent minimum, and a coupling that does proves kappa(e, f) >=
-    kappa_min.  Once every non-adjacent pair has one, the adjacent minimum
-    is the minimum over all pairs.
-
-    For each e the geodesics are its shortest-path tree: the parent of f is
-    the least-index neighbor p with row_e[p] + vertex_weight == row_e[f],
-    exact because the Dijkstra row set row_e[f] by that very sum.  The tree
-    is walked depth first over the subtrees that hold a pair f > e, keeping
-    only the couplings on the current path, each as a dict per column c of
-    the rows a it holds.  Unweighted, amounts are ints in the coupling's
-    unit, a mass of 1/unit: the unit starts at d_e and grows by
-    scale / d_p on each step p -> q, with scale that of the stored plan of
-    (p, q), whose int amounts are glued as they are.  Weighted, amounts are
-    float masses.
-    Each pair's coupling has both marginals checked (tolerance 0 exact,
-    1e-12 float; a failure raises TransportError) and its cost compared
-    with d(e, f)(1 - kappa_min) at tolerance 0.  A pair whose cost does not
-    close is solved, and its curvature lowers the minimum if it is less.
-    """
-    found = adjacent_minimum(g)
-    if found is None:
-        raise InvalidParameterError("graph has no distinct edge pairs")
-    kappa = found[0]
-    exact = isinstance(kappa, Fraction)
-    slack = 1 - kappa
-    space = edge_space(g)
-    m = g.n_edges
-    rows = list(map(space.row, range(m)))
-    shared, vertex_weight = space.shared_vertex, space.vertex_weight
-    glued, solved = 0, []
-    for e in range(m):
-        row = rows[e]
-        needed = {f for f in range(e + 1, m) if f not in shared[e]}
-        # the shortest-path tree of e, cut to the paths that reach a needed
-        # pair; a vertex weight below half an ulp of the distances can loop
-        # parents, and the pairs on such a loop stay unreached and are solved
-        kids: dict[int, list[int]] = {}
-        seen = {e}
-        for f in sorted(needed):
-            while f not in seen:
-                seen.add(f)
-                p = next(p for p in space.neighbors[f]
-                         if row[p] + vertex_weight[shared[f][p]] == row[f])
-                kids.setdefault(p, []).append(f)
-                f = p
-        unit = space.degrees[e] if exact else 1
-        root = {a: {a: x} for a, x in _in_units(g, e, unit, exact).items()}
-        path = [(e, root, unit, iter(kids.get(e, ())))]
-        while path:
-            p, coupling, unit, todo = path[-1]
-            f = next(todo, None)
-            if f is None:
-                path.pop()
-                continue
-            steps, grow = _glue_step(g, p, f, exact)
-            glue = {}
-            for b, c, x in steps:
-                column = glue.setdefault(c, {})
-                for a, y in coupling.get(b, {}).items():
-                    column[a] = column.get(a, 0) + y * x
-            unit *= grow
-            if f in needed:
-                needed.discard(f)
-                entries = [(a, c, y) for c, column in glue.items() for a, y in column.items()]
-                violations = _marginal_violations(
-                    entries, _in_units(g, e, unit, exact), _in_units(g, f, unit, exact),
-                    exact)
-                if violations:
-                    raise TransportError(
-                        f"glued coupling for pair ({e},{f}) along a {len(path)}-hop "
-                        f"geodesic of length {row[f]}, over {len(space.neighbors[e])}x"
-                        f"{len(space.neighbors[f])} atoms: {violations[0]}")
-                cost = sum(y * rows[a][c] for a, c, y in entries)
-                if cost <= row[f] * unit * slack:
-                    glued += 1
-                else:
-                    solved.append((e, f))
-            if f in kids:
-                path.append((f, glue, unit, iter(kids[f])))
-        solved.extend((e, f) for f in needed)
-    solved.sort()
-    for e, f in solved:
-        kappa = min(kappa, ricci(g, e, f).kappa)
-    return AllPairsMinimum(kappa, glued, tuple(solved))
-
-
-def _in_units(g, e: int, unit, exact: bool) -> dict:
-    """Atom -> m_e(atom) in the coupling's units: the int unit/d_e when
-    exact (m_e is then uniform), else the float mass."""
-    if exact:
-        space = edge_space(g)
-        return dict.fromkeys(space.neighbors[e], unit // space.degrees[e])
-    return edge_measure(g, e).as_dict()
-
-
-def _glue_step(g, p: int, q: int, exact: bool):
-    """The adjacent plan of (p, q) as (b, c, x) entries to glue to a
-    coupling of (m_e, m_p), and the factor the coupling's unit grows by.
-
-    Exact, x is the plan's stored int amount pi(b, c) scale, and since
-    m_p(b) = 1/d_p the unit grows by scale // d_p; float, x is
-    pi(b, c) / m_p(b) and the unit stays 1."""
-    transport = ricci_all_adjacent(g)[min(p, q), max(p, q)].transport
-    plan = transport.plan if p < q else ((b, c, x) for c, b, x in transport.plan)
-    if exact:
-        return plan, transport.scale // edge_space(g).degrees[p]
-    mass = edge_measure(g, p).as_dict()
-    return ((b, c, x / mass[b]) for b, c, x in plan), 1
 
 
 def _require_adjacent(g, e: int, f: int) -> None:

@@ -10,9 +10,15 @@ have formula value 1 but curvature 0.  The criterion is implemented exactly
 as stated and reports the mismatch census instead of being weakened to pass.
 """
 
+import dataclasses
+from fractions import Fraction
+
 import pytest
 
-from edge_ricci.acceptance import run_all
+from edge_ricci import curvature
+from edge_ricci.acceptance import criterion_7, run_all
+from edge_ricci.curvature import edges_adjacent, kappa_min
+from edge_ricci.graph_core import generate
 
 
 @pytest.fixture(scope="module")
@@ -30,3 +36,27 @@ def test_gate_covers_all_eleven_criteria(results):
 def test_criterion(results, number):
     r = results[number]
     assert r.passed, r.line()
+
+
+def test_criterion_7_catches_a_pair_below_the_adjacent_minimum(monkeypatch):
+    # a mutant: one non-adjacent pair of the criterion's graph #1 (tree:8 at
+    # seed 1) solves 1/100 below the adjacent minimum; the check reports the
+    # adjacent minimum, so only the solved oracle can see it
+    target = generate("tree:8", seed=1)
+    kmin = kappa_min(target, "adjacent")
+    m = target.n_edges
+    pair = next((e, f) for e in range(m) for f in range(e + 1, m)
+                if not edges_adjacent(target, e, f))
+    ricci = curvature.ricci
+
+    def lowered(g, e, f):
+        cp = ricci(g, e, f)
+        if g == target and (e, f) == pair:
+            return dataclasses.replace(cp, kappa=kmin - Fraction(1, 100))
+        return cp
+
+    monkeypatch.setattr(curvature, "ricci", lowered)
+    result = criterion_7(seed=0)
+    assert not result.passed
+    assert result.detail == (f"tree:8 #1: adjacent min {float(kmin)!r} != "
+                             f"solved all-pairs min {kmin - Fraction(1, 100)}")

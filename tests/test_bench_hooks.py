@@ -58,7 +58,8 @@ def test_tracer_sees_every_transport_layer_and_every_pair(weighted):
     assert len(cells) == stats["calls"]["transport.solve_wasserstein"]
     assert all(c > 0 for c in cells)
     # verify solves each adjacent pair once and no other: the all-pairs
-    # check covers the rest with glued couplings
+    # check reads the adjacent minimum, which bounds every pair by the
+    # triangle inequality for W
     pairs = sorted(note[2:] for note in notes["curvature.ricci"])
     assert pairs == sorted(ricci_all_adjacent(g))
     assert len(pairs) < math.comb(g.n_edges, 2)

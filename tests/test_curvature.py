@@ -6,7 +6,6 @@ enumeration in test_transport.py, so these constants double as regression
 oracles for the whole measure -> cost -> solver pipeline.
 """
 
-import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -17,7 +16,6 @@ from hypothesis import given, strategies as st
 from edge_ricci import cli, curvature, transport
 from edge_ricci.curvature import (
     edges_adjacent,
-    glued_all_pairs_minimum,
     kappa_min,
     lower_bound,
     ricci,
@@ -34,7 +32,6 @@ from edge_ricci.errors import (
     SamePairError,
     TransportError,
 )
-from edge_ricci.edge_geometry import edge_measure
 from edge_ricci.graph_core import Graph, WeightedGraph, generate, parse_edgelist
 from edge_ricci.rng import SplitMix64
 from edge_ricci.verify import check_adjacent_pair_reduction, verification_report
@@ -254,7 +251,7 @@ def _count_transport_solves(monkeypatch):
 
 
 def test_report_solves_each_adjacent_pair_once(monkeypatch):
-    # the all-pairs check glues couplings for the other pairs, solving none
+    # the all-pairs check reads the adjacent minimum and solves nothing more
     calls = _count_transport_solves(monkeypatch)
     g = generate("petersen")  # not a tree, m = 15
     verification_report(g)
@@ -290,77 +287,36 @@ def test_all_pairs_walk_reuses_the_adjacent_table():
     assert ricci_all_adjacent(g) is table and len(table) == 5
 
 
-# --------------------------------------------- glued all-pairs certificate
-
-@given(st.integers(0, 500), st.integers(4, 9), st.booleans())
-def test_glued_minimum_is_the_solved_minimum(seed, n, tree):
-    g = generate(f"tree:{n}" if tree else f"random:{n}:0.4", seed=seed)
-    found = glued_all_pairs_minimum(g)
-    assert found.kappa == kappa_min(g, "all")
-    assert isinstance(found.kappa, Fraction)
-    # exact units close every pair: no pair needs its own solve
-    assert found.solved == ()
-    assert found.glued == math.comb(g.n_edges, 2) - len(ricci_all_adjacent(g))
-
+# ------------------------------------ the adjacent minimum bounds all pairs
 
 @given(st.integers(0, 200), st.booleans())
 def test_weighted_glued_minimum_is_the_adjacent_minimum(seed, constant_vertices):
+    # the triangle inequality for W, in floats: the reduction reports the
+    # adjacent minimum for all pairs, and solving every pair finds nothing
+    # below it beyond rounding
     base = generate("random:7:0.5", seed=seed)
     wg = _random_weights(base, seed)
     if constant_vertices:
         wg = WeightedGraph(base, {v: 1.5 for v in base.labels}, wg.edge_weight)
     chk = check_adjacent_pair_reduction(wg)
-    assert chk.lhs == chk.rhs
-    assert kappa_min(wg, "all") >= chk.rhs - 1e-9
+    assert chk.lhs == chk.rhs == kappa_min(wg, "adjacent")
+    assert kappa_min(wg, "all") >= kappa_min(wg, "adjacent") - 1e-9
 
 
-def _replace_plan(g, key, plan):
-    table = ricci_all_adjacent(g)
-    cp = table[key]
-    table[key] = dataclasses.replace(
-        cp, transport=dataclasses.replace(cp.transport, plan=plan))
-
-
-def test_a_glued_coupling_with_a_wrong_marginal_names_its_pair():
-    # cycle:6 edges by ordinal: 0 = 0-1, 1 = 0-5, 2 = 1-2, 3 = 2-3, 4 = 3-4,
-    # 5 = 4-5; the tree of edge 0 reaches 3 first, along 0, 2, 3
-    g = generate("cycle:6")
-    (b, c, x), *rest = ricci_all_adjacent(g)[2, 3].transport.plan
-    _replace_plan(g, (2, 3), ((b, c, 2 * x), *rest))
-    with pytest.raises(TransportError, match=r"pair \(0,3\) along a 2-hop geodesic "
-                                             r"of length 2, over 2x2 atoms: row"):
-        glued_all_pairs_minimum(g)
-
-
-def test_a_pair_whose_glued_cost_does_not_close_is_solved(monkeypatch):
-    # the product coupling of (0, 1) is a coupling, but not an optimal one:
-    # four pairs glued through it cost more than d (1 - 1/2) and are solved;
-    # its amounts are masses times the plan's scale, Fractions here
-    g = generate("complete:5")
-    mu, nu = edge_measure(g, 0), edge_measure(g, 1)
-    scale = ricci_all_adjacent(g)[0, 1].transport.scale
-    _replace_plan(g, (0, 1), tuple(sorted(
-        (a, b, x * y * scale) for a, x in zip(mu.atoms, mu.masses)
-        for b, y in zip(nu.atoms, nu.masses))))
-    calls = _count_transport_solves(monkeypatch)
-    found = glued_all_pairs_minimum(g)
-    assert found.solved == ((0, 7), (0, 8), (1, 5), (1, 6))
-    assert sorted(calls) == list(found.solved)
-    assert found.glued == math.comb(10, 2) - 30 - 4
-    assert found.kappa == Fraction(1, 2)
-
-
-def test_vertex_weights_below_an_ulp_of_the_distances_fall_back_to_solves():
-    # hops through the 1e-20 vertices vanish in the float distances, so
-    # geodesic parents can loop and glued costs can miss the bound by
-    # rounding; those pairs are solved, and the minimum is the solved one
+def test_vertex_weights_below_an_ulp_of_the_distances_fall_back_to_solves(monkeypatch):
+    # hops through the 1e-20 vertices vanish in the float distances, so a
+    # geodesic's hop distances need not sum to d(e, f) in the last bits;
+    # the reduction still solves only the 6 adjacent pairs, and the oracle
+    # that solves the 9 others finds nothing below the adjacent minimum
     base = generate("cycle:6")
     wg = WeightedGraph(base, {v: 1e-20 if k % 2 else 1.0 for k, v in enumerate(base.labels)},
                        {base.edge_endpoints(e): 1.0 for e in range(base.n_edges)})
-    found = glued_all_pairs_minimum(wg)
-    assert found.solved == ((1, 3), (1, 4), (3, 5))
-    assert found.glued == 15 - 6 - 3
-    assert found.kappa == kappa_min(wg, "all")
+    calls = _count_transport_solves(monkeypatch)
+    chk = check_adjacent_pair_reduction(wg)
+    assert sorted(calls) == sorted(ricci_all_adjacent(wg)) and len(calls) == 6
+    assert chk.holds and chk.lhs == chk.rhs == kappa_min(wg, "adjacent")
+    assert kappa_min(wg, "all") >= chk.rhs - 1e-9
+    assert len(set(calls)) == len(calls) == math.comb(6, 2)
 
 
 @given(st.integers(0, 150))

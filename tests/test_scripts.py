@@ -2,6 +2,7 @@
 
 import dataclasses
 import importlib.util
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -99,23 +100,34 @@ def test_output_digest_covers_every_input_and_command(monkeypatch, capsys):
     assert lines[-1].endswith(" cycle:2 generate")
 
 
-def test_random_audit_counts_glued_and_solved_pairs(capsys):
-    # unweighted couplings glue in exact units, so no pair needs a solve
-    assert _load("random_audit").main(["--samples", "3"]) == 0
-    out = capsys.readouterr().out
-    assert "pairs solved, not glued  0\n" in out
-    glued = next(line for line in out.splitlines() if line.startswith("pairs glued"))
-    assert int(glued.split()[-1]) > 0
+def test_random_audit_reports_a_solved_pair_below_the_adjacent_minimum(monkeypatch, capsys):
+    # the unpatched audit prints no glue counts; a solved all-pairs minimum
+    # 1/100 below the adjacent one aborts it with the violation line
+    module = _load("random_audit")
+    assert module.main(["--samples", "3"]) == 0
+    assert "glued" not in capsys.readouterr().out
+    kappa_min = module.kappa_min
+
+    def lowered(g, pairs):
+        found = kappa_min(g, "adjacent")
+        return found - Fraction(1, 100) if pairs == "all" else found
+
+    monkeypatch.setattr(module, "kappa_min", lowered)
+    assert module.main(["--samples", "3"]) == 1
+    adjacent = kappa_min(module.generate("random:7:0.5", seed=0), "adjacent")
+    assert capsys.readouterr().out == (
+        f"REDUCTION VIOLATION seed 0: adjacent minimum {adjacent}, "
+        f"solved minimum {adjacent - Fraction(1, 100)}\n")
 
 
-def test_random_audit_glues_once_per_sample(monkeypatch, capsys):
+def test_random_audit_solves_every_pair_once_per_sample(monkeypatch, capsys):
     module = _load("random_audit")
     calls = []
-    glue = module.glued_all_pairs_minimum
-    monkeypatch.setattr(module, "glued_all_pairs_minimum",
-                        lambda g: calls.append(g) or glue(g))
+    kappa_min = module.kappa_min
+    monkeypatch.setattr(module, "kappa_min",
+                        lambda g, pairs: calls.append(pairs) or kappa_min(g, pairs))
     assert module.main(["--samples", "3"]) == 0
-    assert len(calls) == 3
+    assert calls.count("all") == 3
     capsys.readouterr()
 
 

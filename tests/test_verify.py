@@ -2,13 +2,17 @@
 
 import gc
 import json
+import re
 import weakref
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from edge_ricci.graph_core import WeightedGraph, generate
+from edge_ricci import curvature, transport
+from edge_ricci.curvature import ricci_all_adjacent
+from edge_ricci.graph_core import Graph, WeightedGraph, generate
 from edge_ricci.rng import SplitMix64
 from edge_ricci.verify import (
     _GAP_TOL,
@@ -301,3 +305,69 @@ def test_exact_sides_compare_exactly():
     # a float side rounds both to floats and compares within the tolerance
     c = _check("x", a, float(a) + 1e-12, "==", _GAP_TOL)
     assert c.holds and c.tolerance == _GAP_TOL
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_reduction_on_a_warm_table_solves_nothing(monkeypatch, weighted):
+    g = generate("random:8:0.5", seed=4)
+    if weighted:
+        g = WeightedGraph(g, {v: 0.5 + 0.25 * k for k, v in enumerate(g.labels)},
+                          {g.edge_endpoints(e): 1.0 + 0.125 * e for e in range(g.n_edges)})
+    ricci_all_adjacent(g)
+    calls = []
+    ricci, post_init = curvature.ricci, transport.TransportProblem.__post_init__
+    monkeypatch.setattr(curvature, "ricci", lambda *a: calls.append(a) or ricci(*a))
+    monkeypatch.setattr(transport.TransportProblem, "__post_init__",
+                        lambda self: calls.append(self) or post_init(self))
+    chk = check_adjacent_pair_reduction(g)
+    assert chk.applicable and chk.holds and chk.lhs == chk.rhs
+    assert calls == []
+
+
+def _relabelled(g, rng):
+    """g under fresh labels, with its vertex and edge lists shuffled, and
+    the map from the new labels back to g's."""
+    fresh = [f"w{k}" for k in range(g.n_vertices)]
+    rng.shuffle(fresh)
+    back = dict(zip(fresh, g.labels))
+    to = dict(zip(g.labels, fresh))
+    labels = list(fresh)
+    rng.shuffle(labels)
+    pairs = [tuple(to[v] for v in g.edge_endpoints(e)) for e in range(g.n_edges)]
+    pairs = [p if rng.random() < 0.5 else p[::-1] for p in pairs]
+    rng.shuffle(pairs)
+    return Graph(labels, pairs), back
+
+
+def _pair_key(g, e, f, back):
+    return frozenset(frozenset(back[v] for v in g.edge_endpoints(k)) for k in (e, f))
+
+
+_PAIR_TAG = re.compile(r"^(.*)\(([^-,()]+)-([^-,()]+),([^-,()]+)-([^-,()]+)\)$")
+
+
+def _check_key(chk, back):
+    """(name, applicable, holds), with a pair-tagged name as its prefix and
+    the unordered pair of edges, labels mapped through `back`."""
+    tagged = _PAIR_TAG.match(chk.name)
+    name = chk.name
+    if tagged:
+        a, b, c, d = (back[v] for v in tagged.groups()[1:])
+        name = (tagged[1], frozenset((frozenset((a, b)), frozenset((c, d)))))
+    return name, chk.applicable, chk.holds
+
+
+@given(st.sampled_from(["random:9:0.5", "tree:12"]), st.integers(0, 10**6),
+       st.randoms(use_true_random=False))
+def test_relabelling_changes_no_curvature_and_no_verdict(spec, seed, rng):
+    g = generate(spec, seed=seed)
+    h, back = _relabelled(g, rng)
+    same = {v: v for v in g.labels}
+    table = {_pair_key(g, e, f, same): cp.kappa for (e, f), cp in ricci_all_adjacent(g).items()}
+    mapped = {_pair_key(h, e, f, back): cp.kappa
+              for (e, f), cp in ricci_all_adjacent(h).items()}
+    assert mapped == table
+    assert all(isinstance(k, Fraction) for k in mapped.values())
+    before = Counter(_check_key(c, same) for c in verification_report(g).checks)
+    after = Counter(_check_key(c, back) for c in verification_report(h).checks)
+    assert after == before
