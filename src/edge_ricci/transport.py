@@ -11,7 +11,11 @@ The returned plan is the full optimal coupling of mu and nu: the residual
 plan plus one diagonal (a, a, common) stay entry per shared atom, as a
 sorted tuple of (source, sink, amount) entries in the problem's units.
 
-One loop serves both number types: a dual step, then a phase, until a
+The potentials start as the column-reduced dual of Kuhn's method: every
+source at 0 and every sink at its least cost from any source.  Each reduced
+cost is then a cost minus the least cost in its column, so it is >= 0 (a
+feasible dual), and every sink has a tight arc before the first phase.
+Then one loop serves both number types: a phase, then a dual step, until a
 phase leaves no source with supply.  The phase ships along every residual
 path of tight arcs.  It ships the one-arc paths directly, then searches
 depth first from each source with supply left, with one arc iterator per
@@ -28,8 +32,8 @@ holds both ends.  The dual step takes delta, the least reduced cost over
 those arcs, and adds it to the potential of every node outside R.  Arcs
 inside R or outside it keep their reduced costs, arcs into R grow dearer,
 and the arcs out of R fall by delta, so at least one of them turns tight.
-R starts as every source, so the first step sets every sink to the least
-cost cmin.
+Each step keeps the dual feasible whatever it started from, so the argument
+below needs only a feasible start.
 
 In exact mode an arc is tight when its reduced cost is 0, and the loop
 ends: after a dual step the next phase reaches all of R again plus the sink
@@ -345,13 +349,15 @@ def solve_wasserstein(problem: TransportProblem) -> TransportResult:
                 ship(*found)
         return dead
 
-    # The primal-dual loop (see the module docstring): the reached set
-    # starts as every source, and the loop ends once a phase leaves no
+    # The primal-dual loop (see the module docstring): the column-reduced
+    # start, a phase, then dual steps and phases until a phase leaves no
     # source with supply.  In float mode it also ends once no sink has
     # demand: supply left then is dust, which the marginal check bounds.
     # The budget counts dual steps.
+    if S:  # with no source, zip(*cost) is empty and would shrink phi
+        phi[S:] = map(min, zip(*cost))
     budget = (S + 2) * (T + 2) * 8
-    reached = set(range(S))
+    reached = phase()
     while reached and any(demand):
         budget -= 1
         if budget < 0:

@@ -230,7 +230,7 @@ _FLOAT_DOC = {
                        "v4": 1.602, "v5": 1.363, "v6": 0.803, "v7": 1.516},
 }
 _VERIFY_JSON_SHA256 = {
-    "weighted": "1ebe6ee1bb95b14f233e858fe97865e4ce77cef578a16791135a9f75f5fa1b11",
+    "weighted": "5528c62c6100e80e9daddf98a899b6001340ba924bee644b872033484634c44e",
     "random:10:0.6": "a54f5d23254d9517a62dcb3ff1a368d4f0165f790e06cb02a0742b0fa94305c0",
 }
 

@@ -99,13 +99,13 @@ def _two_valued(atoms, tight):
 
 
 def test_phase_search_passes_a_dead_branch_and_a_zero_cost_cycle():
-    # Sources 0-3 and sinks 4-7 carry 1/4 each; the arcs of cost 1 are the
-    # tight ones of the closed-form first round.  Its one-arc paths ship
-    # 0->4, 1->5 and 3->7, which leaves source 2 with supply and sink 6
-    # with demand.  The search from 2 first takes 4 into the dead branch
-    # 4->0->7->3, which closes the zero-cost cycle 0->7->3->4->0 (forward
-    # arcs 0-7 and 3-4, flow on 0-4 and 3-7), and only then finds the live
-    # path 2->5->1->6.
+    # Sources 0-3 and sinks 4-7 carry 1/4 each.  Every sink's least cost is
+    # 1, so the arcs of cost 1 are the tight ones of the column-reduced
+    # start.  The first phase's one-arc paths ship 0->4, 1->5 and 3->7,
+    # which leaves source 2 with supply and sink 6 with demand.  The search
+    # from 2 first takes 4 into the dead branch 4->0->7->3, which closes the
+    # zero-cost cycle 0->7->3->4->0 (forward arcs 0-7 and 3-4, flow on 0-4
+    # and 3-7), and only then finds the live path 2->5->1->6.
     tight = [{0, 4}, {0, 7}, {1, 5}, {1, 6}, {2, 4}, {2, 5}, {3, 4}, {3, 7}]
     quarter = (Fraction(1, 4),) * 4
     p = TransportProblem(EdgeMeasure(0, (0, 1, 2, 3), quarter),
@@ -114,6 +114,42 @@ def test_phase_search_passes_a_dead_branch_and_a_zero_cost_cycle():
     r = solve_wasserstein(p)
     assert r.distance == brute_force_wasserstein(p) == 1
     assert r.plan == ((0, 4, 1), (1, 6, 1), (2, 5, 1), (3, 7, 1))
+    assert verify_coupling(p, r.plan) == ()
+
+
+def test_column_reduced_start_needs_no_dual_step_when_the_column_minima_match(monkeypatch):
+    # Sources at 0, 10 and 20, sinks at 1, 11.5 and 22, 1/3 each: every
+    # sink's least cost is from the source beside it, so the start makes
+    # the diagonal tight and the first phase ships it all.  The solver
+    # slices once for the sinks' entries and once per dual step, so one
+    # call means no dual step.
+    calls, slicer = [], transport.slicer
+
+    def counting(positions):
+        calls.append(positions)
+        return slicer(positions)
+
+    x = (0.0, 10.0, 20.0, 1.0, 11.5, 22.0)
+    third = (1 / 3,) * 3
+    p = TransportProblem(EdgeMeasure(0, (0, 1, 2), third), EdgeMeasure(1, (3, 4, 5), third),
+                         *_block(tuple(range(6)), lambda a, b: abs(x[a] - x[b])))
+    monkeypatch.setattr(transport, "slicer", counting)
+    r = solve_wasserstein(p)
+    assert len(calls) == 1
+    assert [(a, b) for a, b, _ in r.plan] == [(0, 3), (1, 4), (2, 5)]
+    assert r.distance == pytest.approx(1.5, rel=1e-15)
+
+
+def test_a_residual_with_one_sink_and_no_source_keeps_its_potentials():
+    # After the common mass is cancelled, the two sources are left with
+    # 0.9e-15 each, below the dust, while the sink at 2 keeps twice that:
+    # the residual is 0x1.  The column-reduced start has no column minimum
+    # to take there and must leave the sink's potential in place.
+    a = 0.5 - 0.9e-15
+    p = _problem((0.5, 0.5), (a, a, 1 - 2 * a), (0, 1), (0, 1, 2))
+    r = solve_wasserstein(p)
+    assert r.distance == 0
+    assert r.plan == ((0, 0, a), (1, 1, a))
     assert verify_coupling(p, r.plan) == ()
 
 
