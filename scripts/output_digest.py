@@ -54,6 +54,7 @@ FAMILIES = (
     "random:20:0.2",
     "random:12:0.6",
     "path:3",
+    "path:2",
     "bipartite:2:3",
 )
 # one per kind of spec error: unknown name, wrong arity, non-integer n,

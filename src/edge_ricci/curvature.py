@@ -65,9 +65,8 @@ class CurvaturePair:
 
 
 def edges_adjacent(g, e: int, f: int) -> bool:
-    """True when distinct edges e and f share a vertex."""
-    if e == f:
-        return False
+    """True when e and f are distinct edges sharing a vertex (shared_vertex[e]
+    never holds e itself)."""
     return f in edge_space(g).shared_vertex[e]
 
 

@@ -49,7 +49,7 @@ class Graph:
 
     __slots__ = (
         "labels", "index", "edges", "adjacency",
-        "_edge_lookup", "_adj_idx", "_derived", "__weakref__",
+        "_edge_lookup", "_derived", "__weakref__",
     )
 
     def __init__(self, labels: Iterable[str], edge_pairs: Iterable[tuple[str, str]]):
@@ -82,8 +82,6 @@ class Graph:
         for i, j in edges:
             adj_idx[i].append(j)
             adj_idx[j].append(i)
-        for row in adj_idx:
-            row.sort()
 
         # connectivity; report one vertex from the unreached part
         reached = {0}
@@ -108,7 +106,6 @@ class Graph:
             v: frozenset(labels[j] for j in adj_idx[index[v]]) for v in labels
         }
         self._edge_lookup = {pair: k for k, pair in enumerate(self.edges)}
-        self._adj_idx = tuple(tuple(row) for row in adj_idx)
         self._derived = {}
 
     # -- identity is by labelled vertex/edge sets, not by index assignment,
@@ -164,7 +161,7 @@ class Graph:
 def vertex_degree(g: Graph, v: str) -> int:
     if v not in g.index:
         raise UnknownVertexError(f"vertex {v!r} not in graph")
-    return len(g._adj_idx[g.index[v]])
+    return len(g.adjacency[v])
 
 
 def is_tree(g: Graph) -> bool:
@@ -190,8 +187,7 @@ class WeightedGraph(Graph):
         edge_weight: Mapping[tuple[str, str], float] | None = None,
     ):
         self.labels, self.index, self.edges = graph.labels, graph.index, graph.edges
-        self.adjacency, self._adj_idx = graph.adjacency, graph._adj_idx
-        self._edge_lookup = graph._edge_lookup
+        self.adjacency, self._edge_lookup = graph.adjacency, graph._edge_lookup
         self._derived = {}
         vw = {v: 1.0 for v in self.labels}
         for v, w in (vertex_weight or {}).items():
@@ -331,14 +327,13 @@ def parse_weighted(text: str) -> WeightedGraph:
         raise EmptyInputError('"edges" must be a nonempty list')
 
     pairs: list[tuple[str, str]] = []
-    ew: dict[tuple[str, str], float] = {}
+    ew: dict[tuple[str, str], object] = {}
     for k, entry in enumerate(raw_edges):
         if not isinstance(entry, list) or len(entry) not in (2, 3):
             raise FormatError(f"edges[{k}]: expected [u, v] or [u, v, w], got {entry!r}")
         u, v = _coerce_label(entry[0]), _coerce_label(entry[1])
-        w = entry[2] if len(entry) == 3 else 1.0
         pairs.append((u, v))
-        ew[(u, v)] = _check_weight(w, f"edge {u!r} {v!r}")
+        ew[(u, v)] = entry[2] if len(entry) == 3 else 1.0
 
     raw_vw = doc.get("vertex_weights")
     if raw_vw is None:
@@ -346,10 +341,8 @@ def parse_weighted(text: str) -> WeightedGraph:
     elif not isinstance(raw_vw, dict):
         raise FormatError('"vertex_weights" must be an object mapping vertex '
                           f"labels to weights, got {type(raw_vw).__name__}")
-    vw: dict[str, float] = {}
-    for v, w in raw_vw.items():
-        vw[_coerce_label(v)] = _check_weight(w, f"vertex {v!r}")
-
+    vw = {_coerce_label(v): w for v, w in raw_vw.items()}
+    # WeightedGraph validates every weight
     return WeightedGraph(_graph_of_pairs(pairs), vertex_weight=vw, edge_weight=ew)
 
 

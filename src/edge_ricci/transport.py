@@ -82,8 +82,8 @@ arc's own cost, and a floor of 1 would pass any certificate below unit
 cost scale.  A failure raises TransportError naming the edge pair and the
 instance size.  The cost rows are validated once, when the problem is
 built, in one pass in C; the Lipschitz check walks unordered pairs, and
-the dual objective is summed in the problem's units.  So are the plan's marginals,
-in the one check that the public verify_coupling makes too.
+the dual objective is summed in the problem's units.  So are the plan's marginals:
+the solver's marginal check is verify_coupling itself.
 
 brute_force_wasserstein enumerates every vertex of the transportation
 polytope (spanning trees of the bipartite support graph) and is the
@@ -397,7 +397,7 @@ def solve_wasserstein(problem: TransportProblem) -> TransportResult:
                 total += x * cost[i][j]
                 entries.append((sources[i], sinks[j], x))
     plan = tuple(sorted(entries))
-    violations = _marginal_violations(plan, problem.supply, problem.demand, exact)
+    violations = verify_coupling(problem, plan)
     if violations:
         raise failure(f"invalid plan: {violations[0]}")
     distance = Fraction(total, scale) if exact else total
@@ -414,17 +414,13 @@ def verify_coupling(problem: TransportProblem,
                     plan: tuple[tuple[int, int, object], ...]) -> tuple[str, ...]:
     """Recheck both marginals: the violations, empty for a coupling.
 
-    Names the first offending row and column.  The plan's amounts are in
-    the problem's units, each mass times problem.scale, as the solver
-    returns them.
+    Row and column sums of the plan against problem.supply and
+    problem.demand, with tolerance 0 when exact and 1e-12 otherwise; names
+    the first offending row and column.  The plan's amounts are in the
+    problem's units, each mass times problem.scale, as the solver returns
+    them.
     """
-    return _marginal_violations(plan, problem.supply, problem.demand, problem.exact)
-
-
-def _marginal_violations(plan, mu: Mapping[int, object], nu: Mapping[int, object],
-                         exact: bool) -> tuple[str, ...]:
-    """Row and column sums of plan against the atom -> amount maps mu and nu,
-    with tolerance 0 when exact and 1e-12 otherwise."""
+    mu, nu = problem.supply, problem.demand
     row = dict.fromkeys(mu, 0)
     col = dict.fromkeys(nu, 0)
     violations = []
@@ -437,7 +433,7 @@ def _marginal_violations(plan, mu: Mapping[int, object], nu: Mapping[int, object
             continue
         row[a] += amount
         col[b] += amount
-    tol = 0 if exact else 1e-12
+    tol = 0 if problem.exact else 1e-12
     for a, want in mu.items():
         if abs(row[a] - want) > tol:
             violations.append(f"row {a}: amount {row[a]} != mu {want}")

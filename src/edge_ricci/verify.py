@@ -31,7 +31,7 @@ from .curvature import (
     upper_bound,
 )
 from .edge_geometry import edge_space
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, IsolatedEdgeError
 from .graph_core import Graph, WeightedGraph, is_tree
 from .spectra import spectral_equivalence_gap, spectrum_of
 
@@ -90,12 +90,22 @@ def edge_regularity(g):
     return counts.pop() if len(counts) == 1 else None
 
 
-def _gap_hypotheses(g, name: str, diagnostic: bool = False):
-    """(d, kappa_min, pair) when g is edge-regular with a positive adjacent
-    curvature minimum, else the inapplicable check naming what failed."""
+def _gap_hypotheses(g, name: str, weighted: bool, diagnostic: bool = False):
+    """(d, kappa_min, pair) when g meets every hypothesis of the gap bounds,
+    else the inapplicable check naming the first that fails, in this order:
+    g is a WeightedGraph iff weighted; when weighted, constant vertex and
+    then edge weights; edge-regularity (one neighbor count d for every
+    edge); an adjacent pair; a positive adjacent curvature minimum."""
+    if isinstance(g, WeightedGraph) != weighted:
+        need = "a weighted" if weighted else "an unweighted"
+        return _inapplicable(name, f"needs {need} graph", diagnostic)
+    if weighted and not g.has_constant_vertex_weights():
+        return _inapplicable(name, "vertex weights are not constant", diagnostic)
+    if weighted and not g.has_constant_edge_weights():
+        return _inapplicable(name, "edge weights are not constant", diagnostic)
     d = edge_regularity(g)
     if d is None:
-        what = "edge neighbor counts" if isinstance(g, WeightedGraph) else "edge degrees"
+        what = "edge neighbor counts" if weighted else "edge degrees"
         return _inapplicable(name, f"{what} are not all equal", diagnostic)
     found = adjacent_minimum(g)
     if found is None:
@@ -111,14 +121,12 @@ def _gap_hypotheses(g, name: str, diagnostic: bool = False):
 def check_spectral_gap_bound(g) -> TheoremCheck:
     """Gap of the degree-weighted edge operator vs curvature + 2/d - 1.
 
-    Hypotheses: an unweighted graph, every edge degree equals a common d,
-    and the adjacent curvature minimum is positive.  Graphs failing any are
-    classified inapplicable with the reason recorded.
+    Hypotheses (_gap_hypotheses): an unweighted graph, every edge degree
+    equals a common d, and the adjacent curvature minimum is positive.
+    Graphs failing any are classified inapplicable with the reason recorded.
     """
     name = "spectral-gap-vs-curvature"
-    if isinstance(g, WeightedGraph):
-        return _inapplicable(name, "needs an unweighted graph")
-    found = _gap_hypotheses(g, name)
+    found = _gap_hypotheses(g, name, weighted=False)
     if isinstance(found, TheoremCheck):
         return found
     d, kmin, pair = found
@@ -142,9 +150,7 @@ def check_triangle_gap_diagnostic(g) -> TheoremCheck:
     adjacent pair closes a triangle.  The 4/d constant shows up there but
     is never asserted; failures here are informational."""
     name = "spectral-gap-vs-curvature-triangle-diagnostic"
-    if isinstance(g, WeightedGraph):
-        return _inapplicable(name, "needs an unweighted graph", diagnostic=True)
-    found = _gap_hypotheses(g, name, diagnostic=True)
+    found = _gap_hypotheses(g, name, weighted=False, diagnostic=True)
     if isinstance(found, TheoremCheck):
         return found
     d, kmin, _ = found
@@ -165,15 +171,9 @@ def check_triangle_gap_diagnostic(g) -> TheoremCheck:
 def check_weighted_spectral_gap_bound(wg: WeightedGraph) -> TheoremCheck:
     """Weighted gap bound: lambda_1 >= (d (kappa - 1) + 2) w1/w0 for constant
     vertex weight w0, constant edge weight w1, constant neighbor count d,
-    and positive weighted curvature minimum."""
+    and positive weighted curvature minimum (_gap_hypotheses)."""
     name = "weighted-spectral-gap-vs-curvature"
-    if not isinstance(wg, WeightedGraph):
-        return _inapplicable(name, "needs a weighted graph")
-    if not wg.has_constant_vertex_weights():
-        return _inapplicable(name, "vertex weights are not constant")
-    if not wg.has_constant_edge_weights():
-        return _inapplicable(name, "edge weights are not constant")
-    found = _gap_hypotheses(wg, name)
+    found = _gap_hypotheses(wg, name, weighted=True)
     if isinstance(found, TheoremCheck):
         return found
     d, kmin, pair = found
@@ -243,15 +243,20 @@ def check_adjacent_pair_reduction(g) -> TheoremCheck:
 
 def check_spectral_equivalence(g, weighting: str = "degree") -> list[TheoremCheck]:
     """Vertex and edge operators of one weighting share nonzero spectra, and
-    the edge operator's kernel has dimension |E| - |V| + 1."""
-    gap = spectral_equivalence_gap(g, weighting)
+    the edge operator's kernel has dimension |E| - |V| + 1.  Both are n/a
+    where the weighting is undefined: degree weighting on the one-edge
+    graph, whose edge has no neighbor."""
+    names = (f"vertex-edge-nonzero-spectra[{weighting}]",
+             f"edge-kernel-dimension[{weighting}]")
+    try:
+        gap = spectral_equivalence_gap(g, weighting)
+    except IsolatedEdgeError as exc:
+        return [_inapplicable(name, str(exc)) for name in names]
     zero_mult = spectrum_of(g, "edge", weighting).zero_multiplicity
     expected = g.n_edges - g.n_vertices + 1
     return [
-        _check(f"vertex-edge-nonzero-spectra[{weighting}]",
-               gap, 0.0, "==", _EQUIV_TOL),
-        _check(f"edge-kernel-dimension[{weighting}]",
-               zero_mult, expected, "==", 0.0),
+        _check(names[0], gap, 0.0, "==", _EQUIV_TOL),
+        _check(names[1], zero_mult, expected, "==", 0.0),
     ]
 
 
@@ -319,10 +324,14 @@ def verification_report(g) -> VerificationReport:
         for (e, f), cp in ricci_all_adjacent(g).items()
     )
     weighting = "graph" if weighted else "unit"
+    try:
+        lprime1 = spectrum_of(g, "edge", "degree").values
+    except IsolatedEdgeError:  # the one-edge graph
+        lprime1 = ()
     spectra = {
         "L0": spectrum_of(g, "vertex", weighting).values,
         "L1": spectrum_of(g, "edge", weighting).values,
-        "Lprime1": spectrum_of(g, "edge", "degree").values,
+        "Lprime1": lprime1,
     }
     elapsed = time.perf_counter() - start
     return VerificationReport(summary, tuple(checks), curvature, spectra, elapsed)
@@ -395,8 +404,7 @@ def report_to_text(report: VerificationReport) -> str:
     lines.append("")
     lines.append("spectra:")
     for name, values in report.spectra.items():
-        body = " ".join(f"{v:.6g}" for v in values)
-        lines.append(f"  {name}: {body}")
+        lines.append(" ".join([f"  {name}:", *(f"{v:.6g}" for v in values)]))
     return "\n".join(lines) + "\n"
 
 

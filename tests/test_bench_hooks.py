@@ -24,6 +24,7 @@ TRANSPORT_LAYERS = (
     "edge_geometry.pairwise_costs",
     "curvature.pair_transport_problem",
     "transport.solve_wasserstein",
+    "transport.verify_coupling",
     "transport.lipschitz_excess",
 )
 
@@ -56,6 +57,8 @@ def test_tracer_sees_every_transport_layer_and_every_pair(weighted):
         assert stats["calls"].get(layer, 0) > 0, layer
     cells = notes["transport.solve_wasserstein"]
     assert len(cells) == stats["calls"]["transport.solve_wasserstein"]
+    # the solver's marginal check is the public verify_coupling, once a solve
+    assert stats["calls"]["transport.verify_coupling"] == len(cells)
     assert all(c > 0 for c in cells)
     # verify solves each adjacent pair once and no other: the all-pairs
     # check reads the adjacent minimum, which bounds every pair by the

@@ -250,6 +250,36 @@ def test_verify_json_bytes_are_pinned(capsys, tmp_path, source):
     assert hashlib.sha256(out.encode()).hexdigest() == _VERIFY_JSON_SHA256[source]
 
 
+@pytest.mark.parametrize("source", ["path:2", "weighted"])
+def test_verify_reports_on_the_one_edge_graph(capsys, tmp_path, source):
+    # K2's edge has no neighbor, so degree weighting is undefined there: its
+    # two checks are n/a and Lprime1 is empty, where verify used to exit 2
+    if source == "weighted":
+        path = tmp_path / "k2.json"
+        path.write_text('{"edges": [["a", "b", 2.0]]}')
+        argv = ["--input", str(path), "--weighted"]
+    else:
+        argv = ["--family", source]
+    code, out, err = run_cli(capsys, "verify", *argv, "--format", "json")
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert payload["curvature"] == [] and payload["spectra"]["Lprime1"] == []
+    checks = {c["name"]: c for c in payload["checks"]}
+    held = ("unit", "walk") if source == "path:2" else ("graph",)
+    for weighting in held:
+        for name in ("vertex-edge-nonzero-spectra", "edge-kernel-dimension"):
+            check = checks[f"{name}[{weighting}]"]
+            assert check["applicable"] and check["holds"]
+    if source == "path:2":
+        for name in ("vertex-edge-nonzero-spectra", "edge-kernel-dimension"):
+            check = checks[f"{name}[degree]"]
+            assert not check["applicable"]
+            assert check["reason"] == "degree weighting needs every edge to have a neighbor"
+    # asked for directly, the undefined operator is still an input error
+    code, _, err = run_cli(capsys, "spectrum", *argv, "--weighting", "degree")
+    assert_one_error_line(code, err)
+
+
 def test_verify_csv_is_curvature_only(capsys):
     code, out, _ = run_cli(capsys, "verify", "--family", "complete:3",
                            "--format", "csv")
@@ -353,6 +383,41 @@ def test_non_utf8_edge_list_exits_2(capsys, tmp_path):
     code, _, err = run_cli(capsys, "verify", "--input", str(path))
     assert_one_error_line(code, err)
     assert "not UTF-8 text" in err
+
+
+@pytest.mark.parametrize("source, message", [
+    ('[1, 2]', 'must be an object with an "edges" list'),
+    ('{"edges": [["a"]]}', "edges[0]: expected [u, v] or [u, v, w]"),
+    ('{"edges": [["a", "b", 1, 2]]}', "edges[0]: expected [u, v] or [u, v, w]"),
+    ('{"edges": ["ab"]}', "edges[0]: expected [u, v] or [u, v, w]"),
+    ('{"edges": [["", "b"]]}', "vertex label '' must be a nonempty string"),
+    ('{"edges": [[true, "b"]]}', "vertex label must be a string or integer, got True"),
+    ("tree:1", "random tree needs n >= 2"),
+    ("random:1:0.5", "random connected graph needs n >= 2"),
+    ("circulant:2:1", "circulant needs n >= 3"),
+    # two faults: the unknown vertex is met before its weight is read
+    ('{"edges": [["a", "b"], ["b", "c"]], "vertex_weights": {"zz": -1}}',
+     "vertex weight for unknown vertex 'zz'"),
+])
+def test_malformed_input_exits_2(capsys, tmp_path, source, message):
+    if source.startswith(("[", "{")):
+        path = tmp_path / "g.json"
+        path.write_text(source)
+        argv = ["--input", str(path), "--weighted"]
+    else:
+        argv = ["--family", source]
+    code, out, err = run_cli(capsys, "verify", *argv)
+    assert_one_error_line(code, err)
+    assert out == "" and message in err
+
+
+def test_integer_labels_read_as_strings(capsys, tmp_path):
+    path = tmp_path / "g.json"
+    path.write_text('{"edges": [[1, 2], [2, 3]]}')
+    code, out, err = run_cli(capsys, "curvature", "--input", str(path), "--weighted",
+                             "--format", "csv")
+    assert code == 0 and err == ""
+    assert out == "e,e2,kappa\n1-2,2-3,0\n"
 
 
 def test_json_the_parser_rejects_exits_2(capsys, tmp_path):
