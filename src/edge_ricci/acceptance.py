@@ -26,7 +26,7 @@ from .curvature import (
 from .edge_geometry import edge_space
 from .graph_core import Graph, WeightedGraph, generate
 from .rng import SplitMix64
-from .spectra import spectrum_of
+from .spectra import spectral_equivalence_gap, spectrum_of
 from .transport import brute_force_wasserstein
 from .verify import (
     check_adjacent_pair_reduction,
@@ -290,6 +290,7 @@ def criterion_7(seed: int = 0) -> CriterionResult:
 
 # ----------------------------------------------------------- criterion 8
 
+_EQUIVALENCE_TOL = 1e-8
 _EQUIVALENCE_BASES = ("complete:4", "complete:5", "star:5", "bipartite:3:3",
                       "cycle:6", "petersen", "circulant:8:1,2")
 
@@ -298,26 +299,33 @@ def criterion_8(seed: int = 0) -> CriterionResult:
     """Vertex and edge operators built from one weighting share their nonzero
     spectra (within 1e-8) and the edge operator's kernel has dimension
     |E| - |V| + 1; checked for the unit/walk/degree weightings on a fixed
-    corpus and for 10 random positive weight assignments."""
+    corpus and for 10 random positive weight assignments.
+
+    Next to the two verify checks, the padded larger-side spectrum must
+    match a direct solve of that side within 1e-8 relative
+    (spectral_equivalence_gap): the numerical oracle of the theorem that
+    spectrum_of rests on."""
     failures = []
     checked = 0
+
+    def run(g, weighting, name):
+        nonlocal checked
+        for chk in check_spectral_equivalence(g, weighting):
+            checked += 1
+            if not chk.holds:
+                failures.append(f"{name}: {chk.name} lhs {chk.lhs!r} rhs {chk.rhs!r}")
+        gap = spectral_equivalence_gap(g, weighting)
+        if not gap <= _EQUIVALENCE_TOL:
+            failures.append(f"{name}: padded spectrum is {gap!r} from a direct solve")
+
     for spec in _EQUIVALENCE_BASES:
         g = generate(spec)
         for weighting in ("unit", "walk", "degree"):
-            for chk in check_spectral_equivalence(g, weighting):
-                checked += 1
-                if not chk.holds:
-                    failures.append(f"{spec} [{weighting}]: {chk.name} "
-                                    f"lhs {chk.lhs!r} rhs {chk.rhs!r}")
+            run(g, weighting, f"{spec} [{weighting}]")
     draw = _uniform(SplitMix64(seed * 401 + 17))
     for i in range(10):
         spec = _EQUIVALENCE_BASES[i % 5]
-        wg = _weighted(generate(spec), draw, draw)
-        for chk in check_spectral_equivalence(wg, "graph"):
-            checked += 1
-            if not chk.holds:
-                failures.append(f"{spec} random weights #{i}: {chk.name} "
-                                f"lhs {chk.lhs!r} rhs {chk.rhs!r}")
+        run(_weighted(generate(spec), draw, draw), "graph", f"{spec} random weights #{i}")
     return _verdict(8, failures, f"{checked} spectrum/kernel checks")
 
 

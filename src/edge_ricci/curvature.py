@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .edge_geometry import (
+    _check_ordinal,
     edge_degree,
     edge_distance,
     edge_measure,
@@ -66,8 +67,8 @@ class CurvaturePair:
 
 def edges_adjacent(g, e: int, f: int) -> bool:
     """True when e and f are distinct edges sharing a vertex (shared_vertex[e]
-    never holds e itself)."""
-    return f in edge_space(g).shared_vertex[e]
+    never holds e itself).  An ordinal out of range raises UnknownEdgeError."""
+    return _check_ordinal(g, f) in edge_space(g).shared_vertex[_check_ordinal(g, e)]
 
 
 def pair_transport_problem(g, e: int, f: int) -> TransportProblem:

@@ -311,7 +311,8 @@ def parse_weighted(text: str) -> WeightedGraph:
 
     {"edges": [[u, v, w], ...], "vertex_weights": {u: w, ...}}
     The third edge entry and the vertex_weights block are optional; missing
-    weights default to 1.0.
+    weights default to 1.0.  Any other top-level key is an error, so a
+    misspelled block is never read as absent.
     """
     if not text.strip():
         raise EmptyInputError("empty weighted-graph document")
@@ -322,6 +323,10 @@ def parse_weighted(text: str) -> WeightedGraph:
         raise FormatError(f"invalid JSON: {exc}") from None
     if not isinstance(doc, dict) or "edges" not in doc:
         raise FormatError('weighted document must be an object with an "edges" list')
+    for key in doc:
+        if key not in ("edges", "vertex_weights"):
+            raise FormatError(f"unknown key {key!r} in weighted document; "
+                              'expected "edges" and optionally "vertex_weights"')
     raw_edges = doc["edges"]
     if not isinstance(raw_edges, list) or not raw_edges:
         raise EmptyInputError('"edges" must be a nonempty list')

@@ -27,6 +27,13 @@ symmetric positive-semidefinite matrices (conjugation by W1^1/2 resp.
 W0^1/2); `symmetrized` returns that form for the eigensolver.  Both
 builders run one sparse product over each edge's two endpoints.
 
+The two symmetrized forms are the Gram matrices B^T B (n x n) and B B^T
+(m x m) of B = W1^1/2 D W0^-1/2, so by the SVD of B the larger one's
+spectrum is the smaller one's plus |m - n| zeros (G. H. Golub and C. F.
+Van Loan, *Matrix Computations*).  `spectra.spectrum_of` solves only the
+smaller side; `gram_moments` gives each side's trace and squared Frobenius
+norm, which the verifier checks the shared spectrum against.
+
 Eigenvalues never depend on the orientation: reversing edge e negates row
 e of D, which leaves the vertex operator unchanged and conjugates the edge
 operator by a +-1 diagonal.  So the builders take no orientation; the test
@@ -104,10 +111,15 @@ def _incidence_product(g, operator: str, left, right, zero=0):
     return out
 
 
-def _weights(g, operator: str, weighting: str):
-    """The scheme's (w0, w1), once the operator is known."""
+def check_operator(operator: str) -> None:
+    """Raise InvalidParameterError unless operator is in OPERATORS."""
     if operator not in OPERATORS:
         raise InvalidParameterError(f"operator must be one of {OPERATORS}, got {operator!r}")
+
+
+def _weights(g, operator: str, weighting: str):
+    """The scheme's (w0, w1), once the operator is known."""
+    check_operator(operator)
     return weight_pair(g, weighting)
 
 
@@ -142,6 +154,48 @@ def symmetrized(g, operator: str = "edge", weighting: str = "degree"):
     b = [(-math.sqrt(w) / root0[i], math.sqrt(w) / root0[j])
          for (i, j), w in zip(g.edges, w1)]
     return _incidence_product(g, operator, b, b, 0.0)
+
+
+def gram_moments(g, operator: str = "edge", weighting: str = "degree"):
+    """(trace, squared Frobenius norm) of symmetrized(g, operator, weighting).
+
+    Both are summed over the sparse entries from the squares
+    B_ev^2 = w1(e) / w0(v), so they are exact Fractions on the unweighted
+    schemes (summed as integers over one common denominator) and floats on
+    'graph'.  Every term is nonnegative, and each off-diagonal square is
+    added as one product: edge pairs at a vertex are summed pair by pair,
+    never as (sum)^2 - sum of squares.
+    """
+    w0, w1 = _weights(g, operator, weighting)
+    # B_ev^2 at the tail and at the head of each edge
+    squares = [(w / w0[i], w / w0[j]) for (i, j), w in zip(g.edges, w1)]
+    exact = isinstance(w1[0], Fraction)
+    if exact:
+        scale = math.lcm(*(x.denominator for pair in squares for x in pair))
+        squares = [(a.numerator * (scale // a.denominator),
+                    b.numerator * (scale // b.denominator)) for a, b in squares]
+    if operator == "vertex":
+        diagonal = [0] * g.n_vertices
+        off = 0
+        for (i, j), (a, b) in zip(g.edges, squares):
+            diagonal[i] += a
+            diagonal[j] += b
+            off += a * b
+    else:
+        diagonal = [a + b for a, b in squares]
+        incident: list[list] = [[] for _ in range(g.n_vertices)]
+        for (i, j), (a, b) in zip(g.edges, squares):
+            incident[i].append(a)
+            incident[j].append(b)
+        off = 0
+        for entries in incident:
+            for k, a in enumerate(entries):
+                for b in entries[:k]:
+                    off += a * b
+    trace, square = sum(diagonal), sum(x * x for x in diagonal) + 2 * off
+    if exact:
+        return Fraction(trace, scale), Fraction(square, scale * scale)
+    return trace, square
 
 
 def dump_matrix(matrix, label: str) -> str:

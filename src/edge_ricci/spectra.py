@@ -12,6 +12,13 @@ Convergence: an off-diagonal entry e_k of the tridiagonal form counts as
 zero once |e_k| <= eps * (|d_k| + |d_k+1|), with eps the double-precision
 machine epsilon and d_k, d_k+1 its two diagonal neighbours.  Each eigenvalue
 gets at most 30 QL iterations; past that NoConvergenceError is raised.
+
+A graph's vertex and edge operators are solved once per weighting, on the
+smaller side: the vertex side (n x n) when n <= m, else the edge side
+(m x m).  The two symmetrized forms are the Gram matrices B^T B and B B^T
+of one matrix B (see `laplacian`), so the other side's spectrum is the
+solved one plus |m - n| zeros, exactly: padding keeps every solved value,
+and no threshold decides which values are zero.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ from .errors import (
     NotSymmetricError,
 )
 from .graph_core import derived
-from .laplacian import symmetrized
+from .laplacian import check_operator, symmetrized
 
 _EPS = sys.float_info.epsilon
 _MAX_ITERATIONS = 30  # QL iterations per eigenvalue
@@ -173,33 +180,50 @@ class Spectrum:
         return tuple(v for v in self.values if v > self.zero_tol)
 
 
+def _solved_side(g) -> str:
+    """The operator whose symmetrized form is the smaller Gram matrix."""
+    return "vertex" if g.n_vertices <= g.n_edges else "edge"
+
+
+def _pad(values: tuple[float, ...], size: int) -> tuple[float, ...]:
+    """values plus zeros up to size, ascending: the other Gram side."""
+    return tuple(sorted(values + (0.0,) * (size - len(values))))
+
+
 def spectrum_of(g, operator: str = "edge", weighting: str = "degree",
                 zero_tol: float | None = None) -> Spectrum:
     """Spectrum of an assembled operator (via its symmetrized form).
 
-    The eigenvalues are solved once per (operator, weighting) and graph
-    instance, and kept by derived.  When zero_tol is omitted it defaults to
-    1e-8 * max(1, largest eigenvalue) — relative, since nothing in the
-    operators pins an absolute scale.  It is applied per call, so one
-    cached solve serves every tolerance.
+    Only the smaller side is solved, once per weighting and graph instance,
+    and kept by derived; the other side is that spectrum padded with
+    |m - n| zeros (module docstring), kept too.  When zero_tol is omitted
+    it defaults to 1e-8 * max(1, largest eigenvalue) — relative, since
+    nothing in the operators pins an absolute scale.  It is applied per
+    call, so one cached solve serves every tolerance.
     """
-    values = derived(g, ("spectrum_of", operator, weighting), lambda:
-                     eigenvalues_symmetric(symmetrized(g, operator, weighting)))
+    check_operator(operator)
+    side = _solved_side(g)
+    solved = derived(g, ("spectrum_of", side, weighting), lambda:
+                     eigenvalues_symmetric(symmetrized(g, side, weighting)))
+    if operator == side:
+        values = solved
+    else:
+        size = g.n_vertices if operator == "vertex" else g.n_edges
+        values = derived(g, ("spectrum_of", operator, weighting),
+                         lambda: _pad(solved, size))
     if zero_tol is None:
         zero_tol = 1e-8 * max(1.0, values[-1]) if values else 1e-8
     return Spectrum(values, zero_tol)
 
 
 def spectral_equivalence_gap(g, weighting: str = "degree") -> float:
-    """Largest mismatch between the nonzero vertex and edge spectra.
+    """Numerical oracle for the padding in spectrum_of.
 
-    The two operators share their nonzero eigenvalues; returns the maximum
-    absolute difference after sorting, or inf when even the counts disagree.
+    Solves the larger side directly, outside derived, and returns its
+    largest distance from the padded spectrum, relative to
+    max(1, largest eigenvalue).  Each call costs one eigensolve.
     """
-    sv = spectrum_of(g, "vertex", weighting).nonzero()
-    se = spectrum_of(g, "edge", weighting).nonzero()
-    if len(sv) != len(se):
-        return math.inf
-    if not sv:
-        return 0.0
-    return max(abs(x - y) for x, y in zip(sv, se))
+    larger = "edge" if _solved_side(g) == "vertex" else "vertex"
+    padded = spectrum_of(g, larger, weighting).values
+    direct = eigenvalues_symmetric(symmetrized(g, larger, weighting))
+    return max(abs(x - y) for x, y in zip(padded, direct)) / max(1.0, direct[-1])

@@ -6,6 +6,8 @@ import io
 import itertools
 import json
 import os
+import subprocess
+import sys
 import tempfile
 
 import pytest
@@ -230,8 +232,8 @@ _FLOAT_DOC = {
                        "v4": 1.602, "v5": 1.363, "v6": 0.803, "v7": 1.516},
 }
 _VERIFY_JSON_SHA256 = {
-    "weighted": "5528c62c6100e80e9daddf98a899b6001340ba924bee644b872033484634c44e",
-    "random:10:0.6": "a54f5d23254d9517a62dcb3ff1a368d4f0165f790e06cb02a0742b0fa94305c0",
+    "weighted": "780535b51382ee2fdb908a83c42ddc35d737ee97bafa585a52220e6d266120ba",
+    "random:10:0.6": "b4f2a6c7723e74b065d94216f1fc75ade3ad649be7402bff8a95a5e285b049e0",
 }
 
 
@@ -398,6 +400,9 @@ def test_non_utf8_edge_list_exits_2(capsys, tmp_path):
     # two faults: the unknown vertex is met before its weight is read
     ('{"edges": [["a", "b"], ["b", "c"]], "vertex_weights": {"zz": -1}}',
      "vertex weight for unknown vertex 'zz'"),
+    # a misspelled block used to be read as absent: unit weights
+    ('{"edges": [["a", "b"], ["b", "c"]], "vertex_weight": {"a": 2}}',
+     "unknown key 'vertex_weight' in weighted document"),
 ])
 def test_malformed_input_exits_2(capsys, tmp_path, source, message):
     if source.startswith(("[", "{")):
@@ -538,3 +543,10 @@ def test_fuzzed_inputs_exit_cleanly(data):
                 assert "Traceback" not in err.getvalue()
     finally:
         os.unlink(path)
+
+
+def test_importing_the_cli_leaves_the_acceptance_criteria_unloaded():
+    code = ("import sys, edge_ricci.cli; "
+            "sys.exit('edge_ricci.acceptance' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

@@ -31,6 +31,7 @@ from edge_ricci.errors import (
     NotATreeError,
     SamePairError,
     TransportError,
+    UnknownEdgeError,
 )
 from edge_ricci.graph_core import Graph, WeightedGraph, generate, parse_edgelist
 from edge_ricci.rng import SplitMix64
@@ -54,6 +55,13 @@ def test_path4_end_edges_have_curvature_one():
     assert not edges_adjacent(g, e0, e2)
     cp = ricci(g, e0, e2)
     assert cp.distance == 2 and cp.transport.distance == 0 and cp.kappa == 1
+
+
+@pytest.mark.parametrize("e, f", [(-1, 0), (0, -1), (2, 0), (0, 2)])
+def test_edges_adjacent_rejects_ordinals_out_of_range(e, f):
+    # -1 used to index the last edge's row, and 2 to raise a bare IndexError
+    with pytest.raises(UnknownEdgeError):
+        edges_adjacent(generate("path:3"), e, f)
 
 
 def test_cycle4_opposite_edges():

@@ -19,7 +19,13 @@ from hypothesis import given, strategies as st
 from edge_ricci.errors import InvalidParameterError, IsolatedEdgeError
 from edge_ricci.edge_geometry import edge_degree, edge_measure, edge_space
 from edge_ricci.graph_core import SplitMix64, WeightedGraph, generate
-from edge_ricci.laplacian import assemble, dump_matrix, symmetrized, weight_pair
+from edge_ricci.laplacian import (
+    assemble,
+    dump_matrix,
+    gram_moments,
+    symmetrized,
+    weight_pair,
+)
 from edge_ricci.spectra import eigenvalues_symmetric, spectrum_of
 
 
@@ -211,6 +217,29 @@ def test_sparse_symmetrized_equals_dense_gram(spec, seed, weighting, operator):
     else:
         assert flipped == [[sign[e] * sign[f] * x for f, x in enumerate(row)]
                            for e, row in enumerate(got)]
+
+
+@pytest.mark.parametrize("operator", ["vertex", "edge"])
+@pytest.mark.parametrize("weighting", ["unit", "walk", "degree", "graph"])
+@pytest.mark.parametrize("spec,seed", [("random:9:0.4", 3), ("petersen", 0),
+                                       ("tree:12", 5)])
+def test_gram_moments_are_the_operator_trace_and_trace_of_square(spec, seed,
+                                                                 weighting, operator):
+    # similar matrices share tr(L) and tr(L^2), and tr(S^2) = ||S||_F^2 for
+    # the symmetric S: exact on the unweighted schemes
+    g = generate(spec, seed=seed)
+    if weighting == "graph":
+        g = _random_weights(g, seed)
+    a = assemble(g, operator, weighting)
+    size = len(a)
+    trace = sum(a[i][i] for i in range(size))
+    square = sum(a[i][j] * a[j][i] for i in range(size) for j in range(size))
+    got = gram_moments(g, operator, weighting)
+    if weighting == "graph":
+        assert got == pytest.approx((trace, square), rel=1e-12)
+    else:
+        assert got == (trace, square)
+        assert all(type(x) is Fraction for x in got)
 
 
 @pytest.mark.parametrize("operator", ["vertex", "edge"])

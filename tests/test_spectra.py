@@ -145,7 +145,37 @@ def test_default_zero_tolerance_is_relative():
                                   "petersen", "circulant:8:1,2"])
 @pytest.mark.parametrize("weighting", ["unit", "walk", "degree"])
 def test_vertex_and_edge_operators_share_nonzero_spectra(spec, weighting):
+    # the oracle solves the larger side directly and compares it with the
+    # zero-padded smaller side that spectrum_of derives
     assert spectral_equivalence_gap(generate(spec), weighting) <= 1e-9
+
+
+def _weighted_draw(spec, seed, wide):
+    g = generate(spec, seed=seed)
+    rng = SplitMix64(seed)
+    draw = (lambda: 10 ** (-6 + 12 * rng.uniform())) if wide else \
+        (lambda: 0.5 + 1.5 * rng.uniform())
+    return WeightedGraph(g, {v: draw() for v in g.labels},
+                         {g.edge_endpoints(e): draw() for e in range(g.n_edges)})
+
+
+@pytest.mark.parametrize("spec", [
+    "petersen", "complete:5", "random:9:0.5",     # m > n
+    "cycle:6", "cycle:7",                         # m = n
+    "tree:9", "path:5", "star:6",                 # m < n
+])
+@pytest.mark.parametrize("weighting", ["unit", "walk", "degree", "graph", "wide"])
+def test_both_sides_match_a_direct_solve(spec, weighting):
+    if weighting in ("graph", "wide"):
+        g, weighting = _weighted_draw(spec, 3, weighting == "wide"), "graph"
+    else:
+        g = generate(spec, seed=3)
+    for operator, size in (("vertex", g.n_vertices), ("edge", g.n_edges)):
+        got = spectrum_of(g, operator, weighting).values
+        want = eigenvalues_symmetric(symmetrized(g, operator, weighting))
+        assert len(got) == size
+        scale = max(1.0, want[-1])
+        assert max(abs(x - y) for x, y in zip(got, want)) <= 1e-12 * scale, operator
 
 
 def test_operators_are_positive_semidefinite():
@@ -171,13 +201,16 @@ def _count_solves(monkeypatch):
 def test_one_solve_per_operator_and_weighting(monkeypatch):
     calls = _count_solves(monkeypatch)
     verification_report(generate("petersen"))
-    assert len(calls) == 6  # {vertex, edge} x {unit, walk, degree}
+    assert calls == [10] * 3  # the vertex side of unit, walk and degree
     calls.clear()
     g = generate("circulant:8:1,2")
     wg = WeightedGraph(g, {"v0": 2.0},
                        {g.edge_endpoints(e): 1.0 + e / 10 for e in range(g.n_edges)})
     verification_report(wg)
-    assert len(calls) == 3  # vertex/graph, edge/graph, edge/degree
+    assert calls == [8] * 2  # the vertex side of graph and degree
+    calls.clear()
+    verification_report(generate("tree:9", seed=1))
+    assert calls == [8] * 3  # a tree's edge side is the smaller
 
 
 def test_zero_tolerance_is_applied_per_read(monkeypatch):

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from edge_ricci import curvature, transport
+from edge_ricci import curvature, laplacian, spectra, transport, verify
 from edge_ricci.curvature import ricci_all_adjacent
 from edge_ricci.graph_core import Graph, WeightedGraph, generate
 from edge_ricci.rng import SplitMix64
@@ -109,6 +109,44 @@ def test_spectral_equivalence_checks():
     assert eq.name == "vertex-edge-nonzero-spectra[walk]" and eq.holds
     assert kernel.name == "edge-kernel-dimension[walk]" and kernel.holds
     assert kernel.rhs == 6.0  # 15 - 10 + 1
+
+
+def test_nonzero_spectra_check_catches_a_perturbed_eigenvalue(monkeypatch):
+    # the shared spectrum is derived from one solve, so only its moments
+    # against the Gram traces can catch a wrong eigenvalue
+    solve = spectra.eigenvalues_symmetric
+
+    def off_by_one_in_a_thousand(matrix):
+        values = list(solve(matrix))
+        values[-1] *= 1.001
+        return tuple(values)
+
+    monkeypatch.setattr(spectra, "eigenvalues_symmetric", off_by_one_in_a_thousand)
+    for g, weighting in ((generate("petersen"), "unit"), (generate("tree:9", seed=2), "walk"),
+                         (WeightedGraph(generate("cycle:5"), {"v0": 2.0}), "graph")):
+        eq, kernel = check_spectral_equivalence(g, weighting)
+        assert not eq.holds and kernel.holds, (eq, kernel)
+
+
+def test_kernel_check_catches_a_dropped_pad_zero(monkeypatch):
+    pad = spectra._pad
+    monkeypatch.setattr(spectra, "_pad", lambda values, size: pad(values, size - 1))
+    eq, kernel = check_spectral_equivalence(generate("petersen"), "degree")
+    assert eq.holds and not kernel.holds
+    assert (kernel.lhs, kernel.rhs) == (5.0, 6.0)
+
+
+def test_nonzero_spectra_check_is_exact_on_unweighted_moments(monkeypatch):
+    # moments that disagree between the two Gram sides make lhs inf
+    moments = laplacian.gram_moments
+
+    def skewed(g, operator, weighting):
+        tr, sq = moments(g, operator, weighting)
+        return (tr + Fraction(1, 10**30), sq) if operator == "edge" else (tr, sq)
+
+    monkeypatch.setattr(verify, "gram_moments", skewed)
+    eq, _ = check_spectral_equivalence(generate("complete:4"), "degree")
+    assert eq.lhs == float("inf") and not eq.holds
 
 
 def test_tree_formula_red_is_honest():
