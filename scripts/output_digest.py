@@ -16,9 +16,13 @@ with unit weights, one constant weight, random weights in [0.5, 2), and
 wide random weights 10**(-6 + 12u), twelve decades apart at the extremes.
 Then ``selftest --seed S`` runs for each seed in SELFTEST_SEEDS, so the
 acceptance gate's lines are digested too.
-Last, ``generate --family SPEC`` runs for each family and for one
+Then ``generate --family SPEC`` runs for each family and for one
 malformed spec per kind of spec error, so the family grammar's graphs and
-error messages are digested too.
+error messages are digested too.  Last come three weighted documents of
+cycle:4 at extreme weights, with the weighted documents' commands: every
+vertex weight 1e300, every edge weight 1e-200, and every vertex weight
+1e-300.  An invocation that raises instead of exiting prints
+``raised:<exception type>`` in place of its exit code, and the run goes on.
 
 Two versions of the code give the same bytes exactly when this script's
 outputs are identical:
@@ -72,6 +76,9 @@ WEIGHTS = ("unit", "constant", "random", "wide")
 # characters (U+0008 must stay \u0008, not \b) and a non-ASCII letter
 ESCAPES_EDGELIST = 'q" b\\\nb\\ c\x01\nc\x01 d\x08\nd\x08 \u00e9\n\u00e9 q"\nq" c\x01\n'
 SELFTEST_SEEDS = (0, 1)
+# (label, every vertex weight, every edge weight) of the cycle:4 documents
+EXTREMES = (("vertex-1e300", 1e300, 1.0), ("edge-1e-200", 1.0, 1e-200),
+            ("vertex-1e-300", 1e-300, 1.0))
 COMMANDS = (
     ("verify", "--format", "json"),
     ("verify", "--format", "text"),
@@ -107,6 +114,11 @@ def weighted_document(family: str, weights: str) -> str:
 
         vertex = [draw() for _ in range(g.n_vertices)]
         edge = [draw() for _ in range(g.n_edges)]
+    return document(g, vertex, edge)
+
+
+def document(g, vertex: list[float], edge: list[float]) -> str:
+    """g's weighted JSON document, weights listed in vertex and edge order."""
     return serialize_weighted(WeightedGraph(
         g,
         vertex_weight=dict(zip(g.labels, vertex)),
@@ -120,12 +132,23 @@ def reversed_edgelist(family: str) -> str:
     return "\n".join(reversed(lines)) + "\n"
 
 
-def digest(argv: list[str]) -> tuple[int, str]:
+def digest(argv: list[str]) -> tuple[int | str, str]:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = run(argv)
+        try:
+            code = run(argv)
+        except Exception as exc:  # a crash is one line, not the end of the run
+            code = f"raised:{type(exc).__name__}"
     data = out.getvalue().encode() + b"\0" + err.getvalue().encode()
     return code, hashlib.sha256(data).hexdigest()
+
+
+def print_digests(inputs) -> None:
+    """One line per (label, source, commands) input and command."""
+    for label, source, commands in inputs:
+        for command in commands:
+            code, sha = digest([command[0], *source, *command[1:]])
+            print(f"{code} {sha} {label} {' '.join(command)}")
 
 
 def main() -> int:
@@ -145,16 +168,22 @@ def main() -> int:
                 path.write_text(weighted_document(family, weights), encoding="utf-8")
                 inputs.append((f"{family}/{weights}",
                                ["--weighted", "--input", str(path)], weighted))
-        for label, source, commands in inputs:
-            for command in commands:
-                code, sha = digest([command[0], *source, *command[1:]])
-                print(f"{code} {sha} {label} {' '.join(command)}")
-    for seed in SELFTEST_SEEDS:
-        code, sha = digest(["selftest", "--seed", str(seed)])
-        print(f"{code} {sha} gate selftest --seed {seed}")
-    for spec in FAMILIES + MALFORMED:
-        code, sha = digest(["generate", "--family", spec])
-        print(f"{code} {sha} {spec} generate")
+        print_digests(inputs)
+        for seed in SELFTEST_SEEDS:
+            code, sha = digest(["selftest", "--seed", str(seed)])
+            print(f"{code} {sha} gate selftest --seed {seed}")
+        for spec in FAMILIES + MALFORMED:
+            code, sha = digest(["generate", "--family", spec])
+            print(f"{code} {sha} {spec} generate")
+        g = generate("cycle:4")
+        extremes = []
+        for label, vertex, edge in EXTREMES:
+            path = Path(tmp) / f"{label}.json"
+            path.write_text(document(g, [vertex] * g.n_vertices, [edge] * g.n_edges),
+                            encoding="utf-8")
+            extremes.append((f"cycle:4/{label}", ["--weighted", "--input", str(path)],
+                             weighted))
+        print_digests(extremes)
     return 0
 
 

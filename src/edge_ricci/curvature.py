@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .edge_geometry import (
-    _check_ordinal,
     edge_degree,
     edge_distance,
     edge_measure,
@@ -46,7 +45,7 @@ from .errors import (
     NotATreeError,
     SamePairError,
 )
-from .graph_core import Graph, WeightedGraph, derived, is_tree, vertex_degree
+from .graph_core import Graph, WeightedGraph, check_edge_ordinal, derived, is_tree, vertex_degree
 from .transport import TransportProblem, TransportResult, solve_wasserstein
 
 
@@ -68,7 +67,7 @@ class CurvaturePair:
 def edges_adjacent(g, e: int, f: int) -> bool:
     """True when e and f are distinct edges sharing a vertex (shared_vertex[e]
     never holds e itself).  An ordinal out of range raises UnknownEdgeError."""
-    return _check_ordinal(g, f) in edge_space(g).shared_vertex[_check_ordinal(g, e)]
+    return check_edge_ordinal(g, f) in edge_space(g).shared_vertex[check_edge_ordinal(g, e)]
 
 
 def pair_transport_problem(g, e: int, f: int) -> TransportProblem:

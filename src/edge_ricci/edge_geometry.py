@@ -33,8 +33,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import itemgetter
 
-from .errors import IsolatedEdgeError, NonpositiveWeightError, UnknownEdgeError
-from .graph_core import Graph, WeightedGraph, derived
+from .errors import IsolatedEdgeError, NonpositiveWeightError
+from .graph_core import Graph, WeightedGraph, check_edge_ordinal, derived
 
 
 class EdgeSpace:
@@ -138,15 +138,9 @@ def edge_space(g: Graph) -> EdgeSpace:
     return derived(g, "edge_space", lambda: kind(g))
 
 
-def _check_ordinal(g: Graph, e: int) -> int:
-    if not 0 <= e < g.n_edges:
-        raise UnknownEdgeError(f"edge ordinal {e} out of range (0..{g.n_edges - 1})")
-    return e
-
-
 def edge_neighborhood(g: Graph, e: int) -> tuple[int, ...]:
     """Ordinals of the edges sharing a vertex with e, ascending."""
-    _check_ordinal(g, e)
+    check_edge_ordinal(g, e)
     return edge_space(g).neighbors[e]
 
 
@@ -154,15 +148,15 @@ def edge_degree(g: Graph, e: int):
     """Weight sum d_e over the neighborhood of e: the int neighbor count
     deg(x) + deg(y) - 2 for e = {x, y} unweighted, a float on a
     WeightedGraph."""
-    _check_ordinal(g, e)
+    check_edge_ordinal(g, e)
     return edge_space(g).degrees[e]
 
 
 def edge_distance(g: Graph, e: int, e2: int):
     """Cheapest connector-weight sum over edge paths from e to e2 (0 iff
     e == e2): the int hop count unweighted, a float on a WeightedGraph."""
-    _check_ordinal(g, e)
-    _check_ordinal(g, e2)
+    check_edge_ordinal(g, e)
+    check_edge_ordinal(g, e2)
     return edge_space(g).row(e)[e2]
 
 
@@ -197,7 +191,7 @@ def edge_measure(g: Graph, e: int) -> EdgeMeasure:
 
     Built once per edge and graph, and kept by derived.
     """
-    _check_ordinal(g, e)
+    check_edge_ordinal(g, e)
     return derived(g, ("edge_measure", e), lambda: _build_measure(g, e))
 
 

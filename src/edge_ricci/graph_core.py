@@ -38,6 +38,13 @@ def _check_label(label: str) -> str:
     return label
 
 
+def check_edge_ordinal(g: Graph, e: int) -> int:
+    """e if it is an edge ordinal of g (0..m-1), else UnknownEdgeError."""
+    if not 0 <= e < g.n_edges:
+        raise UnknownEdgeError(f"edge ordinal {e} out of range (0..{g.n_edges - 1})")
+    return e
+
+
 class Graph:
     """Simple connected undirected graph, immutable after construction.
 
@@ -148,9 +155,7 @@ class Graph:
 
     def edge_endpoints(self, e: int) -> tuple[str, str]:
         """Endpoint labels of edge ordinal e, in index order."""
-        if not 0 <= e < len(self.edges):
-            raise UnknownEdgeError(f"edge ordinal {e} out of range")
-        i, j = self.edges[e]
+        i, j = self.edges[check_edge_ordinal(self, e)]
         return self.labels[i], self.labels[j]
 
     def edge_name(self, e: int) -> str:

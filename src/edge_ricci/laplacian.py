@@ -31,8 +31,9 @@ The two symmetrized forms are the Gram matrices B^T B (n x n) and B B^T
 (m x m) of B = W1^1/2 D W0^-1/2, so by the SVD of B the larger one's
 spectrum is the smaller one's plus |m - n| zeros (G. H. Golub and C. F.
 Van Loan, *Matrix Computations*).  `spectra.spectrum_of` solves only the
-smaller side; `gram_moments` gives each side's trace and squared Frobenius
-norm, which the verifier checks the shared spectrum against.
+smaller side.  The two sides also share their trace and squared Frobenius
+norm, which `gram_moments` sums once, from B^T B, for the verifier to
+check the shared spectrum against.
 
 Eigenvalues never depend on the orientation: reversing edge e negates row
 e of D, which leaves the vertex operator unchanged and conjugates the edge
@@ -156,17 +157,22 @@ def symmetrized(g, operator: str = "edge", weighting: str = "degree"):
     return _incidence_product(g, operator, b, b, 0.0)
 
 
-def gram_moments(g, operator: str = "edge", weighting: str = "degree"):
-    """(trace, squared Frobenius norm) of symmetrized(g, operator, weighting).
+def gram_moments(g, weighting: str = "degree"):
+    """(trace, square, shift): the trace and squared Frobenius norm of
+    2^-shift B^T B.
 
-    Both are summed over the sparse entries from the squares
-    B_ev^2 = w1(e) / w0(v), so they are exact Fractions on the unweighted
-    schemes (summed as integers over one common denominator) and floats on
-    'graph'.  Every term is nonnegative, and each off-diagonal square is
-    added as one product: edge pairs at a vertex are summed pair by pair,
-    never as (sum)^2 - sum of squares.
+    B B^T has the same two moments (tr = sum sigma^2 and ||.||_F^2 =
+    sum sigma^4 over B's singular values), so this is what both symmetrized
+    operators share; the test suite compares it with both.  Both moments
+    are summed over the sparse entries from the squares B_ev^2 =
+    w1(e) / w0(v): as integers over one common denominator on the
+    unweighted schemes, giving exact Fractions at shift 0, and in floats on
+    'graph', where every square is first divided by the power of two
+    2^shift that puts the largest in [1/2, 1), so that neither moment
+    overflows or underflows at extreme weights.  Every term is nonnegative
+    and each off-diagonal square is added as one product.
     """
-    w0, w1 = _weights(g, operator, weighting)
+    w0, w1 = weight_pair(g, weighting)
     # B_ev^2 at the tail and at the head of each edge
     squares = [(w / w0[i], w / w0[j]) for (i, j), w in zip(g.edges, w1)]
     exact = isinstance(w1[0], Fraction)
@@ -174,28 +180,19 @@ def gram_moments(g, operator: str = "edge", weighting: str = "degree"):
         scale = math.lcm(*(x.denominator for pair in squares for x in pair))
         squares = [(a.numerator * (scale // a.denominator),
                     b.numerator * (scale // b.denominator)) for a, b in squares]
-    if operator == "vertex":
-        diagonal = [0] * g.n_vertices
-        off = 0
-        for (i, j), (a, b) in zip(g.edges, squares):
-            diagonal[i] += a
-            diagonal[j] += b
-            off += a * b
     else:
-        diagonal = [a + b for a, b in squares]
-        incident: list[list] = [[] for _ in range(g.n_vertices)]
-        for (i, j), (a, b) in zip(g.edges, squares):
-            incident[i].append(a)
-            incident[j].append(b)
-        off = 0
-        for entries in incident:
-            for k, a in enumerate(entries):
-                for b in entries[:k]:
-                    off += a * b
+        shift = math.frexp(max(map(max, squares)))[1]
+        squares = [(math.ldexp(a, -shift), math.ldexp(b, -shift)) for a, b in squares]
+    diagonal = [0] * g.n_vertices
+    off = 0
+    for (i, j), (a, b) in zip(g.edges, squares):
+        diagonal[i] += a
+        diagonal[j] += b
+        off += a * b
     trace, square = sum(diagonal), sum(x * x for x in diagonal) + 2 * off
     if exact:
-        return Fraction(trace, scale), Fraction(square, scale * scale)
-    return trace, square
+        return Fraction(trace, scale), Fraction(square, scale * scale), 0
+    return trace, square, shift
 
 
 def dump_matrix(matrix, label: str) -> str:

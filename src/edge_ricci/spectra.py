@@ -176,9 +176,6 @@ class Spectrum:
             f"no eigenvalue above {self.zero_tol} in {self.values}"
         )
 
-    def nonzero(self) -> tuple[float, ...]:
-        return tuple(v for v in self.values if v > self.zero_tol)
-
 
 def _solved_side(g) -> str:
     """The operator whose symmetrized form is the smaller Gram matrix."""

@@ -501,6 +501,22 @@ def test_overflowing_edge_distances_exit_2(capsys, tmp_path):
         assert out == "" and "edge distances from a-b reach inf" in err
 
 
+@pytest.mark.parametrize("vertex, edge", [(1e300, 1.0), (1.0, 1e-200), (1e-300, 1.0)])
+def test_extreme_uniform_weights_verify_without_a_traceback(capsys, tmp_path, vertex, edge):
+    # the squared Frobenius norm of the Gram side used to underflow to 0.0,
+    # a ZeroDivisionError, or overflow to inf, a FAIL; the moment check now
+    # holds at all three (the kernel dimension may FAIL: its zero threshold
+    # has a floor of 1e-8)
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({
+        "edges": [[u, v, edge] for u, v in ("ab", "bc", "cd", "da")],
+        "vertex_weights": {v: vertex for v in "abcd"},
+    }))
+    code, out, err = run_cli(capsys, "verify", "--input", str(path), "--weighted")
+    assert code in (0, 1) and err == ""
+    assert "  ok   vertex-edge-nonzero-spectra[graph]: " in out
+
+
 _weights = st.one_of(st.floats(0.5, 2.0), st.floats(), st.integers(-1, 3),
                      st.sampled_from([1e308, 5e-324]), st.booleans(),
                      st.sampled_from(["2.5", " 3e0 ", "1", "nan"]))

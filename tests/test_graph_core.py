@@ -58,7 +58,7 @@ def test_construction_rejections():
         Graph([], [])
     with pytest.raises(FormatError):
         Graph(["a", "b c"], [("a", "b c")])
-    with pytest.raises(UnknownEdgeError):
+    with pytest.raises(UnknownEdgeError, match=r"ordinal 99 out of range \(0\.\.3\)"):
         generate("cycle:4").edge_endpoints(99)
     with pytest.raises(UnknownVertexError):
         vertex_degree(generate("cycle:4"), "nope")

@@ -68,14 +68,16 @@ def test_output_digest_covers_every_input_and_command(monkeypatch, capsys):
     # two families, their two reversed edge lists and the escapes edge list
     # with five commands, three spectra and six matrix dumps each, eight
     # weighted documents with five commands, four spectra and eight matrix
-    # dumps each, one selftest, then generate for the two families and for
-    # the six malformed specs
-    assert len(lines) == 5 * (5 + 3 + 6) + 8 * (5 + 4 + 8) + 1 + 2 + 6
+    # dumps each, one selftest, generate for the two families and for the
+    # six malformed specs, then the three extreme-weight documents like the
+    # weighted ones
+    assert len(lines) == 5 * (5 + 3 + 6) + 8 * (5 + 4 + 8) + 1 + 2 + 6 + 3 * 17
     assert all(len(line.split()[1]) == 64 for line in lines)
     # exit 1 is a report with a failed check, not a crash; a malformed spec
-    # is bad usage
-    assert all(line.split()[0] in ("0", "1") for line in lines[:-6])
-    assert all(line.split()[0] == "2" for line in lines[-6:])
+    # is bad usage; a crash would read raised:<type>
+    codes = [line.split()[0] for line in lines]
+    assert all(code in ("0", "1") for code in codes[:-57] + codes[-51:])
+    assert codes[-57:-51] == ["2"] * 6
     assert lines[0].endswith(" cycle:4 verify --format json")
     assert lines[4].endswith(" cycle:4 curvature --format json")
     assert lines[5].endswith(" cycle:4 spectrum --weighting unit --format json")
@@ -97,7 +99,11 @@ def test_output_digest_covers_every_input_and_command(monkeypatch, capsys):
     assert lines[207].endswith(" cycle:4 generate")
     assert lines[208].endswith(" star:4 generate")
     assert lines[209].endswith(" hexagon:6 generate")
-    assert lines[-1].endswith(" cycle:2 generate")
+    assert lines[214].endswith(" cycle:2 generate")
+    assert lines[215].endswith(" cycle:4/vertex-1e300 verify --format json")
+    assert lines[249].endswith(" cycle:4/vertex-1e-300 verify --format json")
+    assert lines[-1].endswith(" cycle:4/vertex-1e-300 spectrum --weighting graph"
+                              " --dump-matrix edge")
 
 
 def test_random_audit_reports_a_solved_pair_below_the_adjacent_minimum(monkeypatch, capsys):

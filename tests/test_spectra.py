@@ -124,7 +124,6 @@ def test_spectrum_accessors():
     s = Spectrum((0.0, 1e-12, 0.25, 1.5), zero_tol=1e-9)
     assert s.zero_multiplicity == 2
     assert s.lambda1 == 0.25
-    assert s.nonzero() == (0.25, 1.5)
     with pytest.raises(NoNonzeroEigenvalueError):
         Spectrum((0.0, 0.0), zero_tol=1e-9).lambda1
 

@@ -136,17 +136,46 @@ def test_kernel_check_catches_a_dropped_pad_zero(monkeypatch):
     assert (kernel.lhs, kernel.rhs) == (5.0, 6.0)
 
 
-def test_nonzero_spectra_check_is_exact_on_unweighted_moments(monkeypatch):
-    # moments that disagree between the two Gram sides make lhs inf
+@pytest.mark.parametrize("weighted", [False, True])
+def test_nonzero_spectra_check_catches_a_skewed_trace(monkeypatch, weighted):
+    # a Gram trace off by a relative 1e-6, a Fraction or a float, makes the
+    # moment check FAIL with that relative error as lhs
+    g = generate("complete:4")
+    if weighted:
+        g = WeightedGraph(g, {"v0": 2.0}, {("v1", "v2"): 3.0})
+    weighting = "graph" if weighted else "degree"
+    assert check_spectral_equivalence(g, weighting)[0].holds
     moments = laplacian.gram_moments
 
-    def skewed(g, operator, weighting):
-        tr, sq = moments(g, operator, weighting)
-        return (tr + Fraction(1, 10**30), sq) if operator == "edge" else (tr, sq)
+    def skewed(g, weighting):
+        tr, sq, shift = moments(g, weighting)
+        return tr * (1 + Fraction(1, 10**6)), sq, shift
 
     monkeypatch.setattr(verify, "gram_moments", skewed)
-    eq, _ = check_spectral_equivalence(generate("complete:4"), "degree")
-    assert eq.lhs == float("inf") and not eq.holds
+    eq, kernel = check_spectral_equivalence(g, weighting)
+    assert not eq.holds and kernel.holds
+    assert eq.lhs == pytest.approx(1e-6, rel=1e-5)
+
+
+@pytest.mark.parametrize("spec, seed", [("random:8:0.5", 1), ("random:10:0.5", 2),
+                                        ("random:12:0.5", 3)])
+def test_nonzero_spectra_lhs_is_unchanged_by_power_of_four_weight_scaling(spec, seed):
+    # scaling every vertex weight, or every edge weight, by 4^k scales the
+    # Gram matrices by 4^-k or 4^k, exactly in binary; the moments and the
+    # spectrum are scaled back by one power of two, so lhs keeps its bits
+    # as long as the weights stay normal floats
+    base = generate(spec, seed=seed)
+    rng = SplitMix64(seed)
+    vw = {v: 0.5 + 1.5 * rng.uniform() for v in base.labels}
+    ew = {base.edge_endpoints(e): 0.5 + 1.5 * rng.uniform() for e in range(base.n_edges)}
+    want = check_spectral_equivalence(WeightedGraph(base, vw, ew), "graph")[0].lhs
+    for k in sorted({-499, 499, *range(-499, 500, 23)}):
+        s = 4.0 ** k
+        scaled_vertices = WeightedGraph(base, {v: w * s for v, w in vw.items()}, ew)
+        scaled_edges = WeightedGraph(base, vw, {e: w * s for e, w in ew.items()})
+        for wg in (scaled_vertices, scaled_edges):
+            eq, _ = check_spectral_equivalence(wg, "graph")
+            assert eq.holds and eq.lhs == want, (k, eq.lhs, want)
 
 
 def test_tree_formula_red_is_honest():
