@@ -27,6 +27,7 @@ unweighted, and the weighted ceiling needs constant vertex weights.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -41,6 +42,7 @@ from .edge_geometry import (
 from .errors import (
     InvalidParameterError,
     NonconstantVertexWeightsError,
+    NonpositiveWeightError,
     NotAdjacentError,
     NotATreeError,
     SamePairError,
@@ -86,12 +88,19 @@ def transport_for_pair(g, e: int, f: int) -> TransportResult:
 
 
 def ricci(g, e: int, f: int) -> CurvaturePair:
-    """kappa(e, f) = 1 - W(m_e, m_f) / d(e, f) for distinct edges."""
+    """kappa(e, f) = 1 - W(m_e, m_f) / d(e, f) for distinct edges; a float
+    kappa that overflows raises NonpositiveWeightError naming the pair."""
     if e == f:
         raise SamePairError(f"curvature needs two distinct edges, got {e} twice")
     dist = edge_distance(g, e, f)
     result = transport_for_pair(g, e, f)
-    return CurvaturePair(e, f, dist, 1 - result.distance / dist, result)
+    kappa = 1 - result.distance / dist
+    if isinstance(kappa, float) and not math.isfinite(kappa):
+        raise NonpositiveWeightError(
+            f"curvature of {g.edge_name(e)},{g.edge_name(f)} overflows a float: "
+            f"W {result.distance} over edge distance {dist}"
+        )
+    return CurvaturePair(e, f, dist, kappa, result)
 
 
 def ricci_all_adjacent(g) -> dict[tuple[int, int], CurvaturePair]:

@@ -164,23 +164,32 @@ def edge_distance(g: Graph, e: int, e2: int):
 class EdgeMeasure:
     """Probability measure on edge ordinals attached to an owner edge.
 
-    exact is set once, when the measure is built: whether every mass is a
-    Fraction.
+    Set once, when the measure is built: exact, whether every mass is a
+    Fraction; scale, the LCM of its denominators (1 for float masses); and
+    units, the masses in those units (ints when exact, else the masses).
     """
 
     owner: int
     atoms: tuple[int, ...]
     masses: tuple  # all Fraction (exact) or all float
     exact: bool = field(init=False, repr=False, compare=False)
+    scale: int = field(init=False, repr=False, compare=False)
+    units: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if len(self.atoms) != len(self.masses) or not self.atoms:
+        masses = self.masses
+        if len(self.atoms) != len(masses) or not self.atoms:
             raise ValueError("measure needs matching, nonempty atoms and masses")
-        exact = all(isinstance(m, Fraction) for m in self.masses)
+        exact = all(isinstance(m, Fraction) for m in masses)
+        scale, units = 1, masses
+        if exact:
+            scale = math.lcm(*{m.denominator for m in masses})
+            units = tuple([m.numerator * (scale // m.denominator) for m in masses])
+        if abs(sum(units) - scale) > (0 if exact else 1e-12):
+            raise ValueError(f"measure sums to {sum(masses)}, not 1")
         object.__setattr__(self, "exact", exact)
-        total = sum(self.masses)
-        if abs(total - 1) > (0 if exact else 1e-12):
-            raise ValueError(f"measure sums to {total}, not 1")
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "units", units)
 
     def as_dict(self) -> dict[int, object]:
         return dict(zip(self.atoms, self.masses))

@@ -38,8 +38,8 @@ class DisconnectedError(GraphError):
 
 
 class NonpositiveWeightError(GraphError):
-    """A vertex or edge weight is zero, negative, or not finite, or a sum of
-    finite weights overflows."""
+    """A vertex or edge weight is zero, negative, or not finite, or a sum or
+    quotient of finite weights overflows."""
 
 
 class InvalidParameterError(GraphError):

@@ -13,7 +13,6 @@ from __future__ import annotations
 import heapq
 import json
 import math
-from functools import partial
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -437,6 +436,12 @@ def _complete_bipartite(n: int, m: int) -> Graph:
     return Graph(vs, [(vs[i], vs[n + j]) for i in range(n) for j in range(m)])
 
 
+def _star(m: int) -> Graph:
+    if m < 1:
+        raise InvalidParameterError(f"star needs m >= 1, got {m}")
+    return _complete_bipartite(1, m)
+
+
 def _path(n: int) -> Graph:
     if n < 2:
         raise InvalidParameterError(f"path needs n >= 2, got {n}")
@@ -524,7 +529,7 @@ _FAMILIES = {
     "complete": (_complete, (_integer("n"),), False),
     "cycle": (_cycle, (_integer("n"),), False),
     "bipartite": (_complete_bipartite, (_integer("n"), _integer("m")), False),
-    "star": (partial(_complete_bipartite, 1), (_integer("m"),), False),
+    "star": (_star, (_integer("m"),), False),
     "path": (_path, (_integer("n"),), False),
     "tree": (_random_tree, (_integer("n"),), True),
     "random": (_random_connected, (_integer("n"), _number("p")), True),

@@ -58,9 +58,9 @@ step and the envelope slice them in C, with edge_geometry.slicer.
 
 A TransportProblem fixes its number domain once, when it is built, and
 every later step reads it.  When both measures are exact rationals and the
-costs are integers (the unweighted case) the problem records the LCM of
-the mass denominators as its scale and the masses as integers in those
-units, so the whole computation runs in integer arithmetic and the
+costs are integers (the unweighted case) the problem's scale is the LCM of
+the measures' own scales and its masses are the measures' integer units
+rescaled to it, so the whole computation runs in integer arithmetic and the
 distance, plan, and dual certificate are exact; a plan amount is the mass
 times the scale, an int.  Otherwise the scale is 1 and the amounts are
 binary64 masses, where supply, demand and flow at most 1e-15 count as
@@ -98,7 +98,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, compress, repeat
-from operator import add, getitem, le, sub
+from operator import add, getitem, le, mul, sub
 from typing import Mapping
 
 from .edge_geometry import EdgeMeasure, slicer
@@ -123,7 +123,7 @@ class TransportProblem:
     every atom costs 0 to itself, and every entry is finite and >= 0.  The
     same pass records whether every cost is an int, which with exact masses
     makes the problem exact.  Then it fixes the solver units: ``scale`` is
-    the LCM of the mass denominators when exact and 1 otherwise, and the
+    the LCM of the measures' scales when exact and 1 otherwise, and the
     read-only ``supply`` and ``demand`` map each atom of mu and nu to its
     mass in those units (int when exact, float otherwise), whose totals must
     agree.  ``position`` maps each atom to its index in atoms and rows.
@@ -171,13 +171,13 @@ class TransportProblem:
                         raise invalid(f"{what} cost {c} for pair {(a, b)}")
         # ints sum to an int; one float or Fraction makes the sum one too
         exact = mu.exact and nu.exact and type(total) is int
-        scale = math.lcm(*{m.denominator for m in (*mu.masses, *nu.masses)}) if exact else 1
+        scale = math.lcm(mu.scale, nu.scale) if exact else 1
 
-        def units(m):
-            return m.numerator * (scale // m.denominator) if exact else float(m)
+        def units(m: EdgeMeasure) -> dict:
+            return dict(zip(m.atoms, map(mul, m.units, repeat(scale // m.scale)) if exact
+                            else map(float, m.masses)))
 
-        supply = {a: units(m) for a, m in zip(mu.atoms, mu.masses)}
-        demand = {b: units(m) for b, m in zip(nu.atoms, nu.masses)}
+        supply, demand = units(mu), units(nu)
         if abs(sum(supply.values()) - sum(demand.values())) > (0 if exact else 1e-12):
             raise invalid(f"supply {sum(mu.masses)} != demand {sum(nu.masses)}",
                           MassImbalanceError)

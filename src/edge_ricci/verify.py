@@ -13,7 +13,8 @@ a triangle).
 Reports serialize to JSON (17 significant digits), plain text tables
 (6 digits), and CSV for the curvature table.  Wall-clock timing is kept on
 the in-memory report only; serializers omit it so identical inputs yield
-byte-identical output.
+byte-identical output.  report_to_json writes one f-string per check, the
+bytes _json_value would write.
 """
 
 from __future__ import annotations
@@ -65,19 +66,19 @@ def _check(name, lhs, rhs, relation, tolerance, witnesses=(), diagnostic=False):
     """The check lhs `relation` rhs.  Two exact sides (int or Fraction)
     compare exactly, with tolerance 0; otherwise both are rounded to floats
     and compared within tolerance.  The record holds floats."""
-    if isinstance(lhs, (int, Fraction)) and isinstance(rhs, (int, Fraction)):
-        tolerance = 0  # an int: a Fraction minus 0.0 would be a float
-    else:
+    exact = isinstance(lhs, (int, Fraction)) and isinstance(rhs, (int, Fraction))
+    if not exact:
         lhs, rhs = float(lhs), float(rhs)
     if relation == ">=":
-        holds = lhs >= rhs - tolerance
+        holds = lhs >= rhs if exact else lhs >= rhs - tolerance
     elif relation == "==":
-        holds = abs(lhs - rhs) <= tolerance
+        # not lhs == rhs on floats: the two differ at equal infinities
+        holds = lhs == rhs if exact else abs(lhs - rhs) <= tolerance
     else:
         raise InvalidParameterError(f"unknown relation {relation!r}")
-    wit = tuple((str(k), float(v)) for k, v in witnesses)
+    wit = tuple([(str(k), float(v)) for k, v in witnesses])
     return TheoremCheck(name, True, "", float(lhs), float(rhs), relation,
-                        float(tolerance), holds, diagnostic, wit)
+                        0.0 if exact else float(tolerance), holds, diagnostic, wit)
 
 
 def _inapplicable(name, reason, diagnostic=False):
@@ -363,18 +364,17 @@ _JSON_ESCAPES = {ord('"'): '\\"', ord("\\"): "\\\\",
                  **{c: f"\\u{c:04x}" for c in range(0x20)}}
 
 
+_JSON_LITERALS = {None: "null", True: "true", False: "false"}
+
+
 def _json_escape(s: str) -> str:
     return '"' + s.translate(_JSON_ESCAPES) + '"'
 
 
 def _json_value(obj) -> str:
     """Minimal JSON emitter with floats at 17 significant digits."""
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
+    if obj is None or obj is True or obj is False:
+        return _JSON_LITERALS[obj]
     if isinstance(obj, int):
         return str(obj)
     if isinstance(obj, float):
@@ -390,14 +390,26 @@ def _json_value(obj) -> str:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
+def _json_number(x) -> str:
+    return "null" if x is None else f"{x:.17g}"
+
+
 def report_to_json(report: VerificationReport) -> str:
-    payload = {
-        "graph": report.graph,
-        "checks": [vars(c) for c in report.checks],
-        "curvature": report.curvature,
-        "spectra": report.spectra,
-    }
-    return _json_value(payload) + "\n"
+    """_json_value of the report's fields, written as one f-string per check."""
+    checks = ", ".join([
+        f'{{"name": {_json_escape(c.name)}, "applicable": {_JSON_LITERALS[c.applicable]}, '
+        f'"reason": {_json_escape(c.reason)}, "lhs": {_json_number(c.lhs)}, '
+        f'"rhs": {_json_number(c.rhs)}, "relation": {_json_escape(c.relation)}, '
+        f'"tolerance": {c.tolerance:.17g}, "holds": {_JSON_LITERALS[c.holds]}, '
+        f'"diagnostic": {_JSON_LITERALS[c.diagnostic]}, "witnesses": ['
+        f'{", ".join([f"[{_json_escape(k)}, {v:.17g}]" for k, v in c.witnesses])}]}}'
+        for c in report.checks])
+    curvature = ", ".join([f"[{e}, {f}, {k:.17g}]" for e, f, k in report.curvature])
+    spectra = ", ".join([
+        f'{_json_escape(name)}: [{", ".join([f"{v:.17g}" for v in values])}]'
+        for name, values in report.spectra.items()])
+    return (f'{{"graph": {_json_value(report.graph)}, "checks": [{checks}], '
+            f'"curvature": [{curvature}], "spectra": {{{spectra}}}}}\n')
 
 
 def report_to_text(report: VerificationReport) -> str:

@@ -387,6 +387,26 @@ def test_non_utf8_edge_list_exits_2(capsys, tmp_path):
     assert "not UTF-8 text" in err
 
 
+_OVERFLOWING_KAPPA = json.dumps({
+    "edges": [["a", "b", 1], ["b", "c", 1], ["c", "a", 1], ["c", "d", 1], ["a", "e", 1]],
+    "vertex_weights": {"a": 1e10, "b": 1e-300, "c": 1e10, "d": 1e10, "e": 1e10}})
+_OVERFLOW_MESSAGE = ("curvature of a-b,b-c overflows a float: "
+                     "W 6666666666.666666 over edge distance 1e-300")
+
+
+@pytest.mark.parametrize("argv", [
+    ("curvature", "--format", "json"),
+    ("curvature", "--all-pairs"),
+    ("verify", "--format", "json"),
+])
+def test_overflowing_curvature_is_one_error_line(capsys, tmp_path, argv):
+    path = tmp_path / "g.json"
+    path.write_text(_OVERFLOWING_KAPPA)
+    code, out, err = run_cli(capsys, *argv, "--input", str(path), "--weighted")
+    assert_one_error_line(code, err)
+    assert out == "" and _OVERFLOW_MESSAGE in err
+
+
 @pytest.mark.parametrize("source, message", [
     ('[1, 2]', 'must be an object with an "edges" list'),
     ('{"edges": [["a"]]}', "edges[0]: expected [u, v] or [u, v, w]"),
@@ -403,6 +423,10 @@ def test_non_utf8_edge_list_exits_2(capsys, tmp_path):
     # a misspelled block used to be read as absent: unit weights
     ('{"edges": [["a", "b"], ["b", "c"]], "vertex_weight": {"a": 2}}',
      "unknown key 'vertex_weight' in weighted document"),
+    # W(a-b, b-c) ~ 6.7e9 over d = 1e-300: kappa overflows to -inf, which
+    # the JSON report used to print as a bare -inf
+    (_OVERFLOWING_KAPPA, _OVERFLOW_MESSAGE),
+    ("star:0", "star needs m >= 1, got 0"),
 ])
 def test_malformed_input_exits_2(capsys, tmp_path, source, message):
     if source.startswith(("[", "{")):

@@ -1,10 +1,16 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from edge_ricci.curvature import lower_bound, ricci_all_adjacent, upper_bound
+from edge_ricci.curvature import (
+    lower_bound,
+    pair_transport_problem,
+    ricci_all_adjacent,
+    upper_bound,
+)
 from edge_ricci.edge_geometry import (
     EdgeMeasure,
     edge_degree,
@@ -16,7 +22,7 @@ from edge_ricci.edge_geometry import (
     slicer,
 )
 from edge_ricci.errors import IsolatedEdgeError, NonpositiveWeightError, UnknownEdgeError
-from edge_ricci.graph_core import Graph, WeightedGraph, generate
+from edge_ricci.graph_core import Graph, WeightedGraph, generate, parse_weighted
 from edge_ricci.transport import TransportProblem, solve_wasserstein
 
 
@@ -171,6 +177,9 @@ def test_mixed_masses_make_a_float_measure():
     exact = EdgeMeasure(3, (2,), (Fraction(1),))
     problem = TransportProblem(mixed, exact, (1, 2), ((0, 1), (1, 0)))
     assert not problem.exact and problem.scale == 1
+    # every amount is a float mass, the exact measure's too
+    assert [*problem.supply.values(), *problem.demand.values()] == [0.5, 0.5, 1.0]
+    assert all(type(x) is float for x in (*problem.supply.values(), *problem.demand.values()))
     assert solve_wasserstein(problem).distance == pytest.approx(0.5)
 
 
@@ -261,3 +270,52 @@ def test_weighted_row_is_set_by_an_exact_neighbor_hop(seed):
                     for p in space.neighbors[f]]
             assert (row[f] in hops) is (f != e)
             assert all(h >= row[f] for h in hops)
+
+
+def _digest_graphs(digest):
+    """Every unweighted family of scripts/output_digest.py, and the four
+    weighted documents of one of them."""
+    graphs = [generate(family, seed=0) for family in digest.FAMILIES]
+    graphs += [parse_weighted(digest.weighted_document("random:12:0.6", weights))
+               for weights in digest.WEIGHTS]
+    return graphs
+
+
+def _units_before(mu, nu, exact):
+    """A problem's (scale, supply, demand), read per mass as transport did
+    before measures carried their own units."""
+    scale = math.lcm(*{m.denominator for m in (*mu.masses, *nu.masses)}) if exact else 1
+
+    def units(m):
+        return m.numerator * (scale // m.denominator) if exact else float(m)
+
+    return (scale, {a: units(m) for a, m in zip(mu.atoms, mu.masses)},
+            {b: units(m) for b, m in zip(nu.atoms, nu.masses)})
+
+
+def test_measure_units_are_its_masses_over_its_scale(load_script):
+    for g in _digest_graphs(load_script("output_digest")):
+        space = edge_space(g)
+        for e in range(g.n_edges):
+            if not space.neighbors[e]:
+                continue  # the one-edge graph
+            m = edge_measure(g, e)
+            if m.exact:
+                assert all(type(u) is int for u in m.units)
+                assert [Fraction(u, m.scale) for u in m.units] == list(m.masses)
+                assert sum(m.units) == m.scale
+            else:
+                assert m.scale == 1 and m.units == m.masses
+                assert all(type(u) is float for u in m.units)
+            for f in space.neighbors[e]:
+                p = pair_transport_problem(g, e, f)
+                scale, supply, demand = _units_before(p.mu, p.nu, p.exact)
+                assert p.scale == scale
+                for got, want in ((p.supply, supply), (p.demand, demand)):
+                    assert list(got.items()) == list(want.items())
+                    assert list(map(type, got.values())) == list(map(type, want.values()))
+
+
+def test_an_exact_measure_off_one_names_its_sum():
+    with pytest.raises(ValueError, match="measure sums to 5/6, not 1"):
+        EdgeMeasure(0, (1, 2), (Fraction(1, 2), Fraction(1, 3)))

@@ -191,10 +191,12 @@ def test_generation_is_seed_deterministic():
 
 @pytest.mark.parametrize("spec", [
     "complete", "complete:1", "cycle:2", "bipartite:0:3", "path:1",
-    "random:5:0", "random:5:2", "circulant:5:0", "mystery:3", "petersen:1",
+    "random:5:0", "random:5:2", "circulant:5:0", "mystery:3", "petersen:1", "star:0",
 ])
 def test_family_grammar_rejects(spec):
-    with pytest.raises(InvalidParameterError):
+    # a star names its own parameter, not the bipartite parts it is built from
+    match = "star needs m >= 1, got 0" if spec == "star:0" else None
+    with pytest.raises(InvalidParameterError, match=match):
         generate(spec)
 
 

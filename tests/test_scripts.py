@@ -1,35 +1,23 @@
 """The scripts under scripts/ run end to end on small inputs."""
 
 import dataclasses
-import importlib.util
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
-
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
-
-
-def _load(name):
-    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
 
 @pytest.mark.parametrize("name, argv", [
     ("family_survey", ["--families", "complete:4", "star:4", "cycle:5"]),
     ("random_audit", ["--samples", "5", "--vertices", "6"]),
 ])
-def test_script_exits_zero(name, argv, capsys):
-    assert _load(name).main(argv) == 0
+def test_script_exits_zero(name, argv, capsys, load_script):
+    assert load_script(name).main(argv) == 0
     assert capsys.readouterr().out
 
 
-def test_family_survey_prints_stars_at_zero_slack(capsys):
+def test_family_survey_prints_stars_at_zero_slack(capsys, load_script):
     # every star is the equality case; its slack is a rounding residue of
     # either sign, printed as 0
-    assert _load("family_survey").main([]) == 0
+    assert load_script("family_survey").main([]) == 0
     rows = capsys.readouterr().out.splitlines()[2:]
     assert not any("-0.000000" in row for row in rows)
     stars = [row for row in rows if row.startswith("star:")]
@@ -37,11 +25,11 @@ def test_family_survey_prints_stars_at_zero_slack(capsys):
     assert all(row.endswith(" 0.000000  <- equality") for row in stars)
 
 
-def test_family_survey_marks_a_right_side_at_or_below_zero_vacuous(capsys):
+def test_family_survey_marks_a_right_side_at_or_below_zero_vacuous(capsys, load_script):
     # complete:3 has kappa_min 1/2 and d = 2, so its right side is 1/2;
     # complete:4 (d = 4) reaches 0 and complete:5 (d = 6) -1/6
     families = ["complete:3..5", "star:4"]
-    assert _load("family_survey").main(["--families", *families]) == 0
+    assert load_script("family_survey").main(["--families", *families]) == 0
     rows = capsys.readouterr().out.splitlines()[2:]
     marked = {row.split()[0]: row.endswith("  <- vacuous") for row in rows}
     assert marked == {"complete:3": False, "complete:4": True, "complete:5": True,
@@ -52,15 +40,15 @@ def test_family_survey_marks_a_right_side_at_or_below_zero_vacuous(capsys):
     (["--samples", "3"], False),   # 7 vertices, p = 0.5: edge degrees unequal
     (["--samples", "3", "--vertices", "6", "--prob", "0.95"], True),
 ])
-def test_random_audit_says_when_the_bound_was_never_checked(argv, applicable, capsys):
-    assert _load("random_audit").main(argv) == 0
+def test_random_audit_says_when_the_bound_was_never_checked(argv, applicable, capsys, load_script):
+    assert load_script("random_audit").main(argv) == 0
     out = capsys.readouterr().out
     assert ("bound applicable         0\n" in out) is not applicable
     assert ("hypotheses held on no sample" in out) is not applicable
 
 
-def test_output_digest_covers_every_input_and_command(monkeypatch, capsys):
-    module = _load("output_digest")
+def test_output_digest_covers_every_input_and_command(monkeypatch, capsys, load_script):
+    module = load_script("output_digest")
     monkeypatch.setattr(module, "FAMILIES", ("cycle:4", "star:4"))
     monkeypatch.setattr(module, "SELFTEST_SEEDS", (0,))
     assert module.main() == 0
@@ -106,10 +94,11 @@ def test_output_digest_covers_every_input_and_command(monkeypatch, capsys):
                               " --dump-matrix edge")
 
 
-def test_random_audit_reports_a_solved_pair_below_the_adjacent_minimum(monkeypatch, capsys):
+def test_random_audit_reports_a_solved_pair_below_the_adjacent_minimum(monkeypatch, capsys,
+                                                                       load_script):
     # the unpatched audit prints no glue counts; a solved all-pairs minimum
     # 1/100 below the adjacent one aborts it with the violation line
-    module = _load("random_audit")
+    module = load_script("random_audit")
     assert module.main(["--samples", "3"]) == 0
     assert "glued" not in capsys.readouterr().out
     kappa_min = module.kappa_min
@@ -126,8 +115,8 @@ def test_random_audit_reports_a_solved_pair_below_the_adjacent_minimum(monkeypat
         f"solved minimum {adjacent - Fraction(1, 100)}\n")
 
 
-def test_random_audit_solves_every_pair_once_per_sample(monkeypatch, capsys):
-    module = _load("random_audit")
+def test_random_audit_solves_every_pair_once_per_sample(monkeypatch, capsys, load_script):
+    module = load_script("random_audit")
     calls = []
     kappa_min = module.kappa_min
     monkeypatch.setattr(module, "kappa_min",
@@ -137,10 +126,10 @@ def test_random_audit_solves_every_pair_once_per_sample(monkeypatch, capsys):
     capsys.readouterr()
 
 
-def test_random_audit_reports_a_plan_that_is_not_a_coupling(monkeypatch, capsys):
+def test_random_audit_reports_a_plan_that_is_not_a_coupling(monkeypatch, capsys, load_script):
     # drop the first entry of one adjacent plan: its row no longer sums to
     # the problem's supply in units
-    module = _load("random_audit")
+    module = load_script("random_audit")
     table_of = module.ricci_all_adjacent
 
     def broken(g):
@@ -156,3 +145,28 @@ def test_random_audit_reports_a_plan_that_is_not_a_coupling(monkeypatch, capsys)
     out = capsys.readouterr().out
     assert out.startswith("COUPLING VIOLATION seed 0 pair (0,")
     assert ": row " in out
+
+
+def test_bench_record_summarizes_result_lines(load_script):
+    module = load_script("bench_record")
+    lines = [
+        'workload selftest  seed 0  ops 3\n{"correct": true, "attempted": 3, "failed": 0, '
+        '"metrics": {"wall_s": {"value": 24.0, "unit": "s"}, '
+        '"peak_rss_mb": {"value": 27.5, "unit": "MiB"}}}\n',
+        '{"correct": true, "attempted": 3, "failed": 0, '
+        '"metrics": {"wall_s": {"value": 26.0, "unit": "s"}, '
+        '"peak_rss_mb": {"value": 27.0, "unit": "MiB"}}}',
+    ]
+    plain = [module.result_line(line) for line in lines]
+    traced = {"correct": True, "attempted": 2, "failed": 0,
+              "metrics": {"curvature.ricci.calls": {"value": 10603, "unit": "count"}}}
+    summary = module.summarize(plain, traced)
+    # statistics.quantiles(n=4) of two values reaches past both
+    assert summary["plain"] == {
+        "wall_s": {"median": 25.0, "q1": 23.5, "q3": 26.5, "unit": "s"},
+        "peak_rss_mb": {"median": 27.25, "q1": 26.875, "q3": 27.625, "unit": "MiB"},
+        "ops_per_run": 3,
+    }
+    assert summary["traced"] == {"ops": 2, "metrics": {"curvature.ricci.calls": 10603}}
+    one = module.summarize(plain[:1], traced)["plain"]["wall_s"]
+    assert (one["median"], one["q1"], one["q3"]) == (24.0, 24.0, 24.0)

@@ -17,6 +17,7 @@ from edge_ricci.rng import SplitMix64
 from edge_ricci.verify import (
     _GAP_TOL,
     TheoremCheck,
+    VerificationReport,
     _check,
     _json_escape,
     check_adjacent_pair_reduction,
@@ -438,3 +439,66 @@ def test_relabelling_changes_no_curvature_and_no_verdict(spec, seed, rng):
     before = Counter(_check_key(c, same) for c in verification_report(g).checks)
     after = Counter(_check_key(c, back) for c in verification_report(h).checks)
     assert after == before
+
+
+# text with the characters JSON escapes (U+0008 included) and non-ASCII
+_texts = st.text(st.one_of(st.sampled_from('"\\\x08'), st.characters(max_codepoint=0x1f),
+                           st.characters(min_codepoint=0x20, max_codepoint=0x2fff,
+                                         blacklist_categories=("Cs",))),
+                 max_size=6)
+_floats = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308]),
+                    st.integers(-10**6, 10**6).map(float),
+                    st.floats(allow_nan=False, allow_infinity=False))
+_theorem_checks = st.builds(
+    TheoremCheck, name=_texts, applicable=st.booleans(), reason=_texts,
+    lhs=st.none() | _floats, rhs=st.none() | _floats,
+    relation=st.sampled_from([">=", "==", ""]) | _texts,
+    tolerance=st.sampled_from([0.0, _GAP_TOL, 1e-8]) | _floats,
+    holds=st.sampled_from([None, True, False]), diagnostic=st.booleans(),
+    witnesses=st.lists(st.tuples(_texts, _floats), max_size=3).map(tuple))
+_reports = st.builds(
+    VerificationReport,
+    graph=st.fixed_dictionaries({"vertices": st.integers(1, 99), "edges": st.integers(1, 99),
+                                 "edge_regular_degree": st.none() | st.integers(0, 99),
+                                 "weighted": st.booleans()}),
+    checks=st.lists(_theorem_checks, max_size=4).map(tuple),
+    curvature=st.lists(st.tuples(st.integers(0, 99), st.integers(0, 99), _floats),
+                       max_size=4).map(tuple),
+    spectra=st.dictionaries(st.sampled_from(["L0", "L1", "Lprime1"]) | _texts,
+                            st.lists(_floats, max_size=4).map(tuple), max_size=3))
+
+
+@given(_reports)
+def test_report_json_is_the_generic_emitter_on_the_whole_report(report):
+    text = report_to_json(report)
+    assert text == verify._json_value({
+        "graph": report.graph,
+        "checks": [vars(c) for c in report.checks],
+        "curvature": report.curvature,
+        "spectra": report.spectra,
+    }) + "\n"
+    payload = json.loads(text)
+    assert payload["graph"] == report.graph
+    assert payload["checks"] == [
+        {**vars(c), "witnesses": [list(w) for w in c.witnesses]} for c in report.checks]
+    assert payload["curvature"] == [list(row) for row in report.curvature]
+    assert payload["spectra"] == {k: list(v) for k, v in report.spectra.items()}
+
+
+def test_exact_checks_fail_inside_the_float_tolerance(monkeypatch):
+    # each patched side is kappa moved by 1e-30, far inside the float
+    # tolerance: only an exact comparison sees it
+    g = generate("tree:9", seed=2)
+    table = ricci_all_adjacent(g)
+    eps = Fraction(1, 10**30)
+    monkeypatch.setattr(verify, "lower_bound", lambda g, e, f: table[e, f].kappa + eps)
+    monkeypatch.setattr(verify, "upper_bound",
+                        lambda g, e, f, variant="as-stated": table[e, f].kappa - eps)
+    monkeypatch.setattr(verify, "tree_curvature_formula",
+                        lambda g, e, f: table[e, f].kappa + eps)
+    checks = verification_report(g).checks
+    for family in ("curvature-floor(", "curvature-ceiling(", "tree-formula("):
+        found = [c for c in checks if c.name.startswith(family)]
+        assert len(found) == len(table)
+        assert all(c.applicable and c.holds is False and c.tolerance == 0.0
+                   and abs(c.lhs - c.rhs) <= _GAP_TOL for c in found)
