@@ -15,8 +15,9 @@ matches the commit that carries it.
     python3 scripts/bench_record.py 28                    # writes BENCH_28.json
     python3 scripts/bench_record.py 28 --seeds 0 --seconds 5
 
-A run that exits nonzero or reports ``"correct": false`` stops the record
-with exit code 1, and no file is written.
+A run that exits nonzero, ends its output in no JSON result line, or reports
+``"correct": false`` stops the record with an ``error:`` line and exit code
+1, and no file is written.
 """
 
 from __future__ import annotations
@@ -36,9 +37,15 @@ ROOT = Path(__file__).resolve().parent.parent
 TRACE_SEED = 0
 
 
-def result_line(stdout: str) -> dict:
-    """The JSON object that ends a bench/run.py run's output."""
-    return json.loads(stdout.strip().splitlines()[-1])
+def result_line(stdout: str) -> dict | None:
+    """The JSON object that ends a bench/run.py run's output, or None when
+    the output is empty or its last line is no JSON object."""
+    lines = stdout.strip().splitlines()
+    try:
+        result = json.loads(lines[-1]) if lines else None
+    except json.JSONDecodeError:
+        return None
+    return result if isinstance(result, dict) else None
 
 
 def summarize(plain: list[dict], traced: dict) -> dict:
@@ -64,10 +71,12 @@ def run_bench(workload: str, seed: int, seconds: float, trace: int) -> dict:
             "--seconds", str(seconds), "--trace", str(trace)]
     shutil.rmtree(ROOT / "src" / "edge_ricci" / "__pycache__", ignore_errors=True)
     proc = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True)
-    if proc.returncode != 0 or not result_line(proc.stdout)["correct"]:
+    result = result_line(proc.stdout)
+    if proc.returncode != 0 or result is None or result.get("correct") is not True:
         sys.stderr.write(proc.stderr)
-        raise RuntimeError(f"{' '.join(argv[1:])}: exit {proc.returncode}")
-    return result_line(proc.stdout)
+        missing = "" if result is not None else ", no result line"
+        raise RuntimeError(f"{' '.join(argv[1:])}: exit {proc.returncode}{missing}")
+    return result
 
 
 def commit() -> str:

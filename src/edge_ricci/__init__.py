@@ -18,11 +18,10 @@ from .curvature import (
     CurvaturePair,
     edges_adjacent,
     kappa_min,
-    lower_bound,
+    pair_bounds,
     ricci,
     ricci_all_adjacent,
     tree_curvature_formula,
-    upper_bound,
 )
 from .edge_geometry import EdgeMeasure, edge_distance, edge_measure, edge_space
 from .errors import EdgeRicciError
@@ -62,10 +61,10 @@ __all__ = [
     "assemble", "brute_force_wasserstein", "check_spectral_gap_bound",
     "check_weighted_spectral_gap_bound", "dump_matrix", "edge_distance",
     "edge_measure", "edge_space", "edges_adjacent", "eigenvalues_symmetric",
-    "generate", "kappa_min", "lower_bound", "parse_edgelist",
+    "generate", "kappa_min", "pair_bounds", "parse_edgelist",
     "parse_weighted", "report_to_json", "report_to_text", "ricci",
     "ricci_all_adjacent", "serialize_edgelist", "serialize_weighted",
     "solve_wasserstein", "spectral_equivalence_gap", "spectrum_of",
-    "symmetrized", "tree_curvature_formula", "upper_bound",
-    "verification_report", "__version__",
+    "symmetrized", "tree_curvature_formula", "verification_report",
+    "__version__",
 ]

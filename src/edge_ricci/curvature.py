@@ -17,12 +17,13 @@ Only adjacent pairs need solving for the least curvature: since W is a
 metric, the minimum over all distinct pairs is the adjacent minimum (the
 proof is in verify.check_adjacent_pair_reduction).
 
-Also here: the combinatorial lower and upper bounds for adjacent pairs and
-the closed-form tree expression, all of which the verification layer tests
-against the transport-derived values.  The bounds are written once over
-measures, weights and degrees; what stays specific to one kind is what the
-paper states for it: the union-form ceiling and the tree formula are
-unweighted, and the weighted ceiling needs constant vertex weights.
+Also here: pair_bounds, the combinatorial floor and ceilings of an adjacent
+pair, and the closed-form tree expression, all of which the verification
+layer tests against the transport-derived values.  The floor is written once
+over weights and degrees; what stays specific to one kind is what the paper
+states for it: the union-form ceiling and the tree formula are unweighted,
+and the weighted ceiling needs constant vertex weights, which pair_bounds
+alone decides.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from .edge_geometry import (
 )
 from .errors import (
     InvalidParameterError,
-    NonconstantVertexWeightsError,
     NonpositiveWeightError,
     NotAdjacentError,
     NotATreeError,
@@ -88,10 +88,9 @@ def transport_for_pair(g, e: int, f: int) -> TransportResult:
 
 
 def ricci(g, e: int, f: int) -> CurvaturePair:
-    """kappa(e, f) = 1 - W(m_e, m_f) / d(e, f) for distinct edges; a float
-    kappa that overflows raises NonpositiveWeightError naming the pair."""
-    if e == f:
-        raise SamePairError(f"curvature needs two distinct edges, got {e} twice")
+    """kappa(e, f) = 1 - W(m_e, m_f) / d(e, f) for distinct edges (else
+    pair_transport_problem raises SamePairError); a float kappa that
+    overflows raises NonpositiveWeightError naming the pair."""
     dist = edge_distance(g, e, f)
     result = transport_for_pair(g, e, f)
     kappa = 1 - result.distance / dist
@@ -174,50 +173,35 @@ def _require_adjacent(g, e: int, f: int) -> None:
         )
 
 
-def lower_bound(g, e: int, f: int):
-    """Universal curvature floor for adjacent pairs:
+def pair_bounds(g, e: int, f: int):
+    """(floor, ceiling, intersection) for an adjacent pair e, f.
 
-        kappa >= -2 (1 - m_e(f) - m_f(e))_+
-
-    with m_e the measure of e, so m_e(f) = w(f)/d_e; unweighted this is
-    -2 (1 - 1/d_e - 1/d_f)_+ as an exact Fraction.
+    floor: the universal -2 (1 - m_e(f) - m_f(e))_+ with m_e(f) = w(f)/d_e;
+    unweighted this is -2 (1 - 1/d_e - 1/d_f)_+ as an exact Fraction.
+    Each ceiling is the edge weight of a pool of edges over max(d_e, d_f).
+    ceiling: unweighted, the pool is Gamma(e) u Gamma(f), the union taken
+    literally from the neighborhood definition (so it holds e and f, each a
+    neighbor of the other); exact Fraction.  On a WeightedGraph the printed
+    bound is already the intersection form, stated for one common vertex
+    weight: None when the vertex weights are not constant.
+    intersection: the pool Gamma(e) n Gamma(f), unweighted only (None on a
+    WeightedGraph); a diagnostic, reported but never asserted, often much
+    tighter.
     """
     _require_adjacent(g, e, f)
-    slack = 1 - edge_measure(g, e).as_dict()[f] - edge_measure(g, f).as_dict()[e]
-    return -2 * slack if slack > 0 else slack - slack  # a typed zero, never -0.0
-
-
-def upper_bound(g, e: int, f: int, variant: str = "as-stated"):
-    """Combinatorial curvature ceiling for adjacent pairs: the edge weight of
-    a pool of edges over the larger degree, max(d_e, d_f).
-
-    Unweighted 'as-stated': the pool is Gamma(e) u Gamma(f), with the union
-    taken literally from the neighborhood definition (so it contains e and
-    f themselves, each being a neighbor of the other); exact Fraction.
-    Unweighted 'intersection': the pool is Gamma(e) n Gamma(f) — a
-    diagnostic only, reported but never asserted; it is often much tighter.
-    Weighted (either variant; constant vertex weights required): the
-    printed bound is already the intersection form.
-    """
-    _require_adjacent(g, e, f)
-    if variant not in ("as-stated", "intersection"):
-        raise InvalidParameterError(
-            f"variant must be 'as-stated' or 'intersection', got {variant!r}"
-        )
-    if isinstance(g, WeightedGraph):
-        if not g.has_constant_vertex_weights():
-            raise NonconstantVertexWeightsError(
-                "weighted curvature ceiling assumes one common vertex weight"
-            )
-        variant = "intersection"
     space = edge_space(g)
+    d_e, d_f = space.degrees[e], space.degrees[f]
+    slack = 1 - space.weight[f] / d_e - space.weight[e] / d_f
+    floor = -2 * slack if slack > 0 else slack - slack  # a typed zero, never -0.0
+    weighted = isinstance(g, WeightedGraph)
+    if weighted and not g.has_constant_vertex_weights():
+        return floor, None, None
     near_e, near_f = set(space.neighbors[e]), set(space.neighbors[f])
-    pool = near_e & near_f if variant == "intersection" else near_e | near_f
-    top = max(space.degrees[e], space.degrees[f])
-    if isinstance(g, WeightedGraph):
-        return sum(space.weight[a] for a in pool) / top
+    top = max(d_e, d_f)
+    if weighted:
+        return floor, sum(space.weight[a] for a in near_e & near_f) / top, None
     # every edge weighs 1 and every degree is an int
-    return Fraction(len(pool), top)
+    return floor, Fraction(len(near_e | near_f), top), Fraction(len(near_e & near_f), top)
 
 
 def tree_curvature_formula(g: Graph, e: int, f: int) -> Fraction:

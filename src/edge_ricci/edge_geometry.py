@@ -191,9 +191,6 @@ class EdgeMeasure:
         object.__setattr__(self, "scale", scale)
         object.__setattr__(self, "units", units)
 
-    def as_dict(self) -> dict[int, object]:
-        return dict(zip(self.atoms, self.masses))
-
 
 def edge_measure(g: Graph, e: int) -> EdgeMeasure:
     """Mass w(f)/d_e on each neighbor f of e (uniform 1/d_e at unit weights).

@@ -84,10 +84,6 @@ class NotAdjacentError(EdgeRicciError):
     """The bound requires the two edges to share a vertex."""
 
 
-class NonconstantVertexWeightsError(EdgeRicciError):
-    """The weighted overlap bound is stated for constant vertex weights."""
-
-
 class NotATreeError(EdgeRicciError):
     """The closed-form tree expression requires an acyclic graph."""
 

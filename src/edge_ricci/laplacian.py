@@ -118,19 +118,14 @@ def check_operator(operator: str) -> None:
         raise InvalidParameterError(f"operator must be one of {OPERATORS}, got {operator!r}")
 
 
-def _weights(g, operator: str, weighting: str):
-    """The scheme's (w0, w1), once the operator is known."""
-    check_operator(operator)
-    return weight_pair(g, weighting)
-
-
 def assemble(g, operator: str = "edge", weighting: str = "degree"):
     """Operator matrix as a list of rows (Fractions when exact, else floats).
 
     The product starts from the integer 0; scaling each row (vertex) or
     column (edge) by its weight gives every entry the weights' number type.
     """
-    w0, w1 = _weights(g, operator, weighting)
+    check_operator(operator)
+    w0, w1 = weight_pair(g, weighting)
     signs = [(-1, 1)] * g.n_edges
     if operator == "vertex":
         # W0^-1 D^T W1 D: D^T times W1 D, then row u divided by w0[u]
@@ -149,7 +144,8 @@ def symmetrized(g, operator: str = "edge", weighting: str = "degree"):
     operator is similar to B^T B and the edge operator to B B^T.  Entries
     are floats (the conjugation takes square roots).
     """
-    w0, w1 = _weights(g, operator, weighting)
+    check_operator(operator)
+    w0, w1 = weight_pair(g, weighting)
     root0 = [math.sqrt(w) for w in w0]
     # row e of B: its entries at the tail and at the head of e
     b = [(-math.sqrt(w) / root0[i], math.sqrt(w) / root0[j])

@@ -27,10 +27,9 @@ from fractions import Fraction
 from .curvature import (
     adjacent_minimum,
     kappa_min,
-    lower_bound,
+    pair_bounds,
     ricci_all_adjacent,
     tree_curvature_formula,
-    upper_bound,
 )
 from .edge_geometry import edge_space
 from .errors import InvalidParameterError, IsolatedEdgeError
@@ -190,31 +189,28 @@ def check_weighted_spectral_gap_bound(wg: WeightedGraph) -> TheoremCheck:
 
 
 def check_bounds(g) -> list[TheoremCheck]:
-    """Curvature floor and ceiling for every adjacent pair.
+    """Curvature floor and ceiling for every adjacent pair, from pair_bounds.
 
-    Unweighted: the floor and the union-form ceiling are asserted; the
-    intersection-form ceiling is attached as a diagnostic.  Weighted: the
-    floor is asserted; the ceiling needs constant vertex weights and is
-    otherwise recorded as inapplicable (one entry per pair either way).
+    The floor is asserted on every pair.  The ceiling is asserted where
+    pair_bounds gives one and otherwise recorded as inapplicable (one entry
+    per pair either way); the intersection-form ceiling, where there is one,
+    is attached as a diagnostic.
     """
-    weighted = isinstance(g, WeightedGraph)
-    const_vw = g.has_constant_vertex_weights() if weighted else True
     out = []
     for (e, f), cp in ricci_all_adjacent(g).items():
+        floor, ceiling, intersection = pair_bounds(g, e, f)
         tag = f"({g.edge_name(e)},{g.edge_name(f)})"
         wit = ((f"kappa{tag}", float(cp.kappa)),)
-        out.append(_check(f"curvature-floor{tag}", cp.kappa,
-                          lower_bound(g, e, f), ">=", _GAP_TOL, wit))
-        if weighted and not const_vw:
+        out.append(_check(f"curvature-floor{tag}", cp.kappa, floor, ">=", _GAP_TOL, wit))
+        if ceiling is None:
             out.append(_inapplicable(f"curvature-ceiling{tag}",
                                      "vertex weights are not constant"))
         else:
-            out.append(_check(f"curvature-ceiling{tag}", upper_bound(g, e, f),
-                              cp.kappa, ">=", _GAP_TOL, wit))
-        if not weighted:
-            out.append(_check(f"curvature-ceiling-intersection{tag}",
-                              upper_bound(g, e, f, "intersection"), cp.kappa,
-                              ">=", _GAP_TOL, wit, diagnostic=True))
+            out.append(_check(f"curvature-ceiling{tag}", ceiling, cp.kappa,
+                              ">=", _GAP_TOL, wit))
+        if intersection is not None:
+            out.append(_check(f"curvature-ceiling-intersection{tag}", intersection,
+                              cp.kappa, ">=", _GAP_TOL, wit, diagnostic=True))
     return out
 
 
@@ -321,6 +317,9 @@ def verification_report(g) -> VerificationReport:
     start = time.perf_counter()
     weighted = isinstance(g, WeightedGraph)
     d = edge_regularity(g)
+    # the curvature checks read this per-graph table; building it here keeps
+    # its transport solves out of whichever check would reach it first
+    table = ricci_all_adjacent(g)
     summary = {
         "vertices": g.n_vertices,
         "edges": g.n_edges,
@@ -340,10 +339,7 @@ def verification_report(g) -> VerificationReport:
     if not weighted and is_tree(g):
         checks.extend(check_tree_formula(g))
 
-    curvature = tuple(
-        (e, f, float(cp.kappa))
-        for (e, f), cp in ricci_all_adjacent(g).items()
-    )
+    curvature = tuple((e, f, float(cp.kappa)) for (e, f), cp in table.items())
     weighting = "graph" if weighted else "unit"
     try:
         lprime1 = spectrum_of(g, "edge", "degree").values

@@ -17,16 +17,14 @@ from edge_ricci import cli, curvature, transport
 from edge_ricci.curvature import (
     edges_adjacent,
     kappa_min,
-    lower_bound,
+    pair_bounds,
     ricci,
     ricci_all_adjacent,
     ricci_all_pairs,
     tree_curvature_formula,
-    upper_bound,
 )
 from edge_ricci.errors import (
     InvalidParameterError,
-    NonconstantVertexWeightsError,
     NotAdjacentError,
     NotATreeError,
     SamePairError,
@@ -107,10 +105,16 @@ def test_pair_argument_validation():
 def test_k4_bounds_bracket_the_value():
     g = generate("complete:4")
     k = ricci(g, 0, 1).kappa
-    assert lower_bound(g, 0, 1) == -1              # -2 (1 - 1/4 - 1/4)
-    assert upper_bound(g, 0, 1) == Fraction(3, 2)  # all 6 edges / 4
-    assert upper_bound(g, 0, 1, "intersection") == Fraction(1, 2)
-    assert lower_bound(g, 0, 1) <= k <= upper_bound(g, 0, 1)
+    floor, ceiling, intersection = pair_bounds(g, 0, 1)
+    assert floor == -1                  # -2 (1 - 1/4 - 1/4)
+    assert ceiling == Fraction(3, 2)    # all 6 edges / 4
+    assert intersection == Fraction(1, 2)
+    assert all(type(x) is Fraction for x in (floor, ceiling, intersection))
+    assert floor <= k <= ceiling
+    with pytest.raises(NotAdjacentError):
+        pair_bounds(generate("path:4"), 0, 2)
+    with pytest.raises(SamePairError):
+        pair_bounds(g, 1, 1)
 
 
 def test_cycle_bounds_pin_the_value_to_zero():
@@ -119,11 +123,11 @@ def test_cycle_bounds_pin_the_value_to_zero():
     g = generate("cycle:4")
     e = g.edge_ordinal("v0", "v1")
     f = g.edge_ordinal("v1", "v2")
-    assert lower_bound(g, e, f) == 0
-    assert upper_bound(g, e, f) == 2
+    floor, ceiling, intersection = pair_bounds(g, e, f)
+    assert floor == 0
+    assert ceiling == 2
     # an empty pool: an exact zero, so the report's tolerance stays 0
-    ceiling = upper_bound(g, e, f, "intersection")
-    assert ceiling == 0 and type(ceiling) is Fraction
+    assert intersection == 0 and type(intersection) is Fraction
     assert ricci(g, e, f).kappa == 0
 
 
@@ -132,22 +136,25 @@ def test_weighted_bounds():
     e = base.edge_ordinal("v0", "v1")
     f = base.edge_ordinal("v1", "v2")
     heavy = WeightedGraph(base, None, {("v0", "v3"): 5.0, ("v2", "v3"): 5.0})
+    floor, ceiling, intersection = pair_bounds(heavy, e, f)
     # floor: -2 (1 - w(f)/d_e - w(e)/d_f)+ with weighted degrees;
     # d_e = w(v0v3) + w(v1v2) = 6, d_f = w(v0v1) + w(v2v3) = 6
-    assert lower_bound(heavy, e, f) == pytest.approx(-2 * (1 - 1 / 6 - 1 / 6))
+    assert floor == pytest.approx(-2 * (1 - 1 / 6 - 1 / 6))
+    assert ceiling == pytest.approx(0.0)  # disjoint neighborhoods
+    assert intersection is None
     # when the bracket goes negative the positive part clamps the floor at 0
-    clamped = WeightedGraph(base, None, {("v0", "v1"): 2.0})
-    assert lower_bound(clamped, e, f) == 0.0
-    assert math.copysign(1.0, lower_bound(clamped, e, f)) == 1.0  # not -0.0
-    assert upper_bound(heavy, e, f) == pytest.approx(0.0)  # disjoint neighborhoods
-    lopsided = WeightedGraph(base, {"v0": 3.0})
-    with pytest.raises(NonconstantVertexWeightsError):
-        upper_bound(lopsided, e, f)
+    clamped, _, _ = pair_bounds(WeightedGraph(base, None, {("v0", "v1"): 2.0}), e, f)
+    assert clamped == 0.0
+    assert math.copysign(1.0, clamped) == 1.0  # not -0.0
 
 
-def test_upper_bound_variant_validation():
-    with pytest.raises(InvalidParameterError):
-        upper_bound(generate("complete:3"), 0, 1, "something")
+def test_weighted_ceiling_is_none_without_constant_vertex_weights():
+    base = generate("cycle:4")
+    e = base.edge_ordinal("v0", "v1")
+    f = base.edge_ordinal("v1", "v2")
+    floor, ceiling, intersection = pair_bounds(WeightedGraph(base, {"v0": 3.0}), e, f)
+    assert floor == 0.0 and type(floor) is float
+    assert ceiling is None and intersection is None
 
 
 # ------------------------------------------------------- tree formula
@@ -335,7 +342,8 @@ def test_bounds_bracket_everywhere(seed):
     for (e, f), cp in ricci_all_adjacent(g).items():
         assert isinstance(cp.kappa, Fraction)
         assert cp.kappa <= 1
-        assert lower_bound(g, e, f) <= cp.kappa <= upper_bound(g, e, f)
+        floor, ceiling, _ = pair_bounds(g, e, f)
+        assert floor <= cp.kappa <= ceiling
         assert cp.transport.gap == 0
 
 

@@ -5,12 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from edge_ricci.curvature import (
-    lower_bound,
-    pair_transport_problem,
-    ricci_all_adjacent,
-    upper_bound,
-)
+from edge_ricci.curvature import pair_bounds, pair_transport_problem, ricci_all_adjacent
 from edge_ricci.edge_geometry import (
     EdgeMeasure,
     edge_degree,
@@ -136,12 +131,11 @@ def test_weighted_distance_reduces_to_hops_at_unit_weights():
         for (e, f), cp in ricci_all_adjacent(base).items():
             assert type(cp.kappa) is Fraction
             assert unit[(e, f)].kappa == pytest.approx(float(cp.kappa), abs=1e-12)
-            floor = lower_bound(base, e, f)
-            ceiling = upper_bound(base, e, f, "intersection")
+            floor, _, ceiling = pair_bounds(base, e, f)
             assert type(floor) is Fraction and type(ceiling) is Fraction
-            assert lower_bound(wg, e, f) == pytest.approx(float(floor), abs=1e-12)
-            assert upper_bound(wg, e, f, "intersection") == pytest.approx(
-                float(ceiling), abs=1e-12)
+            unit_floor, unit_ceiling, _ = pair_bounds(wg, e, f)
+            assert unit_floor == pytest.approx(float(floor), abs=1e-12)
+            assert unit_ceiling == pytest.approx(float(ceiling), abs=1e-12)
             floors.add(floor == 0)
             ceilings.add(ceiling == 0)
     # clamped and negative floors, empty and nonempty intersections
@@ -154,7 +148,7 @@ def test_uniform_measure_is_exact():
     assert m.exact
     assert m.masses == (Fraction(1, 3),) * 3
     assert set(m.atoms) == set(edge_neighborhood(g, 0))
-    assert sum(m.as_dict().values()) == 1
+    assert sum(m.masses) == 1
 
 
 def test_weighted_measure_is_weight_proportional():
@@ -163,7 +157,7 @@ def test_weighted_measure_is_weight_proportional():
     wg = WeightedGraph(base, None, {("v0", "v2"): 3.0, ("v0", "v3"): 1.0})
     m = edge_measure(wg, e0)
     assert not m.exact
-    table = m.as_dict()
+    table = dict(zip(m.atoms, m.masses))
     assert table[base.edge_ordinal("v0", "v2")] == pytest.approx(0.75)
     assert table[base.edge_ordinal("v0", "v3")] == pytest.approx(0.25)
     assert edge_degree(wg, e0) == pytest.approx(4.0)

@@ -112,7 +112,8 @@ def apply_down_part(g, values):
 
     out = []
     for e in range(g.n_edges):
-        me = edge_measure(g, e).as_dict()
+        measure = edge_measure(g, e)
+        me = dict(zip(measure.atoms, measure.masses))
         d_e = edge_degree(g, e)
         acc = None
         for f in space.neighbors[e]:

@@ -1,6 +1,8 @@
 """The scripts under scripts/ run end to end on small inputs."""
 
 import dataclasses
+import subprocess
+import types
 from fractions import Fraction
 
 import pytest
@@ -170,3 +172,22 @@ def test_bench_record_summarizes_result_lines(load_script):
     assert summary["traced"] == {"ops": 2, "metrics": {"curvature.ricci.calls": 10603}}
     one = module.summarize(plain[:1], traced)["plain"]["wall_s"]
     assert (one["median"], one["q1"], one["q3"]) == (24.0, 24.0, 24.0)
+
+
+@pytest.mark.parametrize("stdout", ["", "\n", "workload selftest  seed 0  ops 3\n",
+                                    '{"correct": true', "[1, 2]\n"])
+def test_bench_record_treats_a_run_without_a_result_line_as_failed(
+        stdout, monkeypatch, capsys, load_script):
+    module = load_script("bench_record")
+    assert module.result_line(stdout) is None
+    ran = []
+
+    def run(argv, **kwargs):
+        ran.append(argv)
+        return subprocess.CompletedProcess(argv, 0, stdout, "")
+
+    monkeypatch.setattr(module, "subprocess", types.SimpleNamespace(run=run))
+    monkeypatch.setattr(module, "shutil", types.SimpleNamespace(rmtree=lambda *a, **k: None))
+    assert module.main(["0", "--seeds", "0", "--seconds", "1"]) == 1
+    assert len(ran) == 1
+    assert capsys.readouterr().err.splitlines()[-1].startswith("error: ")

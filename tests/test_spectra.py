@@ -227,7 +227,8 @@ def _walk_complement_spectrum(g):
     m = g.n_edges
     walk = [[float(e == f) for f in range(m)] for e in range(m)]
     for e in range(m):
-        for f, mass in edge_measure(g, e).as_dict().items():
+        measure = edge_measure(g, e)
+        for f, mass in zip(measure.atoms, measure.masses):
             walk[e][f] -= float(mass)
     return eigenvalues_symmetric(walk)
 

@@ -41,6 +41,11 @@ def _cost(problem, a, b):
     return problem.rows[position[a]][position[b]]
 
 
+def _table(measure):
+    """The measure's mass by atom."""
+    return dict(zip(measure.atoms, measure.masses))
+
+
 def _problem(mu_masses, nu_masses, mu_atoms, nu_atoms):
     exact = isinstance(mu_masses[0], Fraction)
     atoms = tuple(sorted(set(mu_atoms) | set(nu_atoms)))
@@ -450,7 +455,7 @@ def test_certificate_walks_match_both_orders(instance):
     both_orders = [abs(f[a] - f[b]) - _cost(problem, a, b)
                    for a in joint for b in joint if a != b]
     assert lipschitz_excess(problem, f) == max(both_orders, default=0)
-    mu, nu = problem.mu.as_dict(), problem.nu.as_dict()
+    mu, nu = _table(problem.mu), _table(problem.nu)
     objective = dual_objective(problem, f)
     assert type(objective) is Fraction
     assert objective == sum(f[a] * (mu.get(a, 0) - nu.get(a, 0)) for a in joint)
@@ -524,7 +529,7 @@ def _cancelled(problem):
     W depends only on mu - nu (Kantorovich-Rubinstein), and a transport
     cost scales with the mass moved.  Built here, not by the solver.
     """
-    mu, nu = problem.mu.as_dict(), problem.nu.as_dict()
+    mu, nu = _table(problem.mu), _table(problem.nu)
     sides = [{a: m - nu.get(a, 0) for a, m in mu.items() if m > nu.get(a, 0)},
              {b: m - mu.get(b, 0) for b, m in nu.items() if m > mu.get(b, 0)}]
     left = sum(sides[0].values())
@@ -547,7 +552,7 @@ def wide_edge_pairs(draw):
     has at most 20 arcs (32 000 trees at 4x5), and the oracle runs on that.
     """
     g = generate(draw(st.sampled_from(_WIDE_FAMILIES)), seed=draw(st.integers(0, 1000)))
-    measures = [edge_measure(g, e).as_dict() for e in range(g.n_edges)]
+    measures = [_table(edge_measure(g, e)) for e in range(g.n_edges)]
 
     def arcs(mu, nu):
         return (sum(m > nu.get(a, 0) for a, m in mu.items())
@@ -588,7 +593,7 @@ def _assert_optimal_by_weak_duality(problem, result):
     cost is the minimum.
     """
     atoms = problem.atoms
-    mu, nu = problem.mu.as_dict(), problem.nu.as_dict()
+    mu, nu = _table(problem.mu), _table(problem.nu)
     rows, cols = dict.fromkeys(mu, Fraction(0)), dict.fromkeys(nu, Fraction(0))
     cost = Fraction(0)
     for a, b, amount in result.plan:

@@ -95,8 +95,17 @@ def test_bounds_weighted_ceiling_needs_constant_vertex_weights():
     checks = check_bounds(wg)
     ceilings = [c for c in checks if c.name.startswith("curvature-ceiling")]
     assert ceilings and all(not c.applicable for c in ceilings)
+    assert all(c.reason == "vertex weights are not constant" for c in ceilings)
     floors = [c for c in checks if c.name.startswith("curvature-floor")]
     assert floors and all(c.holds for c in floors)
+    # constant vertex weights: per pair a floor and a ceiling, both
+    # asserted, and no intersection line
+    base = generate("cycle:4")
+    wg = WeightedGraph(base, dict.fromkeys(base.labels, 2.0), {("v0", "v1"): 3.0})
+    checks = check_bounds(wg)
+    families = ["curvature-floor", "curvature-ceiling"] * len(ricci_all_adjacent(wg))
+    assert [c.name.split("(")[0] for c in checks] == families
+    assert all(c.applicable and not c.diagnostic and c.holds for c in checks)
 
 
 def test_adjacent_pair_reduction():
@@ -392,6 +401,29 @@ def test_reduction_on_a_warm_table_solves_nothing(monkeypatch, weighted):
     assert calls == []
 
 
+@pytest.mark.parametrize("spec, regular", [("complete:5", True), ("random:12:0.6", False)])
+def test_report_solves_no_pair_inside_a_check(monkeypatch, spec, regular):
+    # the report builds the adjacent table before its first check, so a
+    # trace charges no check with the solves: without that, the gap check
+    # would build it on an edge-regular graph and the bounds check otherwise
+    g = generate(spec, seed=0)
+    assert (edge_regularity(g) is not None) == regular
+    inside, solves = [], Counter()
+    ricci = curvature.ricci
+    monkeypatch.setattr(curvature, "ricci",
+                        lambda *a: solves.update([inside[-1] if inside else None]) or ricci(*a))
+    for name in [n for n in vars(verify) if n.startswith("check_")]:
+        def traced(*args, _check=getattr(verify, name), _name=name, **kwargs):
+            inside.append(_name)
+            try:
+                return _check(*args, **kwargs)
+            finally:
+                inside.pop()
+        monkeypatch.setattr(verify, name, traced)
+    verification_report(g)
+    assert solves == {None: len(ricci_all_adjacent(g))}
+
+
 def _relabelled(g, rng):
     """g under fresh labels, with its vertex and edge lists shuffled, and
     the map from the new labels back to g's."""
@@ -491,9 +523,8 @@ def test_exact_checks_fail_inside_the_float_tolerance(monkeypatch):
     g = generate("tree:9", seed=2)
     table = ricci_all_adjacent(g)
     eps = Fraction(1, 10**30)
-    monkeypatch.setattr(verify, "lower_bound", lambda g, e, f: table[e, f].kappa + eps)
-    monkeypatch.setattr(verify, "upper_bound",
-                        lambda g, e, f, variant="as-stated": table[e, f].kappa - eps)
+    monkeypatch.setattr(verify, "pair_bounds", lambda g, e, f: (
+        table[e, f].kappa + eps, table[e, f].kappa - eps, table[e, f].kappa - eps))
     monkeypatch.setattr(verify, "tree_curvature_formula",
                         lambda g, e, f: table[e, f].kappa + eps)
     checks = verification_report(g).checks
