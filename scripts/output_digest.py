@@ -21,8 +21,10 @@ malformed spec per kind of spec error, so the family grammar's graphs and
 error messages are digested too.  Last come three weighted documents of
 cycle:4 at extreme weights, with the weighted documents' commands: every
 vertex weight 1e300, every edge weight 1e-200, and every vertex weight
-1e-300.  An invocation that raises instead of exiting prints
-``raised:<exception type>`` in place of its exit code, and the run goes on.
+1e-300.  Then ``verify --format json`` runs on two documents that repeat a
+key, inside "vertex_weights" and at the top level.  An invocation that
+raises instead of exiting prints ``raised:<exception type>`` in place of
+its exit code, and the run goes on.
 
 Two versions of the code give the same bytes exactly when this script's
 outputs are identical:
@@ -79,6 +81,15 @@ SELFTEST_SEEDS = (0, 1)
 # (label, every vertex weight, every edge weight) of the cycle:4 documents
 EXTREMES = (("vertex-1e300", 1e300, 1.0), ("edge-1e-200", 1.0, 1e-200),
             ("vertex-1e-300", 1e-300, 1.0))
+# a triangle plus a pendant edge, with a key repeated in vertex_weights,
+# then with "edges" repeated (the second list drops the pendant)
+_TRIANGLE = '["a","b",1],["b","c",1],["c","a",1]'
+REPEATED_KEYS = (
+    ("repeated-vertex-key",
+     f'{{"edges": [{_TRIANGLE},["c","d",1]], "vertex_weights": {{"a": 3, "a": 1}}}}'),
+    ("repeated-edges-key",
+     f'{{"edges": [{_TRIANGLE},["c","d",1]], "edges": [{_TRIANGLE}]}}'),
+)
 COMMANDS = (
     ("verify", "--format", "json"),
     ("verify", "--format", "text"),
@@ -184,6 +195,13 @@ def main() -> int:
             extremes.append((f"cycle:4/{label}", ["--weighted", "--input", str(path)],
                              weighted))
         print_digests(extremes)
+        repeated = []
+        for label, text in REPEATED_KEYS:
+            path = Path(tmp) / f"{label}.json"
+            path.write_text(text, encoding="utf-8")
+            repeated.append((label, ["--weighted", "--input", str(path)],
+                             (("verify", "--format", "json"),)))
+        print_digests(repeated)
     return 0
 
 

@@ -194,7 +194,7 @@ def pair_bounds(g, e: int, f: int):
     slack = 1 - space.weight[f] / d_e - space.weight[e] / d_f
     floor = -2 * slack if slack > 0 else slack - slack  # a typed zero, never -0.0
     weighted = isinstance(g, WeightedGraph)
-    if weighted and not g.has_constant_vertex_weights():
+    if weighted and not g.constant_vertex_weights:
         return floor, None, None
     near_e, near_f = set(space.neighbors[e]), set(space.neighbors[f])
     top = max(d_e, d_f)

@@ -111,14 +111,15 @@ class EdgeSpace:
 
 class WeightedEdgeSpace(EdgeSpace):
     """Line adjacency of a WeightedGraph with its float weights: the same
-    fields as EdgeSpace, with weight[e] the edge weight, degrees[e] the
-    weight sum over the neighbors and vertex_weight[v] the vertex weight."""
+    fields as EdgeSpace, with weight and vertex_weight the graph's own
+    edge_weights and vertex_weights tuples and degrees[e] the weight sum
+    over e's neighbors."""
 
     __slots__ = ()
 
     def __init__(self, wg: WeightedGraph):
         super().__init__(wg)
-        self.weight = tuple(map(wg.w_edge, range(wg.n_edges)))
+        self.weight = wg.edge_weights
         self.degrees = tuple(sum(self.weight[f] for f in nbrs) for nbrs in self.neighbors)
         for e, d in enumerate(self.degrees):
             if not math.isfinite(d):
@@ -126,7 +127,7 @@ class WeightedEdgeSpace(EdgeSpace):
                     f"edge {wg.edge_name(e)} has weighted degree {d}: "
                     f"its neighbors' weights overflow a float"
                 )
-        self.vertex_weight = tuple(map(wg.w_vertex, wg.labels))
+        self.vertex_weight = wg.vertex_weights
 
     # bench/tracer.py wraps this class's own row; a super().row call would double its spans
     row = EdgeSpace.row

@@ -177,12 +177,16 @@ class WeightedGraph(Graph):
     """A Graph with positive vertex and edge weights (default 1.0).
 
     It takes the structural fields of the Graph it is built from as they
-    are, and adds the two weight maps.  Those are plain dicts but must be
-    treated as read-only.  Equality is identity, so a WeightedGraph never
-    equals its base and keeps its own `derived` values.
+    are, and adds the weights by position, as tuples of floats:
+    vertex_weights[i] is the weight of labels[i] and edge_weights[e] that of
+    edge ordinal e.  constant_vertex_weights and constant_edge_weights say,
+    decided once here by _constant, whether each tuple holds one value.
+    Equality is identity, so a WeightedGraph never equals its base and
+    keeps its own `derived` values.
     """
 
-    __slots__ = ("vertex_weight", "edge_weight")
+    __slots__ = ("vertex_weights", "edge_weights",
+                 "constant_vertex_weights", "constant_edge_weights")
 
     def __init__(
         self,
@@ -193,34 +197,26 @@ class WeightedGraph(Graph):
         self.labels, self.index, self.edges = graph.labels, graph.index, graph.edges
         self.adjacency, self._edge_lookup = graph.adjacency, graph._edge_lookup
         self._derived = {}
-        vw = {v: 1.0 for v in self.labels}
+        vw = [1.0] * self.n_vertices
         for v, w in (vertex_weight or {}).items():
             if v not in self.index:
                 raise UnknownVertexError(f"vertex weight for unknown vertex {v!r}")
-            vw[v] = _check_weight(w, f"vertex {v!r}")
-        ew = {self.edge_endpoints(e): 1.0 for e in range(self.n_edges)}
+            vw[self.index[v]] = _check_weight(w, f"vertex {v!r}")
+        ew: list[float | None] = [None] * self.n_edges
         for (u, v), w in (edge_weight or {}).items():
-            key = self.edge_endpoints(self.edge_ordinal(u, v))
-            ew[key] = _check_weight(w, f"edge {u!r} {v!r}")
-        self.vertex_weight = vw
-        self.edge_weight = ew
+            e = self.edge_ordinal(u, v)
+            if ew[e] is not None:
+                raise DuplicateEdgeError(f"edge {u!r} {v!r} weighted twice")
+            ew[e] = _check_weight(w, f"edge {u!r} {v!r}")
+        self.vertex_weights = tuple(vw)
+        self.edge_weights = tuple(1.0 if w is None else w for w in ew)
+        self.constant_vertex_weights = _constant(self.vertex_weights)
+        self.constant_edge_weights = _constant(self.edge_weights)
 
     def __eq__(self, other: object) -> bool:
         return self is other
 
     __hash__ = object.__hash__
-
-    def w_vertex(self, v: str) -> float:
-        return self.vertex_weight[v]
-
-    def w_edge(self, e: int) -> float:
-        return self.edge_weight[self.edge_endpoints(e)]
-
-    def has_constant_vertex_weights(self) -> bool:
-        return _constant(self.vertex_weight.values())
-
-    def has_constant_edge_weights(self) -> bool:
-        return _constant(self.edge_weight.values())
 
     def __repr__(self) -> str:
         return f"WeightedGraph({super().__repr__()})"
@@ -240,9 +236,8 @@ def derived(g: Graph, key, build):
     return cache[key]
 
 
-def _constant(weights) -> bool:
+def _constant(weights: Sequence[float]) -> bool:
     """The one constancy rule for positive weights: max - min <= 1e-12 max."""
-    weights = list(weights)
     lo, hi = min(weights, default=0.0), max(weights, default=0.0)
     return hi - lo <= 1e-12 * hi
 
@@ -316,12 +311,13 @@ def parse_weighted(text: str) -> WeightedGraph:
     {"edges": [[u, v, w], ...], "vertex_weights": {u: w, ...}}
     The third edge entry and the vertex_weights block are optional; missing
     weights default to 1.0.  Any other top-level key is an error, so a
-    misspelled block is never read as absent.
+    misspelled block is never read as absent, and so is a key repeated in
+    any one object, which json.loads alone would read as its last value.
     """
     if not text.strip():
         raise EmptyInputError("empty weighted-graph document")
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
     except (ValueError, RecursionError) as exc:
         # ValueError covers JSONDecodeError and over-long integer literals
         raise FormatError(f"invalid JSON: {exc}") from None
@@ -355,11 +351,20 @@ def parse_weighted(text: str) -> WeightedGraph:
     return WeightedGraph(_graph_of_pairs(pairs), vertex_weight=vw, edge_weight=ew)
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise FormatError(f"repeated key {key!r} in weighted document")
+        doc[key] = value
+    return doc
+
+
 def serialize_weighted(wg: WeightedGraph) -> str:
     doc = {
-        "edges": [[u, v, wg.edge_weight[(u, v)]]
-                  for u, v in map(wg.edge_endpoints, range(wg.n_edges))],
-        "vertex_weights": {v: wg.vertex_weight[v] for v in wg.labels},
+        "edges": [[u, v, w] for (u, v), w in
+                  zip(map(wg.edge_endpoints, range(wg.n_edges)), wg.edge_weights)],
+        "vertex_weights": dict(zip(wg.labels, wg.vertex_weights)),
     }
     return json.dumps(doc, sort_keys=False)
 

@@ -56,7 +56,8 @@ WEIGHTINGS = ("unit", "walk", "degree", "graph")
 
 def weight_pair(g, weighting: str):
     """The scheme's diagonals: w0 over vertices, w1 over edges.  Only
-    'graph' reads weights; 'degree' uses neighbor counts."""
+    'graph' reads weights, a WeightedGraph's vertex_weights and
+    edge_weights as they are; 'degree' uses neighbor counts."""
     n, m = g.n_vertices, g.n_edges
     if weighting == "unit":
         return [Fraction(1)] * n, [Fraction(1)] * m
@@ -73,9 +74,7 @@ def weight_pair(g, weighting: str):
     if weighting == "graph":
         if not isinstance(g, WeightedGraph):
             raise InvalidParameterError("weighting 'graph' needs a WeightedGraph")
-        w0 = [g.w_vertex(lbl) for lbl in g.labels]
-        w1 = [g.w_edge(e) for e in range(m)]
-        return w0, w1
+        return list(g.vertex_weights), list(g.edge_weights)
     raise InvalidParameterError(
         f"weighting must be one of {WEIGHTINGS}, got {weighting!r}"
     )

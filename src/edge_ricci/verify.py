@@ -101,9 +101,9 @@ def _gap_hypotheses(g, name: str, weighted: bool, diagnostic: bool = False):
     if isinstance(g, WeightedGraph) != weighted:
         need = "a weighted" if weighted else "an unweighted"
         return _inapplicable(name, f"needs {need} graph", diagnostic)
-    if weighted and not g.has_constant_vertex_weights():
+    if weighted and not g.constant_vertex_weights:
         return _inapplicable(name, "vertex weights are not constant", diagnostic)
-    if weighted and not g.has_constant_edge_weights():
+    if weighted and not g.constant_edge_weights:
         return _inapplicable(name, "edge weights are not constant", diagnostic)
     d = edge_regularity(g)
     if d is None:
@@ -179,8 +179,7 @@ def check_weighted_spectral_gap_bound(wg: WeightedGraph) -> TheoremCheck:
     if isinstance(found, TheoremCheck):
         return found
     d, kmin, pair = found
-    w0 = wg.w_vertex(wg.labels[0])
-    w1 = wg.w_edge(0)
+    w0, w1 = wg.vertex_weights[0], wg.edge_weights[0]
     lam1 = spectrum_of(wg, "edge", "graph").lambda1
     rhs = (d * (float(kmin) - 1.0) + 2.0) * w1 / w0
     wit = ((f"pair {wg.edge_name(pair[0])},{wg.edge_name(pair[1])}", float(kmin)),

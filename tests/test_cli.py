@@ -407,6 +407,9 @@ def test_overflowing_curvature_is_one_error_line(capsys, tmp_path, argv):
     assert out == "" and _OVERFLOW_MESSAGE in err
 
 
+_TRIANGLE_AND_PENDANT = '{"edges": [["a", "b", 1], ["b", "c", 1], ["c", "a", 1], ["c", "d", 1]]}'
+
+
 @pytest.mark.parametrize("source, message", [
     ('[1, 2]', 'must be an object with an "edges" list'),
     ('{"edges": [["a"]]}', "edges[0]: expected [u, v] or [u, v, w]"),
@@ -423,6 +426,12 @@ def test_overflowing_curvature_is_one_error_line(capsys, tmp_path, argv):
     # a misspelled block used to be read as absent: unit weights
     ('{"edges": [["a", "b"], ["b", "c"]], "vertex_weight": {"a": 2}}',
      "unknown key 'vertex_weight' in weighted document"),
+    # json.loads keeps the last of a repeated key: these ran at a = 1 and
+    # on the triangle alone
+    (_TRIANGLE_AND_PENDANT[:-1] + ', "vertex_weights": {"a": 3, "a": 1}}',
+     "repeated key 'a' in weighted document"),
+    (_TRIANGLE_AND_PENDANT[:-1] + ', "edges": [["a", "b", 1], ["b", "c", 1], ["c", "a", 1]]}',
+     "repeated key 'edges' in weighted document"),
     # W(a-b, b-c) ~ 6.7e9 over d = 1e-300: kappa overflows to -inf, which
     # the JSON report used to print as a bare -inf
     (_OVERFLOWING_KAPPA, _OVERFLOW_MESSAGE),

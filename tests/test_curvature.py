@@ -314,7 +314,9 @@ def test_weighted_glued_minimum_is_the_adjacent_minimum(seed, constant_vertices)
     base = generate("random:7:0.5", seed=seed)
     wg = _random_weights(base, seed)
     if constant_vertices:
-        wg = WeightedGraph(base, {v: 1.5 for v in base.labels}, wg.edge_weight)
+        edges = map(base.edge_endpoints, range(base.n_edges))
+        wg = WeightedGraph(base, {v: 1.5 for v in base.labels},
+                           dict(zip(edges, wg.edge_weights)))
     chk = check_adjacent_pair_reduction(wg)
     assert chk.lhs == chk.rhs == kappa_min(wg, "adjacent")
     assert kappa_min(wg, "all") >= kappa_min(wg, "adjacent") - 1e-9

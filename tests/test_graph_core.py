@@ -91,8 +91,9 @@ def test_weighted_document_round_trip():
     def label_pairs(g):
         return sorted(tuple(sorted(g.edge_endpoints(e))) for e in range(g.n_edges))
     assert label_pairs(back) == label_pairs(base)
-    assert back.w_vertex("v0") == 2.0 and back.w_vertex("v1") == 1.0
-    assert back.w_edge(base.edge_ordinal("v0", "v1")) == 0.25
+    assert back.vertex_weights[back.index["v0"]] == 2.0
+    assert back.vertex_weights[back.index["v1"]] == 1.0
+    assert back.edge_weights[back.edge_ordinal("v0", "v1")] == 0.25
     # document is valid JSON with the documented shape
     shape = json.loads(doc)
     assert set(shape) == {"edges", "vertex_weights"}
@@ -106,6 +107,9 @@ def test_weighted_rejections():
         WeightedGraph(base, None, {("v0", "v1"): -1.0})
     with pytest.raises(UnknownVertexError):
         WeightedGraph(base, {"nope": 1.0})
+    # both keys name the edge v0-v1; the last weight used to win
+    with pytest.raises(DuplicateEdgeError, match="edge 'v1' 'v0' weighted twice"):
+        WeightedGraph(generate("path:3"), {}, {("v0", "v1"): 1.0, ("v1", "v0"): 2.0})
     for not_a_number in (True, "2.5", b"2.5"):
         with pytest.raises(NonpositiveWeightError, match="is not a number"):
             WeightedGraph(base, {"v0": not_a_number})
@@ -117,8 +121,8 @@ def test_weighted_rejections():
 
 def test_constant_vertex_weight_predicate():
     base = generate("cycle:4")
-    assert WeightedGraph(base).has_constant_vertex_weights()
-    assert not WeightedGraph(base, {"v0": 1.5}).has_constant_vertex_weights()
+    assert WeightedGraph(base).constant_vertex_weights
+    assert not WeightedGraph(base, {"v0": 1.5}).constant_vertex_weights
 
 
 def test_a_weighted_graph_is_a_graph_equal_only_to_itself():

@@ -119,7 +119,7 @@ def apply_down_part(g, values):
         for f in space.neighbors[e]:
             v = space.shared_vertex[e][f]
             if isinstance(g, WeightedGraph):
-                scale = d_e / g.w_vertex(g.labels[v])
+                scale = d_e / g.vertex_weights[v]
             else:
                 scale = Fraction(d_e, space.degrees[f])
             term = sign_at(e, v) * sign_at(f, v) * me[f] * scale * values[f]

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from edge_ricci import curvature, laplacian, spectra, transport, verify
+from edge_ricci import curvature, graph_core, laplacian, spectra, transport, verify
 from edge_ricci.curvature import ricci_all_adjacent
 from edge_ricci.graph_core import Graph, WeightedGraph, generate
 from edge_ricci.rng import SplitMix64
@@ -60,11 +60,16 @@ def test_triangle_diagnostic():
     assert star.diagnostic  # stays diagnostic even when inapplicable
 
 
+def _flat_star(m):
+    """star:m with every vertex weight 2 and every edge weight 0.5."""
+    base = generate(f"star:{m}")
+    edges = map(base.edge_endpoints, range(base.n_edges))
+    return WeightedGraph(base, dict.fromkeys(base.labels, 2.0), dict.fromkeys(edges, 0.5))
+
+
 def test_weighted_gap_bound():
     base = generate("star:4")
-    flat = WeightedGraph(base, {lbl: 2.0 for lbl in base.labels},
-                         {tuple(sorted(base.edge_endpoints(e))): 0.5
-                          for e in range(base.n_edges)})
+    flat = _flat_star(4)
     chk = check_weighted_spectral_gap_bound(flat)
     assert chk.applicable and chk.holds
     assert ("w0", 2.0) in chk.witnesses and ("w1", 0.5) in chk.witnesses
@@ -76,6 +81,33 @@ def test_weighted_gap_bound():
     heavy_edge = WeightedGraph(base, None, {("v0", "v1"): 3.0})
     assert "edge weights are not constant" in check_weighted_spectral_gap_bound(heavy_edge).reason
     assert "needs a weighted graph" in check_weighted_spectral_gap_bound(base).reason
+
+
+def test_weight_constancy_is_decided_once_per_weighted_graph(monkeypatch):
+    # the constructor decides both flags; the gap and bounds checks read them
+    calls = []
+    constant = graph_core._constant
+    monkeypatch.setattr(graph_core, "_constant",
+                        lambda weights: calls.append(weights) or constant(weights))
+    wg = _flat_star(5)
+    assert len(calls) == 2
+    report = verification_report(wg)
+    assert len(calls) == 2
+    assert any(c.name.startswith("curvature-ceiling") and c.holds for c in report.checks)
+
+
+def test_gap_checks_catch_eigenvalues_a_millionth_low(monkeypatch):
+    # star:5 is an equality case of both gap bounds: lhs 0.24999999999999975
+    # against rhs 0.25 holds within _GAP_TOL, a relative 1e-6 less does not
+    assert check_spectral_gap_bound(generate("star:5")).holds
+    assert check_weighted_spectral_gap_bound(_flat_star(5)).holds
+    solve = spectra.eigenvalues_symmetric
+    monkeypatch.setattr(spectra, "eigenvalues_symmetric",
+                        lambda matrix: tuple(x * (1 - 1e-6) for x in solve(matrix)))
+    for chk in (check_spectral_gap_bound(generate("star:5")),
+                check_weighted_spectral_gap_bound(_flat_star(5))):
+        assert chk.applicable and not chk.holds, chk
+        assert (chk.lhs, chk.rhs) == (0.24999974999999974, 0.25)
 
 
 def test_bounds_battery_on_k4():
@@ -457,17 +489,37 @@ def _check_key(chk, back):
     return name, chk.applicable, chk.holds
 
 
+def _weighted_twins(g, h, back, rng):
+    """g and its relabelling h as WeightedGraphs with the same weights on
+    the same vertices and edges, each drawn in [0.5, 2) from rng."""
+    vw = {v: 0.5 + 1.5 * rng.random() for v in g.labels}
+    ew = {frozenset(g.edge_endpoints(e)): 0.5 + 1.5 * rng.random() for e in range(g.n_edges)}
+    h_edges = map(h.edge_endpoints, range(h.n_edges))
+    return (WeightedGraph(g, vw, {tuple(pair): w for pair, w in ew.items()}),
+            WeightedGraph(h, {v: vw[back[v]] for v in h.labels},
+                          {(u, v): ew[frozenset((back[u], back[v]))] for u, v in h_edges}))
+
+
+@pytest.mark.parametrize("weighted", [False, True])
 @given(st.sampled_from(["random:9:0.5", "tree:12"]), st.integers(0, 10**6),
        st.randoms(use_true_random=False))
-def test_relabelling_changes_no_curvature_and_no_verdict(spec, seed, rng):
+def test_relabelling_changes_no_curvature_and_no_verdict(weighted, spec, seed, rng):
     g = generate(spec, seed=seed)
     h, back = _relabelled(g, rng)
+    if weighted:
+        g, h = _weighted_twins(g, h, back, rng)
     same = {v: v for v in g.labels}
     table = {_pair_key(g, e, f, same): cp.kappa for (e, f), cp in ricci_all_adjacent(g).items()}
     mapped = {_pair_key(h, e, f, back): cp.kappa
               for (e, f), cp in ricci_all_adjacent(h).items()}
-    assert mapped == table
-    assert all(isinstance(k, Fraction) for k in mapped.values())
+    if weighted:
+        # float rows are not symmetric, so h may solve a pair the other way round
+        assert mapped.keys() == table.keys()
+        assert all(abs(mapped[k] - kappa) <= 1e-9 * max(1.0, abs(kappa))
+                   for k, kappa in table.items())
+    else:
+        assert mapped == table
+        assert all(isinstance(k, Fraction) for k in mapped.values())
     before = Counter(_check_key(c, same) for c in verification_report(g).checks)
     after = Counter(_check_key(c, back) for c in verification_report(h).checks)
     assert after == before
