@@ -8,8 +8,12 @@ that every run compiles the package as the first did.  The record has
 bench/baseline.json's shape: per workload, each end-to-end metric's median
 and quartiles over the plain runs, and the traced run's per-layer metrics;
 plus the commit, the sha256 of the source it measured, the Python version,
-the CPU count, the run length and the seeds.  A record made before its
-commit exists names the parent, marked -dirty; the source hash still
+the CPU count, the run length and the seeds; and, under "source", the line
+count of each file in src/ and the stdlib compile() time of each module that
+``import edge_ricci.cli`` loads, best of COMPILE_REPEATS.  Every interpreter
+start compiles those modules when no bytecode cache is written, so a change
+that deletes code can cite the compile time it saves.  A record made before
+its commit exists names the parent, marked -dirty; the source hash still
 matches the commit that carries it.
 
     python3 scripts/bench_record.py 28                    # writes BENCH_28.json
@@ -25,16 +29,19 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import platform
 import shutil
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACE_SEED = 0
+COMPILE_REPEATS = 7
 
 
 def result_line(stdout: str) -> dict | None:
@@ -95,6 +102,38 @@ def source_sha256() -> str:
     return digest.hexdigest()
 
 
+def cli_modules() -> dict[str, Path]:
+    """Module name -> source file of every edge_ricci module that a fresh
+    interpreter loads for ``import edge_ricci.cli``."""
+    probe = ("import sys, edge_ricci.cli\n"
+             "for name, module in sorted(sys.modules.items()):\n"
+             "    if name.partition('.')[0] == 'edge_ricci':\n"
+             "        print(name, module.__file__)")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-c", probe], cwd=ROOT, env=env,
+                          capture_output=True, text=True, check=True)
+    return {name: Path(path) for name, path in map(str.split, proc.stdout.splitlines())}
+
+
+def source_cost(repeats: int = COMPILE_REPEATS) -> dict:
+    """Line counts of src/'s Python files, and the best of `repeats` compile()
+    times, in seconds, of each module that ``import edge_ricci.cli`` loads."""
+    lines = {path.relative_to(ROOT / "src").as_posix(): len(path.read_text().splitlines())
+             for path in sorted((ROOT / "src").rglob("*.py"))}
+    compile_s = {}
+    for name, path in cli_modules().items():
+        source = path.read_text()
+        best = math.inf
+        for _ in range(repeats):
+            start = time.perf_counter()
+            compile(source, str(path), "exec")
+            best = min(best, time.perf_counter() - start)
+        compile_s[name] = best
+    return {"lines": lines, "lines_total": sum(lines.values()),
+            "compile_s": compile_s, "compile_s_total": sum(compile_s.values()),
+            "compile_repeats": repeats}
+
+
 def main(argv: list[str] | None = None) -> int:
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     names = [w["name"] for w in benchmark["workloads"]]
@@ -119,6 +158,7 @@ def main(argv: list[str] | None = None) -> int:
         "cpu_count": os.cpu_count(),
         "run_seconds": args.seconds,
         "seeds": args.seeds,
+        "source": source_cost(),
         "note": "plain: per end-to-end metric, median and quartiles (statistics.quantiles "
                 "n=4) over one run per seed, times in reference seconds (bench/pace.py); "
                 f"traced: one --trace 1 run at seed {TRACE_SEED}, times in measured seconds",

@@ -23,7 +23,7 @@ from .curvature import (
     ricci_all_adjacent,
     tree_curvature_formula,
 )
-from .edge_geometry import edge_space
+from .edge_geometry import shared_vertex
 from .graph_core import Graph, WeightedGraph, generate
 from .rng import SplitMix64
 from .spectra import spectral_equivalence_gap, spectrum_of
@@ -184,10 +184,9 @@ def criterion_4(seed: int = 0) -> CriterionResult:
     failures = []
     for n, m in ((2, 2), (2, 3), (3, 3), (2, 4)):
         g = generate(f"bipartite:{n}:{m}")
-        space = edge_space(g)
 
         def closed_form(e, f):
-            y = g.labels[space.shared_vertex[e][f]]
+            y = g.labels[shared_vertex(g, e, f)]
             return Fraction(len(g.adjacency[y]) - 2, n + m - 2), f" via {y}"
         failures += _table_failures(g, f"K{n},{m}", closed_form)
     return _verdict(4, failures, "(2,2),(2,3),(3,3),(2,4) all exact")

@@ -32,14 +32,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .edge_geometry import (
-    edge_degree,
-    edge_distance,
-    edge_measure,
-    edge_neighborhood,
-    edge_space,
-    pairwise_costs,
-)
+from .edge_geometry import edge_distance, edge_measure, edge_space, pairwise_costs, shared_vertex
 from .errors import (
     InvalidParameterError,
     NonpositiveWeightError,
@@ -67,9 +60,9 @@ class CurvaturePair:
 
 
 def edges_adjacent(g, e: int, f: int) -> bool:
-    """True when e and f are distinct edges sharing a vertex (shared_vertex[e]
+    """True when e and f are distinct edges sharing a vertex (neighbors[e]
     never holds e itself).  An ordinal out of range raises UnknownEdgeError."""
-    return check_edge_ordinal(g, f) in edge_space(g).shared_vertex[check_edge_ordinal(g, e)]
+    return check_edge_ordinal(g, f) in edge_space(g).neighbors[check_edge_ordinal(g, e)]
 
 
 def pair_transport_problem(g, e: int, f: int) -> TransportProblem:
@@ -113,7 +106,7 @@ def ricci_all_adjacent(g) -> dict[tuple[int, int], CurvaturePair]:
     """
     return derived(g, "ricci_all_adjacent", lambda: {
         (e, f): ricci(g, e, f)
-        for e in range(g.n_edges) for f in edge_neighborhood(g, e) if f > e
+        for e, near in enumerate(edge_space(g).neighbors) for f in near if f > e
     })
 
 
@@ -219,8 +212,8 @@ def tree_curvature_formula(g: Graph, e: int, f: int) -> Fraction:
     if not is_tree(g):
         raise NotATreeError("closed-form curvature needs a tree")
     _require_adjacent(g, e, f)
-    y = edge_space(g).shared_vertex[e][f]
-    deg_y = vertex_degree(g, g.labels[y])
-    d_e, d_f = edge_degree(g, e), edge_degree(g, f)
+    deg_y = vertex_degree(g, g.labels[shared_vertex(g, e, f)])
+    degrees = edge_space(g).degrees
+    d_e, d_f = degrees[e], degrees[f]
     lo, hi = min(d_e, d_f), max(d_e, d_f)
     return Fraction(deg_y, lo) + Fraction(2 * deg_y - 2, hi) - 2

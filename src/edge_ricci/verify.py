@@ -140,10 +140,7 @@ def check_spectral_gap_bound(g) -> TheoremCheck:
 
 
 def _in_triangle(g: Graph, e: int, f: int) -> bool:
-    v = edge_space(g).shared_vertex[e][f]
-    (a, b), (c, d) = g.edges[e], g.edges[f]
-    x = a if b == v else b
-    z = c if d == v else d
+    x, z = set(g.edges[e]) ^ set(g.edges[f])  # the two far ends
     return g.labels[z] in g.adjacency[g.labels[x]]
 
 

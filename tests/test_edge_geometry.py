@@ -1,3 +1,4 @@
+import heapq
 import math
 import random
 from fractions import Fraction
@@ -8,12 +9,11 @@ from hypothesis import given, strategies as st
 from edge_ricci.curvature import pair_bounds, pair_transport_problem, ricci_all_adjacent
 from edge_ricci.edge_geometry import (
     EdgeMeasure,
-    edge_degree,
     edge_distance,
     edge_measure,
-    edge_neighborhood,
     edge_space,
     pairwise_costs,
+    shared_vertex,
     slicer,
 )
 from edge_ricci.errors import IsolatedEdgeError, NonpositiveWeightError, UnknownEdgeError
@@ -28,7 +28,7 @@ def test_edge_space_on_k4():
     for e in range(6):
         assert e not in space.neighbors[e]
         for f in space.neighbors[e]:
-            assert space.shared_vertex[e][f] == space.shared_vertex[f][e]
+            assert shared_vertex(g, e, f) == shared_vertex(g, f, e)
             assert e in space.neighbors[f]
 
 
@@ -36,10 +36,11 @@ def test_edge_degree_formula():
     # deg(x) + deg(y) - 2 for every edge of a lopsided tree
     g = Graph(["h", "a", "b", "c", "t"],
               [("h", "a"), ("h", "b"), ("h", "c"), ("c", "t")])
-    assert edge_degree(g, g.edge_ordinal("h", "a")) == 3 + 1 - 2
-    assert edge_degree(g, g.edge_ordinal("h", "c")) == 3 + 2 - 2
-    assert edge_degree(g, g.edge_ordinal("c", "t")) == 2 + 1 - 2
-    assert edge_neighborhood(g, g.edge_ordinal("c", "t")) == (g.edge_ordinal("h", "c"),)
+    space = edge_space(g)
+    assert space.degrees[g.edge_ordinal("h", "a")] == 3 + 1 - 2
+    assert space.degrees[g.edge_ordinal("h", "c")] == 3 + 2 - 2
+    assert space.degrees[g.edge_ordinal("c", "t")] == 2 + 1 - 2
+    assert space.neighbors[g.edge_ordinal("c", "t")] == (g.edge_ordinal("h", "c"),)
 
 
 def test_edge_distance_values():
@@ -116,9 +117,9 @@ def test_weighted_distance_reduces_to_hops_at_unit_weights():
         base = generate("random:8:0.35", seed=seed)
         wg = WeightedGraph(base)
         for e in range(base.n_edges):
-            degree = edge_degree(base, e)
+            degree = edge_space(base).degrees[e]
             assert type(degree) is int
-            assert edge_degree(wg, e) == pytest.approx(degree, abs=1e-12)
+            assert edge_space(wg).degrees[e] == pytest.approx(degree, abs=1e-12)
             exact, unit = edge_measure(base, e), edge_measure(wg, e)
             assert all(type(x) is Fraction for x in exact.masses)
             assert unit.atoms == exact.atoms
@@ -147,7 +148,7 @@ def test_uniform_measure_is_exact():
     m = edge_measure(g, 0)
     assert m.exact
     assert m.masses == (Fraction(1, 3),) * 3
-    assert set(m.atoms) == set(edge_neighborhood(g, 0))
+    assert set(m.atoms) == set(edge_space(g).neighbors[0])
     assert sum(m.masses) == 1
 
 
@@ -160,7 +161,7 @@ def test_weighted_measure_is_weight_proportional():
     table = dict(zip(m.atoms, m.masses))
     assert table[base.edge_ordinal("v0", "v2")] == pytest.approx(0.75)
     assert table[base.edge_ordinal("v0", "v3")] == pytest.approx(0.25)
-    assert edge_degree(wg, e0) == pytest.approx(4.0)
+    assert edge_space(wg).degrees[e0] == pytest.approx(4.0)
 
 
 def test_mixed_masses_make_a_float_measure():
@@ -244,26 +245,54 @@ def test_adjacency_matches_distance_one(seed):
     for e in range(g.n_edges):
         for f in range(g.n_edges):
             if e != f:
-                assert (f in space.shared_vertex[e]) == (edge_distance(g, e, f) == 1)
+                assert (f in space.neighbors[e]) == (edge_distance(g, e, f) == 1)
 
 
 @given(st.integers(0, 100))
-def test_weighted_row_is_set_by_an_exact_neighbor_hop(seed):
-    # every distance but the root's is some neighbor's distance plus the
-    # shared vertex's weight, to the last bit: Dijkstra stored that very
-    # sum, so an equality test finds a geodesic parent without tolerance
+def test_weighted_rows_are_symmetric_bitwise(seed):
+    # every row entry is a min over one symmetric vertex metric, so no
+    # summation order can tell d(e, f) from d(f, e)
     rng = random.Random(seed)
     base = generate("random:8:0.4", seed=seed)
-    wg = WeightedGraph(base, {v: 0.5 + 1.5 * rng.random() for v in base.labels},
+    wg = WeightedGraph(base, {v: 10 ** rng.uniform(-3, 3) for v in base.labels},
                        {base.edge_endpoints(e): 1.0 for e in range(base.n_edges)})
     space = edge_space(wg)
+    rows = [space.row(e) for e in range(wg.n_edges)]
     for e in range(wg.n_edges):
-        row = space.row(e)
-        for f in range(wg.n_edges):
-            hops = [row[p] + space.vertex_weight[space.shared_vertex[f][p]]
-                    for p in space.neighbors[f]]
-            assert (row[f] in hops) is (f != e)
-            assert all(h >= row[f] for h in hops)
+        for f in range(e):
+            assert rows[e][f] == rows[f][e], (e, f)
+
+
+def _line_graph_rows(g):
+    """Distance rows by the edge-path definition itself: one Dijkstra per
+    edge over the line graph, each hop charged its connector's weight."""
+    space = edge_space(g)
+    rows = []
+    for e in range(g.n_edges):
+        dist = [math.inf] * g.n_edges
+        dist[e] = 0.0
+        pq = [(0.0, e)]
+        while pq:
+            d, a = heapq.heappop(pq)
+            if d > dist[a]:
+                continue
+            for b in space.neighbors[a]:
+                nd = d + space.vertex_weight[shared_vertex(g, a, b)]
+                if nd < dist[b]:
+                    dist[b] = nd
+                    heapq.heappush(pq, (nd, b))
+        rows.append(dist)
+    return rows
+
+
+def test_weighted_rows_match_line_graph_dijkstra(load_script):
+    digest = load_script("output_digest")
+    for family in digest.FAMILIES:
+        for weights in ("random", "wide"):
+            wg = parse_weighted(digest.weighted_document(family, weights))
+            space = edge_space(wg)
+            for e, want in enumerate(_line_graph_rows(wg)):
+                assert list(space.row(e)) == pytest.approx(want, rel=1e-13, abs=0), (family, e)
 
 
 def _digest_graphs(digest):

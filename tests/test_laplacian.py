@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from edge_ricci.errors import InvalidParameterError, IsolatedEdgeError
-from edge_ricci.edge_geometry import edge_degree, edge_measure, edge_space
+from edge_ricci.edge_geometry import edge_measure, edge_space, shared_vertex
 from edge_ricci.graph_core import SplitMix64, WeightedGraph, generate
 from edge_ricci.laplacian import (
     assemble,
@@ -114,10 +114,10 @@ def apply_down_part(g, values):
     for e in range(g.n_edges):
         measure = edge_measure(g, e)
         me = dict(zip(measure.atoms, measure.masses))
-        d_e = edge_degree(g, e)
+        d_e = space.degrees[e]
         acc = None
         for f in space.neighbors[e]:
-            v = space.shared_vertex[e][f]
+            v = shared_vertex(g, e, f)
             if isinstance(g, WeightedGraph):
                 scale = d_e / g.vertex_weights[v]
             else:

@@ -1,7 +1,9 @@
 """The scripts under scripts/ run end to end on small inputs."""
 
 import dataclasses
+import os
 import subprocess
+import sys
 import types
 from fractions import Fraction
 
@@ -194,3 +196,20 @@ def test_bench_record_treats_a_run_without_a_result_line_as_failed(
     assert module.main(["0", "--seeds", "0", "--seconds", "1"]) == 1
     assert len(ran) == 1
     assert capsys.readouterr().err.splitlines()[-1].startswith("error: ")
+
+
+def test_bench_record_compiles_every_module_the_cli_imports(load_script):
+    module = load_script("bench_record")
+    cost = module.source_cost(repeats=1)
+    # -X importtime lists each module a fresh interpreter imports, on stderr
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-c", "import edge_ricci.cli"],
+                          env={**os.environ, "PYTHONPATH": str(module.ROOT / "src")},
+                          capture_output=True, text=True, check=True)
+    imported = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()}
+    assert set(cost["compile_s"]) == {name for name in imported
+                                      if name.partition(".")[0] == "edge_ricci"}
+    assert {"edge_ricci", "edge_ricci.cli", "edge_ricci.transport"} <= set(cost["compile_s"])
+    assert all(t > 0 for t in cost["compile_s"].values())
+    assert cost["compile_s_total"] == pytest.approx(sum(cost["compile_s"].values()))
+    assert "edge_ricci/edge_geometry.py" in cost["lines"]
+    assert cost["lines_total"] == sum(cost["lines"].values()) > 0
