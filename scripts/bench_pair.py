@@ -1,0 +1,119 @@
+#!/usr/bin/env python3
+"""Paired benchmark runs of a git ref and the working tree, with a verdict.
+
+    python3 scripts/bench_pair.py HEAD~1 --workload dense-exact
+    python3 scripts/bench_pair.py main --workload selftest --pairs 10
+
+REF is exported with ``git archive`` into a temporary directory.  Each pair
+runs ``bench/run.py --trace 0`` at seed 0 for BENCHMARK.json's run length,
+once in that export and once in the working tree, each after its own
+package's ``__pycache__`` is removed (``bench_record.run_bench``); the side
+that runs first alternates from pair to pair.  For each end-to-end metric of BENCHMARK.json the script
+prints both medians, the interquartile range of REF's runs
+(statistics.quantiles, n=4), the working tree's wins and the verdict:
+
+    gain     the working tree wins at least nine tenths of the pairs, ties
+             counting for neither, and the medians differ, in its favour,
+             by more than REF's interquartile range;
+    worse    the working tree's median is worse than REF's by more than the
+             metric's bound, read as a fraction of REF's median;
+    no gain  anything else.
+
+A failed run stops the script with an ``error:`` line and exit code 1.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from bench_record import ROOT, run_bench  # noqa: E402
+
+SEED = 0  # bench/run.py's default
+
+
+def iqr(values: list[float]) -> float:
+    """q3 - q1 of statistics.quantiles(values, n=4); 0 for one value."""
+    if len(values) < 2:
+        return 0.0
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return q3 - q1
+
+
+def wins(ref: list[float], tree: list[float], better: str) -> int:
+    """The pairs (ref[i], tree[i]) in which tree is strictly better."""
+    sign = 1 if better == "lower" else -1
+    return sum(sign * (r - t) > 0 for r, t in zip(ref, tree))
+
+
+def verdict(ref: list[float], tree: list[float], better: str, bound: float) -> str:
+    """'gain', 'worse' or 'no gain' for one metric's paired values, ref[i]
+    and tree[i] from pair i (module docstring)."""
+    sign = 1 if better == "lower" else -1
+    gap = sign * (statistics.median(ref) - statistics.median(tree))
+    if 10 * wins(ref, tree, better) >= 9 * len(ref) and gap > iqr(ref):
+        return "gain"
+    if -gap > bound * abs(statistics.median(ref)):
+        return "worse"
+    return "no gain"
+
+
+def export(ref: str, target: Path) -> None:
+    """The files of ref, as git archive writes them, under target."""
+    proc = subprocess.run(["git", "archive", "--format=tar", ref], cwd=ROOT,
+                          capture_output=True, check=True)
+    with tarfile.open(fileobj=io.BytesIO(proc.stdout)) as tar:
+        tar.extractall(target, filter="data")
+
+
+def main(argv: list[str] | None = None) -> int:
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("ref", help="the git ref to compare the working tree with")
+    parser.add_argument("--workload", required=True,
+                        choices=[w["name"] for w in benchmark["workloads"]])
+    parser.add_argument("--pairs", type=int, default=10)
+    args = parser.parse_args(argv)
+    seconds = benchmark["run_seconds"]
+    runs: dict[str, list[dict]] = {"ref": [], "tree": []}
+    with tempfile.TemporaryDirectory() as tmp:
+        try:
+            export(args.ref, Path(tmp))
+        except subprocess.CalledProcessError as exc:
+            print(f"error: git archive {args.ref}: {exc.stderr.decode().strip()}",
+                  file=sys.stderr)
+            return 1
+        roots = {"ref": Path(tmp), "tree": ROOT}
+        try:
+            for i in range(args.pairs):
+                for side in ("ref", "tree") if i % 2 == 0 else ("tree", "ref"):
+                    runs[side].append(run_bench(args.workload, SEED, seconds, 0, roots[side]))
+                print(f"pair {i + 1}/{args.pairs}: done", file=sys.stderr)
+        except RuntimeError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+    print(f"workload {args.workload}  ref {args.ref}  pairs {args.pairs}  "
+          f"seconds {seconds:g}")
+    print(f"{'metric':<12} {'ref median':>12} {'tree median':>12} {'ref IQR':>10} "
+          f"{'wins':>6}  verdict")
+    for metric in benchmark["end_to_end"]:
+        name = metric["name"]
+        ref, tree = ([run["metrics"][name]["value"] for run in runs[side]]
+                     for side in ("ref", "tree"))
+        won = wins(ref, tree, metric["better"])
+        print(f"{name:<12} {statistics.median(ref):>12.6g} {statistics.median(tree):>12.6g} "
+              f"{iqr(ref):>10.3g} {f'{won}/{args.pairs}':>6}  "
+              f"{verdict(ref, tree, metric['better'], metric['bound'])}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -72,12 +72,14 @@ def summarize(plain: list[dict], traced: dict) -> dict:
                                    for name, metric in traced["metrics"].items()}}}
 
 
-def run_bench(workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """One bench/run.py run's result line; RuntimeError when it failed."""
+def run_bench(workload: str, seed: int, seconds: float, trace: int,
+              root: Path = ROOT) -> dict:
+    """One bench/run.py run's result line, in the checkout at root, after
+    its package's __pycache__ is removed; RuntimeError when it failed."""
     argv = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", str(trace)]
-    shutil.rmtree(ROOT / "src" / "edge_ricci" / "__pycache__", ignore_errors=True)
-    proc = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True)
+    shutil.rmtree(root / "src" / "edge_ricci" / "__pycache__", ignore_errors=True)
+    proc = subprocess.run(argv, cwd=root, capture_output=True, text=True)
     result = result_line(proc.stdout)
     if proc.returncode != 0 or result is None or result.get("correct") is not True:
         sys.stderr.write(proc.stderr)

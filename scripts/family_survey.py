@@ -56,8 +56,8 @@ def survey(families: list[str], show_inapplicable: bool) -> int:
                     print(f"{item:<16} {'-':>4} {'-':>10} {'-':>10} {'-':>10} "
                           f"n/a: {chk.reason}")
                 continue
-            # witnesses: the minimizing pair with its kappa, then d
-            (_, kmin), (_, d) = chk.witnesses
+            # witnesses: the minimizing pair with its kappa, d, w0 and w1
+            (_, kmin), (_, d), *_ = chk.witnesses
             slack = chk.lhs - chk.rhs
             # the equality case leaves a rounding residue of either sign;
             # print it as 0 so it never reads -0.000000

@@ -90,10 +90,11 @@ class EdgeSpace:
             dist = [math.inf] * len(w)
             dist[s] = w[s]
             pq = [(dist[s], s)]
+            # no entry goes stale: entering y costs w[y] from any neighbor, pops
+            # come in nondecreasing order and rounding is monotone, so y's
+            # first push already carries its least distance
             while pq:
                 d, x = heapq.heappop(pq)
-                if d > dist[x]:
-                    continue
                 for y in adjacent[x]:
                     nd = d + w[y]
                     if nd < dist[y]:

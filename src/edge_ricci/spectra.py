@@ -196,12 +196,16 @@ def spectrum_of(g, operator: str = "edge", weighting: str = "degree",
     |m - n| zeros (module docstring), kept too.  When zero_tol is omitted
     it defaults to 1e-8 * max(1, largest eigenvalue) — relative, since
     nothing in the operators pins an absolute scale.  It is applied per
-    call, so one cached solve serves every tolerance.
+    call, so one cached solve serves every tolerance.  An eigensolver
+    error is raised again with the solved side and the weighting named.
     """
     check_operator(operator)
     side = _solved_side(g)
-    solved = derived(g, ("spectrum_of", side, weighting), lambda:
-                     eigenvalues_symmetric(symmetrized(g, side, weighting)))
+    try:
+        solved = derived(g, ("spectrum_of", side, weighting), lambda:
+                         eigenvalues_symmetric(symmetrized(g, side, weighting)))
+    except (NonFiniteMatrixError, NoConvergenceError) as exc:
+        raise type(exc)(f"{side} side, {weighting} weighting: {exc}") from exc
     if operator == side:
         values = solved
     else:

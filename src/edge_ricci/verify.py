@@ -10,6 +10,14 @@ informative but not asserted (the intersection form of the curvature
 ceiling, and the 4/d constant that appears when every adjacent pair sits in
 a triangle).
 
+The three gap checks are one bound over the scheme's weights:
+lambda_1 of the edge operator >= (d (kappa_min - 1) + c) w1/w0, with c = 2,
+or c = 4 for the triangle diagnostic.  Unweighted input reads the 'degree'
+scheme, (w0, w1) = (1, 1/d), so its right side is an exact Fraction
+rounded once; weighted input reads its own constant weights, in floats.
+Each records the witnesses (pair, kappa_min), (neighbor-count, d),
+(w0, w0) and (w1, w1).
+
 Reports serialize to JSON (17 significant digits), plain text tables
 (6 digits), and CSV for the curvature table.  Wall-clock timing is kept on
 the in-memory report only; serializers omit it so identical inputs yield
@@ -34,7 +42,7 @@ from .curvature import (
 from .edge_geometry import edge_space
 from .errors import InvalidParameterError, IsolatedEdgeError
 from .graph_core import Graph, WeightedGraph, is_tree
-from .laplacian import gram_moments
+from .laplacian import gram_moments, weight_pair
 from .spectra import spectrum_of
 
 _GAP_TOL = 1e-9
@@ -120,68 +128,48 @@ def _gap_hypotheses(g, name: str, weighted: bool, diagnostic: bool = False):
     return d, kmin, pair
 
 
-def check_spectral_gap_bound(g) -> TheoremCheck:
-    """Gap of the degree-weighted edge operator vs curvature + 2/d - 1.
-
-    Hypotheses (_gap_hypotheses): an unweighted graph, every edge degree
-    equals a common d, and the adjacent curvature minimum is positive.
-    Graphs failing any are classified inapplicable with the reason recorded.
-    """
-    name = "spectral-gap-vs-curvature"
-    found = _gap_hypotheses(g, name, weighted=False)
+def _gap_check(g, name: str, weighted: bool, triangle: bool = False) -> TheoremCheck:
+    """The gap bound of the module docstring, c = 2, under _gap_hypotheses;
+    the triangle diagnostic (c = 4) also needs every adjacent pair to close
+    a triangle.  The right side keeps the weights' number type until _check."""
+    found = _gap_hypotheses(g, name, weighted, triangle)
     if isinstance(found, TheoremCheck):
         return found
     d, kmin, pair = found
-    lam1 = spectrum_of(g, "edge", "degree").lambda1
-    rhs = float(kmin) + 2.0 / d - 1.0
-    wit = ((f"pair {g.edge_name(pair[0])},{g.edge_name(pair[1])}", float(kmin)),
-           ("edge-degree", float(d)))
-    return _check(name, lam1, rhs, ">=", _GAP_TOL, wit)
+    if triangle:
+        for e, f in ricci_all_adjacent(g):
+            x, z = set(g.edges[e]) ^ set(g.edges[f])  # the two far ends
+            if g.labels[z] not in g.adjacency[g.labels[x]]:
+                return _inapplicable(
+                    name, f"pair {g.edge_name(e)},{g.edge_name(f)} closes no triangle",
+                    diagnostic=True)
+    scheme = "graph" if weighted else "degree"
+    w0, w1 = (weights[0] for weights in weight_pair(g, scheme))
+    lam1 = spectrum_of(g, "edge", scheme).lambda1
+    rhs = (d * (kmin - 1) + (4 if triangle else 2)) * w1 / w0
+    wit = ((f"pair {g.edge_name(pair[0])},{g.edge_name(pair[1])}", kmin),
+           ("neighbor-count", d), ("w0", w0), ("w1", w1))
+    return _check(name, lam1, rhs, ">=", _GAP_TOL, wit, diagnostic=triangle)
 
 
-def _in_triangle(g: Graph, e: int, f: int) -> bool:
-    x, z = set(g.edges[e]) ^ set(g.edges[f])  # the two far ends
-    return g.labels[z] in g.adjacency[g.labels[x]]
+def check_spectral_gap_bound(g) -> TheoremCheck:
+    """Gap of the degree-weighted edge operator vs curvature + 2/d - 1, on
+    an unweighted edge-regular graph with positive curvature minimum."""
+    return _gap_check(g, "spectral-gap-vs-curvature", weighted=False)
 
 
 def check_triangle_gap_diagnostic(g) -> TheoremCheck:
     """Diagnostic only, unweighted: gap vs curvature + 4/d - 1 when every
     adjacent pair closes a triangle.  The 4/d constant shows up there but
     is never asserted; failures here are informational."""
-    name = "spectral-gap-vs-curvature-triangle-diagnostic"
-    found = _gap_hypotheses(g, name, weighted=False, diagnostic=True)
-    if isinstance(found, TheoremCheck):
-        return found
-    d, kmin, _ = found
-    space = edge_space(g)
-    for e in range(g.n_edges):
-        for f in space.neighbors[e]:
-            if f > e and not _in_triangle(g, e, f):
-                return _inapplicable(
-                    name,
-                    f"pair {g.edge_name(e)},{g.edge_name(f)} closes no triangle",
-                    diagnostic=True)
-    lam1 = spectrum_of(g, "edge", "degree").lambda1
-    rhs = float(kmin) + 4.0 / d - 1.0
-    return _check(name, lam1, rhs, ">=", _GAP_TOL, (("edge-degree", float(d)),),
-                  diagnostic=True)
+    return _gap_check(g, "spectral-gap-vs-curvature-triangle-diagnostic",
+                      weighted=False, triangle=True)
 
 
 def check_weighted_spectral_gap_bound(wg: WeightedGraph) -> TheoremCheck:
-    """Weighted gap bound: lambda_1 >= (d (kappa - 1) + 2) w1/w0 for constant
-    vertex weight w0, constant edge weight w1, constant neighbor count d,
-    and positive weighted curvature minimum (_gap_hypotheses)."""
-    name = "weighted-spectral-gap-vs-curvature"
-    found = _gap_hypotheses(wg, name, weighted=True)
-    if isinstance(found, TheoremCheck):
-        return found
-    d, kmin, pair = found
-    w0, w1 = wg.vertex_weights[0], wg.edge_weights[0]
-    lam1 = spectrum_of(wg, "edge", "graph").lambda1
-    rhs = (d * (float(kmin) - 1.0) + 2.0) * w1 / w0
-    wit = ((f"pair {wg.edge_name(pair[0])},{wg.edge_name(pair[1])}", float(kmin)),
-           ("neighbor-count", float(d)), ("w0", w0), ("w1", w1))
-    return _check(name, lam1, rhs, ">=", _GAP_TOL, wit)
+    """Weighted gap bound lambda_1 >= (d (kappa_min - 1) + 2) w1/w0, for
+    constant vertex weight w0 and constant edge weight w1."""
+    return _gap_check(wg, "weighted-spectral-gap-vs-curvature", weighted=True)
 
 
 def check_bounds(g) -> list[TheoremCheck]:

@@ -280,6 +280,8 @@ def test_verify_reports_on_the_one_edge_graph(capsys, tmp_path, source):
     # asked for directly, the undefined operator is still an input error
     code, _, err = run_cli(capsys, "spectrum", *argv, "--weighting", "degree")
     assert_one_error_line(code, err)
+    code, out, err = run_cli(capsys, "curvature", *argv, "--format", "json")
+    assert (code, out, err) == (0, '{\n  "curvature": []\n}\n', "")
 
 
 def test_verify_csv_is_curvature_only(capsys):
@@ -485,6 +487,7 @@ def test_output_flag_writes_files(capsys, tmp_path):
     '{"edges": [["a","b",true],["b","c"]]}',
     '{"edges": [["a","b",false],["b","c"]]}',
     '{"edges": [["a","b"],["b","c"]], "vertex_weights": {"b": "3"}}',
+    '{"edges": [["a","b",[1]],["b","c"]]}',
 ])
 def test_weights_that_are_not_numbers_exit_2(capsys, tmp_path, doc):
     # a JSON string or boolean used to be read as a float, so "2.5" was
@@ -518,6 +521,18 @@ def test_overflowing_operator_entries_exit_2(capsys, tmp_path):
                              "--weighting", "graph")
     assert_one_error_line(code, err)
     assert out == "" and "3x3 matrix has an infinite or NaN entry" in err
+
+
+def test_subnormal_vertex_weight_error_names_the_weighting(capsys, tmp_path):
+    # a vertex weight of 5e-324 overflows the symmetrized operator; the
+    # eigensolver's error used to name neither the side nor the weighting
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"edges": [["a", "b", 1.0], ["b", "c", 1.0]],
+                                "vertex_weights": {"a": 5e-324}}))
+    code, out, err = run_cli(capsys, "verify", "--input", str(path), "--weighted")
+    assert_one_error_line(code, err)
+    assert out == "" and err == ("error: edge side, graph weighting: "
+                                 "2x2 matrix has an infinite or NaN entry\n")
 
 
 def test_overflowing_edge_distances_exit_2(capsys, tmp_path):

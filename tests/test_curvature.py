@@ -98,6 +98,8 @@ def test_pair_argument_validation():
         tree_curvature_formula(g, 0, 2)
     with pytest.raises(InvalidParameterError):
         kappa_min(g, "some")
+    with pytest.raises(InvalidParameterError, match="graph has no distinct edge pairs"):
+        kappa_min(generate("path:2"))
 
 
 # ------------------------------------------------------------------ bounds

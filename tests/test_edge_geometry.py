@@ -1,6 +1,7 @@
 import heapq
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -261,6 +262,23 @@ def test_weighted_rows_are_symmetric_bitwise(seed):
     for e in range(wg.n_edges):
         for f in range(e):
             assert rows[e][f] == rows[f][e], (e, f)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_vertex_metric_pushes_each_other_vertex_once_per_run(seed, monkeypatch):
+    # no heap entry goes stale, so a run pushes each other vertex exactly
+    # once, even at weights twelve decades apart
+    rng = random.Random(seed)
+    base = generate("random:12:0.4", seed=seed)
+    wg = WeightedGraph(base, {v: 10 ** rng.uniform(-6, 6) for v in base.labels},
+                       {base.edge_endpoints(e): 1.0 for e in range(base.n_edges)})
+    pushes = []
+    push = heapq.heappush
+    monkeypatch.setattr(heapq, "heappush", lambda pq, item: pushes.append(item) or push(pq, item))
+    edge_space(wg).row(0)  # builds the metric
+    n = wg.n_vertices
+    assert len(pushes) == n * (n - 1)
+    assert sorted(Counter(y for _, y in pushes).values()) == [n - 1] * n
 
 
 def _line_graph_rows(g):

@@ -62,6 +62,14 @@ def test_construction_rejections():
         generate("cycle:4").edge_endpoints(99)
     with pytest.raises(UnknownVertexError):
         vertex_degree(generate("cycle:4"), "nope")
+    with pytest.raises(DuplicateEdgeError, match="vertex label 'a' listed twice"):
+        Graph(["a", "b", "a"], [("a", "b")])
+    with pytest.raises(UnknownVertexError, match="edge endpoint 'c' not in vertex list"):
+        Graph(["a", "b"], [("a", "c")])
+    with pytest.raises(UnknownVertexError, match="vertex 'nope' not in graph"):
+        generate("cycle:4").edge_ordinal("v0", "nope")
+    with pytest.raises(UnknownEdgeError, match="no edge 'v0' 'v2'"):
+        generate("cycle:4").edge_ordinal("v0", "v2")
 
 
 def test_parse_serialize_round_trip():
@@ -176,6 +184,7 @@ def test_random_tree_is_tree():
     for seed in range(6):
         g = generate("tree:9", seed=seed)
         assert is_tree(g) and g.n_vertices == 9
+    assert generate("tree:2").edges == ((0, 1),)  # no Pruefer sequence to decode
 
 
 def test_random_connected_spans_p_range():

@@ -213,3 +213,55 @@ def test_bench_record_compiles_every_module_the_cli_imports(load_script):
     assert cost["compile_s_total"] == pytest.approx(sum(cost["compile_s"].values()))
     assert "edge_ricci/edge_geometry.py" in cost["lines"]
     assert cost["lines_total"] == sum(cost["lines"].values()) > 0
+
+
+_PARENT = [1.00, 1.01, 1.02, 1.03, 1.04, 1.05, 1.06, 1.07, 1.08, 1.09]
+
+
+@pytest.mark.parametrize("tree, better, want", [
+    # ten wins and a median gap of 0.2 against a parent IQR of 0.0575
+    ([x - 0.2 for x in _PARENT], "lower", "gain"),
+    # nine of ten still claims it; eight does not
+    ([x - 0.2 for x in _PARENT[:9]] + [1.5], "lower", "gain"),
+    ([x - 0.2 for x in _PARENT[:8]] + [1.5, 1.5], "lower", "no gain"),
+    # ties count for neither side
+    ([x - 0.2 for x in _PARENT[:8]] + _PARENT[8:], "lower", "no gain"),
+    # ten wins, but a median gap of 0.05 inside the parent's IQR
+    ([x - 0.05 for x in _PARENT], "lower", "no gain"),
+    # a median 30 % worse passes the 0.25 bound
+    ([x * 1.3 for x in _PARENT], "lower", "worse"),
+    ([x * 1.2 for x in _PARENT], "lower", "no gain"),
+    # where higher is better the same numbers read the other way
+    ([x + 0.2 for x in _PARENT], "higher", "gain"),
+    ([x - 0.3 for x in _PARENT], "higher", "worse"),
+])
+def test_bench_pair_verdict(tree, better, want, load_script):
+    assert load_script("bench_pair").verdict(_PARENT, tree, better, 0.25) == want
+
+
+def test_bench_pair_alternates_sides_and_prints_each_metric(monkeypatch, capsys, load_script):
+    module = load_script("bench_pair")
+    exported, order = [], []
+    monkeypatch.setattr(module, "export", lambda ref, target: exported.append(ref))
+
+    def run_bench(workload, seed, seconds, trace, root):
+        side = "tree" if root == module.ROOT else "ref"
+        order.append(side)
+        value = 1.0 if side == "tree" else 2.0
+        return {"correct": True, "metrics": {name: {"value": value} for name in
+                                             ("wall_s", "op_p50_s", "setup_s", "peak_rss_mb")}}
+
+    monkeypatch.setattr(module, "run_bench", run_bench)
+    assert module.main(["HEAD", "--workload", "selftest", "--pairs", "3"]) == 0
+    assert exported == ["HEAD"]
+    assert order == ["ref", "tree", "tree", "ref", "ref", "tree"]
+    rows = capsys.readouterr().out.splitlines()[2:]
+    assert [row.split()[0] for row in rows] == ["wall_s", "op_p50_s", "setup_s", "peak_rss_mb"]
+    assert all(row.split()[1:] == ["2", "1", "0", "3/3", "gain"] for row in rows)
+
+
+def test_bench_pair_names_a_ref_git_cannot_export(capsys, load_script):
+    module = load_script("bench_pair")
+    assert module.main(["no-such-ref", "--workload", "selftest", "--pairs", "1"]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: git archive no-such-ref: ")

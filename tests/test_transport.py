@@ -321,6 +321,7 @@ def test_verify_coupling_flags_corruption():
     violations = verify_coupling(p, bad)
     assert violations and "row" in violations[0]
     assert verify_coupling(p, ((9, 2, Fraction(1)),))
+    assert verify_coupling(p, ((0, 9, Fraction(1)),))[0] == "plan column 9 is outside supp(nu)"
 
 
 def test_dual_certificate_is_lipschitz_and_tight():

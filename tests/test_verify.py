@@ -40,7 +40,20 @@ def test_gap_bound_on_k4():
     assert chk.applicable and chk.holds
     assert chk.lhs == pytest.approx(1.0, abs=1e-9)   # lambda_1 = n/(2(n-2))
     assert chk.rhs == pytest.approx(0.0, abs=1e-12)  # 1/2 + 2/4 - 1
-    assert ("edge-degree", 4.0) in chk.witnesses
+    assert ("neighbor-count", 4.0) in chk.witnesses
+
+
+def test_gap_checks_round_an_exact_right_side_once():
+    # star:6: kappa_min = 4/5 and d = 5, so kappa_min + 2/d - 1 = 1/5
+    # exactly; three float roundings used to report 0.20000000000000018
+    chk = check_spectral_gap_bound(generate("star:6"))
+    assert chk.rhs == float(Fraction(1, 5))
+    assert chk.witnesses == (("pair v0-v1,v0-v2", 0.8), ("neighbor-count", 5.0),
+                             ("w0", 1.0), ("w1", 0.2))
+    triangle = check_triangle_gap_diagnostic(generate("complete:8"))
+    assert triangle.rhs == float(Fraction(1, 2) + Fraction(4, 12) - 1)
+    assert [k for k, _ in triangle.witnesses] == [
+        "pair v0-v1,v0-v2", "neighbor-count", "w0", "w1"]
 
 
 def test_gap_bound_classification():
@@ -228,6 +241,8 @@ def test_tree_formula_red_is_honest():
     assert all(c.applicable and not c.diagnostic for c in checks)
     assert all(c.holds is False for c in checks)
     assert all(("formula", 1.0) in c.witnesses for c in checks)
+    [cycle] = check_tree_formula(generate("cycle:4"))
+    assert not cycle.applicable and cycle.reason == "graph is not a tree"
 
 
 def test_tree_formula_flags_out_of_range_pairs_as_diagnostic():
