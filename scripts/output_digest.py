@@ -22,7 +22,9 @@ error messages are digested too.  Last come three weighted documents of
 cycle:4 at extreme weights, with the weighted documents' commands: every
 vertex weight 1e300, every edge weight 1e-200, and every vertex weight
 1e-300.  Then ``verify --format json`` runs on two documents that repeat a
-key, inside "vertex_weights" and at the top level.  An invocation that
+key, inside "vertex_weights" and at the top level, and on a triangle's edge
+list and weighted document, each saved with a leading UTF-8 byte order
+mark.  An invocation that
 raises instead of exiting prints ``raised:<exception type>`` in place of
 its exit code, and the run goes on.
 
@@ -89,6 +91,11 @@ REPEATED_KEYS = (
      f'{{"edges": [{_TRIANGLE},["c","d",1]], "vertex_weights": {{"a": 3, "a": 1}}}}'),
     ("repeated-edges-key",
      f'{{"edges": [{_TRIANGLE},["c","d",1]], "edges": [{_TRIANGLE}]}}'),
+)
+# (label, text, flags) of the triangle inputs saved with a byte order mark
+BOM_INPUTS = (
+    ("bom-edgelist", "a b\nb c\nc a\n", ()),
+    ("bom-weighted", f'{{"edges": [{_TRIANGLE}]}}', ("--weighted",)),
 )
 COMMANDS = (
     ("verify", "--format", "json"),
@@ -195,13 +202,17 @@ def main() -> int:
             extremes.append((f"cycle:4/{label}", ["--weighted", "--input", str(path)],
                              weighted))
         print_digests(extremes)
-        repeated = []
+        verify_json = (("verify", "--format", "json"),)
+        documents = []
         for label, text in REPEATED_KEYS:
             path = Path(tmp) / f"{label}.json"
             path.write_text(text, encoding="utf-8")
-            repeated.append((label, ["--weighted", "--input", str(path)],
-                             (("verify", "--format", "json"),)))
-        print_digests(repeated)
+            documents.append((label, ["--weighted", "--input", str(path)], verify_json))
+        for label, text, flags in BOM_INPUTS:
+            path = Path(tmp) / f"{label}.txt"
+            path.write_text(text, encoding="utf-8-sig")  # writes the mark first
+            documents.append((label, [*flags, "--input", str(path)], verify_json))
+        print_digests(documents)
     return 0
 
 

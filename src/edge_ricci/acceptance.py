@@ -186,8 +186,8 @@ def criterion_4(seed: int = 0) -> CriterionResult:
         g = generate(f"bipartite:{n}:{m}")
 
         def closed_form(e, f):
-            y = g.labels[shared_vertex(g, e, f)]
-            return Fraction(len(g.adjacency[y]) - 2, n + m - 2), f" via {y}"
+            y = shared_vertex(g, e, f)
+            return Fraction(len(g.incident[y]) - 2, n + m - 2), f" via {g.labels[y]}"
         failures += _table_failures(g, f"K{n},{m}", closed_form)
     return _verdict(4, failures, "(2,2),(2,3),(3,3),(2,4) all exact")
 

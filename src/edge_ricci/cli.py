@@ -97,8 +97,9 @@ def _load_graph(args):
     """Input source -> Graph or WeightedGraph per the flags."""
     if args.input is not None:
         try:
+            # a leading byte order mark is no label text; error offsets still count it
             with open(args.input, "r", encoding="utf-8") as fh:
-                text = fh.read()
+                text = fh.read().removeprefix("\ufeff")
         except OSError as exc:
             raise InvalidParameterError(f"cannot read {args.input}: {exc.strerror}")
         except UnicodeDecodeError as exc:
@@ -116,9 +117,12 @@ def _load_graph(args):
 def _emit(text: str, output: str | None) -> None:
     if output is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(output, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise InvalidParameterError(f"cannot write {output}: {exc.strerror}") from None
 
 
 def _cmd_generate(args) -> int:

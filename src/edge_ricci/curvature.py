@@ -40,7 +40,7 @@ from .errors import (
     NotATreeError,
     SamePairError,
 )
-from .graph_core import Graph, WeightedGraph, check_edge_ordinal, derived, is_tree, vertex_degree
+from .graph_core import Graph, WeightedGraph, check_edge_ordinal, derived, is_tree
 from .transport import TransportProblem, TransportResult, solve_wasserstein
 
 
@@ -212,8 +212,6 @@ def tree_curvature_formula(g: Graph, e: int, f: int) -> Fraction:
     if not is_tree(g):
         raise NotATreeError("closed-form curvature needs a tree")
     _require_adjacent(g, e, f)
-    deg_y = vertex_degree(g, g.labels[shared_vertex(g, e, f)])
-    degrees = edge_space(g).degrees
-    d_e, d_f = degrees[e], degrees[f]
-    lo, hi = min(d_e, d_f), max(d_e, d_f)
+    deg_y = len(g.incident[shared_vertex(g, e, f)])
+    lo, hi = sorted(edge_space(g).degrees[k] for k in (e, f))
     return Fraction(deg_y, lo) + Fraction(2 * deg_y - 2, hi) - 2

@@ -46,26 +46,24 @@ from .graph_core import Graph, WeightedGraph, check_edge_ordinal, derived
 class EdgeSpace:
     """Line adjacency of a Graph at unit weights.
 
-    neighbors[e]      ordinals of the edges sharing a vertex with e, ascending
+    neighbors[e]      ordinals of the edges sharing a vertex with e, ascending,
+                      read from g.incident
     weight[e]         Fraction(1)
     degrees[e]        the neighbor count, an int
     vertex_weight[v]  1, an int, so distances are int hop counts
 
     The vertex metric and the distance rows are filled lazily.  Holds the
-    labels and edges (for the metric and edge names) but not the graph that
-    keeps it, so that graph is freed by reference counting alone.  Built once
-    per Graph instance and read-only afterwards, so concurrent readers are
-    safe.
+    labels, edges and incident table (for the metric and edge names) but not
+    the graph that keeps it, so that graph is freed by reference counting
+    alone.  Built once per Graph instance and read-only afterwards, so
+    concurrent readers are safe.
     """
 
     __slots__ = ("neighbors", "degrees", "weight", "vertex_weight",
-                 "_labels", "_edges", "_metric", "_rows")
+                 "_labels", "_edges", "_incident", "_metric", "_rows")
 
     def __init__(self, g: Graph):
-        incident: list[list[int]] = [[] for _ in g.labels]
-        for e, (i, j) in enumerate(g.edges):
-            incident[i].append(e)
-            incident[j].append(e)
+        incident = g.incident
         self.neighbors = tuple(
             tuple(sorted({*incident[i], *incident[j]} - {e}))
             for e, (i, j) in enumerate(g.edges)
@@ -73,18 +71,16 @@ class EdgeSpace:
         self.weight = (Fraction(1),) * g.n_edges
         self.degrees = tuple(map(len, self.neighbors))
         self.vertex_weight = (1,) * g.n_vertices
-        self._labels, self._edges = g.labels, g.edges
+        self._labels, self._edges, self._incident = g.labels, g.edges, incident
         self._metric: list[list] | None = None
         self._rows: dict[int, tuple] = {}
 
     def _vertex_metric(self) -> list[list]:
         """P[x][y] by one Dijkstra run per vertex; each unordered pair keeps
         the value of its smaller vertex's run, so P is symmetric bitwise."""
-        w = self.vertex_weight
-        adjacent: list[list[int]] = [[] for _ in w]
-        for i, j in self._edges:
-            adjacent[i].append(j)
-            adjacent[j].append(i)
+        w, edges = self.vertex_weight, self._edges
+        # x's neighbors are the far ends i + j - x of its edges (i, j)
+        adjacent = [[sum(edges[k]) - x for k in ks] for x, ks in enumerate(self._incident)]
         metric: list[list] = []
         for s in range(len(w)):
             dist = [math.inf] * len(w)

@@ -50,11 +50,12 @@ class Graph:
     labels:     vertex labels in first-appearance order
     edges:      index pairs (i, j) with i < j, sorted lexicographically;
                 the position of a pair in this tuple is its edge ordinal
-    adjacency:  label -> frozenset of neighbor labels
+    incident:   incident[v] holds the ordinals of the edges at vertex index
+                v, ascending; its length is v's degree
     """
 
     __slots__ = (
-        "labels", "index", "edges", "adjacency",
+        "labels", "index", "edges", "incident",
         "_edge_lookup", "_derived", "__weakref__",
     )
 
@@ -84,17 +85,17 @@ class Graph:
             edges.append(key)
         edges.sort()
 
-        adj_idx: list[list[int]] = [[] for _ in labels]
-        for i, j in edges:
-            adj_idx[i].append(j)
-            adj_idx[j].append(i)
+        incident: list[list[int]] = [[] for _ in labels]
+        for k, (i, j) in enumerate(edges):
+            incident[i].append(k)
+            incident[j].append(k)
 
         # connectivity; report one vertex from the unreached part
         reached = {0}
         frontier = [0]
         while frontier:
             x = frontier.pop()
-            for y in adj_idx[x]:
+            for y in (sum(edges[k]) - x for k in incident[x]):  # the far ends
                 if y not in reached:
                     reached.add(y)
                     frontier.append(y)
@@ -108,9 +109,7 @@ class Graph:
         self.labels = labels
         self.index = index
         self.edges = tuple(edges)
-        self.adjacency = {
-            v: frozenset(labels[j] for j in adj_idx[index[v]]) for v in labels
-        }
+        self.incident = tuple(map(tuple, incident))
         self._edge_lookup = {pair: k for k, pair in enumerate(self.edges)}
         self._derived = {}
 
@@ -162,12 +161,6 @@ class Graph:
         return f"{u}-{v}"
 
 
-def vertex_degree(g: Graph, v: str) -> int:
-    if v not in g.index:
-        raise UnknownVertexError(f"vertex {v!r} not in graph")
-    return len(g.adjacency[v])
-
-
 def is_tree(g: Graph) -> bool:
     # connected is guaranteed by construction
     return g.n_edges == g.n_vertices - 1
@@ -195,7 +188,7 @@ class WeightedGraph(Graph):
         edge_weight: Mapping[tuple[str, str], float] | None = None,
     ):
         self.labels, self.index, self.edges = graph.labels, graph.index, graph.edges
-        self.adjacency, self._edge_lookup = graph.adjacency, graph._edge_lookup
+        self.incident, self._edge_lookup = graph.incident, graph._edge_lookup
         self._derived = {}
         vw = [1.0] * self.n_vertices
         for v, w in (vertex_weight or {}).items():

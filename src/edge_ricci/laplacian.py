@@ -48,7 +48,7 @@ from fractions import Fraction
 
 from .edge_geometry import edge_space
 from .errors import InvalidParameterError, IsolatedEdgeError
-from .graph_core import WeightedGraph, vertex_degree
+from .graph_core import WeightedGraph
 
 OPERATORS = ("vertex", "edge")
 WEIGHTINGS = ("unit", "walk", "degree", "graph")
@@ -62,7 +62,7 @@ def weight_pair(g, weighting: str):
     if weighting == "unit":
         return [Fraction(1)] * n, [Fraction(1)] * m
     if weighting == "walk":
-        w0 = [Fraction(vertex_degree(g, v)) for v in g.labels]
+        w0 = [Fraction(len(ks)) for ks in g.incident]
         return w0, [Fraction(1)] * m
     if weighting == "degree":
         counts = [len(nbrs) for nbrs in edge_space(g).neighbors]

@@ -139,7 +139,7 @@ def _gap_check(g, name: str, weighted: bool, triangle: bool = False) -> TheoremC
     if triangle:
         for e, f in ricci_all_adjacent(g):
             x, z = set(g.edges[e]) ^ set(g.edges[f])  # the two far ends
-            if g.labels[z] not in g.adjacency[g.labels[x]]:
+            if not any(z in g.edges[k] for k in g.incident[x]):
                 return _inapplicable(
                     name, f"pair {g.edge_name(e)},{g.edge_name(f)} closes no triangle",
                     diagnostic=True)
@@ -425,5 +425,13 @@ def curvature_to_csv(rows) -> str:
     a report's `curvature` table, or the CLI's named-edge rows."""
     lines = ["e,e2,kappa"]
     for e, f, k in rows:
-        lines.append(f"{e},{f},{k:.17g}")
+        lines.append(f"{_csv_field(e)},{_csv_field(f)},{k:.17g}")
     return "\n".join(lines) + "\n"
+
+
+def _csv_field(value) -> str:
+    """RFC 4180 minimal quoting (labels hold no whitespace, so no newlines)."""
+    text = str(value)
+    if "," in text or '"' in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text

@@ -1,6 +1,7 @@
 """End-to-end command tests, run in-process through cli.main."""
 
 import contextlib
+import csv
 import hashlib
 import io
 import itertools
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from edge_ricci.cli import main
-from edge_ricci.graph_core import generate, serialize_edgelist
+from edge_ricci.graph_core import generate, parse_edgelist, serialize_edgelist
 
 
 def run_cli(capsys, *argv):
@@ -387,6 +388,11 @@ def test_non_utf8_edge_list_exits_2(capsys, tmp_path):
     code, _, err = run_cli(capsys, "verify", "--input", str(path))
     assert_one_error_line(code, err)
     assert "not UTF-8 text" in err
+    # the offset counts a leading byte order mark: it is a file offset
+    path.write_bytes(b"\xef\xbb\xbfa b\n\xff c\n")
+    code, _, err = run_cli(capsys, "verify", "--input", str(path))
+    assert_one_error_line(code, err)
+    assert "not UTF-8 text (byte 7: invalid start byte)" in err
 
 
 _OVERFLOWING_KAPPA = json.dumps({
@@ -480,6 +486,54 @@ def test_output_flag_writes_files(capsys, tmp_path):
     assert capsys.readouterr().out == ""
     assert set(json.loads(target.read_text())) == {"graph", "checks",
                                                    "curvature", "spectra"}
+
+
+@pytest.mark.parametrize("argv", [
+    ("generate", "--family", "cycle:3"),
+    ("curvature", "--family", "cycle:3"),
+    ("spectrum", "--family", "cycle:3"),
+    ("verify", "--family", "cycle:3"),
+])
+def test_an_unwritable_output_exits_2(capsys, tmp_path, argv):
+    # a directory in place of the file; exit 1 would read "a check failed"
+    code, out, err = run_cli(capsys, *argv, "--output", str(tmp_path))
+    assert_one_error_line(code, err)
+    assert out == "" and err.startswith(f"error: cannot write {tmp_path}: ")
+    missing = tmp_path / "missing" / "x.txt"
+    code, out, err = run_cli(capsys, *argv, "--output", str(missing))
+    assert_one_error_line(code, err)
+    assert out == "" and err.startswith(f"error: cannot write {missing}: ")
+
+
+@pytest.mark.parametrize("text,flags", [
+    ("v0 v1\nv1 v2\nv2 v0\n", ()),
+    ('{"edges": [["a", "b", 2.0], ["b", "c"], ["c", "a", 0.5]], '
+     '"vertex_weights": {"a": 3}}', ("--weighted",)),
+])
+def test_a_leading_byte_order_mark_is_ignored(capsys, tmp_path, text, flags):
+    # the mark once became part of the first label (a 4-vertex path in place
+    # of the triangle), and JSON rejected it
+    plain, marked = tmp_path / "plain", tmp_path / "marked"
+    plain.write_bytes(text.encode())
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    runs = [run_cli(capsys, "verify", "--input", str(path), *flags, "--format", "json")
+            for path in (plain, marked)]
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 0 and '"vertices": 3' in runs[0][1]
+
+
+def test_curvature_csv_quotes_names_holding_commas_or_quotes(capsys, tmp_path):
+    path = tmp_path / "g.txt"
+    path.write_text('a,b c\nc "d\n"d a,b\n')
+    code, out, err = run_cli(capsys, "curvature", "--input", str(path),
+                             "--all-pairs", "--format", "csv")
+    assert (code, err) == (0, "")
+    rows = list(csv.reader(io.StringIO(out)))
+    assert all(len(row) == 3 for row in rows)
+    g = parse_edgelist(path.read_text())
+    assert [tuple(row[:2]) for row in rows[1:]] == [
+        (g.edge_name(e), g.edge_name(f))
+        for e, f in itertools.combinations(range(g.n_edges), 2)]
 
 
 @pytest.mark.parametrize("doc", [

@@ -27,7 +27,6 @@ from edge_ricci.graph_core import (
     parse_weighted,
     serialize_edgelist,
     serialize_weighted,
-    vertex_degree,
 )
 from edge_ricci.rng import SplitMix64
 
@@ -35,8 +34,8 @@ from edge_ricci.rng import SplitMix64
 def test_construction_basics():
     g = Graph(["a", "b", "c"], [("a", "b"), ("c", "b")])
     assert g.n_vertices == 3 and g.n_edges == 2
-    assert g.adjacency["b"] == frozenset({"a", "c"})
-    assert vertex_degree(g, "b") == 2
+    # b is index 1, at edges a-b (0) and b-c (1)
+    assert g.incident == ((0,), (0, 1), (1,))
     assert g.edge_endpoints(g.edge_ordinal("b", "a")) == ("a", "b")
     assert g.edge_name(0) == "a-b"
 
@@ -60,8 +59,6 @@ def test_construction_rejections():
         Graph(["a", "b c"], [("a", "b c")])
     with pytest.raises(UnknownEdgeError, match=r"ordinal 99 out of range \(0\.\.3\)"):
         generate("cycle:4").edge_endpoints(99)
-    with pytest.raises(UnknownVertexError):
-        vertex_degree(generate("cycle:4"), "nope")
     with pytest.raises(DuplicateEdgeError, match="vertex label 'a' listed twice"):
         Graph(["a", "b", "a"], [("a", "b")])
     with pytest.raises(UnknownVertexError, match="edge endpoint 'c' not in vertex list"):
@@ -138,6 +135,7 @@ def test_a_weighted_graph_is_a_graph_equal_only_to_itself():
     wg = WeightedGraph(base, {"v0": 2.0})
     assert isinstance(wg, Graph)
     assert (wg.labels, wg.edges) == (base.labels, base.edges)
+    assert wg.incident is base.incident
     assert wg != base and base != wg
     twin = WeightedGraph(base, {"v0": 2.0})
     assert wg == wg and wg != twin
@@ -153,6 +151,20 @@ def test_equal_graphs_hash_alike():
     assert len({g1, g2}) == 1
 
 
+@pytest.mark.parametrize("spec,seed", [
+    ("complete:6", 0), ("cycle:5", 0), ("bipartite:2:3", 0), ("star:4", 0),
+    ("path:2", 0), ("tree:9", 3), ("circulant:9:1,2", 0), ("petersen", 0),
+    *(("random:10:0.3", seed) for seed in range(4)),
+])
+def test_incident_lists_the_edges_at_each_vertex_ascending(spec, seed):
+    g = generate(spec, seed=seed)
+    assert len(g.incident) == g.n_vertices
+    for v, ks in enumerate(g.incident):
+        assert list(ks) == sorted(ks)
+        assert ks == tuple(k for k, pair in enumerate(g.edges) if v in pair)
+    assert sum(map(len, g.incident)) == 2 * g.n_edges
+
+
 # ------------------------------------------------------------- families
 
 def test_family_sizes():
@@ -166,16 +178,18 @@ def test_family_sizes():
 def test_petersen_shape():
     g = generate("petersen")
     assert g.n_vertices == 10 and g.n_edges == 15
-    assert all(vertex_degree(g, v) == 3 for v in g.labels)
+    assert all(len(ks) == 3 for ks in g.incident)
     # girth 5: no triangles through any edge
-    for u, v in (g.edge_endpoints(e) for e in range(g.n_edges)):
-        assert not (g.adjacency[u] & g.adjacency[v])
+    for i, j in g.edges:
+        far_i = {sum(g.edges[k]) - i for k in g.incident[i]}
+        far_j = {sum(g.edges[k]) - j for k in g.incident[j]}
+        assert not (far_i & far_j)
 
 
 def test_circulant_offsets():
     g = generate("circulant:8:1,2")
     assert g.n_edges == 16
-    assert all(vertex_degree(g, v) == 4 for v in g.labels)
+    assert all(len(ks) == 4 for ks in g.incident)
     # offsets are normalized mod n: 7 == -1 == 1 for n = 8
     assert generate("circulant:8:1,7").n_edges == 8
 
