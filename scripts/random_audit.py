@@ -22,7 +22,12 @@ says so instead of a bare count of 0.
 import argparse
 import sys
 
-from edge_ricci.curvature import kappa_min, pair_transport_problem, ricci_all_adjacent
+from edge_ricci.curvature import (
+    adjacent_minimum,
+    pair_transport_problem,
+    ricci_all_adjacent,
+    ricci_all_pairs,
+)
 from edge_ricci.graph_core import generate
 from edge_ricci.transport import verify_coupling
 from edge_ricci.verify import check_bounds, check_spectral_gap_bound, edge_regularity
@@ -45,7 +50,8 @@ def audit(samples: int, vertices: int, prob: float, seed: int) -> int:
                 return 1
         # the reduction theorem against every pair solved (exact, tolerance 0)
         if g.n_edges >= 3:
-            adjacent, oracle = kappa_min(g, "adjacent"), kappa_min(g, "all")
+            adjacent = adjacent_minimum(g)[0]
+            oracle = min(cp.kappa for _, cp in ricci_all_pairs(g))
             if oracle < adjacent:
                 print(f"REDUCTION VIOLATION seed {seed + k}: adjacent minimum "
                       f"{adjacent}, solved minimum {oracle}")

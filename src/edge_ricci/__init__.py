@@ -9,15 +9,16 @@ and verifies curvature/spectral-gap inequalities with exact rational
 arithmetic wherever the input is unweighted.
 
 Main entry points: :func:`generate` for named graph families,
-:func:`ricci_all_adjacent` / :func:`kappa_min` for curvature tables,
-:func:`spectrum_of` for eigenvalues, :func:`verification_report` for the
-full check suite, and :mod:`edge_ricci.cli` for the command line.
+:func:`ricci_all_adjacent` for curvature tables and :func:`adjacent_minimum`
+for their least value, :func:`spectrum_of` for eigenvalues,
+:func:`verification_report` for the full check suite, and
+:mod:`edge_ricci.cli` for the command line.
 """
 
 from .curvature import (
     CurvaturePair,
+    adjacent_minimum,
     edges_adjacent,
-    kappa_min,
     pair_bounds,
     ricci,
     ricci_all_adjacent,
@@ -55,16 +56,15 @@ from .verify import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CurvaturePair", "EdgeMeasure", "EdgeRicciError", "Graph",
-    "OPERATORS", "Spectrum", "TheoremCheck", "TransportProblem",
-    "TransportResult", "VerificationReport", "WEIGHTINGS", "WeightedGraph",
+    "CurvaturePair", "EdgeMeasure", "EdgeRicciError", "Graph", "OPERATORS",
+    "Spectrum", "TheoremCheck", "TransportProblem", "TransportResult",
+    "VerificationReport", "WEIGHTINGS", "WeightedGraph", "adjacent_minimum",
     "assemble", "brute_force_wasserstein", "check_spectral_gap_bound",
     "check_weighted_spectral_gap_bound", "dump_matrix", "edge_distance",
     "edge_measure", "edge_space", "edges_adjacent", "eigenvalues_symmetric",
-    "generate", "kappa_min", "pair_bounds", "parse_edgelist",
-    "parse_weighted", "report_to_json", "report_to_text", "ricci",
-    "ricci_all_adjacent", "serialize_edgelist", "serialize_weighted",
-    "solve_wasserstein", "spectral_equivalence_gap", "spectrum_of",
-    "symmetrized", "tree_curvature_formula", "verification_report",
-    "__version__",
+    "generate", "pair_bounds", "parse_edgelist", "parse_weighted",
+    "report_to_json", "report_to_text", "ricci", "ricci_all_adjacent",
+    "serialize_edgelist", "serialize_weighted", "solve_wasserstein",
+    "spectral_equivalence_gap", "spectrum_of", "symmetrized",
+    "tree_curvature_formula", "verification_report", "__version__",
 ]

@@ -18,9 +18,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .curvature import (
-    kappa_min,
+    adjacent_minimum,
     pair_transport_problem,
     ricci_all_adjacent,
+    ricci_all_pairs,
     tree_curvature_formula,
 )
 from .edge_geometry import shared_vertex
@@ -131,8 +132,9 @@ def criterion_2(seed: int = 0) -> CriterionResult:
     for n in range(4, 9):
         g = generate(f"cycle:{n}")
         failures += _table_failures(g, f"C{n}", lambda e, f: (0, ""))
-        if kappa_min(g, "all") != 0:
-            failures.append(f"C{n}: min over all pairs {kappa_min(g, 'all')} != 0")
+        solved = min(cp.kappa for _, cp in ricci_all_pairs(g))
+        if solved != 0:
+            failures.append(f"C{n}: min over all pairs {solved} != 0")
     closed = {
         4: (0.0, 1.0, 1.0, 2.0),
         5: (0.0, (5 - math.sqrt(5)) / 4, (5 - math.sqrt(5)) / 4,
@@ -218,7 +220,7 @@ def criterion_5(seed: int = 0) -> CriterionResult:
         if expect is None:
             # derive the expected classification independently of the check
             d = edge_regularity(g)
-            expect = d is not None and kappa_min(g, "adjacent") > 0
+            expect = d is not None and adjacent_minimum(g)[0] > 0
         if chk.applicable != expect:
             failures.append(f"{spec}: applicability {chk.applicable} != {expect}"
                             f" ({chk.reason or 'hypotheses met'})")
@@ -280,7 +282,7 @@ def criterion_7(seed: int = 0) -> CriterionResult:
         chk = check_adjacent_pair_reduction(g)
         if not chk.applicable:
             continue  # tiny graphs with < 3 edges carry no content here
-        solved = kappa_min(g, "all")
+        solved = min(cp.kappa for _, cp in ricci_all_pairs(g))
         if chk.lhs != float(solved):
             failures.append(f"{spec} #{i}: adjacent min {chk.lhs!r} != "
                             f"solved all-pairs min {solved}")

@@ -115,8 +115,8 @@ def ricci_all_pairs(g):
 
     Adjacent pairs come from the per-graph table of ricci_all_adjacent; the
     others are solved as they are reached and not kept, so no all-pairs
-    table is retained.  This walk backs `curvature --all-pairs` and
-    kappa_min(g, "all").
+    table is retained.  This walk backs `curvature --all-pairs` and the
+    all-pairs minimum of acceptance criteria 2 and 7.
     """
     table = ricci_all_adjacent(g)
     m = g.n_edges
@@ -129,32 +129,17 @@ def ricci_all_pairs(g):
 def adjacent_minimum(g):
     """(kappa, (e, f)) of the least adjacent curvature, or None without pairs.
 
-    Ties go to the smallest pair key.
+    Ties go to the smallest pair key.  Since W is a metric this is also the
+    minimum over all distinct pairs (module docstring).  Built once per
+    graph instance and kept by derived, like the table it reads.
     """
-    table = ricci_all_adjacent(g)
-    if not table:
-        return None
-    key = min(table, key=lambda k: (table[k].kappa, k))
-    return table[key].kappa, key
-
-
-def kappa_min(g, pairs: str = "adjacent"):
-    """Minimum curvature over 'adjacent' pairs or over 'all' distinct pairs.
-
-    'all' walks ricci_all_pairs, so every non-adjacent pair is solved on
-    top of the per-graph adjacent table.  The two minima agree, up to float
-    rounding on weighted input, since W is a metric (see
-    verify.check_adjacent_pair_reduction); 'all' solves what that proof
-    skips, so it is the proof's numerical oracle.
-    """
-    if pairs not in ("adjacent", "all"):
-        raise InvalidParameterError(f"pairs must be 'adjacent' or 'all', got {pairs!r}")
-    found = adjacent_minimum(g)
-    if found is None:
-        raise InvalidParameterError("graph has no distinct edge pairs")
-    if pairs == "adjacent":
-        return found[0]
-    return min(cp.kappa for _, cp in ricci_all_pairs(g))
+    def build():
+        table = ricci_all_adjacent(g)
+        if not table:
+            return None
+        key = min(table, key=lambda k: (table[k].kappa, k))
+        return table[key].kappa, key
+    return derived(g, "adjacent_minimum", build)
 
 
 def _require_adjacent(g, e: int, f: int) -> None:

@@ -45,7 +45,8 @@ def check_edge_ordinal(g: Graph, e: int) -> int:
 
 
 class Graph:
-    """Simple connected undirected graph, immutable after construction.
+    """Simple connected undirected graph with at least one edge, immutable
+    after construction.
 
     labels:     vertex labels in first-appearance order
     edges:      index pairs (i, j) with i < j, sorted lexicographically;
@@ -61,8 +62,6 @@ class Graph:
 
     def __init__(self, labels: Iterable[str], edge_pairs: Iterable[tuple[str, str]]):
         labels = tuple(_check_label(v) for v in labels)
-        if not labels:
-            raise EmptyInputError("graph needs at least one vertex")
         index: dict[str, int] = {}
         for v in labels:
             if v in index:
@@ -83,6 +82,8 @@ class Graph:
                 raise DuplicateEdgeError(f"duplicate edge {u!r} {v!r}")
             seen.add(key)
             edges.append(key)
+        if not edges:
+            raise EmptyInputError("graph needs at least one edge")
         edges.sort()
 
         incident: list[list[int]] = [[] for _ in labels]
@@ -219,9 +220,10 @@ def derived(g: Graph, key, build):
     """The value kept on g under key, made by build() on first use.
 
     This is the one place per-graph values are cached: the edge space, edge
-    measures, the adjacent curvature table and spectra, each under its
-    owner's key.  If build() raises, nothing is stored.  A kept value must
-    not refer back to g, so graphs are freed by reference counting alone.
+    measures, the adjacent curvature table and its minimum, and spectra,
+    each under its owner's key.  If build() raises, nothing is stored.  A
+    kept value must not refer back to g, so graphs are freed by reference
+    counting alone.
     """
     cache = g._derived
     if key not in cache:
@@ -231,7 +233,7 @@ def derived(g: Graph, key, build):
 
 def _constant(weights: Sequence[float]) -> bool:
     """The one constancy rule for positive weights: max - min <= 1e-12 max."""
-    lo, hi = min(weights, default=0.0), max(weights, default=0.0)
+    lo, hi = min(weights), max(weights)
     return hi - lo <= 1e-12 * hi
 
 

@@ -213,7 +213,7 @@ def spectrum_of(g, operator: str = "edge", weighting: str = "degree",
         values = derived(g, ("spectrum_of", operator, weighting),
                          lambda: _pad(solved, size))
     if zero_tol is None:
-        zero_tol = 1e-8 * max(1.0, values[-1]) if values else 1e-8
+        zero_tol = 1e-8 * max(1.0, values[-1])
     return Spectrum(values, zero_tol)
 
 

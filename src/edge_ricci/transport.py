@@ -97,6 +97,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, compress, repeat
 from operator import add, getitem, le, mul, sub
 from typing import Mapping
@@ -492,18 +493,15 @@ def _values_on(dual: Mapping[int, object], joint: tuple[int, ...]) -> list:
 # the arc subsets _elimination_plans tests at 4x5, the widest instance the
 # oracle is meant for; 5x5 takes 2 042 975 of them
 _MAX_ORACLE_SUBSETS = math.comb(20, 8)
-_tree_plans: dict[tuple[int, int], list] = {}
 
 
+@cache
 def _elimination_plans(s: int, t: int) -> list[list[tuple[int, int, int, int]]]:
     """All spanning trees of K_{s,t} as leaf-elimination schedules.
 
     Each schedule entry is (leaf_node, source, sink, other_node); nodes are
     0..s-1 for sources and s..s+t-1 for sinks.
     """
-    key = (s, t)
-    if key in _tree_plans:
-        return _tree_plans[key]
     arcs = [(i, s + j) for i in range(s) for j in range(t)]
     n = s + t
     plans = []
@@ -550,7 +548,6 @@ def _elimination_plans(s: int, t: int) -> list[list[tuple[int, int, int, int]]]:
             if degree[other] == 1:
                 leaves.append(other)
         plans.append(schedule)
-    _tree_plans[key] = plans
     return plans
 
 

@@ -34,7 +34,6 @@ from fractions import Fraction
 
 from .curvature import (
     adjacent_minimum,
-    kappa_min,
     pair_bounds,
     ricci_all_adjacent,
     tree_curvature_formula,
@@ -220,7 +219,7 @@ def check_adjacent_pair_reduction(g) -> TheoremCheck:
     name = "adjacent-min-extends-to-all-pairs"
     if g.n_edges < 3:
         return _inapplicable(name, "fewer than three edges")
-    kmin = kappa_min(g, "adjacent")
+    kmin = adjacent_minimum(g)[0]
     return _check(name, kmin, kmin, ">=", _GAP_TOL)
 
 

@@ -15,8 +15,8 @@ from hypothesis import given, strategies as st
 
 from edge_ricci import cli, curvature, transport
 from edge_ricci.curvature import (
+    adjacent_minimum,
     edges_adjacent,
-    kappa_min,
     pair_bounds,
     ricci,
     ricci_all_adjacent,
@@ -96,10 +96,7 @@ def test_pair_argument_validation():
         ricci(g, 1, 1)
     with pytest.raises(NotAdjacentError):
         tree_curvature_formula(g, 0, 2)
-    with pytest.raises(InvalidParameterError):
-        kappa_min(g, "some")
-    with pytest.raises(InvalidParameterError, match="graph has no distinct edge pairs"):
-        kappa_min(generate("path:2"))
+    assert adjacent_minimum(generate("path:2")) is None
 
 
 # ------------------------------------------------------------------ bounds
@@ -197,13 +194,14 @@ def test_tree_formula_rejects_non_trees_and_weighted():
 
 # -------------------------------------------------------- whole-graph ops
 
-def test_kappa_min_modes():
+def test_adjacent_minimum_is_the_all_pairs_minimum():
     g = generate("complete:4")
-    assert kappa_min(g, "adjacent") == Fraction(1, 2)
-    assert kappa_min(g, "all") == Fraction(1, 2)
+    assert adjacent_minimum(g) == (Fraction(1, 2), (0, 1))
+    assert min(cp.kappa for _, cp in ricci_all_pairs(g)) == Fraction(1, 2)
     c4 = generate("cycle:4")
-    assert kappa_min(c4, "adjacent") == 0
-    assert kappa_min(c4, "all") == 0  # opposite pairs sit at +1, min stays 0
+    assert adjacent_minimum(c4)[0] == 0
+    # opposite pairs sit at +1, min stays 0
+    assert min(cp.kappa for _, cp in ricci_all_pairs(c4)) == 0
 
 
 def test_all_adjacent_table_is_complete_and_keyed_low_high():
@@ -230,7 +228,7 @@ def test_adjacent_table_is_built_once_per_graph():
     g = generate("petersen")
     table = ricci_all_adjacent(g)
     assert ricci_all_adjacent(g) is table
-    kappa_min(g, "all")
+    assert len(list(ricci_all_pairs(g))) == math.comb(15, 2)
     assert ricci_all_adjacent(g) is table
     assert len(table) == 30  # no non-adjacent pair is added to the table
 
@@ -320,8 +318,8 @@ def test_weighted_glued_minimum_is_the_adjacent_minimum(seed, constant_vertices)
         wg = WeightedGraph(base, {v: 1.5 for v in base.labels},
                            dict(zip(edges, wg.edge_weights)))
     chk = check_adjacent_pair_reduction(wg)
-    assert chk.lhs == chk.rhs == kappa_min(wg, "adjacent")
-    assert kappa_min(wg, "all") >= kappa_min(wg, "adjacent") - 1e-9
+    assert chk.lhs == chk.rhs == adjacent_minimum(wg)[0]
+    assert min(cp.kappa for _, cp in ricci_all_pairs(wg)) >= chk.rhs - 1e-9
 
 
 def test_vertex_weights_below_an_ulp_of_the_distances_fall_back_to_solves(monkeypatch):
@@ -335,8 +333,8 @@ def test_vertex_weights_below_an_ulp_of_the_distances_fall_back_to_solves(monkey
     calls = _count_transport_solves(monkeypatch)
     chk = check_adjacent_pair_reduction(wg)
     assert sorted(calls) == sorted(ricci_all_adjacent(wg)) and len(calls) == 6
-    assert chk.holds and chk.lhs == chk.rhs == kappa_min(wg, "adjacent")
-    assert kappa_min(wg, "all") >= chk.rhs - 1e-9
+    assert chk.holds and chk.lhs == chk.rhs == adjacent_minimum(wg)[0]
+    assert min(cp.kappa for _, cp in ricci_all_pairs(wg)) >= chk.rhs - 1e-9
     assert len(set(calls)) == len(calls) == math.comb(6, 2)
 
 

@@ -360,3 +360,5 @@ def test_measure_units_are_its_masses_over_its_scale(load_script):
 def test_an_exact_measure_off_one_names_its_sum():
     with pytest.raises(ValueError, match="measure sums to 5/6, not 1"):
         EdgeMeasure(0, (1, 2), (Fraction(1, 2), Fraction(1, 3)))
+    with pytest.raises(ValueError, match="matching, nonempty atoms and masses"):
+        EdgeMeasure(0, (1, 2), (Fraction(1),))

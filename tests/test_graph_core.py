@@ -55,6 +55,8 @@ def test_construction_rejections():
         Graph(["a", "b", "c", "d"], [("a", "b"), ("c", "d")])
     with pytest.raises(EmptyInputError):
         Graph([], [])
+    with pytest.raises(EmptyInputError, match="graph needs at least one edge"):
+        Graph(["a"], [])
     with pytest.raises(FormatError):
         Graph(["a", "b c"], [("a", "b c")])
     with pytest.raises(UnknownEdgeError, match=r"ordinal 99 out of range \(0\.\.3\)"):
@@ -63,8 +65,12 @@ def test_construction_rejections():
         Graph(["a", "b", "a"], [("a", "b")])
     with pytest.raises(UnknownVertexError, match="edge endpoint 'c' not in vertex list"):
         Graph(["a", "b"], [("a", "c")])
+    with pytest.raises(UnknownVertexError, match="edge endpoint 'c' not in vertex list"):
+        Graph(["a", "b"], [("c", "a")])
     with pytest.raises(UnknownVertexError, match="vertex 'nope' not in graph"):
         generate("cycle:4").edge_ordinal("v0", "nope")
+    with pytest.raises(UnknownVertexError, match="vertex 'nope' not in graph"):
+        generate("cycle:4").edge_ordinal("nope", "v0")
     with pytest.raises(UnknownEdgeError, match="no edge 'v0' 'v2'"):
         generate("cycle:4").edge_ordinal("v0", "v2")
 
@@ -140,6 +146,7 @@ def test_a_weighted_graph_is_a_graph_equal_only_to_itself():
     twin = WeightedGraph(base, {"v0": 2.0})
     assert wg == wg and wg != twin
     assert len({base, wg, twin}) == 3
+    assert (base == 3) is False  # Graph.__eq__ defers to int, then identity
 
 
 def test_equal_graphs_hash_alike():
@@ -236,6 +243,8 @@ def test_splitmix64_reference_vectors():
     r = SplitMix64(1234567)
     assert [r.next_u64() for _ in range(3)] == [
         6457827717110365317, 3203168211198807973, 9817491932198370423]
+    with pytest.raises(ValueError, match=r"below\(\) needs n >= 1"):
+        SplitMix64(0).below(0)
 
 
 @given(st.integers(min_value=0, max_value=2**64 - 1), st.integers(1, 1000))

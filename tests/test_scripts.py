@@ -111,15 +111,15 @@ def test_random_audit_reports_a_solved_pair_below_the_adjacent_minimum(monkeypat
     module = load_script("random_audit")
     assert module.main(["--samples", "3"]) == 0
     assert "glued" not in capsys.readouterr().out
-    kappa_min = module.kappa_min
+    ricci_all_pairs = module.ricci_all_pairs
 
-    def lowered(g, pairs):
-        found = kappa_min(g, "adjacent")
-        return found - Fraction(1, 100) if pairs == "all" else found
+    def lowered(g):
+        for key, cp in ricci_all_pairs(g):
+            yield key, dataclasses.replace(cp, kappa=cp.kappa - Fraction(1, 100))
 
-    monkeypatch.setattr(module, "kappa_min", lowered)
+    monkeypatch.setattr(module, "ricci_all_pairs", lowered)
     assert module.main(["--samples", "3"]) == 1
-    adjacent = kappa_min(module.generate("random:7:0.5", seed=0), "adjacent")
+    adjacent = module.adjacent_minimum(module.generate("random:7:0.5", seed=0))[0]
     assert capsys.readouterr().out == (
         f"REDUCTION VIOLATION seed 0: adjacent minimum {adjacent}, "
         f"solved minimum {adjacent - Fraction(1, 100)}\n")
@@ -128,11 +128,11 @@ def test_random_audit_reports_a_solved_pair_below_the_adjacent_minimum(monkeypat
 def test_random_audit_solves_every_pair_once_per_sample(monkeypatch, capsys, load_script):
     module = load_script("random_audit")
     calls = []
-    kappa_min = module.kappa_min
-    monkeypatch.setattr(module, "kappa_min",
-                        lambda g, pairs: calls.append(pairs) or kappa_min(g, pairs))
+    ricci_all_pairs = module.ricci_all_pairs
+    monkeypatch.setattr(module, "ricci_all_pairs",
+                        lambda g: calls.append(g) or ricci_all_pairs(g))
     assert module.main(["--samples", "3"]) == 0
-    assert calls.count("all") == 3
+    assert len(calls) == 3
     capsys.readouterr()
 
 

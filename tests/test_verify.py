@@ -448,6 +448,23 @@ def test_reduction_on_a_warm_table_solves_nothing(monkeypatch, weighted):
     assert calls == []
 
 
+def test_report_builds_the_curvature_minimum_once(monkeypatch):
+    # complete:6 is edge-regular with kappa 1/2, so both gap checks and the
+    # reduction read the minimum; only its first reader scans the table
+    g = generate("complete:6")
+    scans = []
+    table = curvature.ricci_all_adjacent
+    monkeypatch.setattr(curvature, "ricci_all_adjacent",
+                        lambda graph: scans.append(graph) or table(graph))
+    checks = {c.name: c for c in verification_report(g).checks}
+    assert len(scans) == 1
+    for name in ("spectral-gap-vs-curvature", "adjacent-min-extends-to-all-pairs",
+                 "spectral-gap-vs-curvature-triangle-diagnostic"):
+        assert checks[name].applicable and checks[name].holds
+    assert checks["adjacent-min-extends-to-all-pairs"].lhs == 0.5
+    assert checks["spectral-gap-vs-curvature"].witnesses[0] == ("pair v0-v1,v0-v2", 0.5)
+
+
 @pytest.mark.parametrize("spec, regular", [("complete:5", True), ("random:12:0.6", False)])
 def test_report_solves_no_pair_inside_a_check(monkeypatch, spec, regular):
     # the report builds the adjacent table before its first check, so a
