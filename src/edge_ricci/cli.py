@@ -5,9 +5,10 @@ table), ``spectrum`` (eigenvalues or a raw operator dump), ``verify`` (full
 check report) and ``selftest`` (the eleven-criterion acceptance gate).
 
 Exit codes: 0 success, 1 at least one asserted check or criterion failed,
-2 usage or input errors.  Output is byte-deterministic for a fixed argv and
-input: no timestamps, no environment lookups, floats printed with 17
-significant digits in machine formats and 6 in text tables.
+2 usage or input errors, including an input too large for memory.  Output
+is byte-deterministic for a fixed argv and input: no timestamps, no
+environment lookups, floats printed with 17 significant digits in machine
+formats and 6 in text tables.
 """
 
 from __future__ import annotations
@@ -223,6 +224,10 @@ def run(argv=None) -> int:
         return _DISPATCH[args.command](args)
     except EdgeRicciError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        # an input too large to hold: one error line, not a traceback
+        print(f"error: {args.command}: out of memory", file=sys.stderr)
         return 2
 
 

@@ -89,7 +89,8 @@ brute_force_wasserstein enumerates every vertex of the transportation
 polytope (spanning trees of the bipartite support graph) and is the
 independent oracle used by the test suite and the acceptance gate.  Exact
 instances are enumerated in scaled integers: the oracle takes the LCM of the
-mass denominators itself and shares no code with the flow solver.
+mass denominators itself and shares no code with the flow solver.  It keeps
+the trees of each K_{s,t} once, as the cut columns of _oracle_table.
 """
 
 from __future__ import annotations
@@ -100,7 +101,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import combinations, compress, repeat
 from operator import add, getitem, le, mul, sub
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from .edge_geometry import EdgeMeasure, slicer
 from .errors import MassImbalanceError, MissingPotentialError, TransportError
@@ -491,20 +492,19 @@ def _values_on(dual: Mapping[int, object], joint: tuple[int, ...]) -> list:
 # ------------------------------------------------------------------ oracle
 
 # the arc subsets _elimination_plans tests at 4x5, the widest instance the
-# oracle is meant for; 5x5 takes 2 042 975 of them
+# oracle is meant for, whose table holds 32 000 trees in 8 columns of 4-byte
+# key indices over 3 151 keys; 5x5 takes 2 042 975 subsets
 _MAX_ORACLE_SUBSETS = math.comb(20, 8)
 
 
-@cache
-def _elimination_plans(s: int, t: int) -> list[list[tuple[int, int, int, int]]]:
-    """All spanning trees of K_{s,t} as leaf-elimination schedules.
+def _elimination_plans(s: int, t: int) -> Iterator[list[tuple[int, int, int, int]]]:
+    """Every spanning tree of K_{s,t} as a leaf-elimination schedule.
 
     Each schedule entry is (leaf_node, source, sink, other_node); nodes are
     0..s-1 for sources and s..s+t-1 for sinks.
     """
     arcs = [(i, s + j) for i in range(s) for j in range(t)]
     n = s + t
-    plans = []
     for chosen in combinations(range(len(arcs)), n - 1):
         # spanning tree test by union-find
         parent = list(range(n))
@@ -547,21 +547,54 @@ def _elimination_plans(s: int, t: int) -> list[list[tuple[int, int, int, int]]]:
             degree[leaf] = 0
             if degree[other] == 1:
                 leaves.append(other)
-        plans.append(schedule)
-    return plans
+        yield schedule
+
+
+@cache
+def _oracle_table(s: int, t: int) -> tuple[tuple, tuple, tuple]:
+    """K_{s,t}'s spanning trees as cut columns: (sides, keys, columns).
+
+    When a schedule removes a leaf's arc, the flow on that arc is the signed
+    balance of the leaf's side: the leaf and every node already merged into
+    it.  A key is one (arc, side, leaf is a source) triple, the arc as
+    source * t + sink and the side as an index into ``sides``, whose entries
+    select the side's nodes, one 0 or 1 per node.  Column k is an array
+    holding, tree by tree, the key of the tree's k-th eliminated arc.
+    """
+    from array import array  # an extension module only the oracle needs
+
+    n = s + t
+    masks, keys = {}, {}
+    columns = tuple(array("I") for _ in range(n - 1))
+    for schedule in _elimination_plans(s, t):
+        side = [1 << v for v in range(n)]  # the nodes merged into each node
+        for column, (leaf, i, j, other) in zip(columns, schedule):
+            mask = side[leaf]
+            key = (i * t + j, masks.setdefault(mask, len(masks)), leaf < s)
+            column.append(keys.setdefault(key, len(keys)))
+            side[other] |= mask
+    sides = tuple(tuple(mask >> v & 1 for v in range(n)) for mask in masks)
+    return sides, tuple(keys), columns
 
 
 def brute_force_wasserstein(problem: TransportProblem) -> object:
     """Optimal cost by enumerating transportation-polytope vertices.
 
-    Exact for rational measures with integer costs: the balances are scaled
-    to integers by the LCM of the mass denominators, every vertex is
+    Every spanning tree of the bipartite support graph K_{s,t} is one basic
+    solution, scored as the sum over its arcs of cost times flow, or inf
+    when a flow is negative (the tree is infeasible); the oracle returns
+    the least score.  The trees are kept once per (s, t), as _oracle_table's
+    cut columns: a 4x4 table holds 4 096 trees over 1 068 keys in about
+    0.2 MiB.  A call prices each key once and sums every tree's prices in
+    C.  Exact for rational measures with integer costs: the balances are
+    scaled to integers by the LCM of the mass denominators, every vertex is
     evaluated in integer arithmetic, and the minimum comes back as a
-    Fraction over that scale.  Float instances are enumerated in floats.
-    Listing the trees tests C(s t, s + t - 1) arc subsets for s and t atoms
-    a side, so the oracle refuses, before listing any, every instance that
-    needs more than 4x5 does: C(20, 8) = 125 970.  6x1, 4x4 and 3x6 are in
-    reach; 5x5 and 4x6 are not.
+    Fraction over that scale.  Float instances are enumerated in floats,
+    each flow summed over its side in node order.  Listing the trees tests
+    C(s t, s + t - 1) arc subsets for s and t atoms a side, so the oracle
+    refuses, before listing any, every instance that needs more than 4x5
+    does: C(20, 8) = 125 970.  6x1, 4x4 and 3x6 are in reach; 5x5 and 4x6
+    are not.
     """
     s, t = len(problem.mu.atoms), len(problem.nu.atoms)
     subsets = math.comb(s * t, s + t - 1)
@@ -569,31 +602,20 @@ def brute_force_wasserstein(problem: TransportProblem) -> object:
         raise TransportError(
             f"oracle limited to {_MAX_ORACLE_SUBSETS} arc subsets, "
             f"{s}x{t} atoms need {subsets}")
-    sources = list(problem.mu.atoms)
-    sinks = list(problem.nu.atoms)
     rows, pos = problem.rows, problem.position
-    cost = [[rows[pos[a]][pos[b]] for b in sinks] for a in sources]
+    cost = [rows[pos[a]][pos[b]] for a in problem.mu.atoms for b in problem.nu.atoms]
     masses = (*problem.mu.masses, *problem.nu.masses)
     exact = (all(isinstance(m, Fraction) for m in masses)
-             and all(isinstance(c, int) for row in cost for c in row))
+             and all(isinstance(c, int) for c in cost))
     if exact:
         scale = math.lcm(*{m.denominator for m in masses})
         masses = tuple(m.numerator * (scale // m.denominator) for m in masses)
     start = (*masses[:s], *(-m for m in masses[s:]))
-    best = None
-    for schedule in _elimination_plans(s, t):
-        balance = list(start)
-        total = 0
-        feasible = True
-        for leaf, i, j, other in schedule:
-            x = balance[leaf] if leaf < s else -balance[leaf]
-            if x < 0:
-                feasible = False
-                break
-            balance[other] += balance[leaf]
-            total += x * cost[i][j]
-        if feasible and (best is None or total < best):
-            best = total
-    if best is None:
+    sides, keys, columns = _oracle_table(s, t)
+    balances = [sum(compress(start, side)) for side in sides]
+    prices = [math.inf if (x := balances[m] if source else -balances[m]) < 0
+              else cost[arc] * x for arc, m, source in keys]
+    best = min(map(sum, zip(*[map(prices.__getitem__, col) for col in columns])))
+    if best == math.inf:
         raise TransportError("no feasible basic solution found")
     return Fraction(best, scale) if exact else best

@@ -4,11 +4,13 @@ bench/tracer.py finds each traced function by module, attribute path and
 parameter name, and reads ``problem.mu.atoms`` and ``problem.nu.atoms`` for
 its ``cells`` note.  A renamed hook or a moved parameter would otherwise
 show only under ``python3 -m pytest bench``.  Here its Tracer runs, as it
-stands, around one report on a small unweighted and a small weighted graph.
+stands, around one report on a small unweighted and a small weighted graph,
+and around acceptance criterion 9, the one caller of the brute-force oracle.
 """
 
 import importlib.util
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -67,3 +69,18 @@ def test_tracer_sees_every_transport_layer_and_every_pair(weighted):
     assert pairs == sorted(ricci_all_adjacent(g))
     assert len(pairs) < math.comb(g.n_edges, 2)
     assert tracing.layer_metrics(t.spans, 0.0)["transport.solve_wasserstein.cells"] == sum(cells)
+
+
+def test_tracer_sees_every_oracle_comparison_of_criterion_9():
+    # the selftest trace's transport.brute_force_wasserstein.calls and
+    # .self_s come from this hook, one span per comparison the detail counts
+    tracing = _tracer()
+    t = tracing.Tracer()
+    t.begin_op(0)
+    with t.installed():
+        result = edge_ricci.acceptance.criterion_9(0)
+    stats, _ = tracing.span_stats(t.spans)
+    compared = int(re.search(r"(\d+) oracle comparisons agree", result.detail).group(1))
+    assert result.passed and compared == 96
+    assert stats["calls"]["transport.brute_force_wasserstein"] == compared
+    assert stats["calls"]["acceptance.criterion_9"] == 1

@@ -7,6 +7,7 @@ import io
 import itertools
 import json
 import os
+import resource
 import subprocess
 import sys
 import tempfile
@@ -668,3 +669,19 @@ def test_importing_the_cli_leaves_the_acceptance_criteria_unloaded():
             "sys.exit('edge_ricci.acceptance' in sys.modules)")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+@pytest.mark.parametrize("command,family", [("generate", "star:10000000"),
+                                            ("verify", "cycle:10000000")])
+def test_a_graph_too_large_for_memory_exits_2_with_one_error_line(command, family):
+    # ten million vertices need gigabytes; under a 256 MiB address-space
+    # limit the child runs out of memory within about a second
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))
+
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    proc = subprocess.run([sys.executable, "-m", "edge_ricci", command, "--family", family],
+                          env=env, preexec_fn=limit, capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [f"error: {command}: out of memory"]

@@ -6,7 +6,13 @@ the true optimum whenever it returns at all.  The solver must agree with it
 exactly in rational mode and to 1e-12 relative in float mode.
 """
 
+import ast
+import inspect
 import math
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 from itertools import combinations
 
@@ -196,6 +202,7 @@ def test_oracle_refuses_before_listing_trees(monkeypatch, s, t):
         pytest.fail("the oracle listed spanning trees")
 
     monkeypatch.setattr(transport, "_elimination_plans", listed)
+    monkeypatch.setattr(transport, "_oracle_table", listed)
     with pytest.raises(TransportError, match=rf"{s}x{t} atoms need"):
         brute_force_wasserstein(_uniform(s, t))
 
@@ -399,14 +406,15 @@ def test_float_solver_matches_brute_force_on_overlapping_supports(problem):
     assert lipschitz_excess(problem, r.dual) <= 1e-12
 
 
-def _fraction_brute_force(problem):
-    """The oracle's enumeration with every balance kept as a Fraction."""
+def _schedule_replay(problem):
+    """The oracle's enumeration replayed schedule by schedule, each balance
+    carried in the masses' own number type (Fraction or float)."""
     s = len(problem.mu.atoms)
     cost = [[_cost(problem, a, b) for b in problem.nu.atoms] for a in problem.mu.atoms]
     best = None
     for schedule in transport._elimination_plans(s, len(problem.nu.atoms)):
         balance = list(problem.mu.masses) + [-m for m in problem.nu.masses]
-        total = Fraction(0)
+        total = 0
         for leaf, i, j, other in schedule:
             x = balance[leaf] if leaf < s else -balance[leaf]
             if x < 0:
@@ -423,12 +431,73 @@ def _fraction_brute_force(problem):
 def test_scaled_oracle_matches_the_fraction_enumeration(problem):
     bf = brute_force_wasserstein(problem)
     assert type(bf) is Fraction
-    assert bf == _fraction_brute_force(problem)
+    assert bf == _schedule_replay(problem)
 
 
 @given(overlapping_instances(exact=False))
 def test_oracle_stays_in_floats_on_float_input(problem):
-    assert type(brute_force_wasserstein(problem)) is float
+    bf = brute_force_wasserstein(problem)
+    assert type(bf) is float
+    # the oracle sums each flow over its side in node order, the replay
+    # along the schedule: the two orders round differently
+    assert abs(bf - _schedule_replay(problem)) <= 1e-12 * max(1, abs(bf))
+
+
+@pytest.mark.parametrize("s,t", [*((s, t) for s in range(1, 5) for t in range(1, 5)),
+                                 (1, 6), (6, 1)])
+def test_oracle_table_holds_every_spanning_tree_once(s, t):
+    # Scoins: K_{s,t} has s^(t-1) t^(s-1) spanning trees, each one entry of
+    # every column, one column per tree arc
+    sides, keys, columns = transport._oracle_table(s, t)
+    assert len(columns) == s + t - 1
+    assert {len(col) for col in columns} == {s ** (t - 1) * t ** (s - 1)}
+    assert all(max(col) < len(keys) for col in columns)
+    # a key's side holds its leaf and not the arc's other end
+    for arc, side, source in keys:
+        i, j = divmod(arc, t)
+        assert sides[side][i] == source and sides[side][s + j] != source
+
+
+def test_oracle_table_stays_small():
+    # a first 4x4 call in a fresh interpreter: what it keeps is the table
+    code = textwrap.dedent("""\
+        import tracemalloc
+        from fractions import Fraction
+        from edge_ricci.edge_geometry import EdgeMeasure
+        from edge_ricci.transport import TransportProblem, brute_force_wasserstein
+        atoms = tuple(range(8))
+        p = TransportProblem(EdgeMeasure(0, atoms[:4], (Fraction(1, 4),) * 4),
+                             EdgeMeasure(1, atoms[4:], (Fraction(1, 4),) * 4),
+                             atoms, tuple(tuple(abs(a - b) for b in atoms) for a in atoms))
+        tracemalloc.start()
+        assert brute_force_wasserstein(p) == 4
+        print(tracemalloc.get_traced_memory()[0])
+    """)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert int(out) < 0.5 * 2 ** 20
+
+
+_SOLVER_NAMES = {"solve_wasserstein", "verify_coupling", "dual_objective",
+                 "lipschitz_excess", "slicer"}
+_PROBLEM_UNITS = {"supply", "demand", "scale", "exact"}
+
+
+def test_oracle_shares_no_code_with_the_solver():
+    # the oracle's functions name no solver function and read none of the
+    # units the problem fixes for the solver; they call only each other
+    tree = ast.parse(inspect.getsource(transport))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    oracle = {"_elimination_plans", "_oracle_table", "brute_force_wasserstein"}
+    assert oracle <= functions.keys()
+    for name in oracle:
+        for node in ast.walk(functions[name]):
+            if isinstance(node, ast.Name):
+                assert node.id not in _SOLVER_NAMES, (name, node.id)
+                assert node.id in oracle or node.id not in functions, (name, node.id)
+            elif isinstance(node, ast.Attribute):
+                assert node.attr not in _SOLVER_NAMES | _PROBLEM_UNITS, (name, node.attr)
 
 
 @st.composite
