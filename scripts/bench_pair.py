@@ -4,11 +4,14 @@
     python3 scripts/bench_pair.py HEAD~1 --workload dense-exact
     python3 scripts/bench_pair.py main --workload selftest --pairs 10
 
-REF is exported with ``git archive`` into a temporary directory.  Each pair
-runs ``bench/run.py --trace 0`` at seed 0 for BENCHMARK.json's run length,
-once in that export and once in the working tree, each after its own
-package's ``__pycache__`` is removed (``bench_record.run_bench``); the side
-that runs first alternates from pair to pair.  For each end-to-end metric of BENCHMARK.json the script
+Both sides run from copies in one temporary directory: REF as ``git archive``
+writes it, and the working tree as the files ``git ls-files -co
+--exclude-standard`` lists (tracked files with their uncommitted edits, and
+untracked files git does not ignore), so neither side runs in place.  Each
+pair runs ``bench/run.py --trace 0`` at seed 0 for BENCHMARK.json's run
+length, once in each copy, each after its own package's ``__pycache__`` is
+removed (``bench_record.run_bench``); the side that runs first alternates
+from pair to pair.  For each end-to-end metric of BENCHMARK.json the script
 prints both medians, the interquartile range of REF's runs
 (statistics.quantiles, n=4), the working tree's wins and the verdict:
 
@@ -27,6 +30,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import shutil
 import statistics
 import subprocess
 import sys
@@ -74,6 +78,18 @@ def export(ref: str, target: Path) -> None:
         tar.extractall(target, filter="data")
 
 
+def snapshot(source: Path, target: Path) -> None:
+    """The working tree at source, as git ls-files -co --exclude-standard
+    lists it, copied under target; a tracked file deleted in the tree is
+    listed but left out."""
+    proc = subprocess.run(["git", "ls-files", "-co", "--exclude-standard", "-z"],
+                          cwd=source, capture_output=True, check=True)
+    for name in filter(None, proc.stdout.decode().split("\0")):
+        if (source / name).is_file():
+            (target / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(source / name, target / name)
+
+
 def main(argv: list[str] | None = None) -> int:
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
@@ -85,13 +101,14 @@ def main(argv: list[str] | None = None) -> int:
     seconds = benchmark["run_seconds"]
     runs: dict[str, list[dict]] = {"ref": [], "tree": []}
     with tempfile.TemporaryDirectory() as tmp:
+        roots = {side: Path(tmp) / side for side in runs}
         try:
-            export(args.ref, Path(tmp))
+            export(args.ref, roots["ref"])
         except subprocess.CalledProcessError as exc:
             print(f"error: git archive {args.ref}: {exc.stderr.decode().strip()}",
                   file=sys.stderr)
             return 1
-        roots = {"ref": Path(tmp), "tree": ROOT}
+        snapshot(ROOT, roots["tree"])
         try:
             for i in range(args.pairs):
                 for side in ("ref", "tree") if i % 2 == 0 else ("tree", "ref"):

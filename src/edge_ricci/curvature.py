@@ -29,7 +29,7 @@ alone decides.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .edge_geometry import edge_distance, edge_measure, edge_space, pairwise_costs, shared_vertex
@@ -83,15 +83,25 @@ def transport_for_pair(g, e: int, f: int) -> TransportResult:
 def ricci(g, e: int, f: int) -> CurvaturePair:
     """kappa(e, f) = 1 - W(m_e, m_f) / d(e, f) for distinct edges (else
     pair_transport_problem raises SamePairError); a float kappa that
-    overflows raises NonpositiveWeightError naming the pair."""
-    dist = edge_distance(g, e, f)
-    result = transport_for_pair(g, e, f)
+    overflows raises NonpositiveWeightError naming the pair.
+
+    One orientation per unordered pair: with e > f the (f, e) problem is
+    solved, and its plan is returned transposed and its dual negated, which
+    certify the (e, f) problem; so kappa(e, f) == kappa(f, e) bitwise, also
+    on float weights, where the solver's summation order would move the
+    last bits."""
+    lo, hi = sorted((e, f))
+    dist = edge_distance(g, lo, hi)
+    result = transport_for_pair(g, lo, hi)
     kappa = 1 - result.distance / dist
     if isinstance(kappa, float) and not math.isfinite(kappa):
         raise NonpositiveWeightError(
             f"curvature of {g.edge_name(e)},{g.edge_name(f)} overflows a float: "
             f"W {result.distance} over edge distance {dist}"
         )
+    if e > f:
+        result = replace(result, plan=tuple(sorted((b, a, x) for a, b, x in result.plan)),
+                         dual={a: -v for a, v in result.dual.items()})
     return CurvaturePair(e, f, dist, kappa, result)
 
 

@@ -18,6 +18,7 @@ from edge_ricci.curvature import (
     adjacent_minimum,
     edges_adjacent,
     pair_bounds,
+    pair_transport_problem,
     ricci,
     ricci_all_adjacent,
     ricci_all_pairs,
@@ -355,6 +356,35 @@ def test_curvature_is_symmetric(seed):
     for e in range(min(3, g.n_edges)):
         for f in range(e + 1, min(4, g.n_edges)):
             assert ricci(g, e, f).kappa == ricci(g, f, e).kappa
+
+
+@given(st.integers(0, 29))
+def test_weighted_curvature_is_symmetric_bitwise(seed):
+    # the solver sums a plan's cost in source order, so solving (f, e) apart
+    # from (e, f) would move kappa's last bits; one orientation moves none
+    wg = _random_weights(generate("random:10:0.4", seed=seed), 1000 + seed)
+    for (e, f), cp in ricci_all_adjacent(wg).items():
+        assert ricci(wg, f, e).kappa == cp.kappa
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_a_reversed_pair_carries_a_certificate_of_its_own_problem(weighted):
+    # ricci(g, f, e) with f > e transposes the (e, f) plan and negates its
+    # dual; both must certify the (f, e) problem, exactly when exact
+    base = generate("random:8:0.5", seed=3)
+    g = _random_weights(base, 1003) if weighted else base
+    for (e, f), cp in ricci_all_adjacent(g).items():
+        rev = ricci(g, f, e)
+        assert (rev.e, rev.f, rev.distance, rev.kappa) == (f, e, cp.distance, cp.kappa)
+        problem, t = pair_transport_problem(g, f, e), rev.transport
+        tol = 0 if problem.exact else 1e-9 * max(map(max, problem.rows))
+        assert t.plan == tuple(sorted(t.plan))
+        assert transport.verify_coupling(problem, t.plan) == ()
+        assert transport.lipschitz_excess(problem, t.dual) <= tol
+        assert abs(t.distance - transport.dual_objective(problem, t.dual)) <= tol
+        at = problem.position
+        cost = sum(x * problem.rows[at[a]][at[b]] for a, b, x in t.plan)
+        assert abs(t.distance - (Fraction(cost, problem.scale) if problem.exact else cost)) <= tol
 
 
 # ------------------------------------------------------------ weight scaling

@@ -11,22 +11,33 @@ import pytest
 
 @pytest.mark.parametrize("name, argv", [
     ("family_survey", ["--families", "complete:4", "star:4", "cycle:5"]),
-    ("random_audit", ["--samples", "5", "--vertices", "6"]),
+    ("family_survey", ["--families", "random:6:0.95", "tree:7", "--seeds", "0..4"]),
 ])
 def test_script_exits_zero(name, argv, capsys, load_script):
     assert load_script(name).main(argv) == 0
     assert capsys.readouterr().out
 
 
+def _table(out: str) -> list[str]:
+    """The survey's rows: the lines after the header, up to the census."""
+    lines = out.splitlines()[2:]
+    return lines[:next(i for i, line in enumerate(lines) if " graphs: " in line)]
+
+
 def test_family_survey_prints_stars_at_zero_slack(capsys, load_script):
     # every star is the equality case; its slack is a rounding residue of
     # either sign, printed as 0
     assert load_script("family_survey").main([]) == 0
-    rows = capsys.readouterr().out.splitlines()[2:]
+    out = capsys.readouterr().out
+    rows = _table(out)
     assert not any("-0.000000" in row for row in rows)
     stars = [row for row in rows if row.startswith("star:")]
     assert len(stars) == 8
     assert all(row.endswith(" 0.000000  <- equality") for row in stars)
+    assert out.splitlines()[-2:] == [
+        "28 graphs: 0 with unequal edge degrees, 10 with curvature floor <= 0, "
+        "18 where the bound applies",
+        "slack min/mean/max 0.000000 0.551720 1.000000"]
 
 
 def test_family_survey_marks_a_right_side_at_or_below_zero_vacuous(capsys, load_script):
@@ -34,21 +45,49 @@ def test_family_survey_marks_a_right_side_at_or_below_zero_vacuous(capsys, load_
     # complete:4 (d = 4) reaches 0 and complete:5 (d = 6) -1/6
     families = ["complete:3..5", "star:4"]
     assert load_script("family_survey").main(["--families", *families]) == 0
-    rows = capsys.readouterr().out.splitlines()[2:]
+    rows = _table(capsys.readouterr().out)
     marked = {row.split()[0]: row.endswith("  <- vacuous") for row in rows}
     assert marked == {"complete:3": False, "complete:4": True, "complete:5": True,
                       "star:4": False}
 
 
+def test_family_survey_builds_a_seeded_family_once_per_seed(monkeypatch, capsys, load_script):
+    module = load_script("family_survey")
+    built = []
+    generate = module.generate
+    monkeypatch.setattr(module, "generate",
+                        lambda spec, seed=None: built.append((spec, seed)) or generate(spec, seed))
+    argv = ["--families", "tree:7", "complete:3..4", "--seeds", "2..3", "--show-inapplicable"]
+    assert module.main(argv) == 0
+    assert built == [("tree:7", 2), ("tree:7", 3), ("complete:3", None), ("complete:4", None)]
+    rows = _table(capsys.readouterr().out)
+    assert [row.split(" n/a: ")[0].split()[:2] for row in rows] == [
+        ["tree:7", "#2"], ["tree:7", "#3"], ["complete:3", "2"], ["complete:4", "4"]]
+
+
+@pytest.mark.parametrize("seeds", ["5..2", "x", "1..y"])
+def test_family_survey_rejects_a_seed_range_naming_no_seed(seeds, capsys, load_script):
+    with pytest.raises(SystemExit) as exc:
+        load_script("family_survey").main(["--seeds", seeds])
+    assert exc.value.code == 2
+    assert f"invalid seed_range value: '{seeds}'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv, applicable", [
-    (["--samples", "3"], False),   # 7 vertices, p = 0.5: edge degrees unequal
-    (["--samples", "3", "--vertices", "6", "--prob", "0.95"], True),
+    # 7 vertices, p = 0.5: edge degrees unequal on every graph
+    (["--families", "random:7:0.5", "--seeds", "0..2"], False),
+    (["--families", "random:6:0.95", "--seeds", "0..2"], True),
 ])
-def test_random_audit_says_when_the_bound_was_never_checked(argv, applicable, capsys, load_script):
-    assert load_script("random_audit").main(argv) == 0
-    out = capsys.readouterr().out
-    assert ("bound applicable         0\n" in out) is not applicable
-    assert ("hypotheses held on no sample" in out) is not applicable
+def test_family_survey_says_when_the_bound_was_never_checked(argv, applicable, capsys,
+                                                             load_script):
+    assert load_script("family_survey").main(argv) == 0
+    census = {False: ["3 graphs: 3 with unequal edge degrees, 0 with curvature floor <= 0, "
+                      "0 where the bound applies",
+                      "the bound's hypotheses held on no graph: the gap bound was not checked"],
+              True: ["3 graphs: 1 with unequal edge degrees, 0 with curvature floor <= 0, "
+                     "2 where the bound applies",
+                     "slack min/mean/max 1.000000 1.000000 1.000000"]}
+    assert capsys.readouterr().out.splitlines()[-2:] == census[applicable]
 
 
 def test_output_digest_covers_every_input_and_command(monkeypatch, capsys, load_script):
@@ -104,13 +143,14 @@ def test_output_digest_covers_every_input_and_command(monkeypatch, capsys, load_
     assert lines[-1].endswith(" bom-weighted verify --format json")
 
 
-def test_random_audit_reports_a_solved_pair_below_the_adjacent_minimum(monkeypatch, capsys,
-                                                                       load_script):
-    # the unpatched audit prints no glue counts; a solved all-pairs minimum
-    # 1/100 below the adjacent one aborts it with the violation line
-    module = load_script("random_audit")
-    assert module.main(["--samples", "3"]) == 0
-    assert "glued" not in capsys.readouterr().out
+_SEEDED = ["--families", "random:7:0.5", "--seeds", "0..2"]
+
+
+def test_family_survey_reports_a_solved_pair_below_the_adjacent_minimum(monkeypatch, capsys,
+                                                                        load_script):
+    # a solved all-pairs minimum 1/100 below the adjacent one stops the
+    # sweep at its first graph with the violation line
+    module = load_script("family_survey")
     ricci_all_pairs = module.ricci_all_pairs
 
     def lowered(g):
@@ -118,43 +158,93 @@ def test_random_audit_reports_a_solved_pair_below_the_adjacent_minimum(monkeypat
             yield key, dataclasses.replace(cp, kappa=cp.kappa - Fraction(1, 100))
 
     monkeypatch.setattr(module, "ricci_all_pairs", lowered)
-    assert module.main(["--samples", "3"]) == 1
+    assert module.main(_SEEDED) == 1
     adjacent = module.adjacent_minimum(module.generate("random:7:0.5", seed=0))[0]
-    assert capsys.readouterr().out == (
-        f"REDUCTION VIOLATION seed 0: adjacent minimum {adjacent}, "
-        f"solved minimum {adjacent - Fraction(1, 100)}\n")
+    assert capsys.readouterr().out.splitlines()[2:] == [
+        f"REDUCTION VIOLATION random:7:0.5 #0: adjacent minimum {adjacent}, "
+        f"solved minimum {adjacent - Fraction(1, 100)}"]
 
 
-def test_random_audit_solves_every_pair_once_per_sample(monkeypatch, capsys, load_script):
-    module = load_script("random_audit")
+def test_family_survey_solves_every_pair_once_per_graph(monkeypatch, capsys, load_script):
+    # the default sweep's 28 graphs all have three edges or more but star:2
+    module = load_script("family_survey")
     calls = []
     ricci_all_pairs = module.ricci_all_pairs
     monkeypatch.setattr(module, "ricci_all_pairs",
                         lambda g: calls.append(g) or ricci_all_pairs(g))
-    assert module.main(["--samples", "3"]) == 0
-    assert len(calls) == 3
+    assert module.main(_SEEDED) == 0
+    assert len(calls) == 3 and len(set(map(id, calls))) == 3
+    calls.clear()
+    assert module.main([]) == 0
+    assert len(calls) == 27
     capsys.readouterr()
 
 
-def test_random_audit_reports_a_plan_that_is_not_a_coupling(monkeypatch, capsys, load_script):
+def _plant(monkeypatch, module, name, change):
+    """Replace module.name(g) by change(g, module.name(g)) on its first graph."""
+    real, seen = getattr(module, name), []
+
+    def planted(g):
+        if not seen:
+            seen.append(g)
+        return change(g, real(g)) if g is seen[0] else real(g)
+
+    monkeypatch.setattr(module, name, planted)
+
+
+def _first_pair(change):
+    """A change to the first entry of an adjacent curvature table."""
+    def apply(g, table):
+        table = dict(table)
+        key = min(table)
+        table[key] = change(table[key])
+        return table
+    return apply
+
+
+def _transport(cp, **fields):
+    return dataclasses.replace(cp, transport=dataclasses.replace(cp.transport, **fields))
+
+
+def _planted_failure(monkeypatch, capsys, module, name, change, argv=_SEEDED):
+    """The lines after the header once change is planted into module.name."""
+    _plant(monkeypatch, module, name, change)
+    assert module.main(argv) == 1
+    return capsys.readouterr().out.splitlines()[2:]
+
+
+def test_family_survey_reports_a_plan_that_is_not_a_coupling(monkeypatch, capsys, load_script):
     # drop the first entry of one adjacent plan: its row no longer sums to
     # the problem's supply in units
-    module = load_script("random_audit")
-    table_of = module.ricci_all_adjacent
+    out = _planted_failure(monkeypatch, capsys, load_script("family_survey"),
+                           "ricci_all_adjacent",
+                           _first_pair(lambda cp: _transport(cp, plan=cp.transport.plan[1:])))
+    assert len(out) == 1
+    assert out[0].startswith("COUPLING VIOLATION random:7:0.5 #0 pair (0,1): row ")
 
-    def broken(g):
-        table = dict(table_of(g))
-        key = min(table)
-        cp = table[key]
-        table[key] = dataclasses.replace(cp, transport=dataclasses.replace(
-            cp.transport, plan=cp.transport.plan[1:]))
-        return table
 
-    monkeypatch.setattr(module, "ricci_all_adjacent", broken)
-    assert module.main(["--samples", "1"]) == 1
-    out = capsys.readouterr().out
-    assert out.startswith("COUPLING VIOLATION seed 0 pair (0,")
-    assert ": row " in out
+def test_family_survey_reports_an_exact_duality_gap(monkeypatch, capsys, load_script):
+    out = _planted_failure(monkeypatch, capsys, load_script("family_survey"),
+                           "ricci_all_adjacent",
+                           _first_pair(lambda cp: _transport(cp, gap=Fraction(1, 7))))
+    assert out == ["DUALITY GAP random:7:0.5 #0 pair (0,1): 1/7"]
+
+
+def test_family_survey_reports_a_curvature_bound_that_fails(monkeypatch, capsys, load_script):
+    module = load_script("family_survey")
+    names = [c.name for c in module.check_bounds(module.generate("random:7:0.5", seed=0))]
+    out = _planted_failure(
+        monkeypatch, capsys, module, "check_bounds",
+        lambda g, checks: [dataclasses.replace(checks[0], holds=False), *checks[1:]])
+    assert out == [f"BOUND VIOLATION random:7:0.5 #0 {names[0]}"]
+
+
+def test_family_survey_reports_a_gap_bound_that_fails(monkeypatch, capsys, load_script):
+    out = _planted_failure(monkeypatch, capsys, load_script("family_survey"),
+                           "check_spectral_gap_bound",
+                           lambda g, chk: dataclasses.replace(chk, holds=False),
+                           ["--families", "complete:4", "star:4"])
+    assert out == ["GAP BOUND VIOLATION complete:4: lhs 0.9999999999999992 rhs 0.0"]
 
 
 def test_bench_record_summarizes_result_lines(load_script):
@@ -245,10 +335,12 @@ def test_bench_pair_verdict(tree, better, want, load_script):
 def test_bench_pair_alternates_sides_and_prints_each_metric(monkeypatch, capsys, load_script):
     module = load_script("bench_pair")
     exported, order = [], []
-    monkeypatch.setattr(module, "export", lambda ref, target: exported.append(ref))
+    monkeypatch.setattr(module, "export", lambda ref, target: exported.append((ref, target)))
+    monkeypatch.setattr(module, "snapshot",
+                        lambda source, target: exported.append((source, target)))
 
     def run_bench(workload, seed, seconds, trace, root):
-        side = "tree" if root == module.ROOT else "ref"
+        side = root.name
         order.append(side)
         value = 1.0 if side == "tree" else 2.0
         return {"correct": True, "metrics": {name: {"value": value} for name in
@@ -256,7 +348,10 @@ def test_bench_pair_alternates_sides_and_prints_each_metric(monkeypatch, capsys,
 
     monkeypatch.setattr(module, "run_bench", run_bench)
     assert module.main(["HEAD", "--workload", "selftest", "--pairs", "3"]) == 0
-    assert exported == ["HEAD"]
+    # both sides run from sibling copies, never from the working tree
+    (ref, ref_root), (source, tree_root) = exported
+    assert (ref, ref_root.name, source, tree_root.name) == ("HEAD", "ref", module.ROOT, "tree")
+    assert ref_root.parent == tree_root.parent != module.ROOT
     assert order == ["ref", "tree", "tree", "ref", "ref", "tree"]
     rows = capsys.readouterr().out.splitlines()[2:]
     assert [row.split()[0] for row in rows] == ["wall_s", "op_p50_s", "setup_s", "peak_rss_mb"]
@@ -268,3 +363,25 @@ def test_bench_pair_names_a_ref_git_cannot_export(capsys, load_script):
     assert module.main(["no-such-ref", "--workload", "selftest", "--pairs", "1"]) == 1
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("error: git archive no-such-ref: ")
+
+
+def test_bench_pair_snapshot_copies_the_tree_as_git_lists_it(tmp_path, load_script):
+    # an uncommitted edit and an untracked file are copied; an ignored file
+    # and a tracked file deleted in the tree are not
+    module = load_script("bench_pair")
+    source, target = tmp_path / "source", tmp_path / "target"
+    (source / "src").mkdir(parents=True)
+    (source / ".gitignore").write_text("*.log\n")
+    (source / "src" / "a.py").write_text("committed\n")
+    (source / "gone.py").write_text("committed\n")
+    git = ["git", "-c", "user.name=t", "-c", "user.email=t@example.com"]
+    for argv in (["init", "-q"], ["add", "-A"], ["commit", "-q", "-m", "seed"]):
+        subprocess.run(git + argv, cwd=source, check=True, capture_output=True)
+    (source / "src" / "a.py").write_text("edited\n")
+    (source / "src" / "new.py").write_text("untracked\n")
+    (source / "run.log").write_text("ignored\n")
+    (source / "gone.py").unlink()
+    module.snapshot(source, target)
+    copied = sorted(p.relative_to(target).as_posix() for p in target.rglob("*") if p.is_file())
+    assert copied == [".gitignore", "src/a.py", "src/new.py"]
+    assert (target / "src" / "a.py").read_text() == "edited\n"

@@ -66,6 +66,25 @@ def test_degenerate_and_clustered_spectra():
     assert spectrum_of(g, "edge", "unit").zero_multiplicity == 21
 
 
+def test_a_block_that_splits_mid_sweep_deflates_early(monkeypatch):
+    # entries 600 decades apart make one QL rotation's norm underflow to 0
+    # inside a sweep, so the sweep deflates the block there and starts over;
+    # math.hypot returns 0 nowhere else in the solver
+    a = [[0, 0, 1e300, 1e300, 0], [0, 1e-300, 0, 1, 0], [1e300, 0, -1, 0, -1],
+         [1e300, 1, 0, 1, -1], [0, 0, -1, -1, 1e300]]
+    hypot, splits = math.hypot, []
+
+    def counted(*args):
+        r = hypot(*args)
+        if r == 0.0:
+            splits.append(args)
+        return r
+
+    monkeypatch.setattr(spectra.math, "hypot", counted)
+    _assert_matches_numpy(a, rel=1e-15)
+    assert len(splits) == 1
+
+
 def test_no_convergence_names_the_matrix_size(monkeypatch):
     monkeypatch.setattr(spectra, "_MAX_ITERATIONS", 0)
     with pytest.raises(NoConvergenceError, match="5x5"):
