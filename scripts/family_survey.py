@@ -5,13 +5,16 @@ A row gives a graph's adjacent curvature minimum, the degree-weighted edge
 gap, the bound's right side kappa + 2/d - 1 where it applies, and the slack:
 0 at stars, the equality case; a right side <= 0 is marked vacuous.  The
 seeded families (tree, random) are built once per seed of --seeds and named
-with it, as in `random:7:0.5 #3`; every other family is built once.
+with it, as in `random:7:0.5 #3`; every other family is built once.  Every
+graph is built before the header is printed, so a malformed spec ends the
+run with one `error:` line and exit 2.
 
-Every graph is audited: each adjacent plan is a coupling of its own problem,
-each exact duality gap is 0, every asserted curvature bound and the gap
-bound hold, and with three edges or more no pair, solved, is below the
-adjacent minimum (a theorem, as W is a metric; compared exactly).  The first
-violation stops the sweep with one line naming the graph, and exit 1.  A
+Every graph is audited: each adjacent pair is solved again, as the
+curvature table keeps no plan, and its plan is a coupling of its own
+problem; each exact duality gap is 0; every asserted curvature bound and
+the gap bound hold; and with three edges or more no pair, solved, is below
+the adjacent minimum (a theorem, as W is a metric; compared exactly).  The
+first violation stops the sweep with one line naming the graph, and exit 1.  A
 census ends the table: graphs, unequal edge degrees, curvature floor <= 0,
 bound applies, and the slack's min/mean/max where it applies.
 
@@ -23,11 +26,13 @@ Usage:
 
 import argparse
 import sys
+from collections import deque
 
 from edge_ricci.curvature import (adjacent_minimum, pair_transport_problem,
                                   ricci_all_adjacent, ricci_all_pairs)
+from edge_ricci.errors import EdgeRicciError, InvalidParameterError
 from edge_ricci.graph_core import generate
-from edge_ricci.transport import verify_coupling
+from edge_ricci.transport import solve_wasserstein, verify_coupling
 from edge_ricci.verify import check_bounds, check_spectral_gap_bound, edge_regularity
 
 DEFAULT_SWEEP = (
@@ -38,15 +43,20 @@ DEFAULT_SWEEP = (
 SEEDED = ("tree", "random")  # the families generate draws from a seed
 
 
-def expand(spec: str):
-    """Allow a trailing a..b range on the last parameter."""
+def expand(spec: str) -> list[str]:
+    """The specs a trailing a..b range on the last parameter names, b
+    included; a range that is malformed or names none is an error."""
     head, sep, tail = spec.rpartition(":")
-    if sep and ".." in tail:
-        lo, hi = tail.split("..", 1)
-        for k in range(int(lo), int(hi) + 1):
-            yield f"{head}:{k}"
-    else:
-        yield spec
+    if not (sep and ".." in tail):
+        return [spec]
+    lo, hi = tail.split("..", 1)
+    try:
+        items = [f"{head}:{k}" for k in range(int(lo), int(hi) + 1)]
+    except ValueError:
+        items = []
+    if not items:
+        raise InvalidParameterError(f"family spec {spec!r}: {tail!r} is not a range a..b, a <= b")
+    return items
 
 
 def seed_range(text: str) -> range:
@@ -71,32 +81,37 @@ def sweep(families: list[str], seeds: range):
 
 def audit(name: str, g) -> str | None:
     """The report line of g's first violation, or None (module docstring)."""
-    for (e, f), cp in ricci_all_adjacent(g).items():
-        violations = verify_coupling(pair_transport_problem(g, e, f), cp.transport.plan)
-        if violations:
+    for e, f in ricci_all_adjacent(g):
+        problem = pair_transport_problem(g, e, f)
+        result = solve_wasserstein(problem)
+        if violations := verify_coupling(problem, result.plan):
             return f"COUPLING VIOLATION {name} pair ({e},{f}): {violations[0]}"
-        if cp.exact and cp.transport.gap != 0:
-            return f"DUALITY GAP {name} pair ({e},{f}): {cp.transport.gap}"
+        if result.exact and result.gap != 0:
+            return f"DUALITY GAP {name} pair ({e},{f}): {result.gap}"
     for bound in check_bounds(g):
         if bound.applicable and not bound.diagnostic and not bound.holds:
             return f"BOUND VIOLATION {name} {bound.name}"
     if g.n_edges >= 3:
         adjacent = adjacent_minimum(g)[0]
-        solved = min(cp.kappa for _, cp in ricci_all_pairs(g))
+        solved = min(kappa for _, kappa in ricci_all_pairs(g))
         if solved < adjacent:
             return (f"REDUCTION VIOLATION {name}: adjacent minimum {adjacent}, "
                     f"solved minimum {solved}")
     return None
 
 
-def survey(families: list[str], seeds: range, show_inapplicable: bool) -> int:
-    header = f"{'family':<16} {'d':>4} {'kappa_min':>10} {'lambda1':>10} {'rhs':>10} {'slack':>10}"
+def survey(graphs: deque, show_inapplicable: bool) -> int:
+    """Audit and print the (name, graph) rows, taking each off graphs as it
+    is reached, so no graph's tables outlive its row."""
+    width = max([16, *(len(name) for name, _ in graphs)])
+    header = (f"{'family':<{width}} {'d':>4} {'kappa_min':>10} {'lambda1':>10} "
+              f"{'rhs':>10} {'slack':>10}")
     print(header)
     print("-" * len(header))
-    graphs = not_regular = 0
+    total, not_regular = len(graphs), 0
     slacks = []
-    for name, g in sweep(families, seeds):
-        graphs += 1
+    while graphs:
+        name, g = graphs.popleft()
         if failure := audit(name, g):
             print(failure)
             return 1
@@ -104,7 +119,7 @@ def survey(families: list[str], seeds: range, show_inapplicable: bool) -> int:
         if not chk.applicable:
             not_regular += edge_regularity(g) is None
             if show_inapplicable:
-                print(f"{name:<16} {'-':>4} {'-':>10} {'-':>10} {'-':>10} "
+                print(f"{name:<{width}} {'-':>4} {'-':>10} {'-':>10} {'-':>10} "
                       f"n/a: {chk.reason}")
             continue
         if not chk.holds:
@@ -120,11 +135,11 @@ def survey(families: list[str], seeds: range, show_inapplicable: bool) -> int:
         slacks.append(slack)
         flag = ("  <- equality" if equality
                 else "  <- vacuous" if chk.rhs <= 0 else "")
-        print(f"{name:<16} {int(d):>4} {kmin:>10.6f} {chk.lhs:>10.6f} "
+        print(f"{name:<{width}} {int(d):>4} {kmin:>10.6f} {chk.lhs:>10.6f} "
               f"{chk.rhs:>10.6f} {slack:>10.6f}{flag}")
     # the edge-regular graphs the bound does not apply to lack a positive floor
-    print(f"{graphs} graphs: {not_regular} with unequal edge degrees, "
-          f"{graphs - not_regular - len(slacks)} with curvature floor <= 0, "
+    print(f"{total} graphs: {not_regular} with unequal edge degrees, "
+          f"{total - not_regular - len(slacks)} with curvature floor <= 0, "
           f"{len(slacks)} where the bound applies")
     if slacks:
         print(f"slack min/mean/max {min(slacks):.6f} {sum(slacks) / len(slacks):.6f} "
@@ -143,7 +158,12 @@ def main(argv=None) -> int:
     ap.add_argument("--show-inapplicable", action="store_true",
                     help="also list graphs the bound does not apply to")
     args = ap.parse_args(argv)
-    return survey(args.families, args.seeds, args.show_inapplicable)
+    try:
+        graphs = deque(sweep(args.families, args.seeds))
+    except EdgeRicciError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    return survey(graphs, args.show_inapplicable)
 
 
 if __name__ == "__main__":

@@ -16,12 +16,12 @@ for their least value, :func:`spectrum_of` for eigenvalues,
 """
 
 from .curvature import (
-    CurvaturePair,
     adjacent_minimum,
     edges_adjacent,
     pair_bounds,
     ricci,
     ricci_all_adjacent,
+    transport_for_pair,
     tree_curvature_formula,
 )
 from .edge_geometry import EdgeMeasure, edge_distance, edge_measure, edge_space
@@ -56,7 +56,7 @@ from .verify import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CurvaturePair", "EdgeMeasure", "EdgeRicciError", "Graph", "OPERATORS",
+    "EdgeMeasure", "EdgeRicciError", "Graph", "OPERATORS",
     "Spectrum", "TheoremCheck", "TransportProblem", "TransportResult",
     "VerificationReport", "WEIGHTINGS", "WeightedGraph", "adjacent_minimum",
     "assemble", "brute_force_wasserstein", "check_spectral_gap_bound",
@@ -66,5 +66,5 @@ __all__ = [
     "report_to_json", "report_to_text", "ricci", "ricci_all_adjacent",
     "serialize_edgelist", "serialize_weighted", "solve_wasserstein",
     "spectral_equivalence_gap", "spectrum_of", "symmetrized",
-    "tree_curvature_formula", "verification_report", "__version__",
+    "transport_for_pair", "tree_curvature_formula", "verification_report", "__version__",
 ]

@@ -133,7 +133,7 @@ def _cmd_generate(args) -> int:
 
 def _curvature_rows(g, all_pairs: bool):
     pairs = ricci_all_pairs(g) if all_pairs else ricci_all_adjacent(g).items()
-    return [(g.edge_name(e), g.edge_name(f), float(cp.kappa)) for (e, f), cp in pairs]
+    return [(g.edge_name(e), g.edge_name(f), float(kappa)) for (e, f), kappa in pairs]
 
 
 def _cmd_curvature(args) -> int:

@@ -29,7 +29,6 @@ alone decides.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .edge_geometry import edge_distance, edge_measure, edge_space, pairwise_costs, shared_vertex
@@ -41,22 +40,7 @@ from .errors import (
     SamePairError,
 )
 from .graph_core import Graph, WeightedGraph, check_edge_ordinal, derived, is_tree
-from .transport import TransportProblem, TransportResult, solve_wasserstein
-
-
-@dataclass(frozen=True)
-class CurvaturePair:
-    """Curvature of one ordered edge pair together with its transport data."""
-
-    e: int
-    f: int
-    distance: object
-    kappa: object
-    transport: TransportResult
-
-    @property
-    def exact(self) -> bool:
-        return isinstance(self.kappa, Fraction)
+from .transport import TransportProblem, solve_wasserstein
 
 
 def edges_adjacent(g, e: int, f: int) -> bool:
@@ -66,7 +50,8 @@ def edges_adjacent(g, e: int, f: int) -> bool:
 
 
 def pair_transport_problem(g, e: int, f: int) -> TransportProblem:
-    """Transport instance between the neighborhood measures of e and f."""
+    """Transport instance between the neighborhood measures of e and f;
+    kappa(e, f) reads the one of (min(e, f), max(e, f))."""
     if e == f:
         raise SamePairError(f"curvature needs two distinct edges, got {e} twice")
     mu = edge_measure(g, e)
@@ -75,44 +60,41 @@ def pair_transport_problem(g, e: int, f: int) -> TransportProblem:
     return TransportProblem(mu, nu, atoms, pairwise_costs(g, atoms))
 
 
-def transport_for_pair(g, e: int, f: int) -> TransportResult:
-    """The pair's optimal transport, with its certificate checked by the solver."""
+def transport_for_pair(g, e: int, f: int):
+    """The pair's optimal TransportResult, its certificate checked by the
+    solver; kappa(e, f) reads transport_for_pair(g, min(e, f), max(e, f))."""
     return solve_wasserstein(pair_transport_problem(g, e, f))
 
 
-def ricci(g, e: int, f: int) -> CurvaturePair:
+def ricci(g, e: int, f: int):
     """kappa(e, f) = 1 - W(m_e, m_f) / d(e, f) for distinct edges (else
-    pair_transport_problem raises SamePairError); a float kappa that
-    overflows raises NonpositiveWeightError naming the pair.
-
-    One orientation per unordered pair: with e > f the (f, e) problem is
-    solved, and its plan is returned transposed and its dual negated, which
-    certify the (e, f) problem; so kappa(e, f) == kappa(f, e) bitwise, also
-    on float weights, where the solver's summation order would move the
-    last bits."""
+    pair_transport_problem raises SamePairError): a Fraction on unweighted
+    input, a float on weighted input; a float that overflows raises
+    NonpositiveWeightError naming the pair.  Only the (min, max) problem is
+    solved, so kappa(e, f) == kappa(f, e) bitwise, also on float weights,
+    where the solver's summation order would move the last bits."""
     lo, hi = sorted((e, f))
     dist = edge_distance(g, lo, hi)
-    result = transport_for_pair(g, lo, hi)
-    kappa = 1 - result.distance / dist
+    w = transport_for_pair(g, lo, hi).distance
+    kappa = 1 - w / dist
     if isinstance(kappa, float) and not math.isfinite(kappa):
         raise NonpositiveWeightError(
             f"curvature of {g.edge_name(e)},{g.edge_name(f)} overflows a float: "
-            f"W {result.distance} over edge distance {dist}"
+            f"W {w} over edge distance {dist}"
         )
-    if e > f:
-        result = replace(result, plan=tuple(sorted((b, a, x) for a, b, x in result.plan)),
-                         dual={a: -v for a, v in result.dual.items()})
-    return CurvaturePair(e, f, dist, kappa, result)
+    return kappa
 
 
-def ricci_all_adjacent(g) -> dict[tuple[int, int], CurvaturePair]:
-    """Curvature for every unordered adjacent pair, keyed by (e, f), e < f,
+def ricci_all_adjacent(g) -> dict[tuple[int, int], object]:
+    """kappa for every unordered adjacent pair, keyed by (e, f), e < f,
     with the keys in ascending order: e ascends, and each f through e's
     ascending neighborhood, so callers iterate the table as built.
 
-    The table is built once per graph instance and kept by derived; a
-    WeightedGraph and the Graph it was built from each keep their own.
-    Every call returns that same dict, which callers must treat as read-only.
+    The table keeps the numbers alone; a pair's plan and dual come from
+    transport_for_pair.  It is built once per graph instance and kept by
+    derived; a WeightedGraph and the Graph it was built from each keep their
+    own.  Every call returns that same dict, which callers must treat as
+    read-only.
     """
     return derived(g, "ricci_all_adjacent", lambda: {
         (e, f): ricci(g, e, f)
@@ -121,7 +103,7 @@ def ricci_all_adjacent(g) -> dict[tuple[int, int], CurvaturePair]:
 
 
 def ricci_all_pairs(g):
-    """Yield ((e, f), CurvaturePair) for every distinct pair, e < f, in key order.
+    """Yield ((e, f), kappa) for every distinct pair, e < f, in key order.
 
     Adjacent pairs come from the per-graph table of ricci_all_adjacent; the
     others are solved as they are reached and not kept, so no all-pairs
@@ -132,8 +114,8 @@ def ricci_all_pairs(g):
     m = g.n_edges
     for e in range(m):
         for f in range(e + 1, m):
-            cp = table.get((e, f))
-            yield (e, f), cp if cp is not None else ricci(g, e, f)
+            kappa = table.get((e, f))
+            yield (e, f), kappa if kappa is not None else ricci(g, e, f)
 
 
 def adjacent_minimum(g):
@@ -147,8 +129,8 @@ def adjacent_minimum(g):
         table = ricci_all_adjacent(g)
         if not table:
             return None
-        key = min(table, key=lambda k: (table[k].kappa, k))
-        return table[key].kappa, key
+        key = min(table, key=lambda k: (table[k], k))
+        return table[key], key
     return derived(g, "adjacent_minimum", build)
 
 

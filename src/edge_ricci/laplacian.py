@@ -98,12 +98,9 @@ def _incidence_product(g, operator: str, left, right, zero=0):
             out[j][i] += lj * ri
             out[j][j] += lj * rj
         return out
-    incident: list[list[tuple]] = [[] for _ in range(n)]
-    for e, ((i, j), (li, lj), (ri, rj)) in enumerate(zip(g.edges, left, right)):
-        incident[i].append((e, li, ri))
-        incident[j].append((e, lj, rj))
     out = [[zero] * m for _ in range(m)]
-    for entries in incident:  # vertices ascending, as the dense sum runs
+    for v, near in enumerate(g.incident):  # vertices ascending, as the dense sum runs
+        entries = [(e, left[e][g.edges[e][1] == v], right[e][g.edges[e][1] == v]) for e in near]
         for e, le, _ in entries:
             row = out[e]
             for f, _, rf in entries:

@@ -180,20 +180,20 @@ def check_bounds(g) -> list[TheoremCheck]:
     is attached as a diagnostic.
     """
     out = []
-    for (e, f), cp in ricci_all_adjacent(g).items():
+    for (e, f), kappa in ricci_all_adjacent(g).items():
         floor, ceiling, intersection = pair_bounds(g, e, f)
         tag = f"({g.edge_name(e)},{g.edge_name(f)})"
-        wit = ((f"kappa{tag}", float(cp.kappa)),)
-        out.append(_check(f"curvature-floor{tag}", cp.kappa, floor, ">=", _GAP_TOL, wit))
+        wit = ((f"kappa{tag}", float(kappa)),)
+        out.append(_check(f"curvature-floor{tag}", kappa, floor, ">=", _GAP_TOL, wit))
         if ceiling is None:
             out.append(_inapplicable(f"curvature-ceiling{tag}",
                                      "vertex weights are not constant"))
         else:
-            out.append(_check(f"curvature-ceiling{tag}", ceiling, cp.kappa,
+            out.append(_check(f"curvature-ceiling{tag}", ceiling, kappa,
                               ">=", _GAP_TOL, wit))
         if intersection is not None:
             out.append(_check(f"curvature-ceiling-intersection{tag}", intersection,
-                              cp.kappa, ">=", _GAP_TOL, wit, diagnostic=True))
+                              kappa, ">=", _GAP_TOL, wit, diagnostic=True))
     return out
 
 
@@ -270,11 +270,11 @@ def check_tree_formula(g: Graph) -> list[TheoremCheck]:
     if not is_tree(g):
         return [_inapplicable("tree-formula", "graph is not a tree")]
     out = []
-    for (e, f), cp in ricci_all_adjacent(g).items():
+    for (e, f), kappa in ricci_all_adjacent(g).items():
         value = tree_curvature_formula(g, e, f)
         name = f"tree-formula({g.edge_name(e)},{g.edge_name(f)})"
         diagnostic = value > 1
-        out.append(_check(name, cp.kappa, value, "==", 0.0,
+        out.append(_check(name, kappa, value, "==", 0.0,
                           (("formula", float(value)),), diagnostic=diagnostic))
     return out
 
@@ -322,7 +322,7 @@ def verification_report(g) -> VerificationReport:
     if not weighted and is_tree(g):
         checks.extend(check_tree_formula(g))
 
-    curvature = tuple((e, f, float(cp.kappa)) for (e, f), cp in table.items())
+    curvature = tuple((e, f, float(kappa)) for (e, f), kappa in table.items())
     weighting = "graph" if weighted else "unit"
     try:
         lprime1 = spectrum_of(g, "edge", "degree").values

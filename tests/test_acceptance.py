@@ -63,10 +63,9 @@ def test_criterion_7_catches_a_pair_below_the_adjacent_minimum(monkeypatch):
     ricci = curvature.ricci
 
     def lowered(g, e, f):
-        cp = ricci(g, e, f)
         if g == target and (e, f) == pair:
-            return dataclasses.replace(cp, kappa=kmin - Fraction(1, 100))
-        return cp
+            return kmin - Fraction(1, 100)
+        return ricci(g, e, f)
 
     monkeypatch.setattr(curvature, "ricci", lowered)
     result = criterion_7(seed=0)
@@ -85,10 +84,9 @@ def test_criterion_2_catches_a_non_adjacent_pair_below_zero(monkeypatch):
     ricci = curvature.ricci
 
     def lowered(g, e, f):
-        cp = ricci(g, e, f)
         if g == target and (e, f) == pair:
-            return dataclasses.replace(cp, kappa=Fraction(-1, 100))
-        return cp
+            return Fraction(-1, 100)
+        return ricci(g, e, f)
 
     monkeypatch.setattr(curvature, "ricci", lowered)
     result = criterion_2(seed=0)
@@ -132,14 +130,10 @@ def _plant(monkeypatch, name, change, at=(0,)):
     monkeypatch.setattr(acceptance, name, planted)
 
 
-def _first_pair(**fields):
-    """A change to the first pair of an adjacent table, leaving the kept one."""
-    def change(table):
-        table = dict(table)
-        key = min(table)
-        table[key] = dataclasses.replace(table[key], **fields)
-        return table
-    return change
+def _first_pair(kappa):
+    """A change of the first pair of an adjacent table to kappa, leaving the
+    kept table as it is."""
+    return lambda table: {**table, min(table): kappa}
 
 
 def _spectrum(*values):
@@ -153,7 +147,7 @@ def _failing_first(**fields):
 
 def test_criterion_1_names_a_wrong_table_entry_and_a_wrong_gap(monkeypatch):
     # K3's first pair solves at 1/3, and K4's gap reads 0.5
-    _plant(monkeypatch, "ricci_all_adjacent", _first_pair(kappa=Fraction(1, 3)))
+    _plant(monkeypatch, "ricci_all_adjacent", _first_pair(Fraction(1, 3)))
     _plant(monkeypatch, "spectrum_of", _spectrum(0.0, 0.5, 3.0), at=(1,))
     result = criterion_1(seed=0)
     assert not result.passed
@@ -204,14 +198,24 @@ def test_criterion_8_names_a_failed_check_and_a_padded_spectrum_off_a_direct_sol
 def test_criterion_9_names_an_open_gap_and_an_oracle_mismatch(monkeypatch):
     # the 5-cycle's first pair reports a gap of 1/7, and the oracle prices
     # its second pair 1 above the solver
-    transport = dataclasses.replace(
-        acceptance.ricci_all_adjacent(generate("cycle:5"))[0, 1].transport, gap=Fraction(1, 7))
-    _plant(monkeypatch, "ricci_all_adjacent", _first_pair(transport=transport))
+    _plant(monkeypatch, "solve_wasserstein", lambda r: dataclasses.replace(r, gap=Fraction(1, 7)))
     _plant(monkeypatch, "brute_force_wasserstein", lambda w: w + 1, at=(1,))
     result = criterion_9(seed=0)
     assert not result.passed
     assert result.detail == ("cycle:5 v0-v1,v0-v4: exact gap 1/7; "
                              "cycle:5 v0-v1,v1-v2: solver 1 != oracle 2")
+
+
+def test_criterion_9_solves_each_problem_it_builds_once_and_keeps_no_table(monkeypatch):
+    built, solved = [], []
+    build, solve = acceptance.pair_transport_problem, acceptance.solve_wasserstein
+    monkeypatch.setattr(acceptance, "pair_transport_problem",
+                        lambda g, e, f: built.append(build(g, e, f)) or built[-1])
+    monkeypatch.setattr(acceptance, "solve_wasserstein",
+                        lambda problem: solved.append(problem) or solve(problem))
+    monkeypatch.setattr(acceptance, "ricci_all_adjacent", None)
+    assert criterion_9(seed=0).passed
+    assert len(built) > 0 and list(map(id, solved)) == list(map(id, built))
 
 
 def test_criterion_11_names_each_way_a_weighted_bound_can_fail(monkeypatch):

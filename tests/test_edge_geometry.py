@@ -130,9 +130,9 @@ def test_weighted_distance_reduces_to_hops_at_unit_weights():
                 assert type(hops) is int
                 assert edge_distance(wg, e, f) == pytest.approx(hops, abs=1e-12)
         unit = ricci_all_adjacent(wg)
-        for (e, f), cp in ricci_all_adjacent(base).items():
-            assert type(cp.kappa) is Fraction
-            assert unit[(e, f)].kappa == pytest.approx(float(cp.kappa), abs=1e-12)
+        for (e, f), kappa in ricci_all_adjacent(base).items():
+            assert type(kappa) is Fraction
+            assert unit[(e, f)] == pytest.approx(float(kappa), abs=1e-12)
             floor, _, ceiling = pair_bounds(base, e, f)
             assert type(floor) is Fraction and type(ceiling) is Fraction
             unit_floor, unit_ceiling, _ = pair_bounds(wg, e, f)

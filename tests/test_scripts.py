@@ -2,6 +2,7 @@
 
 import dataclasses
 import os
+import re
 import subprocess
 import sys
 import types
@@ -71,6 +72,37 @@ def test_family_survey_rejects_a_seed_range_naming_no_seed(seeds, capsys, load_s
         load_script("family_survey").main(["--seeds", seeds])
     assert exc.value.code == 2
     assert f"invalid seed_range value: '{seeds}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec, error", [
+    ("foo:3", "error: unrecognized family spec 'foo:3'; family spec is "),
+    ("complete:a..4", "error: family spec 'complete:a..4': 'a..4' is not a range a..b, a <= b"),
+    ("complete:4..2", "error: family spec 'complete:4..2': '4..2' is not a range a..b, a <= b"),
+])
+def test_family_survey_rejects_a_malformed_spec_before_the_header(spec, error, capsys,
+                                                                  load_script):
+    # exit 1 means a violated check; a spec that names no graph is bad usage
+    assert load_script("family_survey").main(["--families", "complete:3", spec]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(error) and err.count("\n") == 1
+
+
+def test_family_survey_aligns_seeded_rows_with_the_header(capsys, load_script):
+    # 'random:6:0.95 #12' is 17 characters, one past the default width of
+    # the family column; every column, also on n/a rows, ends under its
+    # heading
+    argv = ["--families", "random:6:0.95", "--seeds", "6..12", "--show-inapplicable"]
+    assert load_script("family_survey").main(argv) == 0
+    out = capsys.readouterr().out
+    header, rows = out.splitlines()[0], _table(out)
+
+    def ends(line):
+        return [m.end() for m in re.finditer(r"\S+", line[17:])][:4]
+
+    assert header.startswith("family" + " " * 12) and len(rows) == 7
+    assert any(row.startswith("random:6:0.95 #12 ") for row in rows)
+    assert all(ends(row) == ends(header) for row in rows)
 
 
 @pytest.mark.parametrize("argv, applicable", [
@@ -154,8 +186,8 @@ def test_family_survey_reports_a_solved_pair_below_the_adjacent_minimum(monkeypa
     ricci_all_pairs = module.ricci_all_pairs
 
     def lowered(g):
-        for key, cp in ricci_all_pairs(g):
-            yield key, dataclasses.replace(cp, kappa=cp.kappa - Fraction(1, 100))
+        for key, kappa in ricci_all_pairs(g):
+            yield key, kappa - Fraction(1, 100)
 
     monkeypatch.setattr(module, "ricci_all_pairs", lowered)
     assert module.main(_SEEDED) == 1
@@ -181,29 +213,16 @@ def test_family_survey_solves_every_pair_once_per_graph(monkeypatch, capsys, loa
 
 
 def _plant(monkeypatch, module, name, change):
-    """Replace module.name(g) by change(g, module.name(g)) on its first graph."""
+    """Replace module.name(x) by change(x, module.name(x)) on its first
+    argument x: a graph, or the survey's first transport problem."""
     real, seen = getattr(module, name), []
 
-    def planted(g):
+    def planted(x):
         if not seen:
-            seen.append(g)
-        return change(g, real(g)) if g is seen[0] else real(g)
+            seen.append(x)
+        return change(x, real(x)) if x is seen[0] else real(x)
 
     monkeypatch.setattr(module, name, planted)
-
-
-def _first_pair(change):
-    """A change to the first entry of an adjacent curvature table."""
-    def apply(g, table):
-        table = dict(table)
-        key = min(table)
-        table[key] = change(table[key])
-        return table
-    return apply
-
-
-def _transport(cp, **fields):
-    return dataclasses.replace(cp, transport=dataclasses.replace(cp.transport, **fields))
 
 
 def _planted_failure(monkeypatch, capsys, module, name, change, argv=_SEEDED):
@@ -214,19 +233,19 @@ def _planted_failure(monkeypatch, capsys, module, name, change, argv=_SEEDED):
 
 
 def test_family_survey_reports_a_plan_that_is_not_a_coupling(monkeypatch, capsys, load_script):
-    # drop the first entry of one adjacent plan: its row no longer sums to
-    # the problem's supply in units
+    # drop the first entry of the first adjacent plan: its row no longer
+    # sums to the problem's supply in units
     out = _planted_failure(monkeypatch, capsys, load_script("family_survey"),
-                           "ricci_all_adjacent",
-                           _first_pair(lambda cp: _transport(cp, plan=cp.transport.plan[1:])))
+                           "solve_wasserstein",
+                           lambda problem, r: dataclasses.replace(r, plan=r.plan[1:]))
     assert len(out) == 1
     assert out[0].startswith("COUPLING VIOLATION random:7:0.5 #0 pair (0,1): row ")
 
 
 def test_family_survey_reports_an_exact_duality_gap(monkeypatch, capsys, load_script):
     out = _planted_failure(monkeypatch, capsys, load_script("family_survey"),
-                           "ricci_all_adjacent",
-                           _first_pair(lambda cp: _transport(cp, gap=Fraction(1, 7))))
+                           "solve_wasserstein",
+                           lambda problem, r: dataclasses.replace(r, gap=Fraction(1, 7)))
     assert out == ["DUALITY GAP random:7:0.5 #0 pair (0,1): 1/7"]
 
 

@@ -541,9 +541,9 @@ def test_relabelling_changes_no_curvature_and_no_verdict(weighted, spec, seed, r
     if weighted:
         g, h = _weighted_twins(g, h, back, rng)
     same = {v: v for v in g.labels}
-    table = {_pair_key(g, e, f, same): cp.kappa for (e, f), cp in ricci_all_adjacent(g).items()}
-    mapped = {_pair_key(h, e, f, back): cp.kappa
-              for (e, f), cp in ricci_all_adjacent(h).items()}
+    table = {_pair_key(g, e, f, same): kappa for (e, f), kappa in ricci_all_adjacent(g).items()}
+    mapped = {_pair_key(h, e, f, back): kappa
+              for (e, f), kappa in ricci_all_adjacent(h).items()}
     if weighted:
         # float rows are not symmetric, so h may solve a pair the other way round
         assert mapped.keys() == table.keys()
@@ -608,9 +608,9 @@ def test_exact_checks_fail_inside_the_float_tolerance(monkeypatch):
     table = ricci_all_adjacent(g)
     eps = Fraction(1, 10**30)
     monkeypatch.setattr(verify, "pair_bounds", lambda g, e, f: (
-        table[e, f].kappa + eps, table[e, f].kappa - eps, table[e, f].kappa - eps))
+        table[e, f] + eps, table[e, f] - eps, table[e, f] - eps))
     monkeypatch.setattr(verify, "tree_curvature_formula",
-                        lambda g, e, f: table[e, f].kappa + eps)
+                        lambda g, e, f: table[e, f] + eps)
     checks = verification_report(g).checks
     for family in ("curvature-floor(", "curvature-ceiling(", "tree-formula("):
         found = [c for c in checks if c.name.startswith(family)]
