@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import heapq
 import json
+from bisect import bisect_left
 import math
 from typing import Iterable, Mapping, Sequence
 
@@ -56,8 +57,7 @@ class Graph:
     """
 
     __slots__ = (
-        "labels", "index", "edges", "incident",
-        "_edge_lookup", "_derived", "__weakref__",
+        "labels", "index", "edges", "incident", "_derived", "__weakref__",
     )
 
     def __init__(self, labels: Iterable[str], edge_pairs: Iterable[tuple[str, str]]):
@@ -111,7 +111,6 @@ class Graph:
         self.index = index
         self.edges = tuple(edges)
         self.incident = tuple(map(tuple, incident))
-        self._edge_lookup = {pair: k for k, pair in enumerate(self.edges)}
         self._derived = {}
 
     # -- identity is by labelled vertex/edge sets, not by index assignment,
@@ -140,17 +139,22 @@ class Graph:
         return len(self.edges)
 
     def edge_ordinal(self, u: str, v: str) -> int:
-        """Ordinal of the edge {u, v}; raises if absent."""
+        """Ordinal of the edge {u, v}; raises if absent.
+
+        Found by bisection in the incident edges of its lower endpoint
+        index: their ordinals ascend, and so do their index pairs.
+        """
         if u not in self.index:
             raise UnknownVertexError(f"vertex {u!r} not in graph")
         if v not in self.index:
             raise UnknownVertexError(f"vertex {v!r} not in graph")
         i, j = self.index[u], self.index[v]
         key = (min(i, j), max(i, j))
-        try:
-            return self._edge_lookup[key]
-        except KeyError:
-            raise UnknownEdgeError(f"no edge {u!r} {v!r}") from None
+        near = self.incident[key[0]]
+        k = bisect_left(near, key, key=self.edges.__getitem__)
+        if k < len(near) and self.edges[near[k]] == key:
+            return near[k]
+        raise UnknownEdgeError(f"no edge {u!r} {v!r}")
 
     def edge_endpoints(self, e: int) -> tuple[str, str]:
         """Endpoint labels of edge ordinal e, in index order."""
@@ -188,8 +192,8 @@ class WeightedGraph(Graph):
         vertex_weight: Mapping[str, float] | None = None,
         edge_weight: Mapping[tuple[str, str], float] | None = None,
     ):
-        self.labels, self.index, self.edges = graph.labels, graph.index, graph.edges
-        self.incident, self._edge_lookup = graph.incident, graph._edge_lookup
+        self.labels, self.index = graph.labels, graph.index
+        self.edges, self.incident = graph.edges, graph.incident
         self._derived = {}
         vw = [1.0] * self.n_vertices
         for v, w in (vertex_weight or {}).items():
@@ -377,7 +381,9 @@ def generate(spec: str, seed: int | None = None) -> Graph:
     """Build the family a spec like 'cycle:6' or 'circulant:9:1,2' names.
 
     The randomized families (tree, random) are seeded through splitmix64;
-    seed defaults to 0, so a spec and a seed pin the graph.
+    seed defaults to 0, so a spec and a seed pin the graph.  A builder
+    returns the vertex count n and its edges as index pairs; the vertices
+    are labelled v0..v{n-1} here, once for every family.
     """
     name, *args = spec.split(":")
     if name not in _FAMILIES or len(args) != len(_FAMILIES[name][1]):
@@ -386,7 +392,9 @@ def generate(spec: str, seed: int | None = None) -> Graph:
     params = [parse(arg) for parse, arg in zip(parsers, args)]
     if seeded:
         params.append(0 if seed is None else seed)
-    return build(*params)
+    n, pairs = build(*params)
+    vs = [f"v{i}" for i in range(n)]
+    return Graph(vs, [(vs[i], vs[j]) for i, j in pairs])
 
 
 def _integer(what: str):
@@ -411,50 +419,45 @@ def _offsets(s: str) -> tuple[int, ...]:
     return tuple(map(_integer("offset"), s.split(",")))
 
 
-def _labels(n: int) -> list[str]:
-    return [f"v{i}" for i in range(n)]
+# Each builder checks its parameters and returns (n, index pairs).
+_Family = tuple[int, list[tuple[int, int]]]
 
 
-def _complete(n: int) -> Graph:
+def _complete(n: int) -> _Family:
     if n < 2:
         raise InvalidParameterError(f"complete graph needs n >= 2, got {n}")
-    vs = _labels(n)
-    return Graph(vs, [(vs[i], vs[j]) for i in range(n) for j in range(i + 1, n)])
+    return n, [(i, j) for i in range(n) for j in range(i + 1, n)]
 
 
-def _cycle(n: int) -> Graph:
+def _cycle(n: int) -> _Family:
     if n < 3:
         raise InvalidParameterError(f"cycle needs n >= 3, got {n}")
-    vs = _labels(n)
-    return Graph(vs, [(vs[i], vs[(i + 1) % n]) for i in range(n)])
+    return n, [(i, (i + 1) % n) for i in range(n)]
 
 
-def _complete_bipartite(n: int, m: int) -> Graph:
+def _complete_bipartite(n: int, m: int) -> _Family:
     if n < 1 or m < 1:
         raise InvalidParameterError(f"bipartite parts need n, m >= 1, got {n}, {m}")
-    vs = _labels(n + m)
-    return Graph(vs, [(vs[i], vs[n + j]) for i in range(n) for j in range(m)])
+    return n + m, [(i, n + j) for i in range(n) for j in range(m)]
 
 
-def _star(m: int) -> Graph:
+def _star(m: int) -> _Family:
     if m < 1:
         raise InvalidParameterError(f"star needs m >= 1, got {m}")
     return _complete_bipartite(1, m)
 
 
-def _path(n: int) -> Graph:
+def _path(n: int) -> _Family:
     if n < 2:
         raise InvalidParameterError(f"path needs n >= 2, got {n}")
-    vs = _labels(n)
-    return Graph(vs, [(vs[i], vs[i + 1]) for i in range(n - 1)])
+    return n, [(i, i + 1) for i in range(n - 1)]
 
 
-def _random_tree(n: int, seed: int) -> Graph:
+def _random_tree(n: int, seed: int) -> _Family:
     """Uniform labelled tree via a random Pruefer sequence."""
     if n < 2:
         raise InvalidParameterError(f"random tree needs n >= 2, got {n}")
-    vs = _labels(n)
-    return Graph(vs, [(vs[i], vs[j]) for i, j in _prufer_edges(n, SplitMix64(seed))])
+    return n, _prufer_edges(n, SplitMix64(seed))
 
 
 def _prufer_edges(n: int, rng: SplitMix64) -> list[tuple[int, int]]:
@@ -477,7 +480,7 @@ def _prufer_edges(n: int, rng: SplitMix64) -> list[tuple[int, int]]:
     return edges
 
 
-def _random_connected(n: int, p: float, seed: int) -> Graph:
+def _random_connected(n: int, p: float, seed: int) -> _Family:
     """Random spanning tree plus independent extra edges with probability p.
 
     Connectivity is guaranteed by the tree skeleton; the remaining vertex
@@ -496,11 +499,10 @@ def _random_connected(n: int, p: float, seed: int) -> Graph:
                 continue
             if rng.uniform() < p:
                 extra.append((i, j))
-    vs = _labels(n)
-    return Graph(vs, [(vs[i], vs[j]) for i, j in sorted(tree) + extra])
+    return n, sorted(tree) + extra
 
 
-def _circulant(n: int, offsets: Sequence[int]) -> Graph:
+def _circulant(n: int, offsets: Sequence[int]) -> _Family:
     if n < 3:
         raise InvalidParameterError(f"circulant needs n >= 3, got {n}")
     norm = set()
@@ -509,18 +511,15 @@ def _circulant(n: int, offsets: Sequence[int]) -> Graph:
         if off == 0:
             raise InvalidParameterError("circulant offset 0 (mod n) gives self loops")
         norm.add(min(off, n - off))
-    vs = _labels(n)
-    pairs = sorted({tuple(sorted((i, (i + off) % n))) for i in range(n) for off in norm})
-    return Graph(vs, [(vs[i], vs[j]) for i, j in pairs])
+    return n, sorted({tuple(sorted((i, (i + off) % n))) for i in range(n) for off in norm})
 
 
-def _petersen() -> Graph:
+def _petersen() -> _Family:
     """Outer 5-cycle, inner pentagram, five spokes."""
-    vs = _labels(10)
     pairs = [(i, (i + 1) % 5) for i in range(5)]
     pairs += [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
     pairs += [(i, i + 5) for i in range(5)]
-    return Graph(vs, [(vs[i], vs[j]) for i, j in pairs])
+    return 10, pairs
 
 
 # name -> (builder, one parser per spec parameter, whether the builder also

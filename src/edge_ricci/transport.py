@@ -213,10 +213,6 @@ class TransportResult:
     dual: Mapping[int, object]
     gap: object               # primal cost minus dual objective
 
-    @property
-    def exact(self) -> bool:
-        return isinstance(self.distance, Fraction)
-
 
 def solve_wasserstein(problem: TransportProblem) -> TransportResult:
     """Minimum-cost transport, returned only once its certificate checks out.

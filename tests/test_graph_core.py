@@ -75,6 +75,21 @@ def test_construction_rejections():
         generate("cycle:4").edge_ordinal("v0", "v2")
 
 
+@pytest.mark.parametrize("spec", ["petersen", "random:12:0.6"])
+def test_edge_ordinal_finds_every_edge_from_either_end(spec):
+    g = generate(spec)
+    for e in range(g.n_edges):
+        u, v = g.edge_endpoints(e)
+        assert g.edge_ordinal(u, v) == g.edge_ordinal(v, u) == e
+    u, v = next((u, v) for u in g.labels for v in g.labels
+                if u != v and not any(sum(g.edges[k]) - g.index[u] == g.index[v]
+                                      for k in g.incident[g.index[u]]))
+    with pytest.raises(UnknownEdgeError, match=f"no edge '{u}' '{v}'"):
+        g.edge_ordinal(u, v)
+    with pytest.raises(UnknownEdgeError, match=f"no edge '{u}' '{u}'"):
+        g.edge_ordinal(u, u)
+
+
 def test_parse_serialize_round_trip():
     text = "a b\nb c # comment\n\n# full comment line\nc d\r\n"
     g = parse_edgelist(text)

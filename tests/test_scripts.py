@@ -1,6 +1,8 @@
 """The scripts under scripts/ run end to end on small inputs."""
 
+import collections
 import dataclasses
+import hashlib
 import os
 import re
 import subprocess
@@ -9,6 +11,9 @@ import types
 from fractions import Fraction
 
 import pytest
+
+from edge_ricci import transport
+
 
 @pytest.mark.parametrize("name, argv", [
     ("family_survey", ["--families", "complete:4", "star:4", "cycle:5"]),
@@ -122,6 +127,25 @@ def test_family_survey_says_when_the_bound_was_never_checked(argv, applicable, c
     assert capsys.readouterr().out.splitlines()[-2:] == census[applicable]
 
 
+def test_family_survey_counts_graphs_with_no_adjacent_pair_apart(capsys, load_script):
+    # K2 (path:2, star:1) has one edge, so no adjacent pair and no
+    # curvature floor; path:3 has one pair, of curvature 0
+    assert load_script("family_survey").main(["--families", "path:2", "star:1", "path:3"]) == 0
+    assert capsys.readouterr().out.splitlines()[-2:] == [
+        "3 graphs: 0 with unequal edge degrees, 2 with no adjacent edge pair, "
+        "1 with curvature floor <= 0, 0 where the bound applies",
+        "the bound's hypotheses held on no graph: the gap bound was not checked"]
+
+
+def test_family_survey_default_sweep_bytes_are_pinned(capsys, load_script):
+    # a change that moves one printed digit or one census count of the
+    # default sweep changes this digest
+    assert load_script("family_survey").main([]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "5ef3981bf2f631f619dbc75d5eba57afbe1ffc657a05c57a6243d26c8fb33a4a")
+
+
 def test_output_digest_covers_every_input_and_command(monkeypatch, capsys, load_script):
     module = load_script("output_digest")
     monkeypatch.setattr(module, "FAMILIES", ("cycle:4", "star:4"))
@@ -212,9 +236,32 @@ def test_family_survey_solves_every_pair_once_per_graph(monkeypatch, capsys, loa
     capsys.readouterr()
 
 
+def test_family_survey_solves_each_pair_once(monkeypatch, capsys, load_script):
+    # every binding of solve_wasserstein counts its calls, keyed by the
+    # graph under audit and the solved pair: the checks all read the one
+    # table, whose solves check their own certificates
+    module = load_script("family_survey")
+    real, current, solved = transport.solve_wasserstein, [], collections.Counter()
+
+    def counting(problem):
+        solved[current[-1], problem.mu.owner, problem.nu.owner] += 1
+        return real(problem)
+
+    for mod in [module, *(m for name, m in sys.modules.items() if name.startswith("edge_ricci"))]:
+        if getattr(mod, "solve_wasserstein", None) is real:
+            monkeypatch.setattr(mod, "solve_wasserstein", counting)
+    audit = module.audit
+    monkeypatch.setattr(module, "audit", lambda name, g: current.append(name) or audit(name, g))
+    for argv in ([], _SEEDED):
+        solved.clear()
+        assert module.main(argv) == 0
+        assert solved and set(solved.values()) == {1}
+    capsys.readouterr()
+
+
 def _plant(monkeypatch, module, name, change):
     """Replace module.name(x) by change(x, module.name(x)) on its first
-    argument x: a graph, or the survey's first transport problem."""
+    argument x, a graph."""
     real, seen = getattr(module, name), []
 
     def planted(x):
@@ -232,21 +279,31 @@ def _planted_failure(monkeypatch, capsys, module, name, change, argv=_SEEDED):
     return capsys.readouterr().out.splitlines()[2:]
 
 
+def _certificate_failure(monkeypatch, capsys, module, name, change):
+    """The lines after the header once change is planted into the solver's
+    own certificate check transport.name(problem, x)."""
+    real = getattr(transport, name)
+    monkeypatch.setattr(transport, name, lambda problem, x: change(real(problem, x)))
+    assert module.main(_SEEDED) == 1
+    return capsys.readouterr().out.splitlines()[2:]
+
+
+# the first pair the survey solves: the solver's message names it and the
+# instance size
+_FIRST_SOLVE = ("CERTIFICATE VIOLATION random:7:0.5 #0: "
+                "transport for pair (0,1) over 6x6 atoms, residual 3x3: ")
+
+
 def test_family_survey_reports_a_plan_that_is_not_a_coupling(monkeypatch, capsys, load_script):
-    # drop the first entry of the first adjacent plan: its row no longer
-    # sums to the problem's supply in units
-    out = _planted_failure(monkeypatch, capsys, load_script("family_survey"),
-                           "solve_wasserstein",
-                           lambda problem, r: dataclasses.replace(r, plan=r.plan[1:]))
-    assert len(out) == 1
-    assert out[0].startswith("COUPLING VIOLATION random:7:0.5 #0 pair (0,1): row ")
+    out = _certificate_failure(monkeypatch, capsys, load_script("family_survey"),
+                               "verify_coupling", lambda violations: ("planted",))
+    assert out == [_FIRST_SOLVE + "invalid plan: planted"]
 
 
 def test_family_survey_reports_an_exact_duality_gap(monkeypatch, capsys, load_script):
-    out = _planted_failure(monkeypatch, capsys, load_script("family_survey"),
-                           "solve_wasserstein",
-                           lambda problem, r: dataclasses.replace(r, gap=Fraction(1, 7)))
-    assert out == ["DUALITY GAP random:7:0.5 #0 pair (0,1): 1/7"]
+    out = _certificate_failure(monkeypatch, capsys, load_script("family_survey"),
+                               "dual_objective", lambda value: value + Fraction(1, 7))
+    assert out == [_FIRST_SOLVE + "duality gap -1/7 exceeds 0"]
 
 
 def test_family_survey_reports_a_curvature_bound_that_fails(monkeypatch, capsys, load_script):

@@ -65,7 +65,7 @@ def _problem(mu_masses, nu_masses, mu_atoms, nu_atoms):
 def test_point_masses_move_the_whole_unit():
     p = _problem((Fraction(1),), (Fraction(1),), (0,), (5,))
     r = solve_wasserstein(p)
-    assert r.distance == 5 and r.exact and r.gap == 0
+    assert r.distance == 5 and type(r.distance) is Fraction and r.gap == 0
     assert r.plan == ((0, 5, Fraction(1)),)
 
 
@@ -149,6 +149,18 @@ def test_column_reduced_start_needs_no_dual_step_when_the_column_minima_match(mo
     assert len(calls) == 1
     assert [(a, b) for a, b, _ in r.plan] == [(0, 3), (1, 4), (2, 5)]
     assert r.distance == pytest.approx(1.5, rel=1e-15)
+
+
+def test_a_float_solve_that_never_drains_stops_at_the_budget(monkeypatch):
+    # A negative tightness threshold leaves no arc tight, so no phase ships
+    # and the dual steps run the budget out: the solve raises instead of
+    # spinning.
+    monkeypatch.setattr(transport, "_FLOAT_EPS_TIGHT", -1.0)
+    p = _problem((0.5, 0.5), (0.5, 0.5), (0, 1), (2, 3))
+    with pytest.raises(TransportError) as exc:
+        solve_wasserstein(p)
+    assert str(exc.value) == ("transport for pair (0,1) over 2x2 atoms, residual 2x2: "
+                              "augmentation budget exhausted; instance does not drain")
 
 
 def test_a_residual_with_one_sink_and_no_source_keeps_its_potentials():
@@ -398,7 +410,7 @@ def test_solver_matches_brute_force_on_overlapping_supports(problem):
 @given(overlapping_instances(exact=False))
 def test_float_solver_matches_brute_force_on_overlapping_supports(problem):
     r = solve_wasserstein(problem)
-    assert not r.exact
+    assert type(r.distance) is float
     assert r.distance == pytest.approx(brute_force_wasserstein(problem),
                                        rel=1e-12, abs=1e-12)
     assert abs(r.gap) <= 1e-9
@@ -564,7 +576,7 @@ def test_float_route_certifies_itself(seed):
     )
     p = pair_transport_problem(wg, 0, 1)
     r = solve_wasserstein(p)
-    assert not r.exact
+    assert type(r.distance) is float
     assert abs(r.gap) <= 1e-9
     if len(p.mu.atoms) <= 4 and len(p.nu.atoms) <= 4:
         bf = brute_force_wasserstein(p)
@@ -586,10 +598,10 @@ def test_every_adjacent_plan_is_a_coupling_in_its_problems_units(seed, n, prob, 
         assert r.scale == problem.scale
         amounts = [x for _, _, x in r.plan]
         if weighted:
-            assert not r.exact and r.scale == 1
+            assert not problem.exact and r.scale == 1
             assert math.isclose(sum(amounts), 1, abs_tol=1e-12)
         else:
-            assert r.exact and all(type(x) is int for x in amounts)
+            assert problem.exact and all(type(x) is int for x in amounts)
             assert sum(amounts) == r.scale
 
 
