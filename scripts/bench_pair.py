@@ -2,18 +2,20 @@
 """Paired benchmark runs of a git ref and the working tree, with a verdict.
 
     python3 scripts/bench_pair.py HEAD~1 --workload dense-exact
-    python3 scripts/bench_pair.py main --workload selftest --pairs 10
+    python3 scripts/bench_pair.py main --workload dense-exact selftest --pairs 10
 
 Both sides run from copies in one temporary directory: REF as ``git archive``
 writes it, and the working tree as the files ``git ls-files -co
 --exclude-standard`` lists (tracked files with their uncommitted edits, and
-untracked files git does not ignore), so neither side runs in place.  Each
-pair runs ``bench/run.py --trace 0`` at seed 0 for BENCHMARK.json's run
-length, once in each copy, each after its own package's ``__pycache__`` is
-removed (``bench_record.run_bench``); the side that runs first alternates
-from pair to pair.  For each end-to-end metric of BENCHMARK.json the script
-prints both medians, the interquartile range of REF's runs
-(statistics.quantiles, n=4), the working tree's wins and the verdict:
+untracked files git does not ignore), so neither side runs in place; both
+copies are made once, whatever the number of workloads.  Each pair runs
+``bench/run.py --trace 0`` at seed 0 for BENCHMARK.json's run length, for
+each named workload in turn, once in each copy, each after its own
+package's ``__pycache__`` is removed (``bench_record.run_bench``); the side
+that runs first alternates from pair to pair.  For each workload, one table
+gives, for each end-to-end metric of BENCHMARK.json, both medians, the
+interquartile range of REF's runs (statistics.quantiles, n=4), the working
+tree's wins and the verdict:
 
     gain     the working tree wins at least nine tenths of the pairs, ties
              counting for neither, and the medians differ, in its favour,
@@ -94,14 +96,15 @@ def main(argv: list[str] | None = None) -> int:
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("ref", help="the git ref to compare the working tree with")
-    parser.add_argument("--workload", required=True,
+    parser.add_argument("--workload", required=True, nargs="+",
                         choices=[w["name"] for w in benchmark["workloads"]])
     parser.add_argument("--pairs", type=int, default=10)
     args = parser.parse_args(argv)
     seconds = benchmark["run_seconds"]
-    runs: dict[str, list[dict]] = {"ref": [], "tree": []}
+    runs: dict[str, dict[str, list[dict]]] = {
+        workload: {"ref": [], "tree": []} for workload in args.workload}
     with tempfile.TemporaryDirectory() as tmp:
-        roots = {side: Path(tmp) / side for side in runs}
+        roots = {side: Path(tmp) / side for side in ("ref", "tree")}
         try:
             export(args.ref, roots["ref"])
         except subprocess.CalledProcessError as exc:
@@ -111,24 +114,27 @@ def main(argv: list[str] | None = None) -> int:
         snapshot(ROOT, roots["tree"])
         try:
             for i in range(args.pairs):
-                for side in ("ref", "tree") if i % 2 == 0 else ("tree", "ref"):
-                    runs[side].append(run_bench(args.workload, SEED, seconds, 0, roots[side]))
+                for workload, sides in runs.items():
+                    for side in ("ref", "tree") if i % 2 == 0 else ("tree", "ref"):
+                        sides[side].append(run_bench(workload, SEED, seconds, 0, roots[side]))
                 print(f"pair {i + 1}/{args.pairs}: done", file=sys.stderr)
         except RuntimeError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
-    print(f"workload {args.workload}  ref {args.ref}  pairs {args.pairs}  "
-          f"seconds {seconds:g}")
-    print(f"{'metric':<12} {'ref median':>12} {'tree median':>12} {'ref IQR':>10} "
-          f"{'wins':>6}  verdict")
-    for metric in benchmark["end_to_end"]:
-        name = metric["name"]
-        ref, tree = ([run["metrics"][name]["value"] for run in runs[side]]
-                     for side in ("ref", "tree"))
-        won = wins(ref, tree, metric["better"])
-        print(f"{name:<12} {statistics.median(ref):>12.6g} {statistics.median(tree):>12.6g} "
-              f"{iqr(ref):>10.3g} {f'{won}/{args.pairs}':>6}  "
-              f"{verdict(ref, tree, metric['better'], metric['bound'])}")
+    for workload, sides in runs.items():
+        print(f"workload {workload}  ref {args.ref}  pairs {args.pairs}  "
+              f"seconds {seconds:g}")
+        print(f"{'metric':<12} {'ref median':>12} {'tree median':>12} {'ref IQR':>10} "
+              f"{'wins':>6}  verdict")
+        for metric in benchmark["end_to_end"]:
+            name = metric["name"]
+            ref, tree = ([run["metrics"][name]["value"] for run in sides[side]]
+                         for side in ("ref", "tree"))
+            won = wins(ref, tree, metric["better"])
+            print(f"{name:<12} {statistics.median(ref):>12.6g} "
+                  f"{statistics.median(tree):>12.6g} {iqr(ref):>10.3g} "
+                  f"{f'{won}/{args.pairs}':>6}  "
+                  f"{verdict(ref, tree, metric['better'], metric['bound'])}")
     return 0
 
 

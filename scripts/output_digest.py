@@ -3,8 +3,8 @@
 
 For every input, run ``verify --format json|text|csv``,
 ``curvature --all-pairs --format csv``, ``curvature --format json`` (the
-adjacent table), and ``spectrum --format json`` and ``spectrum
---dump-matrix vertex|edge`` for each weighting that applies (unit, walk
+adjacent table), and ``spectrum --format json`` and ``spectrum --operator
+vertex|edge --format matrix`` for each weighting that applies (unit, walk
 and degree on edge lists, and graph too on weighted documents) in process, and
 print one line per invocation: the exit code, the sha256 of stdout and
 stderr, the input and the command.  The corpus is built here and nowhere
@@ -110,7 +110,7 @@ def spectrum_commands(weightings: tuple[str, ...]) -> tuple[tuple[str, ...], ...
     """Eigenvalues as JSON for each weighting, then both matrix dumps for each."""
     return tuple(("spectrum", "--weighting", weighting, "--format", "json")
                  for weighting in weightings) + tuple(
-        ("spectrum", "--weighting", weighting, "--dump-matrix", operator)
+        ("spectrum", "--weighting", weighting, "--operator", operator, "--format", "matrix")
         for weighting in weightings for operator in ("vertex", "edge"))
 
 

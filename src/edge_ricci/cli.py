@@ -1,8 +1,9 @@
 """Command-line surface.
 
 Five subcommands: ``generate`` (family -> edge list), ``curvature`` (pair
-table), ``spectrum`` (eigenvalues or a raw operator dump), ``verify`` (full
-check report) and ``selftest`` (the eleven-criterion acceptance gate).
+table), ``spectrum`` (eigenvalues, or with ``--format matrix`` the
+assembled operator), ``verify`` (full check report) and ``selftest`` (the
+eleven-criterion acceptance gate).
 
 Exit codes: 0 success, 1 at least one asserted check or criterion failed,
 2 usage or input errors, including an input too large for memory.  Output
@@ -75,9 +76,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weighting", choices=WEIGHTINGS, default="degree")
     p.add_argument("--zero-tol", type=float, default=None,
                    help="absolute zero threshold (default: 1e-8 * max(1, largest eigenvalue))")
-    p.add_argument("--dump-matrix", choices=OPERATORS, metavar="KIND",
-                   help="print the assembled KIND operator matrix instead of eigenvalues")
-    p.add_argument("--format", choices=_FORMATS, default="text")
+    p.add_argument("--format", choices=_FORMATS + ("matrix",), default="text",
+                   help="matrix prints the assembled operator instead of eigenvalues")
     add_output(p)
 
     p = sub.add_parser("verify", help="run every check and print a report")
@@ -158,9 +158,9 @@ def _cmd_spectrum(args) -> int:
         raise InvalidParameterError(
             f"--zero-tol must be a finite number >= 0, got {args.zero_tol}")
     g = _load_graph(args)
-    if args.dump_matrix is not None:
-        matrix = assemble(g, args.dump_matrix, args.weighting)
-        _emit(dump_matrix(matrix, args.dump_matrix), args.output)
+    if args.format == "matrix":
+        matrix = assemble(g, args.operator, args.weighting)
+        _emit(dump_matrix(matrix, args.operator), args.output)
         return 0
     spec = spectrum_of(g, args.operator, args.weighting, zero_tol=args.zero_tol)
     values = spec.values
@@ -231,9 +231,5 @@ def run(argv=None) -> int:
         return 2
 
 
-def main(argv=None) -> int:
-    return run(argv)
-
-
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -44,10 +44,10 @@ class NonpositiveWeightError(GraphError):
 
 class InvalidParameterError(GraphError):
     """A parameter or argument cannot be used: a malformed family spec or a
-    family parameter out of range; an unknown weighting, operator or check
-    relation, or one the graph's kind does not support; a --zero-tol that is
-    not a finite number >= 0; --weighted without --input; or an input or
-    output file that cannot be read or written."""
+    family parameter out of range; an unknown weighting or operator, or one
+    the graph's kind does not support; a --zero-tol that is not a finite
+    number >= 0; --weighted without --input; or an input or output file
+    that cannot be read or written."""
 
 
 class UnknownVertexError(GraphError):

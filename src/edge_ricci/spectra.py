@@ -193,11 +193,12 @@ def spectrum_of(g, operator: str = "edge", weighting: str = "degree",
 
     Only the smaller side is solved, once per weighting and graph instance,
     and kept by derived; the other side is that spectrum padded with
-    |m - n| zeros (module docstring), kept too.  When zero_tol is omitted
-    it defaults to 1e-8 * max(1, largest eigenvalue) — relative, since
-    nothing in the operators pins an absolute scale.  It is applied per
-    call, so one cached solve serves every tolerance.  An eigensolver
-    error is raised again with the solved side and the weighting named.
+    |m - n| zeros (module docstring), rebuilt on each call.  When zero_tol
+    is omitted it defaults to 1e-8 * max(1, largest eigenvalue) —
+    relative, since nothing in the operators pins an absolute scale.  It is
+    applied per call, so one cached solve serves every tolerance.  An
+    eigensolver error is raised again with the solved side and the
+    weighting named.
     """
     check_operator(operator)
     side = _solved_side(g)
@@ -209,9 +210,7 @@ def spectrum_of(g, operator: str = "edge", weighting: str = "degree",
     if operator == side:
         values = solved
     else:
-        size = g.n_vertices if operator == "vertex" else g.n_edges
-        values = derived(g, ("spectrum_of", operator, weighting),
-                         lambda: _pad(solved, size))
+        values = _pad(solved, g.n_vertices if operator == "vertex" else g.n_edges)
     if zero_tol is None:
         zero_tol = 1e-8 * max(1.0, values[-1])
     return Spectrum(values, zero_tol)

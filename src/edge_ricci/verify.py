@@ -19,17 +19,15 @@ Each records the witnesses (pair, kappa_min), (neighbor-count, d),
 (w0, w0) and (w1, w1).
 
 Reports serialize to JSON (17 significant digits), plain text tables
-(6 digits), and CSV for the curvature table.  Wall-clock timing is kept on
-the in-memory report only; serializers omit it so identical inputs yield
-byte-identical output.  report_to_json writes one f-string per check, the
-bytes _json_value would write.
+(6 digits), and CSV for the curvature table.  A report keeps no timing,
+so identical inputs yield byte-identical output.  report_to_json writes
+one f-string per check, the bytes _json_value would write.
 """
 
 from __future__ import annotations
 
 import math
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .curvature import (
@@ -39,7 +37,7 @@ from .curvature import (
     tree_curvature_formula,
 )
 from .edge_geometry import edge_space
-from .errors import InvalidParameterError, IsolatedEdgeError
+from .errors import IsolatedEdgeError
 from .graph_core import Graph, WeightedGraph, is_tree
 from .laplacian import gram_moments, weight_pair
 from .spectra import spectrum_of
@@ -69,19 +67,17 @@ class TheoremCheck:
 
 
 def _check(name, lhs, rhs, relation, tolerance, witnesses=(), diagnostic=False):
-    """The check lhs `relation` rhs.  Two exact sides (int or Fraction)
-    compare exactly, with tolerance 0; otherwise both are rounded to floats
-    and compared within tolerance.  The record holds floats."""
+    """The check lhs `relation` rhs, relation ">=" or "==".  Two exact
+    sides (int or Fraction) compare exactly, with tolerance 0; otherwise
+    both are rounded to floats and compared within tolerance.  The record
+    holds floats."""
     exact = isinstance(lhs, (int, Fraction)) and isinstance(rhs, (int, Fraction))
     if not exact:
         lhs, rhs = float(lhs), float(rhs)
     if relation == ">=":
         holds = lhs >= rhs if exact else lhs >= rhs - tolerance
-    elif relation == "==":
-        # not lhs == rhs on floats: the two differ at equal infinities
+    else:  # "=="; not lhs == rhs on floats: the two differ at equal infinities
         holds = lhs == rhs if exact else abs(lhs - rhs) <= tolerance
-    else:
-        raise InvalidParameterError(f"unknown relation {relation!r}")
     wit = tuple([(str(k), float(v)) for k, v in witnesses])
     return TheoremCheck(name, True, "", float(lhs), float(rhs), relation,
                         0.0 if exact else float(tolerance), holds, diagnostic, wit)
@@ -287,7 +283,6 @@ class VerificationReport:
     checks: tuple[TheoremCheck, ...]
     curvature: tuple[tuple[int, int, float], ...]
     spectra: dict
-    elapsed_seconds: float = field(compare=False, default=0.0)
 
     def failed(self) -> tuple[TheoremCheck, ...]:
         """Asserted, applicable checks that did not hold."""
@@ -297,7 +292,6 @@ class VerificationReport:
 
 def verification_report(g) -> VerificationReport:
     """Run the full check battery appropriate to the graph's kind."""
-    start = time.perf_counter()
     weighted = isinstance(g, WeightedGraph)
     d = edge_regularity(g)
     # the curvature checks read this per-graph table; building it here keeps
@@ -333,8 +327,7 @@ def verification_report(g) -> VerificationReport:
         "L1": spectrum_of(g, "edge", weighting).values,
         "Lprime1": lprime1,
     }
-    elapsed = time.perf_counter() - start
-    return VerificationReport(summary, tuple(checks), curvature, spectra, elapsed)
+    return VerificationReport(summary, tuple(checks), curvature, spectra)
 
 
 # ------------------------------------------------------------- serializers

@@ -1,4 +1,4 @@
-"""End-to-end command tests, run in-process through cli.main."""
+"""End-to-end command tests, run in-process through cli.run."""
 
 import contextlib
 import csv
@@ -15,12 +15,12 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from edge_ricci.cli import main
+from edge_ricci.cli import run
 from edge_ricci.graph_core import generate, parse_edgelist, serialize_edgelist
 
 
 def run_cli(capsys, *argv):
-    code = main(list(argv))
+    code = run(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -34,10 +34,10 @@ def test_generate_matches_library_serialization(capsys):
 def test_generate_seed_changes_random_families(capsys, tmp_path):
     a = tmp_path / "a.txt"
     b = tmp_path / "b.txt"
-    assert main(["generate", "--family", "random:8:0.4", "--seed", "1",
-                 "--output", str(a)]) == 0
-    assert main(["generate", "--family", "random:8:0.4", "--seed", "2",
-                 "--output", str(b)]) == 0
+    assert run(["generate", "--family", "random:8:0.4", "--seed", "1",
+                "--output", str(a)]) == 0
+    assert run(["generate", "--family", "random:8:0.4", "--seed", "2",
+                "--output", str(b)]) == 0
     assert a.read_text() != b.read_text()
     capsys.readouterr()
 
@@ -125,18 +125,34 @@ def test_spectrum_rejects_a_negative_or_non_finite_zero_tol(capsys, value):
 
 def test_verify_has_no_zero_tol(capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["verify", "--family", "cycle:4", "--zero-tol", "1"])
+        run(["verify", "--family", "cycle:4", "--zero-tol", "1"])
     assert exc.value.code == 2
     capsys.readouterr()
 
 
 def test_spectrum_dump_matrix(capsys):
     code, out, _ = run_cli(capsys, "spectrum", "--family", "complete:4",
-                           "--dump-matrix", "edge")
+                           "--operator", "edge", "--format", "matrix")
     assert code == 0
     assert out.splitlines()[0] == "# edge 6 6"
     assert len(out.splitlines()) == 7
 
+
+def test_spectrum_matrix_dumps_the_named_operator(capsys):
+    code, out, _ = run_cli(capsys, "spectrum", "--family", "complete:4",
+                           "--operator", "vertex", "--format", "matrix")
+    assert code == 0
+    assert out.splitlines()[0] == "# vertex 4 4"
+    assert len(out.splitlines()) == 5
+
+
+def test_the_retired_dump_matrix_option_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["spectrum", "--family", "complete:4", "--dump-matrix", "edge"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ")
+    assert "unrecognized arguments: --dump-matrix edge" in err
 
 
 _DUMP_GOLDEN = {
@@ -175,7 +191,8 @@ _WEIGHTED_DUMP_GOLDEN = {
 @pytest.mark.parametrize("family, weighting, operator", sorted(_DUMP_GOLDEN))
 def test_spectrum_dump_matrix_bytes_are_pinned(capsys, family, weighting, operator):
     code, out, _ = run_cli(capsys, "spectrum", "--family", family,
-                           "--weighting", weighting, "--dump-matrix", operator)
+                           "--weighting", weighting, "--operator", operator,
+                           "--format", "matrix")
     assert code == 0
     body = _DUMP_GOLDEN[family, weighting, operator]
     size = body.count("\n")
@@ -190,20 +207,23 @@ def test_weighted_dump_matrix_bytes_are_pinned(capsys, tmp_path, operator):
         "edges": [["a", "b", 0.7], ["b", "c", 1.1], ["c", "d", 2.3], ["a", "c", 0.9]],
         "vertex_weights": {"a": 0.3, "b": 1.7, "c": 2.9}}))
     code, out, _ = run_cli(capsys, "spectrum", "--input", str(path), "--weighted",
-                           "--weighting", "graph", "--dump-matrix", operator)
+                           "--weighting", "graph", "--operator", operator,
+                           "--format", "matrix")
     assert code == 0
     assert out == _WEIGHTED_DUMP_GOLDEN[operator]
 
+
 def test_zero_tol_is_checked_before_a_matrix_dump(capsys):
     code, out, err = run_cli(capsys, "spectrum", "--family", "cycle:4",
-                             "--dump-matrix", "edge", "--zero-tol", "-1")
+                             "--operator", "edge", "--format", "matrix",
+                             "--zero-tol", "-1")
     assert_one_error_line(code, err)
     assert "--zero-tol must be a finite number >= 0" in err
     assert out == ""
     # a valid --zero-tol leaves the dump's bytes as they are
     code, out, _ = run_cli(capsys, "spectrum", "--family", "complete:3",
-                           "--weighting", "degree", "--dump-matrix", "edge",
-                           "--zero-tol", "0.5")
+                           "--weighting", "degree", "--operator", "edge",
+                           "--format", "matrix", "--zero-tol", "0.5")
     assert code == 0
     assert out == "# edge 3 3\n" + _DUMP_GOLDEN["complete:3", "degree", "edge"]
 
@@ -354,7 +374,7 @@ def test_usage_errors_exit_2(capsys, tmp_path):
     code, _, err = run_cli(capsys, "curvature", "--input", str(bad))
     assert code == 2 and "self loop" in err
     with pytest.raises(SystemExit) as exc:
-        main(["spectrum", "--family", "cycle:4", "--weighting", "fancy"])
+        run(["spectrum", "--family", "cycle:4", "--weighting", "fancy"])
     assert exc.value.code == 2
     capsys.readouterr()
 
@@ -481,8 +501,8 @@ def test_json_the_parser_rejects_exits_2(capsys, tmp_path):
 
 def test_output_flag_writes_files(capsys, tmp_path):
     target = tmp_path / "report.json"
-    code = main(["verify", "--family", "cycle:5", "--format", "json",
-                 "--output", str(target)])
+    code = run(["verify", "--family", "cycle:5", "--format", "json",
+                "--output", str(target)])
     assert code == 0
     assert capsys.readouterr().out == ""
     assert set(json.loads(target.read_text())) == {"graph", "checks",
@@ -655,7 +675,7 @@ def test_fuzzed_inputs_exit_cleanly(data):
             for flags in ((), ("--weighted",)):
                 out, err = io.StringIO(), io.StringIO()
                 with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                    code = main([command, "--input", path, *flags])
+                    code = run([command, "--input", path, *flags])
                 assert code in (0, 1, 2)
                 lines = err.getvalue().splitlines()
                 assert sum(line.startswith("error:") for line in lines) <= 1

@@ -290,8 +290,8 @@ def test_weighted_report_solves_each_adjacent_pair_once(monkeypatch):
 
 def test_all_pairs_command_solves_each_edge_pair_once(monkeypatch, capsys):
     calls = _count_transport_solves(monkeypatch)
-    assert cli.main(["curvature", "--family", "petersen", "--all-pairs",
-                     "--format", "csv"]) == 0
+    assert cli.run(["curvature", "--family", "petersen", "--all-pairs",
+                    "--format", "csv"]) == 0
     rows = capsys.readouterr().out.splitlines()[1:]
     m = generate("petersen").n_edges
     assert len(rows) == len(calls) == len(set(calls)) == m * (m - 1) // 2

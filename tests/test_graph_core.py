@@ -162,6 +162,8 @@ def test_a_weighted_graph_is_a_graph_equal_only_to_itself():
     assert wg == wg and wg != twin
     assert len({base, wg, twin}) == 3
     assert (base == 3) is False  # Graph.__eq__ defers to int, then identity
+    assert repr(base) == "Graph(|V|=4, |E|=4)"
+    assert repr(wg) == "WeightedGraph(Graph(|V|=4, |E|=4))"
 
 
 def test_equal_graphs_hash_alike():

@@ -170,20 +170,25 @@ def test_output_digest_covers_every_input_and_command(monkeypatch, capsys, load_
     assert lines[0].endswith(" cycle:4 verify --format json")
     assert lines[4].endswith(" cycle:4 curvature --format json")
     assert lines[5].endswith(" cycle:4 spectrum --weighting unit --format json")
-    assert lines[13].endswith(" cycle:4 spectrum --weighting degree --dump-matrix edge")
+    assert lines[13].endswith(" cycle:4 spectrum --weighting degree"
+                              " --operator edge --format matrix")
     assert lines[14].endswith(" star:4 verify --format json")
     assert lines[28].endswith(" cycle:4/reversed verify --format json")
     assert lines[42].endswith(" star:4/reversed verify --format json")
     assert lines[56].endswith(" escapes verify --format json")
-    assert lines[69].endswith(" escapes spectrum --weighting degree --dump-matrix edge")
+    assert lines[69].endswith(" escapes spectrum --weighting degree"
+                              " --operator edge --format matrix")
     assert lines[70].endswith(" cycle:4/unit verify --format json")
     assert lines[121].endswith(" cycle:4/wide verify --format json")
     assert lines[177].endswith(" star:4/random spectrum --weighting unit --format json")
     assert lines[180].endswith(" star:4/random spectrum --weighting graph --format json")
-    assert lines[186].endswith(" star:4/random spectrum --weighting degree --dump-matrix edge")
-    assert lines[188].endswith(" star:4/random spectrum --weighting graph --dump-matrix edge")
+    assert lines[186].endswith(" star:4/random spectrum --weighting degree"
+                               " --operator edge --format matrix")
+    assert lines[188].endswith(" star:4/random spectrum --weighting graph"
+                               " --operator edge --format matrix")
     assert lines[189].endswith(" star:4/wide verify --format json")
-    assert lines[205].endswith(" star:4/wide spectrum --weighting graph --dump-matrix edge")
+    assert lines[205].endswith(" star:4/wide spectrum --weighting graph"
+                               " --operator edge --format matrix")
     assert lines[206].endswith(" gate selftest --seed 0")
     assert lines[207].endswith(" cycle:4 generate")
     assert lines[208].endswith(" star:4 generate")
@@ -192,7 +197,7 @@ def test_output_digest_covers_every_input_and_command(monkeypatch, capsys, load_
     assert lines[215].endswith(" cycle:4/vertex-1e300 verify --format json")
     assert lines[249].endswith(" cycle:4/vertex-1e-300 verify --format json")
     assert lines[-5].endswith(" cycle:4/vertex-1e-300 spectrum --weighting graph"
-                              " --dump-matrix edge")
+                              " --operator edge --format matrix")
     assert lines[-4].endswith(" repeated-vertex-key verify --format json")
     assert lines[-3].endswith(" repeated-edges-key verify --format json")
     assert lines[-2].endswith(" bom-edgelist verify --format json")
@@ -417,21 +422,31 @@ def test_bench_pair_alternates_sides_and_prints_each_metric(monkeypatch, capsys,
 
     def run_bench(workload, seed, seconds, trace, root):
         side = root.name
-        order.append(side)
+        order.append((workload, side))
         value = 1.0 if side == "tree" else 2.0
         return {"correct": True, "metrics": {name: {"value": value} for name in
                                              ("wall_s", "op_p50_s", "setup_s", "peak_rss_mb")}}
 
     monkeypatch.setattr(module, "run_bench", run_bench)
-    assert module.main(["HEAD", "--workload", "selftest", "--pairs", "3"]) == 0
-    # both sides run from sibling copies, never from the working tree
+    argv = ["HEAD", "--workload", "selftest", "dense-exact", "--pairs", "3"]
+    assert module.main(argv) == 0
+    # both sides run from sibling copies made once, never from the working tree
     (ref, ref_root), (source, tree_root) = exported
     assert (ref, ref_root.name, source, tree_root.name) == ("HEAD", "ref", module.ROOT, "tree")
     assert ref_root.parent == tree_root.parent != module.ROOT
-    assert order == ["ref", "tree", "tree", "ref", "ref", "tree"]
-    rows = capsys.readouterr().out.splitlines()[2:]
-    assert [row.split()[0] for row in rows] == ["wall_s", "op_p50_s", "setup_s", "peak_rss_mb"]
-    assert all(row.split()[1:] == ["2", "1", "0", "3/3", "gain"] for row in rows)
+    # each pair runs both workloads, and each workload alternates its first side
+    assert [w for w, _ in order] == (["selftest"] * 2 + ["dense-exact"] * 2) * 3
+    for workload in ("selftest", "dense-exact"):
+        assert [side for w, side in order if w == workload] == [
+            "ref", "tree", "tree", "ref", "ref", "tree"]
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2 * 6
+    for table, workload in zip((lines[:6], lines[6:]), ("selftest", "dense-exact")):
+        assert table[0].startswith(f"workload {workload}  ref HEAD  pairs 3  ")
+        rows = table[2:]
+        assert [row.split()[0] for row in rows] == [
+            "wall_s", "op_p50_s", "setup_s", "peak_rss_mb"]
+        assert all(row.split()[1:] == ["2", "1", "0", "3/3", "gain"] for row in rows)
 
 
 def test_bench_pair_names_a_ref_git_cannot_export(capsys, load_script):

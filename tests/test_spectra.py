@@ -14,7 +14,7 @@ from edge_ricci.errors import (
     NonFiniteMatrixError,
     NotSymmetricError,
 )
-from edge_ricci.graph_core import SplitMix64, WeightedGraph, generate
+from edge_ricci.graph_core import SplitMix64, WeightedGraph, generate, parse_weighted
 from edge_ricci.laplacian import symmetrized
 from edge_ricci.spectra import (
     Spectrum,
@@ -231,13 +231,30 @@ def test_one_solve_per_operator_and_weighting(monkeypatch):
     assert calls == [8] * 3  # a tree's edge side is the smaller
 
 
+def _kept_spectra(g):
+    return sorted(key for key in g._derived
+                  if isinstance(key, tuple) and key[0] == "spectrum_of")
+
+
+def test_a_report_keeps_only_the_solved_side_of_each_weighting():
+    # the other side is padded on each read, not kept beside the solve
+    g = generate("random:20:0.2")
+    verification_report(g)
+    assert _kept_spectra(g) == [("spectrum_of", "vertex", w)
+                                for w in ("degree", "unit", "walk")]
+    wg = parse_weighted('{"edges": [["a", "b", 0.7], ["b", "c", 1.1], '
+                        '["c", "d", 2.3], ["a", "c", 0.9]], "vertex_weights": {"a": 0.3}}')
+    verification_report(wg)
+    assert _kept_spectra(wg) == [("spectrum_of", "vertex", w) for w in ("degree", "graph")]
+
+
 def test_zero_tolerance_is_applied_per_read(monkeypatch):
     calls = _count_solves(monkeypatch)
     g = generate("cycle:5")
     strict = spectrum_of(g, "edge", "unit", zero_tol=1e-9)
     loose = spectrum_of(g, "edge", "unit", zero_tol=2.0)
     assert len(calls) == 1
-    assert strict.values is loose.values
+    assert strict.values == loose.values
     assert (strict.zero_multiplicity, loose.zero_multiplicity) == (1, 3)
 
 

@@ -343,9 +343,8 @@ def test_report_on_k4_is_all_green_and_byte_stable():
     assert "spectral-gap-vs-curvature" in names
     assert "adjacent-min-extends-to-all-pairs" in names
     assert "vertex-edge-nonzero-spectra[degree]" in names
-    # elapsed time differs between runs; serialized bytes must not
+    # a second report serializes to the same bytes
     again = verification_report(g)
-    assert report.elapsed_seconds != 0.0
     assert report_to_json(report) == report_to_json(again)
 
 
