@@ -24,7 +24,9 @@ tree's wins and the verdict:
              metric's bound, read as a fraction of REF's median;
     no gain  anything else.
 
-A failed run stops the script with an ``error:`` line and exit code 1.
+A failed run stops the script with an ``error:`` line and exit code 1; a
+``--pairs`` count below 1 is bad usage, refused with exit code 2 before
+anything is copied.
 """
 
 from __future__ import annotations
@@ -72,6 +74,14 @@ def verdict(ref: list[float], tree: list[float], better: str, bound: float) -> s
     return "no gain"
 
 
+def pair_count(text: str) -> int:
+    """--pairs: a whole number of at least 1; anything else is bad usage."""
+    pairs = int(text)
+    if pairs < 1:
+        raise ValueError(text)
+    return pairs
+
+
 def export(ref: str, target: Path) -> None:
     """The files of ref, as git archive writes them, under target."""
     proc = subprocess.run(["git", "archive", "--format=tar", ref], cwd=ROOT,
@@ -98,7 +108,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("ref", help="the git ref to compare the working tree with")
     parser.add_argument("--workload", required=True, nargs="+",
                         choices=[w["name"] for w in benchmark["workloads"]])
-    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--pairs", type=pair_count, default=10)
     args = parser.parse_args(argv)
     seconds = benchmark["run_seconds"]
     runs: dict[str, dict[str, list[dict]]] = {

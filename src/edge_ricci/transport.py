@@ -85,12 +85,13 @@ built, in one pass in C; the Lipschitz check walks unordered pairs, and
 the dual objective is summed in the problem's units.  So are the plan's marginals:
 the solver's marginal check is verify_coupling itself.
 
-brute_force_wasserstein enumerates every vertex of the transportation
-polytope (spanning trees of the bipartite support graph) and is the
-independent oracle used by the test suite and the acceptance gate.  Exact
-instances are enumerated in scaled integers: the oracle takes the LCM of the
-mass denominators itself and shares no code with the flow solver.  It keeps
-the trees of each K_{s,t} once, as the cut columns of _oracle_table.
+brute_force_wasserstein is the independent oracle used by the test suite
+and the acceptance gate: the transportation simplex under Bland's rule, which
+pivots from vertex to vertex of the transportation polytope (spanning trees
+of the bipartite support graph) until no arc prices below its potentials, so
+it answers every instance.  Exact instances pivot in scaled integers: the
+oracle takes the LCM of the mass denominators itself, keeps its own float
+threshold and pivot budget, and shares no code with the flow solver.
 """
 
 from __future__ import annotations
@@ -98,10 +99,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
-from itertools import combinations, compress, repeat
+from itertools import compress, repeat
 from operator import add, getitem, le, mul, sub
-from typing import Iterator, Mapping
+from typing import Mapping
 
 from .edge_geometry import EdgeMeasure, slicer
 from .errors import MassImbalanceError, MissingPotentialError, TransportError
@@ -487,131 +487,99 @@ def _values_on(dual: Mapping[int, object], joint: tuple[int, ...]) -> list:
 
 # ------------------------------------------------------------------ oracle
 
-# the arc subsets _elimination_plans tests at 4x5, the widest instance the
-# oracle is meant for, whose table holds 32 000 trees in 8 columns of 4-byte
-# key indices over 3 151 keys; 5x5 takes 2 042 975 subsets
-_MAX_ORACLE_SUBSETS = math.comb(20, 8)
+# float mode, per unit of the largest cost: an arc whose reduced cost is at
+# least minus this does not enter the basis
+_ORACLE_EPS = 1e-12
 
 
-def _elimination_plans(s: int, t: int) -> Iterator[list[tuple[int, int, int, int]]]:
-    """Every spanning tree of K_{s,t} as a leaf-elimination schedule.
+def _basis_tree(basis, s: int, t: int, root: int) -> dict[int, object]:
+    """Parent links of the basis tree rooted at node root, parents first.
 
-    Each schedule entry is (leaf_node, source, sink, other_node); nodes are
-    0..s-1 for sources and s..s+t-1 for sinks.
+    Nodes are 0..s-1 for sources and s..s+t-1 for sinks; an arc (i, j) of
+    the basis joins node i and node s + j.
     """
-    arcs = [(i, s + j) for i in range(s) for j in range(t)]
-    n = s + t
-    for chosen in combinations(range(len(arcs)), n - 1):
-        # spanning tree test by union-find
-        parent = list(range(n))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        ok = True
-        for k in chosen:
-            u, v = arcs[k]
-            ru, rv = find(u), find(v)
-            if ru == rv:
-                ok = False
-                break
-            parent[ru] = rv
-        if not ok:
-            continue
-        adj = {v: [] for v in range(n)}
-        for k in chosen:
-            u, v = arcs[k]
-            adj[u].append((k, v))
-            adj[v].append((k, u))
-        degree = {v: len(adj[v]) for v in range(n)}
-        removed = set()
-        leaves = [v for v in range(n) if degree[v] == 1]
-        schedule = []
-        while leaves:
-            leaf = leaves.pop()
-            if degree[leaf] != 1:
-                continue
-            arc_k = next(k for k, w in adj[leaf] if k not in removed)
-            other = next(w for k, w in adj[leaf] if k == arc_k)
-            removed.add(arc_k)
-            u, v = arcs[arc_k]
-            schedule.append((leaf, u, v - s, other))
-            degree[other] -= 1
-            degree[leaf] = 0
-            if degree[other] == 1:
-                leaves.append(other)
-        yield schedule
-
-
-@cache
-def _oracle_table(s: int, t: int) -> tuple[tuple, tuple, tuple]:
-    """K_{s,t}'s spanning trees as cut columns: (sides, keys, columns).
-
-    When a schedule removes a leaf's arc, the flow on that arc is the signed
-    balance of the leaf's side: the leaf and every node already merged into
-    it.  A key is one (arc, side, leaf is a source) triple, the arc as
-    source * t + sink and the side as an index into ``sides``, whose entries
-    select the side's nodes, one 0 or 1 per node.  Column k is an array
-    holding, tree by tree, the key of the tree's k-th eliminated arc.
-    """
-    from array import array  # an extension module only the oracle needs
-
-    n = s + t
-    masks, keys = {}, {}
-    columns = tuple(array("I") for _ in range(n - 1))
-    for schedule in _elimination_plans(s, t):
-        side = [1 << v for v in range(n)]  # the nodes merged into each node
-        for column, (leaf, i, j, other) in zip(columns, schedule):
-            mask = side[leaf]
-            key = (i * t + j, masks.setdefault(mask, len(masks)), leaf < s)
-            column.append(keys.setdefault(key, len(keys)))
-            side[other] |= mask
-    sides = tuple(tuple(mask >> v & 1 for v in range(n)) for mask in masks)
-    return sides, tuple(keys), columns
+    adjacent = [[] for _ in range(s + t)]
+    for i, j in basis:
+        adjacent[i].append(s + j)
+        adjacent[s + j].append(i)
+    parent, stack = {root: None}, [root]
+    while stack:
+        u = stack.pop()
+        for w in adjacent[u]:
+            if w not in parent:
+                parent[w] = u
+                stack.append(w)
+    return parent
 
 
 def brute_force_wasserstein(problem: TransportProblem) -> object:
-    """Optimal cost by enumerating transportation-polytope vertices.
+    """Optimal cost by the transportation simplex (G. B. Dantzig, Linear
+    Programming and Extensions, 1963, ch. 14-15) on the full K_{s,t}.
 
-    Every spanning tree of the bipartite support graph K_{s,t} is one basic
-    solution, scored as the sum over its arcs of cost times flow, or inf
-    when a flow is negative (the tree is infeasible); the oracle returns
-    the least score.  The trees are kept once per (s, t), as _oracle_table's
-    cut columns: a 4x4 table holds 4 096 trees over 1 068 keys in about
-    0.2 MiB.  A call prices each key once and sums every tree's prices in
-    C.  Exact for rational measures with integer costs: the balances are
-    scaled to integers by the LCM of the mass denominators, every vertex is
-    evaluated in integer arithmetic, and the minimum comes back as a
-    Fraction over that scale.  Float instances are enumerated in floats,
-    each flow summed over its side in node order.  Listing the trees tests
-    C(s t, s + t - 1) arc subsets for s and t atoms a side, so the oracle
-    refuses, before listing any, every instance that needs more than 4x5
-    does: C(20, 8) = 125 970.  6x1, 4x4 and 3x6 are in reach; 5x5 and 4x6
-    are not.
+    The first basis is the northwest corner's staircase of s + t - 1 arcs.
+    Each pivot sets potentials u_i + v_j = c_ij on the basis tree, enters
+    the least arc (source-major) whose reduced cost c_ij - u_i - v_j is
+    negative, and sends flow round the arc's cycle in the tree; the least
+    arc that the ratio test empties leaves.  With this rule, Bland's (Math.
+    Oper. Res. 2, 1977), the simplex cannot cycle, so exact instances end
+    at an optimal basis.  Exact for rational measures with integer costs:
+    the masses are scaled to integers by the LCM of their denominators,
+    every basic solution is integral, and the optimum comes back as a
+    Fraction over that scale.  Float instances pivot in floats, and an arc
+    enters only when its reduced cost is below -1e-12 times the largest
+    cost.  A budget of s t (s + t) pivots guards the loop: past it the
+    oracle raises TransportError naming the pair and the atom counts.
     """
-    s, t = len(problem.mu.atoms), len(problem.nu.atoms)
-    subsets = math.comb(s * t, s + t - 1)
-    if subsets > _MAX_ORACLE_SUBSETS:
-        raise TransportError(
-            f"oracle limited to {_MAX_ORACLE_SUBSETS} arc subsets, "
-            f"{s}x{t} atoms need {subsets}")
+    mu, nu = problem.mu, problem.nu
+    s, t = len(mu.atoms), len(nu.atoms)
     rows, pos = problem.rows, problem.position
-    cost = [rows[pos[a]][pos[b]] for a in problem.mu.atoms for b in problem.nu.atoms]
-    masses = (*problem.mu.masses, *problem.nu.masses)
+    cost = [[rows[pos[a]][pos[b]] for b in nu.atoms] for a in mu.atoms]
+    masses = (*mu.masses, *nu.masses)
     exact = (all(isinstance(m, Fraction) for m in masses)
-             and all(isinstance(c, int) for c in cost))
+             and all(isinstance(c, int) for row in cost for c in row))
+    scale = math.lcm(*{m.denominator for m in masses}) if exact else 1
     if exact:
-        scale = math.lcm(*{m.denominator for m in masses})
         masses = tuple(m.numerator * (scale // m.denominator) for m in masses)
-    start = (*masses[:s], *(-m for m in masses[s:]))
-    sides, keys, columns = _oracle_table(s, t)
-    balances = [sum(compress(start, side)) for side in sides]
-    prices = [math.inf if (x := balances[m] if source else -balances[m]) < 0
-              else cost[arc] * x for arc, m, source in keys]
-    best = min(map(sum, zip(*[map(prices.__getitem__, col) for col in columns])))
-    if best == math.inf:
-        raise TransportError("no feasible basic solution found")
-    return Fraction(best, scale) if exact else best
+    eps = 0 if exact else _ORACLE_EPS * max(map(max, cost))
+    # the northwest corner: walk from (0, 0) to (s - 1, t - 1), down once a
+    # row is spent, right otherwise; flow maps each basic arc to its amount
+    left, flow, i, j = list(masses), {}, 0, 0
+    while True:
+        x = flow[i, j] = min(left[i], left[s + j])
+        left[i] -= x
+        left[s + j] -= x
+        if (i, j) == (s - 1, t - 1):
+            break
+        if i < s - 1 and (j == t - 1 or not left[i]):
+            i += 1
+        else:
+            j += 1
+    budget = s * t * (s + t)
+    for _ in range(budget + 1):
+        phi = [0] * (s + t)  # u_i at node i, v_j at node s + j
+        for w, u in _basis_tree(flow, s, t, 0).items():
+            if u is not None:
+                phi[w] = (cost[u][w - s] if u < s else cost[w][u - s]) - phi[u]
+        entering = next(((i, j) for i in range(s) for j in range(t) if (i, j) not in flow
+                         and cost[i][j] - phi[i] - phi[s + j] < -eps), None)
+        if entering is None:
+            total = sum(cost[i][j] * x for (i, j), x in flow.items())
+            return Fraction(total, scale) if exact else total
+        # the cycle: the entering arc, then the tree path from its sink back
+        # to its source, whose arcs lose and gain flow in turn
+        i, j = entering
+        parent, path, w = _basis_tree(flow, s, t, i), [], s + j
+        while w != i:
+            u = parent[w]
+            path.append((u, w - s) if u < s else (w, u - s))
+            w = u
+        theta = min(flow[arc] for arc in path[::2])
+        leaving = min(arc for arc in path[::2] if flow[arc] == theta)
+        flow[entering] = theta
+        for arc in path[1::2]:
+            flow[arc] += theta
+        for arc in path[::2]:
+            flow[arc] -= theta
+        del flow[leaving]
+    raise TransportError(f"oracle for pair ({mu.owner},{nu.owner}) over {s}x{t} atoms: "
+                         f"no optimal basis after {budget} pivots")

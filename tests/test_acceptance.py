@@ -206,6 +206,12 @@ def test_criterion_9_names_an_open_gap_and_an_oracle_mismatch(monkeypatch):
                              "cycle:5 v0-v1,v1-v2: solver 1 != oracle 2")
 
 
+def test_criterion_9_compares_every_pair_with_the_oracle():
+    # seed 4's corpus has five pairs with 5 atoms a side, past the size the
+    # oracle once reached; each of its 101 pairs is compared all the same
+    assert criterion_9(seed=4).detail == "101 gaps closed, 101 oracle comparisons agree"
+
+
 def test_criterion_9_solves_each_problem_it_builds_once_and_keeps_no_table(monkeypatch):
     built, solved = [], []
     build, solve = acceptance.pair_transport_problem, acceptance.solve_wasserstein

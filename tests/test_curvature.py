@@ -1,8 +1,8 @@
 """Curvature values frozen from hand derivations.
 
 Each pinned constant is derived in the comment next to it; the transport
-optimum behind each one is independently confirmed by the brute-force
-enumeration in test_transport.py, so these constants double as regression
+optimum behind each one is independently confirmed by the transportation
+simplex oracle in test_transport.py, so these constants double as regression
 oracles for the whole measure -> cost -> solver pipeline.
 """
 

@@ -456,6 +456,20 @@ def test_bench_pair_names_a_ref_git_cannot_export(capsys, load_script):
     assert len(err.splitlines()) == 1 and err.startswith("error: git archive no-such-ref: ")
 
 
+@pytest.mark.parametrize("pairs", ["0", "-3", "x"])
+def test_bench_pair_rejects_a_pair_count_below_one_before_any_export(pairs, monkeypatch,
+                                                                    capsys, load_script):
+    module = load_script("bench_pair")
+    monkeypatch.setattr(module, "export", lambda ref, target: pytest.fail("exported"))
+    with pytest.raises(SystemExit) as exc:
+        module.main(["HEAD", "--workload", "selftest", "--pairs", pairs])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1
+    assert err.splitlines()[-1].endswith(f"error: argument --pairs: "
+                                         f"invalid pair_count value: '{pairs}'")
+
+
 def test_bench_pair_snapshot_copies_the_tree_as_git_lists_it(tmp_path, load_script):
     # an uncommitted edit and an untracked file are copied; an ignored file
     # and a tracked file deleted in the tree are not

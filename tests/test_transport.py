@@ -1,18 +1,14 @@
 """Transport solver tests.
 
-The brute-force spanning-tree enumeration is the oracle here: it evaluates
-every basic solution of the balanced transport polytope, so its minimum is
-the true optimum whenever it returns at all.  The solver must agree with it
-exactly in rational mode and to 1e-12 relative in float mode.
+The transportation simplex is the oracle here: it pivots from basis to basis
+of the balanced transport polytope under Bland's rule, which ends at an
+optimal basis, and shares no code with the solver.  The solver must agree
+with it exactly in rational mode and to 1e-12 relative in float mode.
 """
 
 import ast
 import inspect
 import math
-import os
-import subprocess
-import sys
-import textwrap
 from fractions import Fraction
 from itertools import combinations
 
@@ -180,8 +176,8 @@ def test_a_residual_with_one_sink_and_no_source_keeps_its_potentials():
 def test_solver_matches_brute_force_on_two_valued_costs(data):
     # costs of 1 and 2 tie often, so phases see many tight paths, dead
     # branches and zero-cost cycles
-    s = data.draw(st.integers(1, 4))
-    t = data.draw(st.integers(1, 5 if s < 4 else 4))
+    s = data.draw(st.integers(1, 5))
+    t = data.draw(st.integers(1, 5))
     atoms = tuple(range(s + t))
     pairs = [{a, b} for a in atoms for b in atoms if a < b]
     tight = data.draw(st.lists(st.sampled_from(pairs), unique_by=frozenset))
@@ -207,16 +203,50 @@ def test_oracle_answers_six_atoms_against_one():
     assert brute_force_wasserstein(p) == solve_wasserstein(p).distance == Fraction(7, 2)
 
 
-@pytest.mark.parametrize("s,t", [(5, 5), (6, 6)])
-def test_oracle_refuses_before_listing_trees(monkeypatch, s, t):
-    # C(25, 9) and C(36, 11) arc subsets, past the C(20, 8) of 4x5
-    def listed(*_):
-        pytest.fail("the oracle listed spanning trees")
+def _scrambled_line(s, t):
+    """s atoms against t others at the points 0..s+t-1 of a line, masses
+    rising with the label on one side and falling on the other, and their
+    distance from the two CDFs: the sum over unit gaps of |F_mu - F_nu|.
 
-    monkeypatch.setattr(transport, "_elimination_plans", listed)
-    monkeypatch.setattr(transport, "_oracle_table", listed)
-    with pytest.raises(TransportError, match=rf"{s}x{t} atoms need"):
-        brute_force_wasserstein(_uniform(s, t))
+    The points are the labels in a scrambled order, so the northwest
+    corner, which pairs the atoms in label order, is in general not the
+    monotone coupling, and the oracle pivots on most shapes (12 times at
+    6x6).
+    """
+    n = s + t
+    rank = sorted(range(n), key=lambda a: a * 0.618 % 1)  # the atom at each point
+    point = {a: x for x, a in enumerate(rank)}
+    mu = [Fraction(2 * (k + 1), s * (s + 1)) for k in range(s)]
+    nu = [Fraction(2 * (t - k), t * (t + 1)) for k in range(t)]
+    problem = TransportProblem(
+        EdgeMeasure(0, tuple(range(s)), tuple(mu)), EdgeMeasure(1, tuple(range(s, n)), tuple(nu)),
+        *_block(tuple(range(n)), lambda a, b: abs(point[a] - point[b])))
+    mass = mu + [-m for m in nu]
+    cdf_gap = distance = 0
+    for a in rank[:-1]:
+        cdf_gap += mass[a]
+        distance += abs(cdf_gap)
+    return problem, distance
+
+
+@pytest.mark.parametrize("s,t", [*((s, t) for s in range(1, 5) for t in range(1, 5)),
+                                 (1, 6), (6, 1), (5, 5), (6, 6)])
+def test_oracle_matches_the_line_distance_on_every_shape(s, t):
+    problem, distance = _scrambled_line(s, t)
+    bf = brute_force_wasserstein(problem)
+    assert type(bf) is Fraction
+    assert bf == distance == solve_wasserstein(problem).distance
+
+
+def test_oracle_raises_once_its_pivot_budget_is_spent(monkeypatch):
+    # a negative threshold lets an arc of positive reduced cost enter, so
+    # the pivots never stop; 4x4 atoms allow 4 * 4 * 8 of them
+    p = _as_float(pair_transport_problem(generate("complete:4"), 0, 1))
+    assert brute_force_wasserstein(p) == solve_wasserstein(p).distance
+    monkeypatch.setattr(transport, "_ORACLE_EPS", -1.0)
+    with pytest.raises(TransportError, match=r"oracle for pair \(0,1\) over 4x4 atoms: "
+                                             r"no optimal basis after 128 pivots"):
+        brute_force_wasserstein(p)
 
 
 def test_mass_imbalance_is_rejected():
@@ -418,90 +448,64 @@ def test_float_solver_matches_brute_force_on_overlapping_supports(problem):
     assert lipschitz_excess(problem, r.dual) <= 1e-12
 
 
-def _schedule_replay(problem):
-    """The oracle's enumeration replayed schedule by schedule, each balance
-    carried in the masses' own number type (Fraction or float)."""
-    s = len(problem.mu.atoms)
-    cost = [[_cost(problem, a, b) for b in problem.nu.atoms] for a in problem.mu.atoms]
-    best = None
-    for schedule in transport._elimination_plans(s, len(problem.nu.atoms)):
-        balance = list(problem.mu.masses) + [-m for m in problem.nu.masses]
-        total = 0
-        for leaf, i, j, other in schedule:
-            x = balance[leaf] if leaf < s else -balance[leaf]
-            if x < 0:
-                break
-            balance[other] += balance[leaf]
-            total += x * cost[i][j]
-        else:
-            if best is None or total < best:
-                best = total
-    return best
+@st.composite
+def metric_instances(draw, exact):
+    """Two measures on a shortest-path metric of up to 12 points.
+
+    The points lie on a path, plus random chords, with integer edge lengths
+    (exact) or float ones in [0.5, 2]; the supports are random and may
+    overlap, up to both taking every point, and so are the masses.
+    """
+    n = draw(st.integers(2, 12))
+    length = st.integers(1, 4) if exact else st.floats(0.5, 2)
+    chords = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                           max_size=2 * n))
+    d = [[0 if a == b else math.inf for b in range(n)] for a in range(n)]
+    for a, b in [(a, a + 1) for a in range(n - 1)] + chords:
+        if a != b:
+            d[a][b] = d[b][a] = min(d[a][b], draw(length))
+    for k in range(n):
+        for a in range(n):
+            for b in range(n):
+                d[a][b] = min(d[a][b], d[a][k] + d[k][b])
+    measures = []
+    for owner in (0, 1):
+        atoms = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+        weights = draw(st.lists(st.integers(1, 6), min_size=len(atoms), max_size=len(atoms)))
+        total = sum(weights)
+        measures.append(EdgeMeasure(owner, tuple(atoms), tuple(
+            Fraction(w, total) if exact else w / total for w in weights)))
+    joint = tuple(sorted(set(measures[0].atoms) | set(measures[1].atoms)))
+    return TransportProblem(*measures, *_block(joint, lambda a, b: d[a][b]))
 
 
-@given(st.one_of(exact_instances(), overlapping_instances()))
-def test_scaled_oracle_matches_the_fraction_enumeration(problem):
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+@given(st.data())
+def test_solver_equals_the_oracle_on_metric_instances(exact, data):
+    problem = data.draw(metric_instances(exact))
     bf = brute_force_wasserstein(problem)
-    assert type(bf) is Fraction
-    assert bf == _schedule_replay(problem)
-
-
-@given(overlapping_instances(exact=False))
-def test_oracle_stays_in_floats_on_float_input(problem):
-    bf = brute_force_wasserstein(problem)
-    assert type(bf) is float
-    # the oracle sums each flow over its side in node order, the replay
-    # along the schedule: the two orders round differently
-    assert abs(bf - _schedule_replay(problem)) <= 1e-12 * max(1, abs(bf))
-
-
-@pytest.mark.parametrize("s,t", [*((s, t) for s in range(1, 5) for t in range(1, 5)),
-                                 (1, 6), (6, 1)])
-def test_oracle_table_holds_every_spanning_tree_once(s, t):
-    # Scoins: K_{s,t} has s^(t-1) t^(s-1) spanning trees, each one entry of
-    # every column, one column per tree arc
-    sides, keys, columns = transport._oracle_table(s, t)
-    assert len(columns) == s + t - 1
-    assert {len(col) for col in columns} == {s ** (t - 1) * t ** (s - 1)}
-    assert all(max(col) < len(keys) for col in columns)
-    # a key's side holds its leaf and not the arc's other end
-    for arc, side, source in keys:
-        i, j = divmod(arc, t)
-        assert sides[side][i] == source and sides[side][s + j] != source
-
-
-def test_oracle_table_stays_small():
-    # a first 4x4 call in a fresh interpreter: what it keeps is the table
-    code = textwrap.dedent("""\
-        import tracemalloc
-        from fractions import Fraction
-        from edge_ricci.edge_geometry import EdgeMeasure
-        from edge_ricci.transport import TransportProblem, brute_force_wasserstein
-        atoms = tuple(range(8))
-        p = TransportProblem(EdgeMeasure(0, atoms[:4], (Fraction(1, 4),) * 4),
-                             EdgeMeasure(1, atoms[4:], (Fraction(1, 4),) * 4),
-                             atoms, tuple(tuple(abs(a - b) for b in atoms) for a in atoms))
-        tracemalloc.start()
-        assert brute_force_wasserstein(p) == 4
-        print(tracemalloc.get_traced_memory()[0])
-    """)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert int(out) < 0.5 * 2 ** 20
+    distance = solve_wasserstein(problem).distance
+    assert problem.exact == exact and type(bf) is type(distance)
+    if exact:
+        assert bf == distance
+    else:
+        assert bf == pytest.approx(distance, rel=1e-12, abs=1e-12)
 
 
 _SOLVER_NAMES = {"solve_wasserstein", "verify_coupling", "dual_objective",
-                 "lipschitz_excess", "slicer"}
+                 "lipschitz_excess", "slicer", "_instance",
+                 "_FLOAT_EPS_TIGHT", "_FLOAT_EPS_CS", "_FLOAT_EPS_GAP", "_FLOAT_DUST"}
 _PROBLEM_UNITS = {"supply", "demand", "scale", "exact"}
+_PROBLEM_INPUTS = {"rows", "position", "mu", "nu"}
 
 
 def test_oracle_shares_no_code_with_the_solver():
-    # the oracle's functions name no solver function and read none of the
-    # units the problem fixes for the solver; they call only each other
+    # the oracle's functions name no solver function or threshold, read of
+    # the problem only its measures and cost rows, and none of the units it
+    # fixes for the solver; they call only each other
     tree = ast.parse(inspect.getsource(transport))
     functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
-    oracle = {"_elimination_plans", "_oracle_table", "brute_force_wasserstein"}
+    oracle = {"_basis_tree", "brute_force_wasserstein"}
     assert oracle <= functions.keys()
     for name in oracle:
         for node in ast.walk(functions[name]):
@@ -510,6 +514,8 @@ def test_oracle_shares_no_code_with_the_solver():
                 assert node.id in oracle or node.id not in functions, (name, node.id)
             elif isinstance(node, ast.Attribute):
                 assert node.attr not in _SOLVER_NAMES | _PROBLEM_UNITS, (name, node.attr)
+                if isinstance(node.value, ast.Name) and node.value.id == "problem":
+                    assert node.attr in _PROBLEM_INPUTS, (name, node.attr)
 
 
 @st.composite
@@ -578,9 +584,8 @@ def test_float_route_certifies_itself(seed):
     r = solve_wasserstein(p)
     assert type(r.distance) is float
     assert abs(r.gap) <= 1e-9
-    if len(p.mu.atoms) <= 4 and len(p.nu.atoms) <= 4:
-        bf = brute_force_wasserstein(p)
-        assert r.distance == pytest.approx(bf, rel=1e-12, abs=1e-12)
+    bf = brute_force_wasserstein(p)
+    assert r.distance == pytest.approx(bf, rel=1e-12, abs=1e-12)
 
 
 @given(st.integers(0, 500), st.integers(4, 7), st.sampled_from((0.4, 0.7)), st.booleans())
@@ -627,23 +632,11 @@ _WIDE_FAMILIES = ("random:7:0.5", "random:8:0.4", "random:8:0.5")
 
 @st.composite
 def wide_edge_pairs(draw):
-    """An edge-pair problem of a seeded random graph with 5-6 atoms a side.
-
-    The oracle enumerates the spanning trees of K_{s,t}, s^(t-1) t^(s-1) of
-    them: 390 625 at 5x5, which took 28 s just to list under CPython 3.11 on
-    a 2-vCPU VM.  So the pair is drawn among those whose cancelled instance
-    has at most 20 arcs (32 000 trees at 4x5), and the oracle runs on that.
-    """
+    """An edge-pair problem of a seeded random graph with 5-6 atoms a side."""
     g = generate(draw(st.sampled_from(_WIDE_FAMILIES)), seed=draw(st.integers(0, 1000)))
-    measures = [_table(edge_measure(g, e)) for e in range(g.n_edges)]
-
-    def arcs(mu, nu):
-        return (sum(m > nu.get(a, 0) for a, m in mu.items())
-                * sum(m > mu.get(b, 0) for b, m in nu.items()))
-
+    sizes = [len(edge_measure(g, e).atoms) for e in range(g.n_edges)]
     pairs = [(e, f) for e, f in combinations(range(g.n_edges), 2)
-             if 5 <= len(measures[e]) <= 6 and 5 <= len(measures[f]) <= 6
-             and arcs(measures[e], measures[f]) <= 20]
+             if 5 <= sizes[e] <= 6 and 5 <= sizes[f] <= 6]
     assume(pairs)
     return pair_transport_problem(g, *draw(st.sampled_from(pairs)))
 
@@ -693,13 +686,12 @@ def _assert_optimal_by_weak_duality(problem, result):
 
 
 @pytest.mark.parametrize("seed", [0, 1])
-def test_exact_distances_match_float_runs_beyond_the_oracle(seed):
-    # the dense shape, about 12 atoms a side: out of the oracle's reach, so
-    # each exact plan is proved optimal by its own dual, in test code.  Float
-    # mode runs the same loop, so the float run checks that the two number
-    # types agree, not a second algorithm
+def test_exact_distances_match_float_runs_and_the_oracle(seed):
+    # the dense shape, about 12 atoms a side: each exact plan is proved
+    # optimal by its own dual, in test code.  Float mode runs the same loop,
+    # so the float run checks that the two number types agree; the oracle,
+    # a second algorithm, checks both
     g = generate("random:12:0.6", seed=seed)
-    widest = None
     for e, f in combinations(range(g.n_edges), 2):
         if not edges_adjacent(g, e, f):
             continue
@@ -708,15 +700,10 @@ def test_exact_distances_match_float_runs_beyond_the_oracle(seed):
         assert p.exact and not q.exact
         exact = solve_wasserstein(p)
         _assert_optimal_by_weak_duality(p, exact)
-        assert math.isclose(solve_wasserstein(q).distance, exact.distance, rel_tol=1e-12)
-        if widest is None or _width(p) > _width(widest):
-            widest = p
-    with pytest.raises(TransportError, match="oracle limited"):
-        brute_force_wasserstein(widest)
-
-
-def _width(problem):
-    return min(len(problem.mu.atoms), len(problem.nu.atoms))
+        assert brute_force_wasserstein(p) == exact.distance
+        float_run = solve_wasserstein(q).distance
+        assert math.isclose(float_run, exact.distance, rel_tol=1e-12)
+        assert math.isclose(brute_force_wasserstein(q), float_run, rel_tol=1e-12)
 
 
 def test_symmetry_of_the_distance():
