@@ -9,9 +9,12 @@ measures and d the shortest-path distance in the line adjacency (see
 edge_geometry).  One formula serves both graph kinds: an unweighted graph is
 the unit-weight case, where everything is rational and returned as
 Fraction; weighted graphs produce certified floats.  W comes from
-transport.solve_wasserstein, which checks the whole certificate (plan
-marginals, the dual's Lipschitz bound and the duality gap) itself; this
-layer rechecks nothing.
+transport.solve_wasserstein on pair_transport_problem's PairProblem, and
+the solver checks the certificate itself: plan marginals, complementary
+slackness and the duality gap on every solve, and the dual's Lipschitz
+bound by a walk on float problems and by the lemma of the graph's
+certified edge metric (edge_geometry) on exact ones.  This layer rechecks
+nothing.
 
 Only adjacent pairs need solving for the least curvature: since W is a
 metric, the minimum over all distinct pairs is the adjacent minimum (the
@@ -49,15 +52,39 @@ def edges_adjacent(g, e: int, f: int) -> bool:
     return check_edge_ordinal(g, f) in edge_space(g).neighbors[check_edge_ordinal(g, e)]
 
 
-def pair_transport_problem(g, e: int, f: int) -> TransportProblem:
-    """Transport instance between the neighborhood measures of e and f;
-    kappa(e, f) reads the one of (min(e, f), max(e, f))."""
+class PairProblem(TransportProblem):
+    """The transport problem between the measures of edges e and f of g.
+
+    It builds its own block from g's edge space: atoms, the sorted joint
+    support of the two measures, and rows sliced from the space's distance
+    rows by pairwise_costs.  Such rows pass every check of the block by
+    construction (a distance row has a 0 at its own edge, sums of positive
+    weights elsewhere, and the space raises before it keeps a row with an
+    infinite entry), so no block is validated per pair.  ``certified`` is
+    True when the problem is exact and the space certified its vertex
+    metric: the rows are then slices of a metric, and the solver takes the
+    dual's Lipschitz bound as proved.
+    """
+
+    def __init__(self, g, e: int, f: int):
+        mu, nu = edge_measure(g, e), edge_measure(g, f)
+        atoms = tuple(sorted({*mu.atoms, *nu.atoms}))
+        rows = pairwise_costs(g, atoms)
+        object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "nu", nu)
+        object.__setattr__(self, "atoms", atoms)
+        object.__setattr__(self, "rows", rows)
+        exact = mu.exact and nu.exact and edge_space(g).certified
+        self._settle(exact, exact)
+
+
+def pair_transport_problem(g, e: int, f: int) -> PairProblem:
+    """Transport instance between the neighborhood measures of e and f,
+    sliced from g's edge space; kappa(e, f) reads the one of (min(e, f),
+    max(e, f))."""
     if e == f:
         raise SamePairError(f"curvature needs two distinct edges, got {e} twice")
-    mu = edge_measure(g, e)
-    nu = edge_measure(g, f)
-    atoms = tuple(sorted(set(mu.atoms) | set(nu.atoms)))
-    return TransportProblem(mu, nu, atoms, pairwise_costs(g, atoms))
+    return PairProblem(g, e, f)
 
 
 def transport_for_pair(g, e: int, f: int):
@@ -76,8 +103,12 @@ def ricci(g, e: int, f: int):
     lo, hi = sorted((e, f))
     dist = edge_distance(g, lo, hi)
     w = transport_for_pair(g, lo, hi).distance
+    if isinstance(w, Fraction):
+        # 1 - (p/q)/dist = (q dist - p)/(q dist): one Fraction, normalized once
+        q = w.denominator * dist
+        return Fraction(q - w.numerator, q)
     kappa = 1 - w / dist
-    if isinstance(kappa, float) and not math.isfinite(kappa):
+    if not math.isfinite(kappa):
         raise NonpositiveWeightError(
             f"curvature of {g.edge_name(e)},{g.edge_name(f)} overflows a float: "
             f"W {w} over edge distance {dist}"
@@ -161,17 +192,19 @@ def pair_bounds(g, e: int, f: int):
     _require_adjacent(g, e, f)
     space = edge_space(g)
     d_e, d_f = space.degrees[e], space.degrees[f]
-    slack = 1 - space.weight[f] / d_e - space.weight[e] / d_f
-    floor = -2 * slack if slack > 0 else slack - slack  # a typed zero, never -0.0
-    weighted = isinstance(g, WeightedGraph)
-    if weighted and not g.constant_vertex_weights:
-        return floor, None, None
     near_e, near_f = set(space.neighbors[e]), set(space.neighbors[f])
     top = max(d_e, d_f)
-    if weighted:
-        return floor, sum(space.weight[a] for a in near_e & near_f) / top, None
-    # every edge weighs 1 and every degree is an int
-    return floor, Fraction(len(near_e | near_f), top), Fraction(len(near_e & near_f), top)
+    if not isinstance(g, WeightedGraph):
+        # every edge weighs 1 and every degree is an int, so the slack is
+        # (d_e d_f - d_f - d_e) / (d_e d_f), formed in ints
+        slack = d_e * d_f - d_f - d_e
+        floor = Fraction(-2 * slack if slack > 0 else 0, d_e * d_f)
+        return floor, Fraction(len(near_e | near_f), top), Fraction(len(near_e & near_f), top)
+    slack = 1 - space.weight[f] / d_e - space.weight[e] / d_f
+    floor = -2 * slack if slack > 0 else 0.0  # never -0.0
+    if not g.constant_vertex_weights:
+        return floor, None, None
+    return floor, sum(space.weight[a] for a in near_e & near_f) / top, None
 
 
 def tree_curvature_formula(g: Graph, e: int, f: int) -> Fraction:

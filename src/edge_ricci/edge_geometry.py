@@ -25,6 +25,21 @@ per unordered vertex pair, so distance rows are symmetric to the last bit.
 Every function below reads their common fields alone.
 The space and each edge's measure are kept per graph by graph_core.derived.
 
+An EdgeSpace certifies its int P once per graph, right after the Dijkstra
+runs and before any row is read: P[s][s] = w(s), and every other P[s][t]
+is the min over neighbors u of t of P[s][u] + w(t) (Bellman's equations).
+With positive weights on a connected graph they have one solution, so a P
+that passes is the vertex metric, and the failure of an entry raises
+MetricCertificateError naming both vertices, the stored value and the
+equation's.  The edge distance is then a metric: it is symmetric, 0 only
+on the diagonal, and for the triangle inequality through an edge g, let
+y1 be g's connector on an optimal path from e and y2 its connector on one
+to f; if y1 = y2 the two paths join at that vertex, and otherwise y1 and
+y2 are the two ends of g, which one hop joins.  The transport solver
+relies on this lemma for every exact problem sliced from the space.  A
+WeightedEdgeSpace is not certified: a float row of P mixes the rounding of
+different runs, so exact equations fail on correct metrics.
+
 pairwise_costs gives a transport problem its costs: per atom of the sorted
 joint support, a row tuple sliced from that atom's cached distance row by
 slicer, in C.
@@ -39,7 +54,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import itemgetter
 
-from .errors import IsolatedEdgeError, NonpositiveWeightError
+from .errors import IsolatedEdgeError, MetricCertificateError, NonpositiveWeightError
 from .graph_core import Graph, WeightedGraph, check_edge_ordinal, derived
 
 
@@ -51,6 +66,9 @@ class EdgeSpace:
     weight[e]         Fraction(1)
     degrees[e]        the neighbor count, an int
     vertex_weight[v]  1, an int, so distances are int hop counts
+    certified         True once the vertex metric passed its Bellman
+                      certificate (_certify), which runs before any row is
+                      read; never set on a WeightedEdgeSpace
 
     The vertex metric and the distance rows are filled lazily.  Holds the
     labels, edges and incident table (for the metric and edge names) but not
@@ -59,7 +77,7 @@ class EdgeSpace:
     concurrent readers are safe.
     """
 
-    __slots__ = ("neighbors", "degrees", "weight", "vertex_weight",
+    __slots__ = ("neighbors", "degrees", "weight", "vertex_weight", "certified",
                  "_labels", "_edges", "_incident", "_metric", "_rows")
 
     def __init__(self, g: Graph):
@@ -72,15 +90,26 @@ class EdgeSpace:
         self.degrees = tuple(map(len, self.neighbors))
         self.vertex_weight = (1,) * g.n_vertices
         self._labels, self._edges, self._incident = g.labels, g.edges, incident
+        self.certified = False
         self._metric: list[list] | None = None
         self._rows: dict[int, tuple] = {}
 
     def _vertex_metric(self) -> list[list]:
+        """P, certified before any row reads it (see _certify)."""
+        metric = self._shortest_paths()
+        self._certify(metric)
+        self.certified = True
+        return metric
+
+    def _neighbors_of_vertices(self) -> list[list[int]]:
+        # x's neighbors are the far ends i + j - x of its edges (i, j)
+        edges = self._edges
+        return [[sum(edges[k]) - x for k in ks] for x, ks in enumerate(self._incident)]
+
+    def _shortest_paths(self) -> list[list]:
         """P[x][y] by one Dijkstra run per vertex; each unordered pair keeps
         the value of its smaller vertex's run, so P is symmetric bitwise."""
-        w, edges = self.vertex_weight, self._edges
-        # x's neighbors are the far ends i + j - x of its edges (i, j)
-        adjacent = [[sum(edges[k]) - x for k in ks] for x, ks in enumerate(self._incident)]
+        w, adjacent = self.vertex_weight, self._neighbors_of_vertices()
         metric: list[list] = []
         for s in range(len(w)):
             dist = [math.inf] * len(w)
@@ -99,6 +128,22 @@ class EdgeSpace:
             dist[:s] = [run[s] for run in metric]
             metric.append(dist)
         return metric
+
+    def _certify(self, metric: list[list]) -> None:
+        """Check P against Bellman's equations, exactly: P[s][s] = w(s), and
+        every other P[s][t] is the min over neighbors u of t of P[s][u] +
+        w(t).  What a pass proves is in the module docstring."""
+        w, labels = self.vertex_weight, self._labels
+        near = list(map(slicer, self._neighbors_of_vertices()))
+        for s, run in enumerate(metric):
+            want = [min(pick(run)) + wt for pick, wt in zip(near, w)]
+            want[s] = w[s]
+            if want != run:
+                t = next(t for t, (p, q) in enumerate(zip(run, want)) if p != q)
+                raise MetricCertificateError(
+                    f"vertex metric P({labels[s]}, {labels[t]}) = {run[t]} misses "
+                    f"Bellman's equation, which gives {want[t]}"
+                )
 
     def row(self, e: int) -> tuple:
         """Distance row from edge e: min P(x, y) over x in e and y in f for
@@ -143,6 +188,10 @@ class WeightedEdgeSpace(EdgeSpace):
                     f"its neighbors' weights overflow a float"
                 )
         self.vertex_weight = wg.vertex_weights
+
+    # float P is not certified: a float row of P mixes runs, and each run's
+    # rounding differs, so exact Bellman equations fail on correct metrics
+    _vertex_metric = EdgeSpace._shortest_paths
 
     # bench/tracer.py wraps this class's own row; a super().row call would double its spans
     row = EdgeSpace.row

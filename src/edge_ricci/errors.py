@@ -64,6 +64,10 @@ class IsolatedEdgeError(EdgeRicciError):
     """The edge has no neighboring edges, so its measure is undefined."""
 
 
+class MetricCertificateError(EdgeRicciError):
+    """An entry of an exact vertex metric misses Bellman's equation."""
+
+
 # ---------------------------------------------------------------- transport
 
 class TransportError(EdgeRicciError):

@@ -72,18 +72,28 @@ The dual certificate is a single function f, a dict on the full joint
 support with |f(a) - f(b)| <= d(a, b), built from the final potentials of
 the residual sinks by the envelope f(a) = min_j (beta_j + d(a, j)); strong
 duality makes its objective equal the primal cost.  The solver checks the
-whole certificate on the uncancelled problem before it returns:
-complementary slackness on the residual plan, both marginals of the full
-plan, the Lipschitz bound on f, and the duality gap.  In float mode the
-accepted slackness, Lipschitz and gap errors are relative to the largest
-cost alone, as the tightness threshold is: the rounding error of a reduced
-cost grows with the potentials, which reach the largest cost, whatever the
-arc's own cost, and a floor of 1 would pass any certificate below unit
-cost scale.  A failure raises TransportError naming the edge pair and the
-instance size.  The cost rows are validated once, when the problem is
-built, in one pass in C; the Lipschitz check walks unordered pairs, and
-the dual objective is summed in the problem's units.  So are the plan's marginals:
-the solver's marginal check is verify_coupling itself.
+certificate on the uncancelled problem before it returns.  Every solve
+checks complementary slackness on the residual arcs that carry flow, both
+marginals of the full plan, and the duality gap.  The Lipschitz bound on f
+is checked per solve, by walking unordered pairs, unless the problem is a
+certified curvature.PairProblem.  Such a problem is exact and slices its
+rows from an unweighted graph's edge space, whose vertex metric was
+certified once per graph before any row was read (edge_geometry), so its
+costs are a metric d.  The envelope of a metric is 1-Lipschitz: if j
+attains f(b), then f(a) <= beta_j + d(a, j) <= beta_j + d(b, j) + d(a, b)
+= f(b) + d(a, b) by the triangle inequality, and the same with a and b
+swapped by symmetry.  So the walk would re-prove a lemma, and those solves
+skip it.  Float problems keep the walk, since float metrics are not
+certified.  In float mode the accepted slackness, Lipschitz and gap errors
+are relative to the largest cost alone, as the tightness threshold is: the
+rounding error of a reduced cost grows with the potentials, which reach
+the largest cost, whatever the arc's own cost, and a floor of 1 would pass
+any certificate below unit cost scale.  A failure raises TransportError
+naming the edge pair and the instance size.  A hand-built problem's cost
+rows are validated once, when it is built, in one pass in C; a
+PairProblem's rows pass those checks by construction, so it skips them.
+The dual objective is summed in the problem's units.  So are the plan's
+marginals: the solver's marginal check is verify_coupling itself.
 
 brute_force_wasserstein is the independent oracle used by the test suite
 and the acceptance gate: the transportation simplex under Bland's rule, which
@@ -129,7 +139,9 @@ class TransportProblem:
     read-only ``supply`` and ``demand`` map each atom of mu and nu to its
     mass in those units (int when exact, float otherwise), whose totals must
     agree.  ``position`` maps each atom to its index in atoms and rows.
-    Every error raised here names the edge pair and the atom counts.
+    ``certified`` is False: only a curvature.PairProblem, which slices its
+    own rows from a certified metric, sets it.  Every error raised here names the
+    edge pair and the atom counts.
     """
 
     mu: EdgeMeasure
@@ -141,12 +153,13 @@ class TransportProblem:
     scale: int = field(init=False, repr=False, compare=False)
     supply: Mapping[int, object] = field(init=False, repr=False, compare=False)
     demand: Mapping[int, object] = field(init=False, repr=False, compare=False)
+    certified: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         mu, nu = self.mu, self.nu
 
-        def invalid(what: str, error=TransportError) -> TransportError:
-            return error(f"{_instance(mu, nu)}: {what}")
+        def invalid(what: str) -> TransportError:
+            return TransportError(f"{_instance(mu, nu)}: {what}")
 
         joint = tuple(sorted(set(mu.atoms) | set(nu.atoms)))
         atoms, rows = self.atoms, self.rows
@@ -172,7 +185,11 @@ class TransportProblem:
                         what = "negative" if c < 0 else "non-finite"
                         raise invalid(f"{what} cost {c} for pair {(a, b)}")
         # ints sum to an int; one float or Fraction makes the sum one too
-        exact = mu.exact and nu.exact and type(total) is int
+        self._settle(mu.exact and nu.exact and type(total) is int, False)
+
+    def _settle(self, exact: bool, certified: bool) -> None:
+        """Set the solver units and the fields that hang on them."""
+        mu, nu = self.mu, self.nu
         scale = math.lcm(mu.scale, nu.scale) if exact else 1
 
         def units(m: EdgeMeasure) -> dict:
@@ -181,13 +198,14 @@ class TransportProblem:
 
         supply, demand = units(mu), units(nu)
         if abs(sum(supply.values()) - sum(demand.values())) > (0 if exact else 1e-12):
-            raise invalid(f"supply {sum(mu.masses)} != demand {sum(nu.masses)}",
-                          MassImbalanceError)
-        object.__setattr__(self, "position", {a: k for k, a in enumerate(joint)})
+            raise MassImbalanceError(
+                f"{_instance(mu, nu)}: supply {sum(mu.masses)} != demand {sum(nu.masses)}")
+        object.__setattr__(self, "position", {a: k for k, a in enumerate(self.atoms)})
         object.__setattr__(self, "exact", exact)
         object.__setattr__(self, "scale", scale)
         object.__setattr__(self, "supply", supply)
         object.__setattr__(self, "demand", demand)
+        object.__setattr__(self, "certified", certified)
 
 
 def _instance(mu: EdgeMeasure, nu: EdgeMeasure) -> str:
@@ -219,8 +237,9 @@ def solve_wasserstein(problem: TransportProblem) -> TransportResult:
 
     The certificate tolerance is 0 in exact mode.  In float mode it is the
     largest cost times 1e-10 for complementary slackness and times 1e-9 for
-    the Lipschitz bound and the duality gap.  Every TransportError
-    raised here names the pair and the instance size.
+    the Lipschitz bound and the duality gap.  A certified problem's
+    Lipschitz bound is a lemma, not walked (module docstring).  Every
+    TransportError raised here names the pair and the instance size.
     """
     exact, scale = problem.exact, problem.scale
     mu, nu = problem.mu, problem.nu
@@ -383,25 +402,29 @@ def solve_wasserstein(problem: TransportProblem) -> TransportResult:
     # marginals in units, dual feasibility, and a closed duality gap.  The
     # full plan is one diagonal stay entry per shared atom plus the residual
     # flow; (source, sink) pairs are unique, so the sort compares no amounts.
+    # Flows are 0 or positive, so compress visits the arcs that carry flow,
+    # in the same source-major order as a walk over every arc.
     entries = [(a, a, x) for a, x in common.items()]
     total = zero
-    for i in range(S):
-        for j in range(T):
-            x = flow[i][j]
-            if x > zero:
-                rc = cost[i][j] + phi[i] - phi[S + j]
-                if abs(rc) > cs_tol:
-                    raise failure(f"complementary slackness violated on arc ({i},{j}): {rc}")
-                total += x * cost[i][j]
-                entries.append((sources[i], sinks[j], x))
+    for i, (out, c, a) in enumerate(zip(flow, cost, sources)):
+        for j in compress(range(T), out):
+            x = out[j]
+            rc = c[j] + phi[i] - phi[S + j]
+            if abs(rc) > cs_tol:
+                raise failure(f"complementary slackness violated on arc ({i},{j}): {rc}")
+            total += x * c[j]
+            entries.append((a, sinks[j], x))
     plan = tuple(sorted(entries))
     violations = verify_coupling(problem, plan)
     if violations:
         raise failure(f"invalid plan: {violations[0]}")
     distance = Fraction(total, scale) if exact else total
-    excess = lipschitz_excess(problem, dual)
-    if excess > tol:
-        raise failure(f"dual certificate breaks the Lipschitz bound by {excess}")
+    # the envelope of a metric is 1-Lipschitz, so a problem sliced from a
+    # certified metric needs no walk (curvature.PairProblem)
+    if not problem.certified:
+        excess = lipschitz_excess(problem, dual)
+        if excess > tol:
+            raise failure(f"dual certificate breaks the Lipschitz bound by {excess}")
     gap = distance - dual_objective(problem, dual)
     if abs(gap) > tol:
         raise failure(f"duality gap {gap} exceeds {tol}")

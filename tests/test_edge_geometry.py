@@ -7,9 +7,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from edge_ricci.curvature import pair_bounds, pair_transport_problem, ricci_all_adjacent
+from edge_ricci import cli, transport
+from edge_ricci.curvature import PairProblem, pair_bounds, pair_transport_problem, ricci_all_adjacent
 from edge_ricci.edge_geometry import (
     EdgeMeasure,
+    EdgeSpace,
     edge_distance,
     edge_measure,
     edge_space,
@@ -17,7 +19,12 @@ from edge_ricci.edge_geometry import (
     shared_vertex,
     slicer,
 )
-from edge_ricci.errors import IsolatedEdgeError, NonpositiveWeightError, UnknownEdgeError
+from edge_ricci.errors import (
+    IsolatedEdgeError,
+    MetricCertificateError,
+    NonpositiveWeightError,
+    UnknownEdgeError,
+)
 from edge_ricci.graph_core import Graph, WeightedGraph, generate, parse_weighted
 from edge_ricci.transport import TransportProblem, solve_wasserstein
 
@@ -362,3 +369,80 @@ def test_an_exact_measure_off_one_names_its_sum():
         EdgeMeasure(0, (1, 2), (Fraction(1, 2), Fraction(1, 3)))
     with pytest.raises(ValueError, match="matching, nonempty atoms and masses"):
         EdgeMeasure(0, (1, 2), (Fraction(1),))
+
+
+def _corrupting(monkeypatch, s, t, delta):
+    """Patch EdgeSpace's Dijkstra runs to return P with P[s][t] moved by delta."""
+    runs = EdgeSpace._shortest_paths
+
+    def corrupt(space):
+        metric = runs(space)
+        metric[s][t] += delta
+        return metric
+
+    monkeypatch.setattr(EdgeSpace, "_shortest_paths", corrupt)
+
+
+@pytest.mark.parametrize("delta", [-1, 1])
+def test_metric_certificate_names_a_corrupted_entry(monkeypatch, delta):
+    # On cycle:6, P(v0, v3) = 4: both ends and one vertex between them on
+    # either side.  Bellman's equation at (v0, v3) reads its neighbours v2
+    # and v4, which the corruption leaves at 3, so it gives 4 back
+    g = generate("cycle:6")
+    s, t = g.labels.index("v0"), g.labels.index("v3")
+    space = edge_space(g)
+    assert not space.certified
+    space.row(0)
+    assert space.certified and space._metric[s][t] == 4
+    _corrupting(monkeypatch, s, t, delta)
+    fresh = generate("cycle:6")
+    with pytest.raises(MetricCertificateError,
+                       match=rf"P\(v0, v3\) = {4 + delta} misses Bellman's equation, "
+                             rf"which gives 4"):
+        edge_space(fresh).row(0)
+    assert not edge_space(fresh).certified
+
+
+def test_verify_on_a_corrupted_metric_exits_2_with_one_error_line(monkeypatch, capsys):
+    g = generate("complete:5")
+    _corrupting(monkeypatch, 1, 3, 1)
+    assert cli.run(["verify", "--family", "complete:5"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [f"error: vertex metric P({g.labels[1]}, {g.labels[3]}) = 3 "
+                                f"misses Bellman's equation, which gives 2"]
+
+
+@pytest.mark.parametrize("family", ["complete:6", "petersen", "tree:15", "random:12:0.6"])
+def test_exact_pair_problems_are_certified_and_their_blocks_valid(family):
+    # a pair problem's block passes every check of a hand-built problem, and
+    # the hand-built twin agrees on every field but the certificate
+    g = generate(family, seed=1)
+    for e, near in enumerate(edge_space(g).neighbors):
+        for f in near:
+            p = pair_transport_problem(g, e, f)
+            twin = TransportProblem(p.mu, p.nu, p.atoms, p.rows)
+            assert type(p) is PairProblem and p.certified and p.exact
+            assert not twin.certified
+            for name in ("position", "exact", "scale", "supply", "demand"):
+                assert getattr(p, name) == getattr(twin, name), name
+
+
+def test_a_weighted_space_is_not_certified_and_its_solves_walk(monkeypatch):
+    base = generate("random:8:0.5", seed=3)
+    wg = WeightedGraph(base, {v: 0.5 + 0.25 * k for k, v in enumerate(base.labels)},
+                       {base.edge_endpoints(e): 1.0 for e in range(base.n_edges)})
+    monkeypatch.setattr(EdgeSpace, "_certify", lambda space, metric: pytest.fail("certified"))
+    walks = []
+    walk = transport.lipschitz_excess
+    monkeypatch.setattr(transport, "lipschitz_excess",
+                        lambda problem, dual: walks.append(problem) or walk(problem, dual))
+    solves = 0
+    for e, near in enumerate(edge_space(wg).neighbors):
+        for f in near:
+            p = pair_transport_problem(wg, e, f)
+            assert not p.certified and not p.exact
+            solve_wasserstein(p)
+            solves += 1
+    assert not edge_space(wg).certified
+    assert solves and len(walks) == solves

@@ -495,7 +495,7 @@ def test_solver_equals_the_oracle_on_metric_instances(exact, data):
 _SOLVER_NAMES = {"solve_wasserstein", "verify_coupling", "dual_objective",
                  "lipschitz_excess", "slicer", "_instance",
                  "_FLOAT_EPS_TIGHT", "_FLOAT_EPS_CS", "_FLOAT_EPS_GAP", "_FLOAT_DUST"}
-_PROBLEM_UNITS = {"supply", "demand", "scale", "exact"}
+_PROBLEM_UNITS = {"supply", "demand", "scale", "exact", "certified"}
 _PROBLEM_INPUTS = {"rows", "position", "mu", "nu"}
 
 
@@ -706,6 +706,20 @@ def test_exact_distances_match_float_runs_and_the_oracle(seed):
         assert math.isclose(brute_force_wasserstein(q), float_run, rel_tol=1e-12)
 
 
+@pytest.mark.parametrize("family,seed", [("complete:6", 0), ("petersen", 0), ("tree:15", 0),
+                                         ("random:12:0.6", 0), ("random:12:0.6", 1),
+                                         ("random:12:0.6", 2)])
+def test_certified_solves_return_a_1_lipschitz_dual(family, seed):
+    # the solver takes the Lipschitz bound of an exact graph problem from
+    # its certified metric and skips the walk; the walk, run here as an
+    # oracle, finds no pair that breaks it
+    g = generate(family, seed=seed)
+    for (e, f) in ricci_all_adjacent(g):
+        p = pair_transport_problem(g, e, f)
+        assert p.exact and p.certified
+        assert lipschitz_excess(p, solve_wasserstein(p).dual) <= 0
+
+
 def test_symmetry_of_the_distance():
     g = generate("tree:9", seed=4)
     for e, f in ((0, 3), (1, 5), (2, 7)):
@@ -725,8 +739,12 @@ _BROKEN_CHECKS = {
 @pytest.mark.parametrize("name", sorted(_BROKEN_CHECKS))
 def test_certificate_failure_names_the_pair_and_the_size(monkeypatch, name):
     # K4, edges v0-v1 and v0-v2: four atoms a side, two of them shared, so the
-    # residual instance is 2x2; every half of the certificate is the solver's
+    # residual instance is 2x2; every half of the certificate is the solver's.
+    # A graph's exact problem takes the Lipschitz bound from its certified
+    # metric, so the walk is broken on the same instance in floats
     p = pair_transport_problem(generate("complete:4"), 0, 1)
+    if name == "lipschitz_excess":
+        p = _as_float(p)
     solve_wasserstein(p)
     monkeypatch.setattr(transport, name, _BROKEN_CHECKS[name])
     with pytest.raises(TransportError, match=r"pair \(0,1\) over 4x4 atoms, residual 2x2"):
