@@ -20,11 +20,12 @@ from fractions import Fraction
 from .curvature import (
     adjacent_minimum,
     pair_transport_problem,
+    ricci,
     ricci_all_adjacent,
     ricci_all_pairs,
     tree_curvature_formula,
 )
-from .edge_geometry import edge_space, shared_vertex
+from .edge_geometry import edge_distance, edge_space, shared_vertex
 from .graph_core import Graph, WeightedGraph, generate
 from .rng import SplitMix64
 from .spectra import spectral_equivalence_gap, spectrum_of
@@ -351,7 +352,9 @@ def _transport_corpus(seed: int):
 def criterion_9(seed: int = 0) -> CriterionResult:
     """Every transport solve closes its duality gap (exactly on rationals,
     within 1e-9 on floats), and its optimum matches the independent
-    transportation-simplex oracle on every pair."""
+    transportation-simplex oracle on every pair.  On exact pairs the
+    curvature, which the table takes from the residual LP alone, also
+    equals 1 - oracle / d exactly."""
     failures = []
     pairs = 0
     for name, gap_word, g, tol in _transport_corpus(seed):
@@ -367,6 +370,10 @@ def criterion_9(seed: int = 0) -> CriterionResult:
             bf = brute_force_wasserstein(problem)
             if abs(bf - result.distance) > tol * max(1.0, abs(bf)):
                 failures.append(f"{pair}: solver {result.distance} != oracle {bf}")
+            elif problem.exact:
+                want = 1 - bf / edge_distance(g, e, f)
+                if (kappa := ricci(g, e, f)) != want:
+                    failures.append(f"{pair}: kappa {kappa} != 1 - oracle / d = {want}")
     return _verdict(9, failures,
                     f"{pairs} gaps closed, {pairs} oracle comparisons agree")
 

@@ -8,13 +8,16 @@ where W is the exact 1-Wasserstein distance between the neighborhood
 measures and d the shortest-path distance in the line adjacency (see
 edge_geometry).  One formula serves both graph kinds: an unweighted graph is
 the unit-weight case, where everything is rational and returned as
-Fraction; weighted graphs produce certified floats.  W comes from
-transport.solve_wasserstein on pair_transport_problem's PairProblem, and
-the solver checks the certificate itself: plan marginals, complementary
-slackness and the duality gap on every solve, and the dual's Lipschitz
-bound by a walk on float problems and by the lemma of the graph's
-certified edge metric (edge_geometry) on exact ones.  This layer rechecks
-nothing.
+Fraction; weighted graphs produce certified floats.  W is read from
+pair_transport_problem's PairProblem, and the transport layer checks the
+certificate; this layer rechecks nothing.  On exact input the problem is
+certified (its costs are the graph's certified edge metric, edge_geometry)
+and W comes from transport.residual_distance, which solves and certifies
+the residual LP alone (the cancellation lemma, transport): no full-support
+plan, envelope dual or cost block is built.  On float input W comes from
+transport.solve_wasserstein and its full certificate.  transport_for_pair
+returns the full TransportResult on either input, for callers that read
+the plan or the dual.
 
 Only adjacent pairs need solving for the least curvature: since W is a
 metric, the minimum over all distinct pairs is the adjacent minimum (the
@@ -33,8 +36,16 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cached_property
 
-from .edge_geometry import edge_distance, edge_measure, edge_space, pairwise_costs, shared_vertex
+from .edge_geometry import (
+    edge_distance,
+    edge_measure,
+    edge_space,
+    pairwise_costs,
+    shared_vertex,
+    slicer,
+)
 from .errors import (
     InvalidParameterError,
     NonpositiveWeightError,
@@ -43,7 +54,7 @@ from .errors import (
     SamePairError,
 )
 from .graph_core import Graph, WeightedGraph, check_edge_ordinal, derived, is_tree
-from .transport import TransportProblem, solve_wasserstein
+from .transport import TransportProblem, residual_distance, solve_wasserstein
 
 
 def edges_adjacent(g, e: int, f: int) -> bool:
@@ -55,27 +66,46 @@ def edges_adjacent(g, e: int, f: int) -> bool:
 class PairProblem(TransportProblem):
     """The transport problem between the measures of edges e and f of g.
 
-    It builds its own block from g's edge space: atoms, the sorted joint
-    support of the two measures, and rows sliced from the space's distance
-    rows by pairwise_costs.  Such rows pass every check of the block by
+    Its atoms are the sorted joint support of the two measures, and its
+    costs come from g's edge space, whose distance row of an edge is indexed
+    by edge ordinal: on a certified problem costs(sources, sinks) slices
+    each source's cached row at the sinks, and the K x K block ``rows`` is
+    built by pairwise_costs only when something reads it (the float
+    tolerances, whose solve then slices its costs from it, the Lipschitz
+    walk, the oracle).  Such rows pass every check of the block by
     construction (a distance row has a 0 at its own edge, sums of positive
     weights elsewhere, and the space raises before it keeps a row with an
-    infinite entry), so no block is validated per pair.  ``certified`` is
-    True when the problem is exact and the space certified its vertex
-    metric: the rows are then slices of a metric, and the solver takes the
-    dual's Lipschitz bound as proved.
+    infinite entry), so no block is validated per pair.  ``certified`` is True when
+    the problem is exact and the space certified its vertex metric: the
+    costs are then a metric, the solver takes the dual's Lipschitz bound as
+    proved, and residual_distance may take W from the residual LP alone.
     """
 
     def __init__(self, g, e: int, f: int):
         mu, nu = edge_measure(g, e), edge_measure(g, f)
-        atoms = tuple(sorted({*mu.atoms, *nu.atoms}))
-        rows = pairwise_costs(g, atoms)
+        space = edge_space(g)
+        exact = mu.exact and nu.exact
+        if exact:
+            space.row(e)  # the first row read builds and certifies the vertex metric
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "nu", nu)
-        object.__setattr__(self, "atoms", atoms)
-        object.__setattr__(self, "rows", rows)
-        exact = mu.exact and nu.exact and edge_space(g).certified
+        object.__setattr__(self, "atoms", tuple(sorted({*mu.atoms, *nu.atoms})))
+        object.__setattr__(self, "_g", g)
+        object.__setattr__(self, "_space", space)
+        exact = exact and space.certified
         self._settle(exact, exact)
+
+    @cached_property
+    def rows(self) -> tuple[tuple, ...]:
+        return pairwise_costs(self._g, self.atoms)
+
+    def costs(self, sources, sinks) -> list[tuple]:
+        if not self.certified:
+            # a float solve reads the block for its tolerances anyway
+            return super().costs(sources, sinks)
+        # an edge's ordinal is its position in a distance row
+        pick, row = slicer(sinks), self._space.row
+        return [pick(row(a)) for a in sources]
 
 
 def pair_transport_problem(g, e: int, f: int) -> PairProblem:
@@ -96,13 +126,15 @@ def transport_for_pair(g, e: int, f: int):
 def ricci(g, e: int, f: int):
     """kappa(e, f) = 1 - W(m_e, m_f) / d(e, f) for distinct edges (else
     pair_transport_problem raises SamePairError): a Fraction on unweighted
-    input, a float on weighted input; a float that overflows raises
+    input, with W from the residual LP of the certified problem, and a
+    float on weighted input, from a full solve; a float that overflows raises
     NonpositiveWeightError naming the pair.  Only the (min, max) problem is
     solved, so kappa(e, f) == kappa(f, e) bitwise, also on float weights,
     where the solver's summation order would move the last bits."""
     lo, hi = sorted((e, f))
     dist = edge_distance(g, lo, hi)
-    w = transport_for_pair(g, lo, hi).distance
+    problem = pair_transport_problem(g, lo, hi)
+    w = residual_distance(problem) if problem.certified else solve_wasserstein(problem).distance
     if isinstance(w, Fraction):
         # 1 - (p/q)/dist = (q dist - p)/(q dist): one Fraction, normalized once
         q = w.denominator * dist

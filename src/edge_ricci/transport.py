@@ -7,9 +7,11 @@ cost and is cancelled first.  The residual instance, whose two supports are
 disjoint, is solved by the primal-dual method (Ahuja, Magnanti & Orlin,
 Network Flows, 1993, ch. 9; Kuhn's Hungarian method, 1955) with node
 potentials phi that keep every reduced cost c(u, v) + phi(u) - phi(v) >= 0.
-The returned plan is the full optimal coupling of mu and nu: the residual
-plan plus one diagonal (a, a, common) stay entry per shared atom, as a
-sorted tuple of (source, sink, amount) entries in the problem's units.
+solve_wasserstein returns the full optimal coupling of mu and nu: the
+residual plan plus one diagonal (a, a, common) stay entry per shared atom,
+as a sorted tuple of (source, sink, amount) entries in the problem's units,
+with an envelope dual on the whole joint support.  residual_distance, for
+certified problems, returns the number W alone (the last paragraphs).
 
 The potentials start as the column-reduced dual of Kuhn's method: every
 source at 0 and every sink at its least cost from any source.  Each reduced
@@ -51,10 +53,12 @@ float mode can reach it, where rounding could recycle residual arcs: past
 it the solve raises instead of spinning.
 
 A problem holds its costs as one row tuple per atom of the sorted joint
-support, and ``position`` maps each atom to its row.  The solver's source
-x sink matrix, the dual step, the dual envelope and the Lipschitz check
-index the rows by position, never by an (a, b) key; the matrix, the dual
-step and the envelope slice them in C, with edge_geometry.slicer.
+support, and ``position`` maps each atom to its row.  The Lipschitz check
+indexes the rows by position, never by an (a, b) key.  The solver's source
+x sink matrix and the dual envelope come from problem.costs, which slices
+each row at the sinks in C, with edge_geometry.slicer, as the dual step
+slices the matrix.  A curvature.PairProblem slices its costs from its
+graph's distance rows instead and builds the rows only when read.
 
 A TransportProblem fixes its number domain once, when it is built, and
 every later step reads it.  When both measures are exact rationals and the
@@ -68,13 +72,15 @@ rounding noise.  The number type fixes only the zero, that noise, the
 tightness threshold and the certificate tolerances; exact mode is the case
 where all of them are 0.
 
-The dual certificate is a single function f, a dict on the full joint
-support with |f(a) - f(b)| <= d(a, b), built from the final potentials of
-the residual sinks by the envelope f(a) = min_j (beta_j + d(a, j)); strong
-duality makes its objective equal the primal cost.  The solver checks the
-certificate on the uncancelled problem before it returns.  Every solve
-checks complementary slackness on the residual arcs that carry flow, both
-marginals of the full plan, and the duality gap.  The Lipschitz bound on f
+The dual certificate of a full solve is a single function f, a dict on
+the full joint support with |f(a) - f(b)| <= d(a, b), built from the final
+potentials of the residual sinks by the envelope f(a) = min_j (beta_j +
+d(a, j)), beta_j = -phi(sink j); strong duality makes its objective equal
+the primal cost.  solve_wasserstein checks the certificate on the
+uncancelled problem before it returns a TransportResult: complementary
+slackness on the residual arcs that carry flow, both marginals of the full
+plan (verify_coupling), the Lipschitz bound, and the duality gap
+(dual_objective).  The Lipschitz bound on f
 is checked per solve, by walking unordered pairs, unless the problem is a
 certified curvature.PairProblem.  Such a problem is exact and slices its
 rows from an unweighted graph's edge space, whose vertex metric was
@@ -94,6 +100,26 @@ rows are validated once, when it is built, in one pass in C; a
 PairProblem's rows pass those checks by construction, so it skips them.
 The dual objective is summed in the problem's units.  So are the plan's
 marginals: the solver's marginal check is verify_coupling itself.
+
+On a certified problem the number W needs no full plan and no envelope,
+by the cancellation lemma: when the costs are a metric d, W(mu, nu) is the
+optimum of the residual LP, which moves mu' = mu minus the common mass to
+nu' = nu minus the common mass over supp(mu') x supp(nu').  Proof: the
+residual plan plus the diagonal stays is a coupling of mu and nu of the
+same cost, so W is at most the residual optimum.  The envelope f of
+feasible residual potentials is 1-Lipschitz (above), with f >= -phi on
+the sources and f <= -phi on the sinks, so every coupling of mu and nu
+costs at least the sum of f (mu - nu) = f (mu' - nu'), which is at least
+the residual dual objective, the sum of nu'_j phi_j less that of
+mu'_i phi_i.  So residual_distance, which ricci uses on exact input,
+solves the residual with the same loop and checks in integer units that
+the flow is >= 0 and meets both residual marginals, that every residual
+arc's reduced cost is >= 0, and that the flow's cost equals the dual
+objective (complementary slackness on the arcs that carry flow); with the
+graph's metric certificate (edge_geometry) that is a complete certificate
+of W.  Float and hand-built problems never take that path, and a caller
+that reads a plan or a dual gets a full TransportResult from
+solve_wasserstein (curvature.transport_for_pair), checked as above.
 
 brute_force_wasserstein is the independent oracle used by the test suite
 and the acceptance gate: the transportation simplex under Bland's rule, which
@@ -138,10 +164,11 @@ class TransportProblem:
     the LCM of the measures' scales when exact and 1 otherwise, and the
     read-only ``supply`` and ``demand`` map each atom of mu and nu to its
     mass in those units (int when exact, float otherwise), whose totals must
-    agree.  ``position`` maps each atom to its index in atoms and rows.
+    agree.  ``position`` maps each atom to its index in atoms and rows, and
+    costs(sources, sinks) slices the rows of sources at sinks.
     ``certified`` is False: only a curvature.PairProblem, which slices its
-    own rows from a certified metric, sets it.  Every error raised here names the
-    edge pair and the atom counts.
+    own costs from a certified metric, sets it.  Every error raised here
+    names the edge pair and the atom counts.
     """
 
     mu: EdgeMeasure
@@ -207,6 +234,12 @@ class TransportProblem:
         object.__setattr__(self, "demand", demand)
         object.__setattr__(self, "certified", certified)
 
+    def costs(self, sources, sinks) -> list[tuple]:
+        """One tuple per atom of sources: its costs to the atoms of sinks,
+        sliced from its row in C."""
+        pick, rows, position = slicer([self.position[b] for b in sinks]), self.rows, self.position
+        return [pick(rows[position[a]]) for a in sources]
+
 
 def _instance(mu: EdgeMeasure, nu: EdgeMeasure) -> str:
     """How an error names a transport instance: edge pair and atom counts."""
@@ -242,8 +275,6 @@ def solve_wasserstein(problem: TransportProblem) -> TransportResult:
     TransportError raised here names the pair and the instance size.
     """
     exact, scale = problem.exact, problem.scale
-    mu, nu = problem.mu, problem.nu
-    rows, position = problem.rows, problem.position
     supply, demand = dict(problem.supply), dict(problem.demand)
     if exact:
         zero, dust, tight_tol, cs_tol, tol = 0, 0, 0, 0, 0
@@ -251,32 +282,138 @@ def solve_wasserstein(problem: TransportProblem) -> TransportResult:
         # The potentials and their rounding error scale with the costs, and
         # so do the distance and its accepted error: the threshold and the
         # tolerances are relative to the largest cost.
-        cmax = max(map(max, rows))
+        cmax = max(map(max, problem.rows))
         zero, dust, tight_tol = 0.0, _FLOAT_DUST, _FLOAT_EPS_TIGHT * cmax
         cs_tol, tol = _FLOAT_EPS_CS * cmax, _FLOAT_EPS_GAP * cmax
         # The two float sums disagree by a few ulp; rescale demand so the
         # totals match exactly, otherwise the loop below chases the dust.
         fix = sum(supply.values()) / sum(demand.values())
         demand = {b: d * fix for b, d in demand.items()}
+    common, sources, sinks, supply, demand = _residual(problem, supply, demand, dust)
+    S, T = len(sources), len(sinks)
+    failure = _failing(problem, S, T)
+    # every atom's costs to the residual sinks: the sources' rows are the
+    # loop's cost matrix, and all of them span the envelope below
+    block = problem.costs(problem.atoms, sinks)
+    position = problem.position
+    cost = [block[position[a]] for a in sources]
+    flow, phi = _primal_dual(cost, supply, demand, zero, dust, tight_tol, failure)
 
-    # Mass both measures hold at an atom stays put at zero cost; only the
-    # residual instance, whose two supports are disjoint, is solved.
+    # envelope dual certificate over the whole joint support:
+    # f(a) = min_j (beta_j + d(a, sink_j)) over the residual sinks, and
+    # f = 0 when mu = nu leaves nothing to ship
+    beta = [-phi[S + j] for j in range(T)]
+    dual = {a: min(map(add, beta, c), default=zero) for a, c in zip(problem.atoms, block)}
+
+    # the certificate: complementary slackness on the residual plan (whose
+    # cost is summed on the way), then, on the uncancelled problem, plan
+    # marginals in units, dual feasibility, and a closed duality gap.  The
+    # full plan is one diagonal stay entry per shared atom plus the residual
+    # flow; (source, sink) pairs are unique, so the sort compares no amounts.
+    # Flows are 0 or positive, so compress visits the arcs that carry flow,
+    # in the same source-major order as a walk over every arc.
+    entries = [(a, a, x) for a, x in common.items()]
+    total = zero
+    for i, (out, c, a) in enumerate(zip(flow, cost, sources)):
+        for j in compress(range(T), out):
+            x = out[j]
+            rc = c[j] + phi[i] - phi[S + j]
+            if abs(rc) > cs_tol:
+                raise failure(f"complementary slackness violated on arc ({i},{j}): {rc}")
+            total += x * c[j]
+            entries.append((a, sinks[j], x))
+    plan = tuple(sorted(entries))
+    violations = verify_coupling(problem, plan)
+    if violations:
+        raise failure(f"invalid plan: {violations[0]}")
+    distance = Fraction(total, scale) if exact else total
+    # the envelope of a metric is 1-Lipschitz, so a problem sliced from a
+    # certified metric needs no walk (curvature.PairProblem)
+    if not problem.certified:
+        excess = lipschitz_excess(problem, dual)
+        if excess > tol:
+            raise failure(f"dual certificate breaks the Lipschitz bound by {excess}")
+    gap = distance - dual_objective(problem, dual)
+    if abs(gap) > tol:
+        raise failure(f"duality gap {gap} exceeds {tol}")
+    return TransportResult(distance, plan, scale, dual, gap)
+
+
+def residual_distance(problem: TransportProblem) -> Fraction:
+    """W of a certified problem from its residual LP alone, certified in
+    integer units by the checks the module docstring lists: no full plan or
+    envelope dual is built.  Given the flow and dual feasibility checks, the
+    gap between the flow's cost and the dual objective is the sum of flow
+    times reduced cost, so a gap names an arc that breaks complementary
+    slackness.  Every TransportError raised here names the pair and the
+    residual size.
+    """
+    if not problem.certified:
+        raise TransportError(f"{_instance(problem.mu, problem.nu)}: not certified")
+    _, sources, sinks, supply, demand = _residual(
+        problem, dict(problem.supply), dict(problem.demand), 0)
+    S, T = len(sources), len(sinks)
+    failure = _failing(problem, S, T)
+    cost = problem.costs(sources, sinks)
+    flow, phi = _primal_dual(cost, supply[:], demand[:], 0, 0, 0, failure)
+    u, v = phi[:S], phi[S:]
+
+    # a flow: amounts >= 0, rows summing to the supply, columns to the demand
+    if S and min(map(min, flow)) < 0:
+        raise failure(f"negative flow {min(map(min, flow))}")
+    rows, cols = list(map(sum, flow)), list(map(sum, zip(*flow)))
+    if rows != supply or cols != demand:
+        raise failure(f"invalid flow: row sums {rows} for supply {supply}, "
+                      f"column sums {cols} for demand {demand}")
+    # dual feasibility, c + u_i - v_j >= 0 on every arc: the least c_ij - v_j
+    # of each row plus u_i, in C
+    least = list(map(min, map(map, repeat(sub), cost, repeat(v))))
+    if S and min(map(add, least, u)) < 0:
+        i = next(i for i in range(S) if least[i] + u[i] < 0)
+        j = min(range(T), key=lambda j: cost[i][j] - v[j])
+        raise failure(f"reduced cost {cost[i][j] + u[i] - v[j]} < 0 on arc ({i},{j})")
+    # primal cost = dual objective, which with the two checks above is
+    # complementary slackness on the arcs that carry flow
+    total = sum(map(sum, map(map, repeat(mul), flow, cost)))
+    objective = sum(map(mul, demand, v)) - sum(map(mul, supply, u))
+    if total != objective:
+        i, j = next((i, j) for i, out in enumerate(flow) for j in compress(range(T), out)
+                    if cost[i][j] + u[i] - v[j])
+        raise failure(f"flow cost {total} != dual objective {objective}: complementary "
+                      f"slackness violated on arc ({i},{j}): {cost[i][j] + u[i] - v[j]}")
+    return Fraction(total, problem.scale)
+
+
+def _residual(problem: TransportProblem, supply: dict, demand: dict, dust) -> tuple:
+    """Cancel the mass both measures hold at an atom, which stays put at
+    zero cost: the stays {atom: common mass}, the residual sources and sinks
+    (the atoms of mu and of nu whose supply and demand exceed dust, in the
+    measures' atom order), and their supply and demand lists.  supply and
+    demand map atoms to units and are changed in place."""
     common = {a: min(supply[a], demand[a]) for a in supply.keys() & demand.keys()}
     for a, x in common.items():
         supply[a] -= x
         demand[a] -= x
-    sources = [a for a in mu.atoms if supply[a] > dust]
-    sinks = [b for b in nu.atoms if demand[b] > dust]
-    supply = [supply[a] for a in sources]
-    demand = [demand[b] for b in sinks]
+    sources = [a for a in problem.mu.atoms if supply[a] > dust]
+    sinks = [b for b in problem.nu.atoms if demand[b] > dust]
+    return common, sources, sinks, [supply[a] for a in sources], [demand[b] for b in sinks]
 
-    S, T = len(sources), len(sinks)
 
-    def failure(what: str) -> TransportError:
-        return TransportError(f"{_instance(mu, nu)}, residual {S}x{T}: {what}")
+def _failing(problem: TransportProblem, S: int, T: int):
+    """The TransportError of a solve: the instance and its residual size."""
+    return lambda what: TransportError(
+        f"{_instance(problem.mu, problem.nu)}, residual {S}x{T}: {what}")
 
-    pick = slicer([position[b] for b in sinks])  # a row's entries at the sinks
-    cost = [pick(rows[position[a]]) for a in sources]
+
+def _primal_dual(cost: list, supply: list, demand: list, zero, dust, tight_tol,
+                 failure) -> tuple[list, list]:
+    """The primal-dual loop of the module docstring on the S x T residual:
+    cost[i][j] from source i to sink j, and the supply and demand lists,
+    which it drains.  Returns the flow, one list per source, and the node
+    potentials phi, sources first, with every reduced cost
+    c[i][j] + phi[i] - phi[S + j] >= -tight_tol.  Raises failure's error
+    once the dual-step budget is spent."""
+    S, T = len(supply), len(demand)
     flow = [[zero] * T for _ in range(S)]
     carriers = [set() for _ in range(T)]  # the sources with flow into each sink
     phi = [zero] * (S + T)  # node potentials; reduced cost c + phi[u] - phi[v] >= 0
@@ -389,46 +526,7 @@ def solve_wasserstein(problem: TransportProblem) -> TransportResult:
             if v not in reached:
                 phi[v] += delta
         reached = phase()
-
-    # envelope dual certificate over the whole joint support:
-    # f(a) = min_j (beta_j + d(a, sink_j)) over the residual sinks, and
-    # f = 0 when mu = nu leaves nothing to ship
-    beta = [-phi[S + j] for j in range(T)]
-    dual = {a: min(map(add, beta, pick(row)), default=zero)
-            for a, row in zip(problem.atoms, rows)}
-
-    # the certificate: complementary slackness on the residual plan (whose
-    # cost is summed on the way), then, on the uncancelled problem, plan
-    # marginals in units, dual feasibility, and a closed duality gap.  The
-    # full plan is one diagonal stay entry per shared atom plus the residual
-    # flow; (source, sink) pairs are unique, so the sort compares no amounts.
-    # Flows are 0 or positive, so compress visits the arcs that carry flow,
-    # in the same source-major order as a walk over every arc.
-    entries = [(a, a, x) for a, x in common.items()]
-    total = zero
-    for i, (out, c, a) in enumerate(zip(flow, cost, sources)):
-        for j in compress(range(T), out):
-            x = out[j]
-            rc = c[j] + phi[i] - phi[S + j]
-            if abs(rc) > cs_tol:
-                raise failure(f"complementary slackness violated on arc ({i},{j}): {rc}")
-            total += x * c[j]
-            entries.append((a, sinks[j], x))
-    plan = tuple(sorted(entries))
-    violations = verify_coupling(problem, plan)
-    if violations:
-        raise failure(f"invalid plan: {violations[0]}")
-    distance = Fraction(total, scale) if exact else total
-    # the envelope of a metric is 1-Lipschitz, so a problem sliced from a
-    # certified metric needs no walk (curvature.PairProblem)
-    if not problem.certified:
-        excess = lipschitz_excess(problem, dual)
-        if excess > tol:
-            raise failure(f"dual certificate breaks the Lipschitz bound by {excess}")
-    gap = distance - dual_objective(problem, dual)
-    if abs(gap) > tol:
-        raise failure(f"duality gap {gap} exceeds {tol}")
-    return TransportResult(distance, plan, scale, dual, gap)
+    return flow, phi
 
 
 def verify_coupling(problem: TransportProblem,

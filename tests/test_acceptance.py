@@ -206,6 +206,16 @@ def test_criterion_9_names_an_open_gap_and_an_oracle_mismatch(monkeypatch):
                              "cycle:5 v0-v1,v1-v2: solver 1 != oracle 2")
 
 
+def test_criterion_9_checks_the_tables_kappa_against_the_oracle(monkeypatch):
+    # the table takes an exact pair's kappa from its residual LP, not from
+    # the full solve the criterion compares: a kappa off on the second pair
+    # is named there
+    _plant(monkeypatch, "ricci", lambda kappa: kappa + Fraction(1, 100), at=(1,))
+    result = criterion_9(seed=0)
+    assert not result.passed
+    assert result.detail == "cycle:5 v0-v1,v1-v2: kappa 1/100 != 1 - oracle / d = 0"
+
+
 def test_criterion_9_compares_every_pair_with_the_oracle():
     # seed 4's corpus has five pairs with 5 atoms a side, past the size the
     # oracle once reached; each of its 101 pairs is compared all the same

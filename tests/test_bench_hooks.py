@@ -54,22 +54,29 @@ def test_tracer_sees_every_transport_layer_and_every_pair(weighted):
     with t.installed():
         verification_report(g)
     stats, notes = tracing.span_stats(t.spans)
-    for layer in TRANSPORT_LAYERS:
-        assert stats["calls"].get(layer, 0) > 0, layer
-    cells = notes["transport.solve_wasserstein"]
-    assert len(cells) == stats["calls"]["transport.solve_wasserstein"]
-    # the solver's marginal check is the public verify_coupling, once a solve
-    assert stats["calls"]["transport.verify_coupling"] == len(cells)
-    # the Lipschitz walk runs once a float solve; an exact problem is sliced
-    # from a certified metric, whose envelope dual is 1-Lipschitz
-    assert stats["calls"].get("transport.lipschitz_excess", 0) == (len(cells) if weighted else 0)
-    assert all(c > 0 for c in cells)
     # verify solves each adjacent pair once and no other: the all-pairs
     # check reads the adjacent minimum, which bounds every pair by the
     # triangle inequality for W
     pairs = sorted(note[2:] for note in notes["curvature.ricci"])
     assert pairs == sorted(ricci_all_adjacent(g))
     assert len(pairs) < math.comb(g.n_edges, 2)
+    if not weighted:
+        # an exact pair's W comes from its residual LP: one problem per
+        # pair, and no cost block, full-support solve or coupling check
+        assert stats["calls"]["curvature.pair_transport_problem"] == len(pairs)
+        for layer in ("edge_geometry.pairwise_costs", "transport.solve_wasserstein",
+                      "transport.verify_coupling", "transport.lipschitz_excess"):
+            assert stats["calls"].get(layer, 0) == 0, layer
+        return
+    for layer in TRANSPORT_LAYERS:
+        assert stats["calls"].get(layer, 0) > 0, layer
+    cells = notes["transport.solve_wasserstein"]
+    assert len(cells) == stats["calls"]["transport.solve_wasserstein"]
+    # the solver's marginal check is the public verify_coupling, once a solve
+    assert stats["calls"]["transport.verify_coupling"] == len(cells)
+    # the Lipschitz walk runs once a float solve
+    assert stats["calls"].get("transport.lipschitz_excess", 0) == len(cells)
+    assert all(c > 0 for c in cells)
     assert tracing.layer_metrics(t.spans, 0.0)["transport.solve_wasserstein.cells"] == sum(cells)
 
 

@@ -260,14 +260,15 @@ def test_weighted_and_base_graph_keep_separate_tables():
 
 
 def _count_transport_solves(monkeypatch):
+    # an exact pair's W comes from residual_distance, a float pair's from
+    # solve_wasserstein: both count as the pair's solve
     calls = []
-    solve = curvature.solve_wasserstein
+    for name in ("solve_wasserstein", "residual_distance"):
+        def counting(problem, solve=getattr(curvature, name)):
+            calls.append((problem.mu.owner, problem.nu.owner))
+            return solve(problem)
 
-    def counting(problem):
-        calls.append((problem.mu.owner, problem.nu.owner))
-        return solve(problem)
-
-    monkeypatch.setattr(curvature, "solve_wasserstein", counting)
+        monkeypatch.setattr(curvature, name, counting)
     return calls
 
 
@@ -306,6 +307,24 @@ def test_all_pairs_walk_reuses_the_adjacent_table():
     assert all(kappa is table[key] for key, kappa in pairs if key in table)
     assert all(kappa == ricci(g, *key) for key, kappa in pairs)
     assert ricci_all_adjacent(g) is table and len(table) == 5
+
+
+@pytest.mark.parametrize("family,seed", [("cycle:4", 0), ("complete:6", 0), ("petersen", 0),
+                                         ("star:6", 0), ("tree:15", 0), ("random:12:0.6", 0),
+                                         ("random:12:0.6", 1), ("random:12:0.6", 2)])
+def test_residual_curvature_equals_the_full_solve_and_the_oracle(family, seed):
+    # an exact pair's kappa comes from its residual LP alone; on every pair,
+    # adjacent or not (cycle:4's opposite edges leave an empty residual),
+    # it is kappa from the full-support solve and from the oracle, exactly
+    g = generate(family, seed=seed)
+    for e in range(g.n_edges):
+        for f in range(e + 1, g.n_edges):
+            d = edge_distance(g, e, f)
+            problem = curvature.pair_transport_problem(g, e, f)
+            assert problem.certified
+            kappa = ricci(g, e, f)
+            assert kappa == 1 - transport_for_pair(g, e, f).distance / d
+            assert kappa == 1 - transport.brute_force_wasserstein(problem) / d
 
 
 # ------------------------------------ the adjacent minimum bounds all pairs

@@ -242,19 +242,21 @@ def test_family_survey_solves_every_pair_once_per_graph(monkeypatch, capsys, loa
 
 
 def test_family_survey_solves_each_pair_once(monkeypatch, capsys, load_script):
-    # every binding of solve_wasserstein counts its calls, keyed by the
-    # graph under audit and the solved pair: the checks all read the one
-    # table, whose solves check their own certificates
+    # every binding of solve_wasserstein and residual_distance counts its
+    # calls, keyed by the graph under audit and the solved pair: the checks
+    # all read the one table, whose solves check their own certificates
     module = load_script("family_survey")
-    real, current, solved = transport.solve_wasserstein, [], collections.Counter()
+    current, solved = [], collections.Counter()
+    for name in ("solve_wasserstein", "residual_distance"):
+        real = getattr(transport, name)
 
-    def counting(problem):
-        solved[current[-1], problem.mu.owner, problem.nu.owner] += 1
-        return real(problem)
+        def counting(problem, real=real):
+            solved[current[-1], problem.mu.owner, problem.nu.owner] += 1
+            return real(problem)
 
-    for mod in [module, *(m for name, m in sys.modules.items() if name.startswith("edge_ricci"))]:
-        if getattr(mod, "solve_wasserstein", None) is real:
-            monkeypatch.setattr(mod, "solve_wasserstein", counting)
+        for mod in [module, *(m for k, m in sys.modules.items() if k.startswith("edge_ricci"))]:
+            if getattr(mod, name, None) is real:
+                monkeypatch.setattr(mod, name, counting)
     audit = module.audit
     monkeypatch.setattr(module, "audit", lambda name, g: current.append(name) or audit(name, g))
     for argv in ([], _SEEDED):
@@ -284,11 +286,10 @@ def _planted_failure(monkeypatch, capsys, module, name, change, argv=_SEEDED):
     return capsys.readouterr().out.splitlines()[2:]
 
 
-def _certificate_failure(monkeypatch, capsys, module, name, change):
-    """The lines after the header once change is planted into the solver's
-    own certificate check transport.name(problem, x)."""
-    real = getattr(transport, name)
-    monkeypatch.setattr(transport, name, lambda problem, x: change(real(problem, x)))
+def _residual_failure(plant_residual, capsys, module, kind):
+    """The lines after the header once the residual certificate's defect
+    kind (conftest.RESIDUAL_PLANTS) is planted into the solver's loop."""
+    plant_residual(kind)
     assert module.main(_SEEDED) == 1
     return capsys.readouterr().out.splitlines()[2:]
 
@@ -299,16 +300,16 @@ _FIRST_SOLVE = ("CERTIFICATE VIOLATION random:7:0.5 #0: "
                 "transport for pair (0,1) over 6x6 atoms, residual 3x3: ")
 
 
-def test_family_survey_reports_a_plan_that_is_not_a_coupling(monkeypatch, capsys, load_script):
-    out = _certificate_failure(monkeypatch, capsys, load_script("family_survey"),
-                               "verify_coupling", lambda violations: ("planted",))
-    assert out == [_FIRST_SOLVE + "invalid plan: planted"]
+def test_family_survey_reports_a_plan_that_is_not_a_coupling(plant_residual, capsys, load_script):
+    out = _residual_failure(plant_residual, capsys, load_script("family_survey"), "flow")
+    assert out == [_FIRST_SOLVE + "invalid flow: row sums [0, 2, 1] for supply [1, 1, 1], "
+                   "column sums [2, 1, 0] for demand [1, 1, 1]"]
 
 
-def test_family_survey_reports_an_exact_duality_gap(monkeypatch, capsys, load_script):
-    out = _certificate_failure(monkeypatch, capsys, load_script("family_survey"),
-                               "dual_objective", lambda value: value + Fraction(1, 7))
-    assert out == [_FIRST_SOLVE + "duality gap -1/7 exceeds 0"]
+def test_family_survey_reports_an_exact_duality_gap(plant_residual, capsys, load_script):
+    out = _residual_failure(plant_residual, capsys, load_script("family_survey"), "objective")
+    assert out == [_FIRST_SOLVE + "flow cost 3 != dual objective 2: complementary "
+                   "slackness violated on arc (0,2): 1"]
 
 
 def test_family_survey_reports_a_curvature_bound_that_fails(monkeypatch, capsys, load_script):

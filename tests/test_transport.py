@@ -15,8 +15,8 @@ from itertools import combinations
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from edge_ricci import transport
-from edge_ricci.curvature import edges_adjacent, pair_transport_problem, ricci_all_adjacent
+from edge_ricci import cli, transport
+from edge_ricci.curvature import edges_adjacent, pair_transport_problem, ricci, ricci_all_adjacent
 from edge_ricci.edge_geometry import EdgeMeasure, edge_measure
 from edge_ricci.errors import MassImbalanceError, MissingPotentialError, TransportError
 from edge_ricci.graph_core import WeightedGraph, generate
@@ -26,6 +26,7 @@ from edge_ricci.transport import (
     brute_force_wasserstein,
     dual_objective,
     lipschitz_excess,
+    residual_distance,
     solve_wasserstein,
     verify_coupling,
 )
@@ -760,3 +761,46 @@ def test_slackness_failure_names_the_pair_and_the_size(monkeypatch):
     with pytest.raises(TransportError, match=r"pair \(0,1\) over 4x4 atoms, residual 2x2: "
                                              r"complementary slackness violated on arc"):
         solve_wasserstein(p)
+
+
+# K4, edges v0-v1 and v0-v2 as above, whose exact kappa comes from its 2x2
+# residual of unit masses: what each residual check says of its plant
+# (conftest.RESIDUAL_PLANTS)
+_RESIDUAL_FAILURES = {
+    "flow": "invalid flow: row sums [0, 2] for supply [1, 1], "
+            "column sums [0, 2] for demand [1, 1]",
+    "sign": "negative flow -1",
+    "potential": "reduced cost -1 < 0 on arc (0,0)",
+    "objective": "flow cost 2 != dual objective 1: complementary slackness violated "
+                 "on arc (0,0): 1",
+}
+_K4_RESIDUAL = "transport for pair (0,1) over 4x4 atoms, residual 2x2: "
+
+
+@pytest.mark.parametrize("kind", sorted(_RESIDUAL_FAILURES))
+def test_residual_certificate_failure_names_the_pair_and_the_size(plant_residual, kind):
+    g = generate("complete:4")
+    assert ricci(g, 0, 1) == Fraction(1, 2)
+    plant_residual(kind)
+    with pytest.raises(TransportError) as exc:
+        ricci(g, 0, 1)
+    assert str(exc.value) == _K4_RESIDUAL + _RESIDUAL_FAILURES[kind]
+
+
+@pytest.mark.parametrize("kind", sorted(_RESIDUAL_FAILURES))
+def test_verify_on_a_planted_residual_exits_2_with_one_error_line(plant_residual, capsys, kind):
+    plant_residual(kind)
+    assert cli.run(["verify", "--family", "complete:4"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == ["error: " + _K4_RESIDUAL + _RESIDUAL_FAILURES[kind]]
+
+
+def test_the_residual_path_refuses_an_uncertified_problem():
+    # a hand-built block need not be a metric, and W of the residual LP is
+    # W of the problem only on a metric
+    p = pair_transport_problem(generate("complete:4"), 0, 1)
+    q = TransportProblem(p.mu, p.nu, p.atoms, p.rows)
+    assert q.exact and not q.certified
+    with pytest.raises(TransportError, match=r"pair \(0,1\) over 4x4 atoms: not certified"):
+        residual_distance(q)
