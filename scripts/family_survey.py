@@ -10,10 +10,9 @@ graph is built before the header is printed, so a malformed spec ends the
 run with one `error:` line and exit 2.
 
 Every graph is audited on its one curvature table, each pair solved once:
-each solve checks its own certificate (on unweighted graphs the residual
-transport's: flow marginals, dual feasibility, flow cost equal to the dual
-objective); every asserted curvature bound and the gap bound
-hold; and with three edges or more no pair, solved, is below the adjacent
+each solve checks its own certificate (the residual transport's: flow
+marginals, dual feasibility, flow cost equal to the dual objective); every
+asserted curvature bound and the gap bound hold; and with three edges or more no pair, solved, is below the adjacent
 minimum (a theorem, as W is a metric; compared exactly).  The first
 violation (CERTIFICATE, BOUND, REDUCTION or GAP BOUND) stops the sweep with
 one line naming the graph, and exit 1.  A census ends the table: graphs,

@@ -10,14 +10,16 @@ edge_geometry).  One formula serves both graph kinds: an unweighted graph is
 the unit-weight case, where everything is rational and returned as
 Fraction; weighted graphs produce certified floats.  W is read from
 pair_transport_problem's PairProblem, and the transport layer checks the
-certificate; this layer rechecks nothing.  On exact input the problem is
-certified (its costs are the graph's certified edge metric, edge_geometry)
-and W comes from transport.residual_distance, which solves and certifies
-the residual LP alone (the cancellation lemma, transport): no full-support
-plan, envelope dual or cost block is built.  On float input W comes from
-transport.solve_wasserstein and its full certificate.  transport_for_pair
-returns the full TransportResult on either input, for callers that read
-the plan or the dual.
+certificate; this layer rechecks nothing.  The problem is certified on
+either input, since its costs are the graph's certified edge metric
+(edge_geometry: Bellman's equations on int P, two inequalities within
+1e-12 on float P), and every pair's W comes from
+transport.residual_distance, which solves and certifies the residual LP
+alone (the cancellation lemma, transport): no full-support plan or
+envelope dual is built, and on exact input no cost block either.  A float
+W is the full solve's to the last bit.  transport_for_pair returns the
+full TransportResult on either input, for callers that read the plan or
+the dual.
 
 Only adjacent pairs need solving for the least curvature: since W is a
 metric, the minimum over all distinct pairs is the adjacent minimum (the
@@ -68,39 +70,38 @@ class PairProblem(TransportProblem):
 
     Its atoms are the sorted joint support of the two measures, and its
     costs come from g's edge space, whose distance row of an edge is indexed
-    by edge ordinal: on a certified problem costs(sources, sinks) slices
-    each source's cached row at the sinks, and the K x K block ``rows`` is
-    built by pairwise_costs only when something reads it (the float
-    tolerances, whose solve then slices its costs from it, the Lipschitz
-    walk, the oracle).  Such rows pass every check of the block by
-    construction (a distance row has a 0 at its own edge, sums of positive
-    weights elsewhere, and the space raises before it keeps a row with an
-    infinite entry), so no block is validated per pair.  ``certified`` is True when
-    the problem is exact and the space certified its vertex metric: the
-    costs are then a metric, the solver takes the dual's Lipschitz bound as
-    proved, and residual_distance may take W from the residual LP alone.
+    by edge ordinal: on exact input costs(sources, sinks) slices each
+    source's cached row at the sinks, and the K x K block ``rows`` is built
+    by pairwise_costs only when something reads it (the float tolerances,
+    whose solve then slices its costs from it, the Lipschitz walk of a
+    hand-built twin, the oracle).  Such rows pass every check of the
+    block by construction (a distance row has a 0 at its own edge, sums of
+    positive weights elsewhere, and the space raises before it keeps a row
+    with an infinite entry), so no block is validated per pair.
+    ``certified`` is True once the space certified its vertex metric, which
+    building the problem forces, on exact and float input alike: the costs
+    are then a metric, within the float tolerance on float input, the
+    solver takes the dual's Lipschitz bound as proved, and
+    residual_distance may take W from the residual LP alone.
     """
 
     def __init__(self, g, e: int, f: int):
         mu, nu = edge_measure(g, e), edge_measure(g, f)
         space = edge_space(g)
-        exact = mu.exact and nu.exact
-        if exact:
-            space.row(e)  # the first row read builds and certifies the vertex metric
+        space.row(e)  # the first row read builds and certifies the vertex metric
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "nu", nu)
         object.__setattr__(self, "atoms", tuple(sorted({*mu.atoms, *nu.atoms})))
         object.__setattr__(self, "_g", g)
         object.__setattr__(self, "_space", space)
-        exact = exact and space.certified
-        self._settle(exact, exact)
+        self._settle(mu.exact and nu.exact, space.certified)
 
     @cached_property
     def rows(self) -> tuple[tuple, ...]:
         return pairwise_costs(self._g, self.atoms)
 
     def costs(self, sources, sinks) -> list[tuple]:
-        if not self.certified:
+        if not self.exact:
             # a float solve reads the block for its tolerances anyway
             return super().costs(sources, sinks)
         # an edge's ordinal is its position in a distance row
@@ -125,16 +126,16 @@ def transport_for_pair(g, e: int, f: int):
 
 def ricci(g, e: int, f: int):
     """kappa(e, f) = 1 - W(m_e, m_f) / d(e, f) for distinct edges (else
-    pair_transport_problem raises SamePairError): a Fraction on unweighted
-    input, with W from the residual LP of the certified problem, and a
-    float on weighted input, from a full solve; a float that overflows raises
+    pair_transport_problem raises SamePairError), with W from the residual
+    LP of the certified problem: a Fraction on unweighted input and a float
+    on weighted input; a float that overflows raises
     NonpositiveWeightError naming the pair.  Only the (min, max) problem is
     solved, so kappa(e, f) == kappa(f, e) bitwise, also on float weights,
     where the solver's summation order would move the last bits."""
     lo, hi = sorted((e, f))
     dist = edge_distance(g, lo, hi)
     problem = pair_transport_problem(g, lo, hi)
-    w = residual_distance(problem) if problem.certified else solve_wasserstein(problem).distance
+    w = residual_distance(problem)
     if isinstance(w, Fraction):
         # 1 - (p/q)/dist = (q dist - p)/(q dist): one Fraction, normalized once
         q = w.denominator * dist

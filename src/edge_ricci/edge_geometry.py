@@ -36,9 +36,32 @@ on the diagonal, and for the triangle inequality through an edge g, let
 y1 be g's connector on an optimal path from e and y2 its connector on one
 to f; if y1 = y2 the two paths join at that vertex, and otherwise y1 and
 y2 are the two ends of g, which one hop joins.  The transport solver
-relies on this lemma for every exact problem sliced from the space.  A
-WeightedEdgeSpace is not certified: a float row of P mixes the rounding of
-different runs, so exact equations fail on correct metrics.
+relies on this lemma for every problem sliced from the space.
+
+A WeightedEdgeSpace certifies its float P at the same point, by two
+inequalities instead: a float row of P mixes the rounding of different
+runs, so exact equations fail on correct metrics.  With eps = 1e-12, each
+holds within eps of its left side:
+
+  (I1) P(x, z) <= P(x, u) + P(u, z) - w(u) + eps P(x, z) for all x, u, z;
+  (I2) P(y1, z) <= w(y1) + P(y2, z) + eps P(y1, z) for each edge {y1, y2},
+       both ways, and every z.
+
+A least path through u, or one that starts with the hop from y1 to y2,
+bounds each left side, so both hold on a correct P up to rounding, which
+is about 1e-16 per vertex of the path; a failure raises
+MetricCertificateError naming both vertices and both sides.  Lemma: they
+give the edge metric's triangle inequality within that tolerance, d(e, f)
+<= (1 + 3 eps)(d(e, g) + d(g, f)).  Proof: let P(x, y1) = d(e, g) and
+P(y2, z) = d(g, f) with x in e, y1 and y2 in g, z in f, and D their sum.
+If y1 = y2 = u, (I1) gives (1 - eps) P(x, z) <= D.  Otherwise y1 and y2 are
+the ends of g, and (I2) gives P(y1, z) - w(y1) <= P(y2, z) + eps P(y1, z)
+with (1 - eps) P(y1, z) <= D (as w(y1) <= P(x, y1)), so (I1) at u = y1
+gives (1 - eps) P(x, z) <= D + eps D / (1 - eps).  Either way d(e, f) <=
+P(x, z) <= D / (1 - eps)^2 <= (1 + 3 eps) D, up to the check's own
+rounding, a few units in the last place.  The symmetry and the zero
+diagonal hold bitwise, as on int P.  The checks run in C map chains, n^3
+comparisons for (I1).
 
 pairwise_costs gives a transport problem its costs: per atom of the sorted
 joint support, a row tuple sliced from that atom's cached distance row by
@@ -52,10 +75,13 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import itemgetter
+from itertools import repeat
+from operator import add, itemgetter, le
 
 from .errors import IsolatedEdgeError, MetricCertificateError, NonpositiveWeightError
 from .graph_core import Graph, WeightedGraph, check_edge_ordinal, derived
+
+_METRIC_TOL = 1e-12  # float P's certificate: accepted excess per unit of the left side
 
 
 class EdgeSpace:
@@ -66,9 +92,10 @@ class EdgeSpace:
     weight[e]         Fraction(1)
     degrees[e]        the neighbor count, an int
     vertex_weight[v]  1, an int, so distances are int hop counts
-    certified         True once the vertex metric passed its Bellman
-                      certificate (_certify), which runs before any row is
-                      read; never set on a WeightedEdgeSpace
+    certified         True once the vertex metric passed its certificate
+                      (_certify: Bellman's equations here, the two
+                      inequalities on a WeightedEdgeSpace), which runs
+                      before any row is read
 
     The vertex metric and the distance rows are filled lazily.  Holds the
     labels, edges and incident table (for the metric and edge names) but not
@@ -189,12 +216,40 @@ class WeightedEdgeSpace(EdgeSpace):
                 )
         self.vertex_weight = wg.vertex_weights
 
-    # float P is not certified: a float row of P mixes runs, and each run's
-    # rounding differs, so exact Bellman equations fail on correct metrics
-    _vertex_metric = EdgeSpace._shortest_paths
+    def _certify(self, metric: list[list]) -> None:
+        """Check float P against the two inequalities of the module
+        docstring, each within 1e-12 of its left side: P(x, z) <= P(x, u) +
+        P(u, z) - w(u) for all x, u, z, and P(y1, z) <= w(y1) + P(y2, z) for
+        each edge {y1, y2}, both ways, and every z.  What a pass proves is
+        in the module docstring."""
+        w, labels = self.vertex_weight, self._labels
+        # each left side less its tolerance
+        low = [[p * (1 - _METRIC_TOL) for p in run] for run in metric]
+        for x, run in enumerate(metric):
+            for u, (p, wu) in enumerate(zip(run, w)):
+                if not all(map(le, low[x], map(add, metric[u], repeat(p - wu)))):
+                    rhs = [q + (p - wu) for q in metric[u]]
+                    z = _first_excess(low[x], rhs)
+                    raise MetricCertificateError(
+                        f"vertex metric P({labels[x]}, {labels[z]}) = {run[z]} exceeds "
+                        f"P({labels[x]}, {labels[u]}) + P({labels[u]}, {labels[z]}) "
+                        f"- w({labels[u]}) = {rhs[z]}")
+        for edge in self._edges:
+            for y1, y2 in (edge, edge[::-1]):
+                if not all(map(le, low[y1], map(add, metric[y2], repeat(w[y1])))):
+                    rhs = [q + w[y1] for q in metric[y2]]
+                    z = _first_excess(low[y1], rhs)
+                    raise MetricCertificateError(
+                        f"vertex metric P({labels[y1]}, {labels[z]}) = {metric[y1][z]} "
+                        f"exceeds w({labels[y1]}) + P({labels[y2]}, {labels[z]}) = {rhs[z]}")
 
     # bench/tracer.py wraps this class's own row; a super().row call would double its spans
     row = EdgeSpace.row
+
+
+def _first_excess(low: list, rhs: list) -> int:
+    """The first z whose tolerance-shrunk left side low[z] exceeds rhs[z]."""
+    return next(z for z, (p, q) in enumerate(zip(low, rhs)) if not p <= q)
 
 
 def edge_space(g: Graph) -> EdgeSpace:

@@ -65,7 +65,8 @@ class IsolatedEdgeError(EdgeRicciError):
 
 
 class MetricCertificateError(EdgeRicciError):
-    """An entry of an exact vertex metric misses Bellman's equation."""
+    """An entry of a vertex metric fails its certificate: Bellman's equation
+    on exact input, one of the two metric inequalities on float input."""
 
 
 # ---------------------------------------------------------------- transport

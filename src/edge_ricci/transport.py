@@ -80,26 +80,30 @@ the primal cost.  solve_wasserstein checks the certificate on the
 uncancelled problem before it returns a TransportResult: complementary
 slackness on the residual arcs that carry flow, both marginals of the full
 plan (verify_coupling), the Lipschitz bound, and the duality gap
-(dual_objective).  The Lipschitz bound on f
-is checked per solve, by walking unordered pairs, unless the problem is a
-certified curvature.PairProblem.  Such a problem is exact and slices its
-rows from an unweighted graph's edge space, whose vertex metric was
-certified once per graph before any row was read (edge_geometry), so its
-costs are a metric d.  The envelope of a metric is 1-Lipschitz: if j
-attains f(b), then f(a) <= beta_j + d(a, j) <= beta_j + d(b, j) + d(a, b)
-= f(b) + d(a, b) by the triangle inequality, and the same with a and b
-swapped by symmetry.  So the walk would re-prove a lemma, and those solves
-skip it.  Float problems keep the walk, since float metrics are not
-certified.  In float mode the accepted slackness, Lipschitz and gap errors
-are relative to the largest cost alone, as the tightness threshold is: the
-rounding error of a reduced cost grows with the potentials, which reach
-the largest cost, whatever the arc's own cost, and a floor of 1 would pass
-any certificate below unit cost scale.  A failure raises TransportError
-naming the edge pair and the instance size.  A hand-built problem's cost
-rows are validated once, when it is built, in one pass in C; a
-PairProblem's rows pass those checks by construction, so it skips them.
-The dual objective is summed in the problem's units.  So are the plan's
-marginals: the solver's marginal check is verify_coupling itself.
+(dual_objective).  The Lipschitz bound on f is checked per solve, by
+walking unordered pairs, unless the problem is a certified
+curvature.PairProblem.  Such a problem slices its rows from a graph's edge
+space, whose vertex metric was certified once per graph before any row was
+read (edge_geometry), so its costs are a metric d: exactly on unweighted
+input, and on float input up to the triangle inequality's tolerance there,
+d(a, c) <= (1 + 3 eps)(d(a, b) + d(b, c)) with eps = 1e-12.  The envelope
+of a metric is 1-Lipschitz: if j attains f(b), then f(a) <= beta_j +
+d(a, j) <= beta_j + d(b, j) + d(a, b) = f(b) + d(a, b) by the triangle
+inequality, and the same with a and b swapped by symmetry.  On float input
+the same lines give an excess of at most 3 eps (d(a, b) + d(b, j)), below
+6e-12 of the largest cost, far inside the 1e-9 a walk accepts.  So the walk
+would re-prove a lemma, and those solves skip it; hand-built problems, whose
+costs nothing certified, keep it.  In float mode the accepted slackness,
+Lipschitz and gap errors are relative to the largest cost alone, as the
+tightness threshold is: the rounding error of a reduced cost grows with the
+potentials, which reach the largest cost, whatever the arc's own cost, and
+a floor of 1 would pass any certificate below unit cost scale.  A failure
+raises TransportError naming the edge pair and the instance size.  A
+hand-built problem's cost rows are validated once, when it is built, in one
+pass in C; a PairProblem's rows pass those checks by construction, so it
+skips them.  The dual objective is summed in the problem's units.  So are
+the plan's marginals: the solver's marginal check is verify_coupling
+itself.
 
 On a certified problem the number W needs no full plan and no envelope,
 by the cancellation lemma: when the costs are a metric d, W(mu, nu) is the
@@ -111,15 +115,26 @@ feasible residual potentials is 1-Lipschitz (above), with f >= -phi on
 the sources and f <= -phi on the sinks, so every coupling of mu and nu
 costs at least the sum of f (mu - nu) = f (mu' - nu'), which is at least
 the residual dual objective, the sum of nu'_j phi_j less that of
-mu'_i phi_i.  So residual_distance, which ricci uses on exact input,
-solves the residual with the same loop and checks in integer units that
-the flow is >= 0 and meets both residual marginals, that every residual
-arc's reduced cost is >= 0, and that the flow's cost equals the dual
-objective (complementary slackness on the arcs that carry flow); with the
-graph's metric certificate (edge_geometry) that is a complete certificate
-of W.  Float and hand-built problems never take that path, and a caller
-that reads a plan or a dual gets a full TransportResult from
-solve_wasserstein (curvature.transport_for_pair), checked as above.
+mu'_i phi_i.  On float input each of those steps holds within the
+tolerances: the Lipschitz excess above costs at most 6e-12 of the largest
+cost per unit of mass, and the residual checks below accept 1e-9 of it.
+So residual_distance, which ricci uses on every input, solves the residual
+with the same loop and checks that the flow is >= 0 and meets both
+residual marginals, that every residual arc's reduced cost is >= 0, and
+that the flow's cost equals the dual objective: in exact mode in integer
+units, where the last check is complementary slackness on the arcs that
+carry flow; in float mode the marginals within 1e-12, and, in units of
+the largest cost, every reduced cost >= -1e-10, |reduced cost| <= 1e-10 on
+the arcs that carry flow, and the gap within 1e-9, as solve_wasserstein
+accepts.  With the graph's metric certificate (edge_geometry) that is a
+complete certificate of W, for both number types: "a dual certificate
+checked on every transport solve" means this residual certificate plus
+the per-graph metric certificate.  A float W is solve_wasserstein's to the
+last bit: the same largest cost, demand rescale, dust and threshold make
+the loop's choices the same, and the flow's cost is the same left fold,
+source-major.  Hand-built problems never take that path, and a caller that
+reads a plan or a dual gets a full TransportResult from solve_wasserstein
+(curvature.transport_for_pair), checked as above.
 
 brute_force_wasserstein is the independent oracle used by the test suite
 and the acceptance gate: the transportation simplex under Bland's rule, which
@@ -135,7 +150,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 from operator import add, getitem, le, mul, sub
 from typing import Mapping
 
@@ -275,20 +290,7 @@ def solve_wasserstein(problem: TransportProblem) -> TransportResult:
     TransportError raised here names the pair and the instance size.
     """
     exact, scale = problem.exact, problem.scale
-    supply, demand = dict(problem.supply), dict(problem.demand)
-    if exact:
-        zero, dust, tight_tol, cs_tol, tol = 0, 0, 0, 0, 0
-    else:
-        # The potentials and their rounding error scale with the costs, and
-        # so do the distance and its accepted error: the threshold and the
-        # tolerances are relative to the largest cost.
-        cmax = max(map(max, problem.rows))
-        zero, dust, tight_tol = 0.0, _FLOAT_DUST, _FLOAT_EPS_TIGHT * cmax
-        cs_tol, tol = _FLOAT_EPS_CS * cmax, _FLOAT_EPS_GAP * cmax
-        # The two float sums disagree by a few ulp; rescale demand so the
-        # totals match exactly, otherwise the loop below chases the dust.
-        fix = sum(supply.values()) / sum(demand.values())
-        demand = {b: d * fix for b, d in demand.items()}
+    zero, dust, tight_tol, cs_tol, tol, supply, demand = _setting(problem)
     common, sources, sinks, supply, demand = _residual(problem, supply, demand, dust)
     S, T = len(sources), len(sinks)
     failure = _failing(problem, S, T)
@@ -339,49 +341,84 @@ def solve_wasserstein(problem: TransportProblem) -> TransportResult:
     return TransportResult(distance, plan, scale, dual, gap)
 
 
-def residual_distance(problem: TransportProblem) -> Fraction:
-    """W of a certified problem from its residual LP alone, certified in
-    integer units by the checks the module docstring lists: no full plan or
-    envelope dual is built.  Given the flow and dual feasibility checks, the
-    gap between the flow's cost and the dual objective is the sum of flow
-    times reduced cost, so a gap names an arc that breaks complementary
-    slackness.  Every TransportError raised here names the pair and the
-    residual size.
+def residual_distance(problem: TransportProblem):
+    """W of a certified problem from its residual LP alone, certified by the
+    checks the module docstring lists, with no full plan or envelope dual: a
+    Fraction when exact, else solve_wasserstein's float to the last bit.
+    Given the flow and dual feasibility checks, the gap between the flow's
+    cost and the dual objective is the sum of flow times reduced cost, so in
+    exact mode a gap names an arc that breaks complementary slackness.
+    Every TransportError raised here names the pair and the residual size.
     """
     if not problem.certified:
         raise TransportError(f"{_instance(problem.mu, problem.nu)}: not certified")
-    _, sources, sinks, supply, demand = _residual(
-        problem, dict(problem.supply), dict(problem.demand), 0)
+    zero, dust, tight_tol, cs_tol, tol, supply, demand = _setting(problem)
+    _, sources, sinks, supply, demand = _residual(problem, supply, demand, dust)
     S, T = len(sources), len(sinks)
     failure = _failing(problem, S, T)
     cost = problem.costs(sources, sinks)
-    flow, phi = _primal_dual(cost, supply[:], demand[:], 0, 0, 0, failure)
+    flow, phi = _primal_dual(cost, supply[:], demand[:], zero, dust, tight_tol, failure)
     u, v = phi[:S], phi[S:]
 
-    # a flow: amounts >= 0, rows summing to the supply, columns to the demand
-    if S and min(map(min, flow)) < 0:
-        raise failure(f"negative flow {min(map(min, flow))}")
-    rows, cols = list(map(sum, flow)), list(map(sum, zip(*flow)))
-    if rows != supply or cols != demand:
+    # a flow: amounts >= 0, rows summing to the supply, columns to the
+    # demand (within 1e-12 in float mode)
+    least = min(chain.from_iterable(flow), default=zero)
+    if least < 0:
+        raise failure(f"negative flow {least}")
+    rows = list(map(sum, flow))
+    cols = list(map(sum, zip(*flow))) if S else [zero] * T
+    if (rows != supply or cols != demand) and max(
+            map(abs, map(sub, rows + cols, supply + demand))) > (0 if problem.exact else 1e-12):
         raise failure(f"invalid flow: row sums {rows} for supply {supply}, "
                       f"column sums {cols} for demand {demand}")
-    # dual feasibility, c + u_i - v_j >= 0 on every arc: the least c_ij - v_j
-    # of each row plus u_i, in C
-    least = list(map(min, map(map, repeat(sub), cost, repeat(v))))
-    if S and min(map(add, least, u)) < 0:
-        i = next(i for i in range(S) if least[i] + u[i] < 0)
+    # dual feasibility, c + u_i - v_j >= -cs_tol on every arc: the least
+    # c_ij - v_j of each row plus u_i, in C
+    if T and min(map(add, map(min, map(map, repeat(sub), cost, repeat(v))), u),
+                 default=zero) < -cs_tol:
+        i = next(i for i in range(S) if min(map(sub, cost[i], v)) + u[i] < -cs_tol)
         j = min(range(T), key=lambda j: cost[i][j] - v[j])
-        raise failure(f"reduced cost {cost[i][j] + u[i] - v[j]} < 0 on arc ({i},{j})")
-    # primal cost = dual objective, which with the two checks above is
-    # complementary slackness on the arcs that carry flow
-    total = sum(map(sum, map(map, repeat(mul), flow, cost)))
+        raise failure(f"reduced cost {cost[i][j] + u[i] - v[j]} < {-cs_tol} on arc ({i},{j})")
+    # a flow cost equal to the dual objective, a float cost summed as
+    # solve_wasserstein sums it, a left fold over the arcs that carry flow,
+    # source-major; then complementary slackness on those arcs, which in
+    # exact mode a closed gap implies (the docstring above), so there it is
+    # sought only to name an open gap's arc
+    total = zero
+    for out, c in zip(flow, cost):
+        for j in compress(range(T), out):
+            total += out[j] * c[j]
     objective = sum(map(mul, demand, v)) - sum(map(mul, supply, u))
-    if total != objective:
-        i, j = next((i, j) for i, out in enumerate(flow) for j in compress(range(T), out)
-                    if cost[i][j] + u[i] - v[j])
-        raise failure(f"flow cost {total} != dual objective {objective}: complementary "
-                      f"slackness violated on arc ({i},{j}): {cost[i][j] + u[i] - v[j]}")
-    return Fraction(total, problem.scale)
+    slack = ""
+    if tol or total != objective:
+        arc = next(((i, j) for i, out in enumerate(flow) for j in compress(range(T), out)
+                    if abs(cost[i][j] + u[i] - v[j]) > cs_tol), None)
+        if arc:
+            i, j = arc
+            slack = (f"complementary slackness violated on arc ({i},{j}): "
+                     f"{cost[i][j] + u[i] - v[j]}")
+    if abs(total - objective) > tol:
+        raise failure(f"flow cost {total} != dual objective {objective}"
+                      + (f": {slack}" if slack else ""))
+    if slack:
+        raise failure(slack)
+    return Fraction(total, problem.scale) if problem.exact else total
+
+
+def _setting(problem: TransportProblem) -> tuple:
+    """What the number type fixes for a solve: the zero, the dust, the
+    tightness threshold, the slackness and gap tolerances (relative to the
+    K x K block's largest cost in float mode), and copies of the supply and
+    demand dicts.  The two float sums disagree by a few ulp, so demand is
+    rescaled to make the totals match exactly; otherwise the loop chases
+    the dust."""
+    supply, demand = dict(problem.supply), dict(problem.demand)
+    if problem.exact:
+        return 0, 0, 0, 0, 0, supply, demand
+    cmax = max(map(max, problem.rows))
+    fix = sum(supply.values()) / sum(demand.values())
+    demand = {b: d * fix for b, d in demand.items()}
+    return (0.0, _FLOAT_DUST, _FLOAT_EPS_TIGHT * cmax, _FLOAT_EPS_CS * cmax,
+            _FLOAT_EPS_GAP * cmax, supply, demand)
 
 
 def _residual(problem: TransportProblem, supply: dict, demand: dict, dust) -> tuple:
@@ -419,75 +456,29 @@ def _primal_dual(cost: list, supply: list, demand: list, zero, dust, tight_tol,
     phi = [zero] * (S + T)  # node potentials; reduced cost c + phi[u] - phi[v] >= 0
     sink_nodes = range(S, S + T)
 
-    def drain(i, j, amt):
-        # take amt off source i's supply and sink j's demand; what is left
-        # below the dust counts as 0
-        supply[i] -= amt
-        demand[j] -= amt
-        if supply[i] <= dust:
-            supply[i] = zero
-        if demand[j] <= dust:
-            demand[j] = zero
-
-    def ship(parent, tgt):
-        # walk the parent links back from sink tgt: each sink is entered by
-        # a forward arc from a source, and each source but the root by a
-        # backward arc from a sink, whose residual capacity is its flow
-        fwd, back = [], []
-        j = tgt
-        while True:
-            src = parent[S + j]
-            fwd.append((src, j))
-            if parent[src] is None:
-                break
-            j = parent[src] - S
-            back.append((src, j))
-        amt = min(supply[src], demand[tgt], *(flow[i][j] for i, j in back))
-        for i, j in fwd:
-            flow[i][j] += amt
-            carriers[j].add(i)
-        for i, j in back:
-            flow[i][j] -= amt
-            if flow[i][j] <= dust:
-                flow[i][j] = zero
-                carriers[j].discard(i)
-        drain(src, tgt, amt)
-
-    def search(r, tight, dead):
-        # depth-first search from source r over tight residual arcs, one
-        # arc iterator per node, for a sink with open demand: the search's
-        # parent links and that sink, or None, and then every node it
-        # reached joins dead
-        parent = {r: None}
-        stack = [(r, iter(tight[r]))]
-        while stack:
-            u, arcs = stack[-1]
-            for v in arcs:
-                if v in parent or v in dead:
-                    continue
-                parent[v] = u
-                if v < S:
-                    stack.append((v, iter(tight[v])))
-                elif demand[v - S]:
-                    return parent, v - S
-                else:
-                    stack.append((v, iter(carriers[v - S])))
-                break
-            else:
-                stack.pop()
-        dead.update(parent)
-        return None
-
-    def phase():
-        # ship along every residual path of tight arcs, then return the dead
-        # set: the nodes those arcs reach from the sources with supply left.
-        # A forward arc is tight when its reduced cost is at most tight_tol;
-        # backward arcs carry flow and so are tight by slackness.  One-arc
-        # paths ship directly, longer ones by search.
-        bound = [p + tight_tol for p in phi[S:]]
-        tight = [list(compress(sink_nodes, map(le, map(add, row, repeat(phi[i])), bound)))
-                 for i, row in enumerate(cost)]
-        for i, arcs in enumerate(tight):
+    # The primal-dual loop (see the module docstring): the column-reduced
+    # start, then phases and dual steps until a phase leaves no source with
+    # supply.  In float mode it also ends once no sink has demand: supply
+    # left then is dust, which the marginal check bounds.  The budget
+    # counts dual steps.
+    if S:  # with no source, zip(*cost) is empty and would shrink phi
+        phi[S:] = map(min, zip(*cost))
+    budget = (S + 2) * (T + 2) * 8
+    while True:
+        # The phase ships along every residual path of tight arcs and leaves
+        # in dead the nodes those arcs reach from the sources with supply
+        # left.  A forward arc is tight when its reduced cost is at most
+        # tight_tol; backward arcs carry flow and so are tight by slackness.
+        # One-arc paths ship directly, longer ones by search.  Shipping
+        # takes the amount off the root's supply and the sink's demand, and
+        # what is left at most the dust counts as 0.
+        bound = list(map(add, phi[S:], repeat(tight_tol)))
+        tight = [None] * S  # each source's tight arcs, listed when first read
+        for i in range(S):
+            if not supply[i]:
+                continue
+            tight[i] = arcs = list(compress(sink_nodes, map(
+                le, map(add, cost[i], repeat(phi[i])), bound)))
             for v in arcs:
                 if not supply[i]:
                     break
@@ -496,37 +487,84 @@ def _primal_dual(cost: list, supply: list, demand: list, zero, dust, tight_tol,
                     amt = min(supply[i], demand[j])
                     flow[i][j] += amt
                     carriers[j].add(i)
-                    drain(i, j, amt)
+                    supply[i] -= amt
+                    demand[j] -= amt
+                    if supply[i] <= dust:
+                        supply[i] = zero
+                    if demand[j] <= dust:
+                        demand[j] = zero
         dead = set()
         for r in range(S):
-            while supply[r] and r not in dead and (found := search(r, tight, dead)):
-                ship(*found)
-        return dead
-
-    # The primal-dual loop (see the module docstring): the column-reduced
-    # start, a phase, then dual steps and phases until a phase leaves no
-    # source with supply.  In float mode it also ends once no sink has
-    # demand: supply left then is dust, which the marginal check bounds.
-    # The budget counts dual steps.
-    if S:  # with no source, zip(*cost) is empty and would shrink phi
-        phi[S:] = map(min, zip(*cost))
-    budget = (S + 2) * (T + 2) * 8
-    reached = phase()
-    while reached and any(demand):
+            while supply[r] and r not in dead:
+                # depth-first search from source r over tight residual
+                # arcs, one arc iterator per node, for a sink tgt with open
+                # demand; if it finds none, every node it reached joins dead
+                parent, tgt = {r: None}, None
+                stack = [(r, iter(tight[r]))]
+                while stack:
+                    u, arcs = stack[-1]
+                    for v in arcs:
+                        if v in parent or v in dead:
+                            continue
+                        parent[v] = u
+                        if v < S:
+                            if tight[v] is None:
+                                tight[v] = list(compress(sink_nodes, map(
+                                    le, map(add, cost[v], repeat(phi[v])), bound)))
+                            stack.append((v, iter(tight[v])))
+                        elif demand[v - S]:
+                            tgt = v - S
+                            stack.clear()
+                        else:
+                            stack.append((v, iter(carriers[v - S])))
+                        break
+                    else:
+                        stack.pop()
+                if tgt is None:
+                    dead.update(parent)
+                    break
+                # walk the parent links back from sink tgt: each sink is
+                # entered by a forward arc from a source, and each source
+                # but r by a backward arc from a sink, whose residual
+                # capacity is its flow
+                fwd, back = [], []
+                j = tgt
+                while True:
+                    src = parent[S + j]
+                    fwd.append((src, j))
+                    if parent[src] is None:
+                        break
+                    j = parent[src] - S
+                    back.append((src, j))
+                amt = min(supply[r], demand[tgt], *(flow[i][j] for i, j in back))
+                for i, j in fwd:
+                    flow[i][j] += amt
+                    carriers[j].add(i)
+                for i, j in back:
+                    flow[i][j] -= amt
+                    if flow[i][j] <= dust:
+                        flow[i][j] = zero
+                        carriers[j].discard(i)
+                supply[r] -= amt
+                demand[tgt] -= amt
+                if supply[r] <= dust:
+                    supply[r] = zero
+                if demand[tgt] <= dust:
+                    demand[tgt] = zero
+        if not (dead and any(demand)):
+            return flow, phi
         budget -= 1
         if budget < 0:
             raise failure("augmentation budget exhausted; instance does not drain")
-        # the dual step: raise every node outside the reached set by delta,
-        # the least reduced cost from a source in it to a sink outside it
-        out = [j for j in range(T) if S + j not in reached]
+        # the dual step: raise every node outside the dead set by delta, the
+        # least reduced cost from a source in it to a sink outside it
+        outside = [v for v in range(S + T) if v not in dead]
+        out = [v - S for v in outside if v >= S]
         at_out, phi_out = slicer(out), [phi[S + j] for j in out]
         delta = min(min(map(sub, at_out(cost[i]), phi_out)) + phi[i]
-                    for i in reached if i < S)
-        for v in range(S + T):
-            if v not in reached:
-                phi[v] += delta
-        reached = phase()
-    return flow, phi
+                    for i in dead if i < S)
+        for v in outside:
+            phi[v] += delta
 
 
 def verify_coupling(problem: TransportProblem,

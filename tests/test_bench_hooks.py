@@ -5,7 +5,8 @@ parameter name, and reads ``problem.mu.atoms`` and ``problem.nu.atoms`` for
 its ``cells`` note.  A renamed hook or a moved parameter would otherwise
 show only under ``python3 -m pytest bench``.  Here its Tracer runs, as it
 stands, around one report on a small unweighted and a small weighted graph,
-and around acceptance criterion 9, the one caller of the brute-force oracle.
+around full solves of the weighted graph's pairs, and around acceptance
+criterion 9, the one caller of the brute-force oracle.
 """
 
 import importlib.util
@@ -17,8 +18,9 @@ import pytest
 
 import edge_ricci.acceptance  # noqa: F401  (the tracer hooks every package module)
 import edge_ricci.cli  # noqa: F401
-from edge_ricci.curvature import ricci_all_adjacent
+from edge_ricci.curvature import pair_transport_problem, ricci_all_adjacent
 from edge_ricci.graph_core import WeightedGraph, generate
+from edge_ricci.transport import TransportProblem
 from edge_ricci.verify import verification_report
 
 TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
@@ -60,22 +62,44 @@ def test_tracer_sees_every_transport_layer_and_every_pair(weighted):
     pairs = sorted(note[2:] for note in notes["curvature.ricci"])
     assert pairs == sorted(ricci_all_adjacent(g))
     assert len(pairs) < math.comb(g.n_edges, 2)
+    # a pair's W comes from its residual LP on either input: one problem per
+    # pair, and no full-support solve, coupling check or Lipschitz walk
+    assert stats["calls"]["curvature.pair_transport_problem"] == len(pairs)
+    layers = ["transport.solve_wasserstein", "transport.verify_coupling",
+              "transport.lipschitz_excess"]
     if not weighted:
-        # an exact pair's W comes from its residual LP: one problem per
-        # pair, and no cost block, full-support solve or coupling check
-        assert stats["calls"]["curvature.pair_transport_problem"] == len(pairs)
-        for layer in ("edge_geometry.pairwise_costs", "transport.solve_wasserstein",
-                      "transport.verify_coupling", "transport.lipschitz_excess"):
-            assert stats["calls"].get(layer, 0) == 0, layer
-        return
+        # no cost block either; a float pair reads its block for the tolerances
+        layers.append("edge_geometry.pairwise_costs")
+    for layer in layers:
+        assert stats["calls"].get(layer, 0) == 0, layer
+
+
+def test_tracer_sees_every_layer_of_a_full_solve():
+    # a caller that reads a plan and a dual (criterion 9) gets a full
+    # solve, whose hooks the report above no longer reaches: every adjacent
+    # pair of the weighted graph through transport_for_pair, and one
+    # hand-built twin, whose solve walks the Lipschitz bound
+    tracing = _tracer()
+    g = _graph(True)
+    pairs = sorted(ricci_all_adjacent(g))
+    t = tracing.Tracer()
+    t.begin_op(0)
+    with t.installed():
+        for e, f in pairs:
+            edge_ricci.curvature.transport_for_pair(g, e, f)
+        p = pair_transport_problem(g, *pairs[0])
+        # through the module, whose attribute the tracer wraps
+        edge_ricci.transport.solve_wasserstein(TransportProblem(p.mu, p.nu, p.atoms, p.rows))
+    stats, notes = tracing.span_stats(t.spans)
     for layer in TRANSPORT_LAYERS:
         assert stats["calls"].get(layer, 0) > 0, layer
+    assert stats["calls"]["curvature.transport_for_pair"] == len(pairs)
     cells = notes["transport.solve_wasserstein"]
-    assert len(cells) == stats["calls"]["transport.solve_wasserstein"]
+    assert len(cells) == stats["calls"]["transport.solve_wasserstein"] == len(pairs) + 1
     # the solver's marginal check is the public verify_coupling, once a solve
     assert stats["calls"]["transport.verify_coupling"] == len(cells)
-    # the Lipschitz walk runs once a float solve
-    assert stats["calls"].get("transport.lipschitz_excess", 0) == len(cells)
+    # only the hand-built problem's costs are not a certified metric
+    assert stats["calls"]["transport.lipschitz_excess"] == 1
     assert all(c > 0 for c in cells)
     assert tracing.layer_metrics(t.spans, 0.0)["transport.solve_wasserstein.cells"] == sum(cells)
 

@@ -511,9 +511,13 @@ def test_float_certificate_tolerance_follows_the_largest_cost(monkeypatch, k):
     # that scale, at k = -40 (largest cost 4.6e-10, W = 3.9e-10) an excess
     # of 1e-8 of the largest cost passed, and so did a dual objective of 0,
     # a gap as large as the distance
+    # a hand-built problem over the pair's rows: its costs are not a
+    # certified metric, so its solve walks the Lipschitz bound
     g = _wide_weights(generate("random:8:0.5", seed=36), random.Random(36), 3,
                       vertex_scale=2.0 ** k)
-    problem = curvature.pair_transport_problem(g, 0, 1)
+    pair = curvature.pair_transport_problem(g, 0, 1)
+    problem = transport.TransportProblem(pair.mu, pair.nu, pair.atoms, pair.rows)
+    assert not problem.certified
     cmax = max(map(max, problem.rows))
     for c in (1e-10, 1e-8):
         monkeypatch.setattr(transport, "lipschitz_excess", lambda p, dual: c * cmax)
@@ -526,3 +530,56 @@ def test_float_certificate_tolerance_follows_the_largest_cost(monkeypatch, k):
     monkeypatch.setattr(transport, "dual_objective", lambda p, dual: 0)
     with pytest.raises(TransportError, match="duality gap"):
         transport.solve_wasserstein(problem)
+
+
+@pytest.mark.parametrize("k", [-40, 0, 40])
+def test_float_residual_tolerance_follows_the_largest_cost(monkeypatch, k):
+    # The residual certificate's float tolerances follow the largest cost
+    # too: source 0's potential moved by c times it, after the loop, passes
+    # below 1e-10 (slackness and dual feasibility) and 1e-9 (the gap) and
+    # fails above, at every scale of the weights; a flow amount moved off
+    # its arc passes below the marginals' 1e-12 and fails above
+    g = _wide_weights(generate("random:8:0.5", seed=36), random.Random(36), 3,
+                      vertex_scale=2.0 ** k)
+    problem = curvature.pair_transport_problem(g, 0, 1)
+    assert problem.certified and not problem.exact
+    cmax, w = max(map(max, problem.rows)), transport.residual_distance(problem)
+    loop = transport._primal_dual
+
+    def moving(c, amount=0.0):
+        def planted(cost, supply, demand, *rest):
+            flow, phi = loop(cost, supply, demand, *rest)
+            phi[0] += c * cmax
+            flow[0][next(j for j, x in enumerate(flow[0]) if x)] -= amount
+            return flow, phi
+        monkeypatch.setattr(transport, "_primal_dual", planted)
+
+    for c, amount in ((1e-11, 0.0), (-1e-11, 0.0), (0.0, 1e-13)):
+        moving(c, amount)
+        assert transport.residual_distance(problem) == pytest.approx(w, rel=1e-12)
+    for c, amount, what in ((1e-9, 0.0, "complementary slackness violated on arc"),
+                            (-1e-9, 0.0, "reduced cost .* < .* on arc"),
+                            (1e-6, 0.0, "flow cost .* != dual objective"),
+                            (0.0, 1e-11, "invalid flow: row sums")):
+        moving(c, amount)
+        with pytest.raises(TransportError, match=r"residual \d+x\d+: " + what):
+            transport.residual_distance(problem)
+
+
+@given(st.integers(0, 200), st.sampled_from(["unit", "wide"]), st.integers(-40, 40))
+def test_float_residual_distance_is_the_full_solves_to_the_last_bit(seed, kind, k):
+    # a float pair's kappa comes from its residual LP, with the full solve's
+    # settings and its left fold of the flow's cost, so every W and every
+    # kappa keeps its bits, on every pair, adjacent or not, at every 2**k
+    base = generate("random:7:0.5", seed=seed)
+    if kind == "unit":
+        g = _random_weights(base, seed, vertex_scale=2.0 ** k)
+    else:
+        g = _wide_weights(base, random.Random(seed), 6, vertex_scale=2.0 ** k)
+    for e in range(g.n_edges):
+        for f in range(e + 1, g.n_edges):
+            problem = curvature.pair_transport_problem(g, e, f)
+            assert problem.certified and not problem.exact
+            w = transport.solve_wasserstein(problem).distance
+            assert transport.residual_distance(problem).hex() == w.hex()
+            assert ricci(g, e, f).hex() == (1 - w / edge_distance(g, e, f)).hex()

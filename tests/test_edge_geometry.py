@@ -1,6 +1,7 @@
 import heapq
 import math
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from edge_ricci.curvature import PairProblem, pair_bounds, pair_transport_proble
 from edge_ricci.edge_geometry import (
     EdgeMeasure,
     EdgeSpace,
+    WeightedEdgeSpace,
     edge_distance,
     edge_measure,
     edge_space,
@@ -25,7 +27,13 @@ from edge_ricci.errors import (
     NonpositiveWeightError,
     UnknownEdgeError,
 )
-from edge_ricci.graph_core import Graph, WeightedGraph, generate, parse_weighted
+from edge_ricci.graph_core import (
+    Graph,
+    WeightedGraph,
+    generate,
+    parse_weighted,
+    serialize_weighted,
+)
 from edge_ricci.transport import TransportProblem, solve_wasserstein
 
 
@@ -428,11 +436,16 @@ def test_exact_pair_problems_are_certified_and_their_blocks_valid(family):
                 assert getattr(p, name) == getattr(twin, name), name
 
 
-def test_a_weighted_space_is_not_certified_and_its_solves_walk(monkeypatch):
+def test_a_weighted_space_is_certified_by_the_inequalities_and_its_solves_skip_the_walk(
+        monkeypatch):
     base = generate("random:8:0.5", seed=3)
     wg = WeightedGraph(base, {v: 0.5 + 0.25 * k for k, v in enumerate(base.labels)},
                        {base.edge_endpoints(e): 1.0 for e in range(base.n_edges)})
-    monkeypatch.setattr(EdgeSpace, "_certify", lambda space, metric: pytest.fail("certified"))
+    monkeypatch.setattr(EdgeSpace, "_certify", lambda space, metric: pytest.fail("Bellman"))
+    checks = []
+    certify = WeightedEdgeSpace._certify
+    monkeypatch.setattr(WeightedEdgeSpace, "_certify",
+                        lambda space, metric: checks.append(space) or certify(space, metric))
     walks = []
     walk = transport.lipschitz_excess
     monkeypatch.setattr(transport, "lipschitz_excess",
@@ -441,8 +454,81 @@ def test_a_weighted_space_is_not_certified_and_its_solves_walk(monkeypatch):
     for e, near in enumerate(edge_space(wg).neighbors):
         for f in near:
             p = pair_transport_problem(wg, e, f)
-            assert not p.certified and not p.exact
-            solve_wasserstein(p)
+            assert p.certified and not p.exact
+            assert transport.residual_distance(p) == solve_wasserstein(p).distance
             solves += 1
-    assert not edge_space(wg).certified
-    assert solves and len(walks) == solves
+    assert edge_space(wg).certified and checks == [edge_space(wg)]
+    assert solves and not walks
+
+
+def _float_space(kind, seed=0):
+    """A random:8:0.4 weighted graph as the CLI parses it, with weights in
+    [0.5, 2) or twelve decades wide, and its clean vertex metric."""
+    base, rng = generate("random:8:0.4", seed=seed), random.Random(seed)
+    draw = (lambda: 0.5 + 1.5 * rng.random()) if kind == "unit" else (
+        lambda: 10 ** rng.uniform(-6, 6))
+    wg = WeightedGraph(base, {v: draw() for v in base.labels},
+                       {base.edge_endpoints(e): draw() for e in range(base.n_edges)})
+    wg = parse_weighted(serialize_weighted(wg))
+    space = edge_space(wg)
+    space.row(0)
+    return wg, space._metric
+
+
+def _verify_fails_with(monkeypatch, capsys, tmp_path, wg, message):
+    path = tmp_path / "g.json"
+    path.write_text(serialize_weighted(wg))
+    assert cli.run(["verify", "--weighted", "--input", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == ["error: " + message]
+
+
+@pytest.mark.parametrize("kind", ["unit", "wide"])
+def test_float_metric_certificate_names_a_path_that_beats_an_entry(
+        monkeypatch, capsys, tmp_path, kind):
+    # P(s, t) raised by 1e-9 of itself, for two vertices with one between
+    # them on a least path: that vertex's detour undercuts the entry
+    wg, metric = _float_space(kind)
+    w, labels = wg.vertex_weights, wg.labels
+    edges = {frozenset(edge) for edge in wg.edges}
+    s, t = next((s, t) for s, row in enumerate(metric) for t in range(len(row))
+                if t != s and {s, t} not in edges)
+    raised = metric[s][t] * (1 + 1e-9)
+    _corrupting(monkeypatch, s, t, raised - metric[s][t])
+    fresh = parse_weighted(serialize_weighted(wg))
+    with pytest.raises(MetricCertificateError) as exc:
+        edge_space(fresh).row(0)
+    message = str(exc.value)
+    found = re.fullmatch(rf"vertex metric P\({labels[s]}, {labels[t]}\) = (\S+) exceeds "
+                         rf"P\({labels[s]}, (\w+)\) \+ P\(\2, {labels[t]}\) - w\(\2\) "
+                         rf"= (\S+)", message)
+    assert found, message
+    u = labels.index(found[2])
+    assert float(found[1]) == metric[s][t] + (raised - metric[s][t])
+    assert float(found[3]) == metric[u][t] + (metric[s][u] - w[u]) < float(found[1])
+    assert not edge_space(fresh).certified
+    _verify_fails_with(monkeypatch, capsys, tmp_path, wg, message)
+
+
+@pytest.mark.parametrize("kind", ["unit", "wide"])
+def test_float_metric_certificate_names_an_edge_dearer_than_its_ends(
+        monkeypatch, capsys, tmp_path, kind):
+    # P(y1, y2) of an edge raised by less than any third vertex weighs:
+    # every detour still costs more, so only the second inequality, with
+    # z = y2, sees it
+    wg, metric = _float_space(kind)
+    w, labels = wg.vertex_weights, wg.labels
+    y1, y2 = min((wg.edge_endpoints(e) for e in range(wg.n_edges)),
+                 key=lambda edge: metric[labels.index(edge[0])][labels.index(edge[1])])
+    y1, y2 = labels.index(y1), labels.index(y2)
+    delta = min(w) / 2
+    assert delta > 1e-11 * metric[y1][y2]
+    _corrupting(monkeypatch, y1, y2, delta)
+    fresh = parse_weighted(serialize_weighted(wg))
+    message = (f"vertex metric P({labels[y1]}, {labels[y2]}) = {metric[y1][y2] + delta} "
+               f"exceeds w({labels[y1]}) + P({labels[y2]}, {labels[y2]}) = {w[y1] + w[y2]}")
+    with pytest.raises(MetricCertificateError) as exc:
+        edge_space(fresh).row(0)
+    assert str(exc.value) == message
+    _verify_fails_with(monkeypatch, capsys, tmp_path, wg, message)
