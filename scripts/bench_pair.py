@@ -3,14 +3,17 @@
 
     python3 scripts/bench_pair.py HEAD~1 --workload dense-exact
     python3 scripts/bench_pair.py main --workload dense-exact selftest --pairs 10
+    python3 scripts/bench_pair.py main --workload selftest --seed 1
 
 Both sides run from copies in one temporary directory: REF as ``git archive``
 writes it, and the working tree as the files ``git ls-files -co
 --exclude-standard`` lists (tracked files with their uncommitted edits, and
 untracked files git does not ignore), so neither side runs in place; both
 copies are made once, whatever the number of workloads.  Each pair runs
-``bench/run.py --trace 0`` at seed 0 for BENCHMARK.json's run length, for
-each named workload in turn, once in each copy, each after its own
+``bench/run.py --trace 0`` at the ``--seed`` given (default 0, bench/run.py's
+own default; a claim made at one seed is best checked at another) for
+BENCHMARK.json's run length, for each named workload in turn, once in each
+copy, each after its own
 package's ``__pycache__`` is removed (``bench_record.run_bench``); the side
 that runs first alternates from pair to pair.  For each workload, one table
 gives, for each end-to-end metric of BENCHMARK.json, both medians, the
@@ -44,9 +47,6 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 from bench_record import ROOT, run_bench  # noqa: E402
-
-SEED = 0  # bench/run.py's default
-
 
 def iqr(values: list[float]) -> float:
     """q3 - q1 of statistics.quantiles(values, n=4); 0 for one value."""
@@ -109,6 +109,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workload", required=True, nargs="+",
                         choices=[w["name"] for w in benchmark["workloads"]])
     parser.add_argument("--pairs", type=pair_count, default=10)
+    parser.add_argument("--seed", type=int, default=0,
+                        help="the workloads' seed, passed to bench/run.py (default 0)")
     args = parser.parse_args(argv)
     seconds = benchmark["run_seconds"]
     runs: dict[str, dict[str, list[dict]]] = {
@@ -126,14 +128,14 @@ def main(argv: list[str] | None = None) -> int:
             for i in range(args.pairs):
                 for workload, sides in runs.items():
                     for side in ("ref", "tree") if i % 2 == 0 else ("tree", "ref"):
-                        sides[side].append(run_bench(workload, SEED, seconds, 0, roots[side]))
+                        sides[side].append(run_bench(workload, args.seed, seconds, 0, roots[side]))
                 print(f"pair {i + 1}/{args.pairs}: done", file=sys.stderr)
         except RuntimeError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
     for workload, sides in runs.items():
         print(f"workload {workload}  ref {args.ref}  pairs {args.pairs}  "
-              f"seconds {seconds:g}")
+              f"seed {args.seed}  seconds {seconds:g}")
         print(f"{'metric':<12} {'ref median':>12} {'tree median':>12} {'ref IQR':>10} "
               f"{'wins':>6}  verdict")
         for metric in benchmark["end_to_end"]:

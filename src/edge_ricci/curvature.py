@@ -14,12 +14,13 @@ certificate; this layer rechecks nothing.  The problem is certified on
 either input, since its costs are the graph's certified edge metric
 (edge_geometry: Bellman's equations on int P, two inequalities within
 1e-12 on float P), and every pair's W comes from
-transport.residual_distance, which solves and certifies the residual LP
+transport.residual_cost, which solves and certifies the residual LP
 alone (the cancellation lemma, transport): no full-support plan or
-envelope dual is built, and on exact input no cost block either.  A float
-W is the full solve's to the last bit.  transport_for_pair returns the
-full TransportResult on either input, for callers that read the plan or
-the dual.
+envelope dual is built, and on exact input no cost block or joint support
+either; W comes times the problem's scale, so an exact kappa is one
+Fraction.  A float W is the full solve's to the last bit.
+transport_for_pair returns the full TransportResult on either input, for
+callers that read the plan or the dual.
 
 Only adjacent pairs need solving for the least curvature: since W is a
 metric, the minimum over all distinct pairs is the adjacent minimum (the
@@ -56,7 +57,7 @@ from .errors import (
     SamePairError,
 )
 from .graph_core import Graph, WeightedGraph, check_edge_ordinal, derived, is_tree
-from .transport import TransportProblem, residual_distance, solve_wasserstein
+from .transport import TransportProblem, residual_cost, solve_wasserstein
 
 
 def edges_adjacent(g, e: int, f: int) -> bool:
@@ -68,42 +69,39 @@ def edges_adjacent(g, e: int, f: int) -> bool:
 class PairProblem(TransportProblem):
     """The transport problem between the measures of edges e and f of g.
 
-    Its atoms are the sorted joint support of the two measures, and its
-    costs come from g's edge space, whose distance row of an edge is indexed
-    by edge ordinal: on exact input costs(sources, sinks) slices each
-    source's cached row at the sinks, and the K x K block ``rows`` is built
-    by pairwise_costs only when something reads it (the float tolerances,
-    whose solve then slices its costs from it, the Lipschitz walk of a
-    hand-built twin, the oracle).  Such rows pass every check of the
-    block by construction (a distance row has a 0 at its own edge, sums of
-    positive weights elsewhere, and the space raises before it keeps a row
-    with an infinite entry), so no block is validated per pair.
-    ``certified`` is True once the space certified its vertex metric, which
-    building the problem forces, on exact and float input alike: the costs
-    are then a metric, within the float tolerance on float input, the
-    solver takes the dual's Lipschitz bound as proved, and
-    residual_distance may take W from the residual LP alone.
+    Its costs come from g's edge space, whose distance row of an edge is
+    indexed by edge ordinal: costs(sources, sinks) slices each source's
+    cached row at the sinks.  Its sorted joint support ``atoms`` and the
+    K x K block ``rows`` (by pairwise_costs) are built only when something
+    reads them (a full solve, the float tolerances, the Lipschitz walk of a
+    hand-built twin, the oracle), like ``position``, ``supply`` and
+    ``demand``.  Such rows pass every check of the block by construction (a
+    distance row has a 0 at its own edge, sums of positive weights
+    elsewhere, and the space raises before it keeps a row with an infinite
+    entry), so no block is validated per pair.  ``certified`` is True once
+    the space certified its vertex metric, which building the problem
+    forces, on exact and float input alike: the costs are then a metric,
+    within the float tolerance on float input, the solver takes the dual's
+    Lipschitz bound as proved, and residual_cost may take W from the
+    residual LP alone.
     """
 
     def __init__(self, g, e: int, f: int):
         mu, nu = edge_measure(g, e), edge_measure(g, f)
         space = edge_space(g)
         space.row(e)  # the first row read builds and certifies the vertex metric
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "nu", nu)
-        object.__setattr__(self, "atoms", tuple(sorted({*mu.atoms, *nu.atoms})))
-        object.__setattr__(self, "_g", g)
-        object.__setattr__(self, "_space", space)
+        vars(self).update(mu=mu, nu=nu, _g=g, _space=space)
         self._settle(mu.exact and nu.exact, space.certified)
+
+    @cached_property
+    def atoms(self) -> tuple[int, ...]:
+        return tuple(sorted({*self.mu.atoms, *self.nu.atoms}))
 
     @cached_property
     def rows(self) -> tuple[tuple, ...]:
         return pairwise_costs(self._g, self.atoms)
 
     def costs(self, sources, sinks) -> list[tuple]:
-        if not self.exact:
-            # a float solve reads the block for its tolerances anyway
-            return super().costs(sources, sinks)
         # an edge's ordinal is its position in a distance row
         pick, row = slicer(sinks), self._space.row
         return [pick(row(a)) for a in sources]
@@ -132,19 +130,19 @@ def ricci(g, e: int, f: int):
     NonpositiveWeightError naming the pair.  Only the (min, max) problem is
     solved, so kappa(e, f) == kappa(f, e) bitwise, also on float weights,
     where the solver's summation order would move the last bits."""
-    lo, hi = sorted((e, f))
+    lo, hi = (e, f) if e < f else (f, e)
     dist = edge_distance(g, lo, hi)
     problem = pair_transport_problem(g, lo, hi)
-    w = residual_distance(problem)
-    if isinstance(w, Fraction):
-        # 1 - (p/q)/dist = (q dist - p)/(q dist): one Fraction, normalized once
-        q = w.denominator * dist
-        return Fraction(q - w.numerator, q)
-    kappa = 1 - w / dist
+    total = residual_cost(problem)  # W times the problem's scale
+    if problem.exact:
+        # 1 - (total/scale)/dist = (q - total)/q: one Fraction, normalized once
+        q = problem.scale * dist
+        return Fraction(q - total, q)
+    kappa = 1 - total / dist
     if not math.isfinite(kappa):
         raise NonpositiveWeightError(
             f"curvature of {g.edge_name(e)},{g.edge_name(f)} overflows a float: "
-            f"W {w} over edge distance {dist}"
+            f"W {total} over edge distance {dist}"
         )
     return kappa
 

@@ -321,9 +321,12 @@ def _build_measure(g: Graph, e: int) -> EdgeMeasure:
         raise IsolatedEdgeError(
             f"edge {g.edge_name(e)} has no neighbors; its measure is undefined"
         )
-    d = space.degrees[e]
-    # tuple() of a list: see pairwise_costs
-    return EdgeMeasure(e, nbrs, tuple([space.weight[f] / d for f in nbrs]))
+    d, last, masses = space.degrees[e], None, []
+    for w in map(space.weight.__getitem__, nbrs):
+        if w is not last:  # one division per weight object: at unit weights, 1/d_e for all
+            last, share = w, w / d
+        masses.append(share)
+    return EdgeMeasure(e, nbrs, tuple(masses))
 
 
 def slicer(positions: Sequence[int]):

@@ -144,12 +144,12 @@ def eigenvalues_symmetric(matrix) -> tuple[float, ...]:
     scale = max(1.0, max(abs(x) for row in a for x in row))
     for p in range(n):
         for q in range(p + 1, n):
-            if abs(a[p][q] - a[q][p]) > 1e-12 * scale:
-                raise NotSymmetricError(
-                    f"{n}x{n} matrix: entry ({p},{q}) = {a[p][q]} but ({q},{p}) = {a[q][p]}"
-                )
-            mid = 0.5 * (a[p][q] + a[q][p])
-            a[p][q] = a[q][p] = mid
+            x, y = a[p][q], a[q][p]
+            if x != y:  # equal mirrors stay as they are: x + y could overflow
+                if abs(x - y) > 1e-12 * scale:
+                    raise NotSymmetricError(
+                        f"{n}x{n} matrix: entry ({p},{q}) = {x} but ({q},{p}) = {y}")
+                a[p][q] = a[q][p] = 0.5 * x + 0.5 * y  # halved first, so no overflow
     if n == 1:
         return (a[0][0],)
     return tuple(sorted(_tridiagonal_eigenvalues(*_tridiagonalize(a))))

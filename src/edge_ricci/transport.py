@@ -10,8 +10,9 @@ potentials phi that keep every reduced cost c(u, v) + phi(u) - phi(v) >= 0.
 solve_wasserstein returns the full optimal coupling of mu and nu: the
 residual plan plus one diagonal (a, a, common) stay entry per shared atom,
 as a sorted tuple of (source, sink, amount) entries in the problem's units,
-with an envelope dual on the whole joint support.  residual_distance, for
-certified problems, returns the number W alone (the last paragraphs).
+with an envelope dual on the whole joint support.  residual_cost, for
+certified problems, returns the number W alone, in the problem's units
+(the last paragraphs).  Both start from one setup, _residual.
 
 The potentials start as the column-reduced dual of Kuhn's method: every
 source at 0 and every sink at its least cost from any source.  Each reduced
@@ -52,13 +53,10 @@ threshold exactly, and changes no bit of the result.  A budget of
 float mode can reach it, where rounding could recycle residual arcs: past
 it the solve raises instead of spinning.
 
-A problem holds its costs as one row tuple per atom of the sorted joint
-support, and ``position`` maps each atom to its row.  The Lipschitz check
-indexes the rows by position, never by an (a, b) key.  The solver's source
-x sink matrix and the dual envelope come from problem.costs, which slices
-each row at the sinks in C, with edge_geometry.slicer, as the dual step
-slices the matrix.  A curvature.PairProblem slices its costs from its
-graph's distance rows instead and builds the rows only when read.
+A problem holds one cost row tuple per atom of the sorted joint support,
+indexed by ``position``, never by an (a, b) key.  The solver's source x sink
+matrix and the dual envelope come from problem.costs, which slices rows in
+C with edge_geometry.slicer, as the dual step slices the matrix.
 
 A TransportProblem fixes its number domain once, when it is built, and
 every later step reads it.  When both measures are exact rationals and the
@@ -98,12 +96,9 @@ Lipschitz and gap errors are relative to the largest cost alone, as the
 tightness threshold is: the rounding error of a reduced cost grows with the
 potentials, which reach the largest cost, whatever the arc's own cost, and
 a floor of 1 would pass any certificate below unit cost scale.  A failure
-raises TransportError naming the edge pair and the instance size.  A
-hand-built problem's cost rows are validated once, when it is built, in one
-pass in C; a PairProblem's rows pass those checks by construction, so it
-skips them.  The dual objective is summed in the problem's units.  So are
-the plan's marginals: the solver's marginal check is verify_coupling
-itself.
+raises TransportError naming the edge pair and the instance size.  The dual
+objective and the plan's marginals (verify_coupling) are summed in the
+problem's units.
 
 On a certified problem the number W needs no full plan and no envelope,
 by the cancellation lemma: when the costs are a metric d, W(mu, nu) is the
@@ -118,7 +113,7 @@ the residual dual objective, the sum of nu'_j phi_j less that of
 mu'_i phi_i.  On float input each of those steps holds within the
 tolerances: the Lipschitz excess above costs at most 6e-12 of the largest
 cost per unit of mass, and the residual checks below accept 1e-9 of it.
-So residual_distance, which ricci uses on every input, solves the residual
+So residual_cost, which ricci uses on every input, solves the residual
 with the same loop and checks that the flow is >= 0 and meets both
 residual marginals, that every residual arc's reduced cost is >= 0, and
 that the flow's cost equals the dual objective: in exact mode in integer
@@ -150,7 +145,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, compress, repeat
+from functools import cached_property
+from itertools import compress, repeat
 from operator import add, getitem, le, mul, sub
 from typing import Mapping
 
@@ -179,22 +175,19 @@ class TransportProblem:
     the LCM of the measures' scales when exact and 1 otherwise, and the
     read-only ``supply`` and ``demand`` map each atom of mu and nu to its
     mass in those units (int when exact, float otherwise), whose totals must
-    agree.  ``position`` maps each atom to its index in atoms and rows, and
-    costs(sources, sinks) slices the rows of sources at sinks.
-    ``certified`` is False: only a curvature.PairProblem, which slices its
-    own costs from a certified metric, sets it.  Every error raised here
-    names the edge pair and the atom counts.
+    agree.  ``position`` maps each atom to its index in atoms and rows; all
+    three are built when first read.  costs(sources, sinks) slices the rows
+    of sources at sinks.  ``certified`` is False: only a PairProblem, which
+    slices its own costs from a certified metric, sets it.  Every error
+    raised here names the edge pair and the atom counts.
     """
 
     mu: EdgeMeasure
     nu: EdgeMeasure
     atoms: tuple[int, ...]
     rows: tuple[tuple, ...]
-    position: Mapping[int, int] = field(init=False, repr=False, compare=False)
     exact: bool = field(init=False, repr=False, compare=False)
     scale: int = field(init=False, repr=False, compare=False)
-    supply: Mapping[int, object] = field(init=False, repr=False, compare=False)
-    demand: Mapping[int, object] = field(init=False, repr=False, compare=False)
     certified: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -230,24 +223,29 @@ class TransportProblem:
         self._settle(mu.exact and nu.exact and type(total) is int, False)
 
     def _settle(self, exact: bool, certified: bool) -> None:
-        """Set the solver units and the fields that hang on them."""
+        """Set the solver units and the masses in them, in atom order."""
         mu, nu = self.mu, self.nu
         scale = math.lcm(mu.scale, nu.scale) if exact else 1
-
-        def units(m: EdgeMeasure) -> dict:
-            return dict(zip(m.atoms, map(mul, m.units, repeat(scale // m.scale)) if exact
-                            else map(float, m.masses)))
-
-        supply, demand = units(mu), units(nu)
-        if abs(sum(supply.values()) - sum(demand.values())) > (0 if exact else 1e-12):
+        # lists: tuple() of a map resizes its guess, stranding a tuple per call
+        supply, demand = (list(map(mul, m.units, repeat(scale // m.scale)) if exact
+                               else map(float, m.masses)) for m in (mu, nu))
+        if abs(sum(supply) - sum(demand)) > (0 if exact else 1e-12):
             raise MassImbalanceError(
                 f"{_instance(mu, nu)}: supply {sum(mu.masses)} != demand {sum(nu.masses)}")
-        object.__setattr__(self, "position", {a: k for k, a in enumerate(self.atoms)})
-        object.__setattr__(self, "exact", exact)
-        object.__setattr__(self, "scale", scale)
-        object.__setattr__(self, "supply", supply)
-        object.__setattr__(self, "demand", demand)
-        object.__setattr__(self, "certified", certified)
+        vars(self).update(exact=exact, scale=scale, certified=certified,
+                          _supply=supply, _demand=demand)
+
+    @cached_property
+    def position(self) -> Mapping[int, int]:
+        return {a: k for k, a in enumerate(self.atoms)}
+
+    @cached_property
+    def supply(self) -> Mapping[int, object]:
+        return dict(zip(self.mu.atoms, self._supply))
+
+    @cached_property
+    def demand(self) -> Mapping[int, object]:
+        return dict(zip(self.nu.atoms, self._demand))
 
     def costs(self, sources, sinks) -> list[tuple]:
         """One tuple per atom of sources: its costs to the atoms of sinks,
@@ -290,8 +288,7 @@ def solve_wasserstein(problem: TransportProblem) -> TransportResult:
     TransportError raised here names the pair and the instance size.
     """
     exact, scale = problem.exact, problem.scale
-    zero, dust, tight_tol, cs_tol, tol, supply, demand = _setting(problem)
-    common, sources, sinks, supply, demand = _residual(problem, supply, demand, dust)
+    zero, dust, tight_tol, cs_tol, tol, common, sources, sinks, supply, demand = _residual(problem)
     S, T = len(sources), len(sinks)
     failure = _failing(problem, S, T)
     # every atom's costs to the residual sinks: the sources' rows are the
@@ -341,32 +338,39 @@ def solve_wasserstein(problem: TransportProblem) -> TransportResult:
     return TransportResult(distance, plan, scale, dual, gap)
 
 
-def residual_distance(problem: TransportProblem):
-    """W of a certified problem from its residual LP alone, certified by the
-    checks the module docstring lists, with no full plan or envelope dual: a
-    Fraction when exact, else solve_wasserstein's float to the last bit.
-    Given the flow and dual feasibility checks, the gap between the flow's
-    cost and the dual objective is the sum of flow times reduced cost, so in
-    exact mode a gap names an arc that breaks complementary slackness.
-    Every TransportError raised here names the pair and the residual size.
-    """
+def residual_cost(problem: TransportProblem):
+    """W of a certified problem times its scale (an int when exact, else
+    solve_wasserstein's float to the last bit), from its residual LP alone
+    and certified by the checks the module docstring lists.  Given the flow
+    and dual feasibility checks, the gap between the flow's cost and the
+    dual objective is the sum of flow times reduced cost, so in exact mode
+    a gap names an arc that breaks complementary slackness.  Every
+    TransportError raised here names the pair and the residual size."""
     if not problem.certified:
         raise TransportError(f"{_instance(problem.mu, problem.nu)}: not certified")
-    zero, dust, tight_tol, cs_tol, tol, supply, demand = _setting(problem)
-    _, sources, sinks, supply, demand = _residual(problem, supply, demand, dust)
+    zero, dust, tight_tol, cs_tol, tol, _, sources, sinks, supply, demand = _residual(problem)
     S, T = len(sources), len(sinks)
     failure = _failing(problem, S, T)
     cost = problem.costs(sources, sinks)
     flow, phi = _primal_dual(cost, supply[:], demand[:], zero, dust, tight_tol, failure)
     u, v = phi[:S], phi[S:]
 
+    # one walk over the arcs that carry flow (a negative amount is one)
+    # finds the least amount, the column sums and the flow's cost, a float
+    # cost summed as solve_wasserstein sums it, a source-major left fold
+    least, cols, total = zero, [zero] * T, zero
+    for out, c in zip(flow, cost):
+        for j in compress(range(T), out):
+            x = out[j]
+            if x < least:
+                least = x
+            cols[j] += x
+            total += x * c[j]
     # a flow: amounts >= 0, rows summing to the supply, columns to the
     # demand (within 1e-12 in float mode)
-    least = min(chain.from_iterable(flow), default=zero)
     if least < 0:
         raise failure(f"negative flow {least}")
     rows = list(map(sum, flow))
-    cols = list(map(sum, zip(*flow))) if S else [zero] * T
     if (rows != supply or cols != demand) and max(
             map(abs, map(sub, rows + cols, supply + demand))) > (0 if problem.exact else 1e-12):
         raise failure(f"invalid flow: row sums {rows} for supply {supply}, "
@@ -378,15 +382,9 @@ def residual_distance(problem: TransportProblem):
         i = next(i for i in range(S) if min(map(sub, cost[i], v)) + u[i] < -cs_tol)
         j = min(range(T), key=lambda j: cost[i][j] - v[j])
         raise failure(f"reduced cost {cost[i][j] + u[i] - v[j]} < {-cs_tol} on arc ({i},{j})")
-    # a flow cost equal to the dual objective, a float cost summed as
-    # solve_wasserstein sums it, a left fold over the arcs that carry flow,
-    # source-major; then complementary slackness on those arcs, which in
-    # exact mode a closed gap implies (the docstring above), so there it is
-    # sought only to name an open gap's arc
-    total = zero
-    for out, c in zip(flow, cost):
-        for j in compress(range(T), out):
-            total += out[j] * c[j]
+    # a flow cost equal to the dual objective; then complementary slackness
+    # on the arcs that carry flow, which in exact mode a closed gap implies
+    # (above), so there it is sought only to name an open gap's arc
     objective = sum(map(mul, demand, v)) - sum(map(mul, supply, u))
     slack = ""
     if tol or total != objective:
@@ -401,39 +399,38 @@ def residual_distance(problem: TransportProblem):
                       + (f": {slack}" if slack else ""))
     if slack:
         raise failure(slack)
-    return Fraction(total, problem.scale) if problem.exact else total
+    return total
 
 
-def _setting(problem: TransportProblem) -> tuple:
-    """What the number type fixes for a solve: the zero, the dust, the
-    tightness threshold, the slackness and gap tolerances (relative to the
-    K x K block's largest cost in float mode), and copies of the supply and
-    demand dicts.  The two float sums disagree by a few ulp, so demand is
-    rescaled to make the totals match exactly; otherwise the loop chases
+def _residual(problem: TransportProblem) -> tuple:
+    """Both solvers' setup: the number type's zero, dust, tightness
+    threshold and slackness and gap tolerances (relative to the K x K
+    block's largest cost in float mode); then the stays {atom: common
+    mass}, the residual sources and sinks (the atoms whose mass left in
+    units exceeds dust, in the measures' atom order) and their supply and
+    demand lists.  Float demand is rescaled so that the totals match
+    exactly: the two sums disagree by a few ulp, and the loop would chase
     the dust."""
-    supply, demand = dict(problem.supply), dict(problem.demand)
+    supply, demand = list(problem._supply), list(problem._demand)
     if problem.exact:
-        return 0, 0, 0, 0, 0, supply, demand
-    cmax = max(map(max, problem.rows))
-    fix = sum(supply.values()) / sum(demand.values())
-    demand = {b: d * fix for b, d in demand.items()}
-    return (0.0, _FLOAT_DUST, _FLOAT_EPS_TIGHT * cmax, _FLOAT_EPS_CS * cmax,
-            _FLOAT_EPS_GAP * cmax, supply, demand)
-
-
-def _residual(problem: TransportProblem, supply: dict, demand: dict, dust) -> tuple:
-    """Cancel the mass both measures hold at an atom, which stays put at
-    zero cost: the stays {atom: common mass}, the residual sources and sinks
-    (the atoms of mu and of nu whose supply and demand exceed dust, in the
-    measures' atom order), and their supply and demand lists.  supply and
-    demand map atoms to units and are changed in place."""
-    common = {a: min(supply[a], demand[a]) for a in supply.keys() & demand.keys()}
-    for a, x in common.items():
-        supply[a] -= x
-        demand[a] -= x
-    sources = [a for a in problem.mu.atoms if supply[a] > dust]
-    sinks = [b for b in problem.nu.atoms if demand[b] > dust]
-    return common, sources, sinks, [supply[a] for a in sources], [demand[b] for b in sinks]
+        zero, dust, tight_tol, cs_tol, tol = 0, 0, 0, 0, 0
+    else:
+        cmax = max(map(max, problem.rows))
+        fix = sum(supply) / sum(demand)
+        demand = [d * fix for d in demand]
+        zero, dust, tight_tol, cs_tol, tol = (0.0, _FLOAT_DUST, _FLOAT_EPS_TIGHT * cmax,
+                                              _FLOAT_EPS_CS * cmax, _FLOAT_EPS_GAP * cmax)
+    mu, nu = problem.mu.atoms, problem.nu.atoms
+    common = {}
+    for a in set(mu).intersection(nu):
+        i, j = mu.index(a), nu.index(a)
+        x = common[a] = min(supply[i], demand[j])
+        supply[i] -= x
+        demand[j] -= x
+    keep, need = [x > dust for x in supply], [x > dust for x in demand]
+    return (zero, dust, tight_tol, cs_tol, tol, common,
+            list(compress(mu, keep)), list(compress(nu, need)),
+            list(compress(supply, keep)), list(compress(demand, need)))
 
 
 def _failing(problem: TransportProblem, S: int, T: int):

@@ -70,7 +70,7 @@ def _check(name, lhs, rhs, relation, tolerance, witnesses=(), diagnostic=False):
     """The check lhs `relation` rhs, relation ">=" or "==".  Two exact
     sides (int or Fraction) compare exactly, with tolerance 0; otherwise
     both are rounded to floats and compared within tolerance.  The record
-    holds floats."""
+    holds floats; witnesses are (str, float) pairs, kept as given."""
     exact = isinstance(lhs, (int, Fraction)) and isinstance(rhs, (int, Fraction))
     if not exact:
         lhs, rhs = float(lhs), float(rhs)
@@ -78,9 +78,8 @@ def _check(name, lhs, rhs, relation, tolerance, witnesses=(), diagnostic=False):
         holds = lhs >= rhs if exact else lhs >= rhs - tolerance
     else:  # "=="; not lhs == rhs on floats: the two differ at equal infinities
         holds = lhs == rhs if exact else abs(lhs - rhs) <= tolerance
-    wit = tuple([(str(k), float(v)) for k, v in witnesses])
     return TheoremCheck(name, True, "", float(lhs), float(rhs), relation,
-                        0.0 if exact else float(tolerance), holds, diagnostic, wit)
+                        0.0 if exact else float(tolerance), holds, diagnostic, witnesses)
 
 
 def _inapplicable(name, reason, diagnostic=False):
@@ -142,8 +141,8 @@ def _gap_check(g, name: str, weighted: bool, triangle: bool = False) -> TheoremC
     w0, w1 = (weights[0] for weights in weight_pair(g, scheme))
     lam1 = spectrum_of(g, "edge", scheme).lambda1
     rhs = (d * (kmin - 1) + (4 if triangle else 2)) * w1 / w0
-    wit = ((f"pair {g.edge_name(pair[0])},{g.edge_name(pair[1])}", kmin),
-           ("neighbor-count", d), ("w0", w0), ("w1", w1))
+    wit = ((f"pair {g.edge_name(pair[0])},{g.edge_name(pair[1])}", float(kmin)),
+           ("neighbor-count", float(d)), ("w0", float(w0)), ("w1", float(w1)))
     return _check(name, lam1, rhs, ">=", _GAP_TOL, wit, diagnostic=triangle)
 
 
@@ -176,9 +175,10 @@ def check_bounds(g) -> list[TheoremCheck]:
     is attached as a diagnostic.
     """
     out = []
+    names = [g.edge_name(e) for e in range(g.n_edges)]
     for (e, f), kappa in ricci_all_adjacent(g).items():
         floor, ceiling, intersection = pair_bounds(g, e, f)
-        tag = f"({g.edge_name(e)},{g.edge_name(f)})"
+        tag = f"({names[e]},{names[f]})"
         wit = ((f"kappa{tag}", float(kappa)),)
         out.append(_check(f"curvature-floor{tag}", kappa, floor, ">=", _GAP_TOL, wit))
         if ceiling is None:
@@ -341,7 +341,9 @@ _JSON_LITERALS = {None: "null", True: "true", False: "false"}
 
 
 def _json_escape(s: str) -> str:
-    return '"' + s.translate(_JSON_ESCAPES) + '"'
+    # a printable string holds no control character, so needs no table
+    plain = s.isprintable() and '"' not in s and "\\" not in s
+    return '"' + (s if plain else s.translate(_JSON_ESCAPES)) + '"'
 
 
 def _json_value(obj) -> str:

@@ -6,6 +6,7 @@ simplex oracle in test_transport.py, so these constants double as regression
 oracles for the whole measure -> cost -> solver pipeline.
 """
 
+import collections
 import gc
 import math
 import random
@@ -15,7 +16,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from edge_ricci import cli, curvature, transport
+from edge_ricci import cli, curvature, edge_geometry, transport
 from edge_ricci.curvature import (
     adjacent_minimum,
     edges_adjacent,
@@ -260,10 +261,10 @@ def test_weighted_and_base_graph_keep_separate_tables():
 
 
 def _count_transport_solves(monkeypatch):
-    # an exact pair's W comes from residual_distance, a float pair's from
+    # a pair's kappa comes from residual_cost, a pair's plan and dual from
     # solve_wasserstein: both count as the pair's solve
     calls = []
-    for name in ("solve_wasserstein", "residual_distance"):
+    for name in ("solve_wasserstein", "residual_cost"):
         def counting(problem, solve=getattr(curvature, name)):
             calls.append((problem.mu.owner, problem.nu.owner))
             return solve(problem)
@@ -273,12 +274,30 @@ def _count_transport_solves(monkeypatch):
 
 
 def test_report_solves_each_adjacent_pair_once(monkeypatch):
-    # the all-pairs check reads the adjacent minimum and solves nothing more
+    # the all-pairs check reads the adjacent minimum and solves nothing more,
+    # and the per-graph state its pairs read is built once: each edge's
+    # measure once, each distance row at most once
     calls = _count_transport_solves(monkeypatch)
+    measures, rows = collections.Counter(), collections.Counter()
+    build, row = edge_geometry._build_measure, edge_geometry.EdgeSpace.row
+
+    def counting_build(g, e):
+        measures[e] += 1
+        return build(g, e)
+
+    def counting_row(space, e):
+        if e not in space._rows:
+            rows[e] += 1
+        return row(space, e)
+
+    monkeypatch.setattr(edge_geometry, "_build_measure", counting_build)
+    monkeypatch.setattr(edge_geometry.EdgeSpace, "row", counting_row)
     g = generate("petersen")  # not a tree, m = 15
     verification_report(g)
     assert sorted(calls) == sorted(ricci_all_adjacent(g))
     assert len(calls) == 30 < math.comb(g.n_edges, 2)
+    assert measures == dict.fromkeys(range(g.n_edges), 1)
+    assert rows and set(rows.values()) == {1}
 
 
 def test_weighted_report_solves_each_adjacent_pair_once(monkeypatch):
@@ -543,7 +562,7 @@ def test_float_residual_tolerance_follows_the_largest_cost(monkeypatch, k):
                       vertex_scale=2.0 ** k)
     problem = curvature.pair_transport_problem(g, 0, 1)
     assert problem.certified and not problem.exact
-    cmax, w = max(map(max, problem.rows)), transport.residual_distance(problem)
+    cmax, w = max(map(max, problem.rows)), transport.residual_cost(problem)
     loop = transport._primal_dual
 
     def moving(c, amount=0.0):
@@ -556,14 +575,14 @@ def test_float_residual_tolerance_follows_the_largest_cost(monkeypatch, k):
 
     for c, amount in ((1e-11, 0.0), (-1e-11, 0.0), (0.0, 1e-13)):
         moving(c, amount)
-        assert transport.residual_distance(problem) == pytest.approx(w, rel=1e-12)
+        assert transport.residual_cost(problem) == pytest.approx(w, rel=1e-12)
     for c, amount, what in ((1e-9, 0.0, "complementary slackness violated on arc"),
                             (-1e-9, 0.0, "reduced cost .* < .* on arc"),
                             (1e-6, 0.0, "flow cost .* != dual objective"),
                             (0.0, 1e-11, "invalid flow: row sums")):
         moving(c, amount)
         with pytest.raises(TransportError, match=r"residual \d+x\d+: " + what):
-            transport.residual_distance(problem)
+            transport.residual_cost(problem)
 
 
 @given(st.integers(0, 200), st.sampled_from(["unit", "wide"]), st.integers(-40, 40))
@@ -581,5 +600,5 @@ def test_float_residual_distance_is_the_full_solves_to_the_last_bit(seed, kind, 
             problem = curvature.pair_transport_problem(g, e, f)
             assert problem.certified and not problem.exact
             w = transport.solve_wasserstein(problem).distance
-            assert transport.residual_distance(problem).hex() == w.hex()
+            assert transport.residual_cost(problem).hex() == w.hex()
             assert ricci(g, e, f).hex() == (1 - w / edge_distance(g, e, f)).hex()

@@ -455,7 +455,7 @@ def test_a_weighted_space_is_certified_by_the_inequalities_and_its_solves_skip_t
         for f in near:
             p = pair_transport_problem(wg, e, f)
             assert p.certified and not p.exact
-            assert transport.residual_distance(p) == solve_wasserstein(p).distance
+            assert transport.residual_cost(p) == solve_wasserstein(p).distance
             solves += 1
     assert edge_space(wg).certified and checks == [edge_space(wg)]
     assert solves and not walks

@@ -242,12 +242,12 @@ def test_family_survey_solves_every_pair_once_per_graph(monkeypatch, capsys, loa
 
 
 def test_family_survey_solves_each_pair_once(monkeypatch, capsys, load_script):
-    # every binding of solve_wasserstein and residual_distance counts its
+    # every binding of solve_wasserstein and residual_cost counts its
     # calls, keyed by the graph under audit and the solved pair: the checks
     # all read the one table, whose solves check their own certificates
     module = load_script("family_survey")
     current, solved = [], collections.Counter()
-    for name in ("solve_wasserstein", "residual_distance"):
+    for name in ("solve_wasserstein", "residual_cost"):
         real = getattr(transport, name)
 
         def counting(problem, real=real):
@@ -448,6 +448,26 @@ def test_bench_pair_alternates_sides_and_prints_each_metric(monkeypatch, capsys,
         assert [row.split()[0] for row in rows] == [
             "wall_s", "op_p50_s", "setup_s", "peak_rss_mb"]
         assert all(row.split()[1:] == ["2", "1", "0", "3/3", "gain"] for row in rows)
+
+
+@pytest.mark.parametrize("argv, seed", [([], 0), (["--seed", "1"], 1), (["--seed", "7"], 7)])
+def test_bench_pair_passes_its_seed_to_every_run_and_prints_it(argv, seed, monkeypatch, capsys,
+                                                              load_script):
+    module = load_script("bench_pair")
+    seeds = []
+    monkeypatch.setattr(module, "export", lambda ref, target: None)
+    monkeypatch.setattr(module, "snapshot", lambda source, target: None)
+
+    def run_bench(workload, seed, seconds, trace, root):
+        seeds.append(seed)
+        return {"correct": True, "metrics": {name: {"value": 1.0} for name in
+                                             ("wall_s", "op_p50_s", "setup_s", "peak_rss_mb")}}
+
+    monkeypatch.setattr(module, "run_bench", run_bench)
+    assert module.main(["HEAD", "--workload", "selftest", "--pairs", "2", *argv]) == 0
+    assert seeds == [seed] * 4
+    header = capsys.readouterr().out.splitlines()[0]
+    assert header.startswith(f"workload selftest  ref HEAD  pairs 2  seed {seed}  seconds ")
 
 
 def test_bench_pair_names_a_ref_git_cannot_export(capsys, load_script):

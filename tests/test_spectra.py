@@ -112,6 +112,18 @@ def test_non_finite_entries_are_rejected_with_the_size(bad):
         eigenvalues_symmetric(a)
 
 
+def test_mirror_entries_near_the_float_limit_do_not_overflow():
+    # averaging 1e308 with its equal mirror once overflowed to inf and gave
+    # (nan, nan); equal mirrors are left as they are, and mirrors that
+    # differ within the tolerance are averaged from their halves
+    assert eigenvalues_symmetric([[0.0, 1e308], [1e308, 0.0]]) == (
+        -9.999999999999998e307, 9.999999999999998e307)
+    near = math.nextafter(1e308, 0.0)
+    got = eigenvalues_symmetric([[0.0, 1e308], [near, 0.0]])
+    assert all(map(math.isfinite, got))
+    assert got == pytest.approx((-1e308, 1e308), rel=1e-15)
+
+
 def test_symmetry_is_enforced():
     # both errors name the matrix size, as the non-finite and convergence
     # errors do

@@ -26,7 +26,7 @@ from edge_ricci.transport import (
     brute_force_wasserstein,
     dual_objective,
     lipschitz_excess,
-    residual_distance,
+    residual_cost,
     solve_wasserstein,
     verify_coupling,
 )
@@ -803,4 +803,4 @@ def test_the_residual_path_refuses_an_uncertified_problem():
     q = TransportProblem(p.mu, p.nu, p.atoms, p.rows)
     assert q.exact and not q.certified
     with pytest.raises(TransportError, match=r"pair \(0,1\) over 4x4 atoms: not certified"):
-        residual_distance(q)
+        residual_cost(q)

@@ -8,7 +8,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from edge_ricci import curvature, graph_core, laplacian, spectra, transport, verify
 from edge_ricci.curvature import ricci_all_adjacent
@@ -581,6 +581,21 @@ _reports = st.builds(
                        max_size=4).map(tuple),
     spectra=st.dictionaries(st.sampled_from(["L0", "L1", "Lprime1"]) | _texts,
                             st.lists(_floats, max_size=4).map(tuple), max_size=3))
+
+
+@given(st.text(st.one_of(
+    st.sampled_from('"\\\x00\x08\x1f\x7f\x85\xa0\u2028\u2029\ufeff\U0001f600\U000e0001'),
+    st.characters(blacklist_categories=("Cs",)))))
+@example("\\")
+@example('"')
+@example("a\x1fb")
+@example("\u2028")
+@example("\U0001f600\\")
+def test_json_escape_takes_the_table_only_where_it_changes_something(s):
+    # the printable fast path returns what the table would, on any text:
+    # controls, quotes, backslashes, separators and non-BMP characters
+    assert _json_escape(s) == '"' + s.translate(verify._JSON_ESCAPES) + '"'
+    assert json.loads(_json_escape(s)) == s
 
 
 @given(_reports)
