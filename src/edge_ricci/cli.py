@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from functools import cache
 
 from .curvature import ricci_all_adjacent, ricci_all_pairs
 from .errors import EdgeRicciError, FormatError, InvalidParameterError
@@ -34,7 +35,9 @@ from .verify import (
 _FORMATS = ("json", "csv", "text")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once: parse_args changes nothing in it."""
     top = argparse.ArgumentParser(
         prog="edge-ricci",
         description="Edge curvature, combinatorial Laplacians, and spectral "

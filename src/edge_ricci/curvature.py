@@ -8,19 +8,21 @@ where W is the exact 1-Wasserstein distance between the neighborhood
 measures and d the shortest-path distance in the line adjacency (see
 edge_geometry).  One formula serves both graph kinds: an unweighted graph is
 the unit-weight case, where everything is rational and returned as
-Fraction; weighted graphs produce certified floats.  W is read from
-pair_transport_problem's PairProblem, and the transport layer checks the
-certificate; this layer rechecks nothing.  The problem is certified on
-either input, since its costs are the graph's certified edge metric
-(edge_geometry: Bellman's equations on int P, two inequalities within
-1e-12 on float P), and every pair's W comes from
-transport.residual_cost, which solves and certifies the residual LP
-alone (the cancellation lemma, transport): no full-support plan or
-envelope dual is built, and on exact input no cost block or joint support
-either; W comes times the problem's scale, so an exact kappa is one
-Fraction.  A float W is the full solve's to the last bit.
-transport_for_pair returns the full TransportResult on either input, for
+Fraction; weighted graphs produce certified floats.  Every pair's W comes
+from transport.residual_cost on pair_transport_problem's PairProblem, which
+solves and certifies the residual LP alone (the cancellation lemma,
+transport): its costs are the graph's certified edge metric (edge_geometry),
+and no full plan, envelope dual, sorted joint support or cost block is
+built.  W comes times the problem's scale, so an exact kappa is one
+Fraction, and a float W is the full solve's to the last bit; this layer
+rechecks nothing.  transport_for_pair returns the full TransportResult, for
 callers that read the plan or the dual.
+
+All pairs of a graph read one pair context, its edge space: distance rows,
+each edge's measure (atoms, units, scale), neighbors, degrees and edge
+names, each built once.  So ricci checks a pair's ordinals once, and a pair
+pays only for the cancellation, the loop, the residual certificate, kappa,
+and in verify.check_bounds its _bounds and check lines.
 
 Only adjacent pairs need solving for the least curvature: since W is a
 metric, the minimum over all distinct pairs is the adjacent minimum (the
@@ -41,8 +43,7 @@ import math
 from fractions import Fraction
 from functools import cached_property
 
-from .edge_geometry import (
-    edge_distance,
+from .edge_geometry import (  # edge_measure unused here, but bench/test_bench.py reads it
     edge_measure,
     edge_space,
     pairwise_costs,
@@ -69,26 +70,24 @@ def edges_adjacent(g, e: int, f: int) -> bool:
 class PairProblem(TransportProblem):
     """The transport problem between the measures of edges e and f of g.
 
-    Its costs come from g's edge space, whose distance row of an edge is
-    indexed by edge ordinal: costs(sources, sinks) slices each source's
-    cached row at the sinks.  Its sorted joint support ``atoms`` and the
-    K x K block ``rows`` (by pairwise_costs) are built only when something
-    reads them (a full solve, the float tolerances, the Lipschitz walk of a
-    hand-built twin, the oracle), like ``position``, ``supply`` and
-    ``demand``.  Such rows pass every check of the block by construction (a
-    distance row has a 0 at its own edge, sums of positive weights
-    elsewhere, and the space raises before it keeps a row with an infinite
-    entry), so no block is validated per pair.  ``certified`` is True once
-    the space certified its vertex metric, which building the problem
-    forces, on exact and float input alike: the costs are then a metric,
-    within the float tolerance on float input, the solver takes the dual's
-    Lipschitz bound as proved, and residual_cost may take W from the
-    residual LP alone.
+    Its measures and costs come from g's edge space, whose distance row of
+    an edge is indexed by edge ordinal: costs(sources, sinks) slices each
+    source's row at the sinks, and ``largest_cost`` (the float tolerances)
+    is the largest K x K cost sliced so.  The sorted joint support ``atoms``
+    and the block ``rows`` (by pairwise_costs) are built only when read (a
+    full solve, a hand-built twin, the oracle), like ``position``,
+    ``supply`` and ``demand``.  Distance rows pass every check of a block
+    (a 0 at the row's own edge, sums of positive weights elsewhere, and no
+    row kept with an infinite entry), so none is validated per pair.
+    ``certified`` is True once the space certified its vertex metric, which
+    building the problem forces: the costs are then a metric (within the
+    float tolerance on float input), the solver takes the dual's Lipschitz
+    bound as proved, and residual_cost may take W from the residual alone.
     """
 
     def __init__(self, g, e: int, f: int):
-        mu, nu = edge_measure(g, e), edge_measure(g, f)
         space = edge_space(g)
+        mu, nu = space.measure(e), space.measure(f)
         space.row(e)  # the first row read builds and certifies the vertex metric
         vars(self).update(mu=mu, nu=nu, _g=g, _space=space)
         self._settle(mu.exact and nu.exact, space.certified)
@@ -101,10 +100,15 @@ class PairProblem(TransportProblem):
     def rows(self) -> tuple[tuple, ...]:
         return pairwise_costs(self._g, self.atoms)
 
+    @cached_property
+    def largest_cost(self):
+        # the block's entries, sliced unsorted from the space's rows
+        joint = {*self.mu.atoms, *self.nu.atoms}
+        return max(map(max, self.costs(joint, joint)))
+
     def costs(self, sources, sinks) -> list[tuple]:
         # an edge's ordinal is its position in a distance row
-        pick, row = slicer(sinks), self._space.row
-        return [pick(row(a)) for a in sources]
+        return list(map(slicer(sinks), map(self._space.row, sources)))
 
 
 def pair_transport_problem(g, e: int, f: int) -> PairProblem:
@@ -131,7 +135,10 @@ def ricci(g, e: int, f: int):
     solved, so kappa(e, f) == kappa(f, e) bitwise, also on float weights,
     where the solver's summation order would move the last bits."""
     lo, hi = (e, f) if e < f else (f, e)
-    dist = edge_distance(g, lo, hi)
+    if not (0 <= lo and hi < len(g.edges)):
+        check_edge_ordinal(g, lo)
+        check_edge_ordinal(g, hi)
+    dist = edge_space(g).row(lo)[hi]
     problem = pair_transport_problem(g, lo, hi)
     total = residual_cost(problem)  # W times the problem's scale
     if problem.exact:
@@ -221,21 +228,26 @@ def pair_bounds(g, e: int, f: int):
     tighter.
     """
     _require_adjacent(g, e, f)
-    space = edge_space(g)
+    return _bounds(g, edge_space(g), e, f)
+
+
+def _bounds(g, space, e: int, f: int):
+    """pair_bounds of e and f, known to be adjacent, from g's edge space."""
     d_e, d_f = space.degrees[e], space.degrees[f]
-    near_e, near_f = set(space.neighbors[e]), set(space.neighbors[f])
+    both = set(space.neighbors[e]) & set(space.neighbors[f])
     top = max(d_e, d_f)
     if not isinstance(g, WeightedGraph):
-        # every edge weighs 1 and every degree is an int, so the slack is
-        # (d_e d_f - d_f - d_e) / (d_e d_f), formed in ints
+        # every edge weighs 1 and every degree is the int neighbor count, so
+        # the slack is (d_e d_f - d_f - d_e) / (d_e d_f), formed in ints,
+        # and the union holds d_e + d_f - |both| edges
         slack = d_e * d_f - d_f - d_e
         floor = Fraction(-2 * slack if slack > 0 else 0, d_e * d_f)
-        return floor, Fraction(len(near_e | near_f), top), Fraction(len(near_e & near_f), top)
+        return floor, Fraction(d_e + d_f - len(both), top), Fraction(len(both), top)
     slack = 1 - space.weight[f] / d_e - space.weight[e] / d_f
     floor = -2 * slack if slack > 0 else 0.0  # never -0.0
     if not g.constant_vertex_weights:
         return floor, None, None
-    return floor, sum(space.weight[a] for a in near_e & near_f) / top, None
+    return floor, sum(space.weight[a] for a in both) / top, None
 
 
 def tree_curvature_formula(g: Graph, e: int, f: int) -> Fraction:

@@ -23,7 +23,8 @@ subclass WeightedEdgeSpace (float ones) for a WeightedGraph.  Both build P
 by one Dijkstra run per vertex in the weights' own number type, one value
 per unordered vertex pair, so distance rows are symmetric to the last bit.
 Every function below reads their common fields alone.
-The space and each edge's measure are kept per graph by graph_core.derived.
+The space is kept per graph by graph_core.derived, and keeps each edge's
+measure and distance row.
 
 An EdgeSpace certifies its int P once per graph, right after the Dijkstra
 runs and before any row is read: P[s][s] = w(s), and every other P[s][t]
@@ -63,9 +64,8 @@ rounding, a few units in the last place.  The symmetry and the zero
 diagonal hold bitwise, as on int P.  The checks run in C map chains, n^3
 comparisons for (I1).
 
-pairwise_costs gives a transport problem its costs: per atom of the sorted
-joint support, a row tuple sliced from that atom's cached distance row by
-slicer, in C.
+pairwise_costs builds a pair's K x K block, when one is read, from the
+cached distance rows by slicer, in C.
 """
 
 from __future__ import annotations
@@ -92,23 +92,26 @@ class EdgeSpace:
     weight[e]         Fraction(1)
     degrees[e]        the neighbor count, an int
     vertex_weight[v]  1, an int, so distances are int hop counts
+    names[e]          g.edge_name(e)
+    n_edges           g.n_edges
     certified         True once the vertex metric passed its certificate
                       (_certify: Bellman's equations here, the two
                       inequalities on a WeightedEdgeSpace), which runs
                       before any row is read
 
-    The vertex metric and the distance rows are filled lazily.  Holds the
-    labels, edges and incident table (for the metric and edge names) but not
+    It is the graph's pair context, read by every edge pair.  The vertex
+    metric, the distance rows (row) and the measures (measure) are filled
+    lazily, each once.  Holds the labels, edges and incident table but not
     the graph that keeps it, so that graph is freed by reference counting
-    alone.  Built once per Graph instance and read-only afterwards, so
-    concurrent readers are safe.
+    alone.  Built once per Graph instance; a filled entry never changes.
     """
 
-    __slots__ = ("neighbors", "degrees", "weight", "vertex_weight", "certified",
-                 "_labels", "_edges", "_incident", "_metric", "_rows")
+    __slots__ = ("neighbors", "degrees", "weight", "vertex_weight", "names", "n_edges",
+                 "certified", "_labels", "_edges", "_incident", "_metric", "_rows",
+                 "_measures")
 
     def __init__(self, g: Graph):
-        incident = g.incident
+        incident, labels = g.incident, g.labels
         self.neighbors = tuple(
             tuple(sorted({*incident[i], *incident[j]} - {e}))
             for e, (i, j) in enumerate(g.edges)
@@ -116,10 +119,13 @@ class EdgeSpace:
         self.weight = (Fraction(1),) * g.n_edges
         self.degrees = tuple(map(len, self.neighbors))
         self.vertex_weight = (1,) * g.n_vertices
-        self._labels, self._edges, self._incident = g.labels, g.edges, incident
+        self.names = tuple(f"{labels[i]}-{labels[j]}" for i, j in g.edges)
+        self.n_edges = g.n_edges
+        self._labels, self._edges, self._incident = labels, g.edges, incident
         self.certified = False
         self._metric: list[list] | None = None
         self._rows: dict[int, tuple] = {}
+        self._measures: dict[int, EdgeMeasure] = {}
 
     def _vertex_metric(self) -> list[list]:
         """P, certified before any row reads it (see _certify)."""
@@ -188,12 +194,19 @@ class EdgeSpace:
         # the graph is connected, so an infinite distance is an overflow
         if math.inf in dist:
             raise NonpositiveWeightError(
-                f"edge distances from {self._labels[i]}-{self._labels[j]} reach inf: "
+                f"edge distances from {self.names[e]} reach inf: "
                 f"its connectors' vertex weights overflow a float"
             )
         out = tuple(dist)
         self._rows[e] = out
         return out
+
+    def measure(self, e: int) -> EdgeMeasure:
+        """edge_measure of e, built on first read (UnknownEdgeError first)."""
+        kept = self._measures.get(e)
+        if kept is None:
+            kept = self._measures[e] = _build_measure(self, check_edge_ordinal(self, e))
+        return kept
 
 
 class WeightedEdgeSpace(EdgeSpace):
@@ -293,33 +306,30 @@ class EdgeMeasure:
         masses = self.masses
         if len(self.atoms) != len(masses) or not self.atoms:
             raise ValueError("measure needs matching, nonempty atoms and masses")
-        exact = all(isinstance(m, Fraction) for m in masses)
+        exact = all(map(isinstance, masses, repeat(Fraction)))
         scale, units = 1, masses
         if exact:
-            scale = math.lcm(*{m.denominator for m in masses})
-            units = tuple([m.numerator * (scale // m.denominator) for m in masses])
+            dens = [m.denominator for m in masses]
+            scale = math.lcm(*dens)
+            units = tuple([m.numerator * (scale // d) for m, d in zip(masses, dens)])
         if abs(sum(units) - scale) > (0 if exact else 1e-12):
             raise ValueError(f"measure sums to {sum(masses)}, not 1")
-        object.__setattr__(self, "exact", exact)
-        object.__setattr__(self, "scale", scale)
-        object.__setattr__(self, "units", units)
+        vars(self).update(exact=exact, scale=scale, units=units)
 
 
 def edge_measure(g: Graph, e: int) -> EdgeMeasure:
     """Mass w(f)/d_e on each neighbor f of e (uniform 1/d_e at unit weights).
 
-    Built once per edge and graph, and kept by derived.
+    Built once per edge and graph, and kept by the graph's edge space.
     """
-    check_edge_ordinal(g, e)
-    return derived(g, ("edge_measure", e), lambda: _build_measure(g, e))
+    return edge_space(g).measure(check_edge_ordinal(g, e))
 
 
-def _build_measure(g: Graph, e: int) -> EdgeMeasure:
-    space = edge_space(g)
+def _build_measure(space: EdgeSpace, e: int) -> EdgeMeasure:
     nbrs = space.neighbors[e]
     if not nbrs:
         raise IsolatedEdgeError(
-            f"edge {g.edge_name(e)} has no neighbors; its measure is undefined"
+            f"edge {space.names[e]} has no neighbors; its measure is undefined"
         )
     d, last, masses = space.degrees[e], None, []
     for w in map(space.weight.__getitem__, nbrs):

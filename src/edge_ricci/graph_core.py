@@ -223,9 +223,9 @@ class WeightedGraph(Graph):
 def derived(g: Graph, key, build):
     """The value kept on g under key, made by build() on first use.
 
-    This is the one place per-graph values are cached: the edge space, edge
-    measures, the adjacent curvature table and its minimum, and spectra,
-    each under its owner's key.  If build() raises, nothing is stored.  A
+    This is the one place per-graph values are cached: the edge space (which
+    keeps each edge's measure and distance row), the adjacent curvature
+    table and its minimum, and spectra, each under its owner's key.  If build() raises, nothing is stored.  A
     kept value must not refer back to g, so graphs are freed by reference
     counting alone.
     """

@@ -26,7 +26,8 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from operator import mul
+from itertools import chain
+from operator import mul, ne
 
 from .errors import (
     NoConvergenceError,
@@ -39,10 +40,6 @@ from .laplacian import check_operator, symmetrized
 
 _EPS = sys.float_info.epsilon
 _MAX_ITERATIONS = 30  # QL iterations per eigenvalue
-
-
-def _as_float_matrix(matrix) -> list[list[float]]:
-    return [[float(x) for x in row] for row in matrix]
 
 
 def _tridiagonalize(a: list[list[float]]) -> tuple[list[float], list[float]]:
@@ -130,7 +127,7 @@ def _tridiagonal_eigenvalues(d: list[float], e: list[float]) -> list[float]:
 
 def eigenvalues_symmetric(matrix) -> tuple[float, ...]:
     """Ascending eigenvalues of a symmetric matrix (lists or array-like)."""
-    a = _as_float_matrix(matrix)
+    a = [list(map(float, row)) for row in matrix]
     n = len(a)
     for k, row in enumerate(a):
         if len(row) != n:
@@ -138,18 +135,20 @@ def eigenvalues_symmetric(matrix) -> tuple[float, ...]:
                 f"{n}-row matrix is not square: row {k} has {len(row)} entries")
     if n == 0:
         return ()
-    # checked entry by entry: max() below would pass over a NaN
-    if not all(math.isfinite(x) for row in a for x in row):
+    # every entry checked, in C: max() below would pass over a NaN
+    if not all(map(math.isfinite, chain.from_iterable(a))):
         raise NonFiniteMatrixError(f"{n}x{n} matrix has an infinite or NaN entry")
-    scale = max(1.0, max(abs(x) for row in a for x in row))
-    for p in range(n):
-        for q in range(p + 1, n):
-            x, y = a[p][q], a[q][p]
-            if x != y:  # equal mirrors stay as they are: x + y could overflow
-                if abs(x - y) > 1e-12 * scale:
-                    raise NotSymmetricError(
-                        f"{n}x{n} matrix: entry ({p},{q}) = {x} but ({q},{p}) = {y}")
-                a[p][q] = a[q][p] = 0.5 * x + 0.5 * y  # halved first, so no overflow
+    scale = max(1.0, max(map(abs, chain.from_iterable(a))))
+    # a matrix equal to its transpose needs no pass over its mirror pairs
+    if any(map(ne, a, map(list, zip(*a)))):
+        for p in range(n):
+            for q in range(p + 1, n):
+                x, y = a[p][q], a[q][p]
+                if x != y:  # equal mirrors stay as they are: x + y could overflow
+                    if abs(x - y) > 1e-12 * scale:
+                        raise NotSymmetricError(
+                            f"{n}x{n} matrix: entry ({p},{q}) = {x} but ({q},{p}) = {y}")
+                    a[p][q] = a[q][p] = 0.5 * x + 0.5 * y  # halved first, so no overflow
     if n == 1:
         return (a[0][0],)
     return tuple(sorted(_tridiagonal_eigenvalues(*_tridiagonalize(a))))

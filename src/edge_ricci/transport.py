@@ -171,15 +171,16 @@ class TransportProblem:
     checks), there is one row per atom, each with one entry per atom,
     every atom costs 0 to itself, and every entry is finite and >= 0.  The
     same pass records whether every cost is an int, which with exact masses
-    makes the problem exact.  Then it fixes the solver units: ``scale`` is
-    the LCM of the measures' scales when exact and 1 otherwise, and the
-    read-only ``supply`` and ``demand`` map each atom of mu and nu to its
-    mass in those units (int when exact, float otherwise), whose totals must
-    agree.  ``position`` maps each atom to its index in atoms and rows; all
-    three are built when first read.  costs(sources, sinks) slices the rows
-    of sources at sinks.  ``certified`` is False: only a PairProblem, which
-    slices its own costs from a certified metric, sets it.  Every error
-    raised here names the edge pair and the atom counts.
+    makes the problem exact; ``largest_cost`` is the largest entry.  Then
+    it fixes the solver units (_settle): ``scale`` is the LCM of the
+    measures' scales when exact and 1 otherwise, and the read-only
+    ``supply`` and ``demand`` map each atom of mu and nu to its mass in
+    those units, whose totals must agree.  ``position`` maps each atom to
+    its index in atoms and rows; all three are built when first read.
+    costs(sources, sinks) slices the rows of sources at sinks.
+    ``certified`` is False: only a PairProblem, which slices its own costs
+    from a certified metric, sets it.  Every error raised here names the
+    edge pair and the atom counts.
     """
 
     mu: EdgeMeasure
@@ -221,17 +222,22 @@ class TransportProblem:
                         raise invalid(f"{what} cost {c} for pair {(a, b)}")
         # ints sum to an int; one float or Fraction makes the sum one too
         self._settle(mu.exact and nu.exact and type(total) is int, False)
+        vars(self)["largest_cost"] = max(map(max, rows))
 
     def _settle(self, exact: bool, certified: bool) -> None:
-        """Set the solver units and the masses in them, in atom order."""
+        """Set the solver units and the masses in them, in atom order (exact
+        masses balance: each measure's units sum to its scale)."""
         mu, nu = self.mu, self.nu
-        scale = math.lcm(mu.scale, nu.scale) if exact else 1
         # lists: tuple() of a map resizes its guess, stranding a tuple per call
-        supply, demand = (list(map(mul, m.units, repeat(scale // m.scale)) if exact
-                               else map(float, m.masses)) for m in (mu, nu))
-        if abs(sum(supply) - sum(demand)) > (0 if exact else 1e-12):
-            raise MassImbalanceError(
-                f"{_instance(mu, nu)}: supply {sum(mu.masses)} != demand {sum(nu.masses)}")
+        if exact:
+            scale = math.lcm(mu.scale, nu.scale)
+            supply = list(map(mul, mu.units, repeat(scale // mu.scale)))
+            demand = list(map(mul, nu.units, repeat(scale // nu.scale)))
+        else:
+            scale, supply, demand = 1, list(map(float, mu.masses)), list(map(float, nu.masses))
+            if abs(sum(supply) - sum(demand)) > 1e-12:
+                raise MassImbalanceError(
+                    f"{_instance(mu, nu)}: supply {sum(mu.masses)} != demand {sum(nu.masses)}")
         vars(self).update(exact=exact, scale=scale, certified=certified,
                           _supply=supply, _demand=demand)
 
@@ -404,18 +410,18 @@ def residual_cost(problem: TransportProblem):
 
 def _residual(problem: TransportProblem) -> tuple:
     """Both solvers' setup: the number type's zero, dust, tightness
-    threshold and slackness and gap tolerances (relative to the K x K
-    block's largest cost in float mode); then the stays {atom: common
+    threshold and slackness and gap tolerances (relative to the problem's
+    largest_cost in float mode); then the stays {atom: common
     mass}, the residual sources and sinks (the atoms whose mass left in
     units exceeds dust, in the measures' atom order) and their supply and
     demand lists.  Float demand is rescaled so that the totals match
     exactly: the two sums disagree by a few ulp, and the loop would chase
     the dust."""
-    supply, demand = list(problem._supply), list(problem._demand)
+    supply, demand = problem._supply[:], problem._demand[:]
     if problem.exact:
-        zero, dust, tight_tol, cs_tol, tol = 0, 0, 0, 0, 0
+        zero = dust = tight_tol = cs_tol = tol = 0
     else:
-        cmax = max(map(max, problem.rows))
+        cmax = problem.largest_cost
         fix = sum(supply) / sum(demand)
         demand = [d * fix for d in demand]
         zero, dust, tight_tol, cs_tol, tol = (0.0, _FLOAT_DUST, _FLOAT_EPS_TIGHT * cmax,
@@ -424,13 +430,16 @@ def _residual(problem: TransportProblem) -> tuple:
     common = {}
     for a in set(mu).intersection(nu):
         i, j = mu.index(a), nu.index(a)
-        x = common[a] = min(supply[i], demand[j])
-        supply[i] -= x
-        demand[j] -= x
-    keep, need = [x > dust for x in supply], [x > dust for x in demand]
+        s, t = supply[i], demand[j]
+        x = common[a] = s if s <= t else t
+        supply[i], demand[j] = s - x, t - x
+    if dust:  # float mode: a mass left at most the dust counts as 0
+        supply = [x if x > dust else zero for x in supply]
+        demand = [x if x > dust else zero for x in demand]
+    # amounts are >= 0, so each selects its own atom when it is positive
     return (zero, dust, tight_tol, cs_tol, tol, common,
-            list(compress(mu, keep)), list(compress(nu, need)),
-            list(compress(supply, keep)), list(compress(demand, need)))
+            list(compress(mu, supply)), list(compress(nu, demand)),
+            list(compress(supply, supply)), list(compress(demand, demand)))
 
 
 def _failing(problem: TransportProblem, S: int, T: int):
@@ -471,25 +480,26 @@ def _primal_dual(cost: list, supply: list, demand: list, zero, dust, tight_tol,
         # what is left at most the dust counts as 0.
         bound = list(map(add, phi[S:], repeat(tight_tol)))
         tight = [None] * S  # each source's tight arcs, listed when first read
-        for i in range(S):
-            if not supply[i]:
+        for i, s in enumerate(supply):
+            if not s:
                 continue
             tight[i] = arcs = list(compress(sink_nodes, map(
                 le, map(add, cost[i], repeat(phi[i])), bound)))
+            out = flow[i]
             for v in arcs:
-                if not supply[i]:
-                    break
                 j = v - S
-                if demand[j]:
-                    amt = min(supply[i], demand[j])
-                    flow[i][j] += amt
+                t = demand[j]
+                if t:  # ship min(s, t), the first of equals as min() gives it
+                    amt = s if s <= t else t
+                    out[j] += amt
                     carriers[j].add(i)
-                    supply[i] -= amt
-                    demand[j] -= amt
-                    if supply[i] <= dust:
-                        supply[i] = zero
-                    if demand[j] <= dust:
-                        demand[j] = zero
+                    s -= amt
+                    t -= amt
+                    demand[j] = zero if t <= dust else t
+                    if s <= dust:
+                        s = zero
+                        break
+            supply[i] = s
         dead = set()
         for r in range(S):
             while supply[r] and r not in dead:

@@ -31,8 +31,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .curvature import (
+    _bounds,
     adjacent_minimum,
-    pair_bounds,
     ricci_all_adjacent,
     tree_curvature_formula,
 )
@@ -174,10 +174,10 @@ def check_bounds(g) -> list[TheoremCheck]:
     per pair either way); the intersection-form ceiling, where there is one,
     is attached as a diagnostic.
     """
-    out = []
-    names = [g.edge_name(e) for e in range(g.n_edges)]
+    out, space = [], edge_space(g)
+    names = space.names
     for (e, f), kappa in ricci_all_adjacent(g).items():
-        floor, ceiling, intersection = pair_bounds(g, e, f)
+        floor, ceiling, intersection = _bounds(g, space, e, f)
         tag = f"({names[e]},{names[f]})"
         wit = ((f"kappa{tag}", float(kappa)),)
         out.append(_check(f"curvature-floor{tag}", kappa, floor, ">=", _GAP_TOL, wit))

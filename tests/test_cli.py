@@ -15,6 +15,7 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from edge_ricci import cli
 from edge_ricci.cli import run
 from edge_ricci.graph_core import generate, parse_edgelist, serialize_edgelist
 
@@ -682,6 +683,37 @@ def test_fuzzed_inputs_exit_cleanly(data):
                 assert "Traceback" not in err.getvalue()
     finally:
         os.unlink(path)
+
+
+def _outcomes(capsys, runs):
+    """(exit code, stdout, stderr) of each argv run in turn in this process;
+    argparse's own exits (usage errors, --help) count by their code."""
+    out = []
+    for argv in runs:
+        try:
+            code = run(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        out.append((code, captured.out, captured.err))
+    return out
+
+
+def test_the_parser_is_built_once_and_answers_as_a_fresh_one(capsys, monkeypatch):
+    # an input error, --help, a report that fails a check, one that
+    # passes, a spectrum, a usage error, an edge list and a subcommand's help
+    runs = [["verify", "--family", "k4"], ["--help"], ["verify", "--family", "path:4"],
+            ["verify", "--family", "complete:4", "--format", "json"],
+            ["spectrum", "--family", "cycle:5", "--format", "csv"], ["spectrum", "--zero-tol"],
+            ["generate", "--family", "star:4"], ["verify", "--help"]]
+    cli.build_parser.cache_clear()
+    shared = _outcomes(capsys, runs)
+    assert cli.build_parser.cache_info().misses == 1
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    fresh = _outcomes(capsys, runs)
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [2, 0, 1, 0, 0, 2, 0, 0]
+    assert all(out for code, out, _ in shared if code == 0)
 
 
 def test_importing_the_cli_leaves_the_acceptance_criteria_unloaded():

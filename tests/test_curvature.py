@@ -104,6 +104,43 @@ def test_pair_argument_validation():
     assert adjacent_minimum(generate("path:2")) is None
 
 
+_PAIR_ARGS = [(1, 1), (9, 9), (0, 9), (9, 0), (-1, 0), (0, -1), (0, 2)]
+_UNKNOWN_9 = (UnknownEdgeError, "edge ordinal 9 out of range (0..2)")
+_UNKNOWN_MINUS_1 = (UnknownEdgeError, "edge ordinal -1 out of range (0..2)")
+_SOLVE_ERRORS = [(SamePairError, "curvature needs two distinct edges, got 1 twice"),
+                 (SamePairError, "curvature needs two distinct edges, got 9 twice"),
+                 _UNKNOWN_9, _UNKNOWN_9, _UNKNOWN_MINUS_1, _UNKNOWN_MINUS_1, None]
+# the first error of each pair function on each of _PAIR_ARGS on path:4, as
+# (type, message), or None where the call returns
+_PRECEDENCE = {
+    # ricci checks both ordinals before it asks for two distinct edges
+    ricci: [_SOLVE_ERRORS[0], _UNKNOWN_9, *_SOLVE_ERRORS[2:]],
+    curvature.pair_transport_problem: _SOLVE_ERRORS,
+    transport_for_pair: _SOLVE_ERRORS,
+    pair_bounds: [(SamePairError, "need two distinct edges, got 1 twice"),
+                  (SamePairError, "need two distinct edges, got 9 twice"),
+                  _UNKNOWN_9, _UNKNOWN_9, _UNKNOWN_MINUS_1, _UNKNOWN_MINUS_1,
+                  (NotAdjacentError, "edges v0-v1 and v2-v3 share no vertex")],
+}
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["fresh", "warm"])
+@pytest.mark.parametrize("fn", list(_PRECEDENCE), ids=lambda fn: fn.__name__)
+def test_pair_errors_keep_their_precedence(fn, warm):
+    # on a fresh graph, and on one whose table, measures and rows are built
+    for (e, f), want in zip(_PAIR_ARGS, _PRECEDENCE[fn], strict=True):
+        g = generate("path:4")
+        if warm:
+            ricci_all_adjacent(g)
+            ricci(g, 0, 2)
+        if want is None:
+            fn(g, e, f)
+            continue
+        with pytest.raises(want[0]) as info:
+            fn(g, e, f)
+        assert (type(info.value), str(info.value)) == want, (e, f)
+
+
 # ------------------------------------------------------------------ bounds
 
 def test_k4_bounds_bracket_the_value():

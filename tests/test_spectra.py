@@ -136,6 +136,46 @@ def test_symmetry_is_enforced():
         eigenvalues_symmetric([[1, 2], [3, 1]])
 
 
+def _error(matrix):
+    with pytest.raises((NotSymmetricError, NonFiniteMatrixError)) as info:
+        eigenvalues_symmetric(matrix)
+    return type(info.value), str(info.value)
+
+
+def test_the_input_pass_names_the_first_bad_entry():
+    # the rows may be any iterables of numbers; the first short row is named
+    assert _error(([1, 0, 0], (0, 1), iter([0, 1]))) == (
+        NotSymmetricError, "3-row matrix is not square: row 1 has 2 entries")
+    # a non-finite entry anywhere, before any asymmetry it makes
+    for bad in (math.nan, math.inf, -math.inf):
+        for p, q in ((0, 0), (0, 2), (2, 1), (2, 2)):
+            a = [[1.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 1.0]]
+            a[p][q] = bad
+            assert _error(a) == (NonFiniteMatrixError, "3x3 matrix has an infinite or NaN entry")
+    # the first mirror pair out of tolerance, row by row over the upper
+    # triangle, even when a later one is further off
+    assert _error([[1, 0, 2], [0, 1, 5], [3, 9, 1]]) == (
+        NotSymmetricError, "3x3 matrix: entry (0,2) = 2.0 but (2,0) = 3.0")
+    assert _error([[1, 0, 0], [0, 1, 5], [0, 9, 1]]) == (
+        NotSymmetricError, "3x3 matrix: entry (1,2) = 5.0 but (2,1) = 9.0")
+
+
+def test_near_symmetric_mirrors_are_averaged():
+    # mirrors 2e-12 apart are within the tolerance (1e-12 of the largest
+    # |entry|, 3 from the entry -3) and solved as their average, not as
+    # either side
+    x, y = 0.3, 0.3 + 2e-12
+
+    def solve(upper, lower):
+        return eigenvalues_symmetric([[2.0, upper, 0.1], [lower, 1.0, 0.2], [0.1, 0.2, -3.0]])
+
+    mid = 0.5 * x + 0.5 * y
+    assert solve(x, y) == solve(y, x) == solve(mid, mid)
+    assert solve(mid, mid) not in (solve(x, x), solve(y, y))
+    # exact mirrors, -0.0 against 0.0 included, are left as they are
+    assert eigenvalues_symmetric([[1.0, -0.0], [0.0, 2.0]]) == (1.0, 2.0)
+
+
 def test_cycle_spectra_match_closed_forms():
     # C4's line structure is again a 4-cycle: eigenvalues 1 - cos(2 pi k / 4)
     assert spectrum_of(generate("cycle:4"), "edge", "degree").values == pytest.approx(

@@ -153,6 +153,58 @@ def test_bounds_weighted_ceiling_needs_constant_vertex_weights():
     assert all(c.applicable and not c.diagnostic and c.holds for c in checks)
 
 
+def _bound_line(name, lhs, rhs, wit, diagnostic=False):
+    # lhs >= rhs: exactly, tolerance 0, when both sides are exact, else in
+    # floats within _GAP_TOL
+    exact = all(isinstance(x, Fraction) for x in (lhs, rhs))
+    holds = lhs >= rhs if exact else float(lhs) >= float(rhs) - _GAP_TOL
+    return TheoremCheck(name, True, "", float(lhs), float(rhs), ">=",
+                        0.0 if exact else _GAP_TOL, holds, diagnostic, wit)
+
+
+def _bound_lines_pair_by_pair(g):
+    """check_bounds(g) as the public ricci and pair_bounds give it, pair by
+    pair in key order."""
+    lines = []
+    for e in range(g.n_edges):
+        for f in range(e + 1, g.n_edges):
+            if not curvature.edges_adjacent(g, e, f):
+                continue
+            kappa = curvature.ricci(g, e, f)
+            floor, ceiling, intersection = curvature.pair_bounds(g, e, f)
+            tag = f"({g.edge_name(e)},{g.edge_name(f)})"
+            wit = ((f"kappa{tag}", float(kappa)),)
+            lines.append(_bound_line(f"curvature-floor{tag}", kappa, floor, wit))
+            if ceiling is None:
+                lines.append(TheoremCheck(f"curvature-ceiling{tag}", False,
+                                          "vertex weights are not constant",
+                                          None, None, "", 0.0, None))
+            else:
+                lines.append(_bound_line(f"curvature-ceiling{tag}", ceiling, kappa, wit))
+            if intersection is not None:
+                lines.append(_bound_line(f"curvature-ceiling-intersection{tag}",
+                                         intersection, kappa, wit, diagnostic=True))
+    return lines
+
+
+@pytest.mark.parametrize("kind", ["unweighted", "constant-vertex-weights", "vertex-weights"])
+def test_bound_lines_are_the_public_pair_functions_pair_by_pair(kind):
+    # every field of every line, in order, with its type (repr tells 0 from
+    # 0.0 and -0.0 from 0.0), against lines built from ricci and pair_bounds
+    base = generate("random:9:0.45", seed=4)
+    rng = SplitMix64(4)
+    edges = {base.edge_endpoints(e): 0.5 + 1.5 * rng.uniform() for e in range(base.n_edges)}
+    g = {"unweighted": base,
+         "constant-vertex-weights": WeightedGraph(base, dict.fromkeys(base.labels, 1.5), edges),
+         "vertex-weights": WeightedGraph(
+             base, {v: 0.5 + 1.5 * rng.uniform() for v in base.labels}, edges)}[kind]
+    want = _bound_lines_pair_by_pair(g)
+    got = check_bounds(g)
+    assert len(want) > 3 * base.n_vertices
+    assert [repr(c) for c in got] == [repr(c) for c in want]
+    assert got == want
+
+
 def test_adjacent_pair_reduction():
     assert not check_adjacent_pair_reduction(generate("path:3")).applicable
     chk = check_adjacent_pair_reduction(generate("tree:8", seed=3))
@@ -621,7 +673,7 @@ def test_exact_checks_fail_inside_the_float_tolerance(monkeypatch):
     g = generate("tree:9", seed=2)
     table = ricci_all_adjacent(g)
     eps = Fraction(1, 10**30)
-    monkeypatch.setattr(verify, "pair_bounds", lambda g, e, f: (
+    monkeypatch.setattr(verify, "_bounds", lambda g, space, e, f: (
         table[e, f] + eps, table[e, f] - eps, table[e, f] - eps))
     monkeypatch.setattr(verify, "tree_curvature_formula",
                         lambda g, e, f: table[e, f] + eps)
