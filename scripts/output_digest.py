@@ -18,15 +18,16 @@ Then ``selftest --seed S`` runs for each seed in SELFTEST_SEEDS, so the
 acceptance gate's lines are digested too.
 Then ``generate --family SPEC`` runs for each family and for one
 malformed spec per kind of spec error, so the family grammar's graphs and
-error messages are digested too.  Last come three weighted documents of
+error messages are digested too.  Last come four weighted documents of
 cycle:4 at extreme weights, with the weighted documents' commands: every
-vertex weight 1e300, every edge weight 1e-200, and every vertex weight
-1e-300.  Then ``verify --format json`` runs on two documents that repeat a
-key, inside "vertex_weights" and at the top level, and on a triangle's edge
-list and weighted document, each saved with a leading UTF-8 byte order
-mark.  An invocation that
-raises instead of exiting prints ``raised:<exception type>`` in place of
-its exit code, and the run goes on.
+vertex weight 1e300, every edge weight 1e-200, every vertex weight 1e-300,
+and vertex weights 1, 1e-20, 1e-20, 1e-20, where a float path sum absorbs
+every vertex weight after the first.  Then ``verify --format json`` runs on
+two documents that repeat a key, inside "vertex_weights" and at the top
+level, and on a triangle's edge list and weighted document, each saved with
+a leading UTF-8 byte order mark.  An invocation that raises instead of
+exiting prints ``raised:<exception type>`` in place of its exit code, and
+the run goes on.
 
 Two versions of the code give the same bytes exactly when this script's
 outputs are identical:
@@ -80,9 +81,10 @@ WEIGHTS = ("unit", "constant", "random", "wide")
 # characters (U+0008 must stay \u0008, not \b) and a non-ASCII letter
 ESCAPES_EDGELIST = 'q" b\\\nb\\ c\x01\nc\x01 d\x08\nd\x08 \u00e9\n\u00e9 q"\nq" c\x01\n'
 SELFTEST_SEEDS = (0, 1)
-# (label, every vertex weight, every edge weight) of the cycle:4 documents
-EXTREMES = (("vertex-1e300", 1e300, 1.0), ("edge-1e-200", 1.0, 1e-200),
-            ("vertex-1e-300", 1e-300, 1.0))
+# (label, the vertex weights, every edge weight) of the cycle:4 documents
+EXTREMES = (("vertex-1e300", (1e300,) * 4, 1.0), ("edge-1e-200", (1.0,) * 4, 1e-200),
+            ("vertex-1e-300", (1e-300,) * 4, 1.0),
+            ("vertex-absorbed", (1.0, 1e-20, 1e-20, 1e-20), 1.0))
 # a triangle plus a pendant edge, with a key repeated in vertex_weights,
 # then with "edges" repeated (the second list drops the pendant)
 _TRIANGLE = '["a","b",1],["b","c",1],["c","a",1]'
@@ -197,7 +199,7 @@ def main() -> int:
         extremes = []
         for label, vertex, edge in EXTREMES:
             path = Path(tmp) / f"{label}.json"
-            path.write_text(document(g, [vertex] * g.n_vertices, [edge] * g.n_edges),
+            path.write_text(document(g, list(vertex), [edge] * g.n_edges),
                             encoding="utf-8")
             extremes.append((f"cycle:4/{label}", ["--weighted", "--input", str(path)],
                              weighted))

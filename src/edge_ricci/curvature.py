@@ -81,8 +81,9 @@ class PairProblem(TransportProblem):
     row kept with an infinite entry), so none is validated per pair.
     ``certified`` is True once the space certified its vertex metric, which
     building the problem forces: the costs are then a metric (within the
-    float tolerance on float input), the solver takes the dual's Lipschitz
-    bound as proved, and residual_cost may take W from the residual alone.
+    edge-metric lemma's 1 + 3 gamma on float input), the solver takes the
+    dual's Lipschitz bound as proved, and residual_cost may take W from the
+    residual alone.
     """
 
     def __init__(self, g, e: int, f: int):

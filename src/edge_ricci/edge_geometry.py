@@ -26,43 +26,38 @@ Every function below reads their common fields alone.
 The space is kept per graph by graph_core.derived, and keeps each edge's
 measure and distance row.
 
-An EdgeSpace certifies its int P once per graph, right after the Dijkstra
-runs and before any row is read: P[s][s] = w(s), and every other P[s][t]
-is the min over neighbors u of t of P[s][u] + w(t) (Bellman's equations).
-With positive weights on a connected graph they have one solution, so a P
-that passes is the vertex metric, and the failure of an entry raises
-MetricCertificateError naming both vertices, the stored value and the
-equation's.  The edge distance is then a metric: it is symmetric, 0 only
-on the diagonal, and for the triangle inequality through an edge g, let
-y1 be g's connector on an optimal path from e and y2 its connector on one
-to f; if y1 = y2 the two paths join at that vertex, and otherwise y1 and
-y2 are the two ends of g, which one hop joins.  The transport solver
-relies on this lemma for every problem sliced from the space.
+Both classes certify P once per graph, before any row is read, by one
+check of each Dijkstra run before the runs are mixed (EdgeSpace._certify),
+bitwise in the weights' own arithmetic fl (exact on ints).  The run from s
+comes with a path witness, its pop order and each vertex's parent:
 
-A WeightedEdgeSpace certifies its float P at the same point, by two
-inequalities instead: a float row of P mixes the rounding of different
-runs, so exact equations fail on correct metrics.  With eps = 1e-12, each
-holds within eps of its left side:
+  (a) run[s] = w(s);
+  (b) run[y] <= fl(run[x] + w(y)) on every arc (x, y);
+  (c) the order lists s, then every other finite entry t once, after its
+      parent p, a neighbor of t with run[t] = fl(run[p] + w(t)).
 
-  (I1) P(x, z) <= P(x, u) + P(u, z) - w(u) + eps P(x, z) for all x, u, z;
-  (I2) P(y1, z) <= w(y1) + P(y2, z) + eps P(y1, z) for each edge {y1, y2},
-       both ways, and every z.
+With (a), (b) and (c) are Bellman's equations.  Dijkstra meets all three:
+entering y costs w(y) from any neighbor, pops come in nondecreasing order
+and rounding is monotone, so no heap entry goes stale.  A failure raises
+MetricCertificateError naming the first entry that misses its equation,
+with both values, else the first that is no path sum by its witness.  The
+equations alone pass the run (1, 0.5, 0.5) on the path s-a-b of weights
+1, 1e-20, 1e-20, as fl(0.5 + 1e-20) = 0.5; (c) refuses it.  An entry that
+overflowed to inf is exempt from (c), and row refuses it.
 
-A least path through u, or one that starts with the hop from y1 to y2,
-bounds each left side, so both hold on a correct P up to rounding, which
-is about 1e-16 per vertex of the path; a failure raises
-MetricCertificateError naming both vertices and both sides.  Lemma: they
-give the edge metric's triangle inequality within that tolerance, d(e, f)
-<= (1 + 3 eps)(d(e, g) + d(g, f)).  Proof: let P(x, y1) = d(e, g) and
-P(y2, z) = d(g, f) with x in e, y1 and y2 in g, z in f, and D their sum.
-If y1 = y2 = u, (I1) gives (1 - eps) P(x, z) <= D.  Otherwise y1 and y2 are
-the ends of g, and (I2) gives P(y1, z) - w(y1) <= P(y2, z) + eps P(y1, z)
-with (1 - eps) P(y1, z) <= D (as w(y1) <= P(x, y1)), so (I1) at u = y1
-gives (1 - eps) P(x, z) <= D + eps D / (1 - eps).  Either way d(e, f) <=
-P(x, z) <= D / (1 - eps)^2 <= (1 + 3 eps) D, up to the check's own
-rounding, a few units in the last place.  The symmetry and the zero
-diagonal hold bitwise, as on int P.  The checks run in C map chains, n^3
-comparisons for (I1).
+Lemma (the edge metric).  Let P* and d* be the exact vertex and edge
+metrics, u = 2^-53 and gamma = (n - 1) u / (1 - (n - 1) u), 0 on int
+input.  Every finite entry of P lies in [(1 - gamma) P*, (1 + gamma) P*],
+and d against d* too.  Proof: by (c) an entry is a left fold of w along
+its parents' path, simple as their places in the order fall, so at least
+(1 - gamma) times its sum, at least P*; by (b) and monotone rounding it is
+at most the fold along a least path, at most (1 + gamma) P*.  Mixing and
+d's min over connectors keep both bounds.  d* is a metric: through an
+edge g, the optimal paths from e and to f reach g's connectors y1 and y2,
+equal or joined by one hop.  So d is symmetric bitwise, 0 only on the
+diagonal, and d(e, f) <= (1 + 3 gamma)(d(e, g) + d(g, f)), exactly on int
+input.  The transport solver relies on this for every problem sliced from
+the space.
 
 pairwise_costs builds a pair's K x K block, when one is read, from the
 cached distance rows by slicer, in C.
@@ -75,13 +70,11 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import repeat
-from operator import add, itemgetter, le
+from itertools import count, repeat
+from operator import add, itemgetter, le, lt
 
 from .errors import IsolatedEdgeError, MetricCertificateError, NonpositiveWeightError
 from .graph_core import Graph, WeightedGraph, check_edge_ordinal, derived
-
-_METRIC_TOL = 1e-12  # float P's certificate: accepted excess per unit of the left side
 
 
 class EdgeSpace:
@@ -94,10 +87,10 @@ class EdgeSpace:
     vertex_weight[v]  1, an int, so distances are int hop counts
     names[e]          g.edge_name(e)
     n_edges           g.n_edges
-    certified         True once the vertex metric passed its certificate
-                      (_certify: Bellman's equations here, the two
-                      inequalities on a WeightedEdgeSpace), which runs
-                      before any row is read
+    certified         True once every Dijkstra run of the vertex metric
+                      passed _certify (Bellman's equations and a path
+                      witness, on both classes), which runs before any row
+                      is read
 
     It is the graph's pair context, read by every edge pair.  The vertex
     metric, the distance rows (row) and the measures (measure) are filled
@@ -128,9 +121,17 @@ class EdgeSpace:
         self._measures: dict[int, EdgeMeasure] = {}
 
     def _vertex_metric(self) -> list[list]:
-        """P, certified before any row reads it (see _certify)."""
-        metric = self._shortest_paths()
-        self._certify(metric)
+        """P: each Dijkstra run passes _certify, then takes its entries
+        before s from the earlier runs, so P is symmetric bitwise."""
+        adjacent = self._neighbors_of_vertices()
+        tails, heads = zip(*[(x, y) for x, ys in enumerate(adjacent) for y in ys])
+        steps = list(map(self.vertex_weight.__getitem__, heads))
+        arcs = slicer(tails), slicer(heads), steps, dict(zip(zip(tails, heads), steps))
+        metric: list[list] = []
+        for s, (run, order, parent) in enumerate(self._shortest_paths(adjacent)):
+            self._certify(s, run, order, parent, arcs)
+            run[:s] = [earlier[s] for earlier in metric]
+            metric.append(run)
         self.certified = True
         return metric
 
@@ -139,44 +140,64 @@ class EdgeSpace:
         edges = self._edges
         return [[sum(edges[k]) - x for k in ks] for x, ks in enumerate(self._incident)]
 
-    def _shortest_paths(self) -> list[list]:
-        """P[x][y] by one Dijkstra run per vertex; each unordered pair keeps
-        the value of its smaller vertex's run, so P is symmetric bitwise."""
-        w, adjacent = self.vertex_weight, self._neighbors_of_vertices()
-        metric: list[list] = []
+    def _shortest_paths(self, adjacent: list[list[int]]) -> list[tuple[list, list, list]]:
+        """One Dijkstra run per source s, unmixed: (run, order, parent), with
+        run[t] the least vertex-weight sum from s to t (inf if it overflows),
+        order the pop order and parent[t] the vertex t was first reached
+        from (s for s and for entries never reached)."""
+        w = self.vertex_weight
+        runs = []
         for s in range(len(w)):
             dist = [math.inf] * len(w)
-            dist[s] = w[s]
+            dist[s], parent, order = w[s], [s] * len(w), []
             pq = [(dist[s], s)]
-            # no entry goes stale: entering y costs w[y] from any neighbor, pops
-            # come in nondecreasing order and rounding is monotone, so y's
-            # first push already carries its least distance
             while pq:
                 d, x = heapq.heappop(pq)
+                order.append(x)
                 for y in adjacent[x]:
                     nd = d + w[y]
                     if nd < dist[y]:
-                        dist[y] = nd
+                        dist[y], parent[y] = nd, x
                         heapq.heappush(pq, (nd, y))
-            dist[:s] = [run[s] for run in metric]
-            metric.append(dist)
-        return metric
+            runs.append((dist, order, parent))
+        return runs
 
-    def _certify(self, metric: list[list]) -> None:
-        """Check P against Bellman's equations, exactly: P[s][s] = w(s), and
-        every other P[s][t] is the min over neighbors u of t of P[s][u] +
-        w(t).  What a pass proves is in the module docstring."""
-        w, labels = self.vertex_weight, self._labels
-        near = list(map(slicer, self._neighbors_of_vertices()))
-        for s, run in enumerate(metric):
-            want = [min(pick(run)) + wt for pick, wt in zip(near, w)]
-            want[s] = w[s]
-            if want != run:
-                t = next(t for t, (p, q) in enumerate(zip(run, want)) if p != q)
-                raise MetricCertificateError(
-                    f"vertex metric P({labels[s]}, {labels[t]}) = {run[t]} misses "
-                    f"Bellman's equation, which gives {want[t]}"
-                )
+    def _certify(self, s: int, run: list, order: list[int], parent: list[int],
+                 arcs: tuple) -> None:
+        """Check the run from s and its path witness, bitwise, against (a),
+        (b) and (c) of the module docstring, which says what a pass proves.
+        arcs holds pickers of run[x] and run[y] over the arcs (x, y), each
+        arc's w(y), and those by arc."""
+        (tails, heads, steps, step), w, inf = arcs, self.vertex_weight, math.inf
+        rest = order[1:]
+        via = list(map(parent.__getitem__, rest))
+        at = dict(zip(order, count()))
+        popped = list(map(run.__getitem__, order))
+        # distinct finite entries, as many as the run has, are all of them;
+        # a parent that is no neighbor has no step, so its sum is nan
+        if (run[s] == w[s] and order[:1] == [s]
+                and all(map(le, heads(run), map(add, tails(run), steps)))
+                and len(at) == len(order) == len(run) - run.count(inf) and inf not in popped
+                and all(map(lt, map(at.get, via, repeat(len(order))), count(1)))
+                and popped[1:] == list(map(add, map(run.__getitem__, via),
+                                           map(step.get, zip(via, rest), repeat(math.nan))))):
+            return
+        labels = self._labels
+        want = [min(map(run.__getitem__, us)) + wt
+                for us, wt in zip(self._neighbors_of_vertices(), w)]
+        want[s] = w[s]
+        t = next((t for t, (x, y) in enumerate(zip(run, want)) if x != y), None)
+        if t is not None:
+            raise MetricCertificateError(f"vertex metric P({labels[s]}, {labels[t]}) = {run[t]} "
+                                         f"misses Bellman's equation, which gives {want[t]}")
+        # the first entry popped a wrong number of times or, other than s,
+        # popped first, or whose parent is no neighbor, popped later or
+        # misses its sum
+        t = next(t for t, (x, p, i) in enumerate(zip(run, parent, map(at.get, range(len(run)))))
+                 if order.count(t) != math.isfinite(x) or t != s and i is not None and not (
+                     i and (p, t) in step and at.get(p, i) < i and x == run[p] + w[t]))
+        raise MetricCertificateError(f"vertex metric P({labels[s]}, {labels[t]}) = {run[t]} "
+                                     f"is no path sum by its witness")
 
     def row(self, e: int) -> tuple:
         """Distance row from edge e: min P(x, y) over x in e and y in f for
@@ -229,40 +250,8 @@ class WeightedEdgeSpace(EdgeSpace):
                 )
         self.vertex_weight = wg.vertex_weights
 
-    def _certify(self, metric: list[list]) -> None:
-        """Check float P against the two inequalities of the module
-        docstring, each within 1e-12 of its left side: P(x, z) <= P(x, u) +
-        P(u, z) - w(u) for all x, u, z, and P(y1, z) <= w(y1) + P(y2, z) for
-        each edge {y1, y2}, both ways, and every z.  What a pass proves is
-        in the module docstring."""
-        w, labels = self.vertex_weight, self._labels
-        # each left side less its tolerance
-        low = [[p * (1 - _METRIC_TOL) for p in run] for run in metric]
-        for x, run in enumerate(metric):
-            for u, (p, wu) in enumerate(zip(run, w)):
-                if not all(map(le, low[x], map(add, metric[u], repeat(p - wu)))):
-                    rhs = [q + (p - wu) for q in metric[u]]
-                    z = _first_excess(low[x], rhs)
-                    raise MetricCertificateError(
-                        f"vertex metric P({labels[x]}, {labels[z]}) = {run[z]} exceeds "
-                        f"P({labels[x]}, {labels[u]}) + P({labels[u]}, {labels[z]}) "
-                        f"- w({labels[u]}) = {rhs[z]}")
-        for edge in self._edges:
-            for y1, y2 in (edge, edge[::-1]):
-                if not all(map(le, low[y1], map(add, metric[y2], repeat(w[y1])))):
-                    rhs = [q + w[y1] for q in metric[y2]]
-                    z = _first_excess(low[y1], rhs)
-                    raise MetricCertificateError(
-                        f"vertex metric P({labels[y1]}, {labels[z]}) = {metric[y1][z]} "
-                        f"exceeds w({labels[y1]}) + P({labels[y2]}, {labels[z]}) = {rhs[z]}")
-
     # bench/tracer.py wraps this class's own row; a super().row call would double its spans
     row = EdgeSpace.row
-
-
-def _first_excess(low: list, rhs: list) -> int:
-    """The first z whose tolerance-shrunk left side low[z] exceeds rhs[z]."""
-    return next(z for z, (p, q) in enumerate(zip(low, rhs)) if not p <= q)
 
 
 def edge_space(g: Graph) -> EdgeSpace:

@@ -65,8 +65,8 @@ class IsolatedEdgeError(EdgeRicciError):
 
 
 class MetricCertificateError(EdgeRicciError):
-    """An entry of a vertex metric fails its certificate: Bellman's equation
-    on exact input, one of the two metric inequalities on float input."""
+    """An entry of a Dijkstra run of a vertex metric fails its certificate:
+    Bellman's equation, or the run's path witness."""
 
 
 # ---------------------------------------------------------------- transport

@@ -83,22 +83,22 @@ walking unordered pairs, unless the problem is a certified
 curvature.PairProblem.  Such a problem slices its rows from a graph's edge
 space, whose vertex metric was certified once per graph before any row was
 read (edge_geometry), so its costs are a metric d: exactly on unweighted
-input, and on float input up to the triangle inequality's tolerance there,
-d(a, c) <= (1 + 3 eps)(d(a, b) + d(b, c)) with eps = 1e-12.  The envelope
-of a metric is 1-Lipschitz: if j attains f(b), then f(a) <= beta_j +
-d(a, j) <= beta_j + d(b, j) + d(a, b) = f(b) + d(a, b) by the triangle
-inequality, and the same with a and b swapped by symmetry.  On float input
-the same lines give an excess of at most 3 eps (d(a, b) + d(b, j)), below
-6e-12 of the largest cost, far inside the 1e-9 a walk accepts.  So the walk
-would re-prove a lemma, and those solves skip it; hand-built problems, whose
-costs nothing certified, keep it.  In float mode the accepted slackness,
-Lipschitz and gap errors are relative to the largest cost alone, as the
-tightness threshold is: the rounding error of a reduced cost grows with the
-potentials, which reach the largest cost, whatever the arc's own cost, and
-a floor of 1 would pass any certificate below unit cost scale.  A failure
-raises TransportError naming the edge pair and the instance size.  The dual
-objective and the plan's marginals (verify_coupling) are summed in the
-problem's units.
+input, and on float input up to the factor of the edge-metric lemma there,
+d(a, c) <= (1 + 3 gamma)(d(a, b) + d(b, c)), gamma about (n - 1) 2^-53 on n
+vertices.  The envelope of a metric is 1-Lipschitz: if j attains f(b), then
+f(a) <= beta_j + d(a, j) <= beta_j + d(b, j) + d(a, b) = f(b) + d(a, b) by
+the triangle inequality, and the same with a and b swapped by symmetry.  On
+float input the same lines give an excess of at most 3 gamma (d(a, b) +
+d(b, j)), at most 6 gamma of the largest cost, inside the 1e-9 a walk
+accepts for n < 1.5e6.  So the walk would re-prove a lemma, and those
+solves skip it; hand-built problems, whose costs nothing certified, keep
+it.  In float mode the accepted slackness, Lipschitz and gap errors are
+relative to the largest cost alone, as the tightness threshold is: the
+rounding error of a reduced cost grows with the potentials, which reach the
+largest cost, whatever the arc's own cost, and a floor of 1 would pass any
+certificate below unit cost scale.  A failure raises TransportError naming
+the edge pair and the instance size.  The dual objective and the plan's
+marginals (verify_coupling) are summed in the problem's units.
 
 On a certified problem the number W needs no full plan and no envelope,
 by the cancellation lemma: when the costs are a metric d, W(mu, nu) is the
@@ -111,7 +111,7 @@ the sources and f <= -phi on the sinks, so every coupling of mu and nu
 costs at least the sum of f (mu - nu) = f (mu' - nu'), which is at least
 the residual dual objective, the sum of nu'_j phi_j less that of
 mu'_i phi_i.  On float input each of those steps holds within the
-tolerances: the Lipschitz excess above costs at most 6e-12 of the largest
+tolerances: the Lipschitz excess above adds at most 6 gamma of the largest
 cost per unit of mass, and the residual checks below accept 1e-9 of it.
 So residual_cost, which ricci uses on every input, solves the residual
 with the same loop and checks that the flow is >= 0 and meets both

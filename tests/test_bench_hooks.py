@@ -63,14 +63,11 @@ def test_tracer_sees_every_transport_layer_and_every_pair(weighted):
     assert pairs == sorted(ricci_all_adjacent(g))
     assert len(pairs) < math.comb(g.n_edges, 2)
     # a pair's W comes from its residual LP on either input: one problem per
-    # pair, and no full-support solve, coupling check or Lipschitz walk
+    # pair, and no full-support solve, coupling check, Lipschitz walk or
+    # cost block
     assert stats["calls"]["curvature.pair_transport_problem"] == len(pairs)
-    layers = ["transport.solve_wasserstein", "transport.verify_coupling",
-              "transport.lipschitz_excess"]
-    if not weighted:
-        # no cost block either; a float pair reads its block for the tolerances
-        layers.append("edge_geometry.pairwise_costs")
-    for layer in layers:
+    for layer in ("transport.solve_wasserstein", "transport.verify_coupling",
+                  "transport.lipschitz_excess", "edge_geometry.pairwise_costs"):
         assert stats["calls"].get(layer, 0) == 0, layer
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import heapq
 import math
 import random
@@ -379,16 +380,23 @@ def test_an_exact_measure_off_one_names_its_sum():
         EdgeMeasure(0, (1, 2), (Fraction(1),))
 
 
-def _corrupting(monkeypatch, s, t, delta):
-    """Patch EdgeSpace's Dijkstra runs to return P with P[s][t] moved by delta."""
+def _planting(monkeypatch, s, plant):
+    """Patch EdgeSpace's Dijkstra runs so that plant(run, order, parent)
+    edits the run from s and its witness before the runs are mixed."""
     runs = EdgeSpace._shortest_paths
 
-    def corrupt(space):
-        metric = runs(space)
-        metric[s][t] += delta
-        return metric
+    def planted(space, adjacent):
+        out = runs(space, adjacent)
+        plant(*out[s])
+        return out
 
-    monkeypatch.setattr(EdgeSpace, "_shortest_paths", corrupt)
+    monkeypatch.setattr(EdgeSpace, "_shortest_paths", planted)
+
+
+def _corrupting(monkeypatch, s, t, delta):
+    """Patch EdgeSpace's Dijkstra runs so that the run from s has its entry
+    at t moved by delta before the runs are mixed."""
+    _planting(monkeypatch, s, lambda run, order, parent: run.__setitem__(t, run[t] + delta))
 
 
 @pytest.mark.parametrize("delta", [-1, 1])
@@ -436,16 +444,17 @@ def test_exact_pair_problems_are_certified_and_their_blocks_valid(family):
                 assert getattr(p, name) == getattr(twin, name), name
 
 
-def test_a_weighted_space_is_certified_by_the_inequalities_and_its_solves_skip_the_walk(
-        monkeypatch):
+def test_a_weighted_space_is_certified_run_by_run_and_skips_the_walk(monkeypatch):
+    # the one _certify of a Graph checks each Dijkstra run of a weighted
+    # space too, once per run, before any pair is solved
     base = generate("random:8:0.5", seed=3)
     wg = WeightedGraph(base, {v: 0.5 + 0.25 * k for k, v in enumerate(base.labels)},
                        {base.edge_endpoints(e): 1.0 for e in range(base.n_edges)})
-    monkeypatch.setattr(EdgeSpace, "_certify", lambda space, metric: pytest.fail("Bellman"))
-    checks = []
-    certify = WeightedEdgeSpace._certify
-    monkeypatch.setattr(WeightedEdgeSpace, "_certify",
-                        lambda space, metric: checks.append(space) or certify(space, metric))
+    assert "_certify" not in vars(WeightedEdgeSpace)
+    sources = []
+    certify = EdgeSpace._certify
+    monkeypatch.setattr(EdgeSpace, "_certify",
+                        lambda space, s, *run: sources.append(s) or certify(space, s, *run))
     walks = []
     walk = transport.lipschitz_excess
     monkeypatch.setattr(transport, "lipschitz_excess",
@@ -457,13 +466,13 @@ def test_a_weighted_space_is_certified_by_the_inequalities_and_its_solves_skip_t
             assert p.certified and not p.exact
             assert transport.residual_cost(p) == solve_wasserstein(p).distance
             solves += 1
-    assert edge_space(wg).certified and checks == [edge_space(wg)]
+    assert edge_space(wg).certified and sources == list(range(wg.n_vertices))
     assert solves and not walks
 
 
-def _float_space(kind, seed=0):
+def _float_runs(kind, seed=0):
     """A random:8:0.4 weighted graph as the CLI parses it, with weights in
-    [0.5, 2) or twelve decades wide, and its clean vertex metric."""
+    [0.5, 2) or twelve decades wide, and its clean Dijkstra runs."""
     base, rng = generate("random:8:0.4", seed=seed), random.Random(seed)
     draw = (lambda: 0.5 + 1.5 * rng.random()) if kind == "unit" else (
         lambda: 10 ** rng.uniform(-6, 6))
@@ -471,8 +480,13 @@ def _float_space(kind, seed=0):
                        {base.edge_endpoints(e): draw() for e in range(base.n_edges)})
     wg = parse_weighted(serialize_weighted(wg))
     space = edge_space(wg)
-    space.row(0)
-    return wg, space._metric
+    return wg, space._shortest_paths(space._neighbors_of_vertices())
+
+
+def _leaves(parent):
+    """The entries of a run that are no other entry's parent: raising one
+    leaves every other entry's Bellman equation as it was."""
+    return sorted(set(range(len(parent))) - set(parent))
 
 
 def _verify_fails_with(monkeypatch, capsys, tmp_path, wg, message):
@@ -488,25 +502,21 @@ def _verify_fails_with(monkeypatch, capsys, tmp_path, wg, message):
 def test_float_metric_certificate_names_a_path_that_beats_an_entry(
         monkeypatch, capsys, tmp_path, kind):
     # P(s, t) raised by 1e-9 of itself, for two vertices with one between
-    # them on a least path: that vertex's detour undercuts the entry
-    wg, metric = _float_space(kind)
-    w, labels = wg.vertex_weights, wg.labels
+    # them on a least path: that vertex's path undercuts the entry
+    wg, runs = _float_runs(kind)
+    labels = wg.labels
     edges = {frozenset(edge) for edge in wg.edges}
-    s, t = next((s, t) for s, row in enumerate(metric) for t in range(len(row))
-                if t != s and {s, t} not in edges)
-    raised = metric[s][t] * (1 + 1e-9)
-    _corrupting(monkeypatch, s, t, raised - metric[s][t])
+    s, t = next((s, t) for s, (_, _, parent) in enumerate(runs) for t in _leaves(parent)
+                if {s, t} not in edges)
+    clean = runs[s][0][t]
+    delta = clean * (1 + 1e-9) - clean
+    _corrupting(monkeypatch, s, t, delta)
     fresh = parse_weighted(serialize_weighted(wg))
+    message = (f"vertex metric P({labels[s]}, {labels[t]}) = {clean + delta} misses "
+               f"Bellman's equation, which gives {clean}")
     with pytest.raises(MetricCertificateError) as exc:
         edge_space(fresh).row(0)
-    message = str(exc.value)
-    found = re.fullmatch(rf"vertex metric P\({labels[s]}, {labels[t]}\) = (\S+) exceeds "
-                         rf"P\({labels[s]}, (\w+)\) \+ P\(\2, {labels[t]}\) - w\(\2\) "
-                         rf"= (\S+)", message)
-    assert found, message
-    u = labels.index(found[2])
-    assert float(found[1]) == metric[s][t] + (raised - metric[s][t])
-    assert float(found[3]) == metric[u][t] + (metric[s][u] - w[u]) < float(found[1])
+    assert str(exc.value) == message
     assert not edge_space(fresh).certified
     _verify_fails_with(monkeypatch, capsys, tmp_path, wg, message)
 
@@ -515,20 +525,189 @@ def test_float_metric_certificate_names_a_path_that_beats_an_entry(
 def test_float_metric_certificate_names_an_edge_dearer_than_its_ends(
         monkeypatch, capsys, tmp_path, kind):
     # P(y1, y2) of an edge raised by less than any third vertex weighs:
-    # every detour still costs more, so only the second inequality, with
-    # z = y2, sees it
-    wg, metric = _float_space(kind)
+    # every detour still costs more, and the hop from y1 gives w(y1) + w(y2)
+    wg, runs = _float_runs(kind)
     w, labels = wg.vertex_weights, wg.labels
-    y1, y2 = min((wg.edge_endpoints(e) for e in range(wg.n_edges)),
-                 key=lambda edge: metric[labels.index(edge[0])][labels.index(edge[1])])
-    y1, y2 = labels.index(y1), labels.index(y2)
+    y1, y2 = next((y1, y2) for y1, (_, _, parent) in enumerate(runs) for y2 in _leaves(parent)
+                  if (labels[y1], labels[y2]) in map(wg.edge_endpoints, range(wg.n_edges))
+                  or (labels[y2], labels[y1]) in map(wg.edge_endpoints, range(wg.n_edges)))
     delta = min(w) / 2
-    assert delta > 1e-11 * metric[y1][y2]
     _corrupting(monkeypatch, y1, y2, delta)
     fresh = parse_weighted(serialize_weighted(wg))
-    message = (f"vertex metric P({labels[y1]}, {labels[y2]}) = {metric[y1][y2] + delta} "
-               f"exceeds w({labels[y1]}) + P({labels[y2]}, {labels[y2]}) = {w[y1] + w[y2]}")
+    message = (f"vertex metric P({labels[y1]}, {labels[y2]}) = {w[y1] + w[y2] + delta} "
+               f"misses Bellman's equation, which gives {w[y1] + w[y2]}")
     with pytest.raises(MetricCertificateError) as exc:
         edge_space(fresh).row(0)
     assert str(exc.value) == message
     _verify_fails_with(monkeypatch, capsys, tmp_path, wg, message)
+
+
+def _absorbing_path():
+    """The path v0-v1-v2 with vertex weights 1, 1e-20, 1e-20: from v0 each
+    further vertex weight is absorbed, fl(1 + 1e-20) = 1."""
+    g = generate("path:3")
+    return WeightedGraph(g, dict(zip(g.labels, (1.0, 1e-20, 1e-20))),
+                         {g.edge_endpoints(e): 1.0 for e in range(g.n_edges)})
+
+
+# a witness for the bogus run (1, 0.5, 0.5) from v0 of the absorbing path:
+# Dijkstra's own, whose sum at v1 fails, 0.5 != 1 + 1e-20, or parents v1
+# and v2 of each other, whose sums all hold, 0.5 = 0.5 + 1e-20, but v1's
+# parent comes later
+_BOGUS_WITNESSES = {"dijkstra": ([0, 1, 2], [0, 0, 1]), "cyclic": ([0, 1, 2], [0, 2, 1])}
+
+
+@pytest.mark.parametrize("witness", sorted(_BOGUS_WITNESSES))
+def test_the_witness_rejects_a_run_that_meets_bellmans_equations_with_no_path_sum(
+        monkeypatch, witness):
+    wg = _absorbing_path()
+    space = edge_space(wg)
+    space.row(0)
+    assert space.certified and space._metric == [[1.0, 1.0, 1.0], [1.0, 1e-20, 2e-20],
+                                                 [1.0, 2e-20, 1e-20]]
+    planted_order, planted_parent = _BOGUS_WITNESSES[witness]
+
+    def bogus(run, order, parent):
+        run[1:] = [0.5, 0.5]
+        # the equations hold bitwise: 0.5 = min(1, 0.5) + 1e-20 = 0.5 + 1e-20
+        assert run[1] == min(run[0], run[2]) + 1e-20 and run[2] == run[1] + 1e-20
+        order[:], parent[:] = planted_order, planted_parent
+
+    _planting(monkeypatch, 0, bogus)
+    fresh = _absorbing_path()
+    with pytest.raises(MetricCertificateError) as exc:
+        edge_space(fresh).row(0)
+    assert str(exc.value) == "vertex metric P(v0, v1) = 0.5 is no path sum by its witness"
+    assert not edge_space(fresh).certified
+
+
+# on cycle:6 the run from v0 and its witness; each defect below breaks one
+# condition of the certificate and keeps every other: (a) a run shifted by
+# one, (b) the sums the longer way round, and (c) an order that starts at
+# v1, whose 0 is no parent's sum, or each defect of the witness
+_RUN = [1, 2, 3, 4, 3, 2]
+_ORDER = [0, 1, 5, 2, 4, 3]
+_PARENT = [0, 0, 1, 2, 5, 0]
+_NO_PATH_SUM = " is no path sum by its witness"
+_WITNESS_DEFECTS = {
+    "shifted-run": ([2, 3, 4, 5, 4, 3], _ORDER, _PARENT,
+                    "P(v0, v0) = 2 misses Bellman's equation, which gives 1"),
+    "longer-path": ([1, 2, 3, 4, 5, 6], [0, 1, 2, 3, 4, 5], [0, 0, 1, 2, 3, 4],
+                    "P(v0, v5) = 6 misses Bellman's equation, which gives 2"),
+    "first-entry-unproved": ([1, 0, 1, 2, 3, 2], [1, 0, 2, 5, 3, 4], [1, 1, 1, 2, 3, 0],
+                             "P(v0, v1) = 0 misses Bellman's equation, which gives 2"),
+    # v1 popped before v0
+    "source-not-first": (_RUN, [1, 0, 5, 2, 4, 3], _PARENT, "P(v0, v1) = 2" + _NO_PATH_SUM),
+    # v2's parent v5 is no neighbor of v2
+    "parent-no-neighbor": (_RUN, _ORDER, [0, 0, 5, 2, 5, 0], "P(v0, v2) = 3" + _NO_PATH_SUM),
+    # v3 popped before its parent v2
+    "parent-popped-later": (_RUN, [0, 1, 5, 3, 2, 4], _PARENT, "P(v0, v3) = 4" + _NO_PATH_SUM),
+    "entry-omitted": (_RUN, [0, 1, 5, 2, 3], _PARENT, "P(v0, v4) = 3" + _NO_PATH_SUM),
+    "entry-repeated": (_RUN, [0, 1, 5, 2, 4, 3, 4], _PARENT, "P(v0, v4) = 3" + _NO_PATH_SUM),
+    # as many entries as the run has finite ones, v4 twice for v3
+    "entry-repeated-for-another": (_RUN, [0, 1, 5, 2, 4, 4], _PARENT,
+                                   "P(v0, v3) = 4" + _NO_PATH_SUM),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(_WITNESS_DEFECTS))
+def test_the_witness_names_each_planted_defect(monkeypatch, defect):
+    g = generate("cycle:6")
+    assert g.labels == ("v0", "v1", "v2", "v3", "v4", "v5")
+    space = edge_space(g)
+    assert space._shortest_paths(space._neighbors_of_vertices())[0] == (_RUN, _ORDER, _PARENT)
+    *planted, message = _WITNESS_DEFECTS[defect]
+
+    def plant(*lists):
+        for old, new in zip(lists, planted):
+            old[:] = new
+
+    _planting(monkeypatch, 0, plant)
+    with pytest.raises(MetricCertificateError) as exc:
+        edge_space(generate("cycle:6")).row(0)
+    assert str(exc.value) == "vertex metric " + message
+
+
+def test_the_witness_pops_no_overflowed_entry(monkeypatch):
+    # from v1 of the path v0-v1-v2-v3 at vertex weights 1, 1, 1e308, 1e308,
+    # P(v1, v3) overflows; an order that pops it in place of v0, after v2 as
+    # its parent, has as many entries as the run has finite ones, and each
+    # popped sum holds
+    g = generate("path:4")
+    weights = dict(zip(g.labels, (1.0, 1.0, 1e308, 1e308)))
+    edges = {g.edge_endpoints(e): 1.0 for e in range(g.n_edges)}
+    space = edge_space(WeightedGraph(g, weights, edges))
+    run, order, parent = space._shortest_paths(space._neighbors_of_vertices())[1]
+    assert run == [2.0, 1.0, 1e308, math.inf] and order == [1, 0, 2]
+
+    def pop_the_overflow(run, order, parent):
+        order[:], parent[3] = [1, 2, 3], 2
+
+    _planting(monkeypatch, 1, pop_the_overflow)
+    with pytest.raises(MetricCertificateError) as exc:
+        edge_space(WeightedGraph(g, weights, edges)).row(0)
+    assert str(exc.value) == "vertex metric P(v1, v0) = 2.0" + _NO_PATH_SUM
+
+
+# stdout of verify --weighted on path:4 at vertex weights 1, 1e-20, 1e-20, 1,
+# as before the witness existed: edge-kernel-dimension[graph] fails
+_ABSORBED_VERIFY_SHA256 = "f5c1724bd4fc28228e13e672988d899dd4c337233c61a677d85939908c4ada8b"
+
+
+def test_verify_on_absorbed_weights_reports_its_checks(capsys, tmp_path):
+    g = generate("path:4")
+    wg = WeightedGraph(g, dict(zip(g.labels, (1.0, 1e-20, 1e-20, 1.0))),
+                       {g.edge_endpoints(e): 1.0 for e in range(g.n_edges)})
+    path = tmp_path / "g.json"
+    path.write_text(serialize_weighted(wg))
+    assert cli.run(["verify", "--weighted", "--input", str(path), "--format", "text"]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == _ABSORBED_VERIFY_SHA256
+
+
+def _exact_metric(wg):
+    """The exact vertex metric of wg: Dijkstra over the weights as Fractions."""
+    space = edge_space(wg)
+    w = list(map(Fraction, wg.vertex_weights))
+    adjacent = space._neighbors_of_vertices()
+    metric = []
+    for s in range(len(w)):
+        dist = [None] * len(w)
+        pq = [(w[s], s)]
+        while pq:
+            d, x = heapq.heappop(pq)
+            if dist[x] is None:
+                dist[x] = d
+                for y in adjacent[x]:
+                    if dist[y] is None:
+                        heapq.heappush(pq, (d + w[y], y))
+        metric.append(dist)
+    return metric
+
+
+@given(st.integers(0, 10**6))
+def test_float_metric_is_certified_within_gamma_and_scales_exactly(seed):
+    # vertex weights 10^U(-100, 100) absorb one another along most paths;
+    # every entry lies within gamma = (n - 1) u / (1 - (n - 1) u) of the
+    # exact metric (the module's lemma), and scaling every vertex weight by
+    # 2^k moves no rounding, so P scales exactly and stays certified
+    rng = random.Random(seed)
+    base = generate("random:9:0.4", seed=seed)
+    vertex = [10 ** rng.uniform(-100, 100) for _ in base.labels]
+    edge = {base.edge_endpoints(e): 1.0 for e in range(base.n_edges)}
+    wg = WeightedGraph(base, dict(zip(base.labels, vertex)), edge)
+    space = edge_space(wg)
+    space.row(0)
+    assert space.certified
+    u = Fraction(1, 2**53)
+    gamma = (len(vertex) - 1) * u / (1 - (len(vertex) - 1) * u)
+    for got, want in zip(space._metric, _exact_metric(wg)):
+        assert all(abs(Fraction(p) - q) <= gamma * q for p, q in zip(got, want))
+    for k in (-40, 40):
+        scaled = WeightedGraph(base, {v: math.ldexp(x, k) for v, x in zip(base.labels, vertex)},
+                               edge)
+        other = edge_space(scaled)
+        other.row(0)
+        assert other.certified
+        assert other._metric == [[math.ldexp(p, k) for p in run] for run in space._metric]

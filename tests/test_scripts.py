@@ -156,16 +156,16 @@ def test_output_digest_covers_every_input_and_command(monkeypatch, capsys, load_
     # with five commands, three spectra and six matrix dumps each, eight
     # weighted documents with five commands, four spectra and eight matrix
     # dumps each, one selftest, generate for the two families and for the
-    # six malformed specs, the three extreme-weight documents like the
+    # six malformed specs, the four extreme-weight documents like the
     # weighted ones, then verify on the two repeated-key documents and the
     # two byte-order-marked triangles
-    assert len(lines) == 5 * (5 + 3 + 6) + 8 * (5 + 4 + 8) + 1 + 2 + 6 + 3 * 17 + 2 + 2
+    assert len(lines) == 5 * (5 + 3 + 6) + 8 * (5 + 4 + 8) + 1 + 2 + 6 + 4 * 17 + 2 + 2
     assert all(len(line.split()[1]) == 64 for line in lines)
     # exit 1 is a report with a failed check, not a crash; a malformed spec
     # is bad usage; a crash would read raised:<type>
     codes = [line.split()[0] for line in lines]
-    assert all(code in ("0", "1") for code in codes[:-61] + codes[-55:-4])
-    assert codes[-61:-55] == ["2"] * 6
+    assert all(code in ("0", "1") for code in codes[:-78] + codes[-72:-4])
+    assert codes[-78:-72] == ["2"] * 6
     assert codes[-4:] == ["2", "2", "0", "0"]
     assert lines[0].endswith(" cycle:4 verify --format json")
     assert lines[4].endswith(" cycle:4 curvature --format json")
@@ -196,7 +196,8 @@ def test_output_digest_covers_every_input_and_command(monkeypatch, capsys, load_
     assert lines[214].endswith(" cycle:2 generate")
     assert lines[215].endswith(" cycle:4/vertex-1e300 verify --format json")
     assert lines[249].endswith(" cycle:4/vertex-1e-300 verify --format json")
-    assert lines[-5].endswith(" cycle:4/vertex-1e-300 spectrum --weighting graph"
+    assert lines[266].endswith(" cycle:4/vertex-absorbed verify --format json")
+    assert lines[-5].endswith(" cycle:4/vertex-absorbed spectrum --weighting graph"
                               " --operator edge --format matrix")
     assert lines[-4].endswith(" repeated-vertex-key verify --format json")
     assert lines[-3].endswith(" repeated-edges-key verify --format json")
