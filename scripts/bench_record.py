@@ -9,8 +9,10 @@ bench/baseline.json's shape: per workload, each end-to-end metric's median
 and quartiles over the plain runs, and the traced run's per-layer metrics;
 plus the commit, the sha256 of the source it measured, the Python version,
 the CPU count, the run length and the seeds; and, under "source", the line
-count of each file in src/ and the stdlib compile() time of each module that
-``import edge_ricci.cli`` loads, best of COMPILE_REPEATS.  Every interpreter
+count and the AST node count (docstrings left out, so comments, blank lines
+and reformatting do not move it) of each file in src/, and the stdlib
+compile() time of each module that ``import edge_ricci.cli`` loads, best of
+COMPILE_REPEATS.  Every interpreter
 start compiles those modules when no bytecode cache is written, so a change
 that deletes code can cite the compile time it saves.  A record made before
 its commit exists names the parent, marked -dirty; the source hash still
@@ -27,6 +29,7 @@ A run that exits nonzero, ends its output in no JSON result line, or reports
 from __future__ import annotations
 
 import argparse
+import ast
 import hashlib
 import json
 import math
@@ -117,11 +120,27 @@ def cli_modules() -> dict[str, Path]:
     return {name: Path(path) for name, path in map(str.split, proc.stdout.splitlines())}
 
 
+def ast_nodes(source: str) -> int:
+    """The number of nodes in source's AST, less each docstring's statement
+    and constant (a module's, class's or function's first statement when it
+    is a string)."""
+    tree = ast.parse(source)
+    nodes = sum(1 for _ in ast.walk(tree))
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            if ast.get_docstring(node, clean=False) is not None:
+                nodes -= 2
+    return nodes
+
+
 def source_cost(repeats: int = COMPILE_REPEATS) -> dict:
-    """Line counts of src/'s Python files, and the best of `repeats` compile()
-    times, in seconds, of each module that ``import edge_ricci.cli`` loads."""
-    lines = {path.relative_to(ROOT / "src").as_posix(): len(path.read_text().splitlines())
-             for path in sorted((ROOT / "src").rglob("*.py"))}
+    """Line and AST node counts (ast_nodes) of src/'s Python files, and the
+    best of `repeats` compile() times, in seconds, of each module that
+    ``import edge_ricci.cli`` loads."""
+    sources = {path.relative_to(ROOT / "src").as_posix(): path.read_text()
+               for path in sorted((ROOT / "src").rglob("*.py"))}
+    lines = {name: len(source.splitlines()) for name, source in sources.items()}
+    nodes = {name: ast_nodes(source) for name, source in sources.items()}
     compile_s = {}
     for name, path in cli_modules().items():
         source = path.read_text()
@@ -132,6 +151,7 @@ def source_cost(repeats: int = COMPILE_REPEATS) -> dict:
             best = min(best, time.perf_counter() - start)
         compile_s[name] = best
     return {"lines": lines, "lines_total": sum(lines.values()),
+            "ast_nodes": nodes, "ast_nodes_total": sum(nodes.values()),
             "compile_s": compile_s, "compile_s_total": sum(compile_s.values()),
             "compile_repeats": repeats}
 

@@ -7,12 +7,13 @@ cost and is cancelled first.  The residual instance, whose two supports are
 disjoint, is solved by the primal-dual method (Ahuja, Magnanti & Orlin,
 Network Flows, 1993, ch. 9; Kuhn's Hungarian method, 1955) with node
 potentials phi that keep every reduced cost c(u, v) + phi(u) - phi(v) >= 0.
-solve_wasserstein returns the full optimal coupling of mu and nu: the
-residual plan plus one diagonal (a, a, common) stay entry per shared atom,
-as a sorted tuple of (source, sink, amount) entries in the problem's units,
-with an envelope dual on the whole joint support.  residual_cost, for
-certified problems, returns the number W alone, in the problem's units
-(the last paragraphs).  Both start from one setup, _residual.
+One residual solve, checked by one certificate (the last paragraphs),
+serves both entry points.  residual_cost, for certified problems, returns
+the number W alone, in the problem's units.  solve_wasserstein lifts the
+residual solve to the full optimal coupling of mu and nu: the residual plan
+plus one diagonal (a, a, common) stay entry per shared atom, as a sorted
+tuple of (source, sink, amount) entries in the problem's units, with an
+envelope dual on the whole joint support.
 
 The potentials start as the column-reduced dual of Kuhn's method: every
 source at 0 and every sink at its least cost from any source.  Each reduced
@@ -70,66 +71,54 @@ rounding noise.  The number type fixes only the zero, that noise, the
 tightness threshold and the certificate tolerances; exact mode is the case
 where all of them are 0.
 
-The dual certificate of a full solve is a single function f, a dict on
-the full joint support with |f(a) - f(b)| <= d(a, b), built from the final
-potentials of the residual sinks by the envelope f(a) = min_j (beta_j +
-d(a, j)), beta_j = -phi(sink j); strong duality makes its objective equal
-the primal cost.  solve_wasserstein checks the certificate on the
-uncancelled problem before it returns a TransportResult: complementary
-slackness on the residual arcs that carry flow, both marginals of the full
-plan (verify_coupling), the Lipschitz bound, and the duality gap
-(dual_objective).  The Lipschitz bound on f is checked per solve, by
-walking unordered pairs, unless the problem is a certified
-curvature.PairProblem.  Such a problem slices its rows from a graph's edge
-space, whose vertex metric was certified once per graph before any row was
-read (edge_geometry), so its costs are a metric d: exactly on unweighted
-input, and on float input up to the factor of the edge-metric lemma there,
-d(a, c) <= (1 + 3 gamma)(d(a, b) + d(b, c)), gamma about (n - 1) 2^-53 on n
-vertices.  The envelope of a metric is 1-Lipschitz: if j attains f(b), then
-f(a) <= beta_j + d(a, j) <= beta_j + d(b, j) + d(a, b) = f(b) + d(a, b) by
-the triangle inequality, and the same with a and b swapped by symmetry.  On
-float input the same lines give an excess of at most 3 gamma (d(a, b) +
-d(b, j)), at most 6 gamma of the largest cost, inside the 1e-9 a walk
-accepts for n < 1.5e6.  So the walk would re-prove a lemma, and those
-solves skip it; hand-built problems, whose costs nothing certified, keep
-it.  In float mode the accepted slackness, Lipschitz and gap errors are
-relative to the largest cost alone, as the tightness threshold is: the
-rounding error of a reduced cost grows with the potentials, which reach the
-largest cost, whatever the arc's own cost, and a floor of 1 would pass any
-certificate below unit cost scale.  A failure raises TransportError naming
-the edge pair and the instance size.  The dual objective and the plan's
-marginals (verify_coupling) are summed in the problem's units.
+The one certificate is the residual LP's, checked by _solve on every
+solve: the flow is >= 0 and meets both residual marginals, every residual
+arc's reduced cost is >= 0, and the flow's cost equals the dual objective,
+the sum of nu'_j phi_j less that of mu'_i phi_i, over the residual masses
+mu' = mu minus the common mass and nu' = nu minus it.  In exact mode all of
+it holds in integer units, where a closed gap is complementary slackness on
+the arcs that carry flow.  In float mode the marginals hold within 1e-12,
+and, in units of the largest cost, every reduced cost is >= -1e-10, every
+arc that carries flow has |reduced cost| <= 1e-10, and the gap is within
+1e-9.  The float tolerances are relative to the largest cost alone, as the
+tightness threshold is: the rounding error of a reduced cost grows with the
+potentials, which reach the largest cost, whatever the arc's own cost, and
+a floor of 1 would pass any certificate below unit cost scale.  A failure
+raises TransportError naming the edge pair and the residual size.
 
-On a certified problem the number W needs no full plan and no envelope,
-by the cancellation lemma: when the costs are a metric d, W(mu, nu) is the
-optimum of the residual LP, which moves mu' = mu minus the common mass to
-nu' = nu minus the common mass over supp(mu') x supp(nu').  Proof: the
-residual plan plus the diagonal stays is a coupling of mu and nu of the
-same cost, so W is at most the residual optimum.  The envelope f of
-feasible residual potentials is 1-Lipschitz (above), with f >= -phi on
-the sources and f <= -phi on the sinks, so every coupling of mu and nu
+The certificate proves W on a metric d, by the cancellation lemma: then
+W(mu, nu) is the optimum of the residual LP over supp(mu') x supp(nu').
+Proof: the residual plan plus the diagonal stays is a coupling of mu and
+nu of the same cost, so W is at most the residual optimum.  The envelope
+f(a) = min_j (beta_j + d(a, j)), beta_j = -phi(sink j), of feasible
+residual potentials is 1-Lipschitz: if j attains f(b), then f(a) <= beta_j
++ d(a, j) <= beta_j + d(b, j) + d(a, b) = f(b) + d(a, b) by the triangle
+inequality, and the same with a and b swapped by symmetry.  With f >= -phi
+on the sources and f <= -phi on the sinks, every coupling of mu and nu
 costs at least the sum of f (mu - nu) = f (mu' - nu'), which is at least
-the residual dual objective, the sum of nu'_j phi_j less that of
-mu'_i phi_i.  On float input each of those steps holds within the
-tolerances: the Lipschitz excess above adds at most 6 gamma of the largest
-cost per unit of mass, and the residual checks below accept 1e-9 of it.
-So residual_cost, which ricci uses on every input, solves the residual
-with the same loop and checks that the flow is >= 0 and meets both
-residual marginals, that every residual arc's reduced cost is >= 0, and
-that the flow's cost equals the dual objective: in exact mode in integer
-units, where the last check is complementary slackness on the arcs that
-carry flow; in float mode the marginals within 1e-12, and, in units of
-the largest cost, every reduced cost >= -1e-10, |reduced cost| <= 1e-10 on
-the arcs that carry flow, and the gap within 1e-9, as solve_wasserstein
-accepts.  With the graph's metric certificate (edge_geometry) that is a
-complete certificate of W, for both number types: "a dual certificate
-checked on every transport solve" means this residual certificate plus
-the per-graph metric certificate.  A float W is solve_wasserstein's to the
-last bit: the same largest cost, demand rescale, dust and threshold make
-the loop's choices the same, and the flow's cost is the same left fold,
-source-major.  Hand-built problems never take that path, and a caller that
-reads a plan or a dual gets a full TransportResult from solve_wasserstein
-(curvature.transport_for_pair), checked as above.
+the residual dual objective.  The costs of a certified curvature.PairProblem
+are such a metric: it slices its rows from a graph's edge space, whose
+vertex metric was certified once per graph before any row was read
+(edge_geometry), exactly on unweighted input, and on float input up to the
+factor of the edge-metric lemma there, d(a, c) <= (1 + 3 gamma)(d(a, b) +
+d(b, c)), gamma about (n - 1) 2^-53 on n vertices.  There the lines above
+give an excess of at most 3 gamma (d(a, b) + d(b, j)), at most 6 gamma of
+the largest cost per unit of mass, inside the 1e-9 the certificate accepts
+for n < 1.5e6.  So residual_cost, which ricci uses on every input, needs no
+plan and no envelope, and "a dual certificate checked on every transport
+solve" means this residual certificate plus the per-graph metric
+certificate.  It refuses hand-built problems, whose costs nothing
+certified.
+
+A full solve, solve_wasserstein, is the same certified residual solve
+plus a lift to the uncancelled problem, which it checks before it returns
+a TransportResult: both marginals of the full plan (verify_coupling), the
+envelope's Lipschitz bound, walked over unordered pairs on hand-built
+problems only (a certified problem's is the lemma above), and the duality
+gap between W and the envelope's objective (dual_objective), within the
+gap tolerance.  The dual objective and the plan's marginals are summed in
+the problem's units.  A float W is the same number from both entry
+points, since both read the flow's cost, a source-major left fold.
 
 brute_force_wasserstein is the independent oracle used by the test suite
 and the acceptance gate: the transportation simplex under Bland's rule, which
@@ -285,55 +274,30 @@ class TransportResult:
 
 
 def solve_wasserstein(problem: TransportProblem) -> TransportResult:
-    """Minimum-cost transport, returned only once its certificate checks out.
-
-    The certificate tolerance is 0 in exact mode.  In float mode it is the
-    largest cost times 1e-10 for complementary slackness and times 1e-9 for
-    the Lipschitz bound and the duality gap.  A certified problem's
-    Lipschitz bound is a lemma, not walked (module docstring).  Every
-    TransportError raised here names the pair and the instance size.
+    """Minimum-cost transport, returned only once its certificate checks out:
+    the residual certificate (_solve), then the lift's marginals, Lipschitz
+    bound (hand-built problems only) and duality gap, as the module docstring
+    lists.  The tolerances are 0 in exact mode and relative to the largest
+    cost in float mode.  Every TransportError raised here names the pair and
+    the residual size.
     """
-    exact, scale = problem.exact, problem.scale
-    zero, dust, tight_tol, cs_tol, tol, common, sources, sinks, supply, demand = _residual(problem)
-    S, T = len(sources), len(sinks)
-    failure = _failing(problem, S, T)
-    # every atom's costs to the residual sinks: the sources' rows are the
-    # loop's cost matrix, and all of them span the envelope below
-    block = problem.costs(problem.atoms, sinks)
-    position = problem.position
-    cost = [block[position[a]] for a in sources]
-    flow, phi = _primal_dual(cost, supply, demand, zero, dust, tight_tol, failure)
-
-    # envelope dual certificate over the whole joint support:
-    # f(a) = min_j (beta_j + d(a, sink_j)) over the residual sinks, and
-    # f = 0 when mu = nu leaves nothing to ship
-    beta = [-phi[S + j] for j in range(T)]
-    dual = {a: min(map(add, beta, c), default=zero) for a, c in zip(problem.atoms, block)}
-
-    # the certificate: complementary slackness on the residual plan (whose
-    # cost is summed on the way), then, on the uncancelled problem, plan
-    # marginals in units, dual feasibility, and a closed duality gap.  The
-    # full plan is one diagonal stay entry per shared atom plus the residual
-    # flow; (source, sink) pairs are unique, so the sort compares no amounts.
-    # Flows are 0 or positive, so compress visits the arcs that carry flow,
-    # in the same source-major order as a walk over every arc.
-    entries = [(a, a, x) for a, x in common.items()]
-    total = zero
-    for i, (out, c, a) in enumerate(zip(flow, cost, sources)):
-        for j in compress(range(T), out):
-            x = out[j]
-            rc = c[j] + phi[i] - phi[S + j]
-            if abs(rc) > cs_tol:
-                raise failure(f"complementary slackness violated on arc ({i},{j}): {rc}")
-            total += x * c[j]
-            entries.append((a, sinks[j], x))
-    plan = tuple(sorted(entries))
+    total, common, sources, sinks, flow, v, zero, tol, failure = _solve(problem)
+    # the full plan: one diagonal stay entry per shared atom plus the
+    # residual flow, whose amounts are >= 0, so compress visits the arcs that
+    # carry flow; (source, sink) pairs are unique, so the sort compares no
+    # amounts
+    T = len(sinks)
+    plan = tuple(sorted([(a, a, x) for a, x in common.items()]
+                        + [(a, sinks[j], out[j]) for a, out in zip(sources, flow)
+                           for j in compress(range(T), out)]))
     violations = verify_coupling(problem, plan)
     if violations:
         raise failure(f"invalid plan: {violations[0]}")
-    distance = Fraction(total, scale) if exact else total
-    # the envelope of a metric is 1-Lipschitz, so a problem sliced from a
-    # certified metric needs no walk (curvature.PairProblem)
+    # the envelope dual over the whole joint support: f(a) = min_j (d(a,
+    # sink_j) - v_j), and f = 0 when mu = nu leaves nothing to ship
+    dual = {a: min(map(sub, c, v), default=zero)
+            for a, c in zip(problem.atoms, problem.costs(problem.atoms, sinks))}
+    distance = Fraction(total, problem.scale) if problem.exact else total
     if not problem.certified:
         excess = lipschitz_excess(problem, dual)
         if excess > tol:
@@ -341,29 +305,69 @@ def solve_wasserstein(problem: TransportProblem) -> TransportResult:
     gap = distance - dual_objective(problem, dual)
     if abs(gap) > tol:
         raise failure(f"duality gap {gap} exceeds {tol}")
-    return TransportResult(distance, plan, scale, dual, gap)
+    return TransportResult(distance, plan, problem.scale, dual, gap)
 
 
 def residual_cost(problem: TransportProblem):
     """W of a certified problem times its scale (an int when exact, else
-    solve_wasserstein's float to the last bit), from its residual LP alone
-    and certified by the checks the module docstring lists.  Given the flow
-    and dual feasibility checks, the gap between the flow's cost and the
-    dual objective is the sum of flow times reduced cost, so in exact mode
-    a gap names an arc that breaks complementary slackness.  Every
-    TransportError raised here names the pair and the residual size."""
+    solve_wasserstein's float to the last bit): the certified residual
+    solve's flow cost.  Raises TransportError on a problem that is not
+    certified."""
     if not problem.certified:
         raise TransportError(f"{_instance(problem.mu, problem.nu)}: not certified")
-    zero, dust, tight_tol, cs_tol, tol, _, sources, sinks, supply, demand = _residual(problem)
+    return _solve(problem)[0]
+
+
+def _solve(problem: TransportProblem) -> tuple:
+    """The residual solve of both entry points, with its certificate checked.
+
+    Cancels the common mass, runs the loop on the residual and checks the
+    residual certificate of the module docstring.  Returns the flow's cost
+    in the problem's units, then what a lift reads: the stays {atom: common
+    mass}, the residual sources and sinks (the atoms whose mass left in
+    units exceeds the dust, in the measures' atom order), the flow, the
+    sinks' potentials, the number type's zero, the gap tolerance, and the
+    error factory, whose TransportError names the pair and the residual
+    size.  Float demand is rescaled so that the totals match exactly: the
+    two sums disagree by a few ulp, and the loop would chase the dust.
+    Given the flow and dual feasibility checks, the gap between the flow's
+    cost and the dual objective is the sum of flow times reduced cost, so
+    in exact mode a gap names an arc that breaks complementary slackness.
+    """
+    supply, demand = problem._supply[:], problem._demand[:]
+    if problem.exact:
+        zero = dust = tight_tol = cs_tol = tol = 0
+    else:
+        cmax = problem.largest_cost
+        fix = sum(supply) / sum(demand)
+        demand = [d * fix for d in demand]
+        zero, dust, tight_tol, cs_tol, tol = (0.0, _FLOAT_DUST, _FLOAT_EPS_TIGHT * cmax,
+                                              _FLOAT_EPS_CS * cmax, _FLOAT_EPS_GAP * cmax)
+    mu, nu = problem.mu.atoms, problem.nu.atoms
+    common = {}
+    for a in set(mu).intersection(nu):
+        i, j = mu.index(a), nu.index(a)
+        s, t = supply[i], demand[j]
+        x = common[a] = s if s <= t else t
+        supply[i], demand[j] = s - x, t - x
+    if dust:  # float mode: a mass left at most the dust counts as 0
+        supply = [x if x > dust else zero for x in supply]
+        demand = [x if x > dust else zero for x in demand]
+    # amounts are >= 0, so each selects its own atom when it is positive
+    sources, sinks = list(compress(mu, supply)), list(compress(nu, demand))
+    supply, demand = list(compress(supply, supply)), list(compress(demand, demand))
     S, T = len(sources), len(sinks)
-    failure = _failing(problem, S, T)
+
+    def failure(what: str) -> TransportError:
+        return TransportError(f"{_instance(problem.mu, problem.nu)}, residual {S}x{T}: {what}")
+
     cost = problem.costs(sources, sinks)
     flow, phi = _primal_dual(cost, supply[:], demand[:], zero, dust, tight_tol, failure)
     u, v = phi[:S], phi[S:]
 
     # one walk over the arcs that carry flow (a negative amount is one)
-    # finds the least amount, the column sums and the flow's cost, a float
-    # cost summed as solve_wasserstein sums it, a source-major left fold
+    # finds the least amount, the column sums and the flow's cost, a
+    # source-major left fold
     least, cols, total = zero, [zero] * T, zero
     for out, c in zip(flow, cost):
         for j in compress(range(T), out):
@@ -405,47 +409,7 @@ def residual_cost(problem: TransportProblem):
                       + (f": {slack}" if slack else ""))
     if slack:
         raise failure(slack)
-    return total
-
-
-def _residual(problem: TransportProblem) -> tuple:
-    """Both solvers' setup: the number type's zero, dust, tightness
-    threshold and slackness and gap tolerances (relative to the problem's
-    largest_cost in float mode); then the stays {atom: common
-    mass}, the residual sources and sinks (the atoms whose mass left in
-    units exceeds dust, in the measures' atom order) and their supply and
-    demand lists.  Float demand is rescaled so that the totals match
-    exactly: the two sums disagree by a few ulp, and the loop would chase
-    the dust."""
-    supply, demand = problem._supply[:], problem._demand[:]
-    if problem.exact:
-        zero = dust = tight_tol = cs_tol = tol = 0
-    else:
-        cmax = problem.largest_cost
-        fix = sum(supply) / sum(demand)
-        demand = [d * fix for d in demand]
-        zero, dust, tight_tol, cs_tol, tol = (0.0, _FLOAT_DUST, _FLOAT_EPS_TIGHT * cmax,
-                                              _FLOAT_EPS_CS * cmax, _FLOAT_EPS_GAP * cmax)
-    mu, nu = problem.mu.atoms, problem.nu.atoms
-    common = {}
-    for a in set(mu).intersection(nu):
-        i, j = mu.index(a), nu.index(a)
-        s, t = supply[i], demand[j]
-        x = common[a] = s if s <= t else t
-        supply[i], demand[j] = s - x, t - x
-    if dust:  # float mode: a mass left at most the dust counts as 0
-        supply = [x if x > dust else zero for x in supply]
-        demand = [x if x > dust else zero for x in demand]
-    # amounts are >= 0, so each selects its own atom when it is positive
-    return (zero, dust, tight_tol, cs_tol, tol, common,
-            list(compress(mu, supply)), list(compress(nu, demand)),
-            list(compress(supply, supply)), list(compress(demand, demand)))
-
-
-def _failing(problem: TransportProblem, S: int, T: int):
-    """The TransportError of a solve: the instance and its residual size."""
-    return lambda what: TransportError(
-        f"{_instance(problem.mu, problem.nu)}, residual {S}x{T}: {what}")
+    return total, common, sources, sinks, flow, v, zero, tol, failure
 
 
 def _primal_dual(cost: list, supply: list, demand: list, zero, dust, tight_tol,
@@ -576,13 +540,13 @@ def _primal_dual(cost: list, supply: list, demand: list, zero, dust, tight_tol,
 
 def verify_coupling(problem: TransportProblem,
                     plan: tuple[tuple[int, int, object], ...]) -> tuple[str, ...]:
-    """Recheck both marginals: the violations, empty for a coupling.
+    """Recheck a coupling: the violations, empty for a coupling.
 
-    Row and column sums of the plan against problem.supply and
-    problem.demand, with tolerance 0 when exact and 1e-12 otherwise; names
-    the first offending row and column.  The plan's amounts are in the
-    problem's units, each mass times problem.scale, as the solver returns
-    them.
+    Names each entry whose amount is negative, then checks the row and
+    column sums of the plan against problem.supply and problem.demand, with
+    tolerance 0 when exact and 1e-12 otherwise, and names the first
+    offending row and column.  The plan's amounts are in the problem's
+    units, each mass times problem.scale, as the solver returns them.
     """
     mu, nu = problem.supply, problem.demand
     row = dict.fromkeys(mu, 0)
@@ -595,6 +559,8 @@ def verify_coupling(problem: TransportProblem,
         if b not in col:
             violations.append(f"plan column {b} is outside supp(nu)")
             continue
+        if amount < 0:
+            violations.append(f"plan entry {(a, b, amount)} has a negative amount")
         row[a] += amount
         col[b] += amount
     tol = 0 if problem.exact else 1e-12

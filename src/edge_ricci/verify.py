@@ -206,12 +206,12 @@ def check_adjacent_pair_reduction(g) -> TheoremCheck:
         W(e, f) <= sum W(p_i, p_i+1) <= sum d(p_i, p_i+1)(1 - kappa_min)
                  = d(e, f)(1 - kappa_min),
     that is kappa(e, f) >= kappa_min.  Hypotheses: W is a metric, and each
-    adjacent W(p_i, p_i+1) is the value its own solve certified (the
-    residual transport's certificate on unweighted input; the plan's
-    marginals, the dual's Lipschitz bound and the duality gap on weighted
-    input).  Nothing beyond the adjacent solves is computed: lhs and
-    rhs are both the adjacent minimum, read from the per-graph table, and
-    acceptance criterion 7 tests the theorem against every pair solved.
+    adjacent W(p_i, p_i+1) is the value its own solve certified: on both
+    inputs, the residual transport's certificate plus the graph's metric
+    certificate (transport, edge_geometry).  Nothing beyond the adjacent
+    solves is computed: lhs and rhs are both the adjacent minimum, read
+    from the per-graph table, and acceptance criterion 7 tests the theorem
+    against every pair solved.
     """
     name = "adjacent-min-extends-to-all-pairs"
     if g.n_edges < 3:

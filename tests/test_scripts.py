@@ -391,6 +391,20 @@ def test_bench_record_compiles_every_module_the_cli_imports(load_script):
     assert cost["lines_total"] == sum(cost["lines"].values()) > 0
 
 
+def test_bench_record_counts_ast_nodes_past_comments_docstrings_and_line_breaks(load_script):
+    module = load_script("bench_record")
+    base = "def f(x, y):\n    return max(x, y) + 1\n"
+    same = ['"""A module docstring."""\n' + base,
+            "# a comment\n" + base.replace("+ 1", "+ 1  # and another"),
+            'def f(x, y):\n    """A function docstring."""\n    return max(x, y) + 1\n',
+            "def f(x,\n      y):\n\n    return max(\n        x, y) + 1\n"]
+    assert {module.ast_nodes(source) for source in same} == {module.ast_nodes(base)}
+    assert module.ast_nodes(base + "z = 0\n") > module.ast_nodes(base)
+    cost = module.source_cost(repeats=1)
+    assert set(cost["ast_nodes"]) == set(cost["lines"])
+    assert cost["ast_nodes_total"] == sum(cost["ast_nodes"].values()) > 0
+
+
 _PARENT = [1.00, 1.01, 1.02, 1.03, 1.04, 1.05, 1.06, 1.07, 1.08, 1.09]
 
 

@@ -16,7 +16,13 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from edge_ricci import cli, transport
-from edge_ricci.curvature import edges_adjacent, pair_transport_problem, ricci, ricci_all_adjacent
+from edge_ricci.curvature import (
+    edges_adjacent,
+    pair_transport_problem,
+    ricci,
+    ricci_all_adjacent,
+    transport_for_pair,
+)
 from edge_ricci.edge_geometry import EdgeMeasure, edge_measure
 from edge_ricci.errors import MassImbalanceError, MissingPotentialError, TransportError
 from edge_ricci.graph_core import WeightedGraph, generate
@@ -128,9 +134,9 @@ def test_phase_search_passes_a_dead_branch_and_a_zero_cost_cycle():
 def test_column_reduced_start_needs_no_dual_step_when_the_column_minima_match(monkeypatch):
     # Sources at 0, 10 and 20, sinks at 1, 11.5 and 22, 1/3 each: every
     # sink's least cost is from the source beside it, so the start makes
-    # the diagonal tight and the first phase ships it all.  The solver
-    # slices once for the sinks' entries and once per dual step, so one
-    # call means no dual step.
+    # the diagonal tight and the first phase ships it all.  A full solve
+    # slices twice, the residual costs and then the envelope block, and once
+    # more per dual step, so two calls mean no dual step.
     calls, slicer = [], transport.slicer
 
     def counting(positions):
@@ -143,7 +149,7 @@ def test_column_reduced_start_needs_no_dual_step_when_the_column_minima_match(mo
                          *_block(tuple(range(6)), lambda a, b: abs(x[a] - x[b])))
     monkeypatch.setattr(transport, "slicer", counting)
     r = solve_wasserstein(p)
-    assert len(calls) == 1
+    assert len(calls) == 2
     assert [(a, b) for a, b, _ in r.plan] == [(0, 3), (1, 4), (2, 5)]
     assert r.distance == pytest.approx(1.5, rel=1e-15)
 
@@ -360,6 +366,16 @@ def test_verify_coupling_reads_amounts_in_the_problems_units():
     masses = tuple((a, b, x / p.scale) for a, b, x in split)
     assert verify_coupling(p, masses) == ("row 0: amount 1/2 != mu 1",
                                           "column 2: amount 1/2 != nu 1")
+
+
+def test_verify_coupling_names_a_negative_amount():
+    # K4, edges v0-v1 and v0-v2 (scale 4): the exact optimal plan with one
+    # unit turned round the cycle 1 -> 0, 1 -> 5, 4 -> 5, 4 -> 0, which keeps
+    # every row and column sum and leaves two amounts at -1
+    p = pair_transport_problem(generate("complete:4"), 0, 1)
+    plan = ((1, 0, 2), (1, 5, -1), (2, 2, 1), (3, 3, 1), (4, 0, -1), (4, 5, 2))
+    assert verify_coupling(p, plan) == ("plan entry (1, 5, -1) has a negative amount",
+                                        "plan entry (4, 0, -1) has a negative amount")
 
 
 def test_verify_coupling_flags_corruption():
@@ -753,11 +769,20 @@ def test_certificate_failure_names_the_pair_and_the_size(monkeypatch, name):
 
 
 def test_slackness_failure_names_the_pair_and_the_size(monkeypatch):
-    # the same K4 instance in floats; a negative accepted error fails the
-    # first arc that carries flow, whatever its reduced cost
+    # the same K4 instance in floats; source 0's potential raised by 1e-9
+    # of the largest cost, after the loop, keeps every reduced cost >= 0 and
+    # the gap below 1e-9 of it (source 0 holds less than a unit), but moves
+    # its arcs that carry flow past the accepted 1e-10
     p = _as_float(pair_transport_problem(generate("complete:4"), 0, 1))
     solve_wasserstein(p)
-    monkeypatch.setattr(transport, "_FLOAT_EPS_CS", -1.0)
+    loop = transport._primal_dual
+
+    def planted(*args):
+        flow, phi = loop(*args)
+        phi[0] += 1e-9 * p.largest_cost
+        return flow, phi
+
+    monkeypatch.setattr(transport, "_primal_dual", planted)
     with pytest.raises(TransportError, match=r"pair \(0,1\) over 4x4 atoms, residual 2x2: "
                                              r"complementary slackness violated on arc"):
         solve_wasserstein(p)
@@ -777,13 +802,18 @@ _RESIDUAL_FAILURES = {
 _K4_RESIDUAL = "transport for pair (0,1) over 4x4 atoms, residual 2x2: "
 
 
-@pytest.mark.parametrize("kind", sorted(_RESIDUAL_FAILURES))
-def test_residual_certificate_failure_names_the_pair_and_the_size(plant_residual, kind):
+@pytest.mark.parametrize("kind, solve", [
+    *(pytest.param(kind, ricci, id=kind) for kind in sorted(_RESIDUAL_FAILURES)),
+    *(pytest.param(kind, transport_for_pair, id=f"{kind}-transport_for_pair")
+      for kind in sorted(_RESIDUAL_FAILURES))])
+def test_residual_certificate_failure_names_the_pair_and_the_size(plant_residual, kind, solve):
+    # kappa and the full solve share the residual solve and its certificate,
+    # so each plant fails both with the same message
     g = generate("complete:4")
     assert ricci(g, 0, 1) == Fraction(1, 2)
     plant_residual(kind)
     with pytest.raises(TransportError) as exc:
-        ricci(g, 0, 1)
+        solve(g, 0, 1)
     assert str(exc.value) == _K4_RESIDUAL + _RESIDUAL_FAILURES[kind]
 
 
