@@ -70,28 +70,31 @@ def edges_adjacent(g, e: int, f: int) -> bool:
 class PairProblem(TransportProblem):
     """The transport problem between the measures of edges e and f of g.
 
-    Its measures and costs come from g's edge space, whose distance row of
-    an edge is indexed by edge ordinal: costs(sources, sinks) slices each
-    source's row at the sinks, and ``largest_cost`` (the float tolerances)
-    is the largest K x K cost sliced so.  The sorted joint support ``atoms``
-    and the block ``rows`` (by pairwise_costs) are built only when read (a
-    full solve, a hand-built twin, the oracle), like ``position``,
-    ``supply`` and ``demand``.  Distance rows pass every check of a block
-    (a 0 at the row's own edge, sums of positive weights elsewhere, and no
-    row kept with an infinite entry), so none is validated per pair.
-    ``certified`` is True once the space certified its vertex metric, which
-    building the problem forces: the costs are then a metric (within the
-    edge-metric lemma's 1 + 3 gamma on float input), the solver takes the
-    dual's Lipschitz bound as proved, and residual_cost may take W from the
-    residual alone.
+    It overrides only where the costs come from: g's edge space, whose
+    distance row of an edge is indexed by edge ordinal, so costs(sources,
+    sinks) slices each source's row at the sinks, and ``largest_cost`` (the
+    float tolerances), which TransportProblem reads through costs, is the
+    largest K x K cost sliced so.  The sorted joint support ``atoms`` and
+    the block ``rows`` (by pairwise_costs) are built only when read (a full
+    solve, a hand-built twin, the oracle), like ``position``, ``supply``
+    and ``demand``.  Distance rows pass every check of a block (a 0 at the
+    row's own edge, sums of positive weights elsewhere, and no row kept
+    with an infinite entry), so none is validated per pair.  ``certified``
+    is True for the class: building a problem reads a distance row, and the
+    space certifies its vertex metric before the first row or raises.  The
+    costs are then a metric (within the edge-metric lemma's 1 + 3 gamma on
+    float input), the solver takes the dual's Lipschitz bound as proved, and
+    residual_cost may take W from the residual alone.
     """
+
+    certified = True
 
     def __init__(self, g, e: int, f: int):
         space = edge_space(g)
         mu, nu = space.measure(e), space.measure(f)
         space.row(e)  # the first row read builds and certifies the vertex metric
         vars(self).update(mu=mu, nu=nu, _g=g, _space=space)
-        self._settle(mu.exact and nu.exact, space.certified)
+        self._settle(mu.exact and nu.exact)
 
     @cached_property
     def atoms(self) -> tuple[int, ...]:
@@ -100,12 +103,6 @@ class PairProblem(TransportProblem):
     @cached_property
     def rows(self) -> tuple[tuple, ...]:
         return pairwise_costs(self._g, self.atoms)
-
-    @cached_property
-    def largest_cost(self):
-        # the block's entries, sliced unsorted from the space's rows
-        joint = {*self.mu.atoms, *self.nu.atoms}
-        return max(map(max, self.costs(joint, joint)))
 
     def costs(self, sources, sinks) -> list[tuple]:
         # an edge's ordinal is its position in a distance row

@@ -83,8 +83,14 @@ arc that carries flow has |reduced cost| <= 1e-10, and the gap is within
 1e-9.  The float tolerances are relative to the largest cost alone, as the
 tightness threshold is: the rounding error of a reduced cost grows with the
 potentials, which reach the largest cost, whatever the arc's own cost, and
-a floor of 1 would pass any certificate below unit cost scale.  A failure
-raises TransportError naming the edge pair and the residual size.
+a floor of 1 would pass any certificate below unit cost scale.  The
+largest cost is the joint K x K block's, not the residual S x T block's:
+the float metric's excess below is 6 gamma of the joint block's largest
+cost, and it fits inside the 1e-9 only when both are measured on the same
+block.  A residual scale would hold the joint block's largest cost within
+about 1.5e6 / (n - 1) times the residual's, which weights twelve decades
+apart need not meet.  A failure raises TransportError naming the edge pair
+and the residual size.
 
 The certificate proves W on a metric d, by the cancellation lemma: then
 W(mu, nu) is the optimum of the residual LP over supp(mu') x supp(nu').
@@ -136,7 +142,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import compress, repeat
-from operator import add, getitem, le, mul, sub
+from operator import add, le, mul, sub
 from typing import Mapping
 
 from .edge_geometry import EdgeMeasure, slicer
@@ -155,20 +161,23 @@ class TransportProblem:
     """Measures plus the costs over their sorted joint support ``atoms``:
     rows[k][l] is the cost from atoms[k] to atoms[l].
 
-    Construction validates the rows in one pass in C: atoms must be the
-    sorted joint support (rows in another atom order would pass the other
-    checks), there is one row per atom, each with one entry per atom,
-    every atom costs 0 to itself, and every entry is finite and >= 0.  The
-    same pass records whether every cost is an int, which with exact masses
-    makes the problem exact; ``largest_cost`` is the largest entry.  Then
-    it fixes the solver units (_settle): ``scale`` is the LCM of the
-    measures' scales when exact and 1 otherwise, and the read-only
-    ``supply`` and ``demand`` map each atom of mu and nu to its mass in
-    those units, whose totals must agree.  ``position`` maps each atom to
-    its index in atoms and rows; all three are built when first read.
-    costs(sources, sinks) slices the rows of sources at sinks.
-    ``certified`` is False: only a PairProblem, which slices its own costs
-    from a certified metric, sets it.  Every error raised here names the
+    Construction walks the rows once and names the first bad entry: atoms
+    must be the sorted joint support (rows in another atom order would pass
+    the other checks), there is one row per atom, each with one entry per
+    atom, every atom costs 0 to itself, and every entry is finite and >= 0.
+    The type of the rows' sum records whether every cost is an int, which
+    with exact masses makes the problem exact.  Then it fixes the solver units
+    (_settle): ``scale`` is the LCM of the measures' scales when exact and
+    1 otherwise, and the read-only ``supply`` and ``demand`` map each atom
+    of mu and nu to its mass in those units, whose totals must agree.
+    ``position`` maps each atom to its index in atoms and rows.
+    costs(sources, sinks) slices the rows of sources at sinks, and
+    ``largest_cost``, the scale of the float tolerances, is the largest
+    entry of the K x K block read through costs, so it follows a subclass
+    that slices its costs elsewhere.  These four are built when first
+    read, and an exact problem never reads ``largest_cost``.  ``certified``
+    is a class fact, False here: only a PairProblem, which slices its costs
+    from a certified metric, is certified.  Every error raised here names the
     edge pair and the atom counts.
     """
 
@@ -178,7 +187,7 @@ class TransportProblem:
     rows: tuple[tuple, ...]
     exact: bool = field(init=False, repr=False, compare=False)
     scale: int = field(init=False, repr=False, compare=False)
-    certified: bool = field(init=False, repr=False, compare=False)
+    certified: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         mu, nu = self.mu, self.nu
@@ -193,27 +202,21 @@ class TransportProblem:
         n = len(joint)
         if len(rows) != n:
             raise invalid(f"cost block has {len(rows)} rows for {n} atoms")
-        # The whole block is checked at once, in C: min() skips a NaN past
-        # the first entry, but the sum carries it.  Only a block that fails
-        # is walked row by row, to name its first bad entry; a finite block
-        # whose sum overflows passes that walk.
-        total = sum(map(sum, rows))
-        if not (set(map(len, rows)) == {n} and not any(map(getitem, rows, range(n)))
-                and min(map(min, rows)) >= 0 and total < math.inf):
-            for k, (a, row) in enumerate(zip(joint, rows)):
-                if len(row) != n:
-                    raise invalid(f"cost row of atom {a} has {len(row)} entries, not {n}")
-                if row[k] != 0:
-                    raise invalid(f"nonzero self cost {row[k]} at atom {a}")
-                for b, c in zip(joint, row):
-                    if not 0 <= c < math.inf:
-                        what = "negative" if c < 0 else "non-finite"
-                        raise invalid(f"{what} cost {c} for pair {(a, b)}")
+        # one walk checks every entry and names the first bad one; a finite
+        # block whose sum overflows passes it
+        for k, (a, row) in enumerate(zip(joint, rows)):
+            if len(row) != n:
+                raise invalid(f"cost row of atom {a} has {len(row)} entries, not {n}")
+            if row[k] != 0:
+                raise invalid(f"nonzero self cost {row[k]} at atom {a}")
+            for b, c in zip(joint, row):
+                if not 0 <= c < math.inf:
+                    what = "negative" if c < 0 else "non-finite"
+                    raise invalid(f"{what} cost {c} for pair {(a, b)}")
         # ints sum to an int; one float or Fraction makes the sum one too
-        self._settle(mu.exact and nu.exact and type(total) is int, False)
-        vars(self)["largest_cost"] = max(map(max, rows))
+        self._settle(mu.exact and nu.exact and type(sum(map(sum, rows))) is int)
 
-    def _settle(self, exact: bool, certified: bool) -> None:
+    def _settle(self, exact: bool) -> None:
         """Set the solver units and the masses in them, in atom order (exact
         masses balance: each measure's units sum to its scale)."""
         mu, nu = self.mu, self.nu
@@ -227,8 +230,13 @@ class TransportProblem:
             if abs(sum(supply) - sum(demand)) > 1e-12:
                 raise MassImbalanceError(
                     f"{_instance(mu, nu)}: supply {sum(mu.masses)} != demand {sum(nu.masses)}")
-        vars(self).update(exact=exact, scale=scale, certified=certified,
-                          _supply=supply, _demand=demand)
+        vars(self).update(exact=exact, scale=scale, _supply=supply, _demand=demand)
+
+    @cached_property
+    def largest_cost(self):
+        # the block's entries, sliced unsorted through costs
+        joint = {*self.mu.atoms, *self.nu.atoms}
+        return max(map(max, self.costs(joint, joint)))
 
     @cached_property
     def position(self) -> Mapping[int, int]:

@@ -428,6 +428,24 @@ def test_bounds_bracket_everywhere(seed):
         assert transport_for_pair(g, e, f).gap == 0
 
 
+@given(st.integers(3, 8), st.sampled_from([0.3, 0.5, 0.7, 0.9]), st.integers(0, 10**6))
+def test_unweighted_curvature_keeps_the_jost_liu_triangle_bracket(n, p, seed):
+    # Unweighted edge curvature is the Ollivier curvature, with no idleness,
+    # of the line graph, so J. Jost and S. Liu, Discrete Comput. Geom. 51
+    # (2014) 300-322, Thms. 3 and 4, bracket it by the triangle count
+    # # = |Gamma(e) n Gamma(f)|, exactly and with no code of the solver
+    g = generate(f"random:{n}:{p}", seed=seed)
+    space = edge_space(g)
+    for (e, f), kappa in ricci_all_adjacent(g).items():
+        d_e, d_f = space.degrees[e], space.degrees[f]
+        lo, hi = min(d_e, d_f), max(d_e, d_f)
+        shared = len(set(space.neighbors[e]) & set(space.neighbors[f]))
+        base = 1 - Fraction(1, d_e) - Fraction(1, d_f)
+        floor = (-max(base - Fraction(shared, lo), 0) - max(base - Fraction(shared, hi), 0)
+                 + Fraction(shared, hi))
+        assert floor <= kappa <= Fraction(shared, hi), (e, f)
+
+
 @given(st.integers(0, 150))
 def test_curvature_is_symmetric(seed):
     g = generate("random:6:0.4", seed=seed)
@@ -620,6 +638,25 @@ def test_float_residual_tolerance_follows_the_largest_cost(monkeypatch, k):
         moving(c, amount)
         with pytest.raises(TransportError, match=r"residual \d+x\d+: " + what):
             transport.residual_cost(problem)
+
+
+@pytest.mark.parametrize("k", [-40, 0, 40])
+def test_a_pair_problem_and_its_hand_built_twin_share_one_tolerance_scale(k):
+    # Both problem types read largest_cost through their own costs, one
+    # slicing the space's distance rows and the other the block: the same
+    # maximum, so the same float thresholds, and the certified residual W
+    # is the twin's full solve to the last bit at every scale
+    g = _wide_weights(generate("random:8:0.5", seed=36), random.Random(36), 3,
+                      vertex_scale=2.0 ** k)
+    for e in range(g.n_edges):
+        for f in range(e + 1, g.n_edges):
+            p = curvature.pair_transport_problem(g, e, f)
+            twin = transport.TransportProblem(p.mu, p.nu, p.atoms, p.rows)
+            assert not p.exact and p.certified and not twin.certified
+            assert type(p.largest_cost) is type(twin.largest_cost) is float
+            assert p.largest_cost == twin.largest_cost
+            w = transport.solve_wasserstein(twin).distance
+            assert transport.residual_cost(p).hex() == w.hex()
 
 
 @given(st.integers(0, 200), st.sampled_from(["unit", "wide"]), st.integers(-40, 40))

@@ -151,58 +151,37 @@ def test_output_digest_covers_every_input_and_command(monkeypatch, capsys, load_
     monkeypatch.setattr(module, "FAMILIES", ("cycle:4", "star:4"))
     monkeypatch.setattr(module, "SELFTEST_SEEDS", (0,))
     assert module.main() == 0
-    lines = capsys.readouterr().out.splitlines()
-    # two families, their two reversed edge lists and the escapes edge list
-    # with five commands, three spectra and six matrix dumps each, eight
-    # weighted documents with five commands, four spectra and eight matrix
-    # dumps each, one selftest, generate for the two families and for the
-    # six malformed specs, the four extreme-weight documents like the
-    # weighted ones, then verify on the two repeated-key documents and the
-    # two byte-order-marked triangles
-    assert len(lines) == 5 * (5 + 3 + 6) + 8 * (5 + 4 + 8) + 1 + 2 + 6 + 4 * 17 + 2 + 2
-    assert all(len(line.split()[1]) == 64 for line in lines)
+    # each line is (exit code, sha256, label, command); the expected
+    # (label, command, exit codes) sequence comes from the script's own
+    # tables, in the order of its module docstring
+    plain = module.COMMANDS + module.spectrum_commands(("unit", "walk", "degree"))
+    weighted = module.COMMANDS + module.spectrum_commands(("unit", "walk", "degree", "graph"))
+    verify_json = ("verify", "--format", "json")
     # exit 1 is a report with a failed check, not a crash; a malformed spec
-    # is bad usage; a crash would read raised:<type>
-    codes = [line.split()[0] for line in lines]
-    assert all(code in ("0", "1") for code in codes[:-78] + codes[-72:-4])
-    assert codes[-78:-72] == ["2"] * 6
-    assert codes[-4:] == ["2", "2", "0", "0"]
-    assert lines[0].endswith(" cycle:4 verify --format json")
-    assert lines[4].endswith(" cycle:4 curvature --format json")
-    assert lines[5].endswith(" cycle:4 spectrum --weighting unit --format json")
-    assert lines[13].endswith(" cycle:4 spectrum --weighting degree"
-                              " --operator edge --format matrix")
-    assert lines[14].endswith(" star:4 verify --format json")
-    assert lines[28].endswith(" cycle:4/reversed verify --format json")
-    assert lines[42].endswith(" star:4/reversed verify --format json")
-    assert lines[56].endswith(" escapes verify --format json")
-    assert lines[69].endswith(" escapes spectrum --weighting degree"
-                              " --operator edge --format matrix")
-    assert lines[70].endswith(" cycle:4/unit verify --format json")
-    assert lines[121].endswith(" cycle:4/wide verify --format json")
-    assert lines[177].endswith(" star:4/random spectrum --weighting unit --format json")
-    assert lines[180].endswith(" star:4/random spectrum --weighting graph --format json")
-    assert lines[186].endswith(" star:4/random spectrum --weighting degree"
-                               " --operator edge --format matrix")
-    assert lines[188].endswith(" star:4/random spectrum --weighting graph"
-                               " --operator edge --format matrix")
-    assert lines[189].endswith(" star:4/wide verify --format json")
-    assert lines[205].endswith(" star:4/wide spectrum --weighting graph"
-                               " --operator edge --format matrix")
-    assert lines[206].endswith(" gate selftest --seed 0")
-    assert lines[207].endswith(" cycle:4 generate")
-    assert lines[208].endswith(" star:4 generate")
-    assert lines[209].endswith(" hexagon:6 generate")
-    assert lines[214].endswith(" cycle:2 generate")
-    assert lines[215].endswith(" cycle:4/vertex-1e300 verify --format json")
-    assert lines[249].endswith(" cycle:4/vertex-1e-300 verify --format json")
-    assert lines[266].endswith(" cycle:4/vertex-absorbed verify --format json")
-    assert lines[-5].endswith(" cycle:4/vertex-absorbed spectrum --weighting graph"
-                              " --operator edge --format matrix")
-    assert lines[-4].endswith(" repeated-vertex-key verify --format json")
-    assert lines[-3].endswith(" repeated-edges-key verify --format json")
-    assert lines[-2].endswith(" bom-edgelist verify --format json")
-    assert lines[-1].endswith(" bom-weighted verify --format json")
+    # and a repeated key are bad usage; a crash would read raised:<type>
+    report, usage, clean = {"0", "1"}, {"2"}, {"0"}
+    expected = [(family, command, report) for family in module.FAMILIES for command in plain]
+    expected += [(f"{family}/reversed", command, report)
+                 for family in module.FAMILIES for command in plain]
+    expected += [("escapes", command, report) for command in plain]
+    expected += [(f"{family}/{weights}", command, report) for family in module.FAMILIES
+                 for weights in module.WEIGHTS for command in weighted]
+    expected += [("gate", ("selftest", "--seed", str(seed)), report)
+                 for seed in module.SELFTEST_SEEDS]
+    expected += [(spec, ("generate",), report) for spec in module.FAMILIES]
+    expected += [(spec, ("generate",), usage) for spec in module.MALFORMED]
+    expected += [(f"cycle:4/{label}", command, report)
+                 for label, _, _ in module.EXTREMES for command in weighted]
+    expected += [(label, verify_json, usage) for label, _ in module.REPEATED_KEYS]
+    expected += [(label, verify_json, clean) for label, _, _ in module.BOM_INPUTS]
+    assert len(expected) == (5 * (5 + 3 + 6) + 8 * (5 + 4 + 8) + 1 + 2 + 6 + 4 * 17
+                             + 2 + 2)
+    lines = [line.split(" ", 3) for line in capsys.readouterr().out.splitlines()]
+    assert [(label, command) for _, _, label, command in lines] == [
+        (label, " ".join(command)) for label, command, _ in expected]
+    for (code, sha, label, command), (_, _, codes) in zip(lines, expected):
+        assert re.fullmatch("[0-9a-f]{64}", sha), (label, command)
+        assert code in codes, (label, command, code)
 
 
 _SEEDED = ["--families", "random:7:0.5", "--seeds", "0..2"]

@@ -134,22 +134,30 @@ def test_phase_search_passes_a_dead_branch_and_a_zero_cost_cycle():
 def test_column_reduced_start_needs_no_dual_step_when_the_column_minima_match(monkeypatch):
     # Sources at 0, 10 and 20, sinks at 1, 11.5 and 22, 1/3 each: every
     # sink's least cost is from the source beside it, so the start makes
-    # the diagonal tight and the first phase ships it all.  A full solve
-    # slices twice, the residual costs and then the envelope block, and once
-    # more per dual step, so two calls mean no dual step.
-    calls, slicer = [], transport.slicer
+    # the diagonal tight and the first phase ships it all.  The loop slices
+    # the cost matrix once per dual step and nowhere else, so no slice while
+    # it runs means no dual step.
+    calls, inside = [], []
+    slicer, loop = transport.slicer, transport._primal_dual
 
     def counting(positions):
         calls.append(positions)
         return slicer(positions)
+
+    def watched(*args):
+        before = len(calls)
+        result = loop(*args)
+        inside.append(len(calls) - before)
+        return result
 
     x = (0.0, 10.0, 20.0, 1.0, 11.5, 22.0)
     third = (1 / 3,) * 3
     p = TransportProblem(EdgeMeasure(0, (0, 1, 2), third), EdgeMeasure(1, (3, 4, 5), third),
                          *_block(tuple(range(6)), lambda a, b: abs(x[a] - x[b])))
     monkeypatch.setattr(transport, "slicer", counting)
+    monkeypatch.setattr(transport, "_primal_dual", watched)
     r = solve_wasserstein(p)
-    assert len(calls) == 2
+    assert inside == [0]
     assert [(a, b) for a, b, _ in r.plan] == [(0, 3), (1, 4), (2, 5)]
     assert r.distance == pytest.approx(1.5, rel=1e-15)
 
